@@ -1,8 +1,9 @@
 """Spectral-triple combinatorics for Cuntz-Krieger boundaries.
 
 The package is organized in layers.  ``words`` holds admissible-word
-combinatorics and the free-group boundary, ``ckalg`` the symbolic
-Cuntz-Krieger algebra, ``operators`` dense truncated-operator utilities,
+combinatorics, the free-group boundary and the species decompositions of
+the escape counts, ``ckalg`` the symbolic Cuntz-Krieger algebra,
+``operators`` the quadrature check of the fractional-power integral,
 ``traces`` the closed-form and brute-force heat and Toeplitz traces with
 their pole data, ``circle`` and ``higher_order`` the circle-based models,
 ``damp`` the logarithmic dampening toolkit, and ``cochain`` the residue

@@ -97,13 +97,6 @@ def generator(letter: int, model: AdjacencyModel) -> CKElement:
     return CKElement.of(monomial((letter,), (), model))
 
 
-def cylinder_function(word: Word, model: AdjacencyModel) -> CKElement:
-    """Characteristic function of the cylinder of a finite admissible word."""
-    if word:
-        return CKElement.of(monomial(tuple(word), tuple(word), model))
-    return CKElement.unit()
-
-
 def adjoint(x: CKElement) -> CKElement:
     """Term-wise adjoint; rational coefficients are their own conjugates."""
     return CKElement.from_terms(

@@ -205,34 +205,6 @@ def run(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(config.experiment, dict(config.parameters), checks, elapsed)
 
 
-def _number_text(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _dump(value: object, indent: int) -> str:
-    pad = "  " * indent
-    if isinstance(value, Mapping):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(key))}: {_dump(entry, indent + 1)}"
-            for key, entry in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = ",\n".join(f"{pad}  {_dump(entry, indent + 1)}" for entry in value)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(value, bool) or value is None or isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _number_text(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def _report_payload(report: ExperimentReport) -> dict[str, object]:
     return {
         "experiment": report.experiment,
@@ -254,7 +226,7 @@ def _report_payload(report: ExperimentReport) -> dict[str, object]:
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    return _dump(_report_payload(report), 0) + "\n"
+    return json.dumps(_report_payload(report), indent=2) + "\n"
 
 
 def report_from_json(text: str) -> ExperimentReport:
@@ -276,11 +248,7 @@ def report_from_json(text: str) -> ExperimentReport:
 
 
 def _cell(value: float | int | str) -> str:
-    if isinstance(value, bool) or isinstance(value, str):
-        return str(value)
-    if isinstance(value, float):
-        return _number_text(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def report_to_csv(report: ExperimentReport) -> str:
@@ -293,7 +261,7 @@ def report_to_csv(report: ExperimentReport) -> str:
                 check.name,
                 _cell(check.computed),
                 _cell(check.expected),
-                "" if check.tolerance is None else _number_text(check.tolerance),
+                "" if check.tolerance is None else _cell(check.tolerance),
                 "true" if check.passed else "false",
                 check.provenance,
             ]

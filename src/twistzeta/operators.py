@@ -1,163 +1,19 @@
-"""Finite truncations of operators as labeled complex matrices.
+"""Quadrature check of the fractional-power integral on a diagonal spectrum.
 
-Bases carry opaque labels (Fourier indices, vertex words) plus the
-truncation parameter that produced them, so sweeps over truncation sizes
-can be compared label by label.  Diagonal operators keep their eigenvalue
-lists exact; everything else is dense numpy.
+This is the only module that imports ``scipy.integrate``; the command line
+never imports it, so the quadrature import stays off its start-up path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Sequence
 
-import numpy as np
 from scipy import integrate
 
 
-@dataclass(frozen=True)
-class LabeledBasis:
-    """Ordered list of distinct basis labels with its truncation parameter."""
-
-    labels: tuple[Hashable, ...]
-    truncation_param: int
-
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("basis labels must be pairwise distinct")
-        if self.truncation_param <= 0:
-            raise ValueError("truncation parameter must be positive")
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def index(self, label: Hashable) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"label {label!r} not in basis") from None
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedOperator:
-    """Dense matrix together with the basis it is written in."""
-
-    basis: LabeledBasis
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        shaped = np.asarray(self.matrix, dtype=complex)
-        if shaped.shape != (self.basis.size, self.basis.size):
-            raise ValueError("matrix shape must match the basis size")
-        object.__setattr__(self, "matrix", shaped)
-
-
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Exact diagonal operator; eigenvalues stored per label."""
-
-    basis: LabeledBasis
-    eigenvalues: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.eigenvalues) != self.basis.size:
-            raise ValueError("need one eigenvalue per basis label")
-
-    def to_truncated(self) -> TruncatedOperator:
-        return TruncatedOperator(self.basis, np.diag(np.asarray(self.eigenvalues, dtype=complex)))
-
-
-def func_calc(
-    operator: DiagonalOperator, f: Callable[[float], float]
-) -> DiagonalOperator:
-    """Entrywise functional calculus on a diagonal operator."""
-    values = []
-    for eigenvalue in operator.eigenvalues:
-        try:
-            values.append(f(eigenvalue))
-        except (ArithmeticError, ValueError) as exc:
-            raise ValueError(f"function undefined at eigenvalue {eigenvalue}") from exc
-    return DiagonalOperator(operator.basis, tuple(values))
-
-
-def _same_basis(*operators: TruncatedOperator) -> None:
-    first = operators[0].basis
-    for op in operators[1:]:
-        if op.basis != first:
-            raise ValueError("operators live on different bases")
-
-
-def commutator(t: TruncatedOperator, a: TruncatedOperator) -> TruncatedOperator:
-    """Ta - aT."""
-    _same_basis(t, a)
-    return TruncatedOperator(t.basis, t.matrix @ a.matrix - a.matrix @ t.matrix)
-
-
-def twisted_commutator(
-    t: TruncatedOperator, a: TruncatedOperator, sigma_of_a: TruncatedOperator
-) -> TruncatedOperator:
-    """Ta - sigma(a)T, the twisted commutator."""
-    _same_basis(t, a, sigma_of_a)
-    return TruncatedOperator(t.basis, t.matrix @ a.matrix - sigma_of_a.matrix @ t.matrix)
-
-
-def _power_iteration(gram: np.ndarray, start: np.ndarray, tol: float) -> float:
-    estimate = 0.0
-    vector = start / np.linalg.norm(start)
-    for _ in range(20000):
-        image = gram @ vector
-        norm = np.linalg.norm(image)
-        if norm == 0.0:
-            return 0.0
-        vector = image / norm
-        previous, estimate = estimate, float(np.real(np.vdot(vector, gram @ vector)))
-        if abs(estimate - previous) <= tol * max(abs(estimate), 1e-300):
-            break
-    return math.sqrt(max(estimate, 0.0))
-
-
-def op_norm(t: TruncatedOperator, tol: float = 1e-10) -> float:
-    """Spectral norm via power iteration on T*T.
-
-    The primary start vector is all ones; a ramp start guards against the
-    unlucky case of the seed being orthogonal to the top singular space.
-    Both starts are deterministic so results are reproducible.
-    """
-    matrix = t.matrix
-    size = matrix.shape[0]
-    if size == 0:
-        return 0.0
-    gram = matrix.conj().T @ matrix
-    ones = np.ones(size)
-    ramp = np.arange(1, size + 1, dtype=float)
-    return max(
-        _power_iteration(gram, ones, tol),
-        _power_iteration(gram, ramp, tol),
-    )
-
-
-def singular_value_profile(t: TruncatedOperator) -> list[float]:
-    """All singular values, descending."""
-    if t.basis.size == 0:
-        return []
-    return [float(s) for s in np.linalg.svd(t.matrix, compute_uv=False)]
-
-
-def numerical_rank(t: TruncatedOperator, tol: float = 1e-8) -> int:
-    """Number of singular values above tol times the largest one."""
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    profile = singular_value_profile(t)
-    if not profile or profile[0] == 0.0:
-        return 0
-    cutoff = tol * profile[0]
-    return sum(1 for s in profile if s > cutoff)
-
-
 def frac_power_integral_check(
-    operator: DiagonalOperator, r: float, quad_points: int = 200
+    eigenvalues: Sequence[float], r: float, quad_points: int = 200
 ) -> float:
     """Largest deviation of the fractional-power integral from the direct power.
 
@@ -173,7 +29,7 @@ def frac_power_integral_check(
         raise ValueError("quad_points must be positive")
     worst = 0.0
     prefactor = math.sin(r * math.pi) / math.pi
-    for eigenvalue in operator.eigenvalues:
+    for eigenvalue in eigenvalues:
         shift = 1.0 + float(eigenvalue) ** 2
 
         def integrand(x: float, shift: float = shift) -> float:
@@ -183,8 +39,8 @@ def frac_power_integral_check(
 
         value, _ = integrate.quad(
             integrand,
-            -np.inf,
-            np.inf,
+            -math.inf,
+            math.inf,
             epsabs=1e-12,
             epsrel=1e-12,
             limit=quad_points,
@@ -192,16 +48,3 @@ def frac_power_integral_check(
         deviation = abs(prefactor * value - shift ** (-r))
         worst = max(worst, deviation)
     return worst
-
-
-def basis_of_indices(indices: Sequence[int], truncation_param: int) -> LabeledBasis:
-    """Basis labeled by integers, typically Fourier modes."""
-    return LabeledBasis(tuple(indices), truncation_param)
-
-
-def zero_operator(basis: LabeledBasis) -> TruncatedOperator:
-    return TruncatedOperator(basis, np.zeros((basis.size, basis.size), dtype=complex))
-
-
-def identity_operator(basis: LabeledBasis) -> TruncatedOperator:
-    return TruncatedOperator(basis, np.eye(basis.size, dtype=complex))

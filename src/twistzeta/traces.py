@@ -29,8 +29,10 @@ from .words import (
     BoundaryPoint,
     Word,
     enumerate_admissible,
+    extension_species,
     fixed_point,
     settled_eigenvalue,
+    settling_species,
     vertex_from_group_word,
 )
 
@@ -317,102 +319,6 @@ class _Accumulator:
         return MeromorphicTrace.from_parts(self.d, self.nvars, parts, certificate)
 
 
-def geom_sum(
-    kind: int,
-    d: int,
-    nvars: int,
-    *,
-    lower: int = 0,
-    inner_lower: int = 0,
-    coupling: int = 0,
-    offsets: Sequence[int] = (),
-    amplitude: Fraction | int = 1,
-) -> MeromorphicTrace:
-    """Exact value of one of the four basic geometric-series identities.
-
-    Kind 3 sums amplitude^{coupling*n} e^{-sum_j s_j |n + offset_j|} over
-    n >= lower; kind 4 sums amplitude^k e^{-sum_j s_j k} over
-    k >= inner_lower; kinds 1 and 2 are the double sums with independent
-    and coupled inner ranges.  The finite boundary sums below the kink of
-    |n + offset_j| go into the numerator verbatim.
-    """
-    amplitude = Fraction(amplitude)
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
-    if kind not in (1, 2, 3, 4):
-        raise ValueError(f"unknown identity kind {kind}")
-    if kind in (1, 2, 3) and len(offsets) != nvars:
-        raise ValueError("need one offset per variable")
-
-    out = _Accumulator(d, nvars)
-
-    if kind == 4:
-        out.add_term(
-            {amplitude: 1},
-            tuple(inner_lower for _ in range(nvars)),
-            amplitude**inner_lower,
-        )
-        return out.build()
-
-    pivot = max(lower, -min(offsets))
-
-    def kink_vector(n: int) -> tuple[int, ...]:
-        return tuple(abs(n + off) for off in offsets)
-
-    if kind == 3:
-        for n in range(lower, pivot):
-            out.add_term({}, kink_vector(n), amplitude ** (coupling * n))
-        out.add_term(
-            {amplitude**coupling: 1},
-            tuple(pivot + off for off in offsets),
-            amplitude ** (coupling * pivot),
-        )
-        return out.build()
-
-    if kind == 1:
-        head = amplitude**inner_lower
-        for n in range(lower, pivot):
-            out.add_term(
-                {amplitude: 1},
-                tuple(x + inner_lower for x in kink_vector(n)),
-                head * amplitude ** (coupling * n),
-            )
-        coupled = amplitude**coupling
-        factors = {amplitude: 1}
-        factors[coupled] = factors.get(coupled, 0) + 1
-        out.add_term(
-            factors,
-            tuple(pivot + off + inner_lower for off in offsets),
-            head * amplitude ** (coupling * pivot),
-        )
-        return out.build()
-
-    # kind 2: inner index starts at n + inner_lower, coupling the ranges.
-    squared = amplitude ** (coupling + 1)
-    head = amplitude**inner_lower
-    for n in range(lower, pivot):
-        out.add_term(
-            {amplitude: 1},
-            tuple(x + n + inner_lower for x in kink_vector(n)),
-            head * squared**n,
-        )
-    if squared == 1:
-        inner_factors = {Fraction(1): 1, Fraction(-1): 1}
-    else:
-        raise ValueError(
-            "coupled double sums are representable only when the squared "
-            "amplitude is 1"
-        )
-    factors = dict(inner_factors)
-    factors[amplitude] = factors.get(amplitude, 0) + 1
-    out.add_term(
-        factors,
-        tuple(inner_lower + off + 2 * pivot for off in offsets),
-        head * squared**pivot,
-    )
-    return out.build()
-
-
 def _canonical_chain(
     chain: Sequence[Monomial], tail: BoundaryPoint, model: AdjacencyModel
 ) -> tuple[tuple[Monomial, ...], BoundaryPoint]:
@@ -511,8 +417,9 @@ def closed_form_heat_trace(
 
     The diagonal decomposes into cylinders; vertices over each cylinder
     split into the family settling straight onto the tail and the families
-    settling after an escape of each positive depth, whose counts follow
-    the branching geometry.  Both resum to the atomic denominators.
+    settling after an escape of each positive depth, whose counts are the
+    species of :func:`settling_species`.  Both resum to the atomic
+    denominators.
     """
     canonical, _ = _canonical_chain(chain, tail, model)
     d = model.generator_pairs
@@ -524,7 +431,6 @@ def closed_form_heat_trace(
             d, stages, {}, certificate=ZERO_DIAGONAL_CERTIFICATE
         )
 
-    branching = Fraction(2 * d - 1)
     out = _Accumulator(d, stages)
     omegas = summary.omegas
     sigma_lengths = summary.sigma_lengths
@@ -563,16 +469,10 @@ def closed_form_heat_trace(
         ),
     ]
     for last, weight in summary.ending_buckets:
-        marked = Fraction(1) if last in (0, 1) else Fraction(0)
-        branches = (
-            (Fraction(d - 1, d), branching, branching),
-            (marked - Fraction(1, d), Fraction(1), Fraction(-1)),
-        )
-        for overall, series_amp, alpha in branches:
-            scale = weight * overall * series_amp
-            out.add_term(
-                {alpha: 2}, tuple(sl + 1 for sl in sigma_lengths), scale
-            )
+        for coeff, amplitude in settling_species(model, last):
+            alpha = Fraction(amplitude)
+            scale = weight * coeff * amplitude
+            out.add_term({alpha: 2}, tuple(sl + 1 for sl in sigma_lengths), scale)
             for extra_factors, pieces in escape_pieces:
                 factors = dict(extra_factors)
                 factors[alpha] = factors.get(alpha, 0) + 1
@@ -632,7 +532,7 @@ def closed_form_toeplitz_trace(
 
     Words shorter than the refinement length are simulated one by one into
     the entire part; longer words group by their defining cylinder and
-    their extension counts resum geometrically.
+    each species of :func:`extension_species` resums geometrically.
     """
     canonical, _ = _canonical_chain(chain, tail, model)
     d = model.generator_pairs
@@ -644,7 +544,6 @@ def closed_form_toeplitz_trace(
             d, stages, {}, certificate=ZERO_DIAGONAL_CERTIFICATE
         )
 
-    branching = 2 * d - 1
     out = _Accumulator(d, stages)
     for vector in _toeplitz_short_vectors(canonical, model, summary.refined_length):
         out.add_term({}, vector, Fraction(1))
@@ -654,20 +553,8 @@ def closed_form_toeplitz_trace(
         if last != 1:
             out.add_term({}, sigma_lengths, weight)
         bumped = tuple(sl + 1 for sl in sigma_lengths)
-        out.add_term(
-            {Fraction(branching): 1},
-            bumped,
-            weight * Fraction(branching * branching, 2 * d),
-        )
-        marked = 1 if last in (0, 1) else 0
-        out.add_term(
-            {Fraction(-1): 1},
-            bumped,
-            weight * (Fraction(marked, 2) - Fraction(1, 2 * d)),
-        )
-        signed = (1 if last == 0 else 0) - (1 if last == 1 else 0)
-        if signed:
-            out.add_term({Fraction(1): 1}, bumped, weight * Fraction(signed, 2))
+        for coeff, amplitude in extension_species(model, last):
+            out.add_term({Fraction(amplitude): 1}, bumped, weight * coeff * amplitude)
     return out.build()
 
 

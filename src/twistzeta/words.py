@@ -3,16 +3,16 @@
 This module is the ground layer shared by the symbolic and operator
 components: square 0/1 adjacency models with a distinguished free-group
 constructor, finite admissible words, eventually periodic boundary points,
-and the cancellation, synchronization and eigenvalue bookkeeping attached
-to a fixed boundary tail.
+the cancellation, settling and eigenvalue bookkeeping attached to a fixed
+boundary tail, and the species decompositions of the free-group escape
+counts that the closed-form traces resum.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 Word = tuple[int, ...]
 
@@ -275,30 +275,6 @@ def reduced_concatenate(
     return concatenate(word[: len(word) - cancelled], shifted)
 
 
-def sync_depth(x: BoundaryPoint, offset: int, y: BoundaryPoint) -> int | None:
-    """Synchronization depth of two boundary points under a shift offset.
-
-    Returns the minimal ``k`` at least ``max(0, -offset)`` such that
-    shifting ``x`` by ``offset + k`` equals shifting ``y`` by ``k``, or
-    None when the tails never meet.  Eventual periodicity makes the search
-    window finite.
-    """
-    lower = max(0, -offset)
-    lcm = math.lcm(len(x.period), len(y.period))
-    settle = max(len(x.preperiod) - offset, len(y.preperiod), 0)
-    for k in range(lower, settle + lcm + 1):
-        if _tails_equal(x, offset + k, y, k, lcm):
-            return k
-    return None
-
-
-def _tails_equal(x: BoundaryPoint, a: int, y: BoundaryPoint, b: int, lcm: int) -> bool:
-    horizon = max(len(x.preperiod) - a, len(y.preperiod) - b, 0) + lcm
-    return all(
-        x.letter_at(a + i) == y.letter_at(b + i) for i in range(1, horizon + 1)
-    )
-
-
 def settle_depth(x: BoundaryPoint, tail: BoundaryPoint) -> int | None:
     """Number of shifts after which ``x`` coincides with a fixed-point tail.
 
@@ -338,30 +314,6 @@ def settled_eigenvalue(depth: int, offset: int) -> int:
     if offset >= 0:
         return depth
     return depth - 2 * offset
-
-
-def vertex_word_length(depth: int, offset: int) -> int:
-    """Length of the reduced group word carrying a settled vertex."""
-    if depth < 0:
-        raise ValueError("settle depth is nonnegative")
-    if offset >= depth:
-        return offset
-    return 2 * depth - offset
-
-
-class Weight(NamedTuple):
-    exponent: int
-    value: float
-
-
-def word_weight(word: Word, tail: BoundaryPoint, model: AdjacencyModel) -> Weight:
-    """Exponential weight of a group word relative to the boundary tail.
-
-    The integer exponent is exact; the float is its exponential.
-    """
-    cancelled = cancellations(word, tail, model)
-    exponent = abs(len(word) - 2 * cancelled) + cancelled
-    return Weight(exponent, math.exp(exponent))
 
 
 @dataclass(frozen=True)
@@ -424,29 +376,63 @@ def vertex_from_boundary(
     return Vertex(word, offset, max(max(0, -offset), depth - offset))
 
 
+Species = tuple[tuple[Fraction, int], ...]
+
+
+def _escape_letter(model: AdjacencyModel, after: int) -> tuple[int, int, int]:
+    """Generator count; 1 if ``after`` is the first generator or its inverse,
+    else 0 (``marked``); +1, -1 or 0 for the generator, its inverse or any
+    other letter (``signed``)."""
+    model.require_free_group()
+    model._check_letter(after)
+    d = model.generator_pairs
+    assert d is not None
+    marked = 1 if after in (0, 1) else 0
+    signed = (1 if after == 0 else 0) - (1 if after == 1 else 0)
+    return d, marked, signed
+
+
+def settling_species(model: AdjacencyModel, after: int) -> Species:
+    """Pairs ``(c, a)`` with :func:`settling_tail_count` equal to the sum of
+    ``c * a**n`` at every depth ``n >= 1``.
+
+    The amplitudes are the eigenvalues 2d-1 and -1 of the free-group
+    adjacency matrix; the closed-form traces resum these same pairs.
+    """
+    d, marked, _ = _escape_letter(model, after)
+    return ((Fraction(d - 1, d), 2 * d - 1), (Fraction(1, d) - marked, -1))
+
+
+def extension_species(model: AdjacencyModel, after: int) -> Species:
+    """Pairs ``(c, a)`` with :func:`basis_extension_count` equal to the sum
+    of ``c * a**n`` at every length ``n >= 1``."""
+    d, marked, signed = _escape_letter(model, after)
+    return (
+        (Fraction(2 * d - 1, 2 * d), 2 * d - 1),
+        (Fraction(1, 2 * d) - Fraction(marked, 2), -1),
+        (Fraction(signed, 2), 1),
+    )
+
+
+def _species_count(species: Species, n: int) -> int:
+    if n < 1:
+        raise ValueError("word length must be positive")
+    total = sum(c * a**n for c, a in species)
+    if total.denominator != 1:
+        raise ArithmeticError("species decomposition produced a non-integer count")
+    return int(total)
+
+
 def settling_tail_count(model: AdjacencyModel, depth: int, after: int) -> int:
     """Number of admissible words of length ``depth`` that may follow the
     letter ``after`` and end in neither the first generator nor its inverse.
 
     These are exactly the prefixes gluing to the distinguished fixed-point
-    tail with settle depth equal to their length.  The closed form comes
-    from the eigendecomposition of the free-group adjacency matrix; tests
-    compare it against exhaustive enumeration.
+    tail with settle depth equal to their length.  Evaluates
+    :func:`settling_species`; tests compare it against exhaustive
+    enumeration.
     """
-    model.require_free_group()
-    model._check_letter(after)
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    d = model.generator_pairs
-    assert d is not None
-    branching = 2 * d - 1
-    marked = 1 if after in (0, 1) else 0
-    total = Fraction(d - 1, d) * branching**depth + (-1) ** (depth - 1) * (
-        Fraction(marked) - Fraction(1, d)
-    )
-    if total.denominator != 1:
-        raise ArithmeticError("settling count formula produced a non-integer")
-    return int(total)
+    return _species_count(settling_species(model, after), depth)
 
 
 def basis_extension_count(model: AdjacencyModel, length: int, after: int) -> int:
@@ -454,51 +440,7 @@ def basis_extension_count(model: AdjacencyModel, length: int, after: int) -> int
     letter ``after`` and do not end in the inverse of the first generator.
 
     Companion of :func:`settling_tail_count` for the basis of words with no
-    trailing inverse generator; again verified against enumeration.
+    trailing inverse generator; evaluates :func:`extension_species`, again
+    verified against enumeration.
     """
-    model.require_free_group()
-    model._check_letter(after)
-    if length < 1:
-        raise ValueError("length must be positive")
-    d = model.generator_pairs
-    assert d is not None
-    branching = 2 * d - 1
-    marked = 1 if after in (0, 1) else 0
-    signed = (1 if after == 0 else 0) - (1 if after == 1 else 0)
-    total = (
-        Fraction(branching ** (length + 1), 2 * d)
-        + (-1) ** (length - 1) * (Fraction(marked, 2) - Fraction(1, 2 * d))
-        + Fraction(signed, 2)
-    )
-    if total.denominator != 1:
-        raise ArithmeticError("extension count formula produced a non-integer")
-    return int(total)
-
-
-def word_count(model: AdjacencyModel, n: int, k: int, boundary_letter: int) -> int:
-    """Cardinality of the level set of words gluing to the fixed-point tail.
-
-    Counts boundary words that agree with the tail after ``n + k`` versus
-    ``k`` shifts, differ from the tail one letter earlier, and may follow
-    ``boundary_letter``.  Equivalently, admissible words of length
-    ``n + k`` following that letter whose last letter is neither the tail
-    letter nor its inverse.
-    """
-    if n + k < 1 or k < max(1, 1 - n):
-        raise ValueError("counted set needs n + k >= 1 and k >= max(1, 1 - n)")
-    return settling_tail_count(model, n + k, boundary_letter)
-
-
-def parse_word(text: str, model: AdjacencyModel) -> Word:
-    """Word from whitespace separated letter names, with "e" for empty."""
-    stripped = text.strip()
-    if stripped in ("", "e"):
-        return EMPTY_WORD
-    return tuple(model.letter_index(name) for name in stripped.split())
-
-
-def format_word(word: Word, model: AdjacencyModel) -> str:
-    """Inverse of :func:`parse_word`."""
-    if not word:
-        return "e"
-    return " ".join(model.letter_name(letter) for letter in word)
+    return _species_count(extension_species(model, after), length)

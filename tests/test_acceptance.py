@@ -39,7 +39,7 @@ from twistzeta.cochain import (
 )
 from twistzeta.damp import free_group_summability, sgnlog_transform
 from twistzeta.higher_order import order_sweep
-from twistzeta.operators import DiagonalOperator, basis_of_indices, frac_power_integral_check
+from twistzeta.operators import frac_power_integral_check
 from twistzeta.traces import (
     brute_force_heat_trace,
     brute_force_toeplitz_trace,
@@ -340,11 +340,9 @@ def test_criterion_08_higher_order_thresholds():
 def test_criterion_09_fractional_power_integral():
     worst = 0.0
     for max_mode in (32, 64, 128):
-        modes = list(range(-max_mode, max_mode + 1))
-        basis = basis_of_indices(modes, max_mode)
-        operator = DiagonalOperator(basis, tuple(float(x) for x in build_dirac(max_mode)))
+        eigenvalues = [float(x) for x in build_dirac(max_mode)]
         for r in (0.25, 0.5, 0.75):
-            worst = max(worst, frac_power_integral_check(operator, r))
+            worst = max(worst, frac_power_integral_check(eigenvalues, r))
     _verdict(
         9,
         worst <= 1e-6,

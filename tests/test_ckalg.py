@@ -15,7 +15,6 @@ from twistzeta.ckalg import (
     act_on_vertex,
     adjoint,
     chain_product,
-    cylinder_function,
     diagonal_dichotomy,
     elements_equal,
     generator,
@@ -150,9 +149,7 @@ def test_dichotomy_expanded_inverse_pair():
         (A1, B2): Fraction(1),
     }
     # same operator as chi_{C_{a1}} - chi_{C_{a1 a1}}
-    difference = cylinder_function((A1,), F2).plus(
-        cylinder_function((A1, A1), F2).scaled(-1)
-    )
+    difference = element((A1,), (A1,)).plus(element((A1, A1), (A1, A1)).scaled(-1))
     assert elements_equal(chain_product(chain, F2), difference, F2)
 
 

@@ -1,4 +1,4 @@
-"""Tests for the exact trace engine: series identities, closed forms,
+"""Tests for the exact trace engine: partial fractions, closed forms,
 oracles, shift slices, and pole extraction."""
 
 from __future__ import annotations
@@ -7,8 +7,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from twistzeta.ckalg import CKElement, Monomial, act_on_vertex
 from twistzeta.traces import (
@@ -28,7 +26,6 @@ from twistzeta.traces import (
     brute_force_toeplitz_trace,
     closed_form_heat_trace,
     closed_form_toeplitz_trace,
-    geom_sum,
     literal_heat_trace,
     literal_toeplitz_trace,
     poles_and_laurent,
@@ -95,87 +92,6 @@ def test_partial_fraction_splits_are_exact():
         (-one, 1): Fraction(1, 4),
         (-one, 2): Fraction(1, 2),
     }
-
-
-def test_geom_sum_pure_branch_series():
-    trace = geom_sum(4, 2, 1, inner_lower=2, amplitude=3)
-    assert trace.parts == (
-        (Denom(BRANCH_ATOM, 1), ExpSum.single(1, (2,), 9)),
-    )
-
-
-def test_geom_sum_plain_tail_without_boundary():
-    trace = geom_sum(3, 2, 1, lower=0, coupling=0, offsets=(0,))
-    assert trace.parts == ((Denom(PLAIN_ATOM, 1), ExpSum.single(1, (0,), 1)),)
-
-
-def test_geom_sum_start_above_the_kink():
-    trace = geom_sum(3, 2, 1, lower=5, coupling=0, offsets=(0,))
-    assert trace.parts == ((Denom(PLAIN_ATOM, 1), ExpSum.single(1, (5,), 1)),)
-
-
-def test_geom_sum_double_sum_matches_truncated_numeric():
-    trace = geom_sum(
-        1, 2, 2, lower=-2, inner_lower=1, coupling=1, offsets=(1, -3), amplitude=3
-    )
-    s = (1.0, 1.3)
-    direct = 0.0
-    for n in range(-2, 60):
-        for k in range(1, 60):
-            direct += 3.0 ** (n + k) * math.exp(
-                -(s[0] * (abs(n + 1) + k) + s[1] * (abs(n - 3) + k))
-            )
-    assert trace.evaluate(s).real == pytest.approx(direct, abs=1e-12)
-
-
-def test_geom_sum_coupled_ranges_match_truncated_numeric():
-    trace = geom_sum(
-        2, 2, 2, lower=-1, inner_lower=0, coupling=0, offsets=(2, -2), amplitude=1
-    )
-    s = (1.0, 1.3)
-    direct = 0.0
-    for n in range(-1, 80):
-        for k in range(n, 80):
-            direct += math.exp(
-                -(s[0] * (abs(n + 2) + k) + s[1] * (abs(n - 2) + k))
-            )
-    assert trace.evaluate(s).real == pytest.approx(direct, abs=1e-12)
-
-
-def test_geom_sum_rejects_unrepresentable_amplitudes():
-    with pytest.raises(ValueError):
-        geom_sum(4, 2, 1, amplitude=2)
-    with pytest.raises(ValueError):
-        geom_sum(2, 2, 1, offsets=(0,), coupling=0, amplitude=3)
-    with pytest.raises(ValueError):
-        geom_sum(3, 2, 1, offsets=(0, 0), coupling=0)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    lower=st.integers(min_value=-4, max_value=6),
-    offsets=st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=3),
-    coupled=st.booleans(),
-)
-def test_geom_sum_tail_matches_direct_summation(lower, offsets, coupled):
-    coupling = 1 if coupled else 0
-    trace = geom_sum(
-        3,
-        2,
-        len(offsets),
-        lower=lower,
-        coupling=coupling,
-        offsets=tuple(offsets),
-        amplitude=3 if coupled else 1,
-    )
-    s = [1.4 + 0.1 * j for j in range(len(offsets))]
-    direct = 0.0
-    for n in range(lower, 120):
-        weight = (3.0 if coupled else 1.0) ** (coupling * n)
-        direct += weight * math.exp(
-            -sum(sj * abs(n + off) for sj, off in zip(s, offsets))
-        )
-    assert trace.evaluate(s).real == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
 
 def test_first_generator_square_cylinder_census():

@@ -20,20 +20,14 @@ from twistzeta.words import (
     dirac_eigenvalue,
     enumerate_admissible,
     fixed_point,
-    format_word,
     free_group,
     is_admissible,
-    parse_word,
     reduced_concatenate,
     settle_depth,
     settled_eigenvalue,
     settling_tail_count,
-    sync_depth,
     vertex_boundary,
     vertex_from_group_word,
-    vertex_word_length,
-    word_count,
-    word_weight,
 )
 
 F2 = free_group(2)
@@ -41,6 +35,31 @@ F3 = free_group(3)
 T = fixed_point(0)
 
 A1, B1, A2, B2 = 0, 1, 2, 3
+
+
+def sync_depth(x: BoundaryPoint, offset: int, y: BoundaryPoint) -> int | None:
+    """Synchronization depth of two boundary points under a shift offset.
+
+    Returns the minimal ``k`` at least ``max(0, -offset)`` such that
+    shifting ``x`` by ``offset + k`` equals shifting ``y`` by ``k``, or
+    None when the tails never meet.  Eventual periodicity makes the search
+    window finite.  Letter-by-letter comparison, independent of the
+    library's vertex parametrization.
+    """
+    lower = max(0, -offset)
+    lcm = math.lcm(len(x.period), len(y.period))
+    settle = max(len(x.preperiod) - offset, len(y.preperiod), 0)
+    for k in range(lower, settle + lcm + 1):
+        if _tails_equal(x, offset + k, y, k, lcm):
+            return k
+    return None
+
+
+def _tails_equal(x: BoundaryPoint, a: int, y: BoundaryPoint, b: int, lcm: int) -> bool:
+    horizon = max(len(x.preperiod) - a, len(y.preperiod) - b, 0) + lcm
+    return all(
+        x.letter_at(a + i) == y.letter_at(b + i) for i in range(1, horizon + 1)
+    )
 
 
 def brute_words(model: AdjacencyModel, length: int) -> list[tuple[int, ...]]:
@@ -195,16 +214,6 @@ def test_settled_eigenvalue_matches_sync_composition():
             k = max(max(0, -offset), depth - offset)
             folded = abs(dirac_eigenvalue(offset, k)) if k > 0 else abs(offset)
             assert settled_eigenvalue(depth, offset) == folded
-            length = offset + 2 * k
-            assert vertex_word_length(depth, offset) == length
-
-
-def test_word_weight_examples():
-    assert word_weight(EMPTY_WORD, T, F2) == (0, 1.0)
-    exp_a1 = word_weight((A1,), T, F2)
-    assert exp_a1.exponent == 1
-    assert exp_a1.value == pytest.approx(math.e)
-    assert word_weight((B1,), T, F2).exponent == 2
 
 
 def test_vertex_from_group_word():
@@ -282,17 +291,6 @@ def test_sync_depth_recursion_under_prefixing(mu, pre, offset):
         assert after == max(0, before - trailing_tail_run(mu))
 
 
-def test_word_count_examples():
-    assert word_count(F2, 0, 1, A1) == 2
-    assert word_count(F2, 1, 1, A1) == 4
-    assert word_count(F2, 2, 1, A1) == 14
-    assert word_count(F2, -1, 4, A1) == 14
-    with pytest.raises(ValueError):
-        word_count(F2, 1, 0, A1)
-    with pytest.raises(ValueError):
-        word_count(F2, -2, 2, A1)
-
-
 def test_settling_tail_count_small_table():
     assert [settling_tail_count(F2, p, A1) for p in (1, 2, 3, 4)] == [2, 4, 14, 40]
     assert [settling_tail_count(F2, p, A2) for p in (1, 2, 3)] == [1, 5, 13]
@@ -321,13 +319,3 @@ def test_basis_extension_count_matches_enumeration():
             for after in range(model.size):
                 expected = sum(1 for w in pool if model.allows(after, w[0]))
                 assert basis_extension_count(model, length, after) == expected
-
-
-def test_parse_and_format_words():
-    assert parse_word("a1 b2 a1", F2) == (A1, B2, A1)
-    assert parse_word("e", F2) == EMPTY_WORD
-    assert parse_word("", F2) == EMPTY_WORD
-    assert format_word((A1, B2), F2) == "a1 b2"
-    assert format_word(EMPTY_WORD, F2) == "e"
-    with pytest.raises(ValueError):
-        parse_word("c1", F2)
