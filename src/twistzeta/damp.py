@@ -256,9 +256,11 @@ def free_group_summability(
     """Heat-sum verdicts over the free-group vertex space.
 
     The eigenvalue list cannot be materialized (level sizes grow like
-    (2d-1)^L), so each partial sum comes from the exact windowed counting
-    engine for the identity chain: the sum of e^(-s |eigenvalue|) over all
-    vertices carried by group words up to the truncation length.  Verdicts
+    (2d-1)^L), so each partial sum comes from the windowed counting engine
+    for the identity chain: the sum of e^(-s |eigenvalue|) over all
+    vertices carried by group words up to the truncation length, in
+    floating point from exact integer word counts and closed-form window
+    sums.  A partial sum beyond float range raises ValueError.  Verdicts
     follow the same tail-ratio rule as :func:`summability_scan`; the
     crossing estimate brackets log(2d-1).
     """

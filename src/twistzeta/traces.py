@@ -4,8 +4,9 @@ Closed forms are meromorphic functions of the heat parameters, kept as
 rational data: numerators are finite sums of exponentials with rational
 coefficients, denominators are products of the three atoms 1-E, 1+E and
 1-(2d-1)E in E = e^{-(s_1+...+s_m)}.  Truncated oracles compute the same
-traces by direct summation over the vertex window and report certified
-geometric tail bounds, so closed form and oracle can be compared honestly.
+traces by summation over the vertex window (each window geometric in the
+offset, summed in closed form) and report certified geometric tail
+bounds, so closed form and oracle can be compared honestly.
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .ckalg import (
-    CKElement,
-    Monomial,
-    ZeroDiagonal,
-    act_on_vertex,
-    diagonal_dichotomy,
-)
+from .ckalg import Monomial, ZeroDiagonal, diagonal_dichotomy
 from .words import (
     AdjacencyModel,
     BoundaryPoint,
@@ -33,7 +28,6 @@ from .words import (
     fixed_point,
     settled_eigenvalue,
     settling_species,
-    vertex_from_group_word,
 )
 
 ENTIRE_ATOM = "1"
@@ -563,12 +557,9 @@ class OracleResult(NamedTuple):
     tail_bound: float
 
 
-def _validate_oracle_inputs(
-    chain: Sequence[Monomial],
-    model: AdjacencyModel,
-    s: Sequence[float],
-    truncation: int,
-) -> float:
+def _validate_heat_inputs(
+    chain: Sequence[Monomial], s: Sequence[float], truncation: int
+) -> None:
     if not chain:
         raise ValueError("chain must be nonempty")
     if len(s) != len(chain):
@@ -577,6 +568,15 @@ def _validate_oracle_inputs(
         raise ValueError("heat parameters must be nonnegative")
     if truncation < 1:
         raise ValueError("truncation must be positive")
+
+
+def _validate_oracle_inputs(
+    chain: Sequence[Monomial],
+    model: AdjacencyModel,
+    s: Sequence[float],
+    truncation: int,
+) -> float:
+    _validate_heat_inputs(chain, s, truncation)
     d = model.generator_pairs
     assert d is not None
     total = float(sum(s))
@@ -612,17 +612,81 @@ def _escape_counts(
     return [0] + counts
 
 
+def _count_times_exp(count: int, log_factor: float) -> float:
+    """count * e^log_factor, formed in log space so that neither a count
+    beyond float range nor a factor below it is ever converted alone."""
+    if not count:
+        return 0.0
+    try:
+        return math.exp(math.log(count) + log_factor)
+    except OverflowError:
+        raise ValueError("heat sum exceeds the float range") from None
+
+
+def _window_log_sum(
+    s: Sequence[float],
+    depths: Sequence[int],
+    omegas: Sequence[int],
+    low: int,
+    high: int,
+) -> float:
+    """Log of the heat sum over the offsets low..high of one window.
+
+    The term at offset o is e^{-sum_j s_j settled_eigenvalue(D_j, o + w_j)}.
+    Each stage's eigenvalue is linear in o away from the cut points -w_j and
+    D_j - w_j, so the window splits into at most 2*stages + 1 runs; each run
+    is a geometric series, summed in closed form from its largest term.
+    Returns -inf for an empty window.
+    """
+    if low > high:
+        return -math.inf
+
+    def eigenvalues(offset: int) -> list[int]:
+        return [settled_eigenvalue(t, offset + w) for t, w in zip(depths, omegas)]
+
+    cuts = sorted(
+        {c for t, w in zip(depths, omegas) for c in (-w, t - w) if low < c <= high}
+    )
+    logs = []
+    for start, stop in zip([low, *cuts], [*cuts, high + 1]):
+        count = stop - start
+        first = eigenvalues(start)
+        slope = 0.0
+        if count > 1:
+            slope = sum(
+                sj * (after - before)
+                for sj, before, after in zip(s, first, eigenvalues(start + 1))
+            )
+        largest = first if slope >= 0 else eigenvalues(stop - 1)
+        head = -sum(sj * x for sj, x in zip(s, largest))
+        if slope == 0.0:
+            logs.append(head + math.log(count))
+        else:
+            rate = abs(slope)
+            logs.append(head + math.log(math.expm1(-count * rate) / math.expm1(-rate)))
+    peak = max(logs)
+    if peak == -math.inf:
+        return peak
+    return peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
+
+
 def _windowed_heat_value(
     summary: _ChainSummary,
     model: AdjacencyModel,
     s: Sequence[float],
     truncation: int,
 ) -> float:
-    """Exact heat sum over the vertices inside the truncation window.
+    """Heat sum over the vertices inside the truncation window.
 
+    A window is one settled bucket, or one ending bucket at one escape
+    depth; :func:`_window_log_sum` sums it piecewise-geometrically in log
+    space, and the exact integer count of escape words joins it as a
+    logarithm before anything is exponentiated, so neither the count nor a
+    window far below float range is lost.  O(L * stages^2) per call.
     Only finitely many vertices contribute, so the value is meaningful for
     any nonnegative heat parameters, including below the convergence
-    abscissa where no tail bound exists.
+    abscissa where no tail bound exists; a sum beyond float range raises
+    ValueError.
     """
     limit = truncation
     omegas = summary.omegas
@@ -631,38 +695,27 @@ def _windowed_heat_value(
 
     value = 0.0
     for depths, weight in summary.settled_buckets:
-        terminal = depths[-1]
-        partial = 0.0
-        for offset in range(2 * terminal - limit, limit + 1):
-            partial += math.exp(
-                -sum(
-                    sj * settled_eigenvalue(t, offset + w)
-                    for sj, t, w in zip(s, depths, omegas)
-                )
-            )
-        value += float(weight) * partial
+        window = _window_log_sum(s, depths, omegas, 2 * depths[-1] - limit, limit)
+        value += float(weight) * math.exp(window)
 
-    counts_cache: dict[int, list[int]] = {}
     top = max(limit - refined, 0)
     for last, weight in summary.ending_buckets:
         if top >= 1:
-            counts = counts_cache.get(last)
-            if counts is None:
-                counts = _escape_counts(model, last, top, settling=True)
-                counts_cache[last] = counts
+            counts = _escape_counts(model, last, top, settling=True)
             partial = 0.0
             for depth in range(1, top + 1):
                 settle = refined + depth
-                inner = 0.0
-                for offset in range(2 * settle - limit, limit + 1):
-                    inner += math.exp(
-                        -sum(
-                            sj * settled_eigenvalue(sl + depth, offset + w)
-                            for sj, sl, w in zip(s, sigma_lengths, omegas)
-                        )
-                    )
-                partial += counts[depth] * inner
+                window = _window_log_sum(
+                    s,
+                    [sl + depth for sl in sigma_lengths],
+                    omegas,
+                    2 * settle - limit,
+                    limit,
+                )
+                partial += _count_times_exp(counts[depth], window)
             value += float(weight) * partial
+    if not math.isfinite(value):
+        raise ValueError("heat sum exceeds the float range")
     return value
 
 
@@ -678,14 +731,7 @@ def _heat_partial_sum(
     Summability sweeps need partial sums on both sides of the abscissa,
     where a certified remainder cannot exist.
     """
-    if not chain:
-        raise ValueError("chain must be nonempty")
-    if len(s) != len(chain):
-        raise ValueError("need one heat parameter per chain stage")
-    if any(value < 0 for value in s):
-        raise ValueError("heat parameters must be nonnegative")
-    if truncation < 1:
-        raise ValueError("truncation must be positive")
+    _validate_heat_inputs(chain, s, truncation)
     canonical, _ = _canonical_chain(chain, tail, model)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
@@ -727,12 +773,14 @@ def brute_force_heat_trace(
     # Tail bound pieces; eigenvalues dominate both the linear regime
     # (eigenvalue >= offset) and the reflected one (eigenvalue >= depth
     # minus twice the offset), so each omitted zone is under a geometric
-    # envelope with an explicit first term.
-    drift = math.exp(-sum(sj * w for sj, w in zip(s, omegas)))
-    reflect_base = math.exp(
-        -sum(sj * (refined - w) for sj, w in zip(s, omegas))
-    )
-    heavy = math.exp(-sum(sj * sl for sj, sl in zip(s, sigma_lengths)))
+    # envelope with an explicit first term.  Word counts go through
+    # _count_times_exp: (2d-1)^L leaves float range near L = 646 at d = 2.
+    log_drift = -sum(sj * w for sj, w in zip(s, omegas))
+    log_reflect_base = -sum(sj * (refined - w) for sj, w in zip(s, omegas))
+    log_heavy = -sum(sj * sl for sj, sl in zip(s, sigma_lengths))
+    drift = math.exp(log_drift)
+    reflect_base = math.exp(log_reflect_base)
+    heavy = math.exp(log_heavy)
     bound = 0.0
     for depths, weight in summary.settled_buckets:
         strength = abs(float(weight))
@@ -754,18 +802,20 @@ def brute_force_heat_trace(
         strength = abs(float(weight))
         if top >= 1:
             prefix_counts = (branching ** (top + 1) - branching) // (branching - 1)
-            bound += strength * prefix_counts * drift * ratio ** (limit + 1) / (1 - ratio)
+            bound += (
+                strength
+                * _count_times_exp(prefix_counts, log_drift - total * (limit + 1))
+                / (1 - ratio)
+            )
             for depth in range(1, top + 1):
                 cut = 2 * (refined + depth) - limit
                 low = min(cut, 0)
-                reflected = (
-                    reflect_base
-                    * ratio**depth
-                    * ratio ** (2 - 2 * low)
-                    / (1 - ratio**2)
-                )
-                plateau = max(cut, 0) * heavy * ratio**depth
-                bound += strength * branching**depth * (reflected + plateau)
+                reach = branching**depth
+                reflected = _count_times_exp(
+                    reach, log_reflect_base - total * (depth + 2 - 2 * low)
+                ) / (1 - ratio**2)
+                plateau = _count_times_exp(max(cut, 0) * reach, log_heavy - total * depth)
+                bound += strength * (reflected + plateau)
         start = max(top + 1, 1)
         alpha = (
             drift * ratio**refined / (1 - ratio)
@@ -834,72 +884,6 @@ def brute_force_toeplitz_trace(
     spill = sum(abs(float(w)) for _, w in summary.ending_buckets)
     bound += spill * heavy * branch_ratio**start / (1 - branch_ratio)
     return OracleResult(value, bound)
-
-
-def literal_heat_trace(
-    chain: Sequence[Monomial],
-    tail: BoundaryPoint,
-    model: AdjacencyModel,
-    s: Sequence[float],
-    truncation: int,
-) -> float:
-    """Same truncated trace by direct vertex-by-vertex simulation.
-
-    Every vertex carried by a group word up to the truncation length is
-    pushed through the interleaved product with the basis action; no
-    cylinder structure is consulted.  Exponentially slow, but the ground
-    truth the aggregated oracle is tested against.
-    """
-    canonical, tail = _canonical_chain(chain, tail, model)
-    _validate_oracle_inputs(canonical, model, s, truncation)
-    elements = [CKElement.of(pair) for pair in canonical]
-    total = 0.0
-    for length in range(truncation + 1):
-        for word in enumerate_admissible(model, length):
-            start = vertex_from_group_word(word, tail, model)
-            amplitudes = {start: 1.0}
-            for j in range(len(canonical), 0, -1):
-                weighted = {
-                    vertex: amp * math.exp(-s[j - 1] * abs(vertex.eigenvalue))
-                    for vertex, amp in amplitudes.items()
-                }
-                amplitudes = {}
-                for vertex, amp in weighted.items():
-                    for target, coeff in act_on_vertex(
-                        elements[j - 1], vertex, tail, model
-                    ).items():
-                        build = amplitudes.get(target, 0.0) + amp * float(coeff)
-                        amplitudes[target] = build
-            total += amplitudes.get(start, 0.0)
-    return total
-
-
-def literal_toeplitz_trace(
-    chain: Sequence[Monomial],
-    tail: BoundaryPoint,
-    model: AdjacencyModel,
-    s: Sequence[float],
-    truncation: int,
-) -> float:
-    """Word-basis trace by direct simulation over all basis words."""
-    canonical, _ = _canonical_chain(chain, tail, model)
-    _validate_oracle_inputs(canonical, model, s, truncation)
-    stages = len(canonical)
-    total = 0.0
-    for length in range(truncation + 1):
-        for word in enumerate_admissible(model, length):
-            if word and word[-1] == 1:
-                continue
-            current = word
-            exponent = 0.0
-            for j in range(stages, 0, -1):
-                exponent += s[j - 1] * len(current)
-                current = _toeplitz_step(current, canonical[j - 1], model)
-                if current is None:
-                    break
-            if current == word:
-                total += math.exp(-exponent)
-    return total
 
 
 def specialize_shifts(

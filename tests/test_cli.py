@@ -123,6 +123,24 @@ def test_damp_sweep_brackets_the_rate_and_flags_unbracketed_grids(capsys):
     assert "computed none" in output
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["damp-sweep", "--d", "3", "--L", "512"],
+        ["heat-oracle", "--d", "3", "--chain", "a1", "--L", "600", "--s", "2.0"],
+        ["heat-oracle", "--d", "2", "--chain", "a1", "--L", "700", "--s", "1.2"],
+    ],
+)
+def test_word_counts_beyond_float_range_end_in_a_verdict(argv, capsys):
+    assert main(argv) in (0, 1)
+    assert "checks passed" in capsys.readouterr().out
+
+
+def test_damp_sweep_brackets_the_rate_at_two_thousand_letters(capsys):
+    assert main(["damp-sweep", "--d", "2", "--L", "2048"]) == 0
+    assert "3/3 checks passed" in capsys.readouterr().out
+
+
 def test_pv_order_and_summability_defaults_pass():
     assert main(["pv-order"]) == 0
     assert main(["summability"]) == 0

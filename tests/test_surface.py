@@ -18,8 +18,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twistzeta"
 # walk also starts from these, so what they call needs no entry of its own.
 KEPT = (
     ("traces.brute_force_toeplitz_trace", "windowed oracle of the Toeplitz closed form"),
-    ("traces.literal_heat_trace", "literal-simulation oracle of the heat closed form"),
-    ("traces.literal_toeplitz_trace", "literal-simulation oracle of the Toeplitz form"),
     ("ckalg.elements_equal", "operator-equality oracle of the CK multiplication"),
     ("cochain.square_modulus_iterate", "dense oracle of the collapsed square iterate"),
     ("cli.report_from_json", "reader of the reports that --out writes"),

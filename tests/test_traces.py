@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twistzeta.ckalg import CKElement, Monomial, act_on_vertex
+from twistzeta.ckalg import CKElement, Monomial, act_on_vertex, monomial
 from twistzeta.traces import (
     ALTERNATING_ATOM,
     BRANCH_ATOM,
@@ -17,25 +20,32 @@ from twistzeta.traces import (
     PLAIN_ATOM,
     ZERO_DIAGONAL_CERTIFICATE,
     Denom,
+    ExactReal,
     ExpSum,
     MeromorphicTrace,
+    PoleDatum,
+    _canonical_chain,
     _chain_summary,
+    _escape_counts,
+    _heat_partial_sum,
     _partial_fractions,
     _toeplitz_step,
+    _validate_oracle_inputs,
+    _windowed_heat_value,
     brute_force_heat_trace,
     brute_force_toeplitz_trace,
     closed_form_heat_trace,
     closed_form_toeplitz_trace,
-    literal_heat_trace,
-    literal_toeplitz_trace,
     poles_and_laurent,
     specialize_shifts,
 )
 from twistzeta.words import (
+    AdjacencyModel,
     BoundaryPoint,
     enumerate_admissible,
     fixed_point,
     free_group,
+    settled_eigenvalue,
     vertex_from_group_word,
 )
 
@@ -44,6 +54,122 @@ RANK_THREE = free_group(3)
 TAIL = fixed_point(0)
 
 FIRST_SQUARE = [Monomial((0,), (0,))]
+
+
+# Independent oracles of the engine in twistzeta.traces: literal simulation
+# of the closed forms, and the term-by-term form of the window sums.
+
+def literal_heat_trace(
+    chain: Sequence[Monomial],
+    tail: BoundaryPoint,
+    model: AdjacencyModel,
+    s: Sequence[float],
+    truncation: int,
+) -> float:
+    """Same truncated trace by direct vertex-by-vertex simulation.
+
+    Every vertex carried by a group word up to the truncation length is
+    pushed through the interleaved product with the basis action; no
+    cylinder structure is consulted.  Exponentially slow, but the ground
+    truth the aggregated oracle is tested against.
+    """
+    canonical, tail = _canonical_chain(chain, tail, model)
+    _validate_oracle_inputs(canonical, model, s, truncation)
+    elements = [CKElement.of(pair) for pair in canonical]
+    total = 0.0
+    for length in range(truncation + 1):
+        for word in enumerate_admissible(model, length):
+            start = vertex_from_group_word(word, tail, model)
+            amplitudes = {start: 1.0}
+            for j in range(len(canonical), 0, -1):
+                weighted = {
+                    vertex: amp * math.exp(-s[j - 1] * abs(vertex.eigenvalue))
+                    for vertex, amp in amplitudes.items()
+                }
+                amplitudes = {}
+                for vertex, amp in weighted.items():
+                    for target, coeff in act_on_vertex(
+                        elements[j - 1], vertex, tail, model
+                    ).items():
+                        build = amplitudes.get(target, 0.0) + amp * float(coeff)
+                        amplitudes[target] = build
+            total += amplitudes.get(start, 0.0)
+    return total
+
+
+def literal_toeplitz_trace(
+    chain: Sequence[Monomial],
+    tail: BoundaryPoint,
+    model: AdjacencyModel,
+    s: Sequence[float],
+    truncation: int,
+) -> float:
+    """Word-basis trace by direct simulation over all basis words."""
+    canonical, _ = _canonical_chain(chain, tail, model)
+    _validate_oracle_inputs(canonical, model, s, truncation)
+    stages = len(canonical)
+    total = 0.0
+    for length in range(truncation + 1):
+        for word in enumerate_admissible(model, length):
+            if word and word[-1] == 1:
+                continue
+            current = word
+            exponent = 0.0
+            for j in range(stages, 0, -1):
+                exponent += s[j - 1] * len(current)
+                current = _toeplitz_step(current, canonical[j - 1], model)
+                if current is None:
+                    break
+            if current == word:
+                total += math.exp(-exponent)
+    return total
+
+
+def literal_window_sum(
+    summary, model: AdjacencyModel, s: Sequence[float], truncation: int
+) -> float:
+    """Windowed heat sum term by term: every offset of every window, O(L^2).
+
+    Independent oracle of the closed-form window sums in
+    ``_windowed_heat_value``; the counts are converted to float, so it is
+    only usable where they fit.
+    """
+    limit = truncation
+    omegas = summary.omegas
+    sigma_lengths = summary.sigma_lengths
+    refined = summary.refined_length
+
+    value = 0.0
+    for depths, weight in summary.settled_buckets:
+        terminal = depths[-1]
+        partial = 0.0
+        for offset in range(2 * terminal - limit, limit + 1):
+            partial += math.exp(
+                -sum(
+                    sj * settled_eigenvalue(t, offset + w)
+                    for sj, t, w in zip(s, depths, omegas)
+                )
+            )
+        value += float(weight) * partial
+
+    top = max(limit - refined, 0)
+    for last, weight in summary.ending_buckets:
+        if top >= 1:
+            counts = _escape_counts(model, last, top, settling=True)
+            partial = 0.0
+            for depth in range(1, top + 1):
+                settle = refined + depth
+                inner = 0.0
+                for offset in range(2 * settle - limit, limit + 1):
+                    inner += math.exp(
+                        -sum(
+                            sj * settled_eigenvalue(sl + depth, offset + w)
+                            for sj, sl, w in zip(s, sigma_lengths, omegas)
+                        )
+                    )
+                partial += counts[depth] * inner
+            value += float(weight) * partial
+    return value
 
 
 def test_expsum_arithmetic_is_exact():
@@ -365,3 +491,67 @@ def test_denominator_powers_stay_within_the_atomic_family():
                 assert denom.power <= 1
             else:
                 assert denom.power <= 2
+
+
+@st.composite
+def window_cases(draw):
+    """A chain of one to three stages with words of at most one letter,
+    at d in {2, 3}, with one heat parameter per stage."""
+    model = draw(st.sampled_from((RANK_TWO, RANK_THREE)))
+    word = st.lists(st.integers(0, model.size - 1), max_size=1).map(tuple)
+    stages = draw(st.lists(st.tuples(word, word), min_size=1, max_size=3))
+    chain = tuple(monomial(out_word, in_word, model) for out_word, in_word in stages)
+    s = draw(st.lists(st.floats(0.0, 4.0), min_size=len(chain), max_size=len(chain)))
+    return chain, model, s
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=window_cases(), truncation=st.integers(1, 40))
+def test_closed_window_sums_match_the_literal_loop(case, truncation):
+    chain, model, s = case
+    summary = _chain_summary(chain, model)
+    closed = _windowed_heat_value(summary, model, s, truncation)
+    literal = literal_window_sum(summary, model, s, truncation)
+    assert math.isclose(closed, literal, rel_tol=1e-12)
+
+
+def test_window_sums_stay_finite_past_float_range_counts():
+    unit = [Monomial((), ())]
+    # 3^700 escape words overflow a float; e^{-1.2 * 700} underflows one.
+    value = _heat_partial_sum(unit, TAIL, RANK_TWO, [1.2], 700)
+    closed = closed_form_heat_trace(unit, TAIL, RANK_TWO).evaluate([1.2]).real
+    assert value == pytest.approx(closed, rel=1e-12)
+    with pytest.raises(ValueError, match="float range"):
+        _heat_partial_sum(unit, TAIL, RANK_THREE, [0.5], 1200)
+
+
+def _exact(*coefficients: Fraction) -> tuple[ExactReal, ...]:
+    return tuple(ExactReal(((0, q),)) for q in coefficients)
+
+
+def test_rank_two_pole_data_as_computed():
+    """Pole classes at d=2, tail a1, pinned exactly.  Criterion 03 asks for
+    double heat poles only at log 3 and word-basis poles only there; as
+    computed, the unit chain has a simple odd pole at 0, the double pole at
+    0 appears from the chain a1 on, and the word trace of a1 has two simple
+    poles at 0."""
+    first = RANK_TWO.letter_index("a1")
+    tail = fixed_point(first)
+    unit = [Monomial((), ())]
+    square = [Monomial((first,), (first,))]
+    branch = math.log(3)
+    q = Fraction
+    assert poles_and_laurent(closed_form_heat_trace(unit, tail, RANK_TWO)) == [
+        PoleDatum("0", 0.0, "odd", 1, _exact(q(1, 4))),
+        PoleDatum("log(2d-1)", branch, "even", 2, _exact(q(2, 3), q(13, 12))),
+    ]
+    assert poles_and_laurent(closed_form_heat_trace(square, tail, RANK_TWO)) == [
+        PoleDatum("0", 0.0, "even", 1, _exact(q(3, 4))),
+        PoleDatum("0", 0.0, "odd", 2, _exact(q(3, 4), q(5, 16))),
+        PoleDatum("log(2d-1)", branch, "even", 2, _exact(q(1, 6), q(13, 48))),
+    ]
+    assert poles_and_laurent(closed_form_toeplitz_trace(square, tail, RANK_TWO)) == [
+        PoleDatum("0", 0.0, "even", 1, _exact(q(1, 2))),
+        PoleDatum("0", 0.0, "odd", 1, _exact(q(1, 4))),
+        PoleDatum("log(2d-1)", branch, "even", 1, _exact(q(1, 4))),
+    ]
