@@ -3,8 +3,9 @@
 Elements are rational combinations of monomials S_mu S_nu^* over a fixed
 adjacency model.  Multiplication reduces every inner S_nu^* S_mu' by prefix
 comparison, expanding S_nu^* S_nu through the Cuntz-Krieger relation, so
-products stay exact.  The diagonal dichotomy extracts the cylinder-sum
-diagonal of a monomial chain, which is what the trace engine consumes.
+products stay exact.  The trace engine consumes two counts over a chain:
+the cylinder census of its diagonal and the short basis words it fixes,
+both by integer transfer-matrix counting rather than word enumeration.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .words import (
     Vertex,
     Word,
     is_admissible,
+    transfer_counts,
     vertex_boundary,
     vertex_from_boundary,
 )
@@ -202,24 +204,6 @@ def elements_equal(x: CKElement, y: CKElement, model: AdjacencyModel) -> bool:
     return refine_to_depth(x, depth, model) == refine_to_depth(y, depth, model)
 
 
-@dataclass(frozen=True)
-class CylinderSum:
-    """Diagonal of a chain product as a combination of cylinder functions.
-
-    Cylinder words are pairwise distinct, none a prefix of another.
-    """
-
-    cylinders: tuple[tuple[Word, Fraction], ...]
-
-
-@dataclass(frozen=True)
-class ZeroDiagonal:
-    """Marker: every diagonal matrix entry of the chain product vanishes."""
-
-
-DichotomyResult = CylinderSum | ZeroDiagonal
-
-
 def chain_product(
     chain: list[Monomial] | tuple[Monomial, ...], model: AdjacencyModel
 ) -> CKElement:
@@ -232,74 +216,182 @@ def chain_product(
     return result
 
 
-def diagonal_dichotomy(
-    chain: list[Monomial] | tuple[Monomial, ...],
-    model: AdjacencyModel,
-    common_length: int,
-) -> DichotomyResult:
-    """Cylinder-sum diagonal of a monomial chain, or the zero marker.
+CylinderClass = tuple[int, int]
 
-    The product is reduced to normal form; monomials with distinct words
-    never touch the diagonal, while each S_rho S_rho^* contributes its
-    cylinder.  Cylinders are refined to a common length of at least
-    ``common_length`` and exact cancellations are discarded.
+
+def _class_counts(word: Word, model: AdjacencyModel, length: int) -> dict[CylinderClass, int]:
+    """Reduced words of ``length`` letters extending ``word``, counted by
+    class (last letter, trailing run of letter 0; the run is 0 unless the
+    last letter is 0).
+
+    A run of exactly t < extension length ends a word u c with c neither 0
+    nor its inverse 1, so it is counted by the transfer row of length
+    extension - t; the one extension made of 0 alone continues the word's
+    own run.
     """
-    product = chain_product(chain, model)
-    diagonal = [
-        (mono, coeff) for mono, coeff in product.terms if mono.out_word == mono.in_word
-    ]
-    if not diagonal:
-        return ZeroDiagonal()
-    length = max(common_length, max(len(m.out_word) for m, _ in diagonal))
-    refined: dict[Word, Fraction] = {}
-    for mono, coeff in diagonal:
-        for ext in _admissible_extensions(model, mono, length - len(mono.out_word)):
-            word = mono.out_word + ext
-            updated = refined.get(word, Fraction(0)) + coeff
-            if updated:
-                refined[word] = updated
-            else:
-                refined.pop(word, None)
-    refined = _merge_siblings(refined, model, common_length)
-    if not refined:
-        return ZeroDiagonal()
-    return CylinderSum(tuple(sorted(refined.items())))
+    grow = length - len(word)
+    run = 0
+    while run < len(word) and word[-1 - run] == 0:
+        run += 1
+    if grow == 0:
+        return {(word[-1], run): 1}
+    after = word[-1] if word else None
+    rows = list(transfer_counts(model, after, grow))
+    counts = {(e, 0): n for e, n in enumerate(rows[-1]) if e and n}
+    for t in range(1, grow):
+        n = sum(rows[grow - t - 1][2:])
+        if n:
+            counts[(0, t)] = n
+    if after != 1:
+        counts[(0, grow + run)] = 1
+    return counts
 
 
-def _merge_siblings(
-    cylinders: dict[Word, Fraction], model: AdjacencyModel, floor: int
-) -> dict[Word, Fraction]:
-    """Collapse complete sibling families back to their parent cylinder.
+def cylinder_census(
+    diagonal: list[tuple[Word, Fraction]], model: AdjacencyModel, length: int
+) -> dict[CylinderClass, Fraction]:
+    """Diagonal cylinders refined to one word length, weighed per class.
 
-    A family may merge only when the parent stays at least ``floor`` long,
-    so callers that need a uniform refinement level keep it.
+    A word x of ``length`` letters weighs the sum of the coefficients of the
+    diagonal words that are prefixes of x.  Words are grouped by (last
+    letter, trailing run of letter 0, the canonical tail letter of the
+    free-group model); the result holds the total weight of exactly the
+    classes that contain a word of nonzero weight, so a class whose weights
+    cancel stays, with weight zero.
+
+    Nothing is enumerated: the words below a diagonal word whose deepest
+    diagonal prefix it is all carry one net coefficient, and their count per
+    class is the word's own count minus those of its nearest diagonal
+    descendants, each a transfer-matrix count.
     """
-    merged = dict(cylinders)
-    while True:
-        by_parent: dict[Word, list[Word]] = {}
-        for word in merged:
-            if word and len(word) - 1 >= floor:
-                by_parent.setdefault(word[:-1], []).append(word)
-        done = True
-        for parent, children in by_parent.items():
-            if parent in merged:
-                continue
-            if parent:
-                allowed = [k for k in range(model.size) if model.allows(parent[-1], k)]
-            else:
-                allowed = list(range(model.size))
-            family = [parent + (k,) for k in allowed]
-            if any(member not in merged for member in family):
-                continue
-            coefficients = {merged[member] for member in family}
-            if len(coefficients) != 1:
-                continue
-            for member in family:
-                del merged[member]
-            merged[parent] = coefficients.pop()
-            done = False
-        if done:
-            return merged
+    model.require_free_group()
+    words = [word for word, _ in diagonal]
+    if any(len(word) > length for word in words):
+        raise ValueError("a diagonal word is longer than the refinement length")
+
+    def below(upper: Word, lower: Word) -> bool:
+        return len(upper) < len(lower) and lower[: len(upper)] == upper
+
+    census: dict[CylinderClass, Fraction] = {}
+    for word in words:
+        net = sum(c for w, c in diagonal if w == word or below(w, word))
+        if not net:
+            continue
+        counts = _class_counts(word, model, length)
+        for child in words:
+            if below(word, child) and not any(
+                below(word, w) and below(w, child) for w in words
+            ):
+                for key, n in _class_counts(child, model, length).items():
+                    counts[key] -= n
+        for key, n in counts.items():
+            if n:
+                census[key] = census.get(key, Fraction(0)) + net * n
+    return census
+
+
+def _toeplitz_step(word: Word, pair: Monomial, model: AdjacencyModel) -> Word | None:
+    """One Toeplitz pair applied to a basis word, or None when it dies.
+
+    Basis words are the admissible words not ending in letter 1, the
+    inverse of the canonical tail letter 0.
+    """
+    stripped = len(pair.in_word)
+    if word[:stripped] != pair.in_word:
+        return None
+    rest = word[stripped:]
+    if pair.out_word and rest and not model.allows(pair.out_word[-1], rest[0]):
+        return None
+    landed = pair.out_word + rest
+    if landed and landed[-1] == 1:
+        return None
+    return landed
+
+
+def _stage_lengths(
+    word: Word, chain: tuple[Monomial, ...], model: AdjacencyModel
+) -> tuple[int, ...] | None:
+    """Word lengths met before each stage, last stage first applied, when
+    the chain maps the basis word to itself; None otherwise."""
+    current = word
+    lengths = [0] * len(chain)
+    for j in range(len(chain), 0, -1):
+        lengths[j - 1] = len(current)
+        landed = _toeplitz_step(current, chain[j - 1], model)
+        if landed is None:
+            return None
+        current = landed
+    return tuple(lengths) if current == word else None
+
+
+_READS_FURTHER = "reads further"
+
+
+def _open_stage_lengths(
+    prefix: Word, chain: tuple[Monomial, ...], model: AdjacencyModel
+) -> tuple[int, ...] | str | None:
+    """The chain on every basis word prefix + u with u nonempty.
+
+    Returns the lengths met before each stage less len(u), the same for all
+    such words, when the chain maps them to themselves reading only the
+    prefix; None when it maps none of them; ``_READS_FURTHER`` when a strip
+    or a junction reads a letter of u.  The last letter is never at stake,
+    since every landed word still ends in u.
+    """
+    known = prefix
+    lengths = [0] * len(chain)
+    for j in range(len(chain), 0, -1):
+        pair = chain[j - 1]
+        lengths[j - 1] = len(known)
+        stripped = len(pair.in_word)
+        if known[:stripped] != pair.in_word[: len(known)]:
+            return None
+        if stripped > len(known) or (stripped == len(known) and pair.out_word):
+            return _READS_FURTHER
+        rest = known[stripped:]
+        if pair.out_word and rest and not model.allows(pair.out_word[-1], rest[0]):
+            return None
+        known = pair.out_word + rest
+    return tuple(lengths) if known == prefix else None
+
+
+def short_diagonal_vectors(
+    chain: tuple[Monomial, ...], model: AdjacencyModel, below: int
+) -> list[tuple[tuple[int, ...], int]]:
+    """Stage-length vectors of the basis words shorter than ``below`` that
+    the chain maps to themselves, each with its number of words.
+
+    Prefixes are explored depth first: a prefix is dropped once a stage
+    rejects it and stops growing once no stage reads further, and the free
+    rest of such a prefix is counted by length and last letter with the
+    integer transfer matrix.
+    """
+    found: dict[tuple[int, ...], int] = {}
+    stack: list[Word] = [()]
+    while stack:
+        prefix = stack.pop()
+        if not prefix or prefix[-1] != 1:
+            exact = _stage_lengths(prefix, chain, model)
+            if exact is not None:
+                found[exact] = found.get(exact, 0) + 1
+        top = below - 1 - len(prefix)
+        if top < 1:
+            continue
+        reach = _open_stage_lengths(prefix, chain, model)
+        if reach == _READS_FURTHER:
+            stack.extend(
+                prefix + (k,)
+                for k in range(model.size)
+                if not prefix or model.allows(prefix[-1], k)
+            )
+        elif isinstance(reach, tuple):
+            after = prefix[-1] if prefix else None
+            for grow, row in enumerate(transfer_counts(model, after, top), start=1):
+                count = sum(row) - row[1]
+                if count:
+                    vector = tuple(n + grow for n in reach)
+                    found[vector] = found.get(vector, 0) + count
+    return sorted(found.items())
 
 
 def act_on_vertex(

@@ -18,16 +18,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .ckalg import Monomial, ZeroDiagonal, diagonal_dichotomy
+from .ckalg import Monomial, chain_product, cylinder_census, short_diagonal_vectors
 from .words import (
     AdjacencyModel,
     BoundaryPoint,
     Word,
-    enumerate_admissible,
     extension_species,
     fixed_point,
     settled_eigenvalue,
     settling_species,
+    transfer_counts,
 )
 
 ENTIRE_ATOM = "1"
@@ -351,47 +351,59 @@ class _ChainSummary(NamedTuple):
 
 @functools.lru_cache(maxsize=256)
 def _chain_summary(chain: tuple[Monomial, ...], model: AdjacencyModel) -> _ChainSummary:
-    """Cylinder decomposition of a chain diagonal, grouped for assembly.
+    """Cylinder decomposition of a chain diagonal, grouped for assembly."""
+    product = chain_product(chain, model)
+    diagonal = [(m.out_word, c) for m, c in product.terms if m.out_word == m.in_word]
+    return _summarize(chain, model, diagonal)
+
+
+def _summarize(
+    chain: tuple[Monomial, ...], model: AdjacencyModel, diagonal: list[tuple[Word, Fraction]]
+) -> _ChainSummary:
+    """Summary of the chain whose product has the diagonal terms
+    S_rho S_rho^* with the given (rho, coefficient) pairs.
 
     Cylinders sharing the vector of partially-applied settle depths are
     interchangeable for the settled family, and cylinders sharing their
     final letter are interchangeable for the escaping family; only the
-    grouped weights are kept.
+    grouped weights are kept.  Stage j sees a cylinder word x as a fixed
+    head followed by x with a fixed number of letters cut, so its settle
+    depth depends on x only through the trailing run of the tail letter,
+    which :func:`cylinder_census` counts by.
     """
-    if not chain:
-        raise ValueError("chain must be nonempty")
-    stages = len(chain)
     refined = sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
-    omegas = [0] * (stages + 1)
-    for j in range(stages - 1, 0, -1):
+    omegas = [0] * (len(chain) + 1)
+    for j in range(len(chain) - 1, 0, -1):
         omegas[j] = omegas[j + 1] + len(chain[j].out_word) - len(chain[j].in_word)
     omega_tuple = tuple(omegas[1:])
     sigma_lengths = tuple(refined + w for w in omega_tuple)
-
-    result = diagonal_dichotomy(list(chain), model, refined)
-    if isinstance(result, ZeroDiagonal):
+    census = cylinder_census(diagonal, model, refined)
+    if not census:
         return _ChainSummary(refined, omega_tuple, sigma_lengths, (), (), True)
+
+    heads = []
+    head, cut = (), 0
+    for pair in reversed(chain):
+        untailed = len(head)
+        while untailed and head[untailed - 1] == 0:
+            untailed -= 1
+        heads.append((len(head), refined - cut, untailed))
+        stripped = len(pair.in_word)
+        if stripped <= len(head):
+            head = pair.out_word + head[stripped:]
+        else:
+            head, cut = pair.out_word, cut + stripped - len(head)
+    heads.reverse()
 
     settled: dict[tuple[int, ...], Fraction] = {}
     ending: dict[int, Fraction] = {}
-    for cylinder, weight in result.cylinders:
-        if len(cylinder) != refined:
-            raise AssertionError("cylinder refinement produced a ragged length")
-        sigma: dict[int, Word] = {stages: cylinder}
-        for j in range(stages, 1, -1):
-            pair = chain[j - 1]
-            sigma[j - 1] = pair.out_word + sigma[j][len(pair.in_word) :]
-        last = cylinder[-1]
+    for (last, run), weight in census.items():
         ending[last] = ending.get(last, Fraction(0)) + weight
         if last != 1:
-            depths = []
-            for j in range(1, stages + 1):
-                word = sigma[j]
-                run = 0
-                while run < len(word) and word[len(word) - 1 - run] == 0:
-                    run += 1
-                depths.append(len(word) - run)
-            key = tuple(depths)
+            key = tuple(
+                size + span - run if run < span else untailed
+                for size, span, untailed in heads
+            )
             settled[key] = settled.get(key, Fraction(0)) + weight
     return _ChainSummary(
         refined,
@@ -479,53 +491,14 @@ def closed_form_heat_trace(
     return out.build()
 
 
-def _toeplitz_step(word: Word, pair: Monomial, model: AdjacencyModel) -> Word | None:
-    """One Toeplitz pair applied to a basis word, or None when it dies."""
-    stripped = len(pair.in_word)
-    if word[:stripped] != pair.in_word:
-        return None
-    rest = word[stripped:]
-    if pair.out_word and rest and not model.allows(pair.out_word[-1], rest[0]):
-        return None
-    landed = pair.out_word + rest
-    if landed and landed[-1] == 1:
-        return None
-    return landed
-
-
-def _toeplitz_short_vectors(
-    chain: tuple[Monomial, ...],
-    model: AdjacencyModel,
-    below: int,
-) -> list[tuple[int, ...]]:
-    """Stage-length vectors of surviving diagonal basis words shorter than
-    the refinement length."""
-    stages = len(chain)
-    vectors = []
-    for length in range(0, below):
-        for word in enumerate_admissible(model, length):
-            if word and word[-1] == 1:
-                continue
-            current = word
-            lengths = [0] * stages
-            for j in range(stages, 0, -1):
-                lengths[j - 1] = len(current)
-                current = _toeplitz_step(current, chain[j - 1], model)
-                if current is None:
-                    break
-            if current == word:
-                vectors.append(tuple(lengths))
-    return vectors
-
-
 def closed_form_toeplitz_trace(
     chain: Sequence[Monomial], tail: BoundaryPoint, model: AdjacencyModel
 ) -> MeromorphicTrace:
     """Exact trace of the chain compressed to the word basis, interleaved
     with heat factors of the length operator.
 
-    Words shorter than the refinement length are simulated one by one into
-    the entire part; longer words group by their defining cylinder and
+    Words shorter than the refinement length are counted per stage-length
+    vector into the entire part; longer words group by their defining cylinder and
     each species of :func:`extension_species` resums geometrically.
     """
     canonical, _ = _canonical_chain(chain, tail, model)
@@ -539,8 +512,8 @@ def closed_form_toeplitz_trace(
         )
 
     out = _Accumulator(d, stages)
-    for vector in _toeplitz_short_vectors(canonical, model, summary.refined_length):
-        out.add_term({}, vector, Fraction(1))
+    for vector, count in short_diagonal_vectors(canonical, model, summary.refined_length):
+        out.add_term({}, vector, Fraction(count))
 
     sigma_lengths = summary.sigma_lengths
     for last, weight in summary.ending_buckets:
@@ -599,17 +572,8 @@ def _escape_counts(
     well.  Plain integer transfer-matrix iteration, independent of the
     closed-form species formulas.
     """
-    size = model.size
-    banned = (0, 1) if settling else (1,)
-    vector = [1 if model.allows(after, letter) else 0 for letter in range(size)]
-    counts = []
-    for _ in range(top):
-        counts.append(sum(vector[x] for x in range(size) if x not in banned))
-        vector = [
-            sum(vector[a] for a in range(size) if model.allows(a, b))
-            for b in range(size)
-        ]
-    return [0] + counts
+    kept = [x for x in range(model.size) if x not in ((0, 1) if settling else (1,))]
+    return [0] + [sum(row[x] for x in kept) for row in transfer_counts(model, after, top)]
 
 
 def _count_times_exp(count: int, log_factor: float) -> float:
@@ -786,15 +750,12 @@ def brute_force_heat_trace(
         strength = abs(float(weight))
         terminal = depths[-1]
         bound += strength * drift * ratio ** (limit + 1) / (1 - ratio)
-        reflected = math.exp(
+        reflected = _count_times_exp(
+            1,
             -sum(sj * (t - 2 * w) for sj, t, w in zip(s, depths, omegas))
+            - total * (2 * limit + 2 - 4 * terminal),
         )
-        bound += (
-            strength
-            * reflected
-            * ratio ** (2 * limit + 2 - 4 * terminal)
-            / (1 - ratio**2)
-        )
+        bound += strength * reflected / (1 - ratio**2)
     branch_ratio = branching * ratio
     if branch_ratio >= 1:
         raise AssertionError("convergence validation should have caught this")
@@ -857,10 +818,8 @@ def brute_force_toeplitz_trace(
     heavy = math.exp(-sum(sj * sl for sj, sl in zip(s, sigma_lengths)))
 
     value = 0.0
-    for vector in _toeplitz_short_vectors(
-        canonical, model, min(refined, limit + 1)
-    ):
-        value += math.exp(-sum(sj * x for sj, x in zip(s, vector)))
+    for vector, count in short_diagonal_vectors(canonical, model, min(refined, limit + 1)):
+        value += count * math.exp(-sum(sj * x for sj, x in zip(s, vector)))
 
     top = max(limit - refined, 0)
     for last, weight in summary.ending_buckets:

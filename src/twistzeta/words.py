@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 Word = tuple[int, ...]
 
@@ -160,6 +160,24 @@ def enumerate_admissible(
 
     extend()
     return found
+
+
+def transfer_counts(
+    model: AdjacencyModel, after: int | None, top: int
+) -> Iterator[list[int]]:
+    """Admissible words that may follow the letter ``after`` (any first
+    letter when None), counted by last letter: one list per length 1..top.
+
+    Each length is one step of the integer transfer matrix over
+    predecessor lists built once per call; only the current row is kept.
+    """
+    size = model.size
+    feeders = [[a for a in range(size) if model.allows(a, b)] for b in range(size)]
+    row = [1 if after is None or model.allows(after, b) else 0 for b in range(size)]
+    for length in range(1, top + 1):
+        if length > 1:
+            row = [sum([row[a] for a in into]) for into in feeders]
+        yield row
 
 
 @dataclass(frozen=True)

@@ -3,25 +3,29 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistzeta.ckalg import (
     CKElement,
-    CylinderSum,
     Monomial,
-    ZeroDiagonal,
+    _admissible_extensions,
     act_on_vertex,
     adjoint,
     chain_product,
-    diagonal_dichotomy,
+    cylinder_census,
     elements_equal,
     generator,
     monomial,
     multiply,
 )
 from twistzeta.words import (
+    AdjacencyModel,
+    Word,
     enumerate_admissible,
     fixed_point,
     free_group,
@@ -30,9 +34,109 @@ from twistzeta.words import (
 )
 
 F2 = free_group(2)
+F3 = free_group(3)
 T = fixed_point(0)
 
 A1, B1, A2, B2 = 0, 1, 2, 3
+
+
+# Independent oracle of the cylinder census in twistzeta.ckalg: the diagonal
+# of a chain refined to one length word by word.
+
+@dataclass(frozen=True)
+class CylinderSum:
+    """Diagonal of a chain product as a combination of cylinder functions.
+
+    Cylinder words are pairwise distinct, none a prefix of another.
+    """
+
+    cylinders: tuple[tuple[Word, Fraction], ...]
+
+
+@dataclass(frozen=True)
+class ZeroDiagonal:
+    """Marker: every diagonal matrix entry of the chain product vanishes."""
+
+
+def refine_diagonal(
+    diagonal: list[tuple[Word, Fraction]], model: AdjacencyModel, common_length: int
+) -> CylinderSum | ZeroDiagonal:
+    """Diagonal words refined to a common length of at least
+    ``common_length`` by listing every extension; exact cancellations are
+    discarded."""
+    if not diagonal:
+        return ZeroDiagonal()
+    length = max(common_length, max(len(word) for word, _ in diagonal))
+    refined: dict[Word, Fraction] = {}
+    for word, coeff in diagonal:
+        mono = Monomial(word, word)
+        for ext in _admissible_extensions(model, mono, length - len(word)):
+            target = word + ext
+            updated = refined.get(target, Fraction(0)) + coeff
+            if updated:
+                refined[target] = updated
+            else:
+                refined.pop(target, None)
+    refined = _merge_siblings(refined, model, common_length)
+    if not refined:
+        return ZeroDiagonal()
+    return CylinderSum(tuple(sorted(refined.items())))
+
+
+def diagonal_dichotomy(
+    chain: list[Monomial] | tuple[Monomial, ...],
+    model: AdjacencyModel,
+    common_length: int,
+) -> CylinderSum | ZeroDiagonal:
+    """Cylinder-sum diagonal of a monomial chain, or the zero marker.
+
+    The product is reduced to normal form; monomials with distinct words
+    never touch the diagonal, while each S_rho S_rho^* contributes its
+    cylinder.
+    """
+    product = chain_product(chain, model)
+    diagonal = [
+        (mono.out_word, coeff)
+        for mono, coeff in product.terms
+        if mono.out_word == mono.in_word
+    ]
+    return refine_diagonal(diagonal, model, common_length)
+
+
+def _merge_siblings(
+    cylinders: dict[Word, Fraction], model: AdjacencyModel, floor: int
+) -> dict[Word, Fraction]:
+    """Collapse complete sibling families back to their parent cylinder.
+
+    A family may merge only when the parent stays at least ``floor`` long,
+    so callers that need a uniform refinement level keep it.
+    """
+    merged = dict(cylinders)
+    while True:
+        by_parent: dict[Word, list[Word]] = {}
+        for word in merged:
+            if word and len(word) - 1 >= floor:
+                by_parent.setdefault(word[:-1], []).append(word)
+        done = True
+        for parent, children in by_parent.items():
+            if parent in merged:
+                continue
+            if parent:
+                allowed = [k for k in range(model.size) if model.allows(parent[-1], k)]
+            else:
+                allowed = list(range(model.size))
+            family = [parent + (k,) for k in allowed]
+            if any(member not in merged for member in family):
+                continue
+            coefficients = {merged[member] for member in family}
+            if len(coefficients) != 1:
+                continue
+            for member in family:
+                del merged[member]
+            merged[parent] = coefficients.pop()
+            done = False
+        if done:
+            return merged
 
 
 def element(out_word, in_word) -> CKElement:
@@ -223,3 +327,68 @@ def test_dichotomy_matches_vertex_action_on_sampled_chains():
                 assert direct == 0
             else:
                 assert direct == cylinder_value(verdict, word, F2)
+
+
+def draw_word(draw, model: AdjacencyModel, prefix: Word, grow: int) -> Word:
+    """``prefix`` extended by ``grow`` admissible letters."""
+    word = prefix
+    for _ in range(grow):
+        allowed = [
+            k for k in range(model.size) if not word or model.allows(word[-1], k)
+        ]
+        word += (draw(st.sampled_from(allowed)),)
+    return word
+
+
+@st.composite
+def signed_diagonals(draw, model: AdjacencyModel, length: int):
+    """Distinct diagonal words of at most ``length`` letters with signed
+    coefficients, some nested below others with the opposite sign."""
+    words: dict[Word, Fraction] = {}
+    for _ in range(draw(st.integers(1, 4))):
+        base = draw_word(draw, model, (), draw(st.integers(0, min(3, length))))
+        coeff = Fraction(draw(st.sampled_from((-2, -1, 1, 2))))
+        words[base] = coeff
+        if len(base) < length and draw(st.booleans()):
+            grow = draw(st.integers(1, length - len(base)))
+            child = draw_word(draw, model, base, grow)
+            other = Fraction(draw(st.integers(-2, 2)))
+            words[child] = -coeff if draw(st.booleans()) else other
+    return [(word, coeff) for word, coeff in words.items() if coeff]
+
+
+@st.composite
+def census_cases(draw):
+    model = draw(st.sampled_from((F2, F3)))
+    length = draw(st.integers(2, 6 if model is F2 else 5))
+    return model, length, draw(signed_diagonals(model, length))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=census_cases())
+def test_cylinder_census_groups_the_refined_cylinders(case):
+    model, length, diagonal = case
+    expected: dict[tuple[int, int], Fraction] = {}
+    refined = refine_diagonal(diagonal, model, length)
+    if isinstance(refined, CylinderSum):
+        for word, weight in refined.cylinders:
+            run = 0
+            while run < len(word) and word[-1 - run] == A1:
+                run += 1
+            key = (word[-1], run)
+            expected[key] = expected.get(key, Fraction(0)) + weight
+    assert cylinder_census(diagonal, model, length) == expected
+
+
+def test_cylinder_census_keeps_cancelled_classes_and_nets_nested_words():
+    # chi_{a1} - chi_{a1 a1}: the words below a1 a1 weigh zero and are gone
+    diagonal = [((A1,), Fraction(1)), ((A1, A1), Fraction(-1))]
+    assert cylinder_census(diagonal, F2, 2) == {
+        (A2, 0): Fraction(1),
+        (B2, 0): Fraction(1),
+    }
+    # +1 and -1 on two classes of one letter: the class stays at weight zero
+    opposite = [((A2, A1), Fraction(1)), ((B2, A1), Fraction(-1))]
+    assert cylinder_census(opposite, F2, 2) == {(A1, 1): Fraction(0)}
+    with pytest.raises(ValueError, match="longer"):
+        cylinder_census([((A1, A1, A1), Fraction(1))], F2, 2)

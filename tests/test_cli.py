@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +140,22 @@ def test_word_counts_beyond_float_range_end_in_a_verdict(argv, capsys):
 def test_damp_sweep_brackets_the_rate_at_two_thousand_letters(capsys):
     assert main(["damp-sweep", "--d", "2", "--L", "2048"]) == 0
     assert "3/3 checks passed" in capsys.readouterr().out
+
+
+def test_chains_past_the_old_enumeration_limit_end_in_a_verdict(capsys):
+    """Refinement lengths 26 and 18: listing every cylinder of these chains
+    took minutes and exhausted memory; counting them takes milliseconds."""
+    chains = [
+        ("2", ":".join(["a1.b2.a2.b1"] * 3)),
+        ("2", ":".join(["a1"] * 8)),
+        ("5", ":".join(["a1"] * 8)),
+    ]
+    start = time.perf_counter()
+    for d, chain in chains:
+        for experiment in ("pole-audit", "heat-oracle"):
+            assert main([experiment, "--d", d, "--chain", chain]) in (0, 1)
+            assert "checks passed" in capsys.readouterr().out
+    assert time.perf_counter() - start < 5.0
 
 
 def test_pv_order_and_summability_defaults_pass():

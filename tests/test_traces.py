@@ -4,14 +4,24 @@ oracles, shift slices, and pole extraction."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_ckalg import CylinderSum, draw_word, refine_diagonal, signed_diagonals
 
-from twistzeta.ckalg import CKElement, Monomial, act_on_vertex, monomial
+from twistzeta.ckalg import (
+    CKElement,
+    Monomial,
+    _toeplitz_step,
+    act_on_vertex,
+    chain_product,
+    monomial,
+    short_diagonal_vectors,
+)
 from twistzeta.traces import (
     ALTERNATING_ATOM,
     BRANCH_ATOM,
@@ -29,7 +39,7 @@ from twistzeta.traces import (
     _escape_counts,
     _heat_partial_sum,
     _partial_fractions,
-    _toeplitz_step,
+    _summarize,
     _validate_oracle_inputs,
     _windowed_heat_value,
     brute_force_heat_trace,
@@ -42,6 +52,7 @@ from twistzeta.traces import (
 from twistzeta.words import (
     AdjacencyModel,
     BoundaryPoint,
+    Word,
     enumerate_admissible,
     fixed_point,
     free_group,
@@ -57,7 +68,8 @@ FIRST_SQUARE = [Monomial((0,), (0,))]
 
 
 # Independent oracles of the engine in twistzeta.traces: literal simulation
-# of the closed forms, and the term-by-term form of the window sums.
+# of the closed forms, the term-by-term form of the window sums, and the
+# word-by-word forms of the chain summary and of the short basis words.
 
 def literal_heat_trace(
     chain: Sequence[Monomial],
@@ -170,6 +182,81 @@ def literal_window_sum(
                 partial += counts[depth] * inner
             value += float(weight) * partial
     return value
+
+
+def enumerated_summary(
+    chain: tuple[Monomial, ...],
+    model: AdjacencyModel,
+    diagonal: list[tuple[Word, Fraction]],
+):
+    """Chain summary by walking every refined cylinder through the chain.
+
+    The cylinders come from ``refine_diagonal``, which lists every
+    extension of every diagonal word.
+    """
+    stages = len(chain)
+    refined = sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
+    omegas = [0] * (stages + 1)
+    for j in range(stages - 1, 0, -1):
+        omegas[j] = omegas[j + 1] + len(chain[j].out_word) - len(chain[j].in_word)
+    omega_tuple = tuple(omegas[1:])
+    sigma_lengths = tuple(refined + w for w in omega_tuple)
+
+    result = refine_diagonal(diagonal, model, refined)
+    if not isinstance(result, CylinderSum):
+        return (refined, omega_tuple, sigma_lengths, (), (), True)
+
+    settled: dict[tuple[int, ...], Fraction] = {}
+    ending: dict[int, Fraction] = {}
+    for cylinder, weight in result.cylinders:
+        assert len(cylinder) == refined
+        sigma: dict[int, Word] = {stages: cylinder}
+        for j in range(stages, 1, -1):
+            pair = chain[j - 1]
+            sigma[j - 1] = pair.out_word + sigma[j][len(pair.in_word) :]
+        last = cylinder[-1]
+        ending[last] = ending.get(last, Fraction(0)) + weight
+        if last != 1:
+            depths = []
+            for j in range(1, stages + 1):
+                word = sigma[j]
+                run = 0
+                while run < len(word) and word[len(word) - 1 - run] == 0:
+                    run += 1
+                depths.append(len(word) - run)
+            key = tuple(depths)
+            settled[key] = settled.get(key, Fraction(0)) + weight
+    return (
+        refined,
+        omega_tuple,
+        sigma_lengths,
+        tuple(sorted(settled.items())),
+        tuple(sorted(ending.items())),
+        False,
+    )
+
+
+def literal_short_vectors(
+    chain: tuple[Monomial, ...], model: AdjacencyModel, below: int
+) -> list[tuple[int, ...]]:
+    """Stage-length vectors of surviving diagonal basis words shorter than
+    ``below``, one entry per word, by simulating every admissible word."""
+    stages = len(chain)
+    vectors = []
+    for length in range(0, below):
+        for word in enumerate_admissible(model, length):
+            if word and word[-1] == 1:
+                continue
+            current = word
+            lengths = [0] * stages
+            for j in range(stages, 0, -1):
+                lengths[j - 1] = len(current)
+                current = _toeplitz_step(current, chain[j - 1], model)
+                if current is None:
+                    break
+            if current == word:
+                vectors.append(tuple(lengths))
+    return vectors
 
 
 def test_expsum_arithmetic_is_exact():
@@ -555,3 +642,59 @@ def test_rank_two_pole_data_as_computed():
         PoleDatum("0", 0.0, "odd", 1, _exact(q(1, 4))),
         PoleDatum("log(2d-1)", branch, "even", 1, _exact(q(1, 4))),
     ]
+
+
+@st.composite
+def short_chains(draw):
+    """A chain of one to three stages whose refinement length is at most 10
+    at d = 2 and at most 7 at d = 3, where the enumerating oracles list up
+    to 6 * 5^6 words."""
+    model = draw(st.sampled_from((RANK_TWO, RANK_THREE)))
+    stages = []
+    budget = 8 if model is RANK_TWO else 5
+    for _ in range(draw(st.integers(1, 3))):
+        words = []
+        for _ in range(2):
+            grow = draw(st.integers(0, min(2, budget)))
+            budget -= grow
+            words.append(draw_word(draw, model, (), grow))
+        try:
+            stages.append(monomial(words[0], words[1], model))
+        except ValueError:
+            assume(False)
+    return tuple(stages), model
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=short_chains(), data=st.data())
+def test_counted_summary_matches_the_enumerated_cylinders(case, data):
+    chain, model = case
+    product = chain_product(chain, model)
+    diagonal = [(m.out_word, c) for m, c in product.terms if m.out_word == m.in_word]
+    counted = _chain_summary(chain, model)
+    assert tuple(counted) == enumerated_summary(chain, model, diagonal)
+    signed = data.draw(signed_diagonals(model, counted.refined_length))
+    counted = _summarize(chain, model, signed)
+    assert tuple(counted) == enumerated_summary(chain, model, signed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=short_chains(), data=st.data())
+def test_counted_short_vectors_match_the_literal_loop(case, data):
+    chain, model = case
+    refined = sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
+    below = data.draw(st.integers(1, min(refined, 9 if model is RANK_TWO else 7)))
+    counted = Counter()
+    for vector, count in short_diagonal_vectors(chain, model, below):
+        assert count > 0
+        counted[vector] += count
+    assert counted == Counter(literal_short_vectors(chain, model, below))
+
+
+def test_counted_short_vectors_check_junctions_past_the_prefix():
+    # a2.a1* then a1.a2*: the prefix a1 is read whole, yet both junctions
+    # still test the first letter after it
+    for chain in MIXED_CHAINS + [FIRST_SQUARE]:
+        chain = tuple(chain)
+        counted = Counter(dict(short_diagonal_vectors(chain, RANK_TWO, 9)))
+        assert counted == Counter(literal_short_vectors(chain, RANK_TWO, 9))
