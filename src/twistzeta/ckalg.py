@@ -14,14 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .words import (
+    EMPTY_WORD,
     AdjacencyModel,
-    BoundaryPoint,
-    Vertex,
+    VertexKey,
     Word,
     is_admissible,
     transfer_counts,
-    vertex_boundary,
-    vertex_from_boundary,
 )
 
 
@@ -395,32 +393,41 @@ def short_diagonal_vectors(
 
 
 def act_on_vertex(
-    x: CKElement, v: Vertex, tail: BoundaryPoint, model: AdjacencyModel
-) -> dict[Vertex, Fraction]:
+    x: CKElement, vertex: VertexKey, anchor: int, model: AdjacencyModel
+) -> dict[VertexKey, Fraction]:
     """Image of a vertex basis vector under an element.
 
-    A monomial strips its in-word from the boundary word of the vertex and
-    writes its out-word in front, when the junctions allow it; the offset
-    moves by the length difference.
+    The vertex has the boundary word head + anchor^inf.  A monomial strips
+    its in-word from that word and writes its out-word in front, when the
+    junction allows it; trailing anchor letters of the landed head are
+    trimmed, and the offset moves by the length difference.
     """
     model.require_free_group()
-    boundary = vertex_boundary(v, tail, model)
-    image: dict[Vertex, Fraction] = {}
+    head, offset = vertex
+    settled = len(head)
+    image: dict[VertexKey, Fraction] = {}
     for mono, coeff in x.terms:
-        stripped = len(mono.in_word)
-        if boundary.prefix(stripped) != mono.in_word:
+        strip, out = mono.in_word, mono.out_word
+        cut = len(strip)
+        if cut <= settled:
+            if head[:cut] != strip:
+                continue
+            rest = head[cut:]
+        elif head != strip[:settled] or any(k != anchor for k in strip[settled:]):
             continue
-        shifted = boundary.shift(stripped)
-        if mono.out_word and not model.allows(mono.out_word[-1], shifted.letter_at(1)):
+        else:
+            rest = EMPTY_WORD
+        if out and not model.entries[out[-1]][rest[0] if rest else anchor]:
             continue
-        landed = BoundaryPoint(
-            mono.out_word + shifted.preperiod, shifted.period
-        )
-        offset = v.offset + len(mono.out_word) - stripped
-        target = vertex_from_boundary(landed, offset, tail, model)
-        updated = image.get(target, Fraction(0)) + coeff
-        if updated:
+        landed = out + rest
+        if not rest:
+            while landed and landed[-1] == anchor:
+                landed = landed[:-1]
+        target = (landed, offset + len(out) - cut)
+        if target not in image:
+            image[target] = coeff
+        elif updated := image[target] + coeff:
             image[target] = updated
         else:
-            image.pop(target, None)
+            del image[target]
     return image

@@ -445,6 +445,7 @@ def _run_pole_audit(params: dict[str, object]) -> list[CheckRecord]:
 def _run_counterexample(params: dict[str, object]) -> list[CheckRecord]:
     family = str(params["family"])
     if family == "free_group":
+        _check_window_budget(int(params["d"]), int(params["L"]))
         _free_group_setup(params)
         verdict = counterexample_verdict(
             family,
@@ -633,6 +634,38 @@ def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
             )
         )
     return checks
+
+
+# Vertices the kernel window of the free-group counterexample may visit.
+# Measured by tools/vertex_curve.py (BENCH_6.json) on one core: the largest
+# accepted windows, d=2 L=12 and d=3 L=8, take 8 s and 4 s and peak at
+# 360 MB and 200 MB; every refused one has at least 2.4 million vertices,
+# and d=3 L=9, the smallest at d=3, takes 26 s and 830 MB.
+FREE_GROUP_VERTEX_BUDGET = 1_000_000
+
+
+def _check_window_budget(generators: int, length: int) -> None:
+    """Refuse a free-group window above the budget before anything is built.
+
+    The window visits the sum of (2d-1)^n over n <= L vertices.  The sum is
+    added up only while it stays within the budget, at most about twenty
+    terms for any d >= 2, so the same loop finds the largest accepted L.
+    """
+    rate = 2 * generators - 1
+    vertices, largest = 1, 0
+    while largest < length and vertices + rate ** (largest + 1) <= FREE_GROUP_VERTEX_BUDGET:
+        largest += 1
+        vertices += rate**largest
+    if largest == length:
+        return
+    # (2d-1)^(L+1) / (2d-2), within one half of the sum, in powers of ten.
+    exponent = (length + 1) * math.log10(rate) - math.log10(rate - 1)
+    accepted = f"L={largest}" if largest else "none"
+    raise UsageError(
+        f"the free-group kernel window at d={generators}, L={length} visits about "
+        f"{10 ** (exponent % 1):.3g}e+{int(exponent):02d} vertices, above the budget of "
+        f"{FREE_GROUP_VERTEX_BUDGET}; the largest window accepted at d={generators} is {accepted}"
+    )
 
 
 _GROUP_FIELDS = (

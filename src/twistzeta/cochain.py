@@ -18,10 +18,11 @@ the certificates they consumed, and the assembled value.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,11 +53,12 @@ from .traces import (
 from .words import (
     AdjacencyModel,
     BoundaryPoint,
-    Vertex,
-    enumerate_admissible,
+    VertexKey,
+    Word,
+    admissible_levels,
     fixed_point,
     free_group,
-    vertex_from_group_word,
+    vertex_eigenvalue,
 )
 
 ITERATE_CERTIFICATE = "collapsed-square-iterate"
@@ -185,22 +187,45 @@ def boundary_translation_index(
     return kernel - cokernel
 
 
-def _vertex_key(vertex: Vertex) -> tuple:
-    return (vertex.group_word, vertex.offset, vertex.depth)
+def _sparse_nullity(columns: Iterable[dict[VertexKey, Fraction]]) -> int:
+    """Kernel dimension of sparse rational columns, read once: the number
+    of columns minus their rank.
+
+    While every column has at most one nonzero entry, the rank is the
+    number of distinct targets, since columns that share a target are
+    parallel; one entry per target is kept.  The first column with two
+    entries hands the rest over to exact elimination, whose pivots start as
+    the entries kept so far.
+    """
+    kept: dict[VertexKey, Fraction] = {}
+    read = 0
+    stream = iter(columns)
+    for column in stream:
+        support = [(vertex, coeff) for vertex, coeff in column.items() if coeff]
+        if len(support) > 1:
+            pivots = {vertex: {vertex: coeff} for vertex, coeff in kept.items()}
+            rest = itertools.chain([column], stream)
+            return read - len(kept) + _eliminated_nullity(rest, pivots)
+        kept.update(support)
+        read += 1
+    return read - len(kept)
 
 
-def _sparse_rank(columns: list[dict[Vertex, Fraction]]) -> int:
-    """Rank of a sparse rational column collection by exact elimination."""
-    pivots: dict[Vertex, dict[Vertex, Fraction]] = {}
-    rank = 0
-    for column in columns:
+def _eliminated_nullity(
+    columns: Iterable[dict[VertexKey, Fraction]],
+    pivots: dict[VertexKey, dict[VertexKey, Fraction]],
+) -> int:
+    """Number of columns minus the pivots they add by exact elimination,
+    each column reduced on its smallest row against the pivots so far."""
+    start = len(pivots)
+    read = 0
+    for read, column in enumerate(columns, 1):
         work = {vertex: coeff for vertex, coeff in column.items() if coeff}
         while work:
-            row = min(work, key=_vertex_key)
+            row = min(work)
             pivot = pivots.get(row)
             if pivot is None:
                 pivots[row] = work
-                rank += 1
                 break
             scale = work[row] / pivot[row]
             for vertex, coeff in pivot.items():
@@ -209,19 +234,44 @@ def _sparse_rank(columns: list[dict[Vertex, Fraction]]) -> int:
                     work[vertex] = updated
                 else:
                     work.pop(vertex, None)
-    return rank
+    return read - (len(pivots) - start)
 
 
-def _positive_words(
-    model: AdjacencyModel, tail: BoundaryPoint, max_length: int
-) -> Iterator[tuple[int, ...]]:
-    """Reduced words carrying the nonnegative spectral basis, by length."""
-    blocked = model.inverse(tail.period[0])
-    yield ()
-    for length in range(1, max_length + 1):
-        yield from enumerate_admissible(
-            model, length, last=lambda letter: letter != blocked
-        )
+def _vertex_heads(model: AdjacencyModel, anchor: int, top: int) -> Iterator[Word]:
+    """Heads of the vertices over anchor^inf up to length ``top``, shortest
+    first: the reduced words ending in neither the anchor nor its inverse."""
+    settled = (anchor, model.inverse(anchor))
+    for level in admissible_levels(model, top):
+        yield from (word for word in level if not word or word[-1] not in settled)
+
+
+def _window_columns(
+    element: CKElement, anchor: int, model: AdjacencyModel, source_length: int
+) -> Iterator[dict[VertexKey, Fraction]]:
+    """Columns of the compression over the vertices of nonnegative
+    eigenvalue whose group words have at most ``source_length`` letters.
+
+    Such a word is a head followed by anchor letters, so the window is each
+    head with every offset from its length up to ``source_length``.
+    """
+    growth = max((len(mono.out_word) for mono, _ in element.terms), default=0)
+    reach = source_length + growth
+    for head in _vertex_heads(model, anchor, source_length):
+        for offset in range(len(head), source_length + 1):
+            column: dict[VertexKey, Fraction] = {}
+            for target, coeff in act_on_vertex(
+                element, (head, offset), anchor, model
+            ).items():
+                # A target of nonnegative eigenvalue has an offset of at
+                # least its head length, and its group word has offset
+                # letters.
+                landed, moved = target
+                if moved < len(landed):
+                    continue
+                if moved > reach:
+                    raise ValueError("the image escaped the certified window")
+                column[target] = coeff
+            yield column
 
 
 def compressed_kernel_dimension(
@@ -241,19 +291,8 @@ def compressed_kernel_dimension(
         raise ValueError("the compression is anchored at a fixed-point tail")
     if source_length < 1:
         raise ValueError("the source window must contain at least length one")
-    growth = max((len(mono.out_word) for mono, _ in element.terms), default=0)
-    columns: list[dict[Vertex, Fraction]] = []
-    for word in _positive_words(model, tail, source_length):
-        vertex = vertex_from_group_word(word, tail, model)
-        column: dict[Vertex, Fraction] = {}
-        for target, coeff in act_on_vertex(element, vertex, tail, model).items():
-            if target.eigenvalue < 0:
-                continue
-            if len(target.group_word) > source_length + growth:
-                raise ValueError("the image escaped the certified window")
-            column[target] = coeff
-        columns.append(column)
-    return len(columns) - _sparse_rank(columns)
+    anchor = tail.period[0]
+    return _sparse_nullity(_window_columns(element, anchor, model, source_length))
 
 
 def compressed_translation_index(
@@ -273,15 +312,15 @@ def compressed_translation_index(
     return kernel - cokernel
 
 
-def _spectral_sign(vertex: Vertex) -> int:
-    return 1 if vertex.eigenvalue >= 0 else -1
+def _spectral_sign(vertex: VertexKey) -> int:
+    return 1 if vertex_eigenvalue(vertex) >= 0 else -1
 
 
-ExactVector = dict[Vertex, dict[int, Fraction]]
+ExactVector = dict[VertexKey, dict[int, Fraction]]
 
 
 def _merge_entry(
-    vector: ExactVector, vertex: Vertex, exponent: int, coeff: Fraction
+    vector: ExactVector, vertex: VertexKey, exponent: int, coeff: Fraction
 ) -> None:
     bucket = vector.setdefault(vertex, {})
     updated = bucket.get(exponent, Fraction(0)) + coeff
@@ -297,7 +336,7 @@ def _modulus_step(vector: ExactVector, power: int) -> ExactVector:
     """Multiply by the operator modulus raised to an integer power."""
     moved: ExactVector = {}
     for vertex, bucket in vector.items():
-        shift = -power * abs(vertex.eigenvalue)
+        shift = -power * abs(vertex_eigenvalue(vertex))
         moved[vertex] = {exponent + shift: coeff for exponent, coeff in bucket.items()}
     return moved
 
@@ -305,12 +344,12 @@ def _modulus_step(vector: ExactVector, power: int) -> ExactVector:
 def _element_step(
     vector: ExactVector,
     element: CKElement,
-    tail: BoundaryPoint,
+    anchor: int,
     model: AdjacencyModel,
 ) -> ExactVector:
     moved: ExactVector = {}
     for vertex, bucket in vector.items():
-        for target, scale in act_on_vertex(element, vertex, tail, model).items():
+        for target, scale in act_on_vertex(element, vertex, anchor, model).items():
             for exponent, coeff in bucket.items():
                 _merge_entry(moved, target, exponent, coeff * scale)
     return moved
@@ -319,14 +358,14 @@ def _element_step(
 def _phase_commutator_step(
     vector: ExactVector,
     element: CKElement,
-    tail: BoundaryPoint,
+    anchor: int,
     model: AdjacencyModel,
 ) -> ExactVector:
     """Apply the commutator of the spectral phase with an algebra element."""
     moved: ExactVector = {}
     for vertex, bucket in vector.items():
         source_sign = _spectral_sign(vertex)
-        for target, scale in act_on_vertex(element, vertex, tail, model).items():
+        for target, scale in act_on_vertex(element, vertex, anchor, model).items():
             flip = _spectral_sign(target) - source_sign
             if not flip:
                 continue
@@ -359,20 +398,29 @@ def cochain_word_trace(
         (len(mono.out_word) + len(mono.in_word) for mono, _ in elements[-1].terms),
         default=0,
     )
+    anchor = tail.period[0]
+    heads = list(_vertex_heads(model, anchor, reach + 2))
     entries: dict[TermKey, Fraction] = {}
     for length in range(reach + 3):
-        for word in enumerate_admissible(model, length):
-            vertex = vertex_from_group_word(word, tail, model)
-            base = abs(vertex.eigenvalue)
+        # The group words of this length: each head padded with anchor
+        # letters, or with their inverses, up to the length.
+        vertices = [
+            (head, offset)
+            for head in heads
+            if len(head) <= length
+            for offset in {length, 2 * len(head) - length}
+        ]
+        for vertex in vertices:
+            base = abs(vertex_eigenvalue(vertex))
             vector: ExactVector = {vertex: {arity * base: Fraction(1)}}
             for element in reversed(elements[1:]):
                 vector = _modulus_step(vector, 1)
-                vector = _phase_commutator_step(vector, element, tail, model)
+                vector = _phase_commutator_step(vector, element, anchor, model)
             if length > reach:
                 if vector:
                     raise ValueError("a column escaped the certified support bound")
                 continue
-            vector = _element_step(vector, elements[0], tail, model)
+            vector = _element_step(vector, elements[0], anchor, model)
             bucket = vector.get(vertex)
             if bucket is None:
                 continue

@@ -3,8 +3,8 @@
 This module is the ground layer shared by the symbolic and operator
 components: square 0/1 adjacency models with a distinguished free-group
 constructor, finite admissible words, eventually periodic boundary points,
-the cancellation, settling and eigenvalue bookkeeping attached to a fixed
-boundary tail, and the species decompositions of the free-group escape
+the integer vertex keys over a fixed-point tail with their eigenvalue
+bookkeeping, and the species decompositions of the free-group escape
 counts that the closed-form traces resum.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
 Word = tuple[int, ...]
 
@@ -121,45 +121,25 @@ def is_admissible(word: Word, model: AdjacencyModel) -> bool:
     return all(model.allows(a, b) for a, b in zip(word, word[1:]))
 
 
-def enumerate_admissible(
-    model: AdjacencyModel,
-    length: int,
-    *,
-    first: Callable[[int], bool] | None = None,
-    last: Callable[[int], bool] | None = None,
-) -> list[Word]:
-    """All admissible words of one length, in lexicographic order.
+def admissible_levels(model: AdjacencyModel, top: int) -> Iterator[list[Word]]:
+    """All admissible words of each length 0..top, one list per length.
 
-    ``first`` and ``last`` restrict the initial and final letter.  At length
-    zero the empty word is returned only when no predicate is given, since
-    it has no letters to test.
+    Each level is grown from the one before by the model's rows, so the
+    words come in lexicographic order and no word is built twice.
     """
-    if length < 0:
+    if top < 0:
         raise ValueError("length must be nonnegative")
-    if length == 0:
-        return [EMPTY_WORD] if first is None and last is None else []
-
-    found: list[Word] = []
-    prefix: list[int] = []
-
-    def extend() -> None:
-        depth = len(prefix)
-        if depth == length:
-            if last is None or last(prefix[-1]):
-                found.append(tuple(prefix))
-            return
-        for letter in range(model.size):
-            if depth == 0:
-                if first is not None and not first(letter):
-                    continue
-            elif not model.allows(prefix[-1], letter):
-                continue
-            prefix.append(letter)
-            extend()
-            prefix.pop()
-
-    extend()
-    return found
+    successors = [
+        tuple(b for b in range(model.size) if model.allows(a, b)) for a in range(model.size)
+    ]
+    level = [EMPTY_WORD]
+    yield level
+    if top:
+        level = [(letter,) for letter in range(model.size)]
+        yield level
+    for _ in range(top - 1):
+        level = [word + (b,) for word in level for b in successors[word[-1]]]
+        yield level
 
 
 def transfer_counts(
@@ -187,8 +167,7 @@ class BoundaryPoint:
     Instances are canonicalized on construction: the period is primitive
     and the preperiod is as short as possible, so structural equality
     coincides with equality of the represented infinite words.
-    Admissibility depends on a model and is checked separately via
-    :meth:`admissible_for`.
+    Admissibility depends on a model and is not checked here.
     """
 
     preperiod: Word
@@ -204,39 +183,6 @@ class BoundaryPoint:
     @property
     def is_fixed_point(self) -> bool:
         return not self.preperiod and len(self.period) == 1
-
-    def letter_at(self, position: int) -> int:
-        """Letter at a 1-based position of the infinite word."""
-        if position < 1:
-            raise ValueError("positions are 1-based")
-        index = position - 1
-        if index < len(self.preperiod):
-            return self.preperiod[index]
-        return self.period[(index - len(self.preperiod)) % len(self.period)]
-
-    def prefix(self, length: int) -> Word:
-        return tuple(self.letter_at(i) for i in range(1, length + 1))
-
-    def shift(self, steps: int = 1) -> BoundaryPoint:
-        """Boundary point with the first ``steps`` letters removed."""
-        if steps < 0:
-            raise ValueError("cannot shift backwards")
-        drop = min(steps, len(self.preperiod))
-        remaining = steps - drop
-        period = self.period
-        if remaining:
-            cut = remaining % len(period)
-            period = period[cut:] + period[:cut]
-        return BoundaryPoint(self.preperiod[drop:], period)
-
-    def admissible_for(self, model: AdjacencyModel) -> bool:
-        """Whether all junctions of the infinite word are allowed.
-
-        The wrap-around junction of the period is included, which covers
-        every consecutive pair of the infinite word.
-        """
-        probe = self.preperiod + self.period + (self.period[0],)
-        return is_admissible(probe, model)
 
 
 def _primitive_period(period: Word) -> Word:
@@ -258,51 +204,6 @@ def _canonical_tail(preperiod: Word, period: Word) -> tuple[Word, Word]:
 def fixed_point(letter: int) -> BoundaryPoint:
     """Boundary point repeating a single letter."""
     return BoundaryPoint(EMPTY_WORD, (letter,))
-
-
-def concatenate(word: Word, point: BoundaryPoint) -> BoundaryPoint:
-    """Infinite word obtained by writing ``word`` before ``point``.
-
-    No cancellation is performed; the caller is responsible for the
-    junction being admissible when that matters.
-    """
-    return BoundaryPoint(word + point.preperiod, point.period)
-
-
-def cancellations(word: Word, tail: BoundaryPoint, model: AdjacencyModel) -> int:
-    """Number of letters cancelled when the word is prepended to the tail.
-
-    This is the length of the longest suffix of the word that is the
-    letterwise inverse of the matching prefix of the tail.
-    """
-    model.require_free_group()
-    count = 0
-    for back in range(len(word)):
-        if word[len(word) - 1 - back] != model.inverse(tail.letter_at(back + 1)):
-            break
-        count += 1
-    return count
-
-
-def reduced_concatenate(
-    word: Word, tail: BoundaryPoint, model: AdjacencyModel
-) -> BoundaryPoint:
-    """Free-group product of a reduced word with a boundary point."""
-    cancelled = cancellations(word, tail, model)
-    shifted = tail.shift(cancelled)
-    return concatenate(word[: len(word) - cancelled], shifted)
-
-
-def settle_depth(x: BoundaryPoint, tail: BoundaryPoint) -> int | None:
-    """Number of shifts after which ``x`` coincides with a fixed-point tail.
-
-    None when ``x`` never falls onto the tail.
-    """
-    if not tail.is_fixed_point:
-        raise ValueError("settle depth requires a fixed-point tail")
-    if x.period != tail.period:
-        return None
-    return len(x.preperiod)
 
 
 def dirac_eigenvalue(offset: int, depth: int) -> int:
@@ -334,64 +235,19 @@ def settled_eigenvalue(depth: int, offset: int) -> int:
     return depth - 2 * offset
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """Vertex attached to a boundary tail, carried by a reduced group word.
-
-    ``offset`` is the word length minus twice the cancellation count and
-    ``depth`` the cancellation count itself.
-    """
-
-    group_word: Word
-    offset: int
-    depth: int
-
-    def __post_init__(self) -> None:
-        if self.depth < max(0, -self.offset):
-            raise ValueError("depth must be at least max(0, -offset)")
-
-    @property
-    def eigenvalue(self) -> int:
-        return dirac_eigenvalue(self.offset, self.depth)
+# A vertex over the fixed-point tail anchor^inf: the settled head of its
+# boundary word, which does not end in the anchor letter, and its offset.
+# The reduced group word carrying it is the head padded with anchor letters
+# up to the offset, or with their inverses when the offset is below the
+# head length.
+VertexKey = tuple[Word, int]
 
 
-def vertex_from_group_word(
-    word: Word, tail: BoundaryPoint, model: AdjacencyModel
-) -> Vertex:
-    """Vertex carried by a reduced group word relative to the tail."""
-    if not is_admissible(word, model):
-        raise ValueError("the group word must be reduced")
-    cancelled = cancellations(word, tail, model)
-    return Vertex(word, len(word) - 2 * cancelled, cancelled)
-
-
-def vertex_boundary(
-    vertex: Vertex, tail: BoundaryPoint, model: AdjacencyModel
-) -> BoundaryPoint:
-    """Boundary word reached by prepending the vertex word to the tail."""
-    return reduced_concatenate(vertex.group_word, tail, model)
-
-
-def vertex_from_boundary(
-    x: BoundaryPoint, offset: int, tail: BoundaryPoint, model: AdjacencyModel
-) -> Vertex:
-    """Vertex carried by a boundary word and an offset; inverse of the
-    group-word parametrization.
-
-    The group word is the settled prefix of ``x`` padded with tail letters
-    when the offset exceeds the settle depth and with their inverses
-    otherwise.
-    """
-    depth = settle_depth(x, tail)
-    if depth is None:
-        raise ValueError("the boundary word never settles on the tail")
-    head = x.preperiod
-    letter = tail.period[0]
-    if offset >= depth:
-        word = head + (letter,) * (offset - depth)
-    else:
-        word = head + (model.inverse(letter),) * (depth - offset)
-    return Vertex(word, offset, max(max(0, -offset), depth - offset))
+def vertex_eigenvalue(vertex: VertexKey) -> int:
+    """Dirac eigenvalue of a vertex: nonnegative exactly when the offset
+    reaches the head length."""
+    head, offset = vertex
+    return dirac_eigenvalue(offset, max(max(0, -offset), len(head) - offset))
 
 
 Species = tuple[tuple[Fraction, int], ...]

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_words import enumerate_admissible, prefix, vertex_boundary, vertex_from_group_word, word_key
 
 from twistzeta.ckalg import (
     CKElement,
@@ -23,15 +24,7 @@ from twistzeta.ckalg import (
     monomial,
     multiply,
 )
-from twistzeta.words import (
-    AdjacencyModel,
-    Word,
-    enumerate_admissible,
-    fixed_point,
-    free_group,
-    vertex_boundary,
-    vertex_from_group_word,
-)
+from twistzeta.words import AdjacencyModel, Word, fixed_point, free_group
 
 F2 = free_group(2)
 F3 = free_group(3)
@@ -274,37 +267,47 @@ def test_dichotomy_respects_common_length():
 
 
 def test_act_on_vertex_examples():
-    v_empty = vertex_from_group_word((), T, F2)
-    unit_image = act_on_vertex(CKElement.unit(), v_empty, T, F2)
+    # Keys (head, offset) over the tail a1^inf: the empty word is ((), 0),
+    # a1 is ((), 1), b1 is ((), -1) and a2 is ((a2,), 1).
+    v_empty = ((), 0)
+    unit_image = act_on_vertex(CKElement.unit(), v_empty, A1, F2)
     assert unit_image == {v_empty: Fraction(1)}
 
-    image = act_on_vertex(generator(A1, F2), v_empty, T, F2)
-    assert image == {vertex_from_group_word((A1,), T, F2): Fraction(1)}
+    image = act_on_vertex(generator(A1, F2), v_empty, A1, F2)
+    assert image == {((), 1): Fraction(1)}
+    assert act_on_vertex(generator(A2, F2), v_empty, A1, F2) == {((A2,), 1): Fraction(1)}
 
-    v_b1 = vertex_from_group_word((B1,), T, F2)
-    dropped = act_on_vertex(adjoint(generator(A1, F2)), v_b1, T, F2)
-    assert dropped == {vertex_from_group_word((B1, B1), T, F2): Fraction(1)}
+    v_b1 = ((), -1)
+    dropped = act_on_vertex(adjoint(generator(A1, F2)), v_b1, A1, F2)
+    assert dropped == {((), -2): Fraction(1)}
 
-    blocked = act_on_vertex(adjoint(generator(A2, F2)), v_b1, T, F2)
+    blocked = act_on_vertex(adjoint(generator(A2, F2)), v_b1, A1, F2)
     assert blocked == {}
+
+    # Stripping a2 from a2 a2 a1^inf leaves a2 a1^inf; writing a1 in front
+    # keeps the head length and the offset.
+    swapped = Monomial((A1,), (A2,))
+    assert act_on_vertex(CKElement.of(swapped), ((A2, A2), 2), A1, F2) == {
+        ((A1, A2), 2): Fraction(1)
+    }
 
 
 def test_act_on_vertex_respects_junctions():
     # S_{b1} cannot land on a vertex whose boundary word starts with a1
-    v_empty = vertex_from_group_word((), T, F2)
-    assert act_on_vertex(generator(B1, F2), v_empty, T, F2) == {}
+    v_empty = ((), 0)
+    assert act_on_vertex(generator(B1, F2), v_empty, A1, F2) == {}
 
 
 def diagonal_entry(product: CKElement, word, model) -> Fraction:
-    v = vertex_from_group_word(word, T, model)
-    return act_on_vertex(product, v, T, model).get(v, Fraction(0))
+    v = word_key(word, T, model)
+    return act_on_vertex(product, v, A1, model).get(v, Fraction(0))
 
 
 def cylinder_value(result, word, model) -> Fraction:
     x = vertex_boundary(vertex_from_group_word(word, T, model), T, model)
     total = Fraction(0)
     for rho, coeff in result.cylinders:
-        if x.prefix(len(rho)) == rho:
+        if prefix(x, len(rho)) == rho:
             total += coeff
     return total
 

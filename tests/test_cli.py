@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +19,7 @@ from twistzeta.cli import (
     CheckRecord,
     ExperimentReport,
     UsageError,
+    _check_window_budget,
     build_config,
     emit,
     main,
@@ -176,6 +181,48 @@ def test_usage_errors_exit_two(capsys):
     assert "known families" in err
     assert "not an integer" in err
     assert "cannot be read" in err
+
+
+def test_free_group_windows_past_the_vertex_budget_are_refused(capsys):
+    """The smallest refused window at d=2 and an input that ran unbounded
+    before the budget both exit 2 at once, naming the estimate and the
+    largest accepted window."""
+    for argv, estimate in ((["--L", "13"], "2.39e+06"), (["--d", "8", "--L", "9"], "4.12e+10")):
+        start = time.perf_counter()
+        assert main(["counterexample", "--family", "free_group", *argv]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert f"visits about {estimate} vertices" in err
+        assert "largest window accepted at d=" in err
+    assert main(["counterexample", "--family", "free_group", "--L", "100000000"]) == 2
+    assert "largest window accepted at d=2 is L=12" in capsys.readouterr().err
+
+
+def test_free_group_vertex_budget_admits_every_gate_and_benchmark_window():
+    # Defaults, criterion 04 and the boundary-index benchmark: d2L9, d2L8, d3L6.
+    for generators, length in ((2, 9), (2, 8), (3, 6), (2, 12), (3, 8)):
+        _check_window_budget(generators, length)
+    for generators, length in ((2, 13), (3, 9)):
+        with pytest.raises(UsageError, match="above the budget"):
+            _check_window_budget(generators, length)
+
+
+def test_largest_accepted_free_group_window_ends_in_a_verdict():
+    """d=2 L=12 in a fresh interpreter, so its peak memory (about 360 MB)
+    is returned when it ends; about 8 s on one core."""
+    source = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))
+    argv = ["counterexample", "--family", "free_group", "--L", "12"]
+    done = subprocess.run(
+        [sys.executable, "-m", "twistzeta.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "PASS index pairing by windowed kernel dimensions: computed -1" in done.stdout
 
 
 def test_json_report_round_trips_and_is_deterministic():

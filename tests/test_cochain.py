@@ -10,11 +10,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_words import (
+    Vertex,
+    enumerate_admissible,
+    letter_at,
+    prefix,
+    shift,
+    vertex_boundary,
+    vertex_from_boundary,
+    vertex_from_group_word,
+    vertex_key,
+    word_key,
+)
 
-from twistzeta.ckalg import CKElement, Monomial, act_on_vertex, adjoint, elements_equal, multiply
+from twistzeta.ckalg import (
+    CKElement,
+    Monomial,
+    act_on_vertex,
+    adjoint,
+    elements_equal,
+    generator,
+    multiply,
+)
 from twistzeta.circle import TrigPoly, build_dirac
 from twistzeta.cochain import (
     CounterexampleReport,
+    _eliminated_nullity,
+    _sparse_nullity,
     boundary_translation_index,
     circle_cochain,
     cochain_word_trace,
@@ -37,7 +59,65 @@ from twistzeta.traces import (
     MeromorphicTrace,
     closed_form_heat_trace,
 )
-from twistzeta.words import BoundaryPoint, fixed_point, free_group, vertex_from_group_word
+from twistzeta.words import AdjacencyModel, BoundaryPoint, VertexKey, fixed_point, free_group
+
+
+# Independent oracle of the integer vertex engine: the boundary-word action
+# it replaced, on vertices carried by group words, with the window of
+# nonnegative basis words reduced by exact elimination alone.
+
+def boundary_act_on_vertex(
+    x: CKElement, v: Vertex, tail: BoundaryPoint, model: AdjacencyModel
+) -> dict[Vertex, Fraction]:
+    """Image of a vertex basis vector under an element.
+
+    A monomial strips its in-word from the boundary word of the vertex and
+    writes its out-word in front, when the junctions allow it; the offset
+    moves by the length difference.
+    """
+    model.require_free_group()
+    boundary = vertex_boundary(v, tail, model)
+    image: dict[Vertex, Fraction] = {}
+    for mono, coeff in x.terms:
+        stripped = len(mono.in_word)
+        if prefix(boundary, stripped) != mono.in_word:
+            continue
+        shifted = shift(boundary, stripped)
+        if mono.out_word and not model.allows(mono.out_word[-1], letter_at(shifted, 1)):
+            continue
+        landed = BoundaryPoint(mono.out_word + shifted.preperiod, shifted.period)
+        offset = v.offset + len(mono.out_word) - stripped
+        target = vertex_from_boundary(landed, offset, tail, model)
+        updated = image.get(target, Fraction(0)) + coeff
+        if updated:
+            image[target] = updated
+        else:
+            image.pop(target, None)
+    return image
+
+
+def boundary_kernel_dimension(
+    element: CKElement, tail: BoundaryPoint, model: AdjacencyModel, source_length: int
+) -> int:
+    """Kernel dimension of the windowed compression, column by column over
+    the reduced words not ending in the inverse tail letter."""
+    blocked = model.inverse(tail.period[0])
+    growth = max((len(mono.out_word) for mono, _ in element.terms), default=0)
+    columns = []
+    for length in range(source_length + 1):
+        for word in enumerate_admissible(model, length):
+            if word and word[-1] == blocked:
+                continue
+            vertex = vertex_from_group_word(word, tail, model)
+            column = {}
+            for target, coeff in boundary_act_on_vertex(element, vertex, tail, model).items():
+                if target.eigenvalue < 0:
+                    continue
+                if len(target.group_word) > source_length + growth:
+                    raise ValueError("the image escaped the certified window")
+                column[vertex_key(target, tail, model)] = coeff
+            columns.append(column)
+    return _eliminated_nullity(columns, {})
 
 
 def test_multiindex_weight_matches_the_stated_small_cases():
@@ -222,11 +302,11 @@ def test_group_unitary_is_unitary_and_translates_the_boundary():
     )
     assert elements_equal(adjoint(unitary), group_unitary(1, model), model)
 
-    start = vertex_from_group_word((), tail, model)
-    forward = act_on_vertex(unitary, start, tail, model)
-    assert forward == {vertex_from_group_word((0,), tail, model): Fraction(1)}
-    undone = vertex_from_group_word((1,), tail, model)
-    back = act_on_vertex(unitary, undone, tail, model)
+    start = word_key((), tail, model)
+    forward = act_on_vertex(unitary, start, 0, model)
+    assert forward == {word_key((0,), tail, model): Fraction(1)}
+    undone = word_key((1,), tail, model)
+    back = act_on_vertex(unitary, undone, 0, model)
     assert back == {start: Fraction(1)}
 
 
@@ -348,6 +428,72 @@ def test_compressed_translation_index_confirms_the_formula():
         assert compressed_translation_index(
             letter, tail, model, source_length=5
         ) == boundary_translation_index(letter, tail, model)
+
+
+@st.composite
+def generator_sums(draw, model: AdjacencyModel) -> CKElement:
+    """Integer combinations of products of generators and their adjoints."""
+    total = CKElement.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        product = CKElement.unit()
+        for _ in range(draw(st.integers(1, 3))):
+            factor = generator(draw(st.integers(0, model.size - 1)), model)
+            if draw(st.booleans()):
+                factor = adjoint(factor)
+            product = multiply(product, factor, model)
+        coefficient = draw(st.integers(-3, 3).filter(bool))
+        total = total.plus(product.scaled(coefficient))
+    return total
+
+
+def _outcome(compute, *args):
+    try:
+        return compute(*args)
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_vertex_engine_matches_the_boundary_oracle(data):
+    generators = data.draw(st.sampled_from((2, 3)))
+    model = free_group(generators)
+    anchor = data.draw(st.integers(0, model.size - 1))
+    tail = fixed_point(anchor)
+    window = data.draw(st.integers(1, 4))
+    element = data.draw(generator_sums(model))
+    for length in range(window + 1):
+        for word in enumerate_admissible(model, length):
+            vertex = vertex_from_group_word(word, tail, model)
+            expected = {
+                vertex_key(target, tail, model): coeff
+                for target, coeff in boundary_act_on_vertex(element, vertex, tail, model).items()
+            }
+            assert act_on_vertex(element, vertex_key(vertex, tail, model), anchor, model) == expected
+    assert _outcome(compressed_kernel_dimension, element, tail, model, window) == _outcome(
+        boundary_kernel_dimension, element, tail, model, window
+    )
+
+
+def test_sparse_nullity_counts_targets_and_eliminates_the_rest():
+    first: VertexKey = ((), 1)
+    second: VertexKey = ((2,), 1)
+    third: VertexKey = ((2, 2), 2)
+    shaped = [{first: Fraction(2)}, {}, {second: Fraction(-1)}, {third: Fraction(0)}]
+    assert _sparse_nullity(shaped) == _eliminated_nullity(shaped, {}) == 2
+    # Two sources hitting one target: the nonempty columns overcount the
+    # rank by one, before and after the switch to elimination.
+    merged = [{first: Fraction(1)}, {second: Fraction(1)}, {first: Fraction(3)}]
+    assert _sparse_nullity(merged) == _eliminated_nullity(merged, {}) == 3 - 2
+    switched = merged + [{second: Fraction(1), third: Fraction(1)}, {first: Fraction(-1)}]
+    assert _sparse_nullity(switched) == _eliminated_nullity(switched, {}) == 5 - 3
+    # Columns with two entries: their entries overcount the rank.
+    for spread, rank in (
+        ([{first: Fraction(1), second: Fraction(1)}], 1),
+        ([{third: Fraction(1)}, {first: Fraction(1), second: Fraction(-1)}] * 2, 2),
+        ([{first: Fraction(1), second: Fraction(1)}, {first: Fraction(1)}, {third: 1}], 3),
+    ):
+        assert _sparse_nullity(iter(spread)) == _eliminated_nullity(spread, {}) == len(spread) - rank
 
 
 def test_counterexample_verdict_free_group():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_ckalg import CylinderSum, draw_word, refine_diagonal, signed_diagonals
+from test_words import enumerate_admissible, word_key
 
 from twistzeta.ckalg import (
     CKElement,
@@ -53,11 +54,10 @@ from twistzeta.words import (
     AdjacencyModel,
     BoundaryPoint,
     Word,
-    enumerate_admissible,
     fixed_point,
     free_group,
     settled_eigenvalue,
-    vertex_from_group_word,
+    vertex_eigenvalue,
 )
 
 RANK_TWO = free_group(2)
@@ -88,20 +88,21 @@ def literal_heat_trace(
     canonical, tail = _canonical_chain(chain, tail, model)
     _validate_oracle_inputs(canonical, model, s, truncation)
     elements = [CKElement.of(pair) for pair in canonical]
+    anchor = tail.period[0]
     total = 0.0
     for length in range(truncation + 1):
         for word in enumerate_admissible(model, length):
-            start = vertex_from_group_word(word, tail, model)
+            start = word_key(word, tail, model)
             amplitudes = {start: 1.0}
             for j in range(len(canonical), 0, -1):
                 weighted = {
-                    vertex: amp * math.exp(-s[j - 1] * abs(vertex.eigenvalue))
+                    vertex: amp * math.exp(-s[j - 1] * abs(vertex_eigenvalue(vertex)))
                     for vertex, amp in amplitudes.items()
                 }
                 amplitudes = {}
                 for vertex, amp in weighted.items():
                     for target, coeff in act_on_vertex(
-                        elements[j - 1], vertex, tail, model
+                        elements[j - 1], vertex, anchor, model
                     ).items():
                         build = amplitudes.get(target, 0.0) + amp * float(coeff)
                         amplitudes[target] = build
@@ -344,10 +345,10 @@ def test_first_generator_square_series_coefficient():
     count = Fraction(0)
     for length in range(9):
         for word in enumerate_admissible(RANK_TWO, length):
-            vertex = vertex_from_group_word(word, TAIL, RANK_TWO)
-            if abs(vertex.eigenvalue) != 3:
+            vertex = word_key(word, TAIL, RANK_TWO)
+            if abs(vertex_eigenvalue(vertex)) != 3:
                 continue
-            count += act_on_vertex(element, vertex, TAIL, RANK_TWO).get(
+            count += act_on_vertex(element, vertex, 0, RANK_TWO).get(
                 vertex, Fraction(0)
             )
     assert count == 19

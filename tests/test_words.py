@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import pytest
 from hypothesis import given, settings
@@ -13,21 +15,17 @@ from twistzeta.words import (
     EMPTY_WORD,
     AdjacencyModel,
     BoundaryPoint,
-    Vertex,
+    VertexKey,
+    Word,
+    admissible_levels,
     basis_extension_count,
-    cancellations,
-    concatenate,
     dirac_eigenvalue,
-    enumerate_admissible,
     fixed_point,
     free_group,
     is_admissible,
-    reduced_concatenate,
-    settle_depth,
     settled_eigenvalue,
     settling_tail_count,
-    vertex_boundary,
-    vertex_from_group_word,
+    vertex_eigenvalue,
 )
 
 F2 = free_group(2)
@@ -35,6 +33,205 @@ F3 = free_group(3)
 T = fixed_point(0)
 
 A1, B1, A2, B2 = 0, 1, 2, 3
+
+
+# Independent oracles of the word layer: the recursive word walker, the
+# letters and shifts of eventually periodic boundary points, and the vertex
+# tree parametrized by group words and boundary points, which the integer
+# vertex keys of twistzeta.words and twistzeta.ckalg.act_on_vertex replace.
+
+def enumerate_admissible(
+    model: AdjacencyModel,
+    length: int,
+    *,
+    first: Callable[[int], bool] | None = None,
+    last: Callable[[int], bool] | None = None,
+) -> list[Word]:
+    """All admissible words of one length, in lexicographic order.
+
+    ``first`` and ``last`` restrict the initial and final letter.  At length
+    zero the empty word is returned only when no predicate is given, since
+    it has no letters to test.
+    """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    if length == 0:
+        return [EMPTY_WORD] if first is None and last is None else []
+
+    found: list[Word] = []
+    partial: list[int] = []
+
+    def extend() -> None:
+        depth = len(partial)
+        if depth == length:
+            if last is None or last(partial[-1]):
+                found.append(tuple(partial))
+            return
+        for letter in range(model.size):
+            if depth == 0:
+                if first is not None and not first(letter):
+                    continue
+            elif not model.allows(partial[-1], letter):
+                continue
+            partial.append(letter)
+            extend()
+            partial.pop()
+
+    extend()
+    return found
+
+
+def letter_at(point: BoundaryPoint, position: int) -> int:
+    """Letter at a 1-based position of the infinite word."""
+    if position < 1:
+        raise ValueError("positions are 1-based")
+    index = position - 1
+    if index < len(point.preperiod):
+        return point.preperiod[index]
+    return point.period[(index - len(point.preperiod)) % len(point.period)]
+
+
+def prefix(point: BoundaryPoint, length: int) -> Word:
+    return tuple(letter_at(point, i) for i in range(1, length + 1))
+
+
+def shift(point: BoundaryPoint, steps: int = 1) -> BoundaryPoint:
+    """Boundary point with the first ``steps`` letters removed."""
+    if steps < 0:
+        raise ValueError("cannot shift backwards")
+    drop = min(steps, len(point.preperiod))
+    remaining = steps - drop
+    period = point.period
+    if remaining:
+        cut = remaining % len(period)
+        period = period[cut:] + period[:cut]
+    return BoundaryPoint(point.preperiod[drop:], period)
+
+
+def admissible_for(point: BoundaryPoint, model: AdjacencyModel) -> bool:
+    """Whether all junctions of the infinite word are allowed.
+
+    The wrap-around junction of the period is included, which covers
+    every consecutive pair of the infinite word.
+    """
+    probe = point.preperiod + point.period + (point.period[0],)
+    return is_admissible(probe, model)
+
+
+def concatenate(word: Word, point: BoundaryPoint) -> BoundaryPoint:
+    """Infinite word obtained by writing ``word`` before ``point``.
+
+    No cancellation is performed; the caller is responsible for the
+    junction being admissible when that matters.
+    """
+    return BoundaryPoint(word + point.preperiod, point.period)
+
+
+def cancellations(word: Word, tail: BoundaryPoint, model: AdjacencyModel) -> int:
+    """Number of letters cancelled when the word is prepended to the tail.
+
+    This is the length of the longest suffix of the word that is the
+    letterwise inverse of the matching prefix of the tail.
+    """
+    model.require_free_group()
+    count = 0
+    for back in range(len(word)):
+        if word[len(word) - 1 - back] != model.inverse(letter_at(tail, back + 1)):
+            break
+        count += 1
+    return count
+
+
+def reduced_concatenate(
+    word: Word, tail: BoundaryPoint, model: AdjacencyModel
+) -> BoundaryPoint:
+    """Free-group product of a reduced word with a boundary point."""
+    cancelled = cancellations(word, tail, model)
+    shifted = shift(tail, cancelled)
+    return concatenate(word[: len(word) - cancelled], shifted)
+
+
+def settle_depth(x: BoundaryPoint, tail: BoundaryPoint) -> int | None:
+    """Number of shifts after which ``x`` coincides with a fixed-point tail.
+
+    None when ``x`` never falls onto the tail.
+    """
+    if not tail.is_fixed_point:
+        raise ValueError("settle depth requires a fixed-point tail")
+    if x.period != tail.period:
+        return None
+    return len(x.preperiod)
+
+
+@dataclass(frozen=True)
+class Vertex:
+    """Vertex attached to a boundary tail, carried by a reduced group word.
+
+    ``offset`` is the word length minus twice the cancellation count and
+    ``depth`` the cancellation count itself.
+    """
+
+    group_word: Word
+    offset: int
+    depth: int
+
+    def __post_init__(self) -> None:
+        if self.depth < max(0, -self.offset):
+            raise ValueError("depth must be at least max(0, -offset)")
+
+    @property
+    def eigenvalue(self) -> int:
+        return dirac_eigenvalue(self.offset, self.depth)
+
+
+def vertex_from_group_word(
+    word: Word, tail: BoundaryPoint, model: AdjacencyModel
+) -> Vertex:
+    """Vertex carried by a reduced group word relative to the tail."""
+    if not is_admissible(word, model):
+        raise ValueError("the group word must be reduced")
+    cancelled = cancellations(word, tail, model)
+    return Vertex(word, len(word) - 2 * cancelled, cancelled)
+
+
+def vertex_boundary(
+    vertex: Vertex, tail: BoundaryPoint, model: AdjacencyModel
+) -> BoundaryPoint:
+    """Boundary word reached by prepending the vertex word to the tail."""
+    return reduced_concatenate(vertex.group_word, tail, model)
+
+
+def vertex_from_boundary(
+    x: BoundaryPoint, offset: int, tail: BoundaryPoint, model: AdjacencyModel
+) -> Vertex:
+    """Vertex carried by a boundary word and an offset; inverse of the
+    group-word parametrization.
+
+    The group word is the settled prefix of ``x`` padded with tail letters
+    when the offset exceeds the settle depth and with their inverses
+    otherwise.
+    """
+    depth = settle_depth(x, tail)
+    if depth is None:
+        raise ValueError("the boundary word never settles on the tail")
+    head = x.preperiod
+    letter = tail.period[0]
+    if offset >= depth:
+        word = head + (letter,) * (offset - depth)
+    else:
+        word = head + (model.inverse(letter),) * (depth - offset)
+    return Vertex(word, offset, max(max(0, -offset), depth - offset))
+
+
+def vertex_key(vertex: Vertex, tail: BoundaryPoint, model: AdjacencyModel) -> VertexKey:
+    """Integer key (settled head, offset) of an oracle vertex."""
+    return vertex_boundary(vertex, tail, model).preperiod, vertex.offset
+
+
+def word_key(word: Word, tail: BoundaryPoint, model: AdjacencyModel) -> VertexKey:
+    """Integer key of the vertex carried by a reduced group word."""
+    return vertex_key(vertex_from_group_word(word, tail, model), tail, model)
+
 
 
 def sync_depth(x: BoundaryPoint, offset: int, y: BoundaryPoint) -> int | None:
@@ -58,7 +255,7 @@ def sync_depth(x: BoundaryPoint, offset: int, y: BoundaryPoint) -> int | None:
 def _tails_equal(x: BoundaryPoint, a: int, y: BoundaryPoint, b: int, lcm: int) -> bool:
     horizon = max(len(x.preperiod) - a, len(y.preperiod) - b, 0) + lcm
     return all(
-        x.letter_at(a + i) == y.letter_at(b + i) for i in range(1, horizon + 1)
+        letter_at(x, a + i) == letter_at(y, b + i) for i in range(1, horizon + 1)
     )
 
 
@@ -112,10 +309,15 @@ def test_enumerate_length_zero_and_one():
 
 def test_enumerate_is_sorted_and_matches_brute_force():
     for model in (F2, F3):
+        levels = list(admissible_levels(model, 4))
+        assert len(levels) == 5
         for length in range(5):
             got = enumerate_admissible(model, length)
             assert got == sorted(got)
             assert got == brute_words(model, length)
+            assert levels[length] == got
+    with pytest.raises(ValueError):
+        next(admissible_levels(F2, -1))
 
 
 def test_enumerate_with_constraints_matches_filtered_brute_force():
@@ -153,19 +355,19 @@ def test_boundary_point_canonical_form():
 
 def test_boundary_point_letters_and_shift():
     x = BoundaryPoint((B2, A2), (A1,))
-    assert x.prefix(5) == (B2, A2, A1, A1, A1)
-    assert x.shift(2) == T
-    assert x.shift(0) == x
-    assert T.shift(17) == T
+    assert prefix(x, 5) == (B2, A2, A1, A1, A1)
+    assert shift(x, 2) == T
+    assert shift(x, 0) == x
+    assert shift(T, 17) == T
     y = BoundaryPoint((), (A1, A2))
-    assert y.shift(1) == BoundaryPoint((), (A2, A1))
+    assert shift(y, 1) == BoundaryPoint((), (A2, A1))
 
 
 def test_boundary_admissibility_check():
-    assert T.admissible_for(F2)
-    assert BoundaryPoint((A2,), (A1,)).admissible_for(F2)
-    assert not BoundaryPoint((), (A1, B1)).admissible_for(F2)
-    assert not BoundaryPoint((A1, B1), (A2,)).admissible_for(F2)
+    assert admissible_for(T, F2)
+    assert admissible_for(BoundaryPoint((A2,), (A1,)), F2)
+    assert not admissible_for(BoundaryPoint((), (A1, B1)), F2)
+    assert not admissible_for(BoundaryPoint((A1, B1), (A2,)), F2)
 
 
 def test_sync_depth_examples():
@@ -242,6 +444,9 @@ def test_vertex_map_consistency_up_to_length_eight():
         assert v.offset == len(mu) - 2 * ell
         x = vertex_boundary(v, T, F2)
         assert sync_depth(x, v.offset, T) == v.depth
+        key = vertex_key(v, T, F2)
+        assert vertex_eigenvalue(key) == v.eigenvalue
+        assert len(key[0]) + abs(key[1] - len(key[0])) == len(mu)
 
 
 def test_vertex_map_injective_up_to_length_eight():
@@ -251,6 +456,7 @@ def test_vertex_map_injective_up_to_length_eight():
         key = (vertex_boundary(v, T, F2), v.offset)
         assert key not in seen
         seen.add(key)
+        assert vertex_from_boundary(*key, T, F2) == v
 
 
 def trailing_tail_run(word: tuple[int, ...]) -> int:
@@ -279,7 +485,7 @@ def test_sync_depth_recursion_under_prefixing(mu, pre, offset):
     if not is_admissible(mu, F2):
         return
     x = concatenate(tuple(pre), T)
-    if not x.admissible_for(F2) or not F2.allows(mu[-1], x.letter_at(1)):
+    if not admissible_for(x, F2) or not F2.allows(mu[-1], letter_at(x, 1)):
         return
     before = sync_depth(x, offset, T)
     assert before is not None
