@@ -37,7 +37,6 @@ __all__ = [
     "dirac_commutator",
     "inner_block",
     "log_dirac_commutator",
-    "moebius_rectangle",
     "moebius_unitary",
     "mult_op",
     "numerical_rank",
@@ -235,16 +234,20 @@ def build_phase(max_mode: int) -> np.ndarray:
     return np.where(modes >= 0, 1.0, -1.0)
 
 
+def _banded(symbol: TrigPoly, rows: int, cols: int) -> np.ndarray:
+    """Convolution matrix with entry [i, j] the coefficient of mode i - j."""
+
+    matrix = np.zeros((rows, cols), dtype=complex)
+    for mode, value in symbol.terms:
+        if -cols < mode < rows:
+            np.fill_diagonal(matrix[max(mode, 0) :, max(-mode, 0) :], value)
+    return matrix
+
+
 def mult_op(symbol: TrigPoly, max_mode: int) -> np.ndarray:
     """Convolution matrix of a Fourier polynomial on the mode window."""
 
-    size = 2 * max_mode + 1
-    matrix = np.zeros((size, size), dtype=complex)
-    for mode, value in symbol.terms:
-        if abs(mode) >= size:
-            continue
-        matrix += np.diag(np.full(size - abs(mode), value), k=-mode)
-    return matrix
+    return _banded(symbol, 2 * max_mode + 1, 2 * max_mode + 1)
 
 
 class QuadratureUnitary(NamedTuple):
@@ -252,43 +255,50 @@ class QuadratureUnitary(NamedTuple):
     defect: float
 
 
-def _moebius_columns(gamma: MoebiusMap, col_modes: int, quad_points: int) -> np.ndarray:
-    angles = 2.0 * np.pi * np.arange(quad_points) / quad_points
-    points = np.exp(1j * angles)
-    weights = gamma.derivative_abs(points) ** 0.5
-    images = gamma.apply(points)
-    columns = np.empty((quad_points, 2 * col_modes + 1), dtype=complex)
-    current = weights * np.conj(images) ** col_modes
-    for offset in range(2 * col_modes + 1):
-        columns[:, offset] = current
-        current = current * images
-    return np.fft.fft(columns, axis=0) / quad_points
+# Sample columns filled and transformed together, one per contiguous row; each
+# column's transform ignores the others, so the block size leaves no trace.
+_FFT_BLOCK = 64
 
 
 @functools.lru_cache(maxsize=32)
 def _unitary_cached(gamma: MoebiusMap, max_mode: int, quad_points: int) -> QuadratureUnitary:
-    spectrum = _moebius_columns(gamma, max_mode, quad_points)
-    gram = spectrum.conj().T @ spectrum
-    gram -= np.eye(2 * max_mode + 1)
-    gram = (gram + gram.conj().T) / 2.0
-    defect = float(np.max(np.abs(np.linalg.eigvalsh(gram)))) if gram.size else 0.0
+    size = 2 * max_mode + 1
+    angles = 2.0 * np.pi * np.arange(quad_points) / quad_points
+    points = np.exp(1j * angles)
+    images = gamma.apply(points)
+    current = gamma.derivative_abs(points) ** 0.5 * np.conj(images) ** max_mode
+    anchor = np.conj(current)
+    rows = np.arange(-max_mode, max_mode + 1) % quad_points
+    matrix = np.empty((size, size), dtype=complex)
+    moments = np.empty(size, dtype=complex)
+    block = np.empty((_FFT_BLOCK, quad_points), dtype=complex)
+    for first in range(0, size, _FFT_BLOCK):
+        width = min(_FFT_BLOCK, size - first)
+        for offset in range(width):
+            block[offset] = current
+            current = current * images
+        moments[first : first + width] = block[:width] @ anchor / quad_points
+        spectrum = np.fft.fft(block[:width], axis=1) / quad_points
+        matrix[:, first : first + width] = spectrum[:, rows].T
+    defect = abs(moments[0] - 1.0) + 2.0 * float(np.sum(np.abs(moments[1:])))
     if defect > 1e-8:
         raise ValueError(
             "quadrature defect {:.3e} exceeds 1e-08; increase quad_points".format(defect)
         )
-    rows = np.arange(-max_mode, max_mode + 1) % quad_points
-    matrix = spectrum[rows, :]
     matrix.setflags(write=False)
     return QuadratureUnitary(matrix, defect)
 
 
 def moebius_unitary(gamma: MoebiusMap, max_mode: int, quad_points: int) -> QuadratureUnitary:
-    """Window matrix of the weighted composition unitary, with its defect.
+    """Window matrix of the weighted composition unitary, with a defect bound.
 
     Matrix elements are Fourier integrals of smooth periodic functions, so the
-    trapezoid rule converges spectrally; the reported defect is the deviation
-    of the computed column Gram matrix from the identity, which measures pure
-    quadrature error because every alias row participates in the Gram sum.
+    trapezoid rule converges spectrally.  Because the map preserves the
+    circle, the Gram matrix of the sampled columns (every alias row included)
+    is the Hermitian Toeplitz matrix of the moments g_m = mean(|gamma'|
+    gamma^m), m = -2M..2M.  The reported defect is the l1 norm of the symbol
+    of Gram - I, |g_0 - 1| + 2 sum_{m >= 1} |g_m|: an upper bound on its
+    spectral norm, which measures pure quadrature error, not that norm itself.
     """
 
     if max_mode < 1:
@@ -296,20 +306,6 @@ def moebius_unitary(gamma: MoebiusMap, max_mode: int, quad_points: int) -> Quadr
     if quad_points < 8 * max_mode:
         raise ValueError("at least eight quadrature points per mode are required")
     return _unitary_cached(gamma, max_mode, quad_points)
-
-
-def moebius_rectangle(
-    gamma: MoebiusMap, row_modes: int, col_modes: int, quad_points: int
-) -> np.ndarray:
-    """Rectangular block of the composition unitary between two mode windows."""
-
-    if row_modes < 0 or col_modes < 0:
-        raise ValueError("mode windows must be nonnegative")
-    if quad_points < 2 * (row_modes + col_modes) + 16:
-        raise ValueError("quadrature grid is too coarse for the requested windows")
-    spectrum = _moebius_columns(gamma, col_modes, quad_points)
-    rows = np.arange(-row_modes, row_modes + 1) % quad_points
-    return spectrum[rows, :]
 
 
 @dataclass(frozen=True)
@@ -370,6 +366,32 @@ def conformal_twist(
     return CrossedElement(tuple(twisted))
 
 
+# Every 5-smooth length below 2^64, the fastest for pocketfft, divides this.
+_SMOOTH = 2**64 * 3**41 * 5**28
+
+
+def _convolve_modes(symbol: TrigPoly, matrix: np.ndarray) -> np.ndarray:
+    """mult_op(symbol) @ matrix by FFT convolution along contiguous mode rows.
+
+    Terms that move every mode out of the window are dropped, as in mult_op;
+    the transform exceeds the window by the remaining bandwidth, so no kept
+    row wraps around.
+    """
+
+    size = matrix.shape[0]
+    terms = [(mode, value) for mode, value in symbol.terms if abs(mode) < size]
+    length = size + max((abs(mode) for mode, _ in terms), default=0)
+    while _SMOOTH % length:
+        length += 1
+    kernel = np.zeros(length, dtype=complex)
+    for mode, value in terms:
+        kernel[mode % length] = value
+    rows = np.zeros((size, length), dtype=complex)
+    rows[:, :size] = matrix.T
+    rows = np.fft.ifft(np.fft.fft(rows, axis=1) * np.fft.fft(kernel), axis=1)
+    return rows[:, :size].T
+
+
 def represent(
     element: CrossedElement, gamma: MoebiusMap, max_mode: int, quad_points: int
 ) -> np.ndarray:
@@ -379,10 +401,10 @@ def represent(
     total = np.zeros((size, size), dtype=complex)
     for power, symbol in element.terms:
         if power == 0:
-            shifted = np.eye(size, dtype=complex)
+            total += mult_op(symbol, max_mode)
         else:
-            shifted = moebius_unitary(gamma.power(power), max_mode, quad_points).matrix
-        total += mult_op(symbol, max_mode) @ shifted
+            unitary = moebius_unitary(gamma.power(power), max_mode, quad_points).matrix
+            total += _convolve_modes(symbol, unitary)
     return total
 
 
@@ -460,15 +482,8 @@ def winding_number(symbol: TrigPoly, *, grid_points: int = 4096) -> int:
 
 
 def _corner_kernel_dim(symbol: TrigPoly, max_mode: int, offset: int, tol: float) -> int:
-    rows = max_mode + 1
     cols = max_mode + 1 - offset
-    matrix = np.zeros((rows, cols), dtype=complex)
-    for mode, value in symbol.terms:
-        for col in range(cols):
-            row = col + mode
-            if 0 <= row < rows:
-                matrix[row, col] = value
-    return cols - numerical_rank(matrix, tol)
+    return cols - numerical_rank(_banded(symbol, max_mode + 1, cols), tol)
 
 
 def toeplitz_index(

@@ -456,6 +456,7 @@ def _run_counterexample(params: dict[str, object]) -> list[CheckRecord]:
         )
         reference_method = "reduced-word formula"
     else:
+        _check_mode_budget(family, int(params["M"]))
         verdict = counterexample_verdict(family, max_mode=int(params["M"]))
         reference_method = "winding number"
     reference = next(
@@ -666,6 +667,20 @@ def _check_window_budget(generators: int, length: int) -> None:
         f"{10 ** (exponent % 1):.3g}e+{int(exponent):02d} vertices, above the budget of "
         f"{FREE_GROUP_VERTEX_BUDGET}; the largest window accepted at d={generators} is {accepted}"
     )
+
+
+# Mode radius of the circle counterexamples.  Measured by tools/mode_curve.py
+# (BENCH_7.json): the Moebius one takes 5.5 s and 360 MB at M=1536, about the
+# largest free-group window; its dense ranks grow like M^3 (M=2048: 13 s, 610 MB).
+CIRCLE_MODE_BUDGET = 1536
+
+
+def _check_mode_budget(family: str, max_mode: int) -> None:
+    if max_mode > CIRCLE_MODE_BUDGET:
+        raise UsageError(
+            f"the {family} window at M={max_mode} is above the mode budget; "
+            f"the largest window accepted is M={CIRCLE_MODE_BUDGET}"
+        )
 
 
 _GROUP_FIELDS = (

@@ -213,7 +213,7 @@ def test_criterion_04_free_group_counterexample():
     _verdict(
         4,
         pairing_ok and cochains_ok and anchor.word_certificates == 4 and elapsed < 60.0,
-        f"pairings -1/+1 with window cross-check at L=10: {pairing_ok}; "
+        f"pairings -1/+1 with window cross-check at L=9: {pairing_ok}; "
         f"all generator cochains vanish with entire certificates: {cochains_ok}; "
         f"{elapsed:.1f}s of 60s",
     )

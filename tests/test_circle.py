@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -25,10 +26,10 @@ from twistzeta.circle import (
     dirac_commutator,
     inner_block,
     log_dirac_commutator,
-    moebius_rectangle,
     moebius_unitary,
     mult_op,
     numerical_rank,
+    represent,
     riemann_zeta,
     stabilized_dirichlet,
     toeplitz_index,
@@ -37,6 +38,54 @@ from twistzeta.circle import (
 )
 
 STRETCH = MoebiusMap.hyperbolic(1.0)
+
+
+# Dense oracle of the Moebius unitary: every sample column of the weighted
+# composition is transformed at once, and the quadrature defect is the exact
+# deviation of the full column Gram matrix from the identity.
+
+
+def dense_columns(gamma: MoebiusMap, col_modes: int, quad_points: int) -> np.ndarray:
+    angles = 2.0 * np.pi * np.arange(quad_points) / quad_points
+    points = np.exp(1j * angles)
+    weights = gamma.derivative_abs(points) ** 0.5
+    images = gamma.apply(points)
+    columns = np.empty((quad_points, 2 * col_modes + 1), dtype=complex)
+    current = weights * np.conj(images) ** col_modes
+    for offset in range(2 * col_modes + 1):
+        columns[:, offset] = current
+        current = current * images
+    return np.fft.fft(columns, axis=0) / quad_points
+
+
+def dense_unitary(
+    gamma: MoebiusMap, max_mode: int, quad_points: int
+) -> tuple[np.ndarray, float]:
+    """Kept rows of the dense spectrum and the eigenvalue defect of its Gram."""
+    spectrum = dense_columns(gamma, max_mode, quad_points)
+    gram = spectrum.conj().T @ spectrum - np.eye(2 * max_mode + 1)
+    gram = (gram + gram.conj().T) / 2.0
+    defect = float(np.max(np.abs(np.linalg.eigvalsh(gram))))
+    rows = np.arange(-max_mode, max_mode + 1) % quad_points
+    return spectrum[rows, :], defect
+
+
+def moebius_rectangle(
+    gamma: MoebiusMap, row_modes: int, col_modes: int, quad_points: int
+) -> np.ndarray:
+    """Rectangular block of the composition unitary between two mode windows."""
+    assert quad_points >= 2 * (row_modes + col_modes) + 16
+    spectrum = dense_columns(gamma, col_modes, quad_points)
+    rows = np.arange(-row_modes, row_modes + 1) % quad_points
+    return spectrum[rows, :]
+
+
+def rotated(stretch: float, turn: float) -> MoebiusMap:
+    """The hyperbolic stretch followed by the rotation by the angle turn."""
+    return MoebiusMap(cmath.exp(0.5j * turn), 0.0).compose(MoebiusMap.hyperbolic(stretch))
+
+
+MAPS = st.builds(rotated, st.floats(0.0, 1.2), st.floats(0.0, 2.0 * math.pi))
 
 
 def phase_commutator(symbol: TrigPoly, max_mode: int) -> np.ndarray:
@@ -145,6 +194,74 @@ def test_moebius_unitary_requires_enough_quadrature():
         moebius_unitary(STRETCH, 64, 511)
     with pytest.raises(ValueError, match="quadrature defect"):
         moebius_unitary(MoebiusMap.hyperbolic(4.0), 64, 512)
+
+
+@settings(max_examples=40, deadline=None)
+@given(gamma=MAPS, max_mode=st.integers(1, 64))
+def test_blocked_unitary_matches_the_dense_oracle(gamma, max_mode):
+    quad = 8 * max_mode + 128
+    expected, exact = dense_unitary(gamma, max_mode, quad)
+    result = moebius_unitary(gamma, max_mode, quad)
+    assert np.max(np.abs(result.matrix - expected)) <= 1e-14
+    # At the rounding floor both defects are noise of about (2M + 1) eps.
+    assert result.defect >= exact - 4 * (2 * max_mode + 1) * np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "stretch, max_mode, quad", [(4.0, 4, 32), (4.0, 8, 64), (2.0, 4, 32), (1.0, 4, 32)]
+)
+def test_refused_defect_is_the_toeplitz_bound_of_the_dense_gram(stretch, max_mode, quad):
+    """The defect is |g_0 - 1| + 2 sum_{m >= 1} |g_m| over the first Gram row.
+    On these coarse grids the moments stand far above rounding, and at
+    stretch 4 the |g_0 - 1| term alone is 3% (M=4) and 0.8% (M=8) of the
+    bound, more than the four digits the refusal prints can hide."""
+    gamma = MoebiusMap.hyperbolic(stretch)
+    spectrum = dense_columns(gamma, max_mode, quad)
+    row = spectrum[:, 0].conj() @ spectrum
+    bound = abs(row[0] - 1.0) + 2.0 * float(np.sum(np.abs(row[1:])))
+    with pytest.raises(ValueError, match="quadrature defect") as refused:
+        moebius_unitary(gamma, max_mode, quad)
+    reported = float(str(refused.value).split()[2])
+    assert reported == pytest.approx(bound, rel=1e-3)
+    assert reported >= dense_unitary(gamma, max_mode, quad)[1]
+
+
+COEFFICIENTS = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    max_mode=st.integers(1, 64),
+    stretch=st.floats(0.0, 0.6),
+    turn=st.floats(0.0, 2.0 * math.pi),
+    powers=st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True),
+    data=st.data(),
+)
+def test_represent_matches_the_dense_product(max_mode, stretch, turn, powers, data):
+    """Each symbol reaches the clipping edge: a term at distance 2M, 2M + 1
+    or 2M + 2 from mode zero, of which only the first stays in the window."""
+    size = 2 * max_mode + 1
+    gamma = rotated(stretch, turn)
+    quad = 8 * max_mode + 128
+    terms = []
+    for power in sorted(powers):
+        raw = data.draw(
+            st.dictionaries(st.integers(-size - 1, size + 1), COEFFICIENTS, max_size=4)
+        )
+        edge = data.draw(st.sampled_from((-1, 1))) * data.draw(st.integers(size - 1, size + 1))
+        raw[edge] = data.draw(COEFFICIENTS.filter(lambda value: abs(value) > 0.1))
+        terms.append((power, TrigPoly.from_dict(raw)))
+    element = CrossedElement(tuple(terms))
+    expected = np.zeros((size, size), dtype=complex)
+    for power, symbol in element.terms:
+        shifted = (
+            np.eye(size)
+            if power == 0
+            else moebius_unitary(gamma.power(power), max_mode, quad).matrix
+        )
+        expected += mult_op(symbol, max_mode) @ shifted
+    matrix = represent(element, gamma, max_mode, quad)
+    assert np.max(np.abs(matrix - expected)) <= 1e-12
 
 
 def test_moebius_group_law_on_padded_rectangles():

@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 
 from twistzeta.ckalg import Monomial
 from twistzeta.cli import (
+    CIRCLE_MODE_BUDGET,
     CheckRecord,
     ExperimentReport,
     UsageError,
+    _check_mode_budget,
     _check_window_budget,
     build_config,
     emit,
@@ -205,6 +207,30 @@ def test_free_group_vertex_budget_admits_every_gate_and_benchmark_window():
     for generators, length in ((2, 13), (3, 9)):
         with pytest.raises(UsageError, match="above the budget"):
             _check_window_budget(generators, length)
+
+
+def test_circle_windows_past_the_mode_budget_are_refused(capsys):
+    """The smallest refused window of both circle families, and M=4096, which
+    ran unbounded before the budget, exit 2 at once and name the largest
+    accepted window."""
+    for family in ("circle", "moebius"):
+        for max_mode in (CIRCLE_MODE_BUDGET + 1, 4096):
+            start = time.perf_counter()
+            assert main(["counterexample", "--family", family, "--M", str(max_mode)]) == 2
+            assert time.perf_counter() - start < 0.5
+            err = capsys.readouterr().err
+            assert f"the {family} window at M={max_mode} is above the mode budget" in err
+            assert f"largest window accepted is M={CIRCLE_MODE_BUDGET}" in err
+
+
+def test_circle_mode_budget_admits_every_gate_and_benchmark_window():
+    # The CLI test (M=64), the default and criterion 06 (M=128) and the
+    # moebius-sweep benchmark (M=512).
+    for family in ("circle", "moebius"):
+        for max_mode in (64, 128, 512, CIRCLE_MODE_BUDGET):
+            _check_mode_budget(family, max_mode)
+        with pytest.raises(UsageError, match="above the mode budget"):
+            _check_mode_budget(family, CIRCLE_MODE_BUDGET + 1)
 
 
 def test_largest_accepted_free_group_window_ends_in_a_verdict():

@@ -3,21 +3,172 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistzeta.circle import MoebiusMap, TrigPoly, build_dlog, moebius_unitary
+from twistzeta.circle import MoebiusMap, TrigPoly, build_dlog, moebius_unitary, mult_op
 from twistzeta.damp import sgnlog_transform
-from twistzeta.higher_order import (
-    BoundaryTriple,
-    EpsBoundReport,
-    eps_bounded_norm,
-    order_sweep,
-    pv_boundary_operator,
-)
+from twistzeta.higher_order import EpsBoundReport, eps_bounded_norm, order_sweep
+
+# The boundary operator of the lattice crossed product, materialized on the
+# whole lattice-times-mode grid: the dense model behind the per-site bounds
+# that order_sweep evaluates.
+
+HOSTING_TOLERANCE = 1e-6
+
+
+def _symbol_blocks(
+    symbol_matrix: np.ndarray, unitary: np.ndarray, lattice_radius: int
+) -> list[np.ndarray]:
+    """Mode-window blocks of the site-wise composed symbol, sites -L..L.
+
+    Site n carries the symbol composed with the inverse n-th power of the
+    diffeomorphism, obtained by conjugating with powers of its unitary.
+    """
+    blocks: dict[int, np.ndarray] = {0: symbol_matrix}
+    adjoint = unitary.conj().T
+    for site in range(1, lattice_radius + 1):
+        blocks[site] = adjoint @ blocks[site - 1] @ unitary
+        blocks[-site] = unitary @ blocks[-(site - 1)] @ adjoint
+    return [blocks[site] for site in range(-lattice_radius, lattice_radius + 1)]
+
+
+@dataclass(frozen=True)
+class BoundaryTriple:
+    """Boundary operator of a crossed product on a lattice-times-mode grid.
+
+    The Hilbert space is the doubled tensor product of a lattice window
+    of radius ``lattice_radius`` with a mode window of radius
+    ``max_mode``; ``operator`` holds the off-diagonal block matrix whose
+    upper block is the graded sum of the weighted lattice position and
+    the logarithmically damped mode operator.
+    """
+
+    operator: np.ndarray
+    damped_modes: np.ndarray
+    unitary: np.ndarray
+    power: float
+    lattice_radius: int
+    max_mode: int
+
+    def site_count(self) -> int:
+        return 2 * self.lattice_radius + 1
+
+    def mode_count(self) -> int:
+        return 2 * self.max_mode + 1
+
+    def absolute_diagonal(self) -> np.ndarray:
+        """Singular values of the boundary operator, one per basis vector."""
+        sites = np.arange(-self.lattice_radius, self.lattice_radius + 1)
+        weighted = sites * np.abs(sites) ** self.power
+        squares = np.add.outer(weighted**2, self.damped_modes**2).ravel()
+        return np.tile(np.sqrt(squares), 2)
+
+    def translation(self) -> np.ndarray:
+        """The doubled lattice shift, cut off hard at the window edge."""
+        sites = self.site_count()
+        shift = np.diag(np.ones(sites - 1), k=-1)
+        single = np.kron(shift, np.eye(self.mode_count()))
+        return _doubled(single)
+
+    def symbol_representation(self, symbol: TrigPoly) -> np.ndarray:
+        """The doubled crossed-product action of a Fourier polynomial.
+
+        Each lattice site multiplies by the symbol composed with the
+        matching inverse power of the diffeomorphism.
+        """
+        blocks = _symbol_blocks(
+            mult_op(symbol, self.max_mode), self.unitary, self.lattice_radius
+        )
+        modes = self.mode_count()
+        dim = self.site_count() * modes
+        single = np.zeros((dim, dim), dtype=complex)
+        for index, block in enumerate(blocks):
+            cell = slice(index * modes, (index + 1) * modes)
+            single[cell, cell] = block
+        return _doubled(single)
+
+
+def _doubled(matrix: np.ndarray) -> np.ndarray:
+    dim = matrix.shape[0]
+    out = np.zeros((2 * dim, 2 * dim), dtype=matrix.dtype)
+    out[:dim, :dim] = matrix
+    out[dim:, dim:] = matrix
+    return out
+
+
+def _check_hosting(unitary: np.ndarray, lattice_radius: int, max_mode: int) -> None:
+    """Verify that powers of the automorphism stay on the mode window.
+
+    Each power must keep the mass of the central-half columns inside the
+    window; otherwise the composed symbols the representation needs are
+    not resolvable at this window size.
+    """
+    half = max_mode // 2
+    central = slice(max_mode - half, max_mode + half + 1)
+    power = np.eye(unitary.shape[0], dtype=complex)
+    for exponent in range(1, lattice_radius + 1):
+        power = power @ unitary
+        masses = np.sum(np.abs(power[:, central]) ** 2, axis=0)
+        defect = float(np.max(np.abs(masses - 1.0)))
+        if defect > HOSTING_TOLERANCE:
+            raise ValueError(
+                f"mode window of radius {max_mode} cannot host automorphism "
+                f"power {exponent}: column mass defect {defect:.3e}"
+            )
+
+
+def pv_boundary_operator(
+    damped_modes: np.ndarray,
+    unitary: np.ndarray,
+    power: float,
+    lattice_radius: int,
+    max_mode: int,
+) -> BoundaryTriple:
+    """Materialize the boundary operator of the lattice crossed product.
+
+    The off-diagonal blocks combine the lattice position operator raised
+    through ``power`` with the damped mode diagonal; the returned bundle
+    also builds the covariant representation and the lattice translation
+    on the same grid.  The unitary must implement the diffeomorphism on
+    the mode window and its powers up to the lattice radius must keep
+    central columns on the window.
+    """
+    if not 0.0 < power <= 1.0:
+        raise ValueError("the position weight exponent must lie in (0, 1]")
+    if lattice_radius < 1:
+        raise ValueError("lattice radius must be positive")
+    if max_mode < 2:
+        raise ValueError("mode window must have radius at least two")
+    modes = np.asarray(damped_modes, dtype=float)
+    if modes.shape != (2 * max_mode + 1,):
+        raise ValueError("damped mode diagonal must cover the mode window")
+    matrix = np.asarray(unitary)
+    if matrix.shape != (2 * max_mode + 1, 2 * max_mode + 1):
+        raise ValueError("unitary must act on the mode window")
+    _check_hosting(matrix, lattice_radius, max_mode)
+
+    sites = np.arange(-lattice_radius, lattice_radius + 1)
+    weighted = sites * np.abs(sites) ** power
+    upper = np.add.outer(weighted, 1j * modes).ravel()
+    dim = upper.size
+    operator = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    indices = np.arange(dim)
+    operator[indices, dim + indices] = upper
+    operator[dim + indices, indices] = np.conj(upper)
+    return BoundaryTriple(
+        operator=operator,
+        damped_modes=modes,
+        unitary=matrix,
+        power=power,
+        lattice_radius=lattice_radius,
+        max_mode=max_mode,
+    )
+
 
 
 def _gentle_triple(lattice_radius: int, max_mode: int = 8) -> BoundaryTriple:

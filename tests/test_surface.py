@@ -30,12 +30,10 @@ KEPT = (
     ("circle.inner_block", "criterion 06 commutator norms and the benchmark"),
     ("circle.circle_zeta_value", "test-only; no command exposes the circle zeta yet"),
     ("circle.circle_zeta_poles", "test-only; no command exposes the circle zeta yet"),
-    ("circle.moebius_rectangle", "test-only; no command reads off-window blocks yet"),
     ("damp.exponentiate", "test-only; no command runs the exponential twist yet"),
     ("damp.invertible_amplification", "test-only; no command runs the doubling yet"),
     ("damp.beta_log_transform", "test-only; no command sweeps the dampening exponent"),
     ("higher_order.eps_bounded_norm", "test-only; order_sweep inlines the weight"),
-    ("higher_order.pv_boundary_operator", "test-only; pv-order uses the lattice bands"),
 )
 
 Node = tuple[str, str]
