@@ -42,6 +42,7 @@ __all__ = [
     "numerical_rank",
     "represent",
     "riemann_zeta",
+    "singular_values",
     "stabilized_dirichlet",
     "toeplitz_index",
     "twisted_dirac_commutator",
@@ -371,14 +372,24 @@ _SMOOTH = 2**64 * 3**41 * 5**28
 
 
 def _convolve_modes(symbol: TrigPoly, matrix: np.ndarray) -> np.ndarray:
-    """mult_op(symbol) @ matrix by FFT convolution along contiguous mode rows.
+    """mult_op(symbol) @ matrix, by a row shift or an FFT convolution.
 
-    Terms that move every mode out of the window are dropped, as in mult_op;
-    the transform exceeds the window by the remaining bandwidth, so no kept
-    row wraps around.
+    A one-term symbol shifts the rows; longer ones are convolved along
+    contiguous mode rows.  Terms that move every mode out of the window are
+    dropped, as in mult_op; the transform exceeds the window by the remaining
+    bandwidth, so no kept row wraps around.
     """
 
     size = matrix.shape[0]
+    if len(symbol.terms) == 1:
+        # c z^k is a scaled partial permutation: row i takes c times row i - k.
+        ((mode, value),) = symbol.terms
+        shifted = np.zeros_like(matrix)
+        if abs(mode) < size:
+            shifted[max(mode, 0) : size + min(mode, 0)] = (
+                value * matrix[max(-mode, 0) : size - max(mode, 0)]
+            )
+        return shifted
     terms = [(mode, value) for mode, value in symbol.terms if abs(mode) < size]
     length = size + max((abs(mode) for mode, _ in terms), default=0)
     while _SMOOTH % length:
@@ -388,7 +399,10 @@ def _convolve_modes(symbol: TrigPoly, matrix: np.ndarray) -> np.ndarray:
         kernel[mode % length] = value
     rows = np.zeros((size, length), dtype=complex)
     rows[:, :size] = matrix.T
-    rows = np.fft.ifft(np.fft.fft(rows, axis=1) * np.fft.fft(kernel), axis=1)
+    # In place: one (size, length) buffer instead of three.
+    np.fft.fft(rows, axis=1, out=rows)
+    rows *= np.fft.fft(kernel)
+    np.fft.ifft(rows, axis=1, out=rows)
     return rows[:, :size].T
 
 
@@ -397,14 +411,20 @@ def represent(
 ) -> np.ndarray:
     """Window matrix of a crossed-product element in the covariant picture."""
 
-    size = 2 * max_mode + 1
-    total = np.zeros((size, size), dtype=complex)
+    total = None
     for power, symbol in element.terms:
         if power == 0:
-            total += mult_op(symbol, max_mode)
+            term = mult_op(symbol, max_mode)
         else:
             unitary = moebius_unitary(gamma.power(power), max_mode, quad_points).matrix
-            total += _convolve_modes(symbol, unitary)
+            term = _convolve_modes(symbol, unitary)
+        if total is None:
+            total = term
+        else:
+            total += term
+    if total is None:
+        size = 2 * max_mode + 1
+        return np.zeros((size, size), dtype=complex)
     return total
 
 
@@ -458,10 +478,31 @@ def inner_block(matrix: np.ndarray) -> np.ndarray:
     return matrix[window, window]
 
 
+def singular_values(matrix: np.ndarray) -> np.ndarray:
+    """Singular values in decreasing order, as np.linalg.svd(compute_uv=False).
+
+    A scaled partial permutation, with at most one nonzero entry in every row
+    and every column, has the moduli of its entries as singular values, padded
+    with zeros to min(rows, cols); those are read off without the SVD.
+    """
+
+    nonzero = matrix != 0
+    if (
+        np.count_nonzero(nonzero) <= min(matrix.shape)
+        and np.all(np.count_nonzero(nonzero, axis=0) <= 1)
+        and np.all(np.count_nonzero(nonzero, axis=1) <= 1)
+    ):
+        values = np.zeros(min(matrix.shape))
+        moduli = np.sort(np.abs(matrix[nonzero]))[::-1]
+        values[: moduli.size] = moduli
+        return values
+    return np.linalg.svd(matrix, compute_uv=False)
+
+
 def numerical_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
     """Count singular values above tol relative to the largest one."""
 
-    singular = np.linalg.svd(matrix, compute_uv=False)
+    singular = singular_values(matrix)
     if singular.size == 0 or singular[0] == 0.0:
         return 0
     return int(np.count_nonzero(singular > tol * singular[0]))

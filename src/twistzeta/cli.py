@@ -670,9 +670,10 @@ def _check_window_budget(generators: int, length: int) -> None:
 
 
 # Mode radius of the circle counterexamples.  Measured by tools/mode_curve.py
-# (BENCH_7.json): the Moebius one takes 5.5 s and 360 MB at M=1536, about the
-# largest free-group window; its dense ranks grow like M^3 (M=2048: 13 s, 610 MB).
-CIRCLE_MODE_BUDGET = 1536
+# (BENCH_8.json): the Moebius one takes 0.22 s and 353 MB at M=2048, inside the
+# largest free-group window's 360 MB; its memory, the dense (2M+1)^2 window
+# matrix, grows like M^2 (M=2560: 536 MB, M=3072: 758 MB).
+CIRCLE_MODE_BUDGET = 2048
 
 
 def _check_mode_budget(family: str, max_mode: int) -> None:

@@ -642,7 +642,7 @@ def _covariant_compression_index(
     rows = slice(max_mode, 2 * max_mode + 1)
     cols = slice(max_mode, 2 * max_mode + 1 - reach)
     block = matrix[rows, cols]
-    dual = matrix.conj().T[rows, cols]
+    dual = matrix[cols, rows].conj().T
     kernel = block.shape[1] - numerical_rank(block)
     cokernel = dual.shape[1] - numerical_rank(dual)
     return kernel - cokernel

@@ -26,7 +26,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .circle import MoebiusMap, TrigPoly, build_dlog, moebius_unitary, mult_op
+from .circle import (
+    MoebiusMap,
+    TrigPoly,
+    build_dlog,
+    moebius_unitary,
+    mult_op,
+    singular_values,
+)
 
 __all__ = [
     "EpsBoundReport",
@@ -75,7 +82,7 @@ def eps_bounded_norm(
     weighted = matrix * _resolvent_weight(profile, epsilon)[None, :]
     center = side // 2
     window = slice(center - truncation, center + truncation + 1)
-    return float(np.linalg.norm(weighted[window, window], 2))
+    return float(singular_values(weighted[window, window])[0])
 
 
 @dataclass(frozen=True)
@@ -182,13 +189,13 @@ def order_sweep(
         window = moebius_unitary(gamma, max_mode, 8 * max_mode).matrix
         damped = build_dlog(max_mode)
         step_norm = float(
-            np.linalg.norm(damped[:, None] * window - window * damped[None, :], 2)
+            singular_values(damped[:, None] * window - window * damped[None, :])[0]
         )
         symbol_matrix = mult_op(element, max_mode)
         inner_norm = float(
-            np.linalg.norm(
-                damped[:, None] * symbol_matrix - symbol_matrix * damped[None, :], 2
-            )
+            singular_values(
+                damped[:, None] * symbol_matrix - symbol_matrix * damped[None, :]
+            )[0]
         )
         points = np.exp(2j * np.pi * np.arange(256) / 256)
         symbol_sup = float(max(abs(element.evaluate(point)) for point in points))

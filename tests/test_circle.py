@@ -31,6 +31,7 @@ from twistzeta.circle import (
     numerical_rank,
     represent,
     riemann_zeta,
+    singular_values,
     stabilized_dirichlet,
     toeplitz_index,
     twisted_dirac_commutator,
@@ -153,6 +154,65 @@ def test_one_sided_symbols_meet_the_tight_rank_bound():
         assert numerical_rank(backward) == degree
 
 
+def assert_matches_the_svd(matrix: np.ndarray) -> None:
+    expected = np.linalg.svd(matrix, compute_uv=False)
+    result = singular_values(matrix)
+    assert result.shape == expected.shape
+    scale = expected[0] if expected.size else 0.0
+    assert np.all(np.abs(result - expected) <= 1e-12 * scale)
+
+
+def scaled_entry(data) -> complex:
+    """A complex number of modulus 10^-300 to 10^3 and any phase."""
+    exponent = data.draw(st.floats(-300.0, 3.0))
+    return 10.0**exponent * cmath.exp(1j * data.draw(st.floats(0.0, 2.0 * math.pi)))
+
+
+SHAPES = st.tuples(st.integers(0, 12), st.integers(0, 12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=SHAPES, data=st.data())
+def test_singular_values_of_sparse_and_dense_shapes_match_the_svd(shape, data):
+    """Random entries on a random pattern, so rows and columns may be empty
+    or hold several entries; only some patterns are partial permutations."""
+    rows, cols = shape
+    mask = np.array(
+        data.draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)),
+        dtype=bool,
+    ).reshape(rows, cols)
+    matrix = np.zeros((rows, cols), dtype=complex)
+    for row, col in zip(*np.nonzero(mask)):
+        matrix[row, col] = complex(data.draw(COEFFICIENTS))
+    assert_matches_the_svd(matrix)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=SHAPES.filter(lambda shape: min(shape) >= 1), data=st.data())
+def test_singular_values_read_partial_permutations_and_refuse_shared_lines(shape, data):
+    """A scaled partial permutation, then the same matrix with one more entry
+    of equal modulus in a row or a column that already holds one: its two
+    entries then merge into one singular value, which only the SVD finds."""
+    rows, cols = shape
+    count = data.draw(st.integers(1, min(shape)))
+    sources = data.draw(st.permutations(range(rows)))[:count]
+    targets = data.draw(st.permutations(range(cols)))[:count]
+    matrix = np.zeros(shape, dtype=complex)
+    for row, col in zip(sources, targets):
+        matrix[row, col] = scaled_entry(data)
+    assert_matches_the_svd(matrix)
+    row, col = sources[0], targets[0]
+    if data.draw(st.booleans()) and cols > 1:
+        line = data.draw(st.sampled_from([other for other in range(cols) if other != col]))
+        matrix[row, line] = abs(matrix[row, col])
+    elif rows > 1:
+        line = data.draw(st.sampled_from([other for other in range(rows) if other != row]))
+        matrix[line, col] = abs(matrix[row, col])
+    else:
+        return
+    assert_matches_the_svd(matrix)
+
+
 def test_moebius_map_validation_and_inverse():
     with pytest.raises(ValueError):
         MoebiusMap(1.0, 1.0)
@@ -239,16 +299,33 @@ COEFFICIENTS = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infi
 )
 def test_represent_matches_the_dense_product(max_mode, stretch, turn, powers, data):
     """Each symbol reaches the clipping edge: a term at distance 2M, 2M + 1
-    or 2M + 2 from mode zero, of which only the first stays in the window."""
+    or 2M + 2 from mode zero, of which only the first stays in the window.
+    About one symbol in three is a single term, applied as a row shift: inside
+    the window, at distance 2M, beyond the window, or the bare one."""
     size = 2 * max_mode + 1
     gamma = rotated(stretch, turn)
     quad = 8 * max_mode + 128
+    sign = st.sampled_from((-1, 1))
+    single = st.one_of(
+        st.integers(-size + 2, size - 2),
+        sign.map(lambda side: side * (size - 1)),
+        st.builds(lambda side, mode: side * mode, sign, st.integers(size, size + 3)),
+    )
     terms = []
     for power in sorted(powers):
+        kind = data.draw(st.sampled_from(("edge", "edge", "single")))
+        if kind == "single":
+            mode = data.draw(st.one_of(single, st.none()))
+            if mode is None:
+                terms.append((power, TrigPoly.one()))
+            else:
+                value = data.draw(COEFFICIENTS.filter(lambda value: abs(value) > 0.1))
+                terms.append((power, TrigPoly.from_dict({mode: value})))
+            continue
         raw = data.draw(
             st.dictionaries(st.integers(-size - 1, size + 1), COEFFICIENTS, max_size=4)
         )
-        edge = data.draw(st.sampled_from((-1, 1))) * data.draw(st.integers(size - 1, size + 1))
+        edge = data.draw(sign) * data.draw(st.integers(size - 1, size + 1))
         raw[edge] = data.draw(COEFFICIENTS.filter(lambda value: abs(value) > 0.1))
         terms.append((power, TrigPoly.from_dict(raw)))
     element = CrossedElement(tuple(terms))

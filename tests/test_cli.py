@@ -251,6 +251,27 @@ def test_largest_accepted_free_group_window_ends_in_a_verdict():
     assert "PASS index pairing by windowed kernel dimensions: computed -1" in done.stdout
 
 
+def test_largest_accepted_moebius_window_ends_in_a_verdict():
+    """counterexample --family moebius at the mode budget in a fresh
+    interpreter, so its peak memory (about 350 MB) is returned when it ends;
+    about 0.5 s with the interpreter start, held to 30 s here."""
+    source = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))
+    argv = ["counterexample", "--family", "moebius", "--M", str(CIRCLE_MODE_BUDGET)]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "twistzeta.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert time.perf_counter() - start < 30.0
+    assert done.returncode == 0, done.stderr
+    assert "PASS index pairing by covariant compression: computed -1" in done.stdout
+
+
 def test_json_report_round_trips_and_is_deterministic():
     config = build_config("summability", flag_values={"M": "64", "s": "0.5,1.0"})
     first = run(config)
