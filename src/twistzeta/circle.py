@@ -20,34 +20,20 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = [
-    "CrossedElement",
-    "DirichletSum",
-    "MoebiusMap",
-    "QuadratureUnitary",
-    "TrigPoly",
-    "build_dirac",
-    "build_dlog",
-    "build_phase",
-    "circle_zeta",
-    "circle_zeta_poles",
-    "circle_zeta_value",
-    "conformal_twist",
-    "derivative_abs_poly",
-    "dirac_commutator",
-    "inner_block",
-    "log_dirac_commutator",
-    "moebius_unitary",
-    "mult_op",
-    "numerical_rank",
-    "represent",
-    "riemann_zeta",
-    "singular_values",
-    "stabilized_dirichlet",
-    "toeplitz_index",
-    "twisted_dirac_commutator",
-    "winding_number",
-]
+# Grid of the argument-principle and invertibility checks.
+GRID_POINTS = 4096
+
+# Singular values at or below this fraction of the largest count as zero.
+RANK_TOL = 1e-8
+
+# Samples of |gamma'|^k in the conformal twist, and the size below which its
+# Fourier coefficients are dropped; from_samples refuses a grid whose top
+# third of modes has not fallen below it.
+TWIST_SAMPLES = 4096
+TWIST_TAIL_TOL = 1e-10
+
+# Largest termwise drift of the Dirichlet data between the two largest windows.
+STABILIZATION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -64,11 +50,11 @@ class TrigPoly:
             raise ValueError("zero coefficients must be dropped before construction")
 
     @classmethod
-    def from_dict(cls, coefficients: Mapping[int, complex], drop_tol: float = 0.0) -> TrigPoly:
+    def from_dict(cls, coefficients: Mapping[int, complex]) -> TrigPoly:
         kept = {
             int(mode): complex(value)
             for mode, value in coefficients.items()
-            if abs(value) > drop_tol
+            if abs(value) > 0.0
         }
         return cls(tuple(sorted(kept.items())))
 
@@ -119,14 +105,6 @@ class TrigPoly:
     @property
     def bandwidth(self) -> int:
         return max((abs(mode) for mode, _ in self.terms), default=0)
-
-    @property
-    def analytic_degree(self) -> int:
-        return max((mode for mode, _ in self.terms if mode > 0), default=0)
-
-    @property
-    def coanalytic_degree(self) -> int:
-        return max((-mode for mode, _ in self.terms if mode < 0), default=0)
 
     def conjugate(self) -> TrigPoly:
         return TrigPoly.from_dict({-mode: value.conjugate() for mode, value in self.terms})
@@ -331,30 +309,18 @@ class CrossedElement:
         return cls(((0, symbol),))
 
 
-def derivative_abs_poly(
-    gamma: MoebiusMap,
-    power: int,
-    *,
-    samples: int = 4096,
-    tail_tol: float = 1e-10,
-) -> TrigPoly:
+def derivative_abs_poly(gamma: MoebiusMap, power: int) -> TrigPoly:
     """Fourier expansion of the derivative modulus raised to an integer power."""
 
     if power == 0:
         return TrigPoly.one()
-    angles = 2.0 * np.pi * np.arange(samples) / samples
+    angles = 2.0 * np.pi * np.arange(TWIST_SAMPLES) / TWIST_SAMPLES
     points = np.exp(1j * angles)
     values = gamma.derivative_abs(points) ** power
-    return TrigPoly.from_samples(values, tail_tol)
+    return TrigPoly.from_samples(values, TWIST_TAIL_TOL)
 
 
-def conformal_twist(
-    element: CrossedElement,
-    gamma: MoebiusMap,
-    *,
-    samples: int = 4096,
-    tail_tol: float = 1e-10,
-) -> CrossedElement:
+def conformal_twist(element: CrossedElement, gamma: MoebiusMap) -> CrossedElement:
     """Multiply each coefficient function by the derivative-modulus power."""
 
     twisted: list[tuple[int, TrigPoly]] = []
@@ -362,7 +328,7 @@ def conformal_twist(
         if power == 0:
             twisted.append((power, symbol))
             continue
-        weight = derivative_abs_poly(gamma, power, samples=samples, tail_tol=tail_tol)
+        weight = derivative_abs_poly(gamma, power)
         twisted.append((power, symbol * weight))
     return CrossedElement(tuple(twisted))
 
@@ -449,19 +415,11 @@ def twisted_dirac_commutator(
     gamma: MoebiusMap,
     max_mode: int,
     quad_points: int,
-    *,
-    samples: int = 4096,
-    tail_tol: float = 1e-10,
 ) -> np.ndarray:
     """Commutator with the twist acting on the left factor."""
 
     plain = represent(element, gamma, max_mode, quad_points)
-    weighted = represent(
-        conformal_twist(element, gamma, samples=samples, tail_tol=tail_tol),
-        gamma,
-        max_mode,
-        quad_points,
-    )
+    weighted = represent(conformal_twist(element, gamma), gamma, max_mode, quad_points)
     diagonal = build_dirac(max_mode)
     return diagonal[:, None] * plain - weighted * diagonal[None, :]
 
@@ -499,19 +457,19 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
     return np.linalg.svd(matrix, compute_uv=False)
 
 
-def numerical_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
-    """Count singular values above tol relative to the largest one."""
+def numerical_rank(matrix: np.ndarray) -> int:
+    """Count singular values above ``RANK_TOL`` relative to the largest one."""
 
     singular = singular_values(matrix)
     if singular.size == 0 or singular[0] == 0.0:
         return 0
-    return int(np.count_nonzero(singular > tol * singular[0]))
+    return int(np.count_nonzero(singular > RANK_TOL * singular[0]))
 
 
-def winding_number(symbol: TrigPoly, *, grid_points: int = 4096) -> int:
+def winding_number(symbol: TrigPoly) -> int:
     """Degree of the symbol around the origin by the argument principle."""
 
-    values = symbol.values_on_grid(grid_points)
+    values = symbol.values_on_grid(GRID_POINTS)
     if np.min(np.abs(values)) <= 1e-9:
         raise ValueError("the symbol vanishes on the sample grid")
     increments = np.angle(np.roll(values, -1) / values)
@@ -522,18 +480,12 @@ def winding_number(symbol: TrigPoly, *, grid_points: int = 4096) -> int:
     return int(nearest)
 
 
-def _corner_kernel_dim(symbol: TrigPoly, max_mode: int, offset: int, tol: float) -> int:
+def _corner_kernel_dim(symbol: TrigPoly, max_mode: int, offset: int) -> int:
     cols = max_mode + 1 - offset
-    return cols - numerical_rank(_banded(symbol, max_mode + 1, cols), tol)
+    return cols - numerical_rank(_banded(symbol, max_mode + 1, cols))
 
 
-def toeplitz_index(
-    symbol: TrigPoly,
-    max_mode: int,
-    *,
-    grid_points: int = 4096,
-    rank_tol: float = 1e-8,
-) -> int:
+def toeplitz_index(symbol: TrigPoly, max_mode: int) -> int:
     """Kernel-dimension difference of the compressed symbol and its adjoint.
 
     The compression keeps every nonnegative mode row but stops the column
@@ -544,14 +496,14 @@ def toeplitz_index(
 
     if not symbol.terms:
         raise ValueError("the zero symbol is not invertible")
-    values = symbol.values_on_grid(grid_points)
+    values = symbol.values_on_grid(GRID_POINTS)
     if float(np.min(np.abs(values))) <= 0.1:
         raise ValueError("the symbol is not safely invertible on the circle")
     spread = symbol.bandwidth
     if max_mode < 2 * spread + 2:
         raise ValueError("the mode window is too small for the symbol bandwidth")
-    forward = _corner_kernel_dim(symbol, max_mode, spread, rank_tol)
-    backward = _corner_kernel_dim(symbol.conjugate(), max_mode, spread, rank_tol)
+    forward = _corner_kernel_dim(symbol, max_mode, spread)
+    backward = _corner_kernel_dim(symbol.conjugate(), max_mode, spread)
     return forward - backward
 
 
@@ -598,7 +550,7 @@ class DirichletSum:
             raise ValueError("bases must be positive")
 
     @classmethod
-    def from_window_diagonal(cls, matrix: np.ndarray, drop_tol: float = 0.0) -> DirichletSum:
+    def from_window_diagonal(cls, matrix: np.ndarray) -> DirichletSum:
         size = matrix.shape[0]
         if matrix.shape != (size, size) or size % 2 == 0:
             raise ValueError("an odd square window matrix is required")
@@ -608,7 +560,7 @@ class DirichletSum:
         for position in range(size):
             base = float(bases[position])
             merged[base] = merged.get(base, 0.0) + complex(matrix[position, position])
-        kept = {base: value for base, value in merged.items() if abs(value) > drop_tol}
+        kept = {base: value for base, value in merged.items() if abs(value) > 0.0}
         return cls(tuple(sorted(kept.items())))
 
     def evaluate(self, z: complex) -> complex:
@@ -616,16 +568,14 @@ class DirichletSum:
 
 
 def stabilized_dirichlet(
-    builder: Callable[[int], np.ndarray],
-    sizes: Sequence[int],
-    tol: float = 1e-10,
+    builder: Callable[[int], np.ndarray], sizes: Sequence[int]
 ) -> DirichletSum:
     """Certify window independence of the diagonal trace data.
 
     The builder is evaluated on each mode window; the resulting Dirichlet
-    sums for the two largest windows must agree termwise within tol,
-    otherwise the diagonal has not settled and no entire certificate can
-    be issued.
+    sums for the two largest windows must agree termwise within
+    ``STABILIZATION_TOL``, otherwise the diagonal has not settled and no
+    entire certificate can be issued.
     """
 
     if len(sizes) < 2 or list(sizes) != sorted(set(sizes)):
@@ -634,7 +584,7 @@ def stabilized_dirichlet(
     previous, final = dict(sums[-2].terms), dict(sums[-1].terms)
     for base in sorted(set(previous) | set(final)):
         drift = abs(previous.get(base, 0.0) - final.get(base, 0.0))
-        if drift > tol:
+        if drift > STABILIZATION_TOL:
             raise ValueError(
                 "diagonal trace data has not stabilized across the mode windows"
             )

@@ -271,12 +271,7 @@ def report_to_csv(report: ExperimentReport) -> str:
 
 def emit(report: ExperimentReport, out_format: str, path: str) -> None:
     """Write the report to a file in the requested format."""
-    if out_format == "json":
-        text = report_to_json(report)
-    elif out_format == "csv":
-        text = report_to_csv(report)
-    else:
-        raise UsageError(f"unknown report format {out_format!r}; known: json, csv")
+    text = report_to_json(report) if out_format == "json" else report_to_csv(report)
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -516,8 +511,6 @@ def _run_counterexample(params: dict[str, object]) -> list[CheckRecord]:
 def _run_damp_sweep(params: dict[str, object]) -> list[CheckRecord]:
     model, tail, _ = _free_group_setup(params)
     depth = int(params["L"])
-    if depth < 16:
-        raise UsageError(f"the truncation sweep needs L at least 16, not {depth}")
     sweep = [depth // 16, depth // 8, depth // 4, depth // 2, depth]
     grid = [float(s) for s in params["s"]]
     try:
@@ -568,8 +561,6 @@ def _run_pv_order(params: dict[str, object]) -> list[CheckRecord]:
     if not 0.0 < power <= 1.0:
         raise UsageError(f"the position weight exponent s must lie in (0, 1], not {power}")
     depth = int(params["L"])
-    if depth < 32:
-        raise UsageError(f"the lattice sweep needs L at least 32, not {depth}")
     stages = []
     stage = 8
     while stage <= depth:
@@ -601,8 +592,6 @@ def _run_pv_order(params: dict[str, object]) -> list[CheckRecord]:
 
 def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
     window = int(params["M"])
-    if window < 16:
-        raise UsageError(f"the mode window needs M at least 16, not {window}")
     diagonal = build_dirac(window)
     magnitudes = np.abs(diagonal)
     logged = np.abs(sgnlog_transform(diagonal))
@@ -638,10 +627,10 @@ def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
 
 
 # Vertices the kernel window of the free-group counterexample may visit.
-# Measured by tools/vertex_curve.py (BENCH_6.json) on one core: the largest
-# accepted windows, d=2 L=12 and d=3 L=8, take 8 s and 4 s and peak at
-# 360 MB and 200 MB; every refused one has at least 2.4 million vertices,
-# and d=3 L=9, the smallest at d=3, takes 26 s and 830 MB.
+# Measured by tools/scale_curve.py, target index (BENCH_6.json), on one core:
+# the largest accepted windows, d=2 L=12 and d=3 L=8, take 8 s and 4 s and
+# peak at 360 MB and 200 MB; every refused one has at least 2.4 million
+# vertices, and d=3 L=9, the smallest at d=3, takes 26 s and 830 MB.
 FREE_GROUP_VERTEX_BUDGET = 1_000_000
 
 
@@ -669,7 +658,7 @@ def _check_window_budget(generators: int, length: int) -> None:
     )
 
 
-# Mode radius of the circle counterexamples.  Measured by tools/mode_curve.py
+# Mode radius of the circle counterexamples.  Measured by tools/scale_curve.py
 # (BENCH_8.json): the Moebius one takes 0.22 s and 353 MB at M=2048, inside the
 # largest free-group window's 360 MB; its memory, the dense (2M+1)^2 window
 # matrix, grows like M^2 (M=2560: 536 MB, M=3072: 758 MB).

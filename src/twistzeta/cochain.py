@@ -44,7 +44,6 @@ from .circle import (
 from .traces import (
     ENTIRE_DENOM,
     FINITE_RANK_CERTIFICATE,
-    ExactReal,
     ExpSum,
     MeromorphicTrace,
     TermKey,
@@ -107,7 +106,7 @@ def rising_half_coeffs(count: int) -> tuple[Fraction, ...]:
     return tuple(coefficients)
 
 
-def zeta_residue(trace: MeromorphicTrace, order: int) -> ExactReal:
+def zeta_residue(trace: MeromorphicTrace, order: int) -> ExpSum:
     """Residue of the order-th power of the half-parameter against a trace.
 
     The trace is a function of the heat parameter; halving the variable
@@ -129,29 +128,9 @@ def zeta_residue(trace: MeromorphicTrace, order: int) -> ExactReal:
             )
         position = pole.order - order - 1
         if position < 0:
-            return ExactReal.zero()
+            return ExpSum.zero(0)
         return pole.principal[position].scaled(Fraction(1, 2 ** (order + 1)))
-    return ExactReal.zero()
-
-
-def square_modulus_iterate(matrix: np.ndarray, modulus: np.ndarray) -> np.ndarray:
-    """One bracket of the squared modulus twisted by its own conjugation.
-
-    Written out entrywise the bracket is d_i^2 t_ij - (d_i^2 t_ij / d_j^2)
-    d_j^2, so it vanishes identically up to floating-point cancellation;
-    the matrix returned is that defect.
-    """
-    side = matrix.shape[0]
-    if matrix.shape != (side, side):
-        raise ValueError("a square window matrix is required")
-    if modulus.shape != (side,):
-        raise ValueError("the modulus diagonal must match the window")
-    if np.any(modulus <= 0.0):
-        raise ValueError("the operator modulus is positive")
-    square = modulus * modulus
-    plain = square[:, None] * matrix
-    conjugated = plain / square[None, :]
-    return plain - conjugated * square[None, :]
+    return ExpSum.zero(0)
 
 
 def group_unitary(letter: int, model: AdjacencyModel) -> CKElement:
@@ -553,7 +532,7 @@ def free_group_cochain(
     certificate = trace.certificate or "pole-data"
 
     def zero_word(order: int) -> tuple[float, str]:
-        return zeta_residue(trace, order).value(), certificate
+        return zeta_residue(trace, order).evaluate(()).real, certificate
 
     return _assemble(arity, cutoff, zero_word)
 

@@ -1,39 +1,24 @@
-"""Sign-preserving logarithmic dampening and exponentiation of spectra.
+"""Sign-preserving logarithmic dampening of spectra and summability scans.
 
-The transforms act on diagonal operators given as 1-d eigenvalue arrays:
-the signed logarithm x -> sgn(x)log(1+|x|), its beta-regularized variant,
-and the exponential amplification F e^{|D|} together with the conjugation
-twist it induces.  Summability scans turn truncated heat or power sums
-into convergence verdicts by a ratio test on the tail increments, both for
-materialized mode windows and for the free-group vertex space, where the
-partial sums come from the exact counting engine instead of an eigenvalue
-list.
+The dampening acts on diagonal operators given as 1-d eigenvalue arrays:
+the signed logarithm x -> sgn(x)log(1+|x|).  Summability scans turn
+truncated heat or power sums into convergence verdicts by a ratio test on
+the tail increments, both for materialized mode windows and for the
+free-group vertex space, where the partial sums come from the exact
+counting engine instead of an eigenvalue list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ckalg import Monomial
 from .traces import _heat_partial_sum
 from .words import AdjacencyModel, BoundaryPoint
-
-__all__ = [
-    "ExponentiatedDirac",
-    "SummabilityReport",
-    "beta_log_transform",
-    "exponentiate",
-    "free_group_summability",
-    "invertible_amplification",
-    "sgnlog_transform",
-    "summability_scan",
-]
-
-OVERFLOW_GUARD = 300.0
 
 DIVERGENCE_MARGIN = 1e-3
 
@@ -46,79 +31,6 @@ def sgnlog_transform(diagonal: np.ndarray) -> np.ndarray:
     """
     values = np.asarray(diagonal, dtype=float)
     return np.sign(values) * np.log1p(np.abs(values))
-
-
-def beta_log_transform(diagonal: np.ndarray, dampening: float) -> np.ndarray:
-    """Regularized logarithmic dampening with exponent deficit ``dampening``.
-
-    Each eigenvalue x becomes x(1+x^2)^(-1/2) log(1+(1+x^2)^(1/2-b)) for
-    b = ``dampening``.  The result differs from (1-2b) times the signed
-    logarithm by a correction that vanishes at infinity.
-    """
-    if not 0.0 < dampening < 0.5:
-        raise ValueError("dampening exponent must lie strictly between 0 and 1/2")
-    values = np.asarray(diagonal, dtype=float)
-    squares = 1.0 + values * values
-    return values / np.sqrt(squares) * np.log1p(squares ** (0.5 - dampening))
-
-
-class ExponentiatedDirac(NamedTuple):
-    amplified: np.ndarray
-    twist: Callable[[np.ndarray], np.ndarray]
-
-
-def exponentiate(diagonal: np.ndarray) -> ExponentiatedDirac:
-    """Exponential amplification of a diagonal operator with its twist.
-
-    Returns the diagonal of F e^|D| (the phase convention sends kernel
-    eigenvalues to +1) together with a map materializing the conjugation
-    a -> e^|D| a e^(-|D|) on the window.  The twist combines row and
-    column exponents additively before a single exponential, so the gap
-    exponents stay within twice the guard and clear of float overflow
-    even where e^|D| times e^|D| would not be representable.
-    """
-    values = np.asarray(diagonal, dtype=float)
-    magnitudes = np.abs(values)
-    peak = float(magnitudes.max()) if magnitudes.size else 0.0
-    if peak > OVERFLOW_GUARD:
-        raise ValueError(
-            f"largest eigenvalue magnitude {peak:.6g} exceeds the exponentiation "
-            f"guard {OVERFLOW_GUARD:.6g}"
-        )
-    phases = np.where(values >= 0, 1.0, -1.0)
-    amplified = phases * np.exp(magnitudes)
-    gaps = np.exp(magnitudes[:, None] - magnitudes[None, :])
-
-    def twist(matrix: np.ndarray) -> np.ndarray:
-        operator = np.asarray(matrix)
-        if operator.shape != gaps.shape:
-            raise ValueError(
-                f"operator shape {operator.shape} does not match the window "
-                f"{gaps.shape}"
-            )
-        return gaps * operator
-
-    return ExponentiatedDirac(amplified, twist)
-
-
-def invertible_amplification(diagonal: np.ndarray) -> np.ndarray:
-    """Doubled-basis amplification with spectrum bounded away from zero.
-
-    Builds the block operator with D and -D on the diagonal and the
-    resolvent-type block (1+D^2)^(-1) on the antidiagonal.  Its square is
-    diagonal with entries f(x) = x^2 + (1+x^2)^(-2), so every singular
-    value is at least min_x f(x)^(1/2), which stays above 1/2.
-    """
-    values = np.asarray(diagonal, dtype=float)
-    size = values.size
-    resolvent = 1.0 / (1.0 + values * values)
-    amplified = np.zeros((2 * size, 2 * size))
-    indices = np.arange(size)
-    amplified[indices, indices] = values
-    amplified[size + indices, size + indices] = -values
-    amplified[indices, size + indices] = resolvent
-    amplified[size + indices, indices] = resolvent
-    return amplified
 
 
 @dataclass(frozen=True)

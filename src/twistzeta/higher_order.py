@@ -35,54 +35,14 @@ from .circle import (
     singular_values,
 )
 
-__all__ = [
-    "EpsBoundReport",
-    "eps_bounded_norm",
-    "order_sweep",
-]
-
 PLATEAU_MARGIN = 0.15
 
 GROWTH_FACTOR = 2.0
 
-
-def _resolvent_weight(diagonal: np.ndarray, epsilon: float) -> np.ndarray:
-    """Eigenvalues of (1+D^2)^(-(1-eps)/2) for a diagonal |D| profile."""
-    return np.exp(-0.5 * (1.0 - epsilon) * np.log1p(diagonal * diagonal))
-
-
-def eps_bounded_norm(
-    operator: np.ndarray,
-    diagonal: np.ndarray,
-    epsilon: float,
-    truncation: int,
-) -> float:
-    """Norm of the operator against a fractional resolvent weight.
-
-    Computes the spectral norm of T (1+D^2)^(-(1-eps)/2) compressed to the
-    central window of radius ``truncation``, where D is diagonal with the
-    given eigenvalue profile.  At epsilon 1 the weight disappears and the
-    result is the plain windowed norm of T.
-    """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError("epsilon must lie in (0, 1]")
-    matrix = np.asarray(operator)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    side = matrix.shape[0]
-    if side % 2 == 0:
-        raise ValueError("operator must cover a symmetric window (odd size)")
-    profile = np.asarray(diagonal, dtype=float)
-    if profile.shape != (side,):
-        raise ValueError("diagonal profile must match the operator size")
-    if truncation < 0 or 2 * truncation + 1 > side:
-        raise ValueError(
-            f"truncation {truncation} does not fit inside the window of size {side}"
-        )
-    weighted = matrix * _resolvent_weight(profile, epsilon)[None, :]
-    center = side // 2
-    window = slice(center - truncation, center + truncation + 1)
-    return float(singular_values(weighted[window, window])[0])
+# The symbol lane's diffeomorphism, the hyperbolic Moebius map of this
+# stretch, and the symbol whose commutator it bounds.
+SYMBOL_STRETCH = 1.0
+SWEEP_SYMBOL = TrigPoly.coordinate()
 
 
 @dataclass(frozen=True)
@@ -150,18 +110,17 @@ def order_sweep(
     epsilons: Sequence[float],
     lattice_sweep: Sequence[int],
     *,
-    stretch: float = 1.0,
     max_mode: int = 64,
-    symbol: TrigPoly | None = None,
 ) -> list[EpsBoundReport]:
     """Weighted commutator norms over lattice truncations, one report per epsilon.
 
     The translation commutator is a single band with the exact closed
     form ((n+1)|n+1|^s - n|n|^s), evaluated against the resolvent weight
     at the source site.  The symbol commutator uses the per-site bound
-    2 C |n| sup|f| + ||[D_log, mult(f)]|| with the constant C measured as
-    the commutator norm of the damped mode operator with the unitary of
-    the diffeomorphism; materializing the composed symbols themselves
+    2 C |n| sup|f| + ||[D_log, mult(f)]|| for f = ``SWEEP_SYMBOL``, with the
+    constant C measured as the commutator norm of the damped mode operator
+    with the unitary of the diffeomorphism, the hyperbolic Moebius map of
+    stretch ``SYMBOL_STRETCH``; materializing the composed symbols themselves
     needs mode windows of size e^(|n| stretch), which no fixed window can
     provide across the sweep.  Norms are taken over the inner half of
     each lattice window.
@@ -184,21 +143,20 @@ def order_sweep(
         raise ValueError("lattice sweep must be strictly increasing from at least two")
 
     if commutator == "symbol":
-        element = symbol if symbol is not None else TrigPoly.coordinate()
-        gamma = MoebiusMap.hyperbolic(stretch)
+        gamma = MoebiusMap.hyperbolic(SYMBOL_STRETCH)
         window = moebius_unitary(gamma, max_mode, 8 * max_mode).matrix
         damped = build_dlog(max_mode)
         step_norm = float(
             singular_values(damped[:, None] * window - window * damped[None, :])[0]
         )
-        symbol_matrix = mult_op(element, max_mode)
+        symbol_matrix = mult_op(SWEEP_SYMBOL, max_mode)
         inner_norm = float(
             singular_values(
                 damped[:, None] * symbol_matrix - symbol_matrix * damped[None, :]
             )[0]
         )
         points = np.exp(2j * np.pi * np.arange(256) / 256)
-        symbol_sup = float(max(abs(element.evaluate(point)) for point in points))
+        symbol_sup = float(max(abs(SWEEP_SYMBOL.evaluate(point)) for point in points))
 
         def site_value(site: int, eps: float) -> float:
             bound = 2.0 * step_norm * abs(site) * symbol_sup + inner_norm

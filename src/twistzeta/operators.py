@@ -11,10 +11,11 @@ from typing import Sequence
 
 from scipy import integrate
 
+# Subinterval limit of the adaptive quadrature on each integral.
+QUAD_POINTS = 200
 
-def frac_power_integral_check(
-    eigenvalues: Sequence[float], r: float, quad_points: int = 200
-) -> float:
+
+def frac_power_integral_check(eigenvalues: Sequence[float], r: float) -> float:
     """Largest deviation of the fractional-power integral from the direct power.
 
     For each eigenvalue ``d`` the integral
@@ -25,8 +26,6 @@ def frac_power_integral_check(
     """
     if not 0.0 < r < 1.0:
         raise ValueError("the exponent must lie strictly between 0 and 1")
-    if quad_points <= 0:
-        raise ValueError("quad_points must be positive")
     worst = 0.0
     prefactor = math.sin(r * math.pi) / math.pi
     for eigenvalue in eigenvalues:
@@ -43,7 +42,7 @@ def frac_power_integral_check(
             math.inf,
             epsabs=1e-12,
             epsrel=1e-12,
-            limit=quad_points,
+            limit=QUAD_POINTS,
         )
         deviation = abs(prefactor * value - shift ** (-r))
         worst = max(worst, deviation)

@@ -71,17 +71,6 @@ class ExpSum:
     def zero(nvars: int) -> ExpSum:
         return ExpSum(nvars, ())
 
-    @staticmethod
-    def single(
-        nvars: int,
-        vector: Sequence[int],
-        coeff: Fraction | int = 1,
-        const_exp: int = 0,
-    ) -> ExpSum:
-        return ExpSum.from_terms(
-            nvars, {(const_exp, tuple(vector)): Fraction(coeff)}
-        )
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -102,14 +91,6 @@ class ExpSum:
         return ExpSum(
             self.nvars, tuple((c, v, q * factor) for c, v, q in self.terms)
         )
-
-    def times(self, other: ExpSum) -> ExpSum:
-        merged: dict[TermKey, Fraction] = {}
-        for c1, v1, q1 in self.terms:
-            for c2, v2, q2 in other.terms:
-                key = (c1 + c2, tuple(a + b for a, b in zip(v1, v2)))
-                merged[key] = merged.get(key, Fraction(0)) + q1 * q2
-        return ExpSum.from_terms(self.nvars, merged)
 
     def evaluate(self, s: Sequence[complex]) -> complex:
         if len(s) != self.nvars:
@@ -180,18 +161,6 @@ class MeromorphicTrace:
             key=lambda item: (item[0].atom, item[0].power),
         )
         return MeromorphicTrace(d, nvars, tuple(kept), certificate)
-
-    @property
-    def is_entire(self) -> bool:
-        return self.certificate is not None or all(
-            denom.atom == ENTIRE_ATOM for denom, _ in self.parts
-        )
-
-    def part(self, atom: str, power: int = 0) -> ExpSum:
-        for denom, numerator in self.parts:
-            if denom.atom == atom and denom.power == power:
-                return numerator
-        return ExpSum.zero(self.nvars)
 
     def plus(self, other: MeromorphicTrace) -> MeromorphicTrace:
         if (self.d, self.nvars) != (other.d, other.nvars):
@@ -291,11 +260,10 @@ class _Accumulator:
         factors: dict[Fraction, int],
         vector: Sequence[int],
         coeff: Fraction,
-        const_exp: int = 0,
     ) -> None:
         if not coeff:
             return
-        key = (const_exp, tuple(vector))
+        key = (0, tuple(vector))
         for split, split_coeff in _partial_fractions(factors).items():
             denom = (
                 ENTIRE_DENOM
@@ -305,12 +273,12 @@ class _Accumulator:
             bucket = self.buckets.setdefault(denom, {})
             bucket[key] = bucket.get(key, Fraction(0)) + coeff * split_coeff
 
-    def build(self, certificate: str | None = None) -> MeromorphicTrace:
+    def build(self) -> MeromorphicTrace:
         parts = {
             denom: ExpSum.from_terms(self.nvars, entries)
             for denom, entries in self.buckets.items()
         }
-        return MeromorphicTrace.from_parts(self.d, self.nvars, parts, certificate)
+        return MeromorphicTrace.from_parts(self.d, self.nvars, parts)
 
 
 def _canonical_chain(
@@ -872,56 +840,20 @@ def specialize_shifts(
 
 
 @dataclass(frozen=True)
-class ExactReal:
-    """Exact number of the form sum of rational multiples of e^{-integer}."""
-
-    terms: tuple[tuple[int, Fraction], ...]
-
-    @staticmethod
-    def from_dict(entries: dict[int, Fraction]) -> ExactReal:
-        return ExactReal(tuple(sorted((c, q) for c, q in entries.items() if q)))
-
-    @staticmethod
-    def zero() -> ExactReal:
-        return ExactReal(())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def plus(self, other: ExactReal) -> ExactReal:
-        merged = dict(self.terms)
-        for c, q in other.terms:
-            merged[c] = merged.get(c, Fraction(0)) + q
-        return ExactReal.from_dict(merged)
-
-    def scaled(self, factor: Fraction) -> ExactReal:
-        if not factor:
-            return ExactReal.zero()
-        return ExactReal(tuple((c, q * factor) for c, q in self.terms))
-
-    def value(self) -> float:
-        return sum(float(q) * math.exp(-c) for c, q in self.terms)
-
-
-@dataclass(frozen=True)
 class PoleDatum:
     """Principal part of one pole class of a single-variable trace.
 
     The location is base + i*pi for odd parity, base for even parity, both
     modulo 2*pi*i; ``principal`` lists the exact Laurent coefficients of
-    (s - location)^{-order} through (s - location)^{-1}.
+    (s - location)^{-order} through (s - location)^{-1}, each a sum of
+    rational multiples of e^{-integer}: an ``ExpSum`` in no variables.
     """
 
     base_label: str
     base_value: float
     parity: str
     order: int
-    principal: tuple[ExactReal, ...]
-
-    @property
-    def residue(self) -> ExactReal:
-        return self.principal[-1]
+    principal: tuple[ExpSum, ...]
 
 
 def _phi_series(order: int) -> list[Fraction]:
@@ -980,7 +912,7 @@ def poles_and_laurent(trace: MeromorphicTrace) -> list[PoleDatum]:
         if not powers:
             continue
         deepest = max(powers)
-        principal: dict[int, ExactReal] = {}
+        principal: dict[int, ExpSum] = {}
         if atom == BRANCH_ATOM:
             root_num, root_den = 1, branching
             base_value = math.log(branching)
@@ -990,9 +922,9 @@ def poles_and_laurent(trace: MeromorphicTrace) -> list[PoleDatum]:
         phi = _phi_series(deepest)
         for power, numerator in powers.items():
             reciprocal = _series_power(phi, power, power - 1)
-            taylor: list[ExactReal] = []
+            taylor: list[ExpSum] = []
             for i in range(power):
-                entries: dict[int, Fraction] = {}
+                entries: dict[TermKey, Fraction] = {}
                 for const_exp, vector, coeff in numerator.terms:
                     v = vector[0]
                     scale = (
@@ -1001,13 +933,14 @@ def poles_and_laurent(trace: MeromorphicTrace) -> list[PoleDatum]:
                         * Fraction((-v) ** i, math.factorial(i))
                     )
                     if scale:
-                        entries[const_exp] = entries.get(const_exp, Fraction(0)) + scale
-                taylor.append(ExactReal.from_dict(entries))
+                        key = (const_exp, ())
+                        entries[key] = entries.get(key, Fraction(0)) + scale
+                taylor.append(ExpSum.from_terms(0, entries))
             for exponent in range(-power, 0):
-                acc = ExactReal.zero()
+                acc = ExpSum.zero(0)
                 for i in range(power + exponent + 1):
                     acc = acc.plus(taylor[i].scaled(reciprocal[power + exponent - i]))
-                principal[exponent] = principal.get(exponent, ExactReal.zero()).plus(acc)
+                principal[exponent] = principal.get(exponent, ExpSum.zero(0)).plus(acc)
         true_order = 0
         for exponent in sorted(principal):
             if not principal[exponent].is_zero:
@@ -1016,7 +949,7 @@ def poles_and_laurent(trace: MeromorphicTrace) -> list[PoleDatum]:
         if true_order == 0:
             continue
         coefficients = tuple(
-            principal.get(exponent, ExactReal.zero())
+            principal.get(exponent, ExpSum.zero(0))
             for exponent in range(-true_order, 0)
         )
         found.append(PoleDatum(label, base_value, parity, true_order, coefficients))

@@ -267,8 +267,11 @@ def _escape_letter(model: AdjacencyModel, after: int) -> tuple[int, int, int]:
 
 
 def settling_species(model: AdjacencyModel, after: int) -> Species:
-    """Pairs ``(c, a)`` with :func:`settling_tail_count` equal to the sum of
-    ``c * a**n`` at every depth ``n >= 1``.
+    """Pairs ``(c, a)`` whose sum of ``c * a**n`` is, at every depth
+    ``n >= 1``, the number of admissible words of length ``n`` that may follow
+    the letter ``after`` and end in neither the first generator nor its
+    inverse: the prefixes gluing to the fixed-point tail with settle depth
+    ``n``.
 
     The amplitudes are the eigenvalues 2d-1 and -1 of the free-group
     adjacency matrix; the closed-form traces resum these same pairs.
@@ -278,43 +281,13 @@ def settling_species(model: AdjacencyModel, after: int) -> Species:
 
 
 def extension_species(model: AdjacencyModel, after: int) -> Species:
-    """Pairs ``(c, a)`` with :func:`basis_extension_count` equal to the sum
-    of ``c * a**n`` at every length ``n >= 1``."""
+    """Pairs ``(c, a)`` whose sum of ``c * a**n`` is, at every length
+    ``n >= 1``, the number of admissible words of length ``n`` that may follow
+    the letter ``after`` and do not end in the inverse of the first
+    generator."""
     d, marked, signed = _escape_letter(model, after)
     return (
         (Fraction(2 * d - 1, 2 * d), 2 * d - 1),
         (Fraction(1, 2 * d) - Fraction(marked, 2), -1),
         (Fraction(signed, 2), 1),
     )
-
-
-def _species_count(species: Species, n: int) -> int:
-    if n < 1:
-        raise ValueError("word length must be positive")
-    total = sum(c * a**n for c, a in species)
-    if total.denominator != 1:
-        raise ArithmeticError("species decomposition produced a non-integer count")
-    return int(total)
-
-
-def settling_tail_count(model: AdjacencyModel, depth: int, after: int) -> int:
-    """Number of admissible words of length ``depth`` that may follow the
-    letter ``after`` and end in neither the first generator nor its inverse.
-
-    These are exactly the prefixes gluing to the distinguished fixed-point
-    tail with settle depth equal to their length.  Evaluates
-    :func:`settling_species`; tests compare it against exhaustive
-    enumeration.
-    """
-    return _species_count(settling_species(model, after), depth)
-
-
-def basis_extension_count(model: AdjacencyModel, length: int, after: int) -> int:
-    """Number of admissible words of the given length that may follow the
-    letter ``after`` and do not end in the inverse of the first generator.
-
-    Companion of :func:`settling_tail_count` for the basis of words with no
-    trailing inverse generator; evaluates :func:`extension_species`, again
-    verified against enumeration.
-    """
-    return _species_count(extension_species(model, after), length)

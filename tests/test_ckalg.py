@@ -14,12 +14,11 @@ from test_words import enumerate_admissible, prefix, vertex_boundary, vertex_fro
 from twistzeta.ckalg import (
     CKElement,
     Monomial,
-    _admissible_extensions,
+    _continues,
     act_on_vertex,
     adjoint,
     chain_product,
     cylinder_census,
-    elements_equal,
     generator,
     monomial,
     multiply,
@@ -31,6 +30,61 @@ F3 = free_group(3)
 T = fixed_point(0)
 
 A1, B1, A2, B2 = 0, 1, 2, 3
+
+
+# Operator equality by refinement to a common strip depth, the oracle that
+# the multiplication tests compare products with.
+
+def _admissible_extensions(model: AdjacencyModel, mono: Monomial, length: int):
+    """Common extensions of both words of a monomial, depth-first."""
+    if length == 0:
+        yield ()
+        return
+    stack: list[Word] = [()]
+    while stack:
+        ext = stack.pop()
+        if len(ext) == length:
+            yield ext
+            continue
+        anchor_out = mono.out_word + ext
+        anchor_in = mono.in_word + ext
+        for k in range(model.size - 1, -1, -1):
+            if _continues(anchor_out, k, model) and _continues(anchor_in, k, model):
+                stack.append(ext + (k,))
+
+
+def refine_to_depth(
+    x: CKElement, depth: int, model: AdjacencyModel
+) -> dict[Monomial, Fraction]:
+    """Rewrite every monomial so that all stripped words have one length.
+
+    Splitting S_mu S_nu^* into the sum of S_{mu e} S_{nu e}^* over common
+    continuation words ``e`` leaves the operator unchanged; once every
+    strip length equals ``depth`` the monomials are linearly independent,
+    so this is a canonical form.
+    """
+    refined: dict[Monomial, Fraction] = {}
+    for mono, coeff in x.terms:
+        need = depth - len(mono.in_word)
+        if need < 0:
+            raise ValueError("depth is shorter than a stored strip word")
+        for ext in _admissible_extensions(model, mono, need):
+            target = Monomial(mono.out_word + ext, mono.in_word + ext)
+            updated = refined.get(target, Fraction(0)) + coeff
+            if updated:
+                refined[target] = updated
+            else:
+                refined.pop(target, None)
+    return refined
+
+
+def elements_equal(x: CKElement, y: CKElement, model: AdjacencyModel) -> bool:
+    """Operator equality through refinement to a common strip depth."""
+    depth = max(
+        [len(m.in_word) for m, _ in x.terms + y.terms],
+        default=0,
+    )
+    return refine_to_depth(x, depth, model) == refine_to_depth(y, depth, model)
 
 
 # Independent oracle of the cylinder census in twistzeta.ckalg: the diagonal

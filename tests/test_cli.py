@@ -185,6 +185,15 @@ def test_usage_errors_exit_two(capsys):
     assert "cannot be read" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (["damp-sweep", "--L", "8"], ["pv-order", "--L", "16"], ["summability", "--M", "8"]),
+)
+def test_sweeps_below_the_schema_minimum_exit_two(argv, capsys):
+    assert main(argv) == 2
+    assert "below the minimum" in capsys.readouterr().err
+
+
 def test_free_group_windows_past_the_vertex_budget_are_refused(capsys):
     """The smallest refused window at d=2 and an input that ran unbounded
     before the budget both exit 2 at once, naming the estimate and the

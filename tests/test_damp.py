@@ -4,6 +4,7 @@ invertible amplification, and summability verdicts."""
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -13,10 +14,7 @@ from hypothesis import strategies as st
 from twistzeta.circle import build_dirac, build_dlog
 from twistzeta.damp import (
     SummabilityReport,
-    beta_log_transform,
-    exponentiate,
     free_group_summability,
-    invertible_amplification,
     sgnlog_transform,
     summability_scan,
 )
@@ -55,6 +53,24 @@ def test_sgnlog_stays_near_circle_log_derivative() -> None:
         assert top == pytest.approx(math.log(2.0), abs=1e-15)
 
 
+# The regularized dampening, the exponential amplification with its twist and
+# the doubled-basis amplification: spectral transforms of the paper that no
+# command runs, kept next to the tests that check them.
+
+def beta_log_transform(diagonal: np.ndarray, dampening: float) -> np.ndarray:
+    """Regularized logarithmic dampening with exponent deficit ``dampening``.
+
+    Each eigenvalue x becomes x(1+x^2)^(-1/2) log(1+(1+x^2)^(1/2-b)) for
+    b = ``dampening``.  The result differs from (1-2b) times the signed
+    logarithm by a correction that vanishes at infinity.
+    """
+    if not 0.0 < dampening < 0.5:
+        raise ValueError("dampening exponent must lie strictly between 0 and 1/2")
+    values = np.asarray(diagonal, dtype=float)
+    squares = 1.0 + values * values
+    return values / np.sqrt(squares) * np.log1p(squares ** (0.5 - dampening))
+
+
 def test_beta_log_rejects_out_of_range_exponents() -> None:
     eigenvalues = np.array([1.0, 2.0])
     for dampening in (0.0, 0.5, -0.2, 0.7):
@@ -80,6 +96,48 @@ def test_beta_log_tracks_scaled_sgnlog_with_flat_defect() -> None:
     assert all(top < 0.5 for top in tops)
     # the defect vanishes at infinity, so widening the window changes nothing
     assert max(tops) - min(tops) < 1e-12
+
+
+OVERFLOW_GUARD = 300.0
+
+
+class ExponentiatedDirac(NamedTuple):
+    amplified: np.ndarray
+    twist: Callable[[np.ndarray], np.ndarray]
+
+
+def exponentiate(diagonal: np.ndarray) -> ExponentiatedDirac:
+    """Exponential amplification of a diagonal operator with its twist.
+
+    Returns the diagonal of F e^|D| (the phase convention sends kernel
+    eigenvalues to +1) together with a map materializing the conjugation
+    a -> e^|D| a e^(-|D|) on the window.  The twist combines row and
+    column exponents additively before a single exponential, so the gap
+    exponents stay within twice the guard and clear of float overflow
+    even where e^|D| times e^|D| would not be representable.
+    """
+    values = np.asarray(diagonal, dtype=float)
+    magnitudes = np.abs(values)
+    peak = float(magnitudes.max()) if magnitudes.size else 0.0
+    if peak > OVERFLOW_GUARD:
+        raise ValueError(
+            f"largest eigenvalue magnitude {peak:.6g} exceeds the exponentiation "
+            f"guard {OVERFLOW_GUARD:.6g}"
+        )
+    phases = np.where(values >= 0, 1.0, -1.0)
+    amplified = phases * np.exp(magnitudes)
+    gaps = np.exp(magnitudes[:, None] - magnitudes[None, :])
+
+    def twist(matrix: np.ndarray) -> np.ndarray:
+        operator = np.asarray(matrix)
+        if operator.shape != gaps.shape:
+            raise ValueError(
+                f"operator shape {operator.shape} does not match the window "
+                f"{gaps.shape}"
+            )
+        return gaps * operator
+
+    return ExponentiatedDirac(amplified, twist)
 
 
 def test_exponentiate_circle_modes() -> None:
@@ -127,6 +185,26 @@ def test_dampening_inverts_exponentiation_up_to_log_two() -> None:
     recovered = sgnlog_transform(np.abs(amplified))
     gap = np.abs(recovered - np.abs(eigenvalues))
     assert float(gap.max()) <= math.log(2.0) + 1e-12
+
+
+def invertible_amplification(diagonal: np.ndarray) -> np.ndarray:
+    """Doubled-basis amplification with spectrum bounded away from zero.
+
+    Builds the block operator with D and -D on the diagonal and the
+    resolvent-type block (1+D^2)^(-1) on the antidiagonal.  Its square is
+    diagonal with entries f(x) = x^2 + (1+x^2)^(-2), so every singular
+    value is at least min_x f(x)^(1/2), which stays above 1/2.
+    """
+    values = np.asarray(diagonal, dtype=float)
+    size = values.size
+    resolvent = 1.0 / (1.0 + values * values)
+    amplified = np.zeros((2 * size, 2 * size))
+    indices = np.arange(size)
+    amplified[indices, indices] = values
+    amplified[size + indices, size + indices] = -values
+    amplified[indices, size + indices] = resolvent
+    amplified[size + indices, indices] = resolvent
+    return amplified
 
 
 def test_amplification_square_is_diagonal_with_unit_floor() -> None:

@@ -10,9 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistzeta.circle import MoebiusMap, TrigPoly, build_dlog, moebius_unitary, mult_op
+from twistzeta.circle import (
+    MoebiusMap,
+    TrigPoly,
+    build_dlog,
+    moebius_unitary,
+    mult_op,
+    singular_values,
+)
 from twistzeta.damp import sgnlog_transform
-from twistzeta.higher_order import EpsBoundReport, eps_bounded_norm, order_sweep
+from twistzeta.higher_order import EpsBoundReport, order_sweep
 
 # The boundary operator of the lattice crossed product, materialized on the
 # whole lattice-times-mode grid: the dense model behind the per-site bounds
@@ -266,6 +273,48 @@ def test_kernel_projection_shift_costs_log_two():
     assert gap == pytest.approx(math.log(2.0), rel=1e-15)
     bound = np.max(projection * np.log1p(np.abs(raw) + projection)) + math.log(2.0)
     assert gap <= bound
+
+
+# The weighted norm that order_sweep evaluates per site in closed form, on a
+# materialized window.
+
+def _resolvent_weight(diagonal: np.ndarray, epsilon: float) -> np.ndarray:
+    """Eigenvalues of (1+D^2)^(-(1-eps)/2) for a diagonal |D| profile."""
+    return np.exp(-0.5 * (1.0 - epsilon) * np.log1p(diagonal * diagonal))
+
+
+def eps_bounded_norm(
+    operator: np.ndarray,
+    diagonal: np.ndarray,
+    epsilon: float,
+    truncation: int,
+) -> float:
+    """Norm of the operator against a fractional resolvent weight.
+
+    Computes the spectral norm of T (1+D^2)^(-(1-eps)/2) compressed to the
+    central window of radius ``truncation``, where D is diagonal with the
+    given eigenvalue profile.  At epsilon 1 the weight disappears and the
+    result is the plain windowed norm of T.
+    """
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError("epsilon must lie in (0, 1]")
+    matrix = np.asarray(operator)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError("operator must be a square matrix")
+    side = matrix.shape[0]
+    if side % 2 == 0:
+        raise ValueError("operator must cover a symmetric window (odd size)")
+    profile = np.asarray(diagonal, dtype=float)
+    if profile.shape != (side,):
+        raise ValueError("diagonal profile must match the operator size")
+    if truncation < 0 or 2 * truncation + 1 > side:
+        raise ValueError(
+            f"truncation {truncation} does not fit inside the window of size {side}"
+        )
+    weighted = matrix * _resolvent_weight(profile, epsilon)[None, :]
+    center = side // 2
+    window = slice(center - truncation, center + truncation + 1)
+    return float(singular_values(weighted[window, window])[0])
 
 
 def _unit_band(max_mode: int, exponent: float) -> np.ndarray:

@@ -46,7 +46,7 @@ def test_operator_shape_must_match_basis():
 def test_numerical_rank_examples():
     assert numerical_rank(np.zeros((7, 7))) == 0
     assert numerical_rank(np.eye(7)) == 7
-    assert numerical_rank(np.ones((7, 7)), 1e-8) == 1
+    assert numerical_rank(np.ones((7, 7))) == 1
 
 
 def test_commutator_with_identity_vanishes():

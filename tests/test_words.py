@@ -15,16 +15,17 @@ from twistzeta.words import (
     EMPTY_WORD,
     AdjacencyModel,
     BoundaryPoint,
+    Species,
     VertexKey,
     Word,
     admissible_levels,
-    basis_extension_count,
     dirac_eigenvalue,
+    extension_species,
     fixed_point,
     free_group,
     is_admissible,
     settled_eigenvalue,
-    settling_tail_count,
+    settling_species,
     vertex_eigenvalue,
 )
 
@@ -495,6 +496,31 @@ def test_sync_depth_recursion_under_prefixing(mu, pre, offset):
     else:
         assert x == T
         assert after == max(0, before - trailing_tail_run(mu))
+
+
+# The species evaluated at one length, which the tests below compare with
+# enumeration; the closed-form traces resum the species instead.
+def _species_count(species: Species, n: int) -> int:
+    if n < 1:
+        raise ValueError("word length must be positive")
+    total = sum(c * a**n for c, a in species)
+    if total.denominator != 1:
+        raise ArithmeticError("species decomposition produced a non-integer count")
+    return int(total)
+
+
+def settling_tail_count(model: AdjacencyModel, depth: int, after: int) -> int:
+    """Number of admissible words of length ``depth`` that may follow the
+    letter ``after`` and end in neither the first generator nor its inverse,
+    from :func:`settling_species`."""
+    return _species_count(settling_species(model, after), depth)
+
+
+def basis_extension_count(model: AdjacencyModel, length: int, after: int) -> int:
+    """Number of admissible words of the given length that may follow the
+    letter ``after`` and do not end in the inverse of the first generator,
+    from :func:`extension_species`."""
+    return _species_count(extension_species(model, after), length)
 
 
 def test_settling_tail_count_small_table():

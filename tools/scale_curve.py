@@ -1,0 +1,142 @@
+"""Cost of the windowed free-group index, the Moebius unitary and the circle
+counterexamples against their size parameter.
+
+Usage, from the root of a checkout::
+
+    python3 tools/scale_curve.py
+    python3 tools/scale_curve.py --targets index --points 2:6-10,3:4-7 --repeats 3
+    python3 tools/scale_curve.py --src ../other/src --targets unitary --modes 256,512
+
+Each point runs one target in a fresh interpreter and reads the wall time
+of the call and the peak RSS of that interpreter; a point reports the
+minimum of its repeats for both.  The targets:
+
+- ``index``: ``cochain.compressed_translation_index`` for the letter a1
+  over the tail a1^inf (the windowed half of ``counterexample --family
+  free_group``) at each d and L of ``--points``, next to the vertex count
+  sum_{n <= L} (2d-1)^n that the command line budgets; the index is the
+  outcome.
+- ``unitary``: ``circle.moebius_unitary(hyperbolic(1.0), M, 8M)`` at each M
+  of ``--modes``, next to the window size 2M + 1; its defect is the outcome.
+- ``counterexample`` and ``circle``: ``cochain.counterexample_verdict`` of
+  the ``moebius`` and of the ``circle`` family at each M, their verdict as
+  the outcome.  These are library calls, what ``counterexample --family
+  moebius|circle --M M`` runs, so the curve also reaches past
+  ``cli.CIRCLE_MODE_BUDGET``, which it is used to set.
+
+The last line of standard output is one JSON object with every point.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TARGETS = ("index", "unitary", "counterexample", "circle")
+DEFAULT_POINTS = "2:6-12,3:4-8"
+DEFAULT_MODES = "256,512,1024,2048"
+
+
+def _child(target: str, sizes: list[int]) -> None:
+    from twistzeta import circle, cochain, words
+
+    if target == "index":
+        generators, length = sizes
+        model = words.free_group(generators)
+        tail = words.fixed_point(0)
+        start = time.perf_counter()
+        outcome = cochain.compressed_translation_index(0, tail, model, source_length=length)
+    elif target == "unitary":
+        (max_mode,) = sizes
+        start = time.perf_counter()
+        gamma = circle.MoebiusMap.hyperbolic(1.0)
+        outcome = circle.moebius_unitary(gamma, max_mode, 8 * max_mode).defect
+    else:
+        (max_mode,) = sizes
+        family = "circle" if target == "circle" else "moebius"
+        start = time.perf_counter()
+        outcome = cochain.counterexample_verdict(family, max_mode=max_mode).passed
+    seconds = time.perf_counter() - start
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps({"outcome": outcome, "seconds": seconds, "peak_rss_mb": peak}))
+
+
+def _points(text: str) -> list[tuple[int, int]]:
+    points = []
+    for group in text.split(","):
+        generators, lengths = group.split(":")
+        low, _, high = lengths.partition("-")
+        points += [(int(generators), n) for n in range(int(low), int(high or low) + 1)]
+    return points
+
+
+def _size_fields(target: str, sizes: tuple[int, ...]) -> dict[str, int]:
+    if target == "index":
+        generators, length = sizes
+        rate = 2 * generators - 1
+        return {"d": generators, "L": length, "vertices": sum(rate**n for n in range(length + 1))}
+    (max_mode,) = sizes
+    return {"M": max_mode, "window": 2 * max_mode + 1}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"), help="package sources to import")
+    parser.add_argument("--targets", default=",".join(TARGETS), help="comma-separated targets")
+    parser.add_argument("--points", default=DEFAULT_POINTS, help="d:Lmin-Lmax groups of index")
+    parser.add_argument("--modes", default=DEFAULT_MODES, help="comma-separated M of the rest")
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.child:
+        _child(args.child[0], [int(size) for size in args.child[1:]])
+        return 0
+    targets = args.targets.split(",")
+    unknown = sorted(set(targets) - set(TARGETS))
+    if unknown:
+        parser.error(f"unknown targets {', '.join(unknown)}; known: {', '.join(TARGETS)}")
+    jobs: list[tuple[str, tuple[int, ...]]] = []
+    for target in targets:
+        if target == "index":
+            jobs += [(target, point) for point in _points(args.points)]
+        else:
+            jobs += [(target, (int(text),)) for text in args.modes.split(",")]
+    rows = []
+    for target, sizes in jobs:
+        runs = []
+        for _ in range(args.repeats):
+            done = subprocess.run(
+                [sys.executable, __file__, "--child", target, *map(str, sizes)],
+                env={"PYTHONPATH": args.src, "PATH": "/usr/bin:/bin"},
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
+        fields = _size_fields(target, sizes)
+        row = {
+            "target": target,
+            **fields,
+            "outcome": runs[0]["outcome"],
+            "seconds": min(run["seconds"] for run in runs),
+            "peak_rss_mb": min(run["peak_rss_mb"] for run in runs),
+        }
+        rows.append(row)
+        size = " ".join(f"{key}={value}" for key, value in fields.items())
+        print(
+            f"{target} {size}: {row['seconds']:.3f} s, "
+            f"{row['peak_rss_mb']:.1f} MB (min of {args.repeats})",
+            flush=True,
+        )
+    print(json.dumps({"src": args.src, "repeats": args.repeats, "points": rows}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
