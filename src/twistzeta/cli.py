@@ -349,6 +349,7 @@ def _single_variable(trace):
 
 
 def _run_heat_oracle(params: dict[str, object]) -> list[CheckRecord]:
+    _check_step_budget("heat-oracle", params)
     model, tail, _ = _free_group_setup(params)
     chain = parse_chain(str(params["chain"]), model)
     closed = closed_form_heat_trace(chain, tail, model)
@@ -509,6 +510,7 @@ def _run_counterexample(params: dict[str, object]) -> list[CheckRecord]:
 
 
 def _run_damp_sweep(params: dict[str, object]) -> list[CheckRecord]:
+    _check_step_budget("damp-sweep", params)
     model, tail, _ = _free_group_setup(params)
     depth = int(params["L"])
     sweep = [depth // 16, depth // 8, depth // 4, depth // 2, depth]
@@ -670,6 +672,26 @@ def _check_mode_budget(family: str, max_mode: int) -> None:
         raise UsageError(
             f"the {family} window at M={max_mode} is above the mode budget; "
             f"the largest window accepted is M={CIRCLE_MODE_BUDGET}"
+        )
+
+
+# Word-length steps of the windowed heat sums, one per escape depth of one
+# window: per exponent, L for heat-oracle and under 2L for damp-sweep's sweep
+# L/16, L/8, ..., L.  Measured by tools/scale_curve.py, target window
+# (BENCH_11.json), on one core: the budget is heat-oracle's default grid of
+# three exponents at L=8192, 1.2 s and 33 MB at d=2.  A step's big-integer
+# row grows with L, so one exponent at the budget's L=24576 takes about 6 s.
+WINDOW_STEP_BUDGET = 24576
+
+
+def _check_step_budget(experiment: str, params: Mapping[str, object]) -> None:
+    rate = (1 if experiment == "heat-oracle" else 2) * len(params["s"])
+    length = int(params["L"])
+    if rate * length > WINDOW_STEP_BUDGET:
+        raise UsageError(
+            f"the {experiment} windows at L={length} take about {rate * length} word-length "
+            f"steps, above the budget of {WINDOW_STEP_BUDGET}; the largest L accepted on a "
+            f"grid of {len(params['s'])} exponents is {WINDOW_STEP_BUDGET // rate}"
         )
 
 

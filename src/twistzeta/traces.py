@@ -16,7 +16,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .ckalg import Monomial, chain_product, cylinder_census, short_diagonal_vectors
 from .words import (
@@ -532,16 +534,13 @@ def _validate_oracle_inputs(
 
 def _escape_counts(
     model: AdjacencyModel, after: int, top: int, settling: bool
-) -> list[int]:
-    """Exact counts of admissible words following a letter, by length.
-
-    Entry p (1-based) counts words of length p whose last letter avoids
-    the tail letter's inverse, and for settling counts the tail letter as
-    well.  Plain integer transfer-matrix iteration, independent of the
-    closed-form species formulas.
-    """
-    kept = [x for x in range(model.size) if x not in ((0, 1) if settling else (1,))]
-    return [0] + [sum(row[x] for x in kept) for row in transfer_counts(model, after, top)]
+) -> Iterator[int]:
+    """Exact counts of admissible words following a letter, lengths 1..top,
+    whose last letter avoids the tail letter's inverse, and for settling the
+    tail letter as well: transfer-matrix rows, one at a time, independent of
+    the closed-form species formulas."""
+    for row in transfer_counts(model, after, top):
+        yield sum(row) - row[1] - (row[0] if settling else 0)
 
 
 def _count_times_exp(count: int, log_factor: float) -> float:
@@ -555,97 +554,83 @@ def _count_times_exp(count: int, log_factor: float) -> float:
         raise ValueError("heat sum exceeds the float range") from None
 
 
-def _window_log_sum(
-    s: Sequence[float],
-    depths: Sequence[int],
-    omegas: Sequence[int],
-    low: int,
-    high: int,
-) -> float:
-    """Log of the heat sum over the offsets low..high of one window.
+def _window_log_sums(
+    s: Sequence[float], depths: np.ndarray, omegas: Sequence[int], low: np.ndarray, high: int
+) -> np.ndarray:
+    """Log of the heat sum over the offsets low[i]..high of each window i.
 
-    The term at offset o is e^{-sum_j s_j settled_eigenvalue(D_j, o + w_j)}.
-    Each stage's eigenvalue is linear in o away from the cut points -w_j and
-    D_j - w_j, so the window splits into at most 2*stages + 1 runs; each run
-    is a geometric series, summed in closed form from its largest term.
-    Returns -inf for an empty window.
+    The term at offset o is e^{-sum_j s_j settled_eigenvalue(D_j, o + w_j)}
+    with D = depths[i], and that eigenvalue, max(x, D_j, D_j - 2x) at
+    x = o + w_j, is linear in o between the cut points -w_j and D_j - w_j.
+    Clipped to the window and sorted, the cuts split it into 2*stages + 1
+    runs, some empty; each run is a geometric series, summed in closed
+    form from its largest term, and the runs join by log-sum-exp.  An
+    empty window (low > high) has every boundary clipped to high + 1, so
+    all its runs are empty; empty windows and runs give -inf.
     """
-    if low > high:
-        return -math.inf
-
-    def eigenvalues(offset: int) -> list[int]:
-        return [settled_eigenvalue(t, offset + w) for t, w in zip(depths, omegas)]
-
-    cuts = sorted(
-        {c for t, w in zip(depths, omegas) for c in (-w, t - w) if low < c <= high}
+    rates, omegas = np.asarray(s, dtype=float), np.asarray(omegas)
+    ends = np.column_stack(
+        (low, np.full_like(low, high + 1), depths - omegas, np.zeros_like(depths) - omegas)
     )
-    logs = []
-    for start, stop in zip([low, *cuts], [*cuts, high + 1]):
-        count = stop - start
-        first = eigenvalues(start)
-        slope = 0.0
-        if count > 1:
-            slope = sum(
-                sj * (after - before)
-                for sj, before, after in zip(s, first, eigenvalues(start + 1))
-            )
-        largest = first if slope >= 0 else eigenvalues(stop - 1)
-        head = -sum(sj * x for sj, x in zip(s, largest))
-        if slope == 0.0:
-            logs.append(head + math.log(count))
-        else:
-            rate = abs(slope)
-            logs.append(head + math.log(math.expm1(-count * rate) / math.expm1(-rate)))
-    peak = max(logs)
-    if peak == -math.inf:
-        return peak
-    return peak + math.log(math.fsum(math.exp(x - peak) for x in logs))
+    bounds = np.sort(np.clip(ends, low[:, None], high + 1), axis=1)
+    starts, count = bounds[:, :-1, None], np.diff(bounds, axis=1)
+    depths = depths[:, None, :]
+
+    def eigenvalues(offsets: np.ndarray) -> np.ndarray:
+        x = offsets + omegas
+        return np.maximum(np.maximum(x, depths), depths - 2 * x)
+
+    first = eigenvalues(starts)
+    step = eigenvalues(starts + 1) - first
+    slope = (step * rates).sum(axis=2)
+    largest = first + np.where(slope < 0, count - 1, 0)[:, :, None] * step
+    rate = np.abs(slope)
+    runs = np.log(np.where(rate > 0, np.expm1(-count * rate) / np.expm1(-rate), count))
+    runs -= (largest * rates).sum(axis=2)
+    peak = runs.max(axis=1)
+    peak[peak == -np.inf] = 0.0
+    return peak + np.log(np.exp(runs - peak[:, None]).sum(axis=1))
 
 
 def _windowed_heat_value(
     summary: _ChainSummary,
     model: AdjacencyModel,
     s: Sequence[float],
-    truncation: int,
+    limit: int,
 ) -> float:
     """Heat sum over the vertices inside the truncation window.
 
-    A window is one settled bucket, or one ending bucket at one escape
-    depth; :func:`_window_log_sum` sums it piecewise-geometrically in log
-    space, and the exact integer count of escape words joins it as a
-    logarithm before anything is exponentiated, so neither the count nor a
-    window far below float range is lost.  O(L * stages^2) per call.
-    Only finitely many vertices contribute, so the value is meaningful for
-    any nonnegative heat parameters, including below the convergence
-    abscissa where no tail bound exists; a sum beyond float range raises
-    ValueError.
+    A window is one settled bucket, or one escape depth of the ending
+    buckets; :func:`_window_log_sums` sums all settled windows in one call
+    and all escape depths in another, shared by every ending bucket.  The
+    exact integer count of escape words joins its window as a logarithm
+    before anything is exponentiated, so neither the count nor a window
+    far below float range is lost.  Only finitely many vertices
+    contribute, so the value is meaningful for any nonnegative heat
+    parameters, including below the convergence abscissa where no tail
+    bound exists; a sum beyond float range raises ValueError.
     """
-    limit = truncation
-    omegas = summary.omegas
-    sigma_lengths = summary.sigma_lengths
-    refined = summary.refined_length
-
+    top = limit - summary.refined_length
     value = 0.0
-    for depths, weight in summary.settled_buckets:
-        window = _window_log_sum(s, depths, omegas, 2 * depths[-1] - limit, limit)
-        value += float(weight) * math.exp(window)
-
-    top = max(limit - refined, 0)
-    for last, weight in summary.ending_buckets:
-        if top >= 1:
-            counts = _escape_counts(model, last, top, settling=True)
-            partial = 0.0
-            for depth in range(1, top + 1):
-                settle = refined + depth
-                window = _window_log_sum(
-                    s,
-                    [sl + depth for sl in sigma_lengths],
-                    omegas,
-                    2 * settle - limit,
-                    limit,
-                )
-                partial += _count_times_exp(counts[depth], window)
-            value += float(weight) * partial
+    with np.errstate(all="ignore"):
+        if summary.settled_buckets:
+            depths = np.array([depths for depths, _ in summary.settled_buckets])
+            weights = np.array([float(weight) for _, weight in summary.settled_buckets])
+            logs = _window_log_sums(s, depths, summary.omegas, 2 * depths[:, -1] - limit, limit)
+            value += float((weights * np.exp(logs)).sum())
+        if top >= 1 and summary.ending_buckets:
+            escape = np.arange(1, top + 1)
+            windows = _window_log_sums(
+                s,
+                escape[:, None] + summary.sigma_lengths,
+                summary.omegas,
+                2 * (summary.refined_length + escape) - limit,
+                limit,
+            )
+            for last, weight in summary.ending_buckets:
+                counts = _escape_counts(model, last, top, settling=True)
+                logs = np.fromiter((math.log(n) if n else -math.inf for n in counts), float, top)
+                value += float(weight) * float(np.exp(logs + windows).sum())
     if not math.isfinite(value):
         raise ValueError("heat sum exceeds the float range")
     return value
@@ -796,8 +781,8 @@ def brute_force_toeplitz_trace(
             partial += heavy
         if top >= 1:
             counts = _escape_counts(model, last, top, settling=False)
-            for length in range(1, top + 1):
-                partial += counts[length] * heavy * ratio**length
+            for length, count in enumerate(counts, start=1):
+                partial += count * heavy * ratio**length
         value += float(weight) * partial
 
     bound = 0.0

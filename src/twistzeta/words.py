@@ -145,18 +145,19 @@ def admissible_levels(model: AdjacencyModel, top: int) -> Iterator[list[Word]]:
 def transfer_counts(
     model: AdjacencyModel, after: int | None, top: int
 ) -> Iterator[list[int]]:
-    """Admissible words that may follow the letter ``after`` (any first
+    """Reduced words that may follow the letter ``after`` (any first
     letter when None), counted by last letter: one list per length 1..top.
 
-    Each length is one step of the integer transfer matrix over
-    predecessor lists built once per call; only the current row is kept.
+    Each length is one O(d) step of the free group's transfer matrix: a
+    word may end in ``b`` unless its previous letter is ``b ^ 1``, so
+    ``row'[b] = sum(row) - row[b ^ 1]``.  Only the current row is kept.
     """
-    size = model.size
-    feeders = [[a for a in range(size) if model.allows(a, b)] for b in range(size)]
-    row = [1 if after is None or model.allows(after, b) else 0 for b in range(size)]
+    model.require_free_group()
+    row = [0 if after is not None and b == after ^ 1 else 1 for b in range(model.size)]
     for length in range(1, top + 1):
         if length > 1:
-            row = [sum([row[a] for a in into]) for into in feeders]
+            total = sum(row)
+            row = [total - row[b ^ 1] for b in range(model.size)]
         yield row
 
 

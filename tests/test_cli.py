@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 from twistzeta.ckalg import Monomial
 from twistzeta.cli import (
     CIRCLE_MODE_BUDGET,
+    WINDOW_STEP_BUDGET,
     CheckRecord,
     ExperimentReport,
     UsageError,
     _check_mode_budget,
+    _check_step_budget,
     _check_window_budget,
     build_config,
     emit,
@@ -279,6 +281,53 @@ def test_largest_accepted_moebius_window_ends_in_a_verdict():
     assert time.perf_counter() - start < 30.0
     assert done.returncode == 0, done.stderr
     assert "PASS index pairing by covariant compression: computed -1" in done.stdout
+
+
+# The smallest refused and the largest accepted L on each experiment's
+# default grid, and the grid's size.
+STEP_BUDGET_EDGES = {"heat-oracle": (8193, 8192, 3), "damp-sweep": (6145, 6144, 2)}
+
+
+@pytest.mark.parametrize("experiment", sorted(STEP_BUDGET_EDGES))
+def test_heat_sums_past_the_step_budget_are_refused(experiment, capsys):
+    """The smallest refused L, and L = 10^8, which ended in a MemoryError
+    after about 9 s before the budget, exit 2 at once, naming the estimate
+    and the largest accepted L."""
+    refused, accepted, exponents = STEP_BUDGET_EDGES[experiment]
+    for length in (refused, 100_000_000):
+        start = time.perf_counter()
+        assert main([experiment, "--L", str(length)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert f"the {experiment} windows at L={length} take" in err
+        assert f"above the budget of {WINDOW_STEP_BUDGET}" in err
+        assert f"largest L accepted on a grid of {exponents} exponents is {accepted}" in err
+
+
+@pytest.mark.parametrize("experiment", sorted(STEP_BUDGET_EDGES))
+def test_largest_accepted_heat_sum_ends_in_a_verdict(experiment, capsys):
+    """About 1.3 s for heat-oracle and 0.3 s for damp-sweep on one core,
+    held to 20 s here."""
+    _, accepted, _ = STEP_BUDGET_EDGES[experiment]
+    start = time.perf_counter()
+    assert main([experiment, "--L", str(accepted)]) == 0
+    assert time.perf_counter() - start < 20.0
+    assert f"PASS {experiment}:" in capsys.readouterr().out
+
+
+def test_step_budget_admits_every_gate_and_benchmark_window():
+    # Defaults and the gate (L=16, 128) and the window-sweep benchmark
+    # (heat-oracle L=256 on two exponents, damp-sweep L=256 and 512).
+    for experiment, length, grid in (
+        ("heat-oracle", 16, [2.5, 3.0, 3.5]),
+        ("heat-oracle", 256, [1.2, 1.5]),
+        ("damp-sweep", 128, [1.0, 1.2]),
+        ("damp-sweep", 256, [1.5, 1.8]),
+        ("damp-sweep", 512, [1.0, 1.2]),
+    ):
+        _check_step_budget(experiment, {"L": length, "s": grid})
+    with pytest.raises(UsageError, match="above the budget"):
+        _check_step_budget("heat-oracle", {"L": WINDOW_STEP_BUDGET + 1, "s": [2.5]})
 
 
 def test_json_report_round_trips_and_is_deterministic():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_ckalg import CylinderSum, draw_word, refine_diagonal, signed_diagonals
-from test_words import enumerate_admissible, word_key
+from test_words import enumerate_admissible, predecessor_transfer_counts, word_key
 
 from twistzeta.ckalg import (
     CKElement,
@@ -143,8 +143,9 @@ def literal_window_sum(
     """Windowed heat sum term by term: every offset of every window, O(L^2).
 
     Independent oracle of the closed-form window sums in
-    ``_windowed_heat_value``; the counts are converted to float, so it is
-    only usable where they fit.
+    ``_windowed_heat_value``, with escape counts from the predecessor-list
+    transfer matrix; the counts are converted to float, so it is only
+    usable where they fit.
     """
     limit = truncation
     omegas = summary.omegas
@@ -167,7 +168,8 @@ def literal_window_sum(
     top = max(limit - refined, 0)
     for last, weight in summary.ending_buckets:
         if top >= 1:
-            counts = _escape_counts(model, last, top, settling=True)
+            rows = predecessor_transfer_counts(model, last, top)
+            counts = [0] + [sum(row) - row[0] - row[1] for row in rows]
             partial = 0.0
             for depth in range(1, top + 1):
                 settle = refined + depth
@@ -583,23 +585,56 @@ def test_denominator_powers_stay_within_the_atomic_family():
 @st.composite
 def window_cases(draw):
     """A chain of one to three stages with words of at most one letter,
-    at d in {2, 3}, with one heat parameter per stage."""
+    at d in {2, 3}, with one heat parameter per stage.  Half of the chains
+    are closed, stage j reading (x_j, x_{j+1}) with x_stages = x_0, so that
+    their diagonal survives."""
     model = draw(st.sampled_from((RANK_TWO, RANK_THREE)))
     word = st.lists(st.integers(0, model.size - 1), max_size=1).map(tuple)
     stages = draw(st.lists(st.tuples(word, word), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        words = [out_word for out_word, _ in stages]
+        stages = list(zip(words, words[1:] + words[:1]))
     chain = tuple(monomial(out_word, in_word, model) for out_word, in_word in stages)
     s = draw(st.lists(st.floats(0.0, 4.0), min_size=len(chain), max_size=len(chain)))
     return chain, model, s
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=window_cases(), truncation=st.integers(1, 40))
+@given(case=window_cases(), truncation=st.integers(1, 200))
 def test_closed_window_sums_match_the_literal_loop(case, truncation):
     chain, model, s = case
     summary = _chain_summary(chain, model)
     closed = _windowed_heat_value(summary, model, s, truncation)
     literal = literal_window_sum(summary, model, s, truncation)
     assert math.isclose(closed, literal, rel_tol=1e-12)
+
+
+def test_settled_windows_beyond_the_truncation_are_empty():
+    # Terminal depths 3 and 4 put 2 * depth - L above L = 2: those windows
+    # hold no offset, and no escape depth fits below the refined length.
+    summary = _chain_summary(tuple(FIRST_SQUARE), RANK_TWO)
+    assert [depths[-1] for depths, _ in summary.settled_buckets] == [0, 2, 3, 4]
+    assert summary.refined_length > 2
+    value = _windowed_heat_value(summary, RANK_TWO, [1.1], 2)
+    assert value == pytest.approx(literal_window_sum(summary, RANK_TWO, [1.1], 2), rel=1e-12)
+    # Depth 0 over offsets -2..2 has eigenvalues 4, 2, 0, 1, 2; depth 2,
+    # weight 2, keeps offset 2 alone, with eigenvalue 2.
+    expected = 1 + math.exp(-1.1) + 4 * math.exp(-2.2) + math.exp(-4.4)
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
+def test_zero_escape_counts_add_nothing():
+    # On one generator every escape word ends in the tail letter or its
+    # inverse, so no escape depth settles and only the settled bucket counts.
+    rank_one = free_group(1)
+    unit = (Monomial((), ()),)
+    summary = _chain_summary(unit, rank_one)
+    assert summary.ending_buckets
+    assert list(_escape_counts(rank_one, 0, 10, settling=True)) == [0] * 10
+    value = _windowed_heat_value(summary, rank_one, [0.5], 12)
+    assert value == pytest.approx(literal_window_sum(summary, rank_one, [0.5], 12), rel=1e-12)
+    settled = sum(math.exp(-0.5 * settled_eigenvalue(0, o)) for o in range(-12, 13))
+    assert value == pytest.approx(settled, rel=1e-12)
 
 
 def test_window_sums_stay_finite_past_float_range_counts():

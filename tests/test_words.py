@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +26,7 @@ from twistzeta.words import (
     is_admissible,
     settled_eigenvalue,
     settling_species,
+    transfer_counts,
     vertex_eigenvalue,
 )
 
@@ -37,9 +38,11 @@ A1, B1, A2, B2 = 0, 1, 2, 3
 
 
 # Independent oracles of the word layer: the recursive word walker, the
-# letters and shifts of eventually periodic boundary points, and the vertex
+# letters and shifts of eventually periodic boundary points, the vertex
 # tree parametrized by group words and boundary points, which the integer
-# vertex keys of twistzeta.words and twistzeta.ckalg.act_on_vertex replace.
+# vertex keys of twistzeta.words and twistzeta.ckalg.act_on_vertex replace,
+# and the transfer step over predecessor lists, which the free group's
+# O(d) step in twistzeta.words.transfer_counts replaces.
 
 def enumerate_admissible(
     model: AdjacencyModel,
@@ -267,6 +270,21 @@ def brute_words(model: AdjacencyModel, length: int) -> list[tuple[int, ...]]:
         if all(model.allows(a, b) for a, b in zip(word, word[1:])):
             out.append(word)
     return out
+
+
+def predecessor_transfer_counts(
+    model: AdjacencyModel, after: int | None, top: int
+) -> Iterator[list[int]]:
+    """Admissible words that may follow ``after`` (any first letter when
+    None), counted by last letter, for lengths 1..top: the transfer matrix
+    of any model, stepped over predecessor lists."""
+    size = model.size
+    feeders = [[a for a in range(size) if model.allows(a, b)] for b in range(size)]
+    row = [1 if after is None or model.allows(after, b) else 0 for b in range(size)]
+    for length in range(1, top + 1):
+        if length > 1:
+            row = [sum([row[a] for a in into]) for into in feeders]
+        yield row
 
 
 def test_free_group_matrix_blocks():
@@ -551,3 +569,17 @@ def test_basis_extension_count_matches_enumeration():
             for after in range(model.size):
                 expected = sum(1 for w in pool if model.allows(after, w[0]))
                 assert basis_extension_count(model, length, after) == expected
+
+
+def test_free_group_step_matches_the_predecessor_lists():
+    for generators in range(1, 6):
+        model = free_group(generators)
+        for after in (None, *range(model.size)):
+            assert list(transfer_counts(model, after, 9)) == list(
+                predecessor_transfer_counts(model, after, 9)
+            )
+
+
+def test_transfer_counts_refuse_a_non_free_model():
+    with pytest.raises(ValueError, match="free-group"):
+        next(transfer_counts(AdjacencyModel(((1, 1), (1, 1))), None, 3))

@@ -1,11 +1,12 @@
-"""Cost of the windowed free-group index, the Moebius unitary and the circle
-counterexamples against their size parameter.
+"""Cost of the windowed free-group index, the Moebius unitary, the circle
+counterexamples and the windowed heat sums against their size parameter.
 
 Usage, from the root of a checkout::
 
     python3 tools/scale_curve.py
     python3 tools/scale_curve.py --targets index --points 2:6-10,3:4-7 --repeats 3
     python3 tools/scale_curve.py --src ../other/src --targets unitary --modes 256,512
+    python3 tools/scale_curve.py --targets window --lengths 256,1024,4096
 
 Each point runs one target in a fresh interpreter and reads the wall time
 of the call and the peak RSS of that interpreter; a point reports the
@@ -23,6 +24,14 @@ minimum of its repeats for both.  The targets:
   the outcome.  These are library calls, what ``counterexample --family
   moebius|circle --M M`` runs, so the curve also reaches past
   ``cli.CIRCLE_MODE_BUDGET``, which it is used to set.
+- ``window``: at each L of ``--lengths``, what ``heat-oracle --d 2 --chain
+  a1 --L L`` runs (the closed form and ``traces.brute_force_heat_trace``
+  at each of its default exponents 2.5, 3.0 and 3.5, the largest deviation
+  as the outcome), and what ``damp-sweep --L L`` runs at d=2 on its
+  default exponents 1.0, 1.2 and at d=3 on the benchmark's 1.5, 1.8
+  (``damp.free_group_summability`` over the sweep L/16, ..., L, its
+  verdicts or refusal as the outcome).  Library calls again, so the curve
+  reaches past ``cli.WINDOW_STEP_BUDGET``.
 
 The last line of standard output is one JSON object with every point.
 """
@@ -38,15 +47,41 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TARGETS = ("index", "unitary", "counterexample", "circle")
+TARGETS = ("index", "unitary", "counterexample", "circle", "window")
 DEFAULT_POINTS = "2:6-12,3:4-8"
 DEFAULT_MODES = "256,512,1024,2048"
+DEFAULT_LENGTHS = "256,512,1024,2048,4096,8192,16384"
+# The window target's runs: name, generators and exponents.
+WINDOW_RUNS = (
+    ("heat-oracle", 2, (2.5, 3.0, 3.5)),
+    ("damp-sweep", 2, (1.0, 1.2)),
+    ("damp-sweep", 3, (1.5, 1.8)),
+)
 
 
 def _child(target: str, sizes: list[int]) -> None:
-    from twistzeta import circle, cochain, words
+    from twistzeta import circle, ckalg, cochain, damp, traces, words
 
-    if target == "index":
+    if target == "window":
+        run, length = sizes
+        experiment, generators, grid = WINDOW_RUNS[run]
+        model, tail = words.free_group(generators), words.fixed_point(0)
+        start = time.perf_counter()
+        if experiment == "heat-oracle":
+            chain = [ckalg.Monomial((0,), (0,))]
+            closed = traces.closed_form_heat_trace(chain, tail, model)
+            outcome = max(
+                abs(closed.evaluate([s]).real - oracle.value) / abs(oracle.value)
+                for s in grid
+                for oracle in [traces.brute_force_heat_trace(chain, tail, model, [s], length)]
+            )
+        else:
+            sweep = [length // 16, length // 8, length // 4, length // 2, length]
+            try:
+                outcome = damp.free_group_summability(model, tail, grid, sweep).verdicts
+            except ValueError as err:
+                outcome = f"refused: {err}"
+    elif target == "index":
         generators, length = sizes
         model = words.free_group(generators)
         tail = words.fixed_point(0)
@@ -76,7 +111,11 @@ def _points(text: str) -> list[tuple[int, int]]:
     return points
 
 
-def _size_fields(target: str, sizes: tuple[int, ...]) -> dict[str, int]:
+def _size_fields(target: str, sizes: tuple[int, ...]) -> dict[str, object]:
+    if target == "window":
+        run, length = sizes
+        experiment, generators, grid = WINDOW_RUNS[run]
+        return {"experiment": experiment, "d": generators, "s": list(grid), "L": length}
     if target == "index":
         generators, length = sizes
         rate = 2 * generators - 1
@@ -91,6 +130,7 @@ def main() -> int:
     parser.add_argument("--targets", default=",".join(TARGETS), help="comma-separated targets")
     parser.add_argument("--points", default=DEFAULT_POINTS, help="d:Lmin-Lmax groups of index")
     parser.add_argument("--modes", default=DEFAULT_MODES, help="comma-separated M of the rest")
+    parser.add_argument("--lengths", default=DEFAULT_LENGTHS, help="comma-separated L of window")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -105,6 +145,9 @@ def main() -> int:
     for target in targets:
         if target == "index":
             jobs += [(target, point) for point in _points(args.points)]
+        elif target == "window":
+            lengths = [int(text) for text in args.lengths.split(",")]
+            jobs += [(target, (run, n)) for run in range(len(WINDOW_RUNS)) for n in lengths]
         else:
             jobs += [(target, (int(text),)) for text in args.modes.split(",")]
     rows = []
