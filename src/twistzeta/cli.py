@@ -628,33 +628,42 @@ def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
     return checks
 
 
-# Vertices the kernel window of the free-group counterexample may visit.
-# Measured by tools/scale_curve.py, target index (BENCH_6.json), on one core:
-# the largest accepted windows, d=2 L=12 and d=3 L=8, take 8 s and 4 s and
-# peak at 360 MB and 200 MB; every refused one has at least 2.4 million
-# vertices, and d=3 L=9, the smallest at d=3, takes 26 s and 830 MB.
+# Vertices the free-group counterexample may visit: its kernel window and
+# its two cochain word traces.  Measured by tools/scale_curve.py, target
+# index (BENCH_12.json), on one core: the largest accepted windows, d=2 L=12
+# and d=3 L=8, take 0.20 s and 0.15 s and peak at 90 MB and 68 MB.  The word
+# traces cost far more per vertex: d=40 at L=1, the largest accepted d,
+# takes 12.8 s and 101 MB on the command line, and d=60 took 35 s.
 FREE_GROUP_VERTEX_BUDGET = 1_000_000
 
 
 def _check_window_budget(generators: int, length: int) -> None:
-    """Refuse a free-group window above the budget before anything is built.
+    """Refuse a free-group counterexample above the budget before anything
+    is built.
 
-    The window visits the sum of (2d-1)^n over n <= L vertices.  The sum is
-    added up only while it stays within the budget, at most about twenty
-    terms for any d >= 2, so the same loop finds the largest accepted L.
+    The kernel window visits the sum of (2d-1)^n over n <= L vertices, and
+    the cochain word traces of arity one and three walk every head of at
+    most three letters at two offsets each, about 2 (2d-1)^3 more.  The
+    sum is added up only while it stays within the budget, at most about
+    twenty terms for any d >= 2, so the same loop finds the largest
+    accepted L.
     """
     rate = 2 * generators - 1
-    vertices, largest = 1, 0
+    traced = 2 * rate**3
+    vertices, largest = 1 + traced, 0
     while largest < length and vertices + rate ** (largest + 1) <= FREE_GROUP_VERTEX_BUDGET:
         largest += 1
         vertices += rate**largest
     if largest == length:
         return
-    # (2d-1)^(L+1) / (2d-2), within one half of the sum, in powers of ten.
-    exponent = (length + 1) * math.log10(rate) - math.log10(rate - 1)
+    # (2d-1)^(L+1) / (2d-2), within one half of the window's sum, plus the
+    # traced vertices, in powers of ten.
+    window = (length + 1) * math.log10(rate) - math.log10(rate - 1)
+    high, low = sorted((window, math.log10(traced)), reverse=True)
+    exponent = high + math.log10(1 + 10 ** (low - high))
     accepted = f"L={largest}" if largest else "none"
     raise UsageError(
-        f"the free-group kernel window at d={generators}, L={length} visits about "
+        f"the free-group counterexample at d={generators}, L={length} visits about "
         f"{10 ** (exponent % 1):.3g}e+{int(exponent):02d} vertices, above the budget of "
         f"{FREE_GROUP_VERTEX_BUDGET}; the largest window accepted at d={generators} is {accepted}"
     )

@@ -18,7 +18,6 @@ the certificates they consumed, and the assembled value.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,6 +63,10 @@ ITERATE_CERTIFICATE = "collapsed-square-iterate"
 STABILIZED_CERTIFICATE = "stabilized-dirichlet"
 
 COUNTEREXAMPLE_FAMILIES = ("free_group", "circle", "moebius")
+
+# Largest mode window of the circle cochains; the word bandwidth may be at
+# most a quarter of it.
+CIRCLE_COCHAIN_MODES = 48
 
 
 def multiindex_weight(powers: Sequence[int]) -> Fraction:
@@ -166,30 +169,6 @@ def boundary_translation_index(
     return kernel - cokernel
 
 
-def _sparse_nullity(columns: Iterable[dict[VertexKey, Fraction]]) -> int:
-    """Kernel dimension of sparse rational columns, read once: the number
-    of columns minus their rank.
-
-    While every column has at most one nonzero entry, the rank is the
-    number of distinct targets, since columns that share a target are
-    parallel; one entry per target is kept.  The first column with two
-    entries hands the rest over to exact elimination, whose pivots start as
-    the entries kept so far.
-    """
-    kept: dict[VertexKey, Fraction] = {}
-    read = 0
-    stream = iter(columns)
-    for column in stream:
-        support = [(vertex, coeff) for vertex, coeff in column.items() if coeff]
-        if len(support) > 1:
-            pivots = {vertex: {vertex: coeff} for vertex, coeff in kept.items()}
-            rest = itertools.chain([column], stream)
-            return read - len(kept) + _eliminated_nullity(rest, pivots)
-        kept.update(support)
-        read += 1
-    return read - len(kept)
-
-
 def _eliminated_nullity(
     columns: Iterable[dict[VertexKey, Fraction]],
     pivots: dict[VertexKey, dict[VertexKey, Fraction]],
@@ -224,25 +203,148 @@ def _vertex_heads(model: AdjacencyModel, anchor: int, top: int) -> Iterator[Word
         yield from (word for word in level if not word or word[-1] not in settled)
 
 
-def _window_columns(
-    element: CKElement, anchor: int, model: AdjacencyModel, source_length: int
-) -> Iterator[dict[VertexKey, Fraction]]:
-    """Columns of the compression over the vertices of nonnegative
-    eigenvalue whose group words have at most ``source_length`` letters.
+def _word_code(word: Word, base: int) -> int:
+    """Integer code of a word, sum (w_i + 1) * base**i: the first letter is
+    the lowest digit and no digit is zero, so a code of n digits is a word
+    of n letters and the code of a prefix of ``cut`` letters is the
+    remainder modulo base**cut."""
+    return sum((letter + 1) * base**place for place, letter in enumerate(word))
+
+
+def _word_of_code(code: int, base: int) -> Word:
+    letters = []
+    while code:
+        code, digit = divmod(code, base)
+        letters.append(digit - 1)
+    return tuple(letters)
+
+
+def _head_codes(
+    model: AdjacencyModel, anchor: int, top: int, base: int
+) -> Iterator[np.ndarray]:
+    """Codes of the vertex heads of each length 0..top, shortest first: the
+    reduced words ending in neither the anchor nor its inverse."""
+    letters = np.arange(model.size, dtype=np.int64)
+    settled = (letters == anchor) | (letters == anchor ^ 1)
+    words = np.zeros(1, dtype=np.int64)
+    last = np.full(1, -1, dtype=np.int64)  # no letter before the first
+    yield words
+    for length in range(1, top + 1):
+        grown = words[:, None] + (letters + 1) * base ** (length - 1)
+        reduced = letters != (last ^ 1)[:, None]
+        yield grown[reduced & ~settled]
+        words = grown[reduced]
+        last = np.broadcast_to(letters, grown.shape)[reduced]
+
+
+def _largest_window_key(base: int, source_length: int, growth: int) -> int:
+    """Bound on the target keys of a window: a landed code has at most
+    ``source_length + growth`` digits, times the span of target offsets
+    0..source_length + growth, with one digit to spare."""
+    span = source_length + growth + 1
+    return base**span * span
+
+
+def _window_entries(
+    element: CKElement, anchor: int, model: AdjacencyModel, source_length: int, span: int
+) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """Entries of the compression over the vertices of nonnegative
+    eigenvalue whose group words have at most ``source_length`` letters:
+    the number of columns, and per entry its column, its target key
+    ``landed_code * span + offset`` and the index of its monomial.
 
     Such a word is a head followed by anchor letters, so the window is each
-    head with every offset from its length up to ``source_length``.  No
-    image needs a window check: a monomial moves an offset by its out-word's
-    length less its in-word's, at most the longest out-word.
+    head with every offset from its length up to ``source_length``.  Each
+    monomial acts on a whole level of heads at once, as
+    :func:`ckalg.act_on_vertex` does on one vertex: the in-word test is a
+    remainder of the head code, stripping a quotient, the junction a test
+    of the first remaining digit, and prepending adds the out-word's code.
+    When nothing of the head remains, at most one head matches and the
+    target head is the out-word without its trailing anchor letters.  A
+    monomial moves every offset by the same amount, so the offsets whose
+    target keeps a nonnegative eigenvalue are one range per level.
     """
-    for head in _vertex_heads(model, anchor, source_length):
-        for offset in range(len(head), source_length + 1):
-            column: dict[VertexKey, Fraction] = {}
-            for target, coeff in act_on_vertex(element, (head, offset), anchor, model).items():
-                landed, moved = target
-                if moved >= len(landed):
-                    column[target] = coeff
-            yield column
+    base = model.size + 1
+    columns = 0
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for length, heads in enumerate(_head_codes(model, anchor, source_length, base)):
+        width = source_length - length + 1
+        for term, (mono, _) in enumerate(element.terms):
+            out, strip = mono.out_word, mono.in_word
+            cut = len(strip)
+            if cut < length:
+                rest = heads // base**cut
+                hit = heads % base**cut == _word_code(strip, base)
+                if out:
+                    hit &= rest % base != (out[-1] ^ 1) + 1
+                sources = np.flatnonzero(hit)
+                landed = _word_code(out, base) + base ** len(out) * rest[sources]
+                landed_length = len(out) + length - cut
+            else:
+                if any(k != anchor for k in strip[length:]) or (out and out[-1] == anchor ^ 1):
+                    continue
+                sources = np.flatnonzero(heads == _word_code(strip[:length], base))
+                trimmed = out
+                while trimmed and trimmed[-1] == anchor:
+                    trimmed = trimmed[:-1]
+                landed = np.full(sources.size, _word_code(trimmed, base), dtype=np.int64)
+                landed_length = len(trimmed)
+            shift = len(out) - cut
+            offsets = np.arange(max(length, landed_length - shift), source_length + 1)
+            column = columns + sources[:, None] * width + (offsets - length)
+            key = landed[:, None] * span + (offsets + shift)
+            parts.append((column.ravel(), key.ravel(), np.full(column.size, term)))
+        columns += heads.size * width
+    column, key, term = (
+        np.concatenate([part[field] for part in parts] or [np.zeros(0, dtype=np.int64)])
+        for field in range(3)
+    )
+    return columns, column, key, term
+
+
+def _window_nullity(
+    columns: int,
+    column: np.ndarray,
+    key: np.ndarray,
+    term: np.ndarray,
+    coefficients: Sequence[Fraction],
+    base: int,
+    span: int,
+) -> int:
+    """Kernel dimension of ``columns`` sparse rational columns, given as
+    entries: a column index, a target key and the index of the coefficient
+    the entry carries.
+
+    Entries of one column on one target are summed exactly and zero sums
+    dropped.  While every column then has at most one entry, the rank is
+    the number of distinct targets, since columns that share a target are
+    parallel.  Otherwise every nonzero column, its keys decoded into
+    vertices, goes to exact elimination.
+    """
+    live = np.array([bool(coeff) for coeff in coefficients], dtype=bool)[term]
+    column, key, term = column[live], key[live], term[live]
+    if np.bincount(column, minlength=1).max() > 1:
+        sums: dict[int, dict[int, Fraction]] = {}
+        for index, target, which in zip(column.tolist(), key.tolist(), term.tolist()):
+            entries = sums.setdefault(index, {})
+            entries[target] = entries.get(target, 0) + coefficients[which]
+        support = [
+            {target: coeff for target, coeff in entries.items() if coeff}
+            for entries in sums.values()
+        ]
+        if any(len(entries) > 1 for entries in support):
+            vertices = (
+                {
+                    (_word_of_code(target // span, base), target % span): coeff
+                    for target, coeff in entries.items()
+                }
+                for entries in support
+            )
+            return columns - len(support) + _eliminated_nullity(vertices, {})
+        key = np.array([target for entries in support for target in entries], dtype=np.int64)
+    # Distinct targets by sorting: numpy's hashing unique is far slower here.
+    ordered = np.sort(key)
+    return columns - ordered.size + int(np.count_nonzero(ordered[1:] == ordered[:-1]))
 
 
 def compressed_kernel_dimension(
@@ -255,15 +357,25 @@ def compressed_kernel_dimension(
 
     Columns over source words are complete because images grow by at most
     the longest out-word, so the kernel of the windowed rectangle equals
-    the kernel of the full compression intersected with the window.
+    the kernel of the full compression intersected with the window.  The
+    window's keys are int64, and a window whose keys could pass 2**63 is
+    refused before anything is built.
     """
     model.require_free_group()
     if not tail.is_fixed_point:
         raise ValueError("the compression is anchored at a fixed-point tail")
     if source_length < 1:
         raise ValueError("the source window must contain at least length one")
-    anchor = tail.period[0]
-    return _sparse_nullity(_window_columns(element, anchor, model, source_length))
+    base = model.size + 1
+    growth = max((len(mono.out_word) for mono, _ in element.terms), default=0)
+    if _largest_window_key(base, source_length, growth) >= 2**63:
+        raise ValueError("the window's vertex keys would overflow 64-bit integers")
+    span = source_length + growth + 1
+    columns, column, key, term = _window_entries(
+        element, tail.period[0], model, source_length, span
+    )
+    coefficients = [coeff for _, coeff in element.terms]
+    return _window_nullity(columns, column, key, term, coefficients, base, span)
 
 
 def compressed_translation_index(
@@ -529,12 +641,7 @@ def free_group_cochain(
     return _assemble(arity, cutoff, zero_word)
 
 
-def circle_cochain(
-    symbols: Sequence[TrigPoly],
-    *,
-    cutoff: int,
-    max_mode: int = 48,
-) -> CochainReport:
+def circle_cochain(symbols: Sequence[TrigPoly], *, cutoff: int) -> CochainReport:
     """Cochain of Fourier polynomials through window-stabilized diagonals.
 
     The word matrix is assembled on increasing mode windows; the surviving
@@ -545,7 +652,7 @@ def circle_cochain(
         raise ValueError("the word needs a leading symbol and at least one factor")
     arity = len(symbols) - 1
     span = sum(symbol.bandwidth for symbol in symbols)
-    if max_mode < 4 * max(span, 1):
+    if CIRCLE_COCHAIN_MODES < 4 * max(span, 1):
         raise ValueError("the mode window is too small for the word bandwidth")
 
     def builder(window: int) -> np.ndarray:
@@ -559,7 +666,8 @@ def circle_cochain(
         return total * modulus[None, :] ** float(-arity)
 
     stabilized = stabilized_dirichlet(
-        builder, (max_mode // 2, (3 * max_mode) // 4, max_mode)
+        builder,
+        (CIRCLE_COCHAIN_MODES // 2, (3 * CIRCLE_COCHAIN_MODES) // 4, CIRCLE_COCHAIN_MODES),
     )
 
     def zero_word(order: int) -> tuple[float, str]:

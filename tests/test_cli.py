@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistzeta.ckalg import Monomial
+from twistzeta.cochain import _largest_window_key
 from twistzeta.cli import (
     CIRCLE_MODE_BUDGET,
     WINDOW_STEP_BUDGET,
@@ -197,10 +198,15 @@ def test_sweeps_below_the_schema_minimum_exit_two(argv, capsys):
 
 
 def test_free_group_windows_past_the_vertex_budget_are_refused(capsys):
-    """The smallest refused window at d=2 and an input that ran unbounded
-    before the budget both exit 2 at once, naming the estimate and the
+    """The smallest refused window at d=2, an input that ran unbounded
+    before the budget and d=41, the smallest d whose cochain word traces
+    alone pass the budget, all exit 2 at once, naming the estimate and the
     largest accepted window."""
-    for argv, estimate in ((["--L", "13"], "2.39e+06"), (["--d", "8", "--L", "9"], "4.12e+10")):
+    for argv, estimate in (
+        (["--L", "13"], "2.39e+06"),
+        (["--d", "8", "--L", "9"], "4.12e+10"),
+        (["--d", "41", "--L", "1"], "1.06e+06"),
+    ):
         start = time.perf_counter()
         assert main(["counterexample", "--family", "free_group", *argv]) == 2
         assert time.perf_counter() - start < 0.5
@@ -209,15 +215,36 @@ def test_free_group_windows_past_the_vertex_budget_are_refused(capsys):
         assert "largest window accepted at d=" in err
     assert main(["counterexample", "--family", "free_group", "--L", "100000000"]) == 2
     assert "largest window accepted at d=2 is L=12" in capsys.readouterr().err
+    assert main(["counterexample", "--family", "free_group", "--d", "41"]) == 2
+    assert "largest window accepted at d=41 is none" in capsys.readouterr().err
 
 
 def test_free_group_vertex_budget_admits_every_gate_and_benchmark_window():
     # Defaults, criterion 04 and the boundary-index benchmark: d2L9, d2L8, d3L6.
-    for generators, length in ((2, 9), (2, 8), (3, 6), (2, 12), (3, 8)):
+    for generators, length in ((2, 9), (2, 8), (3, 6), (2, 12), (3, 8), (40, 1)):
         _check_window_budget(generators, length)
-    for generators, length in ((2, 13), (3, 9)):
+    for generators, length in ((2, 13), (3, 9), (41, 1)):
         with pytest.raises(UsageError, match="above the budget"):
             _check_window_budget(generators, length)
+
+
+def test_every_accepted_free_group_window_fits_int64_keys():
+    """Arithmetic only: the largest target key of every window the budget
+    accepts, for the pairing's unitary (out-words of one letter), stays
+    below 2**63, so the kernel window's own guard never refuses a
+    command-line input.  From d=41 on, 500000 included, the word traces
+    alone pass the budget, so no L is accepted."""
+    widest = 0
+    for generators in (*range(2, 61), 500_000):
+        length = 1
+        while True:
+            try:
+                _check_window_budget(generators, length)
+            except UsageError:
+                break
+            widest = max(widest, _largest_window_key(2 * generators + 1, length, 1))
+            length += 1
+    assert widest == _largest_window_key(5, 12, 1) < 2**63
 
 
 def test_circle_windows_past_the_mode_budget_are_refused(capsys):
@@ -245,8 +272,8 @@ def test_circle_mode_budget_admits_every_gate_and_benchmark_window():
 
 
 def test_largest_accepted_free_group_window_ends_in_a_verdict():
-    """d=2 L=12 in a fresh interpreter, so its peak memory (about 360 MB)
-    is returned when it ends; about 8 s on one core."""
+    """d=2 L=12 in a fresh interpreter, so its peak memory (about 90 MB)
+    is returned when it ends; about 0.5 s with the interpreter start."""
     source = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))

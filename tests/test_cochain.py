@@ -34,9 +34,11 @@ from twistzeta.ckalg import (
 )
 from twistzeta.circle import TrigPoly, build_dirac
 from twistzeta.cochain import (
+    CIRCLE_COCHAIN_MODES,
     CounterexampleReport,
     _eliminated_nullity,
-    _sparse_nullity,
+    _window_nullity,
+    _word_code,
     boundary_translation_index,
     circle_cochain,
     cochain_word_trace,
@@ -414,10 +416,9 @@ def test_circle_cochain_validation():
         circle_cochain(
             (coordinate.conjugate(), coordinate, coordinate), cutoff=0
         )
+    wide = TrigPoly.coordinate(CIRCLE_COCHAIN_MODES // 4 + 1)
     with pytest.raises(ValueError, match="window"):
-        circle_cochain(
-            (coordinate.conjugate(), coordinate), cutoff=0, max_mode=4
-        )
+        circle_cochain((wide.conjugate(), coordinate), cutoff=0)
 
 
 def test_boundary_translation_index_matches_the_letter_table():
@@ -443,6 +444,24 @@ def test_compressed_kernel_dimension_sees_the_missing_basis_vector():
         compressed_kernel_dimension(group_unitary(0, model), tail, model, 0)
 
 
+def test_window_keys_past_int64_are_refused():
+    """At d=2 and L=1 an out-word of 23 letters keeps the keys below 2**63
+    (5**25 * 25) and one of 24 letters does not (5**26 * 26); the guard
+    refuses the second before any key is built."""
+    model = free_group(2)
+    tail = fixed_point(0)
+    for letters, fits in ((23, True), (24, False)):
+        element = CKElement.unit()
+        for _ in range(letters):
+            element = multiply(element, generator(2, model), model)
+        if fits:
+            expected = boundary_kernel_dimension(element, tail, model, 1)
+            assert compressed_kernel_dimension(element, tail, model, 1) == expected
+        else:
+            with pytest.raises(ValueError, match="64-bit"):
+                compressed_kernel_dimension(element, tail, model, 1)
+
+
 def test_compressed_translation_index_confirms_the_formula():
     model = free_group(2)
     tail = fixed_point(0)
@@ -455,7 +474,7 @@ def test_compressed_translation_index_confirms_the_formula():
 
 @st.composite
 def generator_sums(draw, model: AdjacencyModel) -> CKElement:
-    """Integer combinations of products of generators and their adjoints."""
+    """Rational combinations of products of generators and their adjoints."""
     total = CKElement.zero()
     for _ in range(draw(st.integers(1, 3))):
         product = CKElement.unit()
@@ -464,7 +483,7 @@ def generator_sums(draw, model: AdjacencyModel) -> CKElement:
             if draw(st.booleans()):
                 factor = adjoint(factor)
             product = multiply(product, factor, model)
-        coefficient = draw(st.integers(-3, 3).filter(bool))
+        coefficient = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
         total = total.plus(product.scaled(coefficient))
     return total
 
@@ -498,25 +517,54 @@ def test_vertex_engine_matches_the_boundary_oracle(data):
     )
 
 
+def window_nullity(columns: list[list[tuple[VertexKey, Fraction]]]) -> int:
+    """``_window_nullity`` of columns given as lists of (vertex, coefficient)
+    entries, one term per entry, so that a column may hit a target twice."""
+    base, span = 5, 8
+    entries = [
+        (index, vertex, coeff) for index, column in enumerate(columns) for vertex, coeff in column
+    ]
+    column = np.array([index for index, _, _ in entries], dtype=np.int64)
+    key = np.array(
+        [_word_code(head, base) * span + offset for _, (head, offset), _ in entries],
+        dtype=np.int64,
+    )
+    term = np.arange(len(entries))
+    return _window_nullity(len(columns), column, key, term, [c for _, _, c in entries], base, span)
+
+
 def test_sparse_nullity_counts_targets_and_eliminates_the_rest():
     first: VertexKey = ((), 1)
     second: VertexKey = ((2,), 1)
     third: VertexKey = ((2, 2), 2)
-    shaped = [{first: Fraction(2)}, {}, {second: Fraction(-1)}, {third: Fraction(0)}]
-    assert _sparse_nullity(shaped) == _eliminated_nullity(shaped, {}) == 2
+
+    def check(columns: list[dict[VertexKey, Fraction]], nullity: int) -> None:
+        assert window_nullity([list(column.items()) for column in columns]) == nullity
+        assert _eliminated_nullity(columns, {}) == nullity
+
+    check([{first: Fraction(2)}, {}, {second: Fraction(-1)}, {third: Fraction(0)}], 2)
     # Two sources hitting one target: the nonempty columns overcount the
     # rank by one, before and after the switch to elimination.
     merged = [{first: Fraction(1)}, {second: Fraction(1)}, {first: Fraction(3)}]
-    assert _sparse_nullity(merged) == _eliminated_nullity(merged, {}) == 3 - 2
-    switched = merged + [{second: Fraction(1), third: Fraction(1)}, {first: Fraction(-1)}]
-    assert _sparse_nullity(switched) == _eliminated_nullity(switched, {}) == 5 - 3
+    check(merged, 3 - 2)
+    check(merged + [{second: Fraction(1), third: Fraction(1)}, {first: Fraction(-1)}], 5 - 3)
     # Columns with two entries: their entries overcount the rank.
     for spread, rank in (
         ([{first: Fraction(1), second: Fraction(1)}], 1),
         ([{third: Fraction(1)}, {first: Fraction(1), second: Fraction(-1)}] * 2, 2),
         ([{first: Fraction(1), second: Fraction(1)}, {first: Fraction(1)}, {third: 1}], 3),
     ):
-        assert _sparse_nullity(iter(spread)) == _eliminated_nullity(spread, {}) == len(spread) - rank
+        check(spread, len(spread) - rank)
+    # Two terms of one column that cancel on their target leave it empty,
+    # though the target is hit; two that add up stay one entry.
+    assert window_nullity([[(first, Fraction(1, 2)), (first, Fraction(-1, 2))]]) == 1
+    assert window_nullity([[(first, Fraction(1, 2)), (first, Fraction(1, 3))]]) == 0
+    cancelled = [
+        [(first, Fraction(1)), (second, Fraction(2)), (first, Fraction(-1))],
+        [(second, Fraction(1))],
+    ]
+    assert window_nullity(cancelled) == 1
+    assert window_nullity(cancelled + [[(third, Fraction(1))]]) == 1
 
 
 def test_counterexample_verdict_free_group():
