@@ -35,6 +35,9 @@ TWIST_TAIL_TOL = 1e-10
 # Largest termwise drift of the Dirichlet data between the two largest windows.
 STABILIZATION_TOL = 1e-10
 
+# Terms of the zeta series summed directly; the Euler-Maclaurin tail starts here.
+ZETA_CUTOFF = 24
+
 
 @dataclass(frozen=True)
 class TrigPoly:
@@ -108,9 +111,6 @@ class TrigPoly:
 
     def conjugate(self) -> TrigPoly:
         return TrigPoly.from_dict({-mode: value.conjugate() for mode, value in self.terms})
-
-    def scaled(self, factor: complex) -> TrigPoly:
-        return TrigPoly.from_dict({mode: factor * value for mode, value in self.terms})
 
     def __add__(self, other: TrigPoly) -> TrigPoly:
         merged = self.as_dict()
@@ -519,19 +519,19 @@ _BERNOULLI = (
 )
 
 
-def riemann_zeta(argument: complex, *, cutoff: int = 24) -> complex:
+def riemann_zeta(argument: complex) -> complex:
     """Euler-Maclaurin continuation of the zeta series, valid away from one."""
 
     s = complex(argument)
     if abs(s - 1.0) < 1e-12:
         raise ValueError("the zeta function has its pole at argument one")
-    total = sum(complex(k) ** (-s) for k in range(1, cutoff))
-    total += complex(cutoff) ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * complex(cutoff) ** (-s)
+    total = sum(complex(k) ** (-s) for k in range(1, ZETA_CUTOFF))
+    total += complex(ZETA_CUTOFF) ** (1.0 - s) / (s - 1.0)
+    total += 0.5 * complex(ZETA_CUTOFF) ** (-s)
     rising = s
     for index, bernoulli in enumerate(_BERNOULLI, start=1):
         weight = float(bernoulli / math.factorial(2 * index))
-        total += weight * rising * complex(cutoff) ** (-s - 2 * index + 1)
+        total += weight * rising * complex(ZETA_CUTOFF) ** (-s - 2 * index + 1)
         rising = rising * (s + 2 * index - 1) * (s + 2 * index)
     return total
 

@@ -1,11 +1,12 @@
 """Exact symbolic Cuntz-Krieger algebra.
 
-Elements are rational combinations of monomials S_mu S_nu^* over a fixed
-adjacency model.  Multiplication reduces every inner S_nu^* S_mu' by prefix
-comparison, expanding S_nu^* S_nu through the Cuntz-Krieger relation, so
-products stay exact.  The trace engine consumes two counts over a chain:
-the cylinder census of its diagonal and the short basis words it fixes,
-both by integer transfer-matrix counting rather than word enumeration.
+Elements are rational combinations of monomials S_mu S_nu^* over the
+reduced words of the free group.  Multiplication reduces every inner
+S_nu^* S_mu' by prefix comparison, expanding S_nu^* S_nu through the
+Cuntz-Krieger relation, so products stay exact.  The trace engine
+consumes two counts over a chain: the cylinder census of its diagonal and
+the short basis words it fixes, both by integer transfer-matrix counting
+rather than word enumeration.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .words import (
     EMPTY_WORD,
-    AdjacencyModel,
+    FreeGroup,
     VertexKey,
     Word,
     is_admissible,
@@ -31,7 +32,7 @@ class Monomial:
     in_word: Word
 
 
-def monomial(out_word: Word, in_word: Word, model: AdjacencyModel) -> Monomial:
+def monomial(out_word: Word, in_word: Word, model: FreeGroup) -> Monomial:
     """Validated monomial; raises when the operator would be zero or the
     words are not admissible."""
     if not is_admissible(out_word, model) or not is_admissible(in_word, model):
@@ -42,14 +43,14 @@ def monomial(out_word: Word, in_word: Word, model: AdjacencyModel) -> Monomial:
     return mono
 
 
-def _has_common_continuation(mono: Monomial, model: AdjacencyModel) -> bool:
+def _has_common_continuation(mono: Monomial, model: FreeGroup) -> bool:
     return any(
         _continues(mono.out_word, k, model) and _continues(mono.in_word, k, model)
         for k in range(model.size)
     )
 
 
-def _continues(word: Word, letter: int, model: AdjacencyModel) -> bool:
+def _continues(word: Word, letter: int, model: FreeGroup) -> bool:
     return not word or model.allows(word[-1], letter)
 
 
@@ -66,24 +67,12 @@ class CKElement:
         return CKElement(tuple(ordered))
 
     @staticmethod
-    def zero() -> CKElement:
-        return CKElement(())
-
-    @staticmethod
     def unit() -> CKElement:
         return CKElement(((Monomial((), ()), Fraction(1)),))
 
     @staticmethod
     def of(mono: Monomial, coefficient: Fraction | int = 1) -> CKElement:
         return CKElement.from_terms({mono: Fraction(coefficient)})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def scaled(self, factor: Fraction | int) -> CKElement:
-        factor = Fraction(factor)
-        return CKElement.from_terms({m: c * factor for m, c in self.terms})
 
     def plus(self, other: CKElement) -> CKElement:
         total: dict[Monomial, Fraction] = dict(self.terms)
@@ -92,7 +81,7 @@ class CKElement:
         return CKElement.from_terms(total)
 
 
-def generator(letter: int, model: AdjacencyModel) -> CKElement:
+def generator(letter: int, model: FreeGroup) -> CKElement:
     """The generator S_letter as an element."""
     return CKElement.of(monomial((letter,), (), model))
 
@@ -104,7 +93,7 @@ def adjoint(x: CKElement) -> CKElement:
     )
 
 
-def _mono_product(a: Monomial, b: Monomial, model: AdjacencyModel) -> list[Monomial]:
+def _mono_product(a: Monomial, b: Monomial, model: FreeGroup) -> list[Monomial]:
     """Normal form of S_{a.out}S_{a.in}^* S_{b.out}S_{b.in}^*.
 
     Returns the resulting monomials, each with coefficient one; an empty
@@ -135,11 +124,11 @@ def _mono_product(a: Monomial, b: Monomial, model: AdjacencyModel) -> list[Monom
     return joint
 
 
-def _keep(mono: Monomial, model: AdjacencyModel) -> list[Monomial]:
+def _keep(mono: Monomial, model: FreeGroup) -> list[Monomial]:
     return [mono] if _has_common_continuation(mono, model) else []
 
 
-def multiply(x: CKElement, y: CKElement, model: AdjacencyModel) -> CKElement:
+def multiply(x: CKElement, y: CKElement, model: FreeGroup) -> CKElement:
     """Exact product in expansion normal form."""
     total: dict[Monomial, Fraction] = {}
     for left, cl in x.terms:
@@ -151,7 +140,7 @@ def multiply(x: CKElement, y: CKElement, model: AdjacencyModel) -> CKElement:
 
 
 def chain_product(
-    chain: list[Monomial] | tuple[Monomial, ...], model: AdjacencyModel
+    chain: list[Monomial] | tuple[Monomial, ...], model: FreeGroup
 ) -> CKElement:
     """Product of the monomials of a chain, left to right."""
     if not chain:
@@ -165,7 +154,7 @@ def chain_product(
 CylinderClass = tuple[int, int]
 
 
-def _class_counts(word: Word, model: AdjacencyModel, length: int) -> dict[CylinderClass, int]:
+def _class_counts(word: Word, model: FreeGroup, length: int) -> dict[CylinderClass, int]:
     """Reduced words of ``length`` letters extending ``word``, counted by
     class (last letter, trailing run of letter 0; the run is 0 unless the
     last letter is 0).
@@ -194,7 +183,7 @@ def _class_counts(word: Word, model: AdjacencyModel, length: int) -> dict[Cylind
 
 
 def cylinder_census(
-    diagonal: list[tuple[Word, Fraction]], model: AdjacencyModel, length: int
+    diagonal: list[tuple[Word, Fraction]], model: FreeGroup, length: int
 ) -> dict[CylinderClass, Fraction]:
     """Diagonal cylinders refined to one word length, weighed per class.
 
@@ -210,7 +199,6 @@ def cylinder_census(
     class is the word's own count minus those of its nearest diagonal
     descendants, each a transfer-matrix count.
     """
-    model.require_free_group()
     words = [word for word, _ in diagonal]
     if any(len(word) > length for word in words):
         raise ValueError("a diagonal word is longer than the refinement length")
@@ -236,7 +224,7 @@ def cylinder_census(
     return census
 
 
-def _toeplitz_step(word: Word, pair: Monomial, model: AdjacencyModel) -> Word | None:
+def _toeplitz_step(word: Word, pair: Monomial, model: FreeGroup) -> Word | None:
     """One Toeplitz pair applied to a basis word, or None when it dies.
 
     Basis words are the admissible words not ending in letter 1, the
@@ -255,7 +243,7 @@ def _toeplitz_step(word: Word, pair: Monomial, model: AdjacencyModel) -> Word | 
 
 
 def _stage_lengths(
-    word: Word, chain: tuple[Monomial, ...], model: AdjacencyModel
+    word: Word, chain: tuple[Monomial, ...], model: FreeGroup
 ) -> tuple[int, ...] | None:
     """Word lengths met before each stage, last stage first applied, when
     the chain maps the basis word to itself; None otherwise."""
@@ -274,7 +262,7 @@ _READS_FURTHER = "reads further"
 
 
 def _open_stage_lengths(
-    prefix: Word, chain: tuple[Monomial, ...], model: AdjacencyModel
+    prefix: Word, chain: tuple[Monomial, ...], model: FreeGroup
 ) -> tuple[int, ...] | str | None:
     """The chain on every basis word prefix + u with u nonempty.
 
@@ -302,7 +290,7 @@ def _open_stage_lengths(
 
 
 def short_diagonal_vectors(
-    chain: tuple[Monomial, ...], model: AdjacencyModel, below: int
+    chain: tuple[Monomial, ...], model: FreeGroup, below: int
 ) -> list[tuple[tuple[int, ...], int]]:
     """Stage-length vectors of the basis words shorter than ``below`` that
     the chain maps to themselves, each with its number of words.
@@ -341,7 +329,7 @@ def short_diagonal_vectors(
 
 
 def act_on_vertex(
-    x: CKElement, vertex: VertexKey, anchor: int, model: AdjacencyModel
+    x: CKElement, vertex: VertexKey, anchor: int, model: FreeGroup
 ) -> dict[VertexKey, Fraction]:
     """Image of a vertex basis vector under an element.
 
@@ -350,7 +338,6 @@ def act_on_vertex(
     junction allows it; trailing anchor letters of the landed head are
     trimmed, and the offset moves by the length difference.
     """
-    model.require_free_group()
     head, offset = vertex
     settled = len(head)
     image: dict[VertexKey, Fraction] = {}
@@ -365,7 +352,7 @@ def act_on_vertex(
             continue
         else:
             rest = EMPTY_WORD
-        if out and not model.entries[out[-1]][rest[0] if rest else anchor]:
+        if out and not model.allows(out[-1], rest[0] if rest else anchor):
             continue
         landed = out + rest
         if not rest:

@@ -33,7 +33,7 @@ from twistzeta.traces import (
     poles_and_laurent,
     specialize_shifts,
 )
-from twistzeta.words import AdjacencyModel, BoundaryPoint, fixed_point, free_group
+from twistzeta.words import BoundaryPoint, FreeGroup, fixed_point
 
 
 class UsageError(ValueError):
@@ -279,7 +279,7 @@ def emit(report: ExperimentReport, out_format: str, path: str) -> None:
         raise UsageError(f"cannot write report to {path}: {err}") from None
 
 
-def parse_chain(text: str, model: AdjacencyModel) -> list[Monomial]:
+def parse_chain(text: str, model: FreeGroup) -> list[Monomial]:
     """Colon-separated stages, each a dot-separated monomial.
 
     A stage without any ``*`` token is the cylinder projection of its
@@ -333,8 +333,8 @@ def parse_chain(text: str, model: AdjacencyModel) -> list[Monomial]:
 
 def _free_group_setup(
     params: Mapping[str, object]
-) -> tuple[AdjacencyModel, BoundaryPoint, int]:
-    model = free_group(int(params["d"]))
+) -> tuple[FreeGroup, BoundaryPoint, int]:
+    model = FreeGroup(int(params["d"]))
     try:
         letter = model.letter_index(str(params["t"]))
     except ValueError as err:

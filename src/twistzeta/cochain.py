@@ -49,13 +49,12 @@ from .traces import (
     poles_and_laurent,
 )
 from .words import (
-    AdjacencyModel,
     BoundaryPoint,
+    FreeGroup,
     VertexKey,
     Word,
     admissible_levels,
     fixed_point,
-    free_group,
     vertex_eigenvalue,
 )
 
@@ -136,21 +135,20 @@ def zeta_residue(trace: MeromorphicTrace, order: int) -> ExpSum:
     return ExpSum.zero(0)
 
 
-def group_unitary(letter: int, model: AdjacencyModel) -> CKElement:
+def group_unitary(letter: int, model: FreeGroup) -> CKElement:
     """Boundary translation by one group letter as an algebra element.
 
     The generator isometry plus the adjoint of the inverse-letter isometry
     acts on every boundary word by reduced left concatenation, and the two
     ranges are complementary, so the sum is a unitary.
     """
-    model.require_free_group()
     forward = generator(letter, model)
     backward = adjoint(generator(model.inverse(letter), model))
     return forward.plus(backward)
 
 
 def boundary_translation_index(
-    letter: int, tail: BoundaryPoint, model: AdjacencyModel
+    letter: int, tail: BoundaryPoint, model: FreeGroup
 ) -> int:
     """Index of the translation compressed to the nonnegative spectral part.
 
@@ -159,8 +157,7 @@ def boundary_translation_index(
     in the range, and every other letter gives a bijection; the index is
     the difference of those two indicators.
     """
-    model.require_free_group()
-    model.letter_name(letter)
+    model.check_letter(letter)
     if not tail.is_fixed_point:
         raise ValueError("the compression is anchored at a fixed-point tail")
     anchor = tail.period[0]
@@ -195,7 +192,7 @@ def _eliminated_nullity(
     return read - (len(pivots) - start)
 
 
-def _vertex_heads(model: AdjacencyModel, anchor: int, top: int) -> Iterator[Word]:
+def _vertex_heads(model: FreeGroup, anchor: int, top: int) -> Iterator[Word]:
     """Heads of the vertices over anchor^inf up to length ``top``, shortest
     first: the reduced words ending in neither the anchor nor its inverse."""
     settled = (anchor, model.inverse(anchor))
@@ -220,7 +217,7 @@ def _word_of_code(code: int, base: int) -> Word:
 
 
 def _head_codes(
-    model: AdjacencyModel, anchor: int, top: int, base: int
+    model: FreeGroup, anchor: int, top: int, base: int
 ) -> Iterator[np.ndarray]:
     """Codes of the vertex heads of each length 0..top, shortest first: the
     reduced words ending in neither the anchor nor its inverse."""
@@ -246,7 +243,7 @@ def _largest_window_key(base: int, source_length: int, growth: int) -> int:
 
 
 def _window_entries(
-    element: CKElement, anchor: int, model: AdjacencyModel, source_length: int, span: int
+    element: CKElement, anchor: int, model: FreeGroup, source_length: int, span: int
 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """Entries of the compression over the vertices of nonnegative
     eigenvalue whose group words have at most ``source_length`` letters:
@@ -350,7 +347,7 @@ def _window_nullity(
 def compressed_kernel_dimension(
     element: CKElement,
     tail: BoundaryPoint,
-    model: AdjacencyModel,
+    model: FreeGroup,
     source_length: int,
 ) -> int:
     """Kernel dimension of the compression on a word-length window.
@@ -361,7 +358,6 @@ def compressed_kernel_dimension(
     window's keys are int64, and a window whose keys could pass 2**63 is
     refused before anything is built.
     """
-    model.require_free_group()
     if not tail.is_fixed_point:
         raise ValueError("the compression is anchored at a fixed-point tail")
     if source_length < 1:
@@ -381,7 +377,7 @@ def compressed_kernel_dimension(
 def compressed_translation_index(
     letter: int,
     tail: BoundaryPoint,
-    model: AdjacencyModel,
+    model: FreeGroup,
     *,
     source_length: int,
 ) -> int:
@@ -428,7 +424,7 @@ def _element_step(
     vector: ExactVector,
     element: CKElement,
     anchor: int,
-    model: AdjacencyModel,
+    model: FreeGroup,
 ) -> ExactVector:
     moved: ExactVector = {}
     for vertex, bucket in vector.items():
@@ -442,7 +438,7 @@ def _phase_commutator_step(
     vector: ExactVector,
     element: CKElement,
     anchor: int,
-    model: AdjacencyModel,
+    model: FreeGroup,
 ) -> ExactVector:
     """Apply the commutator of the spectral phase with an algebra element."""
     moved: ExactVector = {}
@@ -460,7 +456,7 @@ def _phase_commutator_step(
 def cochain_word_trace(
     elements: Sequence[CKElement],
     tail: BoundaryPoint,
-    model: AdjacencyModel,
+    model: FreeGroup,
 ) -> MeromorphicTrace:
     """Entire trace function of the zero-index cochain word, exactly.
 
@@ -471,7 +467,6 @@ def cochain_word_trace(
     the longest monomial of the final factor; the window extends past that
     bound and verifies the predicted vanishing before certifying.
     """
-    model.require_free_group()
     if not tail.is_fixed_point:
         raise ValueError("the vertex space is anchored at a fixed-point tail")
     if len(elements) < 2:
@@ -513,7 +508,7 @@ def cochain_word_trace(
                 entries[key] = entries.get(key, Fraction(0)) + sign * coeff
     numerator = ExpSum.from_terms(1, entries)
     return MeromorphicTrace.from_parts(
-        model.generator_pairs,
+        model.generators,
         1,
         {ENTIRE_DENOM: numerator},
         certificate=FINITE_RANK_CERTIFICATE,
@@ -621,7 +616,7 @@ def _assemble(
 def free_group_cochain(
     elements: Sequence[CKElement],
     tail: BoundaryPoint,
-    model: AdjacencyModel,
+    model: FreeGroup,
     *,
     cutoff: int,
 ) -> CochainReport:
@@ -748,7 +743,7 @@ def counterexample_verdict(
 
     cochains: list[CochainReport] = []
     if family == "free_group":
-        model = free_group(generators)
+        model = FreeGroup(generators)
         anchor = model.letter_index(anchor_letter)
         letter = model.letter_index(pairing_letter or anchor_letter)
         tail = fixed_point(anchor)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ckalg import Monomial
 from .traces import _heat_partial_sum
-from .words import AdjacencyModel, BoundaryPoint
+from .words import BoundaryPoint, FreeGroup
 
 DIVERGENCE_MARGIN = 1e-3
 
@@ -160,7 +160,7 @@ UNIT_CHAIN = (Monomial((), ()),)
 
 
 def free_group_summability(
-    model: AdjacencyModel,
+    model: FreeGroup,
     tail: BoundaryPoint,
     exponents: Sequence[float],
     sweep: Sequence[int],

@@ -22,8 +22,8 @@ import numpy as np
 
 from .ckalg import Monomial, chain_product, cylinder_census, short_diagonal_vectors
 from .words import (
-    AdjacencyModel,
     BoundaryPoint,
+    FreeGroup,
     Word,
     extension_species,
     fixed_point,
@@ -164,21 +164,6 @@ class MeromorphicTrace:
         )
         return MeromorphicTrace(d, nvars, tuple(kept), certificate)
 
-    def plus(self, other: MeromorphicTrace) -> MeromorphicTrace:
-        if (self.d, self.nvars) != (other.d, other.nvars):
-            raise ValueError("traces live over different parameter spaces")
-        merged = dict(self.parts)
-        for denom, numerator in other.parts:
-            merged[denom] = merged.get(denom, ExpSum.zero(self.nvars)).plus(numerator)
-        joint: str | None = None
-        if self.certificate is not None and other.certificate is not None:
-            joint = self.certificate
-        return MeromorphicTrace.from_parts(self.d, self.nvars, merged, joint)
-
-    def scaled(self, factor: Fraction | int) -> MeromorphicTrace:
-        parts = {denom: num.scaled(factor) for denom, num in self.parts}
-        return MeromorphicTrace.from_parts(self.d, self.nvars, parts, self.certificate)
-
     def evaluate(self, s: Sequence[complex]) -> complex:
         branch = cmath.exp(-sum(s))
         total = 0j
@@ -284,7 +269,7 @@ class _Accumulator:
 
 
 def _canonical_chain(
-    chain: Sequence[Monomial], tail: BoundaryPoint, model: AdjacencyModel
+    chain: Sequence[Monomial], tail: BoundaryPoint, model: FreeGroup
 ) -> tuple[tuple[Monomial, ...], BoundaryPoint]:
     """Relabel letters so the distinguished tail repeats letter 0.
 
@@ -292,7 +277,6 @@ def _canonical_chain(
     admissibility, so traces are unchanged; the closed-form species counts
     assume the tail letter is the first generator.
     """
-    model.require_free_group()
     if not tail.is_fixed_point:
         raise ValueError("the trace engine requires a fixed-point tail")
     letter = tail.period[0]
@@ -320,7 +304,7 @@ class _ChainSummary(NamedTuple):
 
 
 @functools.lru_cache(maxsize=256)
-def _chain_summary(chain: tuple[Monomial, ...], model: AdjacencyModel) -> _ChainSummary:
+def _chain_summary(chain: tuple[Monomial, ...], model: FreeGroup) -> _ChainSummary:
     """Cylinder decomposition of a chain diagonal, grouped for assembly."""
     product = chain_product(chain, model)
     diagonal = [(m.out_word, c) for m, c in product.terms if m.out_word == m.in_word]
@@ -328,7 +312,7 @@ def _chain_summary(chain: tuple[Monomial, ...], model: AdjacencyModel) -> _Chain
 
 
 def _summarize(
-    chain: tuple[Monomial, ...], model: AdjacencyModel, diagonal: list[tuple[Word, Fraction]]
+    chain: tuple[Monomial, ...], model: FreeGroup, diagonal: list[tuple[Word, Fraction]]
 ) -> _ChainSummary:
     """Summary of the chain whose product has the diagonal terms
     S_rho S_rho^* with the given (rho, coefficient) pairs.
@@ -386,7 +370,7 @@ def _summarize(
 
 
 def closed_form_heat_trace(
-    chain: Sequence[Monomial], tail: BoundaryPoint, model: AdjacencyModel
+    chain: Sequence[Monomial], tail: BoundaryPoint, model: FreeGroup
 ) -> MeromorphicTrace:
     """Exact trace of the chain interleaved with heat factors on the vertex
     space attached to the tail.
@@ -398,8 +382,7 @@ def closed_form_heat_trace(
     denominators.
     """
     canonical, _ = _canonical_chain(chain, tail, model)
-    d = model.generator_pairs
-    assert d is not None
+    d = model.generators
     stages = len(canonical)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
@@ -462,7 +445,7 @@ def closed_form_heat_trace(
 
 
 def closed_form_toeplitz_trace(
-    chain: Sequence[Monomial], tail: BoundaryPoint, model: AdjacencyModel
+    chain: Sequence[Monomial], tail: BoundaryPoint, model: FreeGroup
 ) -> MeromorphicTrace:
     """Exact trace of the chain compressed to the word basis, interleaved
     with heat factors of the length operator.
@@ -472,8 +455,7 @@ def closed_form_toeplitz_trace(
     each species of :func:`extension_species` resums geometrically.
     """
     canonical, _ = _canonical_chain(chain, tail, model)
-    d = model.generator_pairs
-    assert d is not None
+    d = model.generators
     stages = len(canonical)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
@@ -515,13 +497,12 @@ def _validate_heat_inputs(
 
 def _validate_oracle_inputs(
     chain: Sequence[Monomial],
-    model: AdjacencyModel,
+    model: FreeGroup,
     s: Sequence[float],
     truncation: int,
 ) -> float:
     _validate_heat_inputs(chain, s, truncation)
-    d = model.generator_pairs
-    assert d is not None
+    d = model.generators
     total = float(sum(s))
     threshold = math.log(2 * d - 1)
     if total <= threshold:
@@ -533,7 +514,7 @@ def _validate_oracle_inputs(
 
 
 def _escape_counts(
-    model: AdjacencyModel, after: int, top: int, settling: bool
+    model: FreeGroup, after: int, top: int, settling: bool
 ) -> Iterator[int]:
     """Exact counts of admissible words following a letter, lengths 1..top,
     whose last letter avoids the tail letter's inverse, and for settling the
@@ -594,7 +575,7 @@ def _window_log_sums(
 
 def _windowed_heat_value(
     summary: _ChainSummary,
-    model: AdjacencyModel,
+    model: FreeGroup,
     s: Sequence[float],
     limit: int,
 ) -> float:
@@ -639,7 +620,7 @@ def _windowed_heat_value(
 def _heat_partial_sum(
     chain: Sequence[Monomial],
     tail: BoundaryPoint,
-    model: AdjacencyModel,
+    model: FreeGroup,
     s: Sequence[float],
     truncation: int,
 ) -> float:
@@ -659,7 +640,7 @@ def _heat_partial_sum(
 def brute_force_heat_trace(
     chain: Sequence[Monomial],
     tail: BoundaryPoint,
-    model: AdjacencyModel,
+    model: FreeGroup,
     s: Sequence[float],
     truncation: int,
 ) -> OracleResult:
@@ -672,8 +653,7 @@ def brute_force_heat_trace(
     """
     canonical, _ = _canonical_chain(chain, tail, model)
     total = _validate_oracle_inputs(canonical, model, s, truncation)
-    d = model.generator_pairs
-    assert d is not None
+    d = model.generators
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
         return OracleResult(0.0, 0.0)
@@ -750,15 +730,14 @@ def brute_force_heat_trace(
 def brute_force_toeplitz_trace(
     chain: Sequence[Monomial],
     tail: BoundaryPoint,
-    model: AdjacencyModel,
+    model: FreeGroup,
     s: Sequence[float],
     truncation: int,
 ) -> OracleResult:
     """Word-basis companion of :func:`brute_force_heat_trace`."""
     canonical, _ = _canonical_chain(chain, tail, model)
     total = _validate_oracle_inputs(canonical, model, s, truncation)
-    d = model.generator_pairs
-    assert d is not None
+    d = model.generators
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
         return OracleResult(0.0, 0.0)

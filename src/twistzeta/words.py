@@ -1,11 +1,12 @@
-"""Admissible-word combinatorics on subshifts of finite type.
+"""Reduced-word combinatorics on the boundary of the free group.
 
 This module is the ground layer shared by the symbolic and operator
-components: square 0/1 adjacency models with a distinguished free-group
-constructor, finite admissible words, eventually periodic boundary points,
-the integer vertex keys over a fixed-point tail with their eigenvalue
-bookkeeping, and the species decompositions of the free-group escape
-counts that the closed-form traces resum.
+components: the free group on d generators as a 2d-letter alphabet whose
+only forbidden transition is a letter followed by its inverse, finite
+reduced words, eventually periodic boundary points, the integer vertex
+keys over a fixed-point tail with their eigenvalue bookkeeping, and the
+species decompositions of the free-group escape counts that the
+closed-form traces resum.
 """
 
 from __future__ import annotations
@@ -20,67 +21,36 @@ EMPTY_WORD: Word = ()
 
 
 @dataclass(frozen=True)
-class AdjacencyModel:
-    """Finite alphabet with a square 0/1 transition matrix.
-
-    ``generator_pairs`` is set by :func:`free_group`; it marks the model as
-    a free group on that many generators, with letters ``2j`` and ``2j + 1``
-    mutually inverse.
+class FreeGroup:
+    """The free group on ``generators`` generators, as an alphabet of 2d
+    letters: ``2j`` and ``2j + 1`` are the (j+1)-th generator and its
+    inverse.  A letter may follow any letter but its inverse, so the
+    admissible words are the reduced words.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-    generator_pairs: int | None = None
+    generators: int
 
     def __post_init__(self) -> None:
-        size = len(self.entries)
-        if size == 0:
-            raise ValueError("alphabet must be nonempty")
-        for row in self.entries:
-            if len(row) != size:
-                raise ValueError("adjacency matrix must be square")
-            if any(value not in (0, 1) for value in row):
-                raise ValueError("adjacency entries must be 0 or 1")
-        for index in range(size):
-            if not any(self.entries[index]):
-                raise ValueError(f"row {index} is identically zero")
-            if not any(row[index] for row in self.entries):
-                raise ValueError(f"column {index} is identically zero")
-        if self.generator_pairs is not None and 2 * self.generator_pairs != size:
-            raise ValueError("a free-group model needs twice as many letters as generators")
+        if self.generators < 1:
+            raise ValueError("need at least one generator")
 
     @property
     def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def is_free_group(self) -> bool:
-        return self.generator_pairs is not None
-
-    def require_free_group(self) -> None:
-        if not self.is_free_group:
-            raise ValueError("operation requires the free-group model")
+        return 2 * self.generators
 
     def allows(self, first: int, second: int) -> bool:
         """Whether the letter ``second`` may directly follow ``first``."""
-        return self.entries[first][second] == 1
+        return second != first ^ 1
 
     def inverse(self, letter: int) -> int:
         """Inverse letter in the free-group pairing."""
-        self.require_free_group()
-        self._check_letter(letter)
+        self.check_letter(letter)
         return letter ^ 1
 
-    def letter_name(self, letter: int) -> str:
-        """Readable name of a letter; generators are a1, b1, a2, b2, ..."""
-        self._check_letter(letter)
-        if not self.is_free_group:
-            return str(letter)
-        stem = "ab"[letter % 2]
-        return f"{stem}{letter // 2 + 1}"
-
     def letter_index(self, name: str) -> int:
-        """Inverse of :meth:`letter_name`."""
-        if self.is_free_group and len(name) >= 2 and name[0] in "ab":
+        """Letter of a name: a1, b1, a2, b2, ... for the generators and their
+        inverses, or the letter's digits."""
+        if len(name) >= 2 and name[0] in "ab":
             tail = name[1:]
             if tail.isdigit() and int(tail) >= 1:
                 index = 2 * (int(tail) - 1) + (0 if name[0] == "a" else 1)
@@ -90,41 +60,26 @@ class AdjacencyModel:
             return int(name)
         raise ValueError(f"unknown letter name {name!r}")
 
-    def _check_letter(self, letter: int) -> None:
+    def check_letter(self, letter: int) -> None:
+        """Raise when ``letter`` is outside the alphabet."""
         if not 0 <= letter < self.size:
             raise ValueError(f"letter {letter} outside alphabet of size {self.size}")
 
 
-def free_group(generators: int) -> AdjacencyModel:
-    """Adjacency model of the free group on the given number of generators.
-
-    A transition is allowed exactly when the second letter is not the
-    inverse of the first, so admissible words are reduced words.
-    """
-    if generators < 1:
-        raise ValueError("need at least one generator")
-    size = 2 * generators
-    rows = tuple(
-        tuple(0 if second == first ^ 1 else 1 for second in range(size))
-        for first in range(size)
-    )
-    return AdjacencyModel(rows, generator_pairs=generators)
-
-
-def is_admissible(word: Word, model: AdjacencyModel) -> bool:
+def is_admissible(word: Word, model: FreeGroup) -> bool:
     """Whether every consecutive letter pair is an allowed transition.
 
     The empty word is admissible by convention.
     """
     for letter in word:
-        model._check_letter(letter)
+        model.check_letter(letter)
     return all(model.allows(a, b) for a, b in zip(word, word[1:]))
 
 
-def admissible_levels(model: AdjacencyModel, top: int) -> Iterator[list[Word]]:
+def admissible_levels(model: FreeGroup, top: int) -> Iterator[list[Word]]:
     """All admissible words of each length 0..top, one list per length.
 
-    Each level is grown from the one before by the model's rows, so the
+    Each level is grown from the one before by the allowed transitions, so the
     words come in lexicographic order and no word is built twice.
     """
     if top < 0:
@@ -143,7 +98,7 @@ def admissible_levels(model: AdjacencyModel, top: int) -> Iterator[list[Word]]:
 
 
 def transfer_counts(
-    model: AdjacencyModel, after: int | None, top: int
+    model: FreeGroup, after: int | None, top: int
 ) -> Iterator[list[int]]:
     """Reduced words that may follow the letter ``after`` (any first
     letter when None), counted by last letter: one list per length 1..top.
@@ -152,7 +107,6 @@ def transfer_counts(
     word may end in ``b`` unless its previous letter is ``b ^ 1``, so
     ``row'[b] = sum(row) - row[b ^ 1]``.  Only the current row is kept.
     """
-    model.require_free_group()
     row = [0 if after is not None and b == after ^ 1 else 1 for b in range(model.size)]
     for length in range(1, top + 1):
         if length > 1:
@@ -254,20 +208,17 @@ def vertex_eigenvalue(vertex: VertexKey) -> int:
 Species = tuple[tuple[Fraction, int], ...]
 
 
-def _escape_letter(model: AdjacencyModel, after: int) -> tuple[int, int, int]:
+def _escape_letter(model: FreeGroup, after: int) -> tuple[int, int, int]:
     """Generator count; 1 if ``after`` is the first generator or its inverse,
     else 0 (``marked``); +1, -1 or 0 for the generator, its inverse or any
     other letter (``signed``)."""
-    model.require_free_group()
-    model._check_letter(after)
-    d = model.generator_pairs
-    assert d is not None
+    model.check_letter(after)
     marked = 1 if after in (0, 1) else 0
     signed = (1 if after == 0 else 0) - (1 if after == 1 else 0)
-    return d, marked, signed
+    return model.generators, marked, signed
 
 
-def settling_species(model: AdjacencyModel, after: int) -> Species:
+def settling_species(model: FreeGroup, after: int) -> Species:
     """Pairs ``(c, a)`` whose sum of ``c * a**n`` is, at every depth
     ``n >= 1``, the number of admissible words of length ``n`` that may follow
     the letter ``after`` and end in neither the first generator nor its
@@ -275,13 +226,13 @@ def settling_species(model: AdjacencyModel, after: int) -> Species:
     ``n``.
 
     The amplitudes are the eigenvalues 2d-1 and -1 of the free-group
-    adjacency matrix; the closed-form traces resum these same pairs.
+    transfer matrix; the closed-form traces resum these same pairs.
     """
     d, marked, _ = _escape_letter(model, after)
     return ((Fraction(d - 1, d), 2 * d - 1), (Fraction(1, d) - marked, -1))
 
 
-def extension_species(model: AdjacencyModel, after: int) -> Species:
+def extension_species(model: FreeGroup, after: int) -> Species:
     """Pairs ``(c, a)`` whose sum of ``c * a**n`` is, at every length
     ``n >= 1``, the number of admissible words of length ``n`` that may follow
     the letter ``after`` and do not end in the inverse of the first

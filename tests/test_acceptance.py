@@ -48,7 +48,7 @@ from twistzeta.traces import (
     poles_and_laurent,
     specialize_shifts,
 )
-from twistzeta.words import fixed_point, free_group
+from twistzeta.words import FreeGroup, fixed_point
 
 VERDICT_LINES: list[str] = []
 
@@ -94,7 +94,7 @@ def test_criterion_01_heat_trace_oracle_equivalence():
     comparisons = 0
     worst = 0.0
     for d in (2, 3):
-        model = free_group(d)
+        model = FreeGroup(d)
         tail = fixed_point(model.letter_index("a1"))
         for chain in _sample_chains(model):
             closed = closed_form_heat_trace(chain, tail, model)
@@ -118,7 +118,7 @@ def test_criterion_02_toeplitz_trace_oracle_equivalence():
     comparisons = 0
     worst = 0.0
     for d in (2, 3):
-        model = free_group(d)
+        model = FreeGroup(d)
         tail = fixed_point(model.letter_index("a1"))
         for chain in _sample_chains(model):
             closed = closed_form_toeplitz_trace(chain, tail, model)
@@ -145,7 +145,7 @@ def test_criterion_03_pole_set_exactness():
     word_location_ok = True
     word_orders_ok = True
     for d in (2, 3):
-        model = free_group(d)
+        model = FreeGroup(d)
         tail = fixed_point(model.letter_index("a1"))
         for chain in _sample_chains(model):
             heat = closed_form_heat_trace(chain, tail, model)
@@ -185,7 +185,7 @@ def test_criterion_03_pole_set_exactness():
 
 def test_criterion_04_free_group_counterexample():
     start = time.perf_counter()
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(model.letter_index("a1"))
     anchor = counterexample_verdict("free_group", pairing_letter="a1", source_length=9)
     flipped = counterexample_verdict("free_group", pairing_letter="b1", source_length=9)
@@ -298,7 +298,7 @@ def test_criterion_07_summability_equivalences():
         power = (1.0 + magnitudes) ** (-s)
         worst = max(worst, float(np.max(np.abs(heat - power) / power)))
     identity_ok = worst <= 1e-12
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(model.letter_index("a1"))
     report = free_group_summability(model, tail, (1.0, 1.2), (8, 16, 32, 64, 128))
     bracket_ok = (

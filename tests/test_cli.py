@@ -35,7 +35,7 @@ from twistzeta.cli import (
     report_to_json,
     run,
 )
-from twistzeta.words import free_group
+from twistzeta.words import FreeGroup
 
 
 def test_build_config_merges_defaults_file_and_flags():
@@ -73,7 +73,7 @@ def test_read_config_section_scopes_by_experiment(tmp_path):
 
 
 def test_parse_chain_reads_projections_and_explicit_monomials():
-    model = free_group(2)
+    model = FreeGroup(2)
     assert parse_chain("a1", model) == [Monomial((0,), (0,))]
     assert parse_chain("a1:a1", model) == [Monomial((0,), (0,))] * 2
     assert parse_chain("e", model) == [Monomial((), ())]
@@ -84,7 +84,7 @@ def test_parse_chain_reads_projections_and_explicit_monomials():
 
 
 def test_parse_chain_rejects_malformed_stages():
-    model = free_group(2)
+    model = FreeGroup(2)
     with pytest.raises(UsageError, match="chain stage"):
         parse_chain("zz", model)
     with pytest.raises(UsageError, match="plain letters first"):

@@ -60,7 +60,7 @@ from twistzeta.traces import (
     MeromorphicTrace,
     closed_form_heat_trace,
 )
-from twistzeta.words import AdjacencyModel, BoundaryPoint, VertexKey, fixed_point, free_group
+from twistzeta.words import BoundaryPoint, FreeGroup, VertexKey, fixed_point
 
 
 # Independent oracle of the integer vertex engine: the boundary-word action
@@ -68,7 +68,7 @@ from twistzeta.words import AdjacencyModel, BoundaryPoint, VertexKey, fixed_poin
 # nonnegative basis words reduced by exact elimination alone.
 
 def boundary_act_on_vertex(
-    x: CKElement, v: Vertex, tail: BoundaryPoint, model: AdjacencyModel
+    x: CKElement, v: Vertex, tail: BoundaryPoint, model: FreeGroup
 ) -> dict[Vertex, Fraction]:
     """Image of a vertex basis vector under an element.
 
@@ -76,7 +76,6 @@ def boundary_act_on_vertex(
     writes its out-word in front, when the junctions allow it; the offset
     moves by the length difference.
     """
-    model.require_free_group()
     boundary = vertex_boundary(v, tail, model)
     image: dict[Vertex, Fraction] = {}
     for mono, coeff in x.terms:
@@ -98,7 +97,7 @@ def boundary_act_on_vertex(
 
 
 def boundary_kernel_dimension(
-    element: CKElement, tail: BoundaryPoint, model: AdjacencyModel, source_length: int
+    element: CKElement, tail: BoundaryPoint, model: FreeGroup, source_length: int
 ) -> int:
     """Kernel dimension of the windowed compression, column by column over
     the reduced words not ending in the inverse tail letter."""
@@ -220,7 +219,7 @@ def test_combinatorial_weight_validation():
 
 
 def test_zeta_residue_of_the_unit_heat_trace_matches_a_contour_integral():
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     trace = closed_form_heat_trace([Monomial((), ())], tail, model)
 
@@ -241,7 +240,7 @@ def test_zeta_residue_of_the_unit_heat_trace_matches_a_contour_integral():
 
 
 def test_zeta_residue_is_zero_for_entire_traces():
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     unitary = group_unitary(0, model)
     trace = cochain_word_trace((adjoint(unitary), unitary), tail, model)
@@ -260,7 +259,7 @@ def test_zeta_residue_rejects_poles_beyond_the_double_budget():
     )
     with pytest.raises(ValueError, match="nonnegative"):
         zeta_residue(shallow, -1)
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     pair = closed_form_heat_trace(
         [Monomial((), ()), Monomial((), ())], tail, model
@@ -315,7 +314,7 @@ def test_square_modulus_iterate_validation():
 
 
 def test_group_unitary_is_unitary_and_translates_the_boundary():
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     unitary = group_unitary(0, model)
     assert elements_equal(
@@ -335,7 +334,7 @@ def test_group_unitary_is_unitary_and_translates_the_boundary():
 
 
 def test_cochain_word_trace_is_the_rank_one_projection_value():
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     unitary = group_unitary(0, model)
     trace = cochain_word_trace((adjoint(unitary), unitary), tail, model)
@@ -348,7 +347,7 @@ def test_cochain_word_trace_is_the_rank_one_projection_value():
 
 
 def test_cochain_word_trace_validation():
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     unitary = group_unitary(0, model)
     with pytest.raises(ValueError, match="leading element"):
@@ -359,7 +358,7 @@ def test_cochain_word_trace_validation():
 
 
 def test_free_group_cochain_vanishes_with_certificates():
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     unitary = group_unitary(0, model)
     single = free_group_cochain(
@@ -422,7 +421,7 @@ def test_circle_cochain_validation():
 
 
 def test_boundary_translation_index_matches_the_letter_table():
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     table = {
         name: boundary_translation_index(model.letter_index(name), tail, model)
@@ -430,13 +429,13 @@ def test_boundary_translation_index_matches_the_letter_table():
     }
     assert table == {"a1": -1, "b1": 1, "a2": 0, "b2": 0}
 
-    wider = free_group(3)
+    wider = FreeGroup(3)
     assert boundary_translation_index(wider.letter_index("a1"), tail, wider) == -1
     assert boundary_translation_index(wider.letter_index("b3"), tail, wider) == 0
 
 
 def test_compressed_kernel_dimension_sees_the_missing_basis_vector():
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     assert compressed_kernel_dimension(group_unitary(1, model), tail, model, 4) == 1
     assert compressed_kernel_dimension(group_unitary(0, model), tail, model, 4) == 0
@@ -448,7 +447,7 @@ def test_window_keys_past_int64_are_refused():
     """At d=2 and L=1 an out-word of 23 letters keeps the keys below 2**63
     (5**25 * 25) and one of 24 letters does not (5**26 * 26); the guard
     refuses the second before any key is built."""
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     for letters, fits in ((23, True), (24, False)):
         element = CKElement.unit()
@@ -463,7 +462,7 @@ def test_window_keys_past_int64_are_refused():
 
 
 def test_compressed_translation_index_confirms_the_formula():
-    model = free_group(2)
+    model = FreeGroup(2)
     tail = fixed_point(0)
     for name in ("a1", "b1", "a2", "b2"):
         letter = model.letter_index(name)
@@ -472,10 +471,17 @@ def test_compressed_translation_index_confirms_the_formula():
         ) == boundary_translation_index(letter, tail, model)
 
 
+def _coefficients():
+    return st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+
+
 @st.composite
-def generator_sums(draw, model: AdjacencyModel) -> CKElement:
-    """Rational combinations of products of generators and their adjoints."""
-    total = CKElement.zero()
+def generator_sums(draw, model: FreeGroup) -> CKElement:
+    """Rational combinations of products of generators and their adjoints,
+    and sometimes a one-letter refinement S_{mu k} S_{nu k}^* of one of
+    their terms S_mu S_nu^*, which sends every vertex it keeps to where
+    that term sends it, so that two terms merge on one target."""
+    total = CKElement(())
     for _ in range(draw(st.integers(1, 3))):
         product = CKElement.unit()
         for _ in range(draw(st.integers(1, 3))):
@@ -483,8 +489,18 @@ def generator_sums(draw, model: AdjacencyModel) -> CKElement:
             if draw(st.booleans()):
                 factor = adjoint(factor)
             product = multiply(product, factor, model)
-        coefficient = Fraction(draw(st.integers(-3, 3).filter(bool)), draw(st.integers(1, 3)))
-        total = total.plus(product.scaled(coefficient))
+        coefficient = draw(_coefficients())
+        total = total.plus(CKElement.from_terms({m: c * coefficient for m, c in product.terms}))
+    if total.terms and draw(st.booleans()):
+        mono, _ = draw(st.sampled_from(total.terms))
+        ends = [word[-1] for word in (mono.out_word, mono.in_word) if word]
+        letter = draw(
+            st.sampled_from(
+                [k for k in range(model.size) if all(model.allows(end, k) for end in ends)]
+            )
+        )
+        refined = Monomial(mono.out_word + (letter,), mono.in_word + (letter,))
+        total = total.plus(CKElement.of(refined, draw(_coefficients())))
     return total
 
 
@@ -499,7 +515,7 @@ def _outcome(compute, *args):
 @given(data=st.data())
 def test_vertex_engine_matches_the_boundary_oracle(data):
     generators = data.draw(st.sampled_from((2, 3)))
-    model = free_group(generators)
+    model = FreeGroup(generators)
     anchor = data.draw(st.integers(0, model.size - 1))
     tail = fixed_point(anchor)
     window = data.draw(st.integers(1, 4))

@@ -19,9 +19,9 @@ from twistzeta.damp import (
     summability_scan,
 )
 from twistzeta.traces import brute_force_heat_trace
-from twistzeta.words import fixed_point, free_group
+from twistzeta.words import FreeGroup, fixed_point
 
-MODEL = free_group(2)
+MODEL = FreeGroup(2)
 TAIL = fixed_point(0)
 
 
@@ -315,7 +315,7 @@ def test_free_group_scan_brackets_log_three() -> None:
 
 def test_free_group_scan_brackets_log_five_for_three_generators() -> None:
     report = free_group_summability(
-        free_group(3), TAIL, [1.55, 1.7], (4, 8, 16, 32, 64)
+        FreeGroup(3), TAIL, [1.55, 1.7], (4, 8, 16, 32, 64)
     )
     assert report.verdicts == ("diverging", "converged")
     assert report.crossing == pytest.approx(1.625)

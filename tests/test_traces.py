@@ -50,17 +50,16 @@ from twistzeta.traces import (
     specialize_shifts,
 )
 from twistzeta.words import (
-    AdjacencyModel,
     BoundaryPoint,
+    FreeGroup,
     Word,
     fixed_point,
-    free_group,
     settled_eigenvalue,
     vertex_eigenvalue,
 )
 
-RANK_TWO = free_group(2)
-RANK_THREE = free_group(3)
+RANK_TWO = FreeGroup(2)
+RANK_THREE = FreeGroup(3)
 TAIL = fixed_point(0)
 
 FIRST_SQUARE = [Monomial((0,), (0,))]
@@ -73,7 +72,7 @@ FIRST_SQUARE = [Monomial((0,), (0,))]
 def literal_heat_trace(
     chain: Sequence[Monomial],
     tail: BoundaryPoint,
-    model: AdjacencyModel,
+    model: FreeGroup,
     s: Sequence[float],
     truncation: int,
 ) -> float:
@@ -112,7 +111,7 @@ def literal_heat_trace(
 def literal_toeplitz_trace(
     chain: Sequence[Monomial],
     tail: BoundaryPoint,
-    model: AdjacencyModel,
+    model: FreeGroup,
     s: Sequence[float],
     truncation: int,
 ) -> float:
@@ -138,7 +137,7 @@ def literal_toeplitz_trace(
 
 
 def literal_window_sum(
-    summary, model: AdjacencyModel, s: Sequence[float], truncation: int
+    summary, model: FreeGroup, s: Sequence[float], truncation: int
 ) -> float:
     """Windowed heat sum term by term: every offset of every window, O(L^2).
 
@@ -188,7 +187,7 @@ def literal_window_sum(
 
 def enumerated_summary(
     chain: tuple[Monomial, ...],
-    model: AdjacencyModel,
+    model: FreeGroup,
     diagonal: list[tuple[Word, Fraction]],
 ):
     """Chain summary by walking every refined cylinder through the chain.
@@ -239,7 +238,7 @@ def enumerated_summary(
 
 
 def literal_short_vectors(
-    chain: tuple[Monomial, ...], model: AdjacencyModel, below: int
+    chain: tuple[Monomial, ...], model: FreeGroup, below: int
 ) -> list[tuple[int, ...]]:
     """Stage-length vectors of surviving diagonal basis words shorter than
     ``below``, one entry per word, by simulating every admissible word."""
@@ -546,7 +545,7 @@ def test_entire_traces_have_no_poles():
         poles_and_laurent(
             closed_form_heat_trace(
                 [Monomial((0,), (2,)), Monomial((2,), (0,))], TAIL, RANK_TWO
-            ).scaled(1)
+            )
         )
 
 
@@ -626,7 +625,7 @@ def test_settled_windows_beyond_the_truncation_are_empty():
 def test_zero_escape_counts_add_nothing():
     # On one generator every escape word ends in the tail letter or its
     # inverse, so no escape depth settles and only the settled bucket counts.
-    rank_one = free_group(1)
+    rank_one = FreeGroup(1)
     unit = (Monomial((), ()),)
     summary = _chain_summary(unit, rank_one)
     assert summary.ending_buckets

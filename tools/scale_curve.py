@@ -65,7 +65,7 @@ def _child(target: str, sizes: list[int]) -> None:
     if target == "window":
         run, length = sizes
         experiment, generators, grid = WINDOW_RUNS[run]
-        model, tail = words.free_group(generators), words.fixed_point(0)
+        model, tail = words.FreeGroup(generators), words.fixed_point(0)
         start = time.perf_counter()
         if experiment == "heat-oracle":
             chain = [ckalg.Monomial((0,), (0,))]
@@ -83,7 +83,7 @@ def _child(target: str, sizes: list[int]) -> None:
                 outcome = f"refused: {err}"
     elif target == "index":
         generators, length = sizes
-        model = words.free_group(generators)
+        model = words.FreeGroup(generators)
         tail = words.fixed_point(0)
         start = time.perf_counter()
         outcome = cochain.compressed_translation_index(0, tail, model, source_length=length)
