@@ -1,12 +1,14 @@
-"""Exact symbolic Cuntz-Krieger algebra.
+"""Exact symbolic Cuntz-Krieger algebra of the trace engine.
 
 Elements are rational combinations of monomials S_mu S_nu^* over the
 reduced words of the free group.  Multiplication reduces every inner
 S_nu^* S_mu' by prefix comparison, expanding S_nu^* S_nu through the
-Cuntz-Krieger relation, so products stay exact.  The trace engine
-consumes two counts over a chain: the cylinder census of its diagonal and
-the short basis words it fixes, both by integer transfer-matrix counting
-rather than word enumeration.
+Cuntz-Krieger relation, so the product of a monomial chain stays exact.
+The trace engine consumes two counts over a chain: the cylinder census of
+its diagonal and the short basis words it fixes, both by integer
+transfer-matrix counting rather than word enumeration.  The boundary
+translations of the free-group counterexample are not built as elements:
+:mod:`twistzeta.cochain` moves vertices by them directly.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import (
-    EMPTY_WORD,
-    FreeGroup,
-    VertexKey,
-    Word,
-    is_admissible,
-    transfer_counts,
-)
+from .words import FreeGroup, Word, transfer_counts
 
 
 @dataclass(frozen=True)
@@ -30,17 +25,6 @@ class Monomial:
 
     out_word: Word
     in_word: Word
-
-
-def monomial(out_word: Word, in_word: Word, model: FreeGroup) -> Monomial:
-    """Validated monomial; raises when the operator would be zero or the
-    words are not admissible."""
-    if not is_admissible(out_word, model) or not is_admissible(in_word, model):
-        raise ValueError("monomial words must be admissible")
-    mono = Monomial(tuple(out_word), tuple(in_word))
-    if not _has_common_continuation(mono, model):
-        raise ValueError("monomial has no common continuation letter and is zero")
-    return mono
 
 
 def _has_common_continuation(mono: Monomial, model: FreeGroup) -> bool:
@@ -73,24 +57,6 @@ class CKElement:
     @staticmethod
     def of(mono: Monomial, coefficient: Fraction | int = 1) -> CKElement:
         return CKElement.from_terms({mono: Fraction(coefficient)})
-
-    def plus(self, other: CKElement) -> CKElement:
-        total: dict[Monomial, Fraction] = dict(self.terms)
-        for mono, coeff in other.terms:
-            total[mono] = total.get(mono, Fraction(0)) + coeff
-        return CKElement.from_terms(total)
-
-
-def generator(letter: int, model: FreeGroup) -> CKElement:
-    """The generator S_letter as an element."""
-    return CKElement.of(monomial((letter,), (), model))
-
-
-def adjoint(x: CKElement) -> CKElement:
-    """Term-wise adjoint; rational coefficients are their own conjugates."""
-    return CKElement.from_terms(
-        {Monomial(m.in_word, m.out_word): c for m, c in x.terms}
-    )
 
 
 def _mono_product(a: Monomial, b: Monomial, model: FreeGroup) -> list[Monomial]:
@@ -326,43 +292,3 @@ def short_diagonal_vectors(
                     vector = tuple(n + grow for n in reach)
                     found[vector] = found.get(vector, 0) + count
     return sorted(found.items())
-
-
-def act_on_vertex(
-    x: CKElement, vertex: VertexKey, anchor: int, model: FreeGroup
-) -> dict[VertexKey, Fraction]:
-    """Image of a vertex basis vector under an element.
-
-    The vertex has the boundary word head + anchor^inf.  A monomial strips
-    its in-word from that word and writes its out-word in front, when the
-    junction allows it; trailing anchor letters of the landed head are
-    trimmed, and the offset moves by the length difference.
-    """
-    head, offset = vertex
-    settled = len(head)
-    image: dict[VertexKey, Fraction] = {}
-    for mono, coeff in x.terms:
-        strip, out = mono.in_word, mono.out_word
-        cut = len(strip)
-        if cut <= settled:
-            if head[:cut] != strip:
-                continue
-            rest = head[cut:]
-        elif head != strip[:settled] or any(k != anchor for k in strip[settled:]):
-            continue
-        else:
-            rest = EMPTY_WORD
-        if out and not model.allows(out[-1], rest[0] if rest else anchor):
-            continue
-        landed = out + rest
-        if not rest:
-            while landed and landed[-1] == anchor:
-                landed = landed[:-1]
-        target = (landed, offset + len(out) - cut)
-        if target not in image:
-            image[target] = coeff
-        elif updated := image[target] + coeff:
-            image[target] = updated
-        else:
-            del image[target]
-    return image

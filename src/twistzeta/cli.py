@@ -630,10 +630,10 @@ def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
 
 # Vertices the free-group counterexample may visit: its kernel window and
 # its two cochain word traces.  Measured by tools/scale_curve.py, target
-# index (BENCH_12.json), on one core: the largest accepted windows, d=2 L=12
-# and d=3 L=8, take 0.20 s and 0.15 s and peak at 90 MB and 68 MB.  The word
-# traces cost far more per vertex: d=40 at L=1, the largest accepted d,
-# takes 12.8 s and 101 MB on the command line, and d=60 took 35 s.
+# index, which times the whole counterexample (BENCH_14.json), on one core:
+# the largest accepted windows, d=2 L=12 and d=3 L=8, take 0.18 s and
+# 0.11 s and peak at 80 MB and 62 MB; d=40 at L=1, the largest accepted d,
+# takes 0.23 s and 98 MB, nearly all of it in the word traces.
 FREE_GROUP_VERTEX_BUDGET = 1_000_000
 
 

@@ -9,9 +9,11 @@ twisted-commutator factor whose trace function is entire, so each residue
 vanishes exactly.  The index pairings themselves are nonzero, which the
 verdict records side by side with the vanishing cochains.
 
-Free-group words are evaluated exactly on the vertex basis with rational
-coefficients and integer exponent bookkeeping; circle words are certified
-through window-stabilized Dirichlet data.  Both routes feed the same
+Free-group words are products of boundary translations, each of which
+sends a vertex to one vertex, so they are evaluated exactly as integer
+orbits of vertex arrays, with sign-flip coefficients and integer exponent
+bookkeeping; circle words are certified through window-stabilized
+Dirichlet data.  Both routes feed the same
 assembly of combinatorial weights, so the reports show per-word residues,
 the certificates they consumed, and the assembled value.
 """
@@ -21,11 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .ckalg import CKElement, act_on_vertex, adjoint, generator
 from .circle import (
     CrossedElement,
     MoebiusMap,
@@ -48,15 +49,7 @@ from .traces import (
     TermKey,
     poles_and_laurent,
 )
-from .words import (
-    BoundaryPoint,
-    FreeGroup,
-    VertexKey,
-    Word,
-    admissible_levels,
-    fixed_point,
-    vertex_eigenvalue,
-)
+from .words import BoundaryPoint, FreeGroup, fixed_point
 
 ITERATE_CERTIFICATE = "collapsed-square-iterate"
 STABILIZED_CERTIFICATE = "stabilized-dirichlet"
@@ -135,18 +128,6 @@ def zeta_residue(trace: MeromorphicTrace, order: int) -> ExpSum:
     return ExpSum.zero(0)
 
 
-def group_unitary(letter: int, model: FreeGroup) -> CKElement:
-    """Boundary translation by one group letter as an algebra element.
-
-    The generator isometry plus the adjoint of the inverse-letter isometry
-    acts on every boundary word by reduced left concatenation, and the two
-    ranges are complementary, so the sum is a unitary.
-    """
-    forward = generator(letter, model)
-    backward = adjoint(generator(model.inverse(letter), model))
-    return forward.plus(backward)
-
-
 def boundary_translation_index(
     letter: int, tail: BoundaryPoint, model: FreeGroup
 ) -> int:
@@ -166,61 +147,15 @@ def boundary_translation_index(
     return kernel - cokernel
 
 
-def _eliminated_nullity(
-    columns: Iterable[dict[VertexKey, Fraction]],
-    pivots: dict[VertexKey, dict[VertexKey, Fraction]],
-) -> int:
-    """Number of columns minus the pivots they add by exact elimination,
-    each column reduced on its smallest row against the pivots so far."""
-    start = len(pivots)
-    read = 0
-    for read, column in enumerate(columns, 1):
-        work = {vertex: coeff for vertex, coeff in column.items() if coeff}
-        while work:
-            row = min(work)
-            pivot = pivots.get(row)
-            if pivot is None:
-                pivots[row] = work
-                break
-            scale = work[row] / pivot[row]
-            for vertex, coeff in pivot.items():
-                updated = work.get(vertex, Fraction(0)) - scale * coeff
-                if updated:
-                    work[vertex] = updated
-                else:
-                    work.pop(vertex, None)
-    return read - (len(pivots) - start)
-
-
-def _vertex_heads(model: FreeGroup, anchor: int, top: int) -> Iterator[Word]:
-    """Heads of the vertices over anchor^inf up to length ``top``, shortest
-    first: the reduced words ending in neither the anchor nor its inverse."""
-    settled = (anchor, model.inverse(anchor))
-    for level in admissible_levels(model, top):
-        yield from (word for word in level if not word or word[-1] not in settled)
-
-
-def _word_code(word: Word, base: int) -> int:
-    """Integer code of a word, sum (w_i + 1) * base**i: the first letter is
-    the lowest digit and no digit is zero, so a code of n digits is a word
-    of n letters and the code of a prefix of ``cut`` letters is the
-    remainder modulo base**cut."""
-    return sum((letter + 1) * base**place for place, letter in enumerate(word))
-
-
-def _word_of_code(code: int, base: int) -> Word:
-    letters = []
-    while code:
-        code, digit = divmod(code, base)
-        letters.append(digit - 1)
-    return tuple(letters)
-
-
 def _head_codes(
     model: FreeGroup, anchor: int, top: int, base: int
 ) -> Iterator[np.ndarray]:
     """Codes of the vertex heads of each length 0..top, shortest first: the
-    reduced words ending in neither the anchor nor its inverse."""
+    reduced words ending in neither the anchor nor its inverse.
+
+    A word's code is the sum (w_i + 1) * base**i: the first letter is the
+    lowest digit and no digit is zero, so the empty word is the code 0.
+    """
     letters = np.arange(model.size, dtype=np.int64)
     settled = (letters == anchor) | (letters == anchor ^ 1)
     words = np.zeros(1, dtype=np.int64)
@@ -234,144 +169,97 @@ def _head_codes(
         last = np.broadcast_to(letters, grown.shape)[reduced]
 
 
-def _largest_window_key(base: int, source_length: int, growth: int) -> int:
+def _translate(
+    letter: int, anchor: int, base: int, code: np.ndarray, length, offset
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertices moved by the boundary translation U_letter, elementwise.
+
+    A vertex is its head code, its head length and its offset; the arrays
+    broadcast.  Its boundary word head + anchor^inf starts with the head's
+    first letter, or with the anchor when the head is empty.  U_letter =
+    S_letter + S_{letter^-1}^* strips a leading inverse letter and writes
+    the letter in front otherwise, where on the empty head the anchor is
+    absorbed into the tail.  The offset moves by one either way.
+    """
+    empty = code == 0
+    strip = np.where(empty, anchor, code % base - 1) == letter ^ 1
+    grow = ~strip & ~(empty & (letter == anchor))
+    return (
+        np.where(strip, code // base, np.where(grow, code * base + letter + 1, code)),
+        length + grow - (strip & ~empty),
+        offset + np.where(strip, -1, 1),
+    )
+
+
+def _modulus(length, offset) -> np.ndarray:
+    """Absolute Dirac eigenvalue of vertices, elementwise: the offset once
+    it reaches the head length, which makes the eigenvalue nonnegative,
+    and otherwise the head length plus twice the offset's negative part."""
+    return np.where(offset >= length, offset, length + 2 * np.maximum(-offset, 0))
+
+
+def _largest_window_key(base: int, source_length: int) -> int:
     """Bound on the target keys of a window: a landed code has at most
-    ``source_length + growth`` digits, times the span of target offsets
-    0..source_length + growth, with one digit to spare."""
-    span = source_length + growth + 1
+    ``source_length + 1`` digits, times the span of target offsets
+    0..source_length + 1, with one digit to spare."""
+    span = source_length + 2
     return base**span * span
 
 
 def _window_entries(
-    element: CKElement, anchor: int, model: FreeGroup, source_length: int, span: int
-) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """Entries of the compression over the vertices of nonnegative
-    eigenvalue whose group words have at most ``source_length`` letters:
-    the number of columns, and per entry its column, its target key
-    ``landed_code * span + offset`` and the index of its monomial.
+    letter: int, anchor: int, model: FreeGroup, source_length: int
+) -> tuple[int, np.ndarray]:
+    """Columns of the compressed translation over the vertices of
+    nonnegative eigenvalue whose group words have at most ``source_length``
+    letters: their number, and the key ``code * (source_length + 2) +
+    offset`` of every target that keeps a nonnegative eigenvalue.
 
     Such a word is a head followed by anchor letters, so the window is each
-    head with every offset from its length up to ``source_length``.  Each
-    monomial acts on a whole level of heads at once, as
-    :func:`ckalg.act_on_vertex` does on one vertex: the in-word test is a
-    remainder of the head code, stripping a quotient, the junction a test
-    of the first remaining digit, and prepending adds the out-word's code.
-    When nothing of the head remains, at most one head matches and the
-    target head is the out-word without its trailing anchor letters.  A
-    monomial moves every offset by the same amount, so the offsets whose
-    target keeps a nonnegative eigenvalue are one range per level.
+    head with every offset from its length up to ``source_length``.
     """
-    base = model.size + 1
+    base, span = model.size + 1, source_length + 2
     columns = 0
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    keys = []
     for length, heads in enumerate(_head_codes(model, anchor, source_length, base)):
-        width = source_length - length + 1
-        for term, (mono, _) in enumerate(element.terms):
-            out, strip = mono.out_word, mono.in_word
-            cut = len(strip)
-            if cut < length:
-                rest = heads // base**cut
-                hit = heads % base**cut == _word_code(strip, base)
-                if out:
-                    hit &= rest % base != (out[-1] ^ 1) + 1
-                sources = np.flatnonzero(hit)
-                landed = _word_code(out, base) + base ** len(out) * rest[sources]
-                landed_length = len(out) + length - cut
-            else:
-                if any(k != anchor for k in strip[length:]) or (out and out[-1] == anchor ^ 1):
-                    continue
-                sources = np.flatnonzero(heads == _word_code(strip[:length], base))
-                trimmed = out
-                while trimmed and trimmed[-1] == anchor:
-                    trimmed = trimmed[:-1]
-                landed = np.full(sources.size, _word_code(trimmed, base), dtype=np.int64)
-                landed_length = len(trimmed)
-            shift = len(out) - cut
-            offsets = np.arange(max(length, landed_length - shift), source_length + 1)
-            column = columns + sources[:, None] * width + (offsets - length)
-            key = landed[:, None] * span + (offsets + shift)
-            parts.append((column.ravel(), key.ravel(), np.full(column.size, term)))
-        columns += heads.size * width
-    column, key, term = (
-        np.concatenate([part[field] for part in parts] or [np.zeros(0, dtype=np.int64)])
-        for field in range(3)
-    )
-    return columns, column, key, term
+        offsets = np.arange(length, source_length + 1)
+        code, landed, offset = _translate(letter, anchor, base, heads[:, None], length, offsets)
+        keys.append((code * span + offset)[offset >= landed])
+        columns += heads.size * offsets.size
+    return columns, np.concatenate(keys)
 
 
-def _window_nullity(
-    columns: int,
-    column: np.ndarray,
-    key: np.ndarray,
-    term: np.ndarray,
-    coefficients: Sequence[Fraction],
-    base: int,
-    span: int,
-) -> int:
-    """Kernel dimension of ``columns`` sparse rational columns, given as
-    entries: a column index, a target key and the index of the coefficient
-    the entry carries.
-
-    Entries of one column on one target are summed exactly and zero sums
-    dropped.  While every column then has at most one entry, the rank is
-    the number of distinct targets, since columns that share a target are
-    parallel.  Otherwise every nonzero column, its keys decoded into
-    vertices, goes to exact elimination.
-    """
-    live = np.array([bool(coeff) for coeff in coefficients], dtype=bool)[term]
-    column, key, term = column[live], key[live], term[live]
-    if np.bincount(column, minlength=1).max() > 1:
-        sums: dict[int, dict[int, Fraction]] = {}
-        for index, target, which in zip(column.tolist(), key.tolist(), term.tolist()):
-            entries = sums.setdefault(index, {})
-            entries[target] = entries.get(target, 0) + coefficients[which]
-        support = [
-            {target: coeff for target, coeff in entries.items() if coeff}
-            for entries in sums.values()
-        ]
-        if any(len(entries) > 1 for entries in support):
-            vertices = (
-                {
-                    (_word_of_code(target // span, base), target % span): coeff
-                    for target, coeff in entries.items()
-                }
-                for entries in support
-            )
-            return columns - len(support) + _eliminated_nullity(vertices, {})
-        key = np.array([target for entries in support for target in entries], dtype=np.int64)
+def _window_nullity(columns: int, key: np.ndarray) -> int:
+    """Kernel dimension of ``columns`` columns with one entry each on the
+    targets ``key`` and none elsewhere: columns that share a target are
+    parallel, so the rank is the number of distinct targets."""
     # Distinct targets by sorting: numpy's hashing unique is far slower here.
     ordered = np.sort(key)
     return columns - ordered.size + int(np.count_nonzero(ordered[1:] == ordered[:-1]))
 
 
 def compressed_kernel_dimension(
-    element: CKElement,
+    letter: int,
     tail: BoundaryPoint,
     model: FreeGroup,
     source_length: int,
 ) -> int:
-    """Kernel dimension of the compression on a word-length window.
+    """Kernel dimension of the compressed translation on a word-length window.
 
-    Columns over source words are complete because images grow by at most
-    the longest out-word, so the kernel of the windowed rectangle equals
-    the kernel of the full compression intersected with the window.  The
+    Columns over source words are complete because a translation moves a
+    word by one letter, so the kernel of the windowed rectangle equals the
+    kernel of the full compression intersected with the window.  The
     window's keys are int64, and a window whose keys could pass 2**63 is
     refused before anything is built.
     """
+    model.check_letter(letter)
     if not tail.is_fixed_point:
         raise ValueError("the compression is anchored at a fixed-point tail")
     if source_length < 1:
         raise ValueError("the source window must contain at least length one")
-    base = model.size + 1
-    growth = max((len(mono.out_word) for mono, _ in element.terms), default=0)
-    if _largest_window_key(base, source_length, growth) >= 2**63:
+    if _largest_window_key(model.size + 1, source_length) >= 2**63:
         raise ValueError("the window's vertex keys would overflow 64-bit integers")
-    span = source_length + growth + 1
-    columns, column, key, term = _window_entries(
-        element, tail.period[0], model, source_length, span
-    )
-    coefficients = [coeff for _, coeff in element.terms]
-    return _window_nullity(columns, column, key, term, coefficients, base, span)
+    columns, key = _window_entries(letter, tail.period[0], model, source_length)
+    return _window_nullity(columns, key)
 
 
 def compressed_translation_index(
@@ -382,130 +270,66 @@ def compressed_translation_index(
     source_length: int,
 ) -> int:
     """Windowed kernel-minus-cokernel count of the compressed translation."""
-    kernel = compressed_kernel_dimension(
-        group_unitary(letter, model), tail, model, source_length
-    )
-    cokernel = compressed_kernel_dimension(
-        group_unitary(model.inverse(letter), model), tail, model, source_length
-    )
+    kernel = compressed_kernel_dimension(letter, tail, model, source_length)
+    cokernel = compressed_kernel_dimension(model.inverse(letter), tail, model, source_length)
     return kernel - cokernel
 
 
-def _spectral_sign(vertex: VertexKey) -> int:
-    return 1 if vertex_eigenvalue(vertex) >= 0 else -1
-
-
-ExactVector = dict[VertexKey, dict[int, Fraction]]
-
-
-def _merge_entry(
-    vector: ExactVector, vertex: VertexKey, exponent: int, coeff: Fraction
-) -> None:
-    bucket = vector.setdefault(vertex, {})
-    updated = bucket.get(exponent, Fraction(0)) + coeff
-    if updated:
-        bucket[exponent] = updated
-    else:
-        bucket.pop(exponent, None)
-        if not bucket:
-            vector.pop(vertex, None)
-
-
-def _modulus_step(vector: ExactVector, power: int) -> ExactVector:
-    """Multiply by the operator modulus raised to an integer power."""
-    moved: ExactVector = {}
-    for vertex, bucket in vector.items():
-        shift = -power * abs(vertex_eigenvalue(vertex))
-        moved[vertex] = {exponent + shift: coeff for exponent, coeff in bucket.items()}
-    return moved
-
-
-def _element_step(
-    vector: ExactVector,
-    element: CKElement,
-    anchor: int,
-    model: FreeGroup,
-) -> ExactVector:
-    moved: ExactVector = {}
-    for vertex, bucket in vector.items():
-        for target, scale in act_on_vertex(element, vertex, anchor, model).items():
-            for exponent, coeff in bucket.items():
-                _merge_entry(moved, target, exponent, coeff * scale)
-    return moved
-
-
-def _phase_commutator_step(
-    vector: ExactVector,
-    element: CKElement,
-    anchor: int,
-    model: FreeGroup,
-) -> ExactVector:
-    """Apply the commutator of the spectral phase with an algebra element."""
-    moved: ExactVector = {}
-    for vertex, bucket in vector.items():
-        source_sign = _spectral_sign(vertex)
-        for target, scale in act_on_vertex(element, vertex, anchor, model).items():
-            flip = _spectral_sign(target) - source_sign
-            if not flip:
-                continue
-            for exponent, coeff in bucket.items():
-                _merge_entry(moved, target, exponent, coeff * scale * flip)
-    return moved
-
-
 def cochain_word_trace(
-    elements: Sequence[CKElement],
+    letters: Sequence[int],
     tail: BoundaryPoint,
     model: FreeGroup,
 ) -> MeromorphicTrace:
-    """Entire trace function of the zero-index cochain word, exactly.
+    """Entire trace function of the zero-index cochain word of translations,
+    exactly.
 
-    The word is the spectral phase, the leading element, and one
-    phase-commutator factor per remaining element with interleaved modulus
-    weights that cancel against the closing inverse power.  A sign flip
-    forces the column word into the tail region, so columns vanish beyond
-    the longest monomial of the final factor; the window extends past that
-    bound and verifies the predicted vanishing before certifying.
+    The word is the spectral phase, the leading translation, and one
+    phase-commutator factor per remaining letter with interleaved modulus
+    weights that cancel against the closing inverse power.  A translation
+    sends a vertex to one vertex, so each source vertex follows one orbit:
+    its coefficient is a product of sign flips and its exponent a sum of
+    moduli.  A sign flip forces the column word into the tail region, so
+    columns vanish beyond the one letter a translation reads or writes;
+    the window extends two letters past that bound and verifies the
+    predicted vanishing before certifying.
     """
     if not tail.is_fixed_point:
         raise ValueError("the vertex space is anchored at a fixed-point tail")
-    if len(elements) < 2:
+    if len(letters) < 2:
         raise ValueError("the word needs a leading element and at least one factor")
-    arity = len(elements) - 1
-    reach = max(
-        (len(mono.out_word) + len(mono.in_word) for mono, _ in elements[-1].terms),
-        default=0,
-    )
+    for letter in letters:
+        model.check_letter(letter)
+    arity = len(letters) - 1
+    reach = 1
     anchor = tail.period[0]
-    heads = list(_vertex_heads(model, anchor, reach + 2))
+    base = model.size + 1
     entries: dict[TermKey, Fraction] = {}
-    for length in range(reach + 3):
-        # The group words of this length: each head padded with anchor
-        # letters, or with their inverses, up to the length.
-        vertices = [
-            (head, offset)
-            for head in heads
-            if len(head) <= length
-            for offset in {length, 2 * len(head) - length}
-        ]
-        for vertex in vertices:
-            base = abs(vertex_eigenvalue(vertex))
-            vector: ExactVector = {vertex: {arity * base: Fraction(1)}}
-            for element in reversed(elements[1:]):
-                vector = _modulus_step(vector, 1)
-                vector = _phase_commutator_step(vector, element, anchor, model)
-            if length > reach:
-                if vector:
-                    raise ValueError("a column escaped the certified support bound")
-                continue
-            vector = _element_step(vector, elements[0], anchor, model)
-            bucket = vector.get(vertex)
-            if bucket is None:
-                continue
-            sign = _spectral_sign(vertex)
-            for exponent, coeff in bucket.items():
-                key = (exponent, (base,))
-                entries[key] = entries.get(key, Fraction(0)) + sign * coeff
+    for length, heads in enumerate(_head_codes(model, anchor, reach + 2, base)):
+        # The group words of at most reach + 2 letters over these heads:
+        # each head padded with anchor letters, or with their inverses.
+        offsets = np.arange(2 * length - reach - 2, reach + 3)
+        source = (np.repeat(heads, offsets.size), length, np.tile(offsets, heads.size))
+        modulus = _modulus(length, source[2])
+        sign = np.where(source[2] >= length, 1, -1)
+        exponent = arity * modulus
+        coeff = np.ones_like(modulus)
+        vertex, now = source, sign
+        for letter in reversed(letters[1:]):
+            exponent -= _modulus(*vertex[1:])
+            vertex = _translate(letter, anchor, base, *vertex)
+            moved = np.where(vertex[2] >= vertex[1], 1, -1)
+            coeff *= moved - now
+            now = moved
+        inside = length + np.abs(source[2] - length) <= reach
+        if np.any(coeff[~inside]):
+            raise ValueError("a column escaped the certified support bound")
+        code, _, offset = _translate(letters[0], anchor, base, *vertex)
+        back = inside & (coeff != 0) & (code == source[0]) & (offset == source[2])
+        for power, weight, value in zip(
+            exponent[back].tolist(), modulus[back].tolist(), (sign * coeff)[back].tolist()
+        ):
+            key = (power, (weight,))
+            entries[key] = entries.get(key, Fraction(0)) + value
     numerator = ExpSum.from_terms(1, entries)
     return MeromorphicTrace.from_parts(
         model.generators,
@@ -614,20 +438,20 @@ def _assemble(
 
 
 def free_group_cochain(
-    elements: Sequence[CKElement],
+    letters: Sequence[int],
     tail: BoundaryPoint,
     model: FreeGroup,
     *,
     cutoff: int,
 ) -> CochainReport:
-    """Cochain of boundary-algebra elements through the exact vertex engine.
+    """Cochain of boundary translations through the exact vertex orbits.
 
     Positive multi-indices collapse through the squared-modulus bracket;
     the zero index evaluates the finitely supported word trace, whose
     entirety makes every residue vanish exactly.
     """
-    arity = len(elements) - 1
-    trace = cochain_word_trace(elements, tail, model)
+    arity = len(letters) - 1
+    trace = cochain_word_trace(letters, tail, model)
     certificate = trace.certificate or "pole-data"
 
     def zero_word(order: int) -> tuple[float, str]:
@@ -755,17 +579,15 @@ def counterexample_verdict(
             PairingRecord("reduced-word formula", pairing),
             PairingRecord("windowed kernel dimensions", windowed),
         )
-        unitary = group_unitary(letter, model)
-        dual = adjoint(unitary)
         dimension = math.ceil(math.log(2 * generators - 1))
         for arity in (1, 3):
-            elements = tuple(
-                dual if position % 2 == 0 else unitary
+            letters = tuple(
+                model.inverse(letter) if position % 2 == 0 else letter
                 for position in range(arity + 1)
             )
             cochains.append(
                 free_group_cochain(
-                    elements,
+                    letters,
                     tail,
                     model,
                     cutoff=multiindex_cutoff(dimension, arity),

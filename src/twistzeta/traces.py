@@ -653,12 +653,11 @@ def brute_force_heat_trace(
     """
     canonical, _ = _canonical_chain(chain, tail, model)
     total = _validate_oracle_inputs(canonical, model, s, truncation)
-    d = model.generators
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
         return OracleResult(0.0, 0.0)
 
-    branching = 2 * d - 1
+    branching = 2 * model.generators - 1
     limit = truncation
     omegas = summary.omegas
     sigma_lengths = summary.sigma_lengths
@@ -704,13 +703,13 @@ def brute_force_heat_trace(
             for depth in range(1, top + 1):
                 cut = 2 * (refined + depth) - limit
                 low = min(cut, 0)
-                reach = branching**depth
+                reach = depth * math.log(branching)
                 reflected = _count_times_exp(
-                    reach, log_reflect_base - total * (depth + 2 - 2 * low)
+                    1, reach + log_reflect_base - total * (depth + 2 - 2 * low)
                 ) / (1 - ratio**2)
-                plateau = _count_times_exp(max(cut, 0) * reach, log_heavy - total * depth)
+                plateau = _count_times_exp(max(cut, 0), reach + log_heavy - total * depth)
                 bound += strength * (reflected + plateau)
-        start = max(top + 1, 1)
+        start = top + 1
         alpha = (
             drift * ratio**refined / (1 - ratio)
             + (refined + max(omegas)) * heavy

@@ -3,8 +3,8 @@
 This module is the ground layer shared by the symbolic and operator
 components: the free group on d generators as a 2d-letter alphabet whose
 only forbidden transition is a letter followed by its inverse, finite
-reduced words, eventually periodic boundary points, the integer vertex
-keys over a fixed-point tail with their eigenvalue bookkeeping, and the
+reduced words and their transfer counts, eventually periodic boundary
+points, the eigenvalue of a vertex over a fixed-point tail, and the
 species decompositions of the free-group escape counts that the
 closed-form traces resum.
 """
@@ -64,37 +64,6 @@ class FreeGroup:
         """Raise when ``letter`` is outside the alphabet."""
         if not 0 <= letter < self.size:
             raise ValueError(f"letter {letter} outside alphabet of size {self.size}")
-
-
-def is_admissible(word: Word, model: FreeGroup) -> bool:
-    """Whether every consecutive letter pair is an allowed transition.
-
-    The empty word is admissible by convention.
-    """
-    for letter in word:
-        model.check_letter(letter)
-    return all(model.allows(a, b) for a, b in zip(word, word[1:]))
-
-
-def admissible_levels(model: FreeGroup, top: int) -> Iterator[list[Word]]:
-    """All admissible words of each length 0..top, one list per length.
-
-    Each level is grown from the one before by the allowed transitions, so the
-    words come in lexicographic order and no word is built twice.
-    """
-    if top < 0:
-        raise ValueError("length must be nonnegative")
-    successors = [
-        tuple(b for b in range(model.size) if model.allows(a, b)) for a in range(model.size)
-    ]
-    level = [EMPTY_WORD]
-    yield level
-    if top:
-        level = [(letter,) for letter in range(model.size)]
-        yield level
-    for _ in range(top - 1):
-        level = [word + (b,) for word in level for b in successors[word[-1]]]
-        yield level
 
 
 def transfer_counts(
@@ -161,25 +130,13 @@ def fixed_point(letter: int) -> BoundaryPoint:
     return BoundaryPoint(EMPTY_WORD, (letter,))
 
 
-def dirac_eigenvalue(offset: int, depth: int) -> int:
-    """Integer eigenvalue attached to an (offset, depth) vertex class.
-
-    Zero depth keeps the raw offset; positive depth lands on the negative
-    branch below it.
-    """
-    if depth < max(0, -offset):
-        raise ValueError("depth must be at least max(0, -offset)")
-    if depth == 0:
-        return offset
-    return -abs(offset) - depth
-
-
 def settled_eigenvalue(depth: int, offset: int) -> int:
     """Absolute Dirac eigenvalue of a vertex whose word settles at ``depth``.
 
     The synchronization depth of such a vertex is
-    ``max(max(0, -offset), depth - offset)``; this folds that together with
-    :func:`dirac_eigenvalue` and drops the sign.
+    ``k = max(max(0, -offset), depth - offset)``; its eigenvalue is the
+    offset when k is zero and ``-|offset| - k`` otherwise, and this drops
+    the sign.
     """
     if depth < 0:
         raise ValueError("settle depth is nonnegative")
@@ -188,21 +145,6 @@ def settled_eigenvalue(depth: int, offset: int) -> int:
     if offset >= 0:
         return depth
     return depth - 2 * offset
-
-
-# A vertex over the fixed-point tail anchor^inf: the settled head of its
-# boundary word, which does not end in the anchor letter, and its offset.
-# The reduced group word carrying it is the head padded with anchor letters
-# up to the offset, or with their inverses when the offset is below the
-# head length.
-VertexKey = tuple[Word, int]
-
-
-def vertex_eigenvalue(vertex: VertexKey) -> int:
-    """Dirac eigenvalue of a vertex: nonnegative exactly when the offset
-    reaches the head length."""
-    head, offset = vertex
-    return dirac_eigenvalue(offset, max(max(0, -offset), len(head) - offset))
 
 
 Species = tuple[tuple[Fraction, int], ...]

@@ -230,9 +230,8 @@ def test_free_group_vertex_budget_admits_every_gate_and_benchmark_window():
 
 def test_every_accepted_free_group_window_fits_int64_keys():
     """Arithmetic only: the largest target key of every window the budget
-    accepts, for the pairing's unitary (out-words of one letter), stays
-    below 2**63, so the kernel window's own guard never refuses a
-    command-line input.  From d=41 on, 500000 included, the word traces
+    accepts stays below 2**63, so the kernel window's own guard never
+    refuses a command-line input.  From d=41 on, 500000 included, the word traces
     alone pass the budget, so no L is accepted."""
     widest = 0
     for generators in (*range(2, 61), 500_000):
@@ -242,9 +241,9 @@ def test_every_accepted_free_group_window_fits_int64_keys():
                 _check_window_budget(generators, length)
             except UsageError:
                 break
-            widest = max(widest, _largest_window_key(2 * generators + 1, length, 1))
+            widest = max(widest, _largest_window_key(2 * generators + 1, length))
             length += 1
-    assert widest == _largest_window_key(5, 12, 1) < 2**63
+    assert widest == _largest_window_key(5, 12) < 2**63
 
 
 def test_circle_windows_past_the_mode_budget_are_refused(capsys):

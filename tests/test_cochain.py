@@ -5,14 +5,16 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ckalg import elements_equal
+from test_ckalg import act_on_vertex, adjoint, element_sum, elements_equal, generator
 from test_words import (
     Vertex,
+    VertexKey,
     enumerate_admissible,
     letter_at,
     prefix,
@@ -24,21 +26,14 @@ from test_words import (
     word_key,
 )
 
-from twistzeta.ckalg import (
-    CKElement,
-    Monomial,
-    act_on_vertex,
-    adjoint,
-    generator,
-    multiply,
-)
+from twistzeta.ckalg import CKElement, Monomial, multiply
 from twistzeta.circle import TrigPoly, build_dirac
 from twistzeta.cochain import (
     CIRCLE_COCHAIN_MODES,
     CounterexampleReport,
-    _eliminated_nullity,
+    _largest_window_key,
+    _translate,
     _window_nullity,
-    _word_code,
     boundary_translation_index,
     circle_cochain,
     cochain_word_trace,
@@ -46,7 +41,6 @@ from twistzeta.cochain import (
     compressed_translation_index,
     counterexample_verdict,
     free_group_cochain,
-    group_unitary,
     multiindex_cutoff,
     multiindex_weight,
     rising_half_coeffs,
@@ -60,12 +54,65 @@ from twistzeta.traces import (
     MeromorphicTrace,
     closed_form_heat_trace,
 )
-from twistzeta.words import BoundaryPoint, FreeGroup, VertexKey, fixed_point
+from twistzeta.words import BoundaryPoint, FreeGroup, Word, fixed_point
 
 
-# Independent oracle of the integer vertex engine: the boundary-word action
-# it replaced, on vertices carried by group words, with the window of
-# nonnegative basis words reduced by exact elimination alone.
+# Independent oracle of the vertex arrays: the boundary-word action they
+# replaced, on vertices carried by group words, with the window of
+# nonnegative basis words reduced by exact elimination alone, and the
+# translation as an algebra element.
+
+def group_unitary(letter: int, model: FreeGroup) -> CKElement:
+    """Boundary translation by one group letter as an algebra element.
+
+    The generator isometry plus the adjoint of the inverse-letter isometry
+    acts on every boundary word by reduced left concatenation, and the two
+    ranges are complementary, so the sum is a unitary.
+    """
+    forward = generator(letter, model)
+    backward = adjoint(generator(model.inverse(letter), model))
+    return element_sum(forward, backward)
+
+
+def word_code(word: Word, base: int) -> int:
+    """The code of ``twistzeta.cochain``'s vertex arrays: the sum of
+    (w_i + 1) * base**i, the first letter in the lowest digit."""
+    return sum((letter + 1) * base**place for place, letter in enumerate(word))
+
+
+def word_of_code(code: int, base: int) -> Word:
+    letters = []
+    while code:
+        code, digit = divmod(code, base)
+        letters.append(digit - 1)
+    return tuple(letters)
+
+
+def eliminated_nullity(
+    columns: Iterable[dict[VertexKey, Fraction]],
+    pivots: dict[VertexKey, dict[VertexKey, Fraction]],
+) -> int:
+    """Number of columns minus the pivots they add by exact elimination,
+    each column reduced on its smallest row against the pivots so far."""
+    start = len(pivots)
+    read = 0
+    for read, column in enumerate(columns, 1):
+        work = {vertex: coeff for vertex, coeff in column.items() if coeff}
+        while work:
+            row = min(work)
+            pivot = pivots.get(row)
+            if pivot is None:
+                pivots[row] = work
+                break
+            scale = work[row] / pivot[row]
+            for vertex, coeff in pivot.items():
+                updated = work.get(vertex, Fraction(0)) - scale * coeff
+                if updated:
+                    work[vertex] = updated
+                else:
+                    work.pop(vertex, None)
+    return read - (len(pivots) - start)
+
 
 def boundary_act_on_vertex(
     x: CKElement, v: Vertex, tail: BoundaryPoint, model: FreeGroup
@@ -117,7 +164,7 @@ def boundary_kernel_dimension(
                     raise ValueError("the image escaped the certified window")
                 column[vertex_key(target, tail, model)] = coeff
             columns.append(column)
-    return _eliminated_nullity(columns, {})
+    return eliminated_nullity(columns, {})
 
 
 def test_multiindex_weight_matches_the_stated_small_cases():
@@ -242,8 +289,7 @@ def test_zeta_residue_of_the_unit_heat_trace_matches_a_contour_integral():
 def test_zeta_residue_is_zero_for_entire_traces():
     model = FreeGroup(2)
     tail = fixed_point(0)
-    unitary = group_unitary(0, model)
-    trace = cochain_word_trace((adjoint(unitary), unitary), tail, model)
+    trace = cochain_word_trace((1, 0), tail, model)
     for order in range(3):
         assert zeta_residue(trace, order).is_zero
 
@@ -336,8 +382,7 @@ def test_group_unitary_is_unitary_and_translates_the_boundary():
 def test_cochain_word_trace_is_the_rank_one_projection_value():
     model = FreeGroup(2)
     tail = fixed_point(0)
-    unitary = group_unitary(0, model)
-    trace = cochain_word_trace((adjoint(unitary), unitary), tail, model)
+    trace = cochain_word_trace((1, 0), tail, model)
     assert trace.certificate == "finite-rank"
     assert [(denom.atom, numerator.as_dict()) for denom, numerator in trace.parts] == [
         (ENTIRE_ATOM, {(0, (2,)): Fraction(-2)})
@@ -349,21 +394,19 @@ def test_cochain_word_trace_is_the_rank_one_projection_value():
 def test_cochain_word_trace_validation():
     model = FreeGroup(2)
     tail = fixed_point(0)
-    unitary = group_unitary(0, model)
     with pytest.raises(ValueError, match="leading element"):
-        cochain_word_trace((unitary,), tail, model)
+        cochain_word_trace((0,), tail, model)
     wandering = BoundaryPoint((), (0, 2))
     with pytest.raises(ValueError, match="fixed-point"):
-        cochain_word_trace((adjoint(unitary), unitary), wandering, model)
+        cochain_word_trace((1, 0), wandering, model)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        cochain_word_trace((1, 4), tail, model)
 
 
 def test_free_group_cochain_vanishes_with_certificates():
     model = FreeGroup(2)
     tail = fixed_point(0)
-    unitary = group_unitary(0, model)
-    single = free_group_cochain(
-        (adjoint(unitary), unitary), tail, model, cutoff=2
-    )
+    single = free_group_cochain((1, 0), tail, model, cutoff=2)
     assert single.exact_zero
     assert single.value == 0.0
     assert single.weights_immaterial
@@ -378,12 +421,7 @@ def test_free_group_cochain_vanishes_with_certificates():
     assert by_key[((2,), 1)] == Fraction(1, 3)
     assert by_key[((2,), 2)] == Fraction(1, 6)
 
-    triple = free_group_cochain(
-        (adjoint(unitary), unitary, adjoint(unitary), unitary),
-        tail,
-        model,
-        cutoff=0,
-    )
+    triple = free_group_cochain((1, 0, 1, 0), tail, model, cutoff=0)
     assert triple.exact_zero
     assert len(triple.summands) == 2
     assert triple.certificates == ("finite-rank",)
@@ -437,28 +475,32 @@ def test_boundary_translation_index_matches_the_letter_table():
 def test_compressed_kernel_dimension_sees_the_missing_basis_vector():
     model = FreeGroup(2)
     tail = fixed_point(0)
-    assert compressed_kernel_dimension(group_unitary(1, model), tail, model, 4) == 1
-    assert compressed_kernel_dimension(group_unitary(0, model), tail, model, 4) == 0
+    assert compressed_kernel_dimension(1, tail, model, 4) == 1
+    assert compressed_kernel_dimension(0, tail, model, 4) == 0
     with pytest.raises(ValueError, match="source window"):
-        compressed_kernel_dimension(group_unitary(0, model), tail, model, 0)
+        compressed_kernel_dimension(0, tail, model, 0)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        compressed_kernel_dimension(4, tail, model, 4)
 
 
-def test_window_keys_past_int64_are_refused():
-    """At d=2 and L=1 an out-word of 23 letters keeps the keys below 2**63
-    (5**25 * 25) and one of 24 letters does not (5**26 * 26); the guard
-    refuses the second before any key is built."""
-    model = FreeGroup(2)
-    tail = fixed_point(0)
-    for letters, fits in ((23, True), (24, False)):
-        element = CKElement.unit()
-        for _ in range(letters):
-            element = multiply(element, generator(2, model), model)
-        if fits:
-            expected = boundary_kernel_dimension(element, tail, model, 1)
-            assert compressed_kernel_dimension(element, tail, model, 1) == expected
-        else:
+def test_window_keys_past_int64_are_refused(monkeypatch):
+    """The first window whose key bound base**(L + 2) * (L + 2) reaches
+    2**63 is refused before a single head is built; the one below it is
+    shown to fit by the arithmetic alone (d=2: L=23 fits, 5**25 * 25 <
+    2**63, and L=24 does not)."""
+
+    def unbuilt(*args):
+        raise AssertionError("a head was built for a refused window")
+
+    monkeypatch.setattr("twistzeta.cochain._head_codes", unbuilt)
+    for generators, first_refused in ((2, 24), (3, 19)):
+        model = FreeGroup(generators)
+        base = model.size + 1
+        assert _largest_window_key(base, first_refused - 1) < 2**63
+        assert _largest_window_key(base, first_refused) >= 2**63
+        for letter in range(model.size):
             with pytest.raises(ValueError, match="64-bit"):
-                compressed_kernel_dimension(element, tail, model, 1)
+                compressed_kernel_dimension(letter, fixed_point(0), model, first_refused)
 
 
 def test_compressed_translation_index_confirms_the_formula():
@@ -490,7 +532,9 @@ def generator_sums(draw, model: FreeGroup) -> CKElement:
                 factor = adjoint(factor)
             product = multiply(product, factor, model)
         coefficient = draw(_coefficients())
-        total = total.plus(CKElement.from_terms({m: c * coefficient for m, c in product.terms}))
+        total = element_sum(
+            total, CKElement.from_terms({m: c * coefficient for m, c in product.terms})
+        )
     if total.terms and draw(st.booleans()):
         mono, _ = draw(st.sampled_from(total.terms))
         ends = [word[-1] for word in (mono.out_word, mono.in_word) if word]
@@ -500,20 +544,15 @@ def generator_sums(draw, model: FreeGroup) -> CKElement:
             )
         )
         refined = Monomial(mono.out_word + (letter,), mono.in_word + (letter,))
-        total = total.plus(CKElement.of(refined, draw(_coefficients())))
+        total = element_sum(total, CKElement.of(refined, draw(_coefficients())))
     return total
-
-
-def _outcome(compute, *args):
-    try:
-        return compute(*args)
-    except ValueError as err:
-        return str(err)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_vertex_engine_matches_the_boundary_oracle(data):
+    """The oracles agree: the integer-key action of a generator sum, which
+    test_traces simulates with, is the boundary-word action it replaced."""
     generators = data.draw(st.sampled_from((2, 3)))
     model = FreeGroup(generators)
     anchor = data.draw(st.integers(0, model.size - 1))
@@ -528,25 +567,51 @@ def test_vertex_engine_matches_the_boundary_oracle(data):
                 for target, coeff in boundary_act_on_vertex(element, vertex, tail, model).items()
             }
             assert act_on_vertex(element, vertex_key(vertex, tail, model), anchor, model) == expected
-    assert _outcome(compressed_kernel_dimension, element, tail, model, window) == _outcome(
-        boundary_kernel_dimension, element, tail, model, window
-    )
 
 
-def window_nullity(columns: list[list[tuple[VertexKey, Fraction]]]) -> int:
-    """``_window_nullity`` of columns given as lists of (vertex, coefficient)
-    entries, one term per entry, so that a column may hit a target twice."""
-    base, span = 5, 8
-    entries = [
-        (index, vertex, coeff) for index, column in enumerate(columns) for vertex, coeff in column
-    ]
-    column = np.array([index for index, _, _ in entries], dtype=np.int64)
-    key = np.array(
-        [_word_code(head, base) * span + offset for _, (head, offset), _ in entries],
-        dtype=np.int64,
-    )
-    term = np.arange(len(entries))
-    return _window_nullity(len(columns), column, key, term, [c for _, _, c in entries], base, span)
+def test_translation_step_matches_both_oracles():
+    """On every vertex carried by a group word of at most four letters, for
+    every anchor and letter of d=2 and d=3, the array step lands where the
+    translation element and the boundary-word action send the vertex."""
+    for generators in (2, 3):
+        model = FreeGroup(generators)
+        base = model.size + 1
+        for anchor in range(model.size):
+            tail = fixed_point(anchor)
+            vertices = [
+                vertex_from_group_word(word, tail, model)
+                for length in range(5)
+                for word in enumerate_admissible(model, length)
+            ]
+            keys = [vertex_key(vertex, tail, model) for vertex in vertices]
+            code = np.array([word_code(head, base) for head, _ in keys], dtype=np.int64)
+            length = np.array([len(head) for head, _ in keys], dtype=np.int64)
+            offset = np.array([offset for _, offset in keys], dtype=np.int64)
+            for letter in range(model.size):
+                unitary = group_unitary(letter, model)
+                moved = _translate(letter, anchor, base, code, length, offset)
+                for vertex, key, (landed, size, shifted) in zip(
+                    vertices, keys, zip(*(part.tolist() for part in moved))
+                ):
+                    head = word_of_code(landed, base)
+                    assert size == len(head)
+                    image = {(head, shifted): Fraction(1)}
+                    assert act_on_vertex(unitary, key, anchor, model) == image
+                    boundary = boundary_act_on_vertex(unitary, vertex, tail, model)
+                    assert {vertex_key(t, tail, model): c for t, c in boundary.items()} == image
+
+
+def test_compressed_kernel_dimension_matches_the_boundary_oracle():
+    for generators, top in ((2, 5), (3, 4)):
+        model = FreeGroup(generators)
+        for anchor in range(model.size):
+            tail = fixed_point(anchor)
+            for letter in range(model.size):
+                unitary = group_unitary(letter, model)
+                for source_length in range(1, top + 1):
+                    assert compressed_kernel_dimension(
+                        letter, tail, model, source_length
+                    ) == boundary_kernel_dimension(unitary, tail, model, source_length)
 
 
 def test_sparse_nullity_counts_targets_and_eliminates_the_rest():
@@ -555,32 +620,28 @@ def test_sparse_nullity_counts_targets_and_eliminates_the_rest():
     third: VertexKey = ((2, 2), 2)
 
     def check(columns: list[dict[VertexKey, Fraction]], nullity: int) -> None:
-        assert window_nullity([list(column.items()) for column in columns]) == nullity
-        assert _eliminated_nullity(columns, {}) == nullity
+        assert eliminated_nullity(columns, {}) == nullity
+        if all(len(column) <= 1 for column in columns):
+            key = [word_code(head, 5) * 8 + offset for column in columns for head, offset in column]
+            assert _window_nullity(len(columns), np.array(key, dtype=np.int64)) == nullity
 
-    check([{first: Fraction(2)}, {}, {second: Fraction(-1)}, {third: Fraction(0)}], 2)
+    check([{first: Fraction(2)}, {}, {second: Fraction(-1)}, {}], 2)
     # Two sources hitting one target: the nonempty columns overcount the
-    # rank by one, before and after the switch to elimination.
+    # rank by one, in the window's count and in the elimination.
     merged = [{first: Fraction(1)}, {second: Fraction(1)}, {first: Fraction(3)}]
     check(merged, 3 - 2)
+    check(merged + [{third: Fraction(1)}, {first: Fraction(-1)}], 5 - 3)
+    # Columns with two entries, which only the elimination takes: their
+    # entries overcount the rank.
     check(merged + [{second: Fraction(1), third: Fraction(1)}, {first: Fraction(-1)}], 5 - 3)
-    # Columns with two entries: their entries overcount the rank.
     for spread, rank in (
         ([{first: Fraction(1), second: Fraction(1)}], 1),
         ([{third: Fraction(1)}, {first: Fraction(1), second: Fraction(-1)}] * 2, 2),
         ([{first: Fraction(1), second: Fraction(1)}, {first: Fraction(1)}, {third: 1}], 3),
     ):
         check(spread, len(spread) - rank)
-    # Two terms of one column that cancel on their target leave it empty,
-    # though the target is hit; two that add up stay one entry.
-    assert window_nullity([[(first, Fraction(1, 2)), (first, Fraction(-1, 2))]]) == 1
-    assert window_nullity([[(first, Fraction(1, 2)), (first, Fraction(1, 3))]]) == 0
-    cancelled = [
-        [(first, Fraction(1)), (second, Fraction(2)), (first, Fraction(-1))],
-        [(second, Fraction(1))],
-    ]
-    assert window_nullity(cancelled) == 1
-    assert window_nullity(cancelled + [[(third, Fraction(1))]]) == 1
+    # A zero coefficient is no entry.
+    check([{first: Fraction(0)}, {first: Fraction(1)}], 1)
 
 
 def test_counterexample_verdict_free_group():

@@ -11,16 +11,26 @@ from typing import Sequence
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_ckalg import CylinderSum, draw_word, refine_diagonal, signed_diagonals
-from test_words import enumerate_admissible, predecessor_transfer_counts, word_key
+from test_ckalg import (
+    CylinderSum,
+    act_on_vertex,
+    draw_word,
+    monomial,
+    refine_diagonal,
+    signed_diagonals,
+)
+from test_words import (
+    enumerate_admissible,
+    predecessor_transfer_counts,
+    vertex_eigenvalue,
+    word_key,
+)
 
 from twistzeta.ckalg import (
     CKElement,
     Monomial,
     _toeplitz_step,
-    act_on_vertex,
     chain_product,
-    monomial,
     short_diagonal_vectors,
 )
 from twistzeta.traces import (
@@ -55,7 +65,6 @@ from twistzeta.words import (
     Word,
     fixed_point,
     settled_eigenvalue,
-    vertex_eigenvalue,
 )
 
 RANK_TWO = FreeGroup(2)

@@ -16,17 +16,12 @@ from twistzeta.words import (
     BoundaryPoint,
     FreeGroup,
     Species,
-    VertexKey,
     Word,
-    admissible_levels,
-    dirac_eigenvalue,
     extension_species,
     fixed_point,
-    is_admissible,
     settled_eigenvalue,
     settling_species,
     transfer_counts,
-    vertex_eigenvalue,
 )
 
 F2 = FreeGroup(2)
@@ -39,9 +34,70 @@ A1, B1, A2, B2 = 0, 1, 2, 3
 # Independent oracles of the word layer: the recursive word walker, the
 # letters and shifts of eventually periodic boundary points, the vertex
 # tree parametrized by group words and boundary points, which the integer
-# vertex keys of twistzeta.words and twistzeta.ckalg.act_on_vertex replace,
+# vertex keys below and the vertex arrays of twistzeta.cochain replace,
 # and the transfer step over predecessor lists, which the free group's
-# O(d) step in twistzeta.words.transfer_counts replaces.
+# O(d) step in twistzeta.words.transfer_counts replaces.  The admissibility
+# test, the level walker and the vertex keys with their eigenvalues are
+# what the symbolic oracles of test_ckalg and test_cochain build on.
+
+def is_admissible(word: Word, model: FreeGroup) -> bool:
+    """Whether every consecutive letter pair is an allowed transition.
+
+    The empty word is admissible by convention.
+    """
+    for letter in word:
+        model.check_letter(letter)
+    return all(model.allows(a, b) for a, b in zip(word, word[1:]))
+
+
+def admissible_levels(model: FreeGroup, top: int) -> Iterator[list[Word]]:
+    """All admissible words of each length 0..top, one list per length.
+
+    Each level is grown from the one before by the allowed transitions, so the
+    words come in lexicographic order and no word is built twice.
+    """
+    if top < 0:
+        raise ValueError("length must be nonnegative")
+    successors = [
+        tuple(b for b in range(model.size) if model.allows(a, b)) for a in range(model.size)
+    ]
+    level = [EMPTY_WORD]
+    yield level
+    if top:
+        level = [(letter,) for letter in range(model.size)]
+        yield level
+    for _ in range(top - 1):
+        level = [word + (b,) for word in level for b in successors[word[-1]]]
+        yield level
+
+
+def dirac_eigenvalue(offset: int, depth: int) -> int:
+    """Integer eigenvalue attached to an (offset, depth) vertex class.
+
+    Zero depth keeps the raw offset; positive depth lands on the negative
+    branch below it.
+    """
+    if depth < max(0, -offset):
+        raise ValueError("depth must be at least max(0, -offset)")
+    if depth == 0:
+        return offset
+    return -abs(offset) - depth
+
+
+# A vertex over the fixed-point tail anchor^inf: the settled head of its
+# boundary word, which does not end in the anchor letter, and its offset.
+# The reduced group word carrying it is the head padded with anchor letters
+# up to the offset, or with their inverses when the offset is below the
+# head length.
+VertexKey = tuple[Word, int]
+
+
+def vertex_eigenvalue(vertex: VertexKey) -> int:
+    """Dirac eigenvalue of a vertex: nonnegative exactly when the offset
+    reaches the head length."""
+    head, offset = vertex
+    return dirac_eigenvalue(offset, max(max(0, -offset), len(head) - offset))
+
 
 def enumerate_admissible(
     model: FreeGroup,

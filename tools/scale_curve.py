@@ -1,4 +1,4 @@
-"""Cost of the windowed free-group index, the Moebius unitary, the circle
+"""Cost of the free-group counterexample, the Moebius unitary, the circle
 counterexamples and the windowed heat sums against their size parameter.
 
 Usage, from the root of a checkout::
@@ -12,11 +12,13 @@ Each point runs one target in a fresh interpreter and reads the wall time
 of the call and the peak RSS of that interpreter; a point reports the
 minimum of its repeats for both.  The targets:
 
-- ``index``: ``cochain.compressed_translation_index`` for the letter a1
-  over the tail a1^inf (the windowed half of ``counterexample --family
-  free_group``) at each d and L of ``--points``, next to the vertex count
-  sum_{n <= L} (2d-1)^n that the command line budgets; the index is the
-  outcome.
+- ``index``: ``cochain.counterexample_verdict("free_group", generators=d,
+  source_length=L)``, what ``counterexample --family free_group --d d --L
+  L`` runs (the windowed index and the two cochain word traces), at each d
+  and L of ``--points``, next to the vertex count that
+  ``cli.FREE_GROUP_VERTEX_BUDGET`` bounds: sum_{n <= L} (2d-1)^n for the
+  window plus 2 (2d-1)^3 for the word traces.  Whether the verdict passed
+  is the outcome.
 - ``unitary``: ``circle.moebius_unitary(hyperbolic(1.0), M, 8M)`` at each M
   of ``--modes``, next to the window size 2M + 1; its defect is the outcome.
 - ``counterexample`` and ``circle``: ``cochain.counterexample_verdict`` of
@@ -83,10 +85,10 @@ def _child(target: str, sizes: list[int]) -> None:
                 outcome = f"refused: {err}"
     elif target == "index":
         generators, length = sizes
-        model = words.FreeGroup(generators)
-        tail = words.fixed_point(0)
         start = time.perf_counter()
-        outcome = cochain.compressed_translation_index(0, tail, model, source_length=length)
+        outcome = cochain.counterexample_verdict(
+            "free_group", generators=generators, source_length=length
+        ).passed
     elif target == "unitary":
         (max_mode,) = sizes
         start = time.perf_counter()
@@ -119,7 +121,8 @@ def _size_fields(target: str, sizes: tuple[int, ...]) -> dict[str, object]:
     if target == "index":
         generators, length = sizes
         rate = 2 * generators - 1
-        return {"d": generators, "L": length, "vertices": sum(rate**n for n in range(length + 1))}
+        vertices = sum(rate**n for n in range(length + 1)) + 2 * rate**3
+        return {"d": generators, "L": length, "vertices": vertices}
     (max_mode,) = sizes
     return {"M": max_mode, "window": 2 * max_mode + 1}
 
