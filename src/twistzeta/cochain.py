@@ -308,23 +308,23 @@ def cochain_word_trace(
         # The group words of at most reach + 2 letters over these heads:
         # each head padded with anchor letters, or with their inverses.
         offsets = np.arange(2 * length - reach - 2, reach + 3)
-        source = (np.repeat(heads, offsets.size), length, np.tile(offsets, heads.size))
-        modulus = _modulus(length, source[2])
-        sign = np.where(source[2] >= length, 1, -1)
+        code, offset = np.repeat(heads, offsets.size), np.tile(offsets, heads.size)
+        modulus = _modulus(length, offset)
+        sign = np.where(offset >= length, 1, -1)
         exponent = arity * modulus
         coeff = np.ones_like(modulus)
-        vertex, now = source, sign
+        vertex, now = (code, length, offset), sign
         for letter in reversed(letters[1:]):
             exponent -= _modulus(*vertex[1:])
             vertex = _translate(letter, anchor, base, *vertex)
             moved = np.where(vertex[2] >= vertex[1], 1, -1)
             coeff *= moved - now
             now = moved
-        inside = length + np.abs(source[2] - length) <= reach
+        inside = length + np.abs(offset - length) <= reach
         if np.any(coeff[~inside]):
             raise ValueError("a column escaped the certified support bound")
-        code, _, offset = _translate(letters[0], anchor, base, *vertex)
-        back = inside & (coeff != 0) & (code == source[0]) & (offset == source[2])
+        landed, _, shifted = _translate(letters[0], anchor, base, *vertex)
+        back = inside & (coeff != 0) & (landed == code) & (shifted == offset)
         for power, weight, value in zip(
             exponent[back].tolist(), modulus[back].tolist(), (sign * coeff)[back].tolist()
         ):
