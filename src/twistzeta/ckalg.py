@@ -155,7 +155,7 @@ def cylinder_census(
 
     A word x of ``length`` letters weighs the sum of the coefficients of the
     diagonal words that are prefixes of x.  Words are grouped by (last
-    letter, trailing run of letter 0, the canonical tail letter of the
+    letter, trailing run of letter 0, the canonical anchor letter of the
     free-group model); the result holds the total weight of exactly the
     classes that contain a word of nonzero weight, so a class whose weights
     cancel stays, with weight zero.
@@ -194,7 +194,7 @@ def _toeplitz_step(word: Word, pair: Monomial, model: FreeGroup) -> Word | None:
     """One Toeplitz pair applied to a basis word, or None when it dies.
 
     Basis words are the admissible words not ending in letter 1, the
-    inverse of the canonical tail letter 0.
+    inverse of the canonical anchor letter 0.
     """
     stripped = len(pair.in_word)
     if word[:stripped] != pair.in_word:

@@ -33,7 +33,7 @@ from twistzeta.traces import (
     poles_and_laurent,
     specialize_shifts,
 )
-from twistzeta.words import BoundaryPoint, FreeGroup, fixed_point
+from twistzeta.words import FreeGroup
 
 
 class UsageError(ValueError):
@@ -331,15 +331,13 @@ def parse_chain(text: str, model: FreeGroup) -> list[Monomial]:
     return stages
 
 
-def _free_group_setup(
-    params: Mapping[str, object]
-) -> tuple[FreeGroup, BoundaryPoint, int]:
+def _free_group_setup(params: Mapping[str, object]) -> tuple[FreeGroup, int]:
     model = FreeGroup(int(params["d"]))
     try:
-        letter = model.letter_index(str(params["t"]))
+        anchor = model.letter_index(str(params["t"]))
     except ValueError as err:
         raise UsageError(str(err)) from None
-    return model, fixed_point(letter), letter
+    return model, anchor
 
 
 def _single_variable(trace):
@@ -350,15 +348,15 @@ def _single_variable(trace):
 
 def _run_heat_oracle(params: dict[str, object]) -> list[CheckRecord]:
     _check_step_budget("heat-oracle", params)
-    model, tail, _ = _free_group_setup(params)
+    model, anchor = _free_group_setup(params)
     chain = parse_chain(str(params["chain"]), model)
-    closed = closed_form_heat_trace(chain, tail, model)
+    closed = closed_form_heat_trace(chain, anchor, model)
     checks = []
     for s in params["s"]:
         grid = [float(s)] * len(chain)
         name = f"closed form matches the windowed oracle at s={s:g}"
         try:
-            oracle = brute_force_heat_trace(chain, tail, model, grid, int(params["L"]))
+            oracle = brute_force_heat_trace(chain, anchor, model, grid, int(params["L"]))
         except ValueError as err:
             checks.append(
                 CheckRecord(name, f"refused: {err}", 0.0, None, False, "oracle-comparison")
@@ -380,12 +378,12 @@ def _pole_points(poles, branching: int) -> list[str]:
 
 
 def _run_pole_audit(params: dict[str, object]) -> list[CheckRecord]:
-    model, tail, _ = _free_group_setup(params)
+    model, anchor = _free_group_setup(params)
     branching = 2 * int(params["d"]) - 1
     chain = parse_chain(str(params["chain"]), model)
     checks = []
 
-    heat_poles = poles_and_laurent(_single_variable(closed_form_heat_trace(chain, tail, model)))
+    heat_poles = poles_and_laurent(_single_variable(closed_form_heat_trace(chain, anchor, model)))
     points = ", ".join(_pole_points(heat_poles, branching)) or "none"
     checks.append(
         CheckRecord(
@@ -416,7 +414,7 @@ def _run_pole_audit(params: dict[str, object]) -> list[CheckRecord]:
     )
 
     word_poles = poles_and_laurent(
-        _single_variable(closed_form_toeplitz_trace(chain, tail, model))
+        _single_variable(closed_form_toeplitz_trace(chain, anchor, model))
     )
     points = ", ".join(_pole_points(word_poles, branching)) or "none"
     deepest = max((pole.order for pole in word_poles), default=0)
@@ -511,12 +509,12 @@ def _run_counterexample(params: dict[str, object]) -> list[CheckRecord]:
 
 def _run_damp_sweep(params: dict[str, object]) -> list[CheckRecord]:
     _check_step_budget("damp-sweep", params)
-    model, tail, _ = _free_group_setup(params)
+    model, anchor = _free_group_setup(params)
     depth = int(params["L"])
     sweep = [depth // 16, depth // 8, depth // 4, depth // 2, depth]
     grid = [float(s) for s in params["s"]]
     try:
-        report = free_group_summability(model, tail, grid, sweep)
+        report = free_group_summability(model, anchor, grid, sweep)
     except ValueError as err:
         raise UsageError(str(err)) from None
     threshold = math.log(2 * int(params["d"]) - 1)
@@ -752,7 +750,10 @@ EXPERIMENTS: dict[str, _Experiment] = {
         (
             _Field("s", _parse_positive_float, 1.0, "position weight exponent in (0, 1]"),
             _Field("eps", _parse_budget_grid, [0.4, 0.7], "epsilon budgets, comma-separated"),
-            _Field("M", _parse_int(8), 64, "mode window for the symbol lane"),
+            # The symbol lane builds moebius_unitary(hyperbolic(1.0), M, 8M),
+            # whose quadrature defect is 5.0e-4 at M=8, 1.8e-8 at M=20 and
+            # 7.6e-9 at M=21: 21 is the smallest M under its 1e-8 bound.
+            _Field("M", _parse_int(21), 64, "mode window for the symbol lane"),
             _Field("L", _parse_int(32), 512, "deepest lattice radius of the doubling sweep"),
         ),
         _run_pv_order,

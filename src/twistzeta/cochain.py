@@ -9,13 +9,15 @@ twisted-commutator factor whose trace function is entire, so each residue
 vanishes exactly.  The index pairings themselves are nonzero, which the
 verdict records side by side with the vanishing cochains.
 
-Free-group words are products of boundary translations, each of which
-sends a vertex to one vertex, so they are evaluated exactly as integer
-orbits of vertex arrays, with sign-flip coefficients and integer exponent
-bookkeeping; circle words are certified through window-stabilized
-Dirichlet data.  Both routes feed the same
-assembly of combinatorial weights, so the reports show per-word residues,
-the certificates they consumed, and the assembled value.
+Free-group words are products of boundary translations on the vertices
+over the fixed point a^inf of an anchor letter a, which every free-group
+entry point takes as an int.  A translation sends a vertex to one vertex,
+so the words are evaluated exactly as integer orbits of vertex arrays,
+with sign-flip coefficients and integer exponent bookkeeping; circle
+words are certified through window-stabilized Dirichlet data.  Both
+routes feed the same assembly of combinatorial weights, so the reports
+show per-word residues, the certificates they consumed, and the assembled
+value.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .traces import (
     TermKey,
     poles_and_laurent,
 )
-from .words import BoundaryPoint, FreeGroup, fixed_point
+from .words import FreeGroup
 
 ITERATE_CERTIFICATE = "collapsed-square-iterate"
 STABILIZED_CERTIFICATE = "stabilized-dirichlet"
@@ -128,20 +130,16 @@ def zeta_residue(trace: MeromorphicTrace, order: int) -> ExpSum:
     return ExpSum.zero(0)
 
 
-def boundary_translation_index(
-    letter: int, tail: BoundaryPoint, model: FreeGroup
-) -> int:
+def boundary_translation_index(letter: int, anchor: int, model: FreeGroup) -> int:
     """Index of the translation compressed to the nonnegative spectral part.
 
-    Translating against the tail letter frees one basis vector of the
-    compression domain, translating by the tail letter itself misses one
-    in the range, and every other letter gives a bijection; the index is
-    the difference of those two indicators.
+    Translating against the anchor letter frees one basis vector of the
+    compression domain, translating by the anchor itself misses one in the
+    range, and every other letter gives a bijection; the index is the
+    difference of those two indicators.
     """
     model.check_letter(letter)
-    if not tail.is_fixed_point:
-        raise ValueError("the compression is anchored at a fixed-point tail")
-    anchor = tail.period[0]
+    model.check_letter(anchor)
     kernel = 1 if model.inverse(letter) == anchor else 0
     cokernel = 1 if letter == anchor else 0
     return kernel - cokernel
@@ -179,7 +177,7 @@ def _translate(
     first letter, or with the anchor when the head is empty.  U_letter =
     S_letter + S_{letter^-1}^* strips a leading inverse letter and writes
     the letter in front otherwise, where on the empty head the anchor is
-    absorbed into the tail.  The offset moves by one either way.
+    absorbed into anchor^inf.  The offset moves by one either way.
     """
     empty = code == 0
     strip = np.where(empty, anchor, code % base - 1) == letter ^ 1
@@ -239,7 +237,7 @@ def _window_nullity(columns: int, key: np.ndarray) -> int:
 
 def compressed_kernel_dimension(
     letter: int,
-    tail: BoundaryPoint,
+    anchor: int,
     model: FreeGroup,
     source_length: int,
 ) -> int:
@@ -252,32 +250,31 @@ def compressed_kernel_dimension(
     refused before anything is built.
     """
     model.check_letter(letter)
-    if not tail.is_fixed_point:
-        raise ValueError("the compression is anchored at a fixed-point tail")
+    model.check_letter(anchor)
     if source_length < 1:
         raise ValueError("the source window must contain at least length one")
     if _largest_window_key(model.size + 1, source_length) >= 2**63:
         raise ValueError("the window's vertex keys would overflow 64-bit integers")
-    columns, key = _window_entries(letter, tail.period[0], model, source_length)
+    columns, key = _window_entries(letter, anchor, model, source_length)
     return _window_nullity(columns, key)
 
 
 def compressed_translation_index(
     letter: int,
-    tail: BoundaryPoint,
+    anchor: int,
     model: FreeGroup,
     *,
     source_length: int,
 ) -> int:
     """Windowed kernel-minus-cokernel count of the compressed translation."""
-    kernel = compressed_kernel_dimension(letter, tail, model, source_length)
-    cokernel = compressed_kernel_dimension(model.inverse(letter), tail, model, source_length)
+    kernel = compressed_kernel_dimension(letter, anchor, model, source_length)
+    cokernel = compressed_kernel_dimension(model.inverse(letter), anchor, model, source_length)
     return kernel - cokernel
 
 
 def cochain_word_trace(
     letters: Sequence[int],
-    tail: BoundaryPoint,
+    anchor: int,
     model: FreeGroup,
 ) -> MeromorphicTrace:
     """Entire trace function of the zero-index cochain word of translations,
@@ -288,20 +285,18 @@ def cochain_word_trace(
     weights that cancel against the closing inverse power.  A translation
     sends a vertex to one vertex, so each source vertex follows one orbit:
     its coefficient is a product of sign flips and its exponent a sum of
-    moduli.  A sign flip forces the column word into the tail region, so
+    moduli.  A sign flip forces the column word into the anchor region, so
     columns vanish beyond the one letter a translation reads or writes;
     the window extends two letters past that bound and verifies the
     predicted vanishing before certifying.
     """
-    if not tail.is_fixed_point:
-        raise ValueError("the vertex space is anchored at a fixed-point tail")
     if len(letters) < 2:
         raise ValueError("the word needs a leading element and at least one factor")
     for letter in letters:
         model.check_letter(letter)
+    model.check_letter(anchor)
     arity = len(letters) - 1
     reach = 1
-    anchor = tail.period[0]
     base = model.size + 1
     entries: dict[TermKey, Fraction] = {}
     for length, heads in enumerate(_head_codes(model, anchor, reach + 2, base)):
@@ -439,7 +434,7 @@ def _assemble(
 
 def free_group_cochain(
     letters: Sequence[int],
-    tail: BoundaryPoint,
+    anchor: int,
     model: FreeGroup,
     *,
     cutoff: int,
@@ -451,7 +446,7 @@ def free_group_cochain(
     entirety makes every residue vanish exactly.
     """
     arity = len(letters) - 1
-    trace = cochain_word_trace(letters, tail, model)
+    trace = cochain_word_trace(letters, anchor, model)
     certificate = trace.certificate or "pole-data"
 
     def zero_word(order: int) -> tuple[float, str]:
@@ -570,10 +565,9 @@ def counterexample_verdict(
         model = FreeGroup(generators)
         anchor = model.letter_index(anchor_letter)
         letter = model.letter_index(pairing_letter or anchor_letter)
-        tail = fixed_point(anchor)
-        pairing = boundary_translation_index(letter, tail, model)
+        pairing = boundary_translation_index(letter, anchor, model)
         windowed = compressed_translation_index(
-            letter, tail, model, source_length=source_length
+            letter, anchor, model, source_length=source_length
         )
         checks = (
             PairingRecord("reduced-word formula", pairing),
@@ -588,7 +582,7 @@ def counterexample_verdict(
             cochains.append(
                 free_group_cochain(
                     letters,
-                    tail,
+                    anchor,
                     model,
                     cutoff=multiindex_cutoff(dimension, arity),
                 )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ckalg import Monomial
 from .traces import _heat_partial_sum
-from .words import BoundaryPoint, FreeGroup
+from .words import FreeGroup
 
 DIVERGENCE_MARGIN = 1e-3
 
@@ -97,6 +97,15 @@ def _assemble_report(
     )
 
 
+def _validate_grid(exponents: Sequence[float]) -> tuple[float, ...]:
+    grid = tuple(float(s) for s in exponents)
+    if not grid:
+        raise ValueError("exponent grid must be nonempty")
+    if any(s <= 0 for s in grid):
+        raise ValueError("exponents must be positive")
+    return grid
+
+
 def _validate_sweep(sweep: Sequence[int]) -> tuple[int, ...]:
     stages = tuple(int(size) for size in sweep)
     if len(stages) < 5:
@@ -127,11 +136,7 @@ def summability_scan(
     """
     if mode not in ("power", "exp"):
         raise ValueError(f"mode must be 'power' or 'exp', not {mode!r}")
-    grid = tuple(float(s) for s in exponents)
-    if not grid:
-        raise ValueError("exponent grid must be nonempty")
-    if any(s <= 0 for s in grid):
-        raise ValueError("exponents must be positive")
+    grid = _validate_grid(exponents)
     stages = _validate_sweep(sweep)
     values = np.asarray(diagonal, dtype=float)
     if values.ndim != 1 or values.size % 2 == 0:
@@ -161,11 +166,12 @@ UNIT_CHAIN = (Monomial((), ()),)
 
 def free_group_summability(
     model: FreeGroup,
-    tail: BoundaryPoint,
+    anchor: int,
     exponents: Sequence[float],
     sweep: Sequence[int],
 ) -> SummabilityReport:
-    """Heat-sum verdicts over the free-group vertex space.
+    """Heat-sum verdicts over the free-group vertex space over the fixed
+    point of the anchor letter.
 
     The eigenvalue list cannot be materialized (level sizes grow like
     (2d-1)^L), so each partial sum comes from the windowed counting engine
@@ -176,16 +182,12 @@ def free_group_summability(
     follow the same tail-ratio rule as :func:`summability_scan`; the
     crossing estimate brackets log(2d-1).
     """
-    grid = tuple(float(s) for s in exponents)
-    if not grid:
-        raise ValueError("exponent grid must be nonempty")
-    if any(s <= 0 for s in grid):
-        raise ValueError("exponents must be positive")
+    grid = _validate_grid(exponents)
     stages = _validate_sweep(sweep)
     curves = []
     for s in grid:
         curve = tuple(
-            _heat_partial_sum(UNIT_CHAIN, tail, model, [s], stage)
+            _heat_partial_sum(UNIT_CHAIN, anchor, model, [s], stage)
             for stage in stages
         )
         curves.append(curve)

@@ -7,6 +7,11 @@ coefficients, denominators are products of the three atoms 1-E, 1+E and
 traces by summation over the vertex window (each window geometric in the
 offset, summed in closed form) and report certified geometric tail
 bounds, so closed form and oracle can be compared honestly.
+
+The vertex space hangs over the fixed point of an anchor letter, which
+every entry point takes as an int; chains are relabelled so that the
+anchor is the first generator, and the escaping cylinders are grouped by
+the class of their last letter: the anchor, its inverse, or any other.
 """
 
 from __future__ import annotations
@@ -22,11 +27,9 @@ import numpy as np
 
 from .ckalg import Monomial, chain_product, cylinder_census, short_diagonal_vectors
 from .words import (
-    BoundaryPoint,
     FreeGroup,
     Word,
     extension_species,
-    fixed_point,
     settled_eigenvalue,
     settling_species,
     transfer_counts,
@@ -269,29 +272,25 @@ class _Accumulator:
 
 
 def _canonical_chain(
-    chain: Sequence[Monomial], tail: BoundaryPoint, model: FreeGroup
-) -> tuple[tuple[Monomial, ...], BoundaryPoint]:
-    """Relabel letters so the distinguished tail repeats letter 0.
+    chain: Sequence[Monomial], anchor: int, model: FreeGroup
+) -> tuple[Monomial, ...]:
+    """Relabel letters so the anchor becomes letter 0.
 
     Letter permutations that respect the inverse pairing preserve
     admissibility, so traces are unchanged; the closed-form species counts
-    assume the tail letter is the first generator.
+    assume the anchor is the first generator.
     """
-    if not tail.is_fixed_point:
-        raise ValueError("the trace engine requires a fixed-point tail")
-    letter = tail.period[0]
-    if letter == 0:
-        return tuple(chain), tail
-    inverse = model.inverse(letter)
-    mapping = {letter: 0, inverse: 1}
-    mapping.setdefault(0, letter)
-    mapping.setdefault(1, inverse)
+    model.check_letter(anchor)
+    if anchor == 0:
+        return tuple(chain)
+    mapping = {anchor: 0, anchor ^ 1: 1}
+    mapping.setdefault(0, anchor)
+    mapping.setdefault(1, anchor ^ 1)
 
     def remap(word: Word) -> Word:
         return tuple(mapping.get(x, x) for x in word)
 
-    renamed = tuple(Monomial(remap(m.out_word), remap(m.in_word)) for m in chain)
-    return renamed, fixed_point(0)
+    return tuple(Monomial(remap(m.out_word), remap(m.in_word)) for m in chain)
 
 
 class _ChainSummary(NamedTuple):
@@ -318,11 +317,14 @@ def _summarize(
     S_rho S_rho^* with the given (rho, coefficient) pairs.
 
     Cylinders sharing the vector of partially-applied settle depths are
-    interchangeable for the settled family, and cylinders sharing their
-    final letter are interchangeable for the escaping family; only the
-    grouped weights are kept.  Stage j sees a cylinder word x as a fixed
-    head followed by x with a fixed number of letters cut, so its settle
-    depth depends on x only through the trailing run of the tail letter,
+    interchangeable for the settled family, and cylinders whose final
+    letters share a class are interchangeable for the escaping family; only
+    the grouped weights are kept.  The classes are the anchor 0, its
+    inverse 1, and every other letter, keyed by 2: the automorphisms fixing
+    0 and 1 permute the other letters, so the escape species and counts see
+    a letter only through its class.  Stage j sees a cylinder word x as a
+    fixed head followed by x with a fixed number of letters cut, so its
+    settle depth depends on x only through the trailing run of the anchor,
     which :func:`cylinder_census` counts by.
     """
     refined = sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
@@ -352,7 +354,8 @@ def _summarize(
     settled: dict[tuple[int, ...], Fraction] = {}
     ending: dict[int, Fraction] = {}
     for (last, run), weight in census.items():
-        ending[last] = ending.get(last, Fraction(0)) + weight
+        letter_class = min(last, 2)
+        ending[letter_class] = ending.get(letter_class, Fraction(0)) + weight
         if last != 1:
             key = tuple(
                 size + span - run if run < span else untailed
@@ -370,18 +373,18 @@ def _summarize(
 
 
 def closed_form_heat_trace(
-    chain: Sequence[Monomial], tail: BoundaryPoint, model: FreeGroup
+    chain: Sequence[Monomial], anchor: int, model: FreeGroup
 ) -> MeromorphicTrace:
     """Exact trace of the chain interleaved with heat factors on the vertex
-    space attached to the tail.
+    space over the fixed point of the anchor letter.
 
     The diagonal decomposes into cylinders; vertices over each cylinder
-    split into the family settling straight onto the tail and the families
-    settling after an escape of each positive depth, whose counts are the
-    species of :func:`settling_species`.  Both resum to the atomic
-    denominators.
+    split into the family settling straight onto the anchor's fixed point
+    and the families settling after an escape of each positive depth,
+    whose counts are the species of :func:`settling_species`.  Both resum
+    to the atomic denominators.
     """
-    canonical, _ = _canonical_chain(chain, tail, model)
+    canonical = _canonical_chain(chain, anchor, model)
     d = model.generators
     stages = len(canonical)
     summary = _chain_summary(canonical, model)
@@ -445,7 +448,7 @@ def closed_form_heat_trace(
 
 
 def closed_form_toeplitz_trace(
-    chain: Sequence[Monomial], tail: BoundaryPoint, model: FreeGroup
+    chain: Sequence[Monomial], anchor: int, model: FreeGroup
 ) -> MeromorphicTrace:
     """Exact trace of the chain compressed to the word basis, interleaved
     with heat factors of the length operator.
@@ -454,7 +457,7 @@ def closed_form_toeplitz_trace(
     vector into the entire part; longer words group by their defining cylinder and
     each species of :func:`extension_species` resums geometrically.
     """
-    canonical, _ = _canonical_chain(chain, tail, model)
+    canonical = _canonical_chain(chain, anchor, model)
     d = model.generators
     stages = len(canonical)
     summary = _chain_summary(canonical, model)
@@ -517,8 +520,8 @@ def _escape_counts(
     model: FreeGroup, after: int, top: int, settling: bool
 ) -> Iterator[int]:
     """Exact counts of admissible words following a letter, lengths 1..top,
-    whose last letter avoids the tail letter's inverse, and for settling the
-    tail letter as well: transfer-matrix rows, one at a time, independent of
+    whose last letter avoids the anchor's inverse, and for settling the
+    anchor as well: transfer-matrix rows, one at a time, independent of
     the closed-form species formulas."""
     for row in transfer_counts(model, after, top):
         yield sum(row) - row[1] - (row[0] if settling else 0)
@@ -619,7 +622,7 @@ def _windowed_heat_value(
 
 def _heat_partial_sum(
     chain: Sequence[Monomial],
-    tail: BoundaryPoint,
+    anchor: int,
     model: FreeGroup,
     s: Sequence[float],
     truncation: int,
@@ -630,7 +633,7 @@ def _heat_partial_sum(
     where a certified remainder cannot exist.
     """
     _validate_heat_inputs(chain, s, truncation)
-    canonical, _ = _canonical_chain(chain, tail, model)
+    canonical = _canonical_chain(chain, anchor, model)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
         return 0.0
@@ -639,7 +642,7 @@ def _heat_partial_sum(
 
 def brute_force_heat_trace(
     chain: Sequence[Monomial],
-    tail: BoundaryPoint,
+    anchor: int,
     model: FreeGroup,
     s: Sequence[float],
     truncation: int,
@@ -651,7 +654,7 @@ def brute_force_heat_trace(
     tail bound combines geometric remainders of the three regimes with the
     crude count of escape words by the branching number.
     """
-    canonical, _ = _canonical_chain(chain, tail, model)
+    canonical = _canonical_chain(chain, anchor, model)
     total = _validate_oracle_inputs(canonical, model, s, truncation)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
@@ -728,13 +731,13 @@ def brute_force_heat_trace(
 
 def brute_force_toeplitz_trace(
     chain: Sequence[Monomial],
-    tail: BoundaryPoint,
+    anchor: int,
     model: FreeGroup,
     s: Sequence[float],
     truncation: int,
 ) -> OracleResult:
     """Word-basis companion of :func:`brute_force_heat_trace`."""
-    canonical, _ = _canonical_chain(chain, tail, model)
+    canonical = _canonical_chain(chain, anchor, model)
     total = _validate_oracle_inputs(canonical, model, s, truncation)
     d = model.generators
     summary = _chain_summary(canonical, model)

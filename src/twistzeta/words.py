@@ -3,10 +3,11 @@
 This module is the ground layer shared by the symbolic and operator
 components: the free group on d generators as a 2d-letter alphabet whose
 only forbidden transition is a letter followed by its inverse, finite
-reduced words and their transfer counts, eventually periodic boundary
-points, the eigenvalue of a vertex over a fixed-point tail, and the
-species decompositions of the free-group escape counts that the
-closed-form traces resum.
+reduced words and their transfer counts, the eigenvalue of a vertex, and
+the species decompositions of the free-group escape counts that the
+closed-form traces resum.  Every vertex space hangs over the fixed point
+a^inf of one anchor letter a, so a boundary point is named by that letter
+alone; the traces relabel it to the first generator, letter 0.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from fractions import Fraction
 from typing import Iterator
 
 Word = tuple[int, ...]
-
-EMPTY_WORD: Word = ()
 
 
 @dataclass(frozen=True)
@@ -84,52 +83,6 @@ def transfer_counts(
         yield row
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Eventually periodic infinite word.
-
-    Instances are canonicalized on construction: the period is primitive
-    and the preperiod is as short as possible, so structural equality
-    coincides with equality of the represented infinite words.
-    Admissibility depends on a model and is not checked here.
-    """
-
-    preperiod: Word
-    period: Word
-
-    def __post_init__(self) -> None:
-        if not self.period:
-            raise ValueError("period must be nonempty")
-        pre, per = _canonical_tail(tuple(self.preperiod), tuple(self.period))
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
-
-    @property
-    def is_fixed_point(self) -> bool:
-        return not self.preperiod and len(self.period) == 1
-
-
-def _primitive_period(period: Word) -> Word:
-    size = len(period)
-    for divisor in range(1, size):
-        if size % divisor == 0 and period == period[:divisor] * (size // divisor):
-            return period[:divisor]
-    return period
-
-
-def _canonical_tail(preperiod: Word, period: Word) -> tuple[Word, Word]:
-    period = _primitive_period(period)
-    while preperiod and preperiod[-1] == period[-1]:
-        period = (period[-1],) + period[:-1]
-        preperiod = preperiod[:-1]
-    return preperiod, period
-
-
-def fixed_point(letter: int) -> BoundaryPoint:
-    """Boundary point repeating a single letter."""
-    return BoundaryPoint(EMPTY_WORD, (letter,))
-
-
 def settled_eigenvalue(depth: int, offset: int) -> int:
     """Absolute Dirac eigenvalue of a vertex whose word settles at ``depth``.
 
@@ -164,7 +117,7 @@ def settling_species(model: FreeGroup, after: int) -> Species:
     """Pairs ``(c, a)`` whose sum of ``c * a**n`` is, at every depth
     ``n >= 1``, the number of admissible words of length ``n`` that may follow
     the letter ``after`` and end in neither the first generator nor its
-    inverse: the prefixes gluing to the fixed-point tail with settle depth
+    inverse: the prefixes gluing to the anchor's fixed point with settle depth
     ``n``.
 
     The amplitudes are the eigenvalues 2d-1 and -1 of the free-group

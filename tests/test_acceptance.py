@@ -47,7 +47,7 @@ from twistzeta.traces import (
     poles_and_laurent,
     specialize_shifts,
 )
-from twistzeta.words import FreeGroup, fixed_point
+from twistzeta.words import FreeGroup
 
 VERDICT_LINES: list[str] = []
 
@@ -94,12 +94,12 @@ def test_criterion_01_heat_trace_oracle_equivalence():
     worst = 0.0
     for d in (2, 3):
         model = FreeGroup(d)
-        tail = fixed_point(model.letter_index("a1"))
+        first = model.letter_index("a1")
         for chain in _sample_chains(model):
-            closed = closed_form_heat_trace(chain, tail, model)
+            closed = closed_form_heat_trace(chain, first, model)
             for s in _HEAT_GRID:
                 grid = [s] * len(chain)
-                oracle = brute_force_heat_trace(chain, tail, model, grid, 16)
+                oracle = brute_force_heat_trace(chain, first, model, grid, 16)
                 deviation, allowed = _oracle_margin(closed, oracle, grid)
                 worst = max(worst, deviation / allowed)
                 comparisons += 1
@@ -118,12 +118,12 @@ def test_criterion_02_toeplitz_trace_oracle_equivalence():
     worst = 0.0
     for d in (2, 3):
         model = FreeGroup(d)
-        tail = fixed_point(model.letter_index("a1"))
+        first = model.letter_index("a1")
         for chain in _sample_chains(model):
-            closed = closed_form_toeplitz_trace(chain, tail, model)
+            closed = closed_form_toeplitz_trace(chain, first, model)
             for s in _HEAT_GRID:
                 grid = [s] * len(chain)
-                oracle = brute_force_toeplitz_trace(chain, tail, model, grid, 32)
+                oracle = brute_force_toeplitz_trace(chain, first, model, grid, 32)
                 exact = closed.evaluate(grid).real
                 scale = max(abs(exact), abs(oracle.value), 1e-300)
                 worst = max(worst, abs(exact - oracle.value) / scale)
@@ -145,9 +145,9 @@ def test_criterion_03_pole_set_exactness():
     word_orders_ok = True
     for d in (2, 3):
         model = FreeGroup(d)
-        tail = fixed_point(model.letter_index("a1"))
+        first = model.letter_index("a1")
         for chain in _sample_chains(model):
-            heat = closed_form_heat_trace(chain, tail, model)
+            heat = closed_form_heat_trace(chain, first, model)
             if heat.nvars > 1:
                 heat = specialize_shifts(heat, [0] * heat.nvars)
             for pole in poles_and_laurent(heat):
@@ -155,7 +155,7 @@ def test_criterion_03_pole_set_exactness():
                 heat_orders_ok &= pole.order <= 2
                 if pole.order >= 2:
                     heat_double_ok &= pole.base_label == "log(2d-1)"
-            word = closed_form_toeplitz_trace(chain, tail, model)
+            word = closed_form_toeplitz_trace(chain, first, model)
             if word.nvars > 1:
                 word = specialize_shifts(word, [0] * word.nvars)
             for pole in poles_and_laurent(word):
@@ -185,7 +185,7 @@ def test_criterion_03_pole_set_exactness():
 def test_criterion_04_free_group_counterexample():
     start = time.perf_counter()
     model = FreeGroup(2)
-    tail = fixed_point(model.letter_index("a1"))
+    first = model.letter_index("a1")
     anchor = counterexample_verdict("free_group", pairing_letter="a1", source_length=9)
     flipped = counterexample_verdict("free_group", pairing_letter="b1", source_length=9)
     pairing_ok = (
@@ -203,7 +203,7 @@ def test_criterion_04_free_group_counterexample():
         a = model.letter_index(name)
         for arity, cutoff in ((1, 2), (3, 0)):
             letters = tuple(a ^ 1 if position % 2 == 0 else a for position in range(arity + 1))
-            report = free_group_cochain(letters, tail, model, cutoff=cutoff)
+            report = free_group_cochain(letters, first, model, cutoff=cutoff)
             cochains_ok &= report.exact_zero and bool(report.certificates)
     elapsed = time.perf_counter() - start
     _verdict(
@@ -295,8 +295,8 @@ def test_criterion_07_summability_equivalences():
         worst = max(worst, float(np.max(np.abs(heat - power) / power)))
     identity_ok = worst <= 1e-12
     model = FreeGroup(2)
-    tail = fixed_point(model.letter_index("a1"))
-    report = free_group_summability(model, tail, (1.0, 1.2), (8, 16, 32, 64, 128))
+    first = model.letter_index("a1")
+    report = free_group_summability(model, first, (1.0, 1.2), (8, 16, 32, 64, 128))
     bracket_ok = (
         report.verdicts == ("diverging", "converged")
         and report.crossing is not None

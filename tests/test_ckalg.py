@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_words import (
+    T,
     VertexKey,
     enumerate_admissible,
     is_admissible,
@@ -28,17 +29,16 @@ from twistzeta.ckalg import (
     cylinder_census,
     multiply,
 )
-from twistzeta.words import EMPTY_WORD, FreeGroup, Word, fixed_point
+from twistzeta.words import FreeGroup, Word
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
-T = fixed_point(0)
 
 A1, B1, A2, B2 = 0, 1, 2, 3
 
 
 # Validated monomials, sums, generators, adjoints and the action of an
-# element on the vertices over a fixed-point tail: the general algebra
+# element on the vertices over the anchor's fixed point: the general algebra
 # that the oracles of test_cochain and test_traces are written in.
 
 def monomial(out_word: Word, in_word: Word, model: FreeGroup) -> Monomial:
@@ -94,7 +94,7 @@ def act_on_vertex(
         elif head != strip[:settled] or any(k != anchor for k in strip[settled:]):
             continue
         else:
-            rest = EMPTY_WORD
+            rest = ()
         if out and not model.allows(out[-1], rest[0] if rest else anchor):
             continue
         landed = out + rest

@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistzeta.ckalg import Monomial
-from twistzeta.cochain import _largest_window_key
+from twistzeta.cochain import (
+    _largest_window_key,
+    boundary_translation_index,
+    cochain_word_trace,
+    compressed_kernel_dimension,
+    compressed_translation_index,
+    free_group_cochain,
+)
 from twistzeta.cli import (
     CIRCLE_MODE_BUDGET,
     WINDOW_STEP_BUDGET,
@@ -25,6 +32,7 @@ from twistzeta.cli import (
     _check_mode_budget,
     _check_step_budget,
     _check_window_budget,
+    _free_group_setup,
     build_config,
     emit,
     main,
@@ -34,6 +42,14 @@ from twistzeta.cli import (
     report_to_csv,
     report_to_json,
     run,
+)
+from twistzeta.damp import free_group_summability
+from twistzeta.traces import (
+    _heat_partial_sum,
+    brute_force_heat_trace,
+    brute_force_toeplitz_trace,
+    closed_form_heat_trace,
+    closed_form_toeplitz_trace,
 )
 from twistzeta.words import FreeGroup
 
@@ -171,6 +187,41 @@ def test_chains_past_the_old_enumeration_limit_end_in_a_verdict(capsys):
 def test_pv_order_and_summability_defaults_pass():
     assert main(["pv-order"]) == 0
     assert main(["summability"]) == 0
+
+
+def test_pv_order_below_the_quadrature_floor_is_refused(capsys):
+    """The symbol lane's moebius_unitary(hyperbolic(1.0), M, 8M) meets its
+    1e-8 defect bound first at M=21 (1.8e-8 at M=20): M=20 exits 2 at once,
+    naming 21, and M=21 ends in a verdict."""
+    start = time.perf_counter()
+    assert main(["pv-order", "--M", "20"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "20 is below the minimum 21" in capsys.readouterr().err
+    assert main(["pv-order", "--M", "21"]) in (0, 1)
+    assert "checks passed" in capsys.readouterr().out
+
+
+def test_every_free_group_entry_point_refuses_an_anchor_outside_the_alphabet():
+    model, chain = FreeGroup(2), [Monomial((0,), (0,))]
+    for outside in (model.size, 7, -1):
+        for call in (
+            lambda: closed_form_heat_trace(chain, outside, model),
+            lambda: closed_form_toeplitz_trace(chain, outside, model),
+            lambda: brute_force_heat_trace(chain, outside, model, [2.5], 8),
+            lambda: brute_force_toeplitz_trace(chain, outside, model, [2.5], 8),
+            lambda: _heat_partial_sum(chain, outside, model, [2.5], 8),
+            lambda: boundary_translation_index(0, outside, model),
+            lambda: compressed_kernel_dimension(0, outside, model, 4),
+            lambda: compressed_translation_index(0, outside, model, source_length=4),
+            lambda: cochain_word_trace((1, 0), outside, model),
+            lambda: free_group_cochain((1, 0), outside, model, cutoff=0),
+            lambda: free_group_summability(model, outside, [1.0], (8, 16, 32, 64, 128)),
+        ):
+            with pytest.raises(ValueError, match="outside alphabet"):
+                call()
+    with pytest.raises(UsageError, match="unknown letter name"):
+        _free_group_setup({"d": 2, "t": "7"})
+    assert _free_group_setup({"d": 3, "t": "b3"}) == (FreeGroup(3), 5)
 
 
 def test_refused_convergence_regime_is_a_failed_check(capsys):

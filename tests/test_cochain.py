@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ckalg import act_on_vertex, adjoint, element_sum, elements_equal, generator
 from test_words import (
+    T,
+    BoundaryPoint,
     Vertex,
     VertexKey,
     enumerate_admissible,
@@ -54,7 +56,7 @@ from twistzeta.traces import (
     MeromorphicTrace,
     closed_form_heat_trace,
 )
-from twistzeta.words import BoundaryPoint, FreeGroup, Word, fixed_point
+from twistzeta.words import FreeGroup, Word
 
 
 # Independent oracle of the vertex arrays: the boundary-word action they
@@ -267,8 +269,7 @@ def test_combinatorial_weight_validation():
 
 def test_zeta_residue_of_the_unit_heat_trace_matches_a_contour_integral():
     model = FreeGroup(2)
-    tail = fixed_point(0)
-    trace = closed_form_heat_trace([Monomial((), ())], tail, model)
+    trace = closed_form_heat_trace([Monomial((), ())], 0, model)
 
     def contour(order):
         nodes, radius = 512, 0.1
@@ -288,8 +289,7 @@ def test_zeta_residue_of_the_unit_heat_trace_matches_a_contour_integral():
 
 def test_zeta_residue_is_zero_for_entire_traces():
     model = FreeGroup(2)
-    tail = fixed_point(0)
-    trace = cochain_word_trace((1, 0), tail, model)
+    trace = cochain_word_trace((1, 0), 0, model)
     for order in range(3):
         assert zeta_residue(trace, order).is_zero
 
@@ -306,10 +306,7 @@ def test_zeta_residue_rejects_poles_beyond_the_double_budget():
     with pytest.raises(ValueError, match="nonnegative"):
         zeta_residue(shallow, -1)
     model = FreeGroup(2)
-    tail = fixed_point(0)
-    pair = closed_form_heat_trace(
-        [Monomial((), ()), Monomial((), ())], tail, model
-    )
+    pair = closed_form_heat_trace([Monomial((), ()), Monomial((), ())], 0, model)
     with pytest.raises(ValueError, match="single-parameter"):
         zeta_residue(pair, 0)
 
@@ -361,7 +358,6 @@ def test_square_modulus_iterate_validation():
 
 def test_group_unitary_is_unitary_and_translates_the_boundary():
     model = FreeGroup(2)
-    tail = fixed_point(0)
     unitary = group_unitary(0, model)
     assert elements_equal(
         multiply(unitary, adjoint(unitary), model), CKElement.unit(), model
@@ -371,18 +367,17 @@ def test_group_unitary_is_unitary_and_translates_the_boundary():
     )
     assert elements_equal(adjoint(unitary), group_unitary(1, model), model)
 
-    start = word_key((), tail, model)
+    start = word_key((), T, model)
     forward = act_on_vertex(unitary, start, 0, model)
-    assert forward == {word_key((0,), tail, model): Fraction(1)}
-    undone = word_key((1,), tail, model)
+    assert forward == {word_key((0,), T, model): Fraction(1)}
+    undone = word_key((1,), T, model)
     back = act_on_vertex(unitary, undone, 0, model)
     assert back == {start: Fraction(1)}
 
 
 def test_cochain_word_trace_is_the_rank_one_projection_value():
     model = FreeGroup(2)
-    tail = fixed_point(0)
-    trace = cochain_word_trace((1, 0), tail, model)
+    trace = cochain_word_trace((1, 0), 0, model)
     assert trace.certificate == "finite-rank"
     assert [(denom.atom, numerator.as_dict()) for denom, numerator in trace.parts] == [
         (ENTIRE_ATOM, {(0, (2,)): Fraction(-2)})
@@ -393,20 +388,17 @@ def test_cochain_word_trace_is_the_rank_one_projection_value():
 
 def test_cochain_word_trace_validation():
     model = FreeGroup(2)
-    tail = fixed_point(0)
     with pytest.raises(ValueError, match="leading element"):
-        cochain_word_trace((0,), tail, model)
-    wandering = BoundaryPoint((), (0, 2))
-    with pytest.raises(ValueError, match="fixed-point"):
-        cochain_word_trace((1, 0), wandering, model)
+        cochain_word_trace((0,), 0, model)
     with pytest.raises(ValueError, match="outside alphabet"):
-        cochain_word_trace((1, 4), tail, model)
+        cochain_word_trace((1, 0), 4, model)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        cochain_word_trace((1, 4), 0, model)
 
 
 def test_free_group_cochain_vanishes_with_certificates():
     model = FreeGroup(2)
-    tail = fixed_point(0)
-    single = free_group_cochain((1, 0), tail, model, cutoff=2)
+    single = free_group_cochain((1, 0), 0, model, cutoff=2)
     assert single.exact_zero
     assert single.value == 0.0
     assert single.weights_immaterial
@@ -421,7 +413,7 @@ def test_free_group_cochain_vanishes_with_certificates():
     assert by_key[((2,), 1)] == Fraction(1, 3)
     assert by_key[((2,), 2)] == Fraction(1, 6)
 
-    triple = free_group_cochain((1, 0, 1, 0), tail, model, cutoff=0)
+    triple = free_group_cochain((1, 0, 1, 0), 0, model, cutoff=0)
     assert triple.exact_zero
     assert len(triple.summands) == 2
     assert triple.certificates == ("finite-rank",)
@@ -460,27 +452,29 @@ def test_circle_cochain_validation():
 
 def test_boundary_translation_index_matches_the_letter_table():
     model = FreeGroup(2)
-    tail = fixed_point(0)
     table = {
-        name: boundary_translation_index(model.letter_index(name), tail, model)
+        name: boundary_translation_index(model.letter_index(name), 0, model)
         for name in ("a1", "b1", "a2", "b2")
     }
     assert table == {"a1": -1, "b1": 1, "a2": 0, "b2": 0}
 
     wider = FreeGroup(3)
-    assert boundary_translation_index(wider.letter_index("a1"), tail, wider) == -1
-    assert boundary_translation_index(wider.letter_index("b3"), tail, wider) == 0
+    assert boundary_translation_index(wider.letter_index("a1"), 0, wider) == -1
+    assert boundary_translation_index(wider.letter_index("b3"), 0, wider) == 0
+    with pytest.raises(ValueError, match="outside alphabet"):
+        boundary_translation_index(0, model.size, model)
 
 
 def test_compressed_kernel_dimension_sees_the_missing_basis_vector():
     model = FreeGroup(2)
-    tail = fixed_point(0)
-    assert compressed_kernel_dimension(1, tail, model, 4) == 1
-    assert compressed_kernel_dimension(0, tail, model, 4) == 0
+    assert compressed_kernel_dimension(1, 0, model, 4) == 1
+    assert compressed_kernel_dimension(0, 0, model, 4) == 0
     with pytest.raises(ValueError, match="source window"):
-        compressed_kernel_dimension(0, tail, model, 0)
+        compressed_kernel_dimension(0, 0, model, 0)
     with pytest.raises(ValueError, match="outside alphabet"):
-        compressed_kernel_dimension(4, tail, model, 4)
+        compressed_kernel_dimension(4, 0, model, 4)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        compressed_kernel_dimension(0, 4, model, 4)
 
 
 def test_window_keys_past_int64_are_refused(monkeypatch):
@@ -500,17 +494,16 @@ def test_window_keys_past_int64_are_refused(monkeypatch):
         assert _largest_window_key(base, first_refused) >= 2**63
         for letter in range(model.size):
             with pytest.raises(ValueError, match="64-bit"):
-                compressed_kernel_dimension(letter, fixed_point(0), model, first_refused)
+                compressed_kernel_dimension(letter, 0, model, first_refused)
 
 
 def test_compressed_translation_index_confirms_the_formula():
     model = FreeGroup(2)
-    tail = fixed_point(0)
     for name in ("a1", "b1", "a2", "b2"):
         letter = model.letter_index(name)
         assert compressed_translation_index(
-            letter, tail, model, source_length=5
-        ) == boundary_translation_index(letter, tail, model)
+            letter, 0, model, source_length=5
+        ) == boundary_translation_index(letter, 0, model)
 
 
 def _coefficients():
@@ -556,7 +549,7 @@ def test_vertex_engine_matches_the_boundary_oracle(data):
     generators = data.draw(st.sampled_from((2, 3)))
     model = FreeGroup(generators)
     anchor = data.draw(st.integers(0, model.size - 1))
-    tail = fixed_point(anchor)
+    tail = BoundaryPoint((), (anchor,))
     window = data.draw(st.integers(1, 4))
     element = data.draw(generator_sums(model))
     for length in range(window + 1):
@@ -577,7 +570,7 @@ def test_translation_step_matches_both_oracles():
         model = FreeGroup(generators)
         base = model.size + 1
         for anchor in range(model.size):
-            tail = fixed_point(anchor)
+            tail = BoundaryPoint((), (anchor,))
             vertices = [
                 vertex_from_group_word(word, tail, model)
                 for length in range(5)
@@ -605,12 +598,12 @@ def test_compressed_kernel_dimension_matches_the_boundary_oracle():
     for generators, top in ((2, 5), (3, 4)):
         model = FreeGroup(generators)
         for anchor in range(model.size):
-            tail = fixed_point(anchor)
+            tail = BoundaryPoint((), (anchor,))
             for letter in range(model.size):
                 unitary = group_unitary(letter, model)
                 for source_length in range(1, top + 1):
                     assert compressed_kernel_dimension(
-                        letter, tail, model, source_length
+                        letter, anchor, model, source_length
                     ) == boundary_kernel_dimension(unitary, tail, model, source_length)
 
 

@@ -19,10 +19,10 @@ from twistzeta.damp import (
     summability_scan,
 )
 from twistzeta.traces import brute_force_heat_trace
-from twistzeta.words import FreeGroup, fixed_point
+from twistzeta.words import FreeGroup
 
 MODEL = FreeGroup(2)
-TAIL = fixed_point(0)
+ANCHOR = 0
 
 
 def test_sgnlog_pointwise_values() -> None:
@@ -305,7 +305,7 @@ def test_damped_heat_weight_is_exactly_a_power_weight(
 
 
 def test_free_group_scan_brackets_log_three() -> None:
-    report = free_group_summability(MODEL, TAIL, [1.0, 1.2], (8, 16, 32, 64, 128))
+    report = free_group_summability(MODEL, ANCHOR, [1.0, 1.2], (8, 16, 32, 64, 128))
     assert report.verdicts == ("diverging", "converged")
     assert report.crossing is not None
     assert abs(report.crossing - math.log(3.0)) < 0.11
@@ -315,7 +315,7 @@ def test_free_group_scan_brackets_log_three() -> None:
 
 def test_free_group_scan_brackets_log_five_for_three_generators() -> None:
     report = free_group_summability(
-        FreeGroup(3), TAIL, [1.55, 1.7], (4, 8, 16, 32, 64)
+        FreeGroup(3), ANCHOR, [1.55, 1.7], (4, 8, 16, 32, 64)
     )
     assert report.verdicts == ("diverging", "converged")
     assert report.crossing == pytest.approx(1.625)
@@ -323,18 +323,18 @@ def test_free_group_scan_brackets_log_five_for_three_generators() -> None:
 
 
 def test_free_group_partial_sums_match_certified_oracle() -> None:
-    report = free_group_summability(MODEL, TAIL, [2.5], (2, 4, 8, 12, 16))
+    report = free_group_summability(MODEL, ANCHOR, [2.5], (2, 4, 8, 12, 16))
     for stage, partial in zip((2, 4, 8, 12, 16), report.curves[0]):
         from twistzeta.ckalg import Monomial
 
         certified = brute_force_heat_trace(
-            [Monomial((), ())], TAIL, MODEL, [2.5], stage
+            [Monomial((), ())], ANCHOR, MODEL, [2.5], stage
         )
         assert partial == certified.value
 
 
 def test_free_group_scan_guards() -> None:
     with pytest.raises(ValueError, match="nonempty"):
-        free_group_summability(MODEL, TAIL, [], (8, 16, 32, 64, 128))
+        free_group_summability(MODEL, ANCHOR, [], (8, 16, 32, 64, 128))
     with pytest.raises(ValueError, match="five"):
-        free_group_summability(MODEL, TAIL, [1.0], (8, 16))
+        free_group_summability(MODEL, ANCHOR, [1.0], (8, 16))

@@ -20,6 +20,7 @@ from test_ckalg import (
     signed_diagonals,
 )
 from test_words import (
+    T,
     enumerate_admissible,
     predecessor_transfer_counts,
     vertex_eigenvalue,
@@ -60,16 +61,16 @@ from twistzeta.traces import (
     specialize_shifts,
 )
 from twistzeta.words import (
-    BoundaryPoint,
     FreeGroup,
     Word,
-    fixed_point,
+    extension_species,
     settled_eigenvalue,
+    settling_species,
 )
 
 RANK_TWO = FreeGroup(2)
 RANK_THREE = FreeGroup(3)
-TAIL = fixed_point(0)
+ANCHOR = 0
 
 FIRST_SQUARE = [Monomial((0,), (0,))]
 
@@ -80,7 +81,7 @@ FIRST_SQUARE = [Monomial((0,), (0,))]
 
 def literal_heat_trace(
     chain: Sequence[Monomial],
-    tail: BoundaryPoint,
+    anchor: int,
     model: FreeGroup,
     s: Sequence[float],
     truncation: int,
@@ -92,14 +93,13 @@ def literal_heat_trace(
     cylinder structure is consulted.  Exponentially slow, but the ground
     truth the aggregated oracle is tested against.
     """
-    canonical, tail = _canonical_chain(chain, tail, model)
+    canonical = _canonical_chain(chain, anchor, model)
     _validate_oracle_inputs(canonical, model, s, truncation)
     elements = [CKElement.of(pair) for pair in canonical]
-    anchor = tail.period[0]
     total = 0.0
     for length in range(truncation + 1):
         for word in enumerate_admissible(model, length):
-            start = word_key(word, tail, model)
+            start = word_key(word, T, model)
             amplitudes = {start: 1.0}
             for j in range(len(canonical), 0, -1):
                 weighted = {
@@ -109,7 +109,7 @@ def literal_heat_trace(
                 amplitudes = {}
                 for vertex, amp in weighted.items():
                     for target, coeff in act_on_vertex(
-                        elements[j - 1], vertex, anchor, model
+                        elements[j - 1], vertex, 0, model
                     ).items():
                         build = amplitudes.get(target, 0.0) + amp * float(coeff)
                         amplitudes[target] = build
@@ -119,13 +119,13 @@ def literal_heat_trace(
 
 def literal_toeplitz_trace(
     chain: Sequence[Monomial],
-    tail: BoundaryPoint,
+    anchor: int,
     model: FreeGroup,
     s: Sequence[float],
     truncation: int,
 ) -> float:
     """Word-basis trace by direct simulation over all basis words."""
-    canonical, _ = _canonical_chain(chain, tail, model)
+    canonical = _canonical_chain(chain, anchor, model)
     _validate_oracle_inputs(canonical, model, s, truncation)
     stages = len(canonical)
     total = 0.0
@@ -202,7 +202,9 @@ def enumerated_summary(
     """Chain summary by walking every refined cylinder through the chain.
 
     The cylinders come from ``refine_diagonal``, which lists every
-    extension of every diagonal word.
+    extension of every diagonal word.  Ending weights are grouped by the
+    class of the last letter: the anchor 0, its inverse 1, or any other
+    letter, keyed by 2.
     """
     stages = len(chain)
     refined = sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
@@ -225,7 +227,8 @@ def enumerated_summary(
             pair = chain[j - 1]
             sigma[j - 1] = pair.out_word + sigma[j][len(pair.in_word) :]
         last = cylinder[-1]
-        ending[last] = ending.get(last, Fraction(0)) + weight
+        letter_class = min(last, 2)
+        ending[letter_class] = ending.get(letter_class, Fraction(0)) + weight
         if last != 1:
             depths = []
             for j in range(1, stages + 1):
@@ -321,8 +324,7 @@ def test_first_generator_square_cylinder_census():
     assert summary.ending_buckets == (
         (0, Fraction(7)),
         (1, Fraction(6)),
-        (2, Fraction(7)),
-        (3, Fraction(7)),
+        (2, Fraction(14)),
     )
     depth_census: dict[int, Fraction] = {}
     for depths, weight in summary.settled_buckets:
@@ -335,13 +337,35 @@ def test_first_generator_square_cylinder_census():
     }
 
 
+def test_escape_data_see_a_letter_only_through_its_class():
+    """The ending buckets key every letter outside the anchor's pair by 2;
+    at d=4 each such letter has the species and the escape counts of 2."""
+    model = FreeGroup(4)
+    for letter in range(3, model.size):
+        assert settling_species(model, letter) == settling_species(model, 2)
+        assert extension_species(model, letter) == extension_species(model, 2)
+        for settling in (True, False):
+            assert list(_escape_counts(model, letter, 12, settling)) == list(
+                _escape_counts(model, 2, 12, settling)
+            )
+
+
+def test_ending_buckets_are_the_three_letter_classes():
+    model = FreeGroup(6)
+    for chain in MIXED_CHAINS + [FIRST_SQUARE, [Monomial((), ())]]:
+        summary = _chain_summary(tuple(chain), model)
+        assert {last for last, _ in summary.ending_buckets} <= {0, 1, 2}
+    square = _chain_summary(tuple(FIRST_SQUARE), model)
+    assert [last for last, _ in square.ending_buckets] == [0, 1, 2]
+
+
 def test_first_generator_square_closed_form_against_oracles():
-    closed = closed_form_heat_trace(FIRST_SQUARE, TAIL, RANK_TWO)
+    closed = closed_form_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO)
     for s in (2.5, 3.0, 3.5):
-        small = brute_force_heat_trace(FIRST_SQUARE, TAIL, RANK_TWO, [s], 8)
-        direct = literal_heat_trace(FIRST_SQUARE, TAIL, RANK_TWO, [s], 8)
+        small = brute_force_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO, [s], 8)
+        direct = literal_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO, [s], 8)
         assert small.value == pytest.approx(direct, rel=1e-12)
-        window = brute_force_heat_trace(FIRST_SQUARE, TAIL, RANK_TWO, [s], 16)
+        window = brute_force_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO, [s], 16)
         value = closed.evaluate([s]).real
         assert abs(value - window.value) <= window.tail_bound + 1e-12
         assert window.tail_bound < 1e-5
@@ -352,7 +376,7 @@ def test_first_generator_square_series_coefficient():
     count = Fraction(0)
     for length in range(9):
         for word in enumerate_admissible(RANK_TWO, length):
-            vertex = word_key(word, TAIL, RANK_TWO)
+            vertex = word_key(word, T, RANK_TWO)
             if abs(vertex_eigenvalue(vertex)) != 3:
                 continue
             count += act_on_vertex(element, vertex, 0, RANK_TWO).get(
@@ -362,21 +386,19 @@ def test_first_generator_square_series_coefficient():
 
 
 def test_closed_form_is_tail_letter_invariant():
-    reference = closed_form_heat_trace(FIRST_SQUARE, TAIL, RANK_TWO)
-    renamed = closed_form_heat_trace(
-        [Monomial((3,), (3,))], fixed_point(3), RANK_TWO
-    )
+    reference = closed_form_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO)
+    renamed = closed_form_heat_trace([Monomial((3,), (3,))], 3, RANK_TWO)
     assert renamed.parts == reference.parts
 
 
 def test_zero_diagonal_chain_is_certified_entire():
     chain = [Monomial((0,), (2,))]
-    closed = closed_form_heat_trace(chain, TAIL, RANK_TWO)
+    closed = closed_form_heat_trace(chain, ANCHOR, RANK_TWO)
     assert closed.certificate == ZERO_DIAGONAL_CERTIFICATE
     assert closed.parts == ()
-    oracle = brute_force_heat_trace(chain, TAIL, RANK_TWO, [2.0], 10)
+    oracle = brute_force_heat_trace(chain, ANCHOR, RANK_TWO, [2.0], 10)
     assert oracle == (0.0, 0.0)
-    assert literal_heat_trace(chain, TAIL, RANK_TWO, [2.0], 6) == 0.0
+    assert literal_heat_trace(chain, ANCHOR, RANK_TWO, [2.0], 6) == 0.0
     sliced = specialize_shifts(closed, (0,))
     assert sliced.certificate == ZERO_DIAGONAL_CERTIFICATE
     assert poles_and_laurent(sliced) == []
@@ -384,16 +406,15 @@ def test_zero_diagonal_chain_is_certified_entire():
 
 def test_oracle_input_validation():
     with pytest.raises(ValueError, match="threshold"):
-        brute_force_heat_trace([Monomial((), ())], TAIL, RANK_TWO, [1.0], 16)
+        brute_force_heat_trace([Monomial((), ())], ANCHOR, RANK_TWO, [1.0], 16)
     with pytest.raises(ValueError):
-        brute_force_heat_trace(FIRST_SQUARE, TAIL, RANK_TWO, [2.0, 2.0], 16)
+        brute_force_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO, [2.0, 2.0], 16)
     with pytest.raises(ValueError):
-        brute_force_heat_trace(FIRST_SQUARE, TAIL, RANK_TWO, [-2.0], 16)
+        brute_force_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO, [-2.0], 16)
     with pytest.raises(ValueError):
-        closed_form_heat_trace([], TAIL, RANK_TWO)
-    drifting = BoundaryPoint((2,), (0,))
-    with pytest.raises(ValueError, match="fixed-point"):
-        closed_form_heat_trace(FIRST_SQUARE, drifting, RANK_TWO)
+        closed_form_heat_trace([], ANCHOR, RANK_TWO)
+    with pytest.raises(ValueError, match="outside alphabet"):
+        closed_form_heat_trace(FIRST_SQUARE, RANK_TWO.size, RANK_TWO)
 
 
 MIXED_CHAINS = [
@@ -407,29 +428,29 @@ MIXED_CHAINS = [
 def test_two_stage_chains_match_oracles():
     s = (1.3, 1.5)
     for chain in MIXED_CHAINS:
-        closed = closed_form_heat_trace(chain, TAIL, RANK_TWO)
-        direct = literal_heat_trace(chain, TAIL, RANK_TWO, s, 8)
-        small = brute_force_heat_trace(chain, TAIL, RANK_TWO, s, 8)
+        closed = closed_form_heat_trace(chain, ANCHOR, RANK_TWO)
+        direct = literal_heat_trace(chain, ANCHOR, RANK_TWO, s, 8)
+        small = brute_force_heat_trace(chain, ANCHOR, RANK_TWO, s, 8)
         assert small.value == pytest.approx(direct, rel=1e-12, abs=1e-12)
-        window = brute_force_heat_trace(chain, TAIL, RANK_TWO, s, 16)
+        window = brute_force_heat_trace(chain, ANCHOR, RANK_TWO, s, 16)
         value = closed.evaluate(s).real
         assert abs(value - window.value) <= window.tail_bound + 1e-12
 
 
 def test_rank_three_worst_acceptance_point():
     chain = [Monomial((2,), (2,))]
-    closed = closed_form_heat_trace(chain, TAIL, RANK_THREE)
-    window = brute_force_heat_trace(chain, TAIL, RANK_THREE, [2.5], 16)
+    closed = closed_form_heat_trace(chain, ANCHOR, RANK_THREE)
+    window = brute_force_heat_trace(chain, ANCHOR, RANK_THREE, [2.5], 16)
     value = closed.evaluate([2.5]).real
     assert abs(value - window.value) <= window.tail_bound
     assert window.tail_bound / abs(value) < 2e-3
-    direct = literal_heat_trace(chain, TAIL, RANK_THREE, [2.5], 5)
-    small = brute_force_heat_trace(chain, TAIL, RANK_THREE, [2.5], 5)
+    direct = literal_heat_trace(chain, ANCHOR, RANK_THREE, [2.5], 5)
+    small = brute_force_heat_trace(chain, ANCHOR, RANK_THREE, [2.5], 5)
     assert small.value == pytest.approx(direct, rel=1e-12)
 
 
 def test_toeplitz_exact_rational_identity():
-    closed = closed_form_toeplitz_trace(FIRST_SQUARE, TAIL, RANK_TWO)
+    closed = closed_form_toeplitz_trace(FIRST_SQUARE, ANCHOR, RANK_TWO)
     parts = {denom: numerator.as_dict() for denom, numerator in closed.parts}
     assert parts == {
         ENTIRE_DENOM: {
@@ -464,31 +485,31 @@ def test_toeplitz_diagonal_counts_by_length():
 def test_toeplitz_closed_form_matches_oracles():
     s = (1.3, 1.5)
     for chain in MIXED_CHAINS:
-        closed = closed_form_toeplitz_trace(chain, TAIL, RANK_TWO)
-        direct = literal_toeplitz_trace(chain, TAIL, RANK_TWO, s, 9)
-        small = brute_force_toeplitz_trace(chain, TAIL, RANK_TWO, s, 9)
+        closed = closed_form_toeplitz_trace(chain, ANCHOR, RANK_TWO)
+        direct = literal_toeplitz_trace(chain, ANCHOR, RANK_TWO, s, 9)
+        small = brute_force_toeplitz_trace(chain, ANCHOR, RANK_TWO, s, 9)
         assert small.value == pytest.approx(direct, rel=1e-12, abs=1e-12)
-        window = brute_force_toeplitz_trace(chain, TAIL, RANK_TWO, s, 16)
+        window = brute_force_toeplitz_trace(chain, ANCHOR, RANK_TWO, s, 16)
         value = closed.evaluate(s).real
         assert abs(value - window.value) <= window.tail_bound + 1e-12
 
 
 def test_toeplitz_zero_diagonal_certificate():
     chain = [Monomial((0,), (2,))]
-    closed = closed_form_toeplitz_trace(chain, TAIL, RANK_TWO)
+    closed = closed_form_toeplitz_trace(chain, ANCHOR, RANK_TWO)
     assert closed.certificate == ZERO_DIAGONAL_CERTIFICATE
-    assert literal_toeplitz_trace(chain, TAIL, RANK_TWO, [2.0], 8) == 0.0
+    assert literal_toeplitz_trace(chain, ANCHOR, RANK_TWO, [2.0], 8) == 0.0
 
 
 def test_specialize_shifts_single_stage_is_identity():
-    closed = closed_form_heat_trace(FIRST_SQUARE, TAIL, RANK_TWO)
+    closed = closed_form_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO)
     sliced = specialize_shifts(closed, (5,))
     assert sliced.parts == closed.parts
 
 
 def test_specialize_shifts_two_stage_slice_matches_direct():
     chain = [Monomial((0,), (2,)), Monomial((2,), (0,))]
-    closed = closed_form_heat_trace(chain, TAIL, RANK_TWO)
+    closed = closed_form_heat_trace(chain, ANCHOR, RANK_TWO)
     sliced = specialize_shifts(closed, (1, 0))
     for s in (2.5, 3.1):
         direct = closed.evaluate((1.0, s - 1.0))
@@ -502,7 +523,7 @@ def test_specialize_shifts_two_stage_slice_matches_direct():
 
 
 def test_specialize_shifts_validates_length():
-    closed = closed_form_heat_trace(FIRST_SQUARE, TAIL, RANK_TWO)
+    closed = closed_form_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO)
     with pytest.raises(ValueError):
         specialize_shifts(closed, (1, 2))
 
@@ -553,13 +574,13 @@ def test_entire_traces_have_no_poles():
     with pytest.raises(ValueError):
         poles_and_laurent(
             closed_form_heat_trace(
-                [Monomial((0,), (2,)), Monomial((2,), (0,))], TAIL, RANK_TWO
+                [Monomial((0,), (2,)), Monomial((2,), (0,))], ANCHOR, RANK_TWO
             )
         )
 
 
 def test_heat_trace_pole_classes_and_periodicity():
-    closed = closed_form_heat_trace(FIRST_SQUARE, TAIL, RANK_TWO)
+    closed = closed_form_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO)
     sliced = specialize_shifts(closed, (0,))
     classes = {
         (p.base_label, p.parity, p.order) for p in poles_and_laurent(sliced)
@@ -576,7 +597,7 @@ def test_heat_trace_pole_classes_and_periodicity():
 
 def test_denominator_powers_stay_within_the_atomic_family():
     for chain in MIXED_CHAINS + [FIRST_SQUARE, [Monomial((), ())]]:
-        closed = closed_form_heat_trace(chain, TAIL, RANK_TWO)
+        closed = closed_form_heat_trace(chain, ANCHOR, RANK_TWO)
         for denom, _ in closed.parts:
             assert denom.atom in (
                 ENTIRE_ATOM,
@@ -632,7 +653,7 @@ def test_settled_windows_beyond_the_truncation_are_empty():
 
 
 def test_zero_escape_counts_add_nothing():
-    # On one generator every escape word ends in the tail letter or its
+    # On one generator every escape word ends in the anchor or its
     # inverse, so no escape depth settles and only the settled bucket counts.
     rank_one = FreeGroup(1)
     unit = (Monomial((), ()),)
@@ -648,11 +669,11 @@ def test_zero_escape_counts_add_nothing():
 def test_window_sums_stay_finite_past_float_range_counts():
     unit = [Monomial((), ())]
     # 3^700 escape words overflow a float; e^{-1.2 * 700} underflows one.
-    value = _heat_partial_sum(unit, TAIL, RANK_TWO, [1.2], 700)
-    closed = closed_form_heat_trace(unit, TAIL, RANK_TWO).evaluate([1.2]).real
+    value = _heat_partial_sum(unit, ANCHOR, RANK_TWO, [1.2], 700)
+    closed = closed_form_heat_trace(unit, ANCHOR, RANK_TWO).evaluate([1.2]).real
     assert value == pytest.approx(closed, rel=1e-12)
     with pytest.raises(ValueError, match="float range"):
-        _heat_partial_sum(unit, TAIL, RANK_THREE, [0.5], 1200)
+        _heat_partial_sum(unit, ANCHOR, RANK_THREE, [0.5], 1200)
 
 
 def _exact(*coefficients: Fraction) -> tuple[ExpSum, ...]:
@@ -660,27 +681,26 @@ def _exact(*coefficients: Fraction) -> tuple[ExpSum, ...]:
 
 
 def test_rank_two_pole_data_as_computed():
-    """Pole classes at d=2, tail a1, pinned exactly.  Criterion 03 asks for
+    """Pole classes at d=2, anchor a1, pinned exactly.  Criterion 03 asks for
     double heat poles only at log 3 and word-basis poles only there; as
     computed, the unit chain has a simple odd pole at 0, the double pole at
     0 appears from the chain a1 on, and the word trace of a1 has two simple
     poles at 0."""
     first = RANK_TWO.letter_index("a1")
-    tail = fixed_point(first)
     unit = [Monomial((), ())]
     square = [Monomial((first,), (first,))]
     branch = math.log(3)
     q = Fraction
-    assert poles_and_laurent(closed_form_heat_trace(unit, tail, RANK_TWO)) == [
+    assert poles_and_laurent(closed_form_heat_trace(unit, first, RANK_TWO)) == [
         PoleDatum("0", 0.0, "odd", 1, _exact(q(1, 4))),
         PoleDatum("log(2d-1)", branch, "even", 2, _exact(q(2, 3), q(13, 12))),
     ]
-    assert poles_and_laurent(closed_form_heat_trace(square, tail, RANK_TWO)) == [
+    assert poles_and_laurent(closed_form_heat_trace(square, first, RANK_TWO)) == [
         PoleDatum("0", 0.0, "even", 1, _exact(q(3, 4))),
         PoleDatum("0", 0.0, "odd", 2, _exact(q(3, 4), q(5, 16))),
         PoleDatum("log(2d-1)", branch, "even", 2, _exact(q(1, 6), q(13, 48))),
     ]
-    assert poles_and_laurent(closed_form_toeplitz_trace(square, tail, RANK_TWO)) == [
+    assert poles_and_laurent(closed_form_toeplitz_trace(square, first, RANK_TWO)) == [
         PoleDatum("0", 0.0, "even", 1, _exact(q(1, 2))),
         PoleDatum("0", 0.0, "odd", 1, _exact(q(1, 4))),
         PoleDatum("log(2d-1)", branch, "even", 1, _exact(q(1, 4))),

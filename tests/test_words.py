@@ -12,13 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistzeta.words import (
-    EMPTY_WORD,
-    BoundaryPoint,
     FreeGroup,
     Species,
     Word,
     extension_species,
-    fixed_point,
     settled_eigenvalue,
     settling_species,
     transfer_counts,
@@ -26,13 +23,13 @@ from twistzeta.words import (
 
 F2 = FreeGroup(2)
 F3 = FreeGroup(3)
-T = fixed_point(0)
 
 A1, B1, A2, B2 = 0, 1, 2, 3
 
 
-# Independent oracles of the word layer: the recursive word walker, the
-# letters and shifts of eventually periodic boundary points, the vertex
+# Independent oracles of the word layer: the recursive word walker,
+# eventually periodic boundary points with their letters and shifts, which
+# the library replaces by the anchor letter of a fixed point, the vertex
 # tree parametrized by group words and boundary points, which the integer
 # vertex keys below and the vertex arrays of twistzeta.cochain replace,
 # and the transfer step over predecessor lists, which the free group's
@@ -61,7 +58,7 @@ def admissible_levels(model: FreeGroup, top: int) -> Iterator[list[Word]]:
     successors = [
         tuple(b for b in range(model.size) if model.allows(a, b)) for a in range(model.size)
     ]
-    level = [EMPTY_WORD]
+    level = [()]
     yield level
     if top:
         level = [(letter,) for letter in range(model.size)]
@@ -115,7 +112,7 @@ def enumerate_admissible(
     if length < 0:
         raise ValueError("length must be nonnegative")
     if length == 0:
-        return [EMPTY_WORD] if first is None and last is None else []
+        return [()] if first is None and last is None else []
 
     found: list[Word] = []
     partial: list[int] = []
@@ -138,6 +135,51 @@ def enumerate_admissible(
 
     extend()
     return found
+
+
+@dataclass(frozen=True)
+class BoundaryPoint:
+    """Eventually periodic infinite word.
+
+    Instances are canonicalized on construction: the period is primitive
+    and the preperiod is as short as possible, so structural equality
+    coincides with equality of the represented infinite words.
+    Admissibility depends on a model and is not checked here.  The
+    library names only the fixed point of an anchor letter, by the letter.
+    """
+
+    preperiod: Word
+    period: Word
+
+    def __post_init__(self) -> None:
+        if not self.period:
+            raise ValueError("period must be nonempty")
+        pre, per = _canonical_tail(tuple(self.preperiod), tuple(self.period))
+        object.__setattr__(self, "preperiod", pre)
+        object.__setattr__(self, "period", per)
+
+    @property
+    def is_fixed_point(self) -> bool:
+        return not self.preperiod and len(self.period) == 1
+
+
+def _primitive_period(period: Word) -> Word:
+    size = len(period)
+    for divisor in range(1, size):
+        if size % divisor == 0 and period == period[:divisor] * (size // divisor):
+            return period[:divisor]
+    return period
+
+
+def _canonical_tail(preperiod: Word, period: Word) -> tuple[Word, Word]:
+    period = _primitive_period(period)
+    while preperiod and preperiod[-1] == period[-1]:
+        period = (period[-1],) + period[:-1]
+        preperiod = preperiod[:-1]
+    return preperiod, period
+
+
+T = BoundaryPoint((), (A1,))
 
 
 def letter_at(point: BoundaryPoint, position: int) -> int:
@@ -374,13 +416,13 @@ def test_letter_names_round_trip():
 def test_is_admissible_examples():
     assert is_admissible((A1, A1, A2), F2)
     assert not is_admissible((A1, B1), F2)
-    assert is_admissible(EMPTY_WORD, F2)
+    assert is_admissible((), F2)
     with pytest.raises(ValueError):
         is_admissible((0, 7), F2)
 
 
 def test_enumerate_length_zero_and_one():
-    assert enumerate_admissible(F2, 0) == [EMPTY_WORD]
+    assert enumerate_admissible(F2, 0) == [()]
     assert enumerate_admissible(F2, 0, first=lambda l: True) == []
     ones = enumerate_admissible(F2, 1)
     assert ones == [(A1,), (B1,), (A2,), (B2,)]
@@ -414,7 +456,7 @@ def test_enumerate_with_constraints_matches_filtered_brute_force():
 def test_cancellations_examples():
     assert cancellations((A1,), T, F2) == 0
     assert cancellations((B1,), T, F2) == 1
-    assert cancellations(EMPTY_WORD, T, F2) == 0
+    assert cancellations((), T, F2) == 0
     assert cancellations((B1, B1, B1), T, F2) == 3
     assert cancellations((A2, B1), T, F2) == 1
 
@@ -451,7 +493,7 @@ def test_sync_depth_examples():
     x = reduced_concatenate((B1,), T, F2)
     assert x == T
     assert sync_depth(T, -1, T) == 1
-    assert sync_depth(fixed_point(A2), 0, T) is None
+    assert sync_depth(BoundaryPoint((), (A2,)), 0, T) is None
     assert sync_depth(BoundaryPoint((), (A1, A2)), 0, T) is None
 
 
@@ -469,7 +511,7 @@ def test_sync_depth_with_preperiods():
 def test_settle_depth():
     assert settle_depth(T, T) == 0
     assert settle_depth(BoundaryPoint((A2, A2, B1), (A1,)), T) == 3
-    assert settle_depth(fixed_point(A2), T) is None
+    assert settle_depth(BoundaryPoint((), (A2,)), T) is None
     with pytest.raises(ValueError):
         settle_depth(T, BoundaryPoint((A2,), (A1,)))
 

@@ -67,20 +67,20 @@ def _child(target: str, sizes: list[int]) -> None:
     if target == "window":
         run, length = sizes
         experiment, generators, grid = WINDOW_RUNS[run]
-        model, tail = words.FreeGroup(generators), words.fixed_point(0)
+        model, anchor = words.FreeGroup(generators), 0
         start = time.perf_counter()
         if experiment == "heat-oracle":
             chain = [ckalg.Monomial((0,), (0,))]
-            closed = traces.closed_form_heat_trace(chain, tail, model)
+            closed = traces.closed_form_heat_trace(chain, anchor, model)
             outcome = max(
                 abs(closed.evaluate([s]).real - oracle.value) / abs(oracle.value)
                 for s in grid
-                for oracle in [traces.brute_force_heat_trace(chain, tail, model, [s], length)]
+                for oracle in [traces.brute_force_heat_trace(chain, anchor, model, [s], length)]
             )
         else:
             sweep = [length // 16, length // 8, length // 4, length // 2, length]
             try:
-                outcome = damp.free_group_summability(model, tail, grid, sweep).verdicts
+                outcome = damp.free_group_summability(model, anchor, grid, sweep).verdicts
             except ValueError as err:
                 outcome = f"refused: {err}"
     elif target == "index":
