@@ -83,18 +83,12 @@ class TrigPoly:
         if count < 4:
             raise ValueError("at least four samples are required")
         spectrum = np.fft.fft(samples) / count
-        guard = count // 3
-        coefficients: dict[int, complex] = {}
-        for index in range(count):
-            mode = index if index <= count // 2 else index - count
-            value = spectrum[index]
-            if abs(mode) >= guard and abs(value) > drop_tol:
-                raise ValueError(
-                    "sample resolution is too low for the requested tail tolerance"
-                )
-            if abs(value) > drop_tol:
-                coefficients[mode] = complex(value)
-        return cls.from_dict(coefficients)
+        index = np.arange(count)
+        modes = np.where(index <= count // 2, index, index - count)
+        kept = np.abs(spectrum) > drop_tol
+        if np.any(kept & (np.abs(modes) >= count // 3)):
+            raise ValueError("sample resolution is too low for the requested tail tolerance")
+        return cls.from_dict(dict(zip(modes[kept].tolist(), spectrum[kept].tolist())))
 
     def as_dict(self) -> dict[int, complex]:
         return dict(self.terms)
@@ -159,10 +153,6 @@ class MoebiusMap:
     @classmethod
     def hyperbolic(cls, stretch: float) -> MoebiusMap:
         return cls(math.cosh(stretch / 2.0), math.sinh(stretch / 2.0))
-
-    def apply(self, z):
-        a, b = complex(self.a), complex(self.b)
-        return (a * z + b) / (b.conjugate() * z + a.conjugate())
 
     def derivative_abs(self, z):
         a, b = complex(self.a), complex(self.b)
@@ -229,62 +219,130 @@ def mult_op(symbol: TrigPoly, max_mode: int) -> np.ndarray:
     return _banded(symbol, 2 * max_mode + 1, 2 * max_mode + 1)
 
 
-class QuadratureUnitary(NamedTuple):
+# Every 5-smooth length below 2^64, the fastest for pocketfft, divides this.
+_SMOOTH = 2**64 * 3**41 * 5**28
+
+
+class WindowUnitary(NamedTuple):
     matrix: np.ndarray
-    defect: float
+    truncation: float
 
 
-# Sample columns filled and transformed together, one per contiguous row; each
-# column's transform ignores the others, so the block size leaves no trace.
-_FFT_BLOCK = 64
+# Modes the recurrence may start below the window.  The lead it needs grows
+# like 1 / (1 - |b/a|): at M=1 stretch 5 needs 2808, and every hyperbolic
+# stretch above about 5.35 is refused.
+RECURRENCE_LEAD_LIMIT = 4096
 
 
 @functools.lru_cache(maxsize=32)
-def _unitary_cached(gamma: MoebiusMap, max_mode: int, quad_points: int) -> QuadratureUnitary:
+def _unitary_cached(gamma: MoebiusMap, max_mode: int) -> WindowUnitary:
+    a, b = complex(gamma.a), complex(gamma.b)
     size = 2 * max_mode + 1
-    angles = 2.0 * np.pi * np.arange(quad_points) / quad_points
-    points = np.exp(1j * angles)
-    images = gamma.apply(points)
-    current = gamma.derivative_abs(points) ** 0.5 * np.conj(images) ** max_mode
-    anchor = np.conj(current)
-    rows = np.arange(-max_mode, max_mode + 1) % quad_points
-    matrix = np.empty((size, size), dtype=complex)
-    moments = np.empty(size, dtype=complex)
-    block = np.empty((_FFT_BLOCK, quad_points), dtype=complex)
-    for first in range(0, size, _FFT_BLOCK):
-        width = min(_FFT_BLOCK, size - first)
-        for offset in range(width):
-            block[offset] = current
-            current = current * images
-        moments[first : first + width] = block[:width] @ anchor / quad_points
-        spectrum = np.fft.fft(block[:width], axis=1) / quad_points
-        matrix[:, first : first + width] = spectrum[:, rows].T
-    defect = abs(moments[0] - 1.0) + 2.0 * float(np.sum(np.abs(moments[1:])))
-    if defect > 1e-8:
+    spacing = float(np.finfo(float).eps)
+    if b == 0:
+        # A rotation z -> (a / conj a) z: weight one, mode n picks up its phase.
+        angle = 2.0 * np.angle(a)
+        matrix = np.diag(np.exp(1j * angle * np.arange(-max_mode, max_mode + 1)))
+        matrix.setflags(write=False)
+        return WindowUnitary(matrix, spacing * (abs(angle) * max_mode + 1.0))
+    ratio = abs(b) / abs(a)
+    deepest = max(max_mode, math.ceil(math.log(spacing / abs(a)) / math.log(ratio)) - 1)
+    lead = deepest - max_mode
+    if lead > RECURRENCE_LEAD_LIMIT:
         raise ValueError(
-            "quadrature defect {:.3e} exceeds 1e-08; increase quad_points".format(defect)
+            f"the recurrence needs {lead} modes below the window, above the limit of "
+            f"{RECURRENCE_LEAD_LIMIT}; |b/a| = {ratio:.6g} is too close to one"
         )
+    points = 2 * deepest + 1
+    while _SMOOTH % points:
+        points += 1
+    samples = np.exp(2j * np.pi * np.arange(points) / points)
+    spectrum = np.fft.fft(gamma.derivative_abs(samples) ** 0.5) / points
+
+    # buffer[t + 1, n] holds c_n[r - deepest] on the diagonal t = r + n; row 0
+    # and every r < 0 stay zero, the coefficients below the start.
+    rows = deepest + max_mode + 1
+    buffer = np.zeros((rows + max_mode + 1, max_mode + 1), dtype=complex)
+    buffer[1 : rows + 1, 0] = spectrum[np.arange(-deepest, max_mode + 1) % points]
+    scale = a.conjugate()
+    forward, level, back = a / scale, b / scale, b.conjugate() / scale
+    for diagonal in range(1, rows + max_mode):
+        low, high = max(1, diagonal - rows + 1), min(diagonal, max_mode) + 1
+        entries = buffer[diagonal + 1, low:high]
+        np.multiply(buffer[diagonal - 1, low - 1 : high - 1], forward, out=entries)
+        entries += level * buffer[diagonal, low - 1 : high - 1]
+        entries -= back * buffer[diagonal, low:high]
+    start = buffer[lead + 1 :]
+    step, item = start.strides
+    window = np.lib.stride_tricks.as_strided(
+        start, shape=(size, max_mode + 1), strides=(step, step + item), writeable=False
+    )
+    matrix = np.empty((size, size), dtype=complex)
+    matrix[:, max_mode:] = window
+    np.conjugate(window[::-1, :0:-1], out=matrix[:, :max_mode])
+
+    gain = (abs(a) + abs(b)) ** 2
+    tail = abs(a) * ratio ** (deepest + 1)
+    alias = 2.0 * ratio ** (points - deepest) * gain / (1.0 - ratio**points)
+    rounding = spacing * (
+        gain * (8.0 * (1.0 + 2.0 * ratio) * max_mode + 4.0) + 5.0 * math.log2(points)
+    )
     matrix.setflags(write=False)
-    return QuadratureUnitary(matrix, defect)
+    return WindowUnitary(matrix, tail + alias + rounding)
 
 
-def moebius_unitary(gamma: MoebiusMap, max_mode: int, quad_points: int) -> QuadratureUnitary:
-    """Window matrix of the weighted composition unitary, with a defect bound.
+def moebius_unitary(gamma: MoebiusMap, max_mode: int) -> WindowUnitary:
+    """Window matrix of the weighted composition unitary, with an error bound.
 
-    Matrix elements are Fourier integrals of smooth periodic functions, so the
-    trapezoid rule converges spectrally.  Because the map preserves the
-    circle, the Gram matrix of the sampled columns (every alias row included)
-    is the Hermitian Toeplitz matrix of the moments g_m = mean(|gamma'|
-    gamma^m), m = -2M..2M.  The reported defect is the l1 norm of the symbol
-    of Gram - I, |g_0 - 1| + 2 sum_{m >= 1} |g_m|: an upper bound on its
-    spectral norm, which measures pure quadrature error, not that norm itself.
+    (U f)(z) = |gamma'(z)|^(1/2) f(gamma(z)), and column n of the window holds
+    the Fourier coefficients c_n[k], |k| <= M, of w gamma^n, where
+    w = |gamma'|^(1/2) = 1 / |conj(b) z + conj(a)| on the circle.
+
+    Column 0.  Put beta = conj(b) / conj(a) and q = |beta| = |b/a| < 1.  Then
+    w = |a|^(-1) (1 + beta z)^(-1/2) (1 + conj(beta z))^(-1/2), and the binomial
+    coefficients t_j of (1 + x)^(-1/2) have modulus at most 1, so
+    |c_0[k]| <= |a|^(-1) q^|k| sum_j |t_j| q^(2j) = q^|k|, because that sum
+    is (1 - q^2)^(-1/2) = |a|.  Column 0 is one FFT of w at N >= 2J + 1 points
+    (J below); every alias of a kept mode lies at least N - J modes away.
+
+    Columns n >= 1.  U M_z = M_gamma U, so c_{n+1} = gamma c_n, which is
+    (conj(b) z + conj(a)) c_{n+1} = (a z + b) c_n in coefficients:
+
+        c_{n+1}[k] = (a c_n[k-1] + b c_n[k] - conj(b) c_{n+1}[k-1]) / conj(a).
+
+    It runs forward in k from the mode -J, with every coefficient below -J
+    taken as zero, one vector step per anti-diagonal n + k over all columns.
+    Columns of negative mode follow from c_{-n}[k] = conj(c_n[-k]), since w is
+    real and gamma^(-n) = conj(gamma^n) on the circle.  q = 0 is a rotation,
+    built as the diagonal of its phases e^(i phi n), phi = 2 arg(a); each is
+    within eps (|phi| M + 1) of the exact phase, the bound returned for it.
+
+    Error bound, in l2 over the rows of any column.  Multiplication by gamma
+    is unitary on l2(Z), and lower-triangular because gamma is holomorphic
+    on the disc, so started from a column 0 supported on k >= -J the
+    recurrence computes gamma^n times that column exactly: every column
+    inherits the error e_0 of column 0 and no more.  J is the least
+    J >= M with |a| q^(J+1) <= eps, eps = 2^-52, so e_0 holds
+    - the tail below -J, of norm at most (sum_{j>J} q^(2j))^(1/2)
+      = |a| q^(J+1), since 1 - q^2 = |a|^(-2);
+    - the aliasing, at most sum_{m != 0} q^|k + m N| on mode k, in total at
+      most 2 q^(N-J) / ((1 - q)(1 - q^N)), where 1 / (1 - q) <= g with
+      g = (|a| + |b|)^2;
+    - rounding: N samples of w, each within 4 eps g relative, and the FFT,
+      within 5 eps log2(N).
+    Each recurrence step rounds its three products and two sums, within
+    8 eps (1 + 2q) of its unit-norm inputs; as a residual it enters through
+    1 / (1 + beta z), of supremum 1 / (1 - q) <= g, and is then carried by
+    the unitary gamma.  Column n thus gains at most 8 eps (1 + 2q) g n.
+    The returned ``truncation`` is the sum of these bounds at n = M.
+
+    The lead J - M grows like log(eps) / log(q); a map that needs more than
+    ``RECURRENCE_LEAD_LIMIT`` is refused with ``ValueError``.
     """
 
     if max_mode < 1:
         raise ValueError("the mode window must contain at least mode one")
-    if quad_points < 8 * max_mode:
-        raise ValueError("at least eight quadrature points per mode are required")
-    return _unitary_cached(gamma, max_mode, quad_points)
+    return _unitary_cached(gamma, max_mode)
 
 
 @dataclass(frozen=True)
@@ -333,23 +391,22 @@ def conformal_twist(element: CrossedElement, gamma: MoebiusMap) -> CrossedElemen
     return CrossedElement(tuple(twisted))
 
 
-# Every 5-smooth length below 2^64, the fastest for pocketfft, divides this.
-_SMOOTH = 2**64 * 3**41 * 5**28
-
-
 def _convolve_modes(symbol: TrigPoly, matrix: np.ndarray) -> np.ndarray:
     """mult_op(symbol) @ matrix, by a row shift or an FFT convolution.
 
-    A one-term symbol shifts the rows; longer ones are convolved along
-    contiguous mode rows.  Terms that move every mode out of the window are
-    dropped, as in mult_op; the transform exceeds the window by the remaining
-    bandwidth, so no kept row wraps around.
+    A one-term symbol shifts the rows, or only scales them at mode zero;
+    longer ones are convolved along contiguous mode rows.  Terms that move
+    every mode out of the window are dropped, as in mult_op; the transform
+    exceeds the window by the remaining bandwidth, so no kept row wraps
+    around.
     """
 
     size = matrix.shape[0]
     if len(symbol.terms) == 1:
         # c z^k is a scaled partial permutation: row i takes c times row i - k.
         ((mode, value),) = symbol.terms
+        if mode == 0:
+            return value * matrix
         shifted = np.zeros_like(matrix)
         if abs(mode) < size:
             shifted[max(mode, 0) : size + min(mode, 0)] = (
@@ -372,9 +429,7 @@ def _convolve_modes(symbol: TrigPoly, matrix: np.ndarray) -> np.ndarray:
     return rows[:, :size].T
 
 
-def represent(
-    element: CrossedElement, gamma: MoebiusMap, max_mode: int, quad_points: int
-) -> np.ndarray:
+def represent(element: CrossedElement, gamma: MoebiusMap, max_mode: int) -> np.ndarray:
     """Window matrix of a crossed-product element in the covariant picture."""
 
     total = None
@@ -382,7 +437,7 @@ def represent(
         if power == 0:
             term = mult_op(symbol, max_mode)
         else:
-            unitary = moebius_unitary(gamma.power(power), max_mode, quad_points).matrix
+            unitary = moebius_unitary(gamma.power(power), max_mode).matrix
             term = _convolve_modes(symbol, unitary)
         if total is None:
             total = term
@@ -394,34 +449,42 @@ def represent(
     return total
 
 
+# The commutators' last parameter is unused.  perfbench/child.py still passes
+# the former quadrature size 8M there, so it stays until that caller drops it.
+
+
 def dirac_commutator(
-    element: CrossedElement, gamma: MoebiusMap, max_mode: int, quad_points: int
+    element: CrossedElement, gamma: MoebiusMap, max_mode: int, quad_points: int | None = None
 ) -> np.ndarray:
-    matrix = represent(element, gamma, max_mode, quad_points)
+    matrix = represent(element, gamma, max_mode)
     diagonal = build_dirac(max_mode)
-    return diagonal[:, None] * matrix - matrix * diagonal[None, :]
+    matrix *= diagonal[:, None] - diagonal[None, :]
+    return matrix
 
 
 def log_dirac_commutator(
-    element: CrossedElement, gamma: MoebiusMap, max_mode: int, quad_points: int
+    element: CrossedElement, gamma: MoebiusMap, max_mode: int, quad_points: int | None = None
 ) -> np.ndarray:
-    matrix = represent(element, gamma, max_mode, quad_points)
+    matrix = represent(element, gamma, max_mode)
     diagonal = build_dlog(max_mode)
-    return diagonal[:, None] * matrix - matrix * diagonal[None, :]
+    matrix *= diagonal[:, None] - diagonal[None, :]
+    return matrix
 
 
 def twisted_dirac_commutator(
-    element: CrossedElement,
-    gamma: MoebiusMap,
-    max_mode: int,
-    quad_points: int,
+    element: CrossedElement, gamma: MoebiusMap, max_mode: int, quad_points: int | None = None
 ) -> np.ndarray:
     """Commutator with the twist acting on the left factor."""
 
-    plain = represent(element, gamma, max_mode, quad_points)
-    weighted = represent(conformal_twist(element, gamma), gamma, max_mode, quad_points)
+    plain = represent(element, gamma, max_mode)
+    weighted = represent(conformal_twist(element, gamma), gamma, max_mode)
     diagonal = build_dirac(max_mode)
-    return diagonal[:, None] * plain - weighted * diagonal[None, :]
+    # D P - W D = [D, P] - (W - P) D, which is [D, P] itself when W == P.
+    weighted -= plain
+    weighted *= diagonal[None, :]
+    plain *= diagonal[:, None] - diagonal[None, :]
+    plain -= weighted
+    return plain
 
 
 def inner_block(matrix: np.ndarray) -> np.ndarray:

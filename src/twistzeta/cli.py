@@ -560,6 +560,7 @@ def _run_pv_order(params: dict[str, object]) -> list[CheckRecord]:
     power = float(params["s"])
     if not 0.0 < power <= 1.0:
         raise UsageError(f"the position weight exponent s must lie in (0, 1], not {power}")
+    _check_pv_budget(params)
     depth = int(params["L"])
     stages = []
     stage = 8
@@ -592,6 +593,7 @@ def _run_pv_order(params: dict[str, object]) -> list[CheckRecord]:
 
 def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
     window = int(params["M"])
+    _check_summability_budget(window)
     diagonal = build_dirac(window)
     magnitudes = np.abs(diagonal)
     logged = np.abs(sgnlog_transform(diagonal))
@@ -702,6 +704,60 @@ def _check_step_budget(experiment: str, params: Mapping[str, object]) -> None:
         )
 
 
+# Lattice sites of pv-order's deepest stage.  Both lanes evaluate every site
+# of it as float arrays, one epsilon at a time, so memory grows with the
+# sites alone.  Measured by tools/scale_curve.py, target pv-sites
+# (BENCH_16.json), on one core at the default two epsilons: a deepest stage
+# of 2^22 (every L up to 2^23 - 1) takes 0.68 s and 259 MB, inside the
+# largest free-group window's 360 MB; 2^23 takes 1.3 s and 483 MB.
+LATTICE_SITE_BUDGET = 5_000_000
+
+# Entries of the (2M+1)^2 window whose dense SVD gives pv-order's symbol
+# lane its step norm.  Measured by tools/scale_curve.py, target pv-modes
+# (BENCH_16.json): M=1024 takes 4.8 s and 291 MB; M=1280 takes 10 s and
+# 436 MB.
+PV_WINDOW_BUDGET = 4_200_000
+
+# Modes 2M+1 of the summability window, held as a few float arrays.
+# Measured by tools/scale_curve.py, target summability (BENCH_16.json): the
+# largest accepted M, 2,099,999, takes 0.42 s and 320 MB; M=2,499,999 takes
+# 0.72 s and 374 MB.
+SUMMABILITY_MODE_BUDGET = 4_200_000
+
+
+def _check_pv_budget(params: Mapping[str, object]) -> None:
+    """Refuse a pv-order sweep above either budget before anything is built.
+
+    The doubling sweep 8, 16, ... stops at the largest 8 * 2^k <= L, whose
+    lattice sites are the 8 * 2^k + 1 sites n with |n| <= 4 * 2^k.
+    """
+    length, max_mode = int(params["L"]), int(params["M"])
+    sites = (8 << ((length // 8).bit_length() - 1)) + 1
+    if sites > LATTICE_SITE_BUDGET:
+        deepest = 8 << (((LATTICE_SITE_BUDGET - 1) // 8).bit_length() - 1)
+        raise UsageError(
+            f"the pv-order sweep at L={length} evaluates {sites} lattice sites per lane "
+            f"and epsilon, above the budget of {LATTICE_SITE_BUDGET}; the largest L "
+            f"accepted is {2 * deepest - 1}"
+        )
+    entries = (2 * max_mode + 1) ** 2
+    if entries > PV_WINDOW_BUDGET:
+        raise UsageError(
+            f"the pv-order symbol lane at M={max_mode} takes the SVD of {entries} window "
+            f"entries, above the budget of {PV_WINDOW_BUDGET}; the largest M accepted is "
+            f"{(math.isqrt(PV_WINDOW_BUDGET) - 1) // 2}"
+        )
+
+
+def _check_summability_budget(max_mode: int) -> None:
+    if 2 * max_mode + 1 > SUMMABILITY_MODE_BUDGET:
+        raise UsageError(
+            f"the summability window at M={max_mode} holds {2 * max_mode + 1} modes, above "
+            f"the budget of {SUMMABILITY_MODE_BUDGET}; the largest M accepted is "
+            f"{(SUMMABILITY_MODE_BUDGET - 1) // 2}"
+        )
+
+
 _GROUP_FIELDS = (
     _Field("d", _parse_int(2), 2, "free generators of the group"),
     _Field("t", _parse_name, "a1", "letter whose infinite repetition anchors the boundary"),
@@ -750,10 +806,11 @@ EXPERIMENTS: dict[str, _Experiment] = {
         (
             _Field("s", _parse_positive_float, 1.0, "position weight exponent in (0, 1]"),
             _Field("eps", _parse_budget_grid, [0.4, 0.7], "epsilon budgets, comma-separated"),
-            # The symbol lane builds moebius_unitary(hyperbolic(1.0), M, 8M),
-            # whose quadrature defect is 5.0e-4 at M=8, 1.8e-8 at M=20 and
-            # 7.6e-9 at M=21: 21 is the smallest M under its 1e-8 bound.
-            _Field("M", _parse_int(21), 64, "mode window for the symbol lane"),
+            # At M=1 the window holds only the modes -1..1, where D_log
+            # vanishes, so both constants of the symbol lane are zero and its
+            # eps=0.7 verdict fails; every M from 2 to 64 passes all four
+            # default verdicts (BENCH_16.json).
+            _Field("M", _parse_int(2), 64, "mode window for the symbol lane"),
             _Field("L", _parse_int(32), 512, "deepest lattice radius of the doubling sweep"),
         ),
         _run_pv_order,

@@ -528,9 +528,7 @@ def _covariant_compression_index(
     The column window stops one bandwidth early so every retained column
     of the compression is complete.
     """
-    matrix = represent(
-        CrossedElement.multiplication(symbol), gamma, max_mode, 8 * max_mode
-    )
+    matrix = represent(CrossedElement.multiplication(symbol), gamma, max_mode)
     reach = max(symbol.bandwidth, 1)
     rows = slice(max_mode, 2 * max_mode + 1)
     cols = slice(max_mode, 2 * max_mode + 1 - reach)

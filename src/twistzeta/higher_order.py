@@ -94,14 +94,14 @@ def _classified_report(
     )
 
 
-def _site_weight(site: int, power: float, epsilon: float) -> float:
-    magnitude = abs(site) ** (2.0 + 2.0 * power) if site else 0.0
-    return math.exp(-0.5 * (1.0 - epsilon) * math.log1p(magnitude))
+def _site_weight(sites: np.ndarray, power: float, epsilon: float) -> np.ndarray:
+    magnitude = np.abs(sites) ** (2.0 + 2.0 * power)
+    return np.exp(-0.5 * (1.0 - epsilon) * np.log1p(magnitude))
 
 
-def _translation_band(site: int, power: float) -> float:
-    forward = (site + 1) * abs(site + 1) ** power
-    return abs(forward - site * abs(site) ** power)
+def _translation_band(sites: np.ndarray, power: float) -> np.ndarray:
+    forward = (sites + 1) * np.abs(sites + 1) ** power
+    return np.abs(forward - sites * np.abs(sites) ** power)
 
 
 def order_sweep(
@@ -144,7 +144,7 @@ def order_sweep(
 
     if commutator == "symbol":
         gamma = MoebiusMap.hyperbolic(SYMBOL_STRETCH)
-        window = moebius_unitary(gamma, max_mode, 8 * max_mode).matrix
+        window = moebius_unitary(gamma, max_mode).matrix
         damped = build_dlog(max_mode)
         step_norm = float(
             singular_values(damped[:, None] * window - window * damped[None, :])[0]
@@ -158,22 +158,24 @@ def order_sweep(
         points = np.exp(2j * np.pi * np.arange(256) / 256)
         symbol_sup = float(max(abs(SWEEP_SYMBOL.evaluate(point)) for point in points))
 
-        def site_value(site: int, eps: float) -> float:
-            bound = 2.0 * step_norm * abs(site) * symbol_sup + inner_norm
-            return bound * _site_weight(site, power, eps)
+        def site_value(sites: np.ndarray, eps: float) -> np.ndarray:
+            bound = 2.0 * step_norm * np.abs(sites) * symbol_sup + inner_norm
+            return bound * _site_weight(sites, power, eps)
 
     else:
 
-        def site_value(site: int, eps: float) -> float:
-            return _translation_band(site, power) * _site_weight(site, power, eps)
+        def site_value(sites: np.ndarray, eps: float) -> np.ndarray:
+            return _translation_band(sites, power) * _site_weight(sites, power, eps)
 
+    # Stage L covers the sites |n| <= L // 2: fold n with -n, then a running
+    # maximum over |n| gives every stage's norm at once.
+    reach = stages[-1] // 2
+    sites = np.arange(-reach, reach + 1, dtype=float)
     reports = []
     for eps in grid:
-        norms = []
-        for stage in stages:
-            half = stage // 2
-            norms.append(
-                max(site_value(site, eps) for site in range(-half, half + 1))
-            )
+        values = site_value(sites, eps)
+        folded = np.maximum(values[reach:], values[reach::-1])
+        running = np.maximum.accumulate(folded)
+        norms = [float(running[stage // 2]) for stage in stages]
         reports.append(_classified_report(eps, stages, norms))
     return reports

@@ -247,21 +247,20 @@ def test_criterion_06_moebius_counterexample():
     twisted = []
     damped = []
     for max_mode in (64, 128, 256, 512):
-        quad = 8 * max_mode
         plain.append(
-            float(np.linalg.norm(inner_block(dirac_commutator(element, gamma, max_mode, quad)), 2))
+            float(np.linalg.norm(inner_block(dirac_commutator(element, gamma, max_mode)), 2))
         )
         twisted.append(
             float(
                 np.linalg.norm(
-                    inner_block(twisted_dirac_commutator(element, gamma, max_mode, quad)), 2
+                    inner_block(twisted_dirac_commutator(element, gamma, max_mode)), 2
                 )
             )
         )
         damped.append(
             float(
                 np.linalg.norm(
-                    inner_block(log_dirac_commutator(element, gamma, max_mode, quad)), 2
+                    inner_block(log_dirac_commutator(element, gamma, max_mode)), 2
                 )
             )
         )

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistzeta.circle import (
+    RECURRENCE_LEAD_LIMIT,
     TWIST_TAIL_TOL,
     CrossedElement,
     DirichletSum,
@@ -42,16 +43,60 @@ from twistzeta.circle import (
 STRETCH = MoebiusMap.hyperbolic(1.0)
 
 
-# Dense oracle of the Moebius unitary: every sample column of the weighted
-# composition is transformed at once, and the quadrature defect is the exact
-# deviation of the full column Gram matrix from the identity.
+def moebius_apply(gamma: MoebiusMap, z):
+    """The map z -> (a z + b) / (conj(b) z + conj(a)) itself."""
+    a, b = complex(gamma.a), complex(gamma.b)
+    return (a * z + b) / (b.conjugate() * z + a.conjugate())
+
+
+# Oracles of the Moebius unitary by the trapezoid rule.  The quadrature oracle
+# samples one column of |gamma'|^(1/2) gamma^n at a time and transforms it;
+# its defect bounds the quadrature error by the Toeplitz moments of the column
+# Gram matrix.  The dense oracle transforms every sample column at once, and
+# its defect is the exact deviation of the full column Gram matrix from the
+# identity.
+
+
+def quadrature_unitary(
+    gamma: MoebiusMap, max_mode: int, quad_points: int
+) -> tuple[np.ndarray, float]:
+    """Window matrix by the trapezoid rule at quad_points, with a defect bound.
+
+    Matrix elements are Fourier integrals of smooth periodic functions, so the
+    trapezoid rule converges spectrally.  Because the map preserves the
+    circle, the Gram matrix of the sampled columns (every alias row included)
+    is the Hermitian Toeplitz matrix of the moments g_m = mean(|gamma'|
+    gamma^m), m = -2M..2M.  The defect is the l1 norm of the symbol of
+    Gram - I, |g_0 - 1| + 2 sum_{m >= 1} |g_m|: an upper bound on its spectral
+    norm, which measures pure quadrature error.  Above 1e-8 it is refused.
+    """
+    if quad_points < 8 * max_mode:
+        raise ValueError("at least eight quadrature points per mode are required")
+    size = 2 * max_mode + 1
+    points = np.exp(2j * np.pi * np.arange(quad_points) / quad_points)
+    images = moebius_apply(gamma, points)
+    column = gamma.derivative_abs(points) ** 0.5 * np.conj(images) ** max_mode
+    anchor = np.conj(column)
+    rows = np.arange(-max_mode, max_mode + 1) % quad_points
+    matrix = np.empty((size, size), dtype=complex)
+    moments = np.empty(size, dtype=complex)
+    for index in range(size):
+        moments[index] = column @ anchor / quad_points
+        matrix[:, index] = np.fft.fft(column)[rows] / quad_points
+        column = column * images
+    defect = abs(moments[0] - 1.0) + 2.0 * float(np.sum(np.abs(moments[1:])))
+    if defect > 1e-8:
+        raise ValueError(
+            "quadrature defect {:.3e} exceeds 1e-08; increase quad_points".format(defect)
+        )
+    return matrix, defect
 
 
 def dense_columns(gamma: MoebiusMap, col_modes: int, quad_points: int) -> np.ndarray:
     angles = 2.0 * np.pi * np.arange(quad_points) / quad_points
     points = np.exp(1j * angles)
     weights = gamma.derivative_abs(points) ** 0.5
-    images = gamma.apply(points)
+    images = moebius_apply(gamma, points)
     columns = np.empty((quad_points, 2 * col_modes + 1), dtype=complex)
     current = weights * np.conj(images) ** col_modes
     for offset in range(2 * col_modes + 1):
@@ -60,16 +105,12 @@ def dense_columns(gamma: MoebiusMap, col_modes: int, quad_points: int) -> np.nda
     return np.fft.fft(columns, axis=0) / quad_points
 
 
-def dense_unitary(
-    gamma: MoebiusMap, max_mode: int, quad_points: int
-) -> tuple[np.ndarray, float]:
-    """Kept rows of the dense spectrum and the eigenvalue defect of its Gram."""
+def dense_defect(gamma: MoebiusMap, max_mode: int, quad_points: int) -> float:
+    """The eigenvalue defect of the Gram matrix of the dense spectrum."""
     spectrum = dense_columns(gamma, max_mode, quad_points)
     gram = spectrum.conj().T @ spectrum - np.eye(2 * max_mode + 1)
     gram = (gram + gram.conj().T) / 2.0
-    defect = float(np.max(np.abs(np.linalg.eigvalsh(gram))))
-    rows = np.arange(-max_mode, max_mode + 1) % quad_points
-    return spectrum[rows, :], defect
+    return float(np.max(np.abs(np.linalg.eigvalsh(gram))))
 
 
 def moebius_rectangle(
@@ -221,9 +262,9 @@ def test_moebius_map_validation_and_inverse():
         MoebiusMap(1.0, 1.0)
     assert abs(abs(STRETCH.a) ** 2 - abs(STRETCH.b) ** 2 - 1.0) < 1e-12
     points = np.exp(1j * np.linspace(0.3, 5.9, 7))
-    roundtrip = STRETCH.inverse().apply(STRETCH.apply(points))
+    roundtrip = moebius_apply(STRETCH.inverse(), moebius_apply(STRETCH, points))
     assert np.max(np.abs(roundtrip - points)) < 1e-12
-    assert np.max(np.abs(np.abs(STRETCH.apply(points)) - 1.0)) < 1e-12
+    assert np.max(np.abs(np.abs(moebius_apply(STRETCH, points)) - 1.0)) < 1e-12
 
 
 def test_moebius_powers_compose_exactly():
@@ -238,36 +279,118 @@ def test_moebius_powers_compose_exactly():
     assert STRETCH.power(0).a == 1.0
 
 
+def looped_from_samples(values: np.ndarray, drop_tol: float) -> dict[int, complex]:
+    """TrigPoly.from_samples one mode at a time: the reference for its arrays."""
+    count = values.size
+    spectrum = np.fft.fft(np.asarray(values, dtype=complex)) / count
+    coefficients = {}
+    for index in range(count):
+        mode = index if index <= count // 2 else index - count
+        value = spectrum[index]
+        if abs(mode) >= count // 3 and abs(value) > drop_tol:
+            raise ValueError("sample resolution is too low for the requested tail tolerance")
+        if abs(value) > drop_tol:
+            coefficients[mode] = complex(value)
+    return coefficients
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stretch=st.floats(0.0, 3.0),
+    power=st.integers(-3, 3),
+    count=st.integers(4, 600),
+    drop_tol=st.sampled_from((1e-14, 1e-10, 1e-6, 1e-2)),
+)
+def test_sampled_coefficients_match_the_mode_loop(stretch, power, count, drop_tol):
+    """The same coefficients, bit for bit, or the same refusal; small grids and
+    steep weights reach the refusal, large ones the kept tail."""
+    points = np.exp(2j * np.pi * np.arange(count) / count)
+    values = MoebiusMap.hyperbolic(stretch).derivative_abs(points) ** power
+    try:
+        expected = looped_from_samples(values, drop_tol)
+    except ValueError:
+        with pytest.raises(ValueError, match="tail tolerance"):
+            TrigPoly.from_samples(values, drop_tol)
+        return
+    assert TrigPoly.from_samples(values, drop_tol) == TrigPoly.from_dict(expected)
+
+
 def test_moebius_unitary_identity_window():
-    result = moebius_unitary(MoebiusMap.identity(), 16, 128)
-    assert result.defect < 1e-12
-    assert np.max(np.abs(result.matrix - np.eye(33))) < 1e-12
+    result = moebius_unitary(MoebiusMap.identity(), 16)
+    assert result.truncation == np.finfo(float).eps
+    assert np.array_equal(result.matrix, np.eye(33))
+
+
+def test_rotation_is_the_diagonal_of_its_phases():
+    """b = 0 is its own case: the weight is one and mode n takes the phase
+    (a / conj a)^n, as the quadrature oracle finds."""
+    gamma = rotated(0.0, 2.1)
+    result = moebius_unitary(gamma, 8)
+    expected, _ = quadrature_unitary(gamma, 8, 128)
+    assert np.count_nonzero(result.matrix - np.diag(np.diagonal(result.matrix))) == 0
+    assert np.max(np.abs(result.matrix - expected)) <= 1e-14
 
 
 def test_moebius_unitary_defect_is_quadrature_small():
-    result = moebius_unitary(STRETCH, 64, 512)
-    assert result.defect < 1e-8
-    assert result.defect < 1e-12
-    column_norms = np.linalg.norm(result.matrix, axis=0)
+    matrix, defect = quadrature_unitary(STRETCH, 64, 512)
+    assert defect < 1e-8
+    assert defect < 1e-12
+    column_norms = np.linalg.norm(matrix, axis=0)
     assert np.all(column_norms <= 1.0 + 1e-10)
+    # At the rounding floor both defects are noise of about (2M + 1) eps.
+    assert defect >= dense_defect(STRETCH, 64, 512) - 4 * 129 * np.finfo(float).eps
 
 
 def test_moebius_unitary_requires_enough_quadrature():
     with pytest.raises(ValueError):
-        moebius_unitary(STRETCH, 64, 511)
+        quadrature_unitary(STRETCH, 64, 511)
     with pytest.raises(ValueError, match="quadrature defect"):
-        moebius_unitary(MoebiusMap.hyperbolic(4.0), 64, 512)
+        quadrature_unitary(MoebiusMap.hyperbolic(4.0), 64, 512)
+
+
+def assert_within_the_truncation_bound(gamma: MoebiusMap, max_mode: int, quad: int) -> None:
+    """The recurrence agrees with the quadrature oracle to 1e-13 in every
+    entry, and its truncation bound covers the l2 deviation of every column,
+    less the oracle's own rounding: eps (2M + 1 + log2 N) for its 2M + 1
+    repeated products and its FFT."""
+    result = moebius_unitary(gamma, max_mode)
+    expected, _ = quadrature_unitary(gamma, max_mode, quad)
+    deviation = result.matrix - expected
+    assert np.max(np.abs(deviation)) <= 1e-13
+    floor = np.finfo(float).eps * (2 * max_mode + 1 + math.log2(quad))
+    assert result.truncation + floor >= float(np.max(np.linalg.norm(deviation, axis=0)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(gamma=MAPS, max_mode=st.integers(1, 64))
-def test_blocked_unitary_matches_the_dense_oracle(gamma, max_mode):
-    quad = 8 * max_mode + 128
-    expected, exact = dense_unitary(gamma, max_mode, quad)
-    result = moebius_unitary(gamma, max_mode, quad)
-    assert np.max(np.abs(result.matrix - expected)) <= 1e-14
-    # At the rounding floor both defects are noise of about (2M + 1) eps.
-    assert result.defect >= exact - 4 * (2 * max_mode + 1) * np.finfo(float).eps
+@given(
+    gamma=st.builds(rotated, st.floats(0.0, 2.0), st.floats(0.0, 2.0 * math.pi)),
+    max_mode=st.integers(1, 128),
+)
+def test_recurrence_matches_the_quadrature_oracle(gamma, max_mode):
+    """At stretch 2 the oracle needs about e^2 M points; 16 M + 512 leave it
+    a defect near 1e-12."""
+    assert_within_the_truncation_bound(gamma, max_mode, 16 * max_mode + 512)
+
+
+def test_recurrence_matches_the_quadrature_oracle_at_the_benchmark_window():
+    assert_within_the_truncation_bound(STRETCH, 512, 4096)
+
+
+@pytest.mark.parametrize("stretch, quad", [(3.0, 4096), (5.0, 32768)])
+def test_recurrence_reaches_stretches_the_eight_point_rule_refused(stretch, quad):
+    """8M = 512 points refuse both maps (defects 8.7 and 43 at 1536 points);
+    the oracle meets its bound at 4096 and 32768 points."""
+    gamma = MoebiusMap.hyperbolic(stretch)
+    with pytest.raises(ValueError, match="quadrature defect"):
+        quadrature_unitary(gamma, 64, 512)
+    assert_within_the_truncation_bound(gamma, 64, quad)
+
+
+def test_recurrence_refuses_a_lead_past_the_buffer_limit():
+    """Stretch 8 needs about 53,000 modes below the window; the refusal
+    comes before anything is allocated."""
+    with pytest.raises(ValueError, match=f"above the limit of {RECURRENCE_LEAD_LIMIT}"):
+        moebius_unitary(MoebiusMap.hyperbolic(8.0), 16)
 
 
 @pytest.mark.parametrize(
@@ -283,10 +406,10 @@ def test_refused_defect_is_the_toeplitz_bound_of_the_dense_gram(stretch, max_mod
     row = spectrum[:, 0].conj() @ spectrum
     bound = abs(row[0] - 1.0) + 2.0 * float(np.sum(np.abs(row[1:])))
     with pytest.raises(ValueError, match="quadrature defect") as refused:
-        moebius_unitary(gamma, max_mode, quad)
+        quadrature_unitary(gamma, max_mode, quad)
     reported = float(str(refused.value).split()[2])
     assert reported == pytest.approx(bound, rel=1e-3)
-    assert reported >= dense_unitary(gamma, max_mode, quad)[1]
+    assert reported >= dense_defect(gamma, max_mode, quad)
 
 
 COEFFICIENTS = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
@@ -307,7 +430,6 @@ def test_represent_matches_the_dense_product(max_mode, stretch, turn, powers, da
     the window, at distance 2M, beyond the window, or the bare one."""
     size = 2 * max_mode + 1
     gamma = rotated(stretch, turn)
-    quad = 8 * max_mode + 128
     sign = st.sampled_from((-1, 1))
     single = st.one_of(
         st.integers(-size + 2, size - 2),
@@ -337,10 +459,10 @@ def test_represent_matches_the_dense_product(max_mode, stretch, turn, powers, da
         shifted = (
             np.eye(size)
             if power == 0
-            else moebius_unitary(gamma.power(power), max_mode, quad).matrix
+            else moebius_unitary(gamma.power(power), max_mode).matrix
         )
         expected += mult_op(symbol, max_mode) @ shifted
-    matrix = represent(element, gamma, max_mode, quad)
+    matrix = represent(element, gamma, max_mode)
     assert np.max(np.abs(matrix - expected)) <= 1e-12
 
 
@@ -361,7 +483,7 @@ def test_moebius_unitary_intertwines_multiplication():
     symbol = TrigPoly.from_dict({0: 0.25, 1: 1.0, -2: 0.5, 4: 0.05})
     angles = 2.0 * np.pi * np.arange(4096) / 4096
     points = np.exp(1j * angles)
-    composed_values = np.array([symbol.evaluate(STRETCH.apply(p)) for p in points])
+    composed_values = np.array([symbol.evaluate(moebius_apply(STRETCH, p)) for p in points])
     composed = TrigPoly.from_samples(composed_values, 1e-10)
     forward = moebius_rectangle(STRETCH, max_mode, pad, quad)
     backward = moebius_rectangle(STRETCH.inverse(), pad, max_mode, quad)
@@ -420,15 +542,14 @@ def test_twisted_commutator_plateau_and_plain_growth_smoke():
     plain_norms = []
     logged_norms = []
     for max_mode in (32, 64, 128):
-        quad = 8 * max_mode
         twisted_norms.append(
-            np.linalg.norm(inner_block(twisted_dirac_commutator(element, STRETCH, max_mode, quad)), 2)
+            np.linalg.norm(inner_block(twisted_dirac_commutator(element, STRETCH, max_mode)), 2)
         )
         plain_norms.append(
-            np.linalg.norm(inner_block(dirac_commutator(element, STRETCH, max_mode, quad)), 2)
+            np.linalg.norm(inner_block(dirac_commutator(element, STRETCH, max_mode)), 2)
         )
         logged_norms.append(
-            np.linalg.norm(inner_block(log_dirac_commutator(element, STRETCH, max_mode, quad)), 2)
+            np.linalg.norm(inner_block(log_dirac_commutator(element, STRETCH, max_mode)), 2)
         )
     assert max(twisted_norms) / min(twisted_norms) < 1.01
     assert abs(twisted_norms[-1] - 1.421187) < 1e-3

@@ -25,12 +25,17 @@ from twistzeta.cochain import (
 )
 from twistzeta.cli import (
     CIRCLE_MODE_BUDGET,
+    LATTICE_SITE_BUDGET,
+    PV_WINDOW_BUDGET,
+    SUMMABILITY_MODE_BUDGET,
     WINDOW_STEP_BUDGET,
     CheckRecord,
     ExperimentReport,
     UsageError,
     _check_mode_budget,
+    _check_pv_budget,
     _check_step_budget,
+    _check_summability_budget,
     _check_window_budget,
     _free_group_setup,
     build_config,
@@ -189,16 +194,16 @@ def test_pv_order_and_summability_defaults_pass():
     assert main(["summability"]) == 0
 
 
-def test_pv_order_below_the_quadrature_floor_is_refused(capsys):
-    """The symbol lane's moebius_unitary(hyperbolic(1.0), M, 8M) meets its
-    1e-8 defect bound first at M=21 (1.8e-8 at M=20): M=20 exits 2 at once,
-    naming 21, and M=21 ends in a verdict."""
+def test_pv_order_below_the_mode_floor_is_refused(capsys):
+    """At M=1 D_log vanishes on the whole window and the symbol lane has no
+    constants to measure: M=1 exits 2 at once, naming the floor 2, and M=2
+    passes all four default verdicts."""
     start = time.perf_counter()
-    assert main(["pv-order", "--M", "20"]) == 2
+    assert main(["pv-order", "--M", "1"]) == 2
     assert time.perf_counter() - start < 0.5
-    assert "20 is below the minimum 21" in capsys.readouterr().err
-    assert main(["pv-order", "--M", "21"]) in (0, 1)
-    assert "checks passed" in capsys.readouterr().out
+    assert "1 is below the minimum 2" in capsys.readouterr().err
+    assert main(["pv-order", "--M", "2"]) == 0
+    assert "PASS pv-order: 4/4 checks passed" in capsys.readouterr().out
 
 
 def test_every_free_group_entry_point_refuses_an_anchor_outside_the_alphabet():
@@ -405,6 +410,69 @@ def test_step_budget_admits_every_gate_and_benchmark_window():
         _check_step_budget(experiment, {"L": length, "s": grid})
     with pytest.raises(UsageError, match="above the budget"):
         _check_step_budget("heat-oracle", {"L": WINDOW_STEP_BUDGET + 1, "s": [2.5]})
+
+
+# Per circle-side budget: the flags that reach it, the smallest refused and
+# the largest accepted value, an input that failed or ran unbounded before
+# the budget, and the start of the refusal.
+CIRCLE_SIDE_EDGES = {
+    "pv-order --L": (8_388_608, 8_388_607, 100_000_000, "the pv-order sweep at L="),
+    "pv-order --M": (1025, 1024, 20_000, "the pv-order symbol lane at M="),
+    "summability --M": (2_100_000, 2_099_999, 100_000_000, "the summability window at M="),
+}
+
+
+@pytest.mark.parametrize("flags", sorted(CIRCLE_SIDE_EDGES))
+def test_circle_side_inputs_past_their_budget_are_refused(flags, capsys):
+    """The smallest refused value and the input that, before the budget,
+    ended in a MemoryError (summability --M 10^8, pv-order --M 20000) or ran
+    unbounded (pv-order --L 10^8) exit 2 at once, naming the estimate and
+    the largest accepted value."""
+    refused, accepted, former, opening = CIRCLE_SIDE_EDGES[flags]
+    for value in (refused, former):
+        start = time.perf_counter()
+        assert main([*flags.split(), str(value)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert f"{opening}{value}" in err
+        assert "above the budget of" in err
+        assert err.rstrip().endswith(f"accepted is {accepted}")
+
+
+@pytest.mark.parametrize("flags", sorted(CIRCLE_SIDE_EDGES))
+def test_largest_accepted_circle_side_input_ends_in_a_verdict(flags):
+    """In a fresh interpreter, so its peak memory (260 to 320 MB) is returned
+    when it ends: under 1 s for pv-order --L and summability --M, 5 s for
+    pv-order --M on one core, held to 60 s here."""
+    _, accepted, _, _ = CIRCLE_SIDE_EDGES[flags]
+    source = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))
+    experiment = flags.split()[0]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "twistzeta.cli", *flags.split(), str(accepted)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert time.perf_counter() - start < 60.0
+    assert done.returncode == 0, done.stderr
+    assert f"PASS {experiment}:" in done.stdout
+
+
+def test_circle_side_budgets_admit_every_default_gate_and_benchmark_input():
+    # The defaults (pv-order L=512 M=64, summability M=256), the CLI tests'
+    # settings and the moebius-sweep benchmark (pv-order L=2048 M=256,
+    # summability M=65536).
+    for length, max_mode in ((512, 64), (16, 64), (2048, 256), (512, 2)):
+        _check_pv_budget({"L": length, "M": max_mode})
+    for max_mode in (8, 16, 32, 64, 256, 65536):
+        _check_summability_budget(max_mode)
+    assert (2 * 1024 + 1) ** 2 <= PV_WINDOW_BUDGET < (2 * 1025 + 1) ** 2
+    assert 2 * 2_099_999 + 1 <= SUMMABILITY_MODE_BUDGET < 2 * 2_100_000 + 1
+    assert 2**22 + 1 <= LATTICE_SITE_BUDGET < 2**23 + 1
 
 
 def test_json_report_round_trips_and_is_deterministic():

@@ -19,7 +19,12 @@ from twistzeta.circle import (
     singular_values,
 )
 from twistzeta.damp import sgnlog_transform
-from twistzeta.higher_order import EpsBoundReport, order_sweep
+from twistzeta.higher_order import (
+    SWEEP_SYMBOL,
+    SYMBOL_STRETCH,
+    EpsBoundReport,
+    order_sweep,
+)
 
 # The boundary operator of the lattice crossed product, materialized on the
 # whole lattice-times-mode grid: the dense model behind the per-site bounds
@@ -180,7 +185,7 @@ def pv_boundary_operator(
 
 def _gentle_triple(lattice_radius: int, max_mode: int = 8) -> BoundaryTriple:
     gamma = MoebiusMap.hyperbolic(0.01)
-    window = moebius_unitary(gamma, max_mode, 8 * max_mode).matrix
+    window = moebius_unitary(gamma, max_mode).matrix
     return pv_boundary_operator(
         build_dlog(max_mode), window, 1.0, lattice_radius, max_mode
     )
@@ -223,14 +228,14 @@ def test_boundary_square_is_diagonal():
 
 def test_boundary_rejects_window_that_cannot_host_the_twist():
     gamma = MoebiusMap.hyperbolic(1.0)
-    window = moebius_unitary(gamma, 8, 256).matrix
+    window = moebius_unitary(gamma, 8).matrix
     with pytest.raises(ValueError, match="host"):
         pv_boundary_operator(build_dlog(8), window, 1.0, 6, 8)
 
 
 def test_boundary_rejects_bad_shapes_and_powers():
     gamma = MoebiusMap.hyperbolic(0.01)
-    window = moebius_unitary(gamma, 8, 64).matrix
+    window = moebius_unitary(gamma, 8).matrix
     modes = build_dlog(8)
     with pytest.raises(ValueError, match="exponent"):
         pv_boundary_operator(modes, window, 0.0, 4, 8)
@@ -465,3 +470,54 @@ def test_order_sweep_validation():
         order_sweep(1.0, "translation", (0.5,), (8, 8, 16))
     with pytest.raises(ValueError, match="exponent"):
         order_sweep(0.0, "translation", (0.5,), stages)
+
+
+def looped_sweep_norms(
+    power: float, commutator: str, epsilon: float, stages: tuple[int, ...], max_mode: int
+) -> list[float]:
+    """order_sweep's norms one site at a time: the reference for its arrays."""
+
+    def weight(site: int) -> float:
+        magnitude = abs(site) ** (2.0 + 2.0 * power) if site else 0.0
+        return math.exp(-0.5 * (1.0 - epsilon) * math.log1p(magnitude))
+
+    if commutator == "symbol":
+        window = moebius_unitary(MoebiusMap.hyperbolic(SYMBOL_STRETCH), max_mode).matrix
+        damped = build_dlog(max_mode)
+        step = float(singular_values(damped[:, None] * window - window * damped[None, :])[0])
+        symbol = mult_op(SWEEP_SYMBOL, max_mode)
+        inner = float(singular_values(damped[:, None] * symbol - symbol * damped[None, :])[0])
+        points = np.exp(2j * np.pi * np.arange(256) / 256)
+        sup = float(max(abs(SWEEP_SYMBOL.evaluate(point)) for point in points))
+
+        def value(site: int) -> float:
+            return (2.0 * step * abs(site) * sup + inner) * weight(site)
+
+    else:
+
+        def value(site: int) -> float:
+            forward = (site + 1) * abs(site + 1) ** power
+            return abs(forward - site * abs(site) ** power) * weight(site)
+
+    return [
+        max(value(site) for site in range(-(stage // 2), stage // 2 + 1)) for stage in stages
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    power=st.floats(0.05, 1.0),
+    commutator=st.sampled_from(("translation", "symbol")),
+    epsilons=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3),
+    first=st.integers(2, 40),
+    growth=st.lists(st.integers(1, 60), min_size=2, max_size=5),
+)
+def test_swept_arrays_match_the_site_loop(power, commutator, epsilons, first, growth):
+    """The folded running maximum gives the per-site loop's norms; numpy's
+    power, exp and log1p may differ from math's in the last digit."""
+    stages = tuple(first + sum(growth[:count]) for count in range(len(growth) + 1))
+    reports = order_sweep(power, commutator, epsilons, stages, max_mode=16)
+    for report in reports:
+        expected = looped_sweep_norms(power, commutator, report.epsilon, stages, 16)
+        assert [stage for stage, _ in report.sweep] == list(stages)
+        assert [norm for _, norm in report.sweep] == pytest.approx(expected, rel=1e-12)

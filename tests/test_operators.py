@@ -51,21 +51,21 @@ def test_numerical_rank_examples():
 
 def test_commutator_with_identity_vanishes():
     unit = CrossedElement.multiplication(TrigPoly.one())
-    bracket = dirac_commutator(unit, STRETCH, 8, 64)
+    bracket = dirac_commutator(unit, STRETCH, 8)
     assert bracket.shape == (17, 17)
     assert np.all(bracket == 0)
 
 
 def test_twisted_commutator_with_identity_twist_is_plain():
     identity = MoebiusMap.identity()
-    twisted = twisted_dirac_commutator(generic_element(), identity, 8, 64)
-    plain = dirac_commutator(generic_element(), identity, 8, 64)
+    twisted = twisted_dirac_commutator(generic_element(), identity, 8)
+    plain = dirac_commutator(generic_element(), identity, 8)
     assert np.array_equal(twisted, plain)
 
 
 def test_twisted_commutator_of_unit_vanishes():
     unit = CrossedElement.multiplication(TrigPoly.one())
-    assert np.all(twisted_dirac_commutator(unit, STRETCH, 8, 64) == 0)
+    assert np.all(twisted_dirac_commutator(unit, STRETCH, 8) == 0)
 
 
 def test_conjugation_twist_matches_sign_commutator_generic():

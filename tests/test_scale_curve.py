@@ -38,3 +38,23 @@ def test_one_small_point_of_every_target_ends_in_its_outcome():
     for sweep in sweeps:
         assert sweep["experiment"] == "damp-sweep"
         assert sweep["outcome"] == ["diverging", "converged"]
+
+
+def test_one_small_point_of_every_budget_target_ends_in_its_outcome():
+    """The targets outside the default run, at one small point each."""
+    script = Path(__file__).resolve().parents[1] / "tools" / "scale_curve.py"
+    argv = ["--targets", "pv-modes,pv-sites,summability", "--modes", "32", "--lengths", "64"]
+    done = subprocess.run(
+        [sys.executable, str(script), *argv, "--repeats", "1"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout.strip().splitlines()[-1])["points"]
+    assert [(row["target"], row["outcome"]) for row in rows] == [
+        ("pv-modes", True),
+        ("pv-sites", True),
+        ("summability", True),
+    ]
+    assert rows[1]["sites"] == 65 and rows[2]["modes"] == 65

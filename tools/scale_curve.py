@@ -1,5 +1,6 @@
 """Cost of the free-group counterexample, the Moebius unitary, the circle
-counterexamples and the windowed heat sums against their size parameter.
+counterexamples, the windowed heat sums, pv-order and summability against
+their size parameter.
 
 Usage, from the root of a checkout::
 
@@ -7,6 +8,7 @@ Usage, from the root of a checkout::
     python3 tools/scale_curve.py --targets index --points 2:6-10,3:4-7 --repeats 3
     python3 tools/scale_curve.py --src ../other/src --targets unitary --modes 256,512
     python3 tools/scale_curve.py --targets window --lengths 256,1024,4096
+    python3 tools/scale_curve.py --targets pv-modes,summability --modes 512,1024
 
 Each point runs one target in a fresh interpreter and reads the wall time
 of the call and the peak RSS of that interpreter; a point reports the
@@ -19,8 +21,9 @@ minimum of its repeats for both.  The targets:
   ``cli.FREE_GROUP_VERTEX_BUDGET`` bounds: sum_{n <= L} (2d-1)^n for the
   window plus 2 (2d-1)^3 for the word traces.  Whether the verdict passed
   is the outcome.
-- ``unitary``: ``circle.moebius_unitary(hyperbolic(1.0), M, 8M)`` at each M
-  of ``--modes``, next to the window size 2M + 1; its defect is the outcome.
+- ``unitary``: ``circle.moebius_unitary(hyperbolic(1.0), M)`` at each M of
+  ``--modes``, next to the window size 2M + 1; its truncation bound is the
+  outcome.
 - ``counterexample`` and ``circle``: ``cochain.counterexample_verdict`` of
   the ``moebius`` and of the ``circle`` family at each M, their verdict as
   the outcome.  These are library calls, what ``counterexample --family
@@ -34,6 +37,15 @@ minimum of its repeats for both.  The targets:
   (``damp.free_group_summability`` over the sweep L/16, ..., L, its
   verdicts or refusal as the outcome).  Library calls again, so the curve
   reaches past ``cli.WINDOW_STEP_BUDGET``.
+- ``pv-modes``, ``pv-sites`` and ``summability``: ``pv-order`` at each M of
+  ``--modes`` (L=512), ``pv-order`` at each L of ``--lengths`` (M=64), and
+  ``summability`` at each M of ``--modes``, all on their default exponents,
+  whether every check passed as the outcome.  They run the command's own
+  runner in the child, with the budget under measurement lifted there, so
+  the curves reach past ``cli.PV_WINDOW_BUDGET``,
+  ``cli.LATTICE_SITE_BUDGET`` and ``cli.SUMMABILITY_MODE_BUDGET``, which
+  they are used to set.  They are not in the default run: their useful
+  sizes differ from the other targets', so name them with ``--targets``.
 
 The last line of standard output is one JSON object with every point.
 """
@@ -42,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -49,7 +62,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-TARGETS = ("index", "unitary", "counterexample", "circle", "window")
+DEFAULT_TARGETS = ("index", "unitary", "counterexample", "circle", "window")
+TARGETS = DEFAULT_TARGETS + ("pv-modes", "pv-sites", "summability")
 DEFAULT_POINTS = "2:6-12,3:4-8"
 DEFAULT_MODES = "256,512,1024,2048"
 DEFAULT_LENGTHS = "256,512,1024,2048,4096,8192,16384"
@@ -62,9 +76,20 @@ WINDOW_RUNS = (
 
 
 def _child(target: str, sizes: list[int]) -> None:
-    from twistzeta import circle, ckalg, cochain, damp, traces, words
+    from twistzeta import circle, ckalg, cli, cochain, damp, traces, words
 
-    if target == "window":
+    if target in ("pv-modes", "pv-sites", "summability"):
+        (size,) = sizes
+        cli.PV_WINDOW_BUDGET = cli.LATTICE_SITE_BUDGET = cli.SUMMABILITY_MODE_BUDGET = math.inf
+        if target == "summability":
+            runner, params = cli._run_summability, {"s": [0.5, 1.0, 2.0], "M": size}
+        else:
+            max_mode, length = (size, 512) if target == "pv-modes" else (64, size)
+            runner = cli._run_pv_order
+            params = {"s": 1.0, "eps": [0.4, 0.7], "M": max_mode, "L": length}
+        start = time.perf_counter()
+        outcome = all(check.passed for check in runner(params))
+    elif target == "window":
         run, length = sizes
         experiment, generators, grid = WINDOW_RUNS[run]
         model, anchor = words.FreeGroup(generators), 0
@@ -93,7 +118,7 @@ def _child(target: str, sizes: list[int]) -> None:
         (max_mode,) = sizes
         start = time.perf_counter()
         gamma = circle.MoebiusMap.hyperbolic(1.0)
-        outcome = circle.moebius_unitary(gamma, max_mode, 8 * max_mode).defect
+        outcome = circle.moebius_unitary(gamma, max_mode).truncation
     else:
         (max_mode,) = sizes
         family = "circle" if target == "circle" else "moebius"
@@ -118,6 +143,12 @@ def _size_fields(target: str, sizes: tuple[int, ...]) -> dict[str, object]:
         run, length = sizes
         experiment, generators, grid = WINDOW_RUNS[run]
         return {"experiment": experiment, "d": generators, "s": list(grid), "L": length}
+    if target == "pv-sites":
+        (length,) = sizes
+        return {"L": length, "sites": (8 << ((length // 8).bit_length() - 1)) + 1}
+    if target == "summability":
+        (max_mode,) = sizes
+        return {"M": max_mode, "modes": 2 * max_mode + 1}
     if target == "index":
         generators, length = sizes
         rate = 2 * generators - 1
@@ -130,10 +161,14 @@ def _size_fields(target: str, sizes: tuple[int, ...]) -> dict[str, object]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="package sources to import")
-    parser.add_argument("--targets", default=",".join(TARGETS), help="comma-separated targets")
+    parser.add_argument(
+        "--targets", default=",".join(DEFAULT_TARGETS), help="comma-separated targets"
+    )
     parser.add_argument("--points", default=DEFAULT_POINTS, help="d:Lmin-Lmax groups of index")
     parser.add_argument("--modes", default=DEFAULT_MODES, help="comma-separated M of the rest")
-    parser.add_argument("--lengths", default=DEFAULT_LENGTHS, help="comma-separated L of window")
+    parser.add_argument(
+        "--lengths", default=DEFAULT_LENGTHS, help="comma-separated L of window and pv-sites"
+    )
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -151,6 +186,8 @@ def main() -> int:
         elif target == "window":
             lengths = [int(text) for text in args.lengths.split(",")]
             jobs += [(target, (run, n)) for run in range(len(WINDOW_RUNS)) for n in lengths]
+        elif target == "pv-sites":
+            jobs += [(target, (int(text),)) for text in args.lengths.split(",")]
         else:
             jobs += [(target, (int(text),)) for text in args.modes.split(",")]
     rows = []
