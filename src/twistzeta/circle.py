@@ -5,9 +5,8 @@ Dirac operator acts diagonally with eigenvalue n away from mode zero and
 eigenvalue one at mode zero, so it is invertible and its phase splits the
 window into Hardy and anti-Hardy halves.  Multiplication operators, the
 unitaries induced by Moebius transformations, and conformally twisted
-commutators are all materialised as dense matrices on that window; zeta
-traces against powers of the Dirac operator come out either as multiples of
-the Riemann zeta function or as finite Dirichlet sums.
+commutators are all materialised as dense matrices on that window, and the
+Toeplitz compressions and winding numbers give the index data.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -31,12 +29,6 @@ RANK_TOL = 1e-8
 # third of modes has not fallen below it.
 TWIST_SAMPLES = 4096
 TWIST_TAIL_TOL = 1e-10
-
-# Largest termwise drift of the Dirichlet data between the two largest windows.
-STABILIZATION_TOL = 1e-10
-
-# Terms of the zeta series summed directly; the Euler-Maclaurin tail starts here.
-ZETA_CUTOFF = 24
 
 
 @dataclass(frozen=True)
@@ -92,12 +84,6 @@ class TrigPoly:
 
     def as_dict(self) -> dict[int, complex]:
         return dict(self.terms)
-
-    def coefficient(self, mode: int) -> complex:
-        for term_mode, value in self.terms:
-            if term_mode == mode:
-                return value
-        return 0.0
 
     @property
     def bandwidth(self) -> int:
@@ -194,13 +180,6 @@ def build_dlog(max_mode: int) -> np.ndarray:
     away = np.abs(modes) >= 2
     eigenvalues[away] = np.sign(modes[away]) * np.log(np.abs(modes[away]))
     return eigenvalues
-
-
-def build_phase(max_mode: int) -> np.ndarray:
-    """Diagonal of the phase of the shifted derivative operator."""
-
-    modes = np.arange(-max_mode, max_mode + 1)
-    return np.where(modes >= 0, 1.0, -1.0)
 
 
 def _banded(symbol: TrigPoly, rows: int, cols: int) -> np.ndarray:
@@ -568,126 +547,3 @@ def toeplitz_index(symbol: TrigPoly, max_mode: int) -> int:
     forward = _corner_kernel_dim(symbol, max_mode, spread)
     backward = _corner_kernel_dim(symbol.conjugate(), max_mode, spread)
     return forward - backward
-
-
-_BERNOULLI = (
-    Fraction(1, 6),
-    Fraction(-1, 30),
-    Fraction(1, 42),
-    Fraction(-1, 30),
-    Fraction(5, 66),
-    Fraction(-691, 2730),
-    Fraction(7, 6),
-    Fraction(-3617, 510),
-)
-
-
-def riemann_zeta(argument: complex) -> complex:
-    """Euler-Maclaurin continuation of the zeta series, valid away from one."""
-
-    s = complex(argument)
-    if abs(s - 1.0) < 1e-12:
-        raise ValueError("the zeta function has its pole at argument one")
-    total = sum(complex(k) ** (-s) for k in range(1, ZETA_CUTOFF))
-    total += complex(ZETA_CUTOFF) ** (1.0 - s) / (s - 1.0)
-    total += 0.5 * complex(ZETA_CUTOFF) ** (-s)
-    rising = s
-    for index, bernoulli in enumerate(_BERNOULLI, start=1):
-        weight = float(bernoulli / math.factorial(2 * index))
-        total += weight * rising * complex(ZETA_CUTOFF) ** (-s - 2 * index + 1)
-        rising = rising * (s + 2 * index - 1) * (s + 2 * index)
-    return total
-
-
-@dataclass(frozen=True)
-class DirichletSum:
-    """Finite sum of terms coefficient * base^(-2z), an entire trace function."""
-
-    terms: tuple[tuple[float, complex], ...]
-
-    def __post_init__(self) -> None:
-        bases = [base for base, _ in self.terms]
-        if bases != sorted(set(bases)):
-            raise ValueError("bases must be strictly increasing")
-        if any(base <= 0.0 for base in bases):
-            raise ValueError("bases must be positive")
-
-    @classmethod
-    def from_window_diagonal(cls, matrix: np.ndarray) -> DirichletSum:
-        size = matrix.shape[0]
-        if matrix.shape != (size, size) or size % 2 == 0:
-            raise ValueError("an odd square window matrix is required")
-        max_mode = (size - 1) // 2
-        bases = np.abs(build_dirac(max_mode))
-        merged: dict[float, complex] = {}
-        for position in range(size):
-            base = float(bases[position])
-            merged[base] = merged.get(base, 0.0) + complex(matrix[position, position])
-        kept = {base: value for base, value in merged.items() if abs(value) > 0.0}
-        return cls(tuple(sorted(kept.items())))
-
-    def evaluate(self, z: complex) -> complex:
-        return sum(value * complex(base) ** (-2.0 * z) for base, value in self.terms)
-
-
-def stabilized_dirichlet(
-    builder: Callable[[int], np.ndarray], sizes: Sequence[int]
-) -> DirichletSum:
-    """Certify window independence of the diagonal trace data.
-
-    The builder is evaluated on each mode window; the resulting Dirichlet
-    sums for the two largest windows must agree termwise within
-    ``STABILIZATION_TOL``, otherwise the diagonal has not settled and no
-    entire certificate can be issued.
-    """
-
-    if len(sizes) < 2 or list(sizes) != sorted(set(sizes)):
-        raise ValueError("at least two strictly increasing window sizes are required")
-    sums = [DirichletSum.from_window_diagonal(builder(size)) for size in sizes]
-    previous, final = dict(sums[-2].terms), dict(sums[-1].terms)
-    for base in sorted(set(previous) | set(final)):
-        drift = abs(previous.get(base, 0.0) - final.get(base, 0.0))
-        if drift > STABILIZATION_TOL:
-            raise ValueError(
-                "diagonal trace data has not stabilized across the mode windows"
-            )
-    return sums[-1]
-
-
-def circle_zeta(operand: TrigPoly | DirichletSum, power: int) -> float:
-    """Residue at the origin of z^power times the zeta trace of the operand.
-
-    A multiplication operand yields a trace proportional to the continued
-    zeta series, whose only pole sits at one half, and a Dirichlet operand
-    yields an entire trace; in both cases every residue at the origin
-    vanishes identically.
-    """
-
-    if power < 0:
-        raise ValueError("the polynomial degree must be nonnegative")
-    if not isinstance(operand, (TrigPoly, DirichletSum)):
-        raise TypeError("operand must be a Fourier polynomial or a Dirichlet sum")
-    return 0.0
-
-
-def circle_zeta_poles(operand: TrigPoly | DirichletSum) -> tuple[tuple[float, complex], ...]:
-    """Pole locations and residues of the zeta trace of the operand."""
-
-    if isinstance(operand, DirichletSum):
-        return ()
-    if isinstance(operand, TrigPoly):
-        average = operand.coefficient(0)
-        if average == 0:
-            return ()
-        return ((0.5, complex(average)),)
-    raise TypeError("operand must be a Fourier polynomial or a Dirichlet sum")
-
-
-def circle_zeta_value(operand: TrigPoly | DirichletSum, z: complex) -> complex:
-    """Evaluate the zeta trace of the operand away from its poles."""
-
-    if isinstance(operand, DirichletSum):
-        return operand.evaluate(z)
-    if isinstance(operand, TrigPoly):
-        return operand.coefficient(0) * (2.0 * riemann_zeta(2.0 * complex(z)) + 1.0)
-    raise TypeError("operand must be a Fourier polynomial or a Dirichlet sum")

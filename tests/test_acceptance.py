@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_circle import build_phase
 
 from twistzeta.ckalg import Monomial
 from twistzeta.circle import (
@@ -20,7 +21,6 @@ from twistzeta.circle import (
     MoebiusMap,
     TrigPoly,
     build_dirac,
-    build_phase,
     dirac_commutator,
     inner_block,
     log_dirac_commutator,

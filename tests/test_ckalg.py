@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,20 +194,19 @@ def refine_diagonal(
     if not diagonal:
         return ZeroDiagonal()
     length = max(common_length, max(len(word) for word, _ in diagonal))
-    refined: dict[Word, Fraction] = {}
+    # Integer sums over the common denominator, divided once at the end.
+    scale = math.lcm(*(coeff.denominator for _, coeff in diagonal))
+    sums: dict[Word, int] = {}
     for word, coeff in diagonal:
+        numerator = coeff.numerator * (scale // coeff.denominator)
         mono = Monomial(word, word)
         for ext in _admissible_extensions(model, mono, length - len(word)):
             target = word + ext
-            updated = refined.get(target, Fraction(0)) + coeff
-            if updated:
-                refined[target] = updated
-            else:
-                refined.pop(target, None)
-    refined = _merge_siblings(refined, model, common_length)
+            sums[target] = sums.get(target, 0) + numerator
+    refined = _merge_siblings({w: c for w, c in sums.items() if c}, model, common_length)
     if not refined:
         return ZeroDiagonal()
-    return CylinderSum(tuple(sorted(refined.items())))
+    return CylinderSum(tuple(sorted((w, Fraction(c, scale)) for w, c in refined.items())))
 
 
 def diagonal_dichotomy(

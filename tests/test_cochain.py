@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_ckalg import act_on_vertex, adjoint, element_sum, elements_equal, generator
+from test_circle import build_phase
 from test_words import (
     T,
     BoundaryPoint,
@@ -29,15 +30,15 @@ from test_words import (
 )
 
 from twistzeta.ckalg import CKElement, Monomial, multiply
-from twistzeta.circle import TrigPoly, build_dirac
+from twistzeta.circle import TrigPoly, build_dirac, mult_op
 from twistzeta.cochain import (
-    CIRCLE_COCHAIN_MODES,
     CounterexampleReport,
     _largest_window_key,
     _translate,
     _window_nullity,
     boundary_translation_index,
     circle_cochain,
+    circle_word_trace,
     cochain_word_trace,
     compressed_kernel_dimension,
     compressed_translation_index,
@@ -421,6 +422,74 @@ def test_free_group_cochain_vanishes_with_certificates():
     assert weights == {0: Fraction(1, 12), 1: Fraction(1, 6)}
 
 
+# Float oracle of the exact circle word traces: the dense word matrix on
+# mode windows, its diagonal summed over each modulus |D_n|, settled when
+# the two largest windows agree termwise.
+
+def window_word(symbols: tuple[TrigPoly, ...], window: int) -> np.ndarray:
+    """P M_{s0} [P, M_{s1}] |D| ... [P, M_{sa}] |D| |D|^-a on the window."""
+    phase = build_phase(window)
+    modulus = np.abs(build_dirac(window))
+    total = phase[:, None] * mult_op(symbols[0], window)
+    for symbol in symbols[1:]:
+        block = mult_op(symbol, window)
+        bracket = phase[:, None] * block - block * phase[None, :]
+        total = total @ (bracket * modulus[None, :])
+    return total * modulus[None, :] ** float(1 - len(symbols))
+
+
+def stabilized_diagonal(
+    symbols: tuple[TrigPoly, ...], windows: tuple[int, int] = (36, 48)
+) -> dict[int, complex]:
+    """Diagonal of the window word summed over each modulus, once the two
+    windows agree on every modulus to 1e-10."""
+    sums = []
+    for window in windows:
+        merged: dict[int, complex] = {}
+        moduli = np.abs(build_dirac(window)).astype(int).tolist()
+        for base, value in zip(moduli, np.diag(window_word(symbols, window)).tolist()):
+            merged[base] = merged.get(base, 0.0) + value
+        sums.append(merged)
+    smaller, larger = sums
+    for base in set(smaller) | set(larger):
+        drift = abs(smaller.get(base, 0.0) - larger.get(base, 0.0))
+        assert drift <= 1e-10, f"diagonal at |D| = {base} moved by {drift}"
+    return {base: value for base, value in larger.items() if value != 0.0}
+
+
+def test_circle_word_trace_matches_the_stated_values():
+    assert circle_word_trace((-1, 1)) == {1: Fraction(-2)}
+    assert circle_word_trace((-2, 2)) == {1: Fraction(-2), 2: Fraction(-2)}
+    assert circle_word_trace((1, 1)) == {}
+    with pytest.raises(ValueError, match="leading symbol"):
+        circle_word_trace((1,))
+
+
+@pytest.mark.parametrize("power", [1, -1, 2])
+@pytest.mark.parametrize("arity", [1, 3])
+def test_circle_word_trace_matches_the_stabilized_window_diagonal(power, arity):
+    powers = [-power if position % 2 == 0 else power for position in range(arity + 1)]
+    exact = circle_word_trace(powers)
+    oracle = stabilized_diagonal(tuple(TrigPoly.coordinate(k) for k in powers))
+    assert exact
+    for base in set(exact) | set(oracle):
+        assert abs(complex(exact.get(base, 0)) - oracle.get(base, 0.0)) <= 1e-12
+
+
+def test_circle_support_check_refuses_a_factor_without_its_bracket(monkeypatch):
+    """Plain M_z in place of [P, M_z] |D| weighs every mode of the arity-1
+    word, and the support check refuses it.  At arity 3 the remaining
+    brackets would still bound the support."""
+
+    def plain(mode: int, power: int) -> tuple[int, int]:
+        return mode + power, 1
+
+    monkeypatch.setattr("twistzeta.cochain._bracket_letter", plain)
+    coordinate = TrigPoly.coordinate()
+    with pytest.raises(ValueError, match="certified support bound"):
+        circle_cochain((coordinate.conjugate(), coordinate), cutoff=0)
+
+
 def test_circle_cochain_vanishes_on_the_coordinate_pair():
     coordinate = TrigPoly.coordinate()
     conjugate = coordinate.conjugate()
@@ -445,9 +514,9 @@ def test_circle_cochain_validation():
         circle_cochain(
             (coordinate.conjugate(), coordinate, coordinate), cutoff=0
         )
-    wide = TrigPoly.coordinate(CIRCLE_COCHAIN_MODES // 4 + 1)
-    with pytest.raises(ValueError, match="window"):
-        circle_cochain((wide.conjugate(), coordinate), cutoff=0)
+    for symbol in (TrigPoly.from_dict({1: 2.0}), TrigPoly.from_dict({1: 1.0, 2: 1.0})):
+        with pytest.raises(ValueError, match="monomial"):
+            circle_cochain((symbol.conjugate(), symbol), cutoff=0)
 
 
 def test_boundary_translation_index_matches_the_letter_table():

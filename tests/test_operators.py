@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from test_circle import build_phase
 
 from twistzeta.circle import (
     CrossedElement,
     MoebiusMap,
     TrigPoly,
     build_dirac,
-    build_phase,
     dirac_commutator,
     inner_block,
     numerical_rank,

@@ -28,6 +28,7 @@ def test_one_small_point_of_every_target_ends_in_its_outcome():
         "window",
         "window",
     ]
+    assert {row["blas_threads"] for row in rows} == {1}
     outcomes = {row["target"]: row["outcome"] for row in rows[:4]}
     assert outcomes["index"] is True
     assert outcomes["counterexample"] is True
@@ -58,3 +59,4 @@ def test_one_small_point_of_every_budget_target_ends_in_its_outcome():
         ("summability", True),
     ]
     assert rows[1]["sites"] == 65 and rows[2]["modes"] == 65
+    assert {row["blas_threads"] for row in rows} == {1}

@@ -25,8 +25,6 @@ KEPT = (
     ("traces.brute_force_toeplitz_trace", "windowed oracle of acceptance criterion 02"),
     ("operators.frac_power_integral_check", "quadrature check of acceptance criterion 09"),
     ("cli.report_from_json", "reader of the reports that --out writes"),
-    ("circle.circle_zeta_value", "test-only; ROADMAP item 4 decides the circle zeta"),
-    ("circle.circle_zeta_poles", "test-only; ROADMAP item 4 decides the circle zeta"),
     ("cochain.CounterexampleReport.word_certificates", "read by acceptance criterion 04"),
 )
 

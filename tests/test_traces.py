@@ -218,9 +218,12 @@ def enumerated_summary(
     if not isinstance(result, CylinderSum):
         return (refined, omega_tuple, sigma_lengths, (), (), True)
 
-    settled: dict[tuple[int, ...], Fraction] = {}
-    ending: dict[int, Fraction] = {}
-    for cylinder, weight in result.cylinders:
+    # Integer sums over the common denominator, divided once at the end.
+    scale = math.lcm(*(weight.denominator for _, weight in result.cylinders))
+    settled: dict[tuple[int, ...], int] = {}
+    ending: dict[int, int] = {}
+    for cylinder, fraction in result.cylinders:
+        weight = fraction.numerator * (scale // fraction.denominator)
         assert len(cylinder) == refined
         sigma: dict[int, Word] = {stages: cylinder}
         for j in range(stages, 1, -1):
@@ -228,7 +231,7 @@ def enumerated_summary(
             sigma[j - 1] = pair.out_word + sigma[j][len(pair.in_word) :]
         last = cylinder[-1]
         letter_class = min(last, 2)
-        ending[letter_class] = ending.get(letter_class, Fraction(0)) + weight
+        ending[letter_class] = ending.get(letter_class, 0) + weight
         if last != 1:
             depths = []
             for j in range(1, stages + 1):
@@ -238,13 +241,13 @@ def enumerated_summary(
                     run += 1
                 depths.append(len(word) - run)
             key = tuple(depths)
-            settled[key] = settled.get(key, Fraction(0)) + weight
+            settled[key] = settled.get(key, 0) + weight
     return (
         refined,
         omega_tuple,
         sigma_lengths,
-        tuple(sorted(settled.items())),
-        tuple(sorted(ending.items())),
+        tuple(sorted((key, Fraction(total, scale)) for key, total in settled.items())),
+        tuple(sorted((key, Fraction(total, scale)) for key, total in ending.items())),
         False,
     )
 

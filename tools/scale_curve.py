@@ -10,9 +10,10 @@ Usage, from the root of a checkout::
     python3 tools/scale_curve.py --targets window --lengths 256,1024,4096
     python3 tools/scale_curve.py --targets pv-modes,summability --modes 512,1024
 
-Each point runs one target in a fresh interpreter and reads the wall time
-of the call and the peak RSS of that interpreter; a point reports the
-minimum of its repeats for both.  The targets:
+Each point runs one target in a fresh interpreter, with one BLAS thread as
+in the benchmark, and reads the wall time of the call and the peak RSS of
+that interpreter; a point reports the minimum of its repeats for both, and
+the BLAS thread count the interpreter ran with.  The targets:
 
 - ``index``: ``cochain.counterexample_verdict("free_group", generators=d,
   source_length=L)``, what ``counterexample --family free_group --d d --L
@@ -55,6 +56,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -67,6 +69,10 @@ TARGETS = DEFAULT_TARGETS + ("pv-modes", "pv-sites", "summability")
 DEFAULT_POINTS = "2:6-12,3:4-8"
 DEFAULT_MODES = "256,512,1024,2048"
 DEFAULT_LENGTHS = "256,512,1024,2048,4096,8192,16384"
+# BLAS threads of every child, as the benchmark runs them: a child left at
+# the default thread count contends with any other BLAS job on the machine.
+BLAS_THREADS = 1
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # The window target's runs: name, generators and exponents.
 WINDOW_RUNS = (
     ("heat-oracle", 2, (2.5, 3.0, 3.5)),
@@ -126,7 +132,13 @@ def _child(target: str, sizes: list[int]) -> None:
         outcome = cochain.counterexample_verdict(family, max_mode=max_mode).passed
     seconds = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(json.dumps({"outcome": outcome, "seconds": seconds, "peak_rss_mb": peak}))
+    # The most threads any of the BLAS libraries may start in this child.
+    threads = max(int(os.environ[name]) for name in BLAS_VARIABLES)
+    print(
+        json.dumps(
+            {"outcome": outcome, "seconds": seconds, "peak_rss_mb": peak, "blas_threads": threads}
+        )
+    )
 
 
 def _points(text: str) -> list[tuple[int, int]]:
@@ -190,13 +202,15 @@ def main() -> int:
             jobs += [(target, (int(text),)) for text in args.lengths.split(",")]
         else:
             jobs += [(target, (int(text),)) for text in args.modes.split(",")]
+    env = {"PYTHONPATH": args.src, "PATH": "/usr/bin:/bin"}
+    env.update((name, str(BLAS_THREADS)) for name in BLAS_VARIABLES)
     rows = []
     for target, sizes in jobs:
         runs = []
         for _ in range(args.repeats):
             done = subprocess.run(
                 [sys.executable, __file__, "--child", target, *map(str, sizes)],
-                env={"PYTHONPATH": args.src, "PATH": "/usr/bin:/bin"},
+                env=env,
                 capture_output=True,
                 text=True,
                 check=True,
@@ -209,6 +223,7 @@ def main() -> int:
             "outcome": runs[0]["outcome"],
             "seconds": min(run["seconds"] for run in runs),
             "peak_rss_mb": min(run["peak_rss_mb"] for run in runs),
+            "blas_threads": runs[0]["blas_threads"],
         }
         rows.append(row)
         size = " ".join(f"{key}={value}" for key, value in fields.items())
