@@ -7,6 +7,12 @@ window into Hardy and anti-Hardy halves.  Multiplication operators, the
 unitaries induced by Moebius transformations, and conformally twisted
 commutators are all materialised as dense matrices on that window, and the
 Toeplitz compressions and winding numbers give the index data.
+
+The dtype of every matrix follows from its input.  A map with real a and b
+commutes with z -> conj(z), so its unitary and the twist weights |gamma'|^k
+have real Fourier coefficients; with symbols whose coefficients are all real
+the window matrices, the commutators and the ranks are float64.  Anything
+else is complex128.
 """
 
 from __future__ import annotations
@@ -86,6 +92,12 @@ class TrigPoly:
         return dict(self.terms)
 
     @property
+    def is_real(self) -> bool:
+        """Whether every coefficient is real, so its matrices are float64."""
+
+        return all(value.imag == 0 for _, value in self.terms)
+
+    @property
     def bandwidth(self) -> int:
         return max((abs(mode) for mode, _ in self.terms), default=0)
 
@@ -131,6 +143,12 @@ class MoebiusMap:
         drift = abs(abs(self.a) ** 2 - abs(self.b) ** 2 - 1.0)
         if drift > 1e-9 * max(1.0, abs(self.a) ** 2):
             raise ValueError("coefficients must satisfy |a|^2 - |b|^2 = 1")
+
+    @property
+    def is_real(self) -> bool:
+        """Whether a and b are real, so the map commutes with z -> conj(z)."""
+
+        return complex(self.a).imag == 0 and complex(self.b).imag == 0
 
     @classmethod
     def identity(cls) -> MoebiusMap:
@@ -183,12 +201,15 @@ def build_dlog(max_mode: int) -> np.ndarray:
 
 
 def _banded(symbol: TrigPoly, rows: int, cols: int) -> np.ndarray:
-    """Convolution matrix with entry [i, j] the coefficient of mode i - j."""
+    """Convolution matrix with entry [i, j] the coefficient of mode i - j,
+    float64 when every coefficient is real."""
 
-    matrix = np.zeros((rows, cols), dtype=complex)
+    real = symbol.is_real
+    matrix = np.zeros((rows, cols), dtype=float if real else complex)
     for mode, value in symbol.terms:
         if -cols < mode < rows:
-            np.fill_diagonal(matrix[max(mode, 0) :, max(-mode, 0) :], value)
+            diagonal = matrix[max(mode, 0) :, max(-mode, 0) :]
+            np.fill_diagonal(diagonal, value.real if real else value)
     return matrix
 
 
@@ -218,6 +239,14 @@ def _unitary_cached(gamma: MoebiusMap, max_mode: int) -> WindowUnitary:
     a, b = complex(gamma.a), complex(gamma.b)
     size = 2 * max_mode + 1
     spacing = float(np.finfo(float).eps)
+    real = gamma.is_real
+    if real:
+        a, b = a.real, b.real
+        if b == 0:
+            # a = +-1: z -> (a z) / a is the identity.
+            matrix = np.eye(size)
+            matrix.setflags(write=False)
+            return WindowUnitary(matrix, spacing)
     if b == 0:
         # A rotation z -> (a / conj a) z: weight one, mode n picks up its phase.
         angle = 2.0 * np.angle(a)
@@ -237,11 +266,13 @@ def _unitary_cached(gamma: MoebiusMap, max_mode: int) -> WindowUnitary:
         points += 1
     samples = np.exp(2j * np.pi * np.arange(points) / points)
     spectrum = np.fft.fft(gamma.derivative_abs(samples) ** 0.5) / points
+    if real:
+        spectrum = spectrum.real
 
     # buffer[t + 1, n] holds c_n[r - deepest] on the diagonal t = r + n; row 0
     # and every r < 0 stay zero, the coefficients below the start.
     rows = deepest + max_mode + 1
-    buffer = np.zeros((rows + max_mode + 1, max_mode + 1), dtype=complex)
+    buffer = np.zeros((rows + max_mode + 1, max_mode + 1), dtype=spectrum.dtype)
     buffer[1 : rows + 1, 0] = spectrum[np.arange(-deepest, max_mode + 1) % points]
     scale = a.conjugate()
     forward, level, back = a / scale, b / scale, b.conjugate() / scale
@@ -256,7 +287,7 @@ def _unitary_cached(gamma: MoebiusMap, max_mode: int) -> WindowUnitary:
     window = np.lib.stride_tricks.as_strided(
         start, shape=(size, max_mode + 1), strides=(step, step + item), writeable=False
     )
-    matrix = np.empty((size, size), dtype=complex)
+    matrix = np.empty((size, size), dtype=buffer.dtype)
     matrix[:, max_mode:] = window
     np.conjugate(window[::-1, :0:-1], out=matrix[:, :max_mode])
 
@@ -295,6 +326,16 @@ def moebius_unitary(gamma: MoebiusMap, max_mode: int) -> WindowUnitary:
     real and gamma^(-n) = conj(gamma^n) on the circle.  q = 0 is a rotation,
     built as the diagonal of its phases e^(i phi n), phi = 2 arg(a); each is
     within eps (|phi| M + 1) of the exact phase, the bound returned for it.
+
+    Real maps.  When a and b are real, w = |a + b z|^(-1) is even in theta,
+    so every c_0[k] is real, and so are the recurrence's coefficients a / a,
+    b / a and conj(b) / a: the window is real, and float64.  Column 0 keeps
+    only the real part of its FFT.  That projection is a contraction onto
+    the reals, where the exact column lies, so it moves no entry further
+    from it and e_0 below still bounds it; the recurrence then runs in real
+    arithmetic, whose rounding the complex bound covers.  The negative-mode
+    columns are the mirror c_{-n}[k] = c_n[-k].  A real rotation, a = +-1
+    and b = 0, is the identity, built as np.eye with the bound eps.
 
     Error bound, in l2 over the rows of any column.  Multiplication by gamma
     is unitary on l2(Z), and lower-triangular because gamma is holomorphic
@@ -354,7 +395,11 @@ def derivative_abs_poly(gamma: MoebiusMap, power: int) -> TrigPoly:
     angles = 2.0 * np.pi * np.arange(TWIST_SAMPLES) / TWIST_SAMPLES
     points = np.exp(1j * angles)
     values = gamma.derivative_abs(points) ** power
-    return TrigPoly.from_samples(values, TWIST_TAIL_TOL)
+    weight = TrigPoly.from_samples(values, TWIST_TAIL_TOL)
+    if gamma.is_real:
+        # |gamma'| is even in theta for real a and b: the coefficients are real.
+        weight = TrigPoly.from_dict({mode: value.real for mode, value in weight.terms})
+    return weight
 
 
 def conformal_twist(element: CrossedElement, gamma: MoebiusMap) -> CrossedElement:
@@ -377,30 +422,40 @@ def _convolve_modes(symbol: TrigPoly, matrix: np.ndarray) -> np.ndarray:
     longer ones are convolved along contiguous mode rows.  Terms that move
     every mode out of the window are dropped, as in mult_op; the transform
     exceeds the window by the remaining bandwidth, so no kept row wraps
-    around.
+    around.  A real symbol on a real matrix gives a real product, by real
+    transforms; anything else is complex.
     """
 
     size = matrix.shape[0]
-    if len(symbol.terms) == 1:
+    real = symbol.is_real and not np.iscomplexobj(matrix)
+    terms = [(mode, value.real if real else value) for mode, value in symbol.terms]
+    if len(terms) == 1:
         # c z^k is a scaled partial permutation: row i takes c times row i - k.
-        ((mode, value),) = symbol.terms
+        ((mode, value),) = terms
         if mode == 0:
             return value * matrix
-        shifted = np.zeros_like(matrix)
+        shifted = np.zeros(matrix.shape, dtype=np.result_type(value, matrix))
         if abs(mode) < size:
             shifted[max(mode, 0) : size + min(mode, 0)] = (
                 value * matrix[max(-mode, 0) : size - max(mode, 0)]
             )
         return shifted
-    terms = [(mode, value) for mode, value in symbol.terms if abs(mode) < size]
+    terms = [(mode, value) for mode, value in terms if abs(mode) < size]
     length = size + max((abs(mode) for mode, _ in terms), default=0)
     while _SMOOTH % length:
         length += 1
-    kernel = np.zeros(length, dtype=complex)
+    dtype = float if real else complex
+    kernel = np.zeros(length, dtype=dtype)
     for mode, value in terms:
         kernel[mode % length] = value
-    rows = np.zeros((size, length), dtype=complex)
+    rows = np.zeros((size, length), dtype=dtype)
     rows[:, :size] = matrix.T
+    if real:
+        # Half spectra; the inverse lands back in the input rows.
+        spectrum = np.fft.rfft(rows, axis=1)
+        spectrum *= np.fft.rfft(kernel)
+        np.fft.irfft(spectrum, n=length, axis=1, out=rows)
+        return rows[:, :size].T
     # In place: one (size, length) buffer instead of three.
     np.fft.fft(rows, axis=1, out=rows)
     rows *= np.fft.fft(kernel)
@@ -420,8 +475,11 @@ def represent(element: CrossedElement, gamma: MoebiusMap, max_mode: int) -> np.n
             term = _convolve_modes(symbol, unitary)
         if total is None:
             total = term
-        else:
+        elif np.can_cast(term.dtype, total.dtype):
             total += term
+        else:
+            # A complex term does not fit in place into a real total.
+            total = total + term
     if total is None:
         size = 2 * max_mode + 1
         return np.zeros((size, size), dtype=complex)

@@ -155,8 +155,7 @@ def order_sweep(
                 damped[:, None] * symbol_matrix - symbol_matrix * damped[None, :]
             )[0]
         )
-        points = np.exp(2j * np.pi * np.arange(256) / 256)
-        symbol_sup = float(max(abs(SWEEP_SYMBOL.evaluate(point)) for point in points))
+        symbol_sup = float(np.max(np.abs(SWEEP_SYMBOL.values_on_grid(256))))
 
         def site_value(sites: np.ndarray, eps: float) -> np.ndarray:
             bound = 2.0 * step_norm * np.abs(sites) * symbol_sup + inner_norm

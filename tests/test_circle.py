@@ -315,9 +315,13 @@ def test_sampled_coefficients_match_the_mode_loop(stretch, power, count, drop_to
 
 
 def test_moebius_unitary_identity_window():
-    result = moebius_unitary(MoebiusMap.identity(), 16)
-    assert result.truncation == np.finfo(float).eps
-    assert np.array_equal(result.matrix, np.eye(33))
+    """The identity and z -> (-z) / (-1), the two real rotations, are the
+    float64 identity."""
+    for gamma in (MoebiusMap.identity(), MoebiusMap(-1.0, 0.0)):
+        result = moebius_unitary(gamma, 16)
+        assert result.truncation == np.finfo(float).eps
+        assert result.matrix.dtype == np.float64
+        assert np.array_equal(result.matrix, np.eye(33))
 
 
 def test_rotation_is_the_diagonal_of_its_phases():
@@ -383,6 +387,54 @@ def test_recurrence_reaches_stretches_the_eight_point_rule_refused(stretch, quad
     with pytest.raises(ValueError, match="quadrature defect"):
         quadrature_unitary(gamma, 64, 512)
     assert_within_the_truncation_bound(gamma, 64, quad)
+
+
+@pytest.mark.parametrize("stretch, quad", [(0.5, 1536), (1.0, 1536), (3.0, 4096)])
+def test_real_maps_give_float64_windows_within_the_truncation(stretch, quad):
+    """Real a and b make the window real: float64, and still within its
+    truncation bound of the complex quadrature oracle."""
+    gamma = MoebiusMap.hyperbolic(stretch)
+    assert gamma.is_real
+    assert moebius_unitary(gamma, 64).matrix.dtype == np.float64
+    assert_within_the_truncation_bound(gamma, 64, quad)
+
+
+def test_a_non_real_map_keeps_a_complex_window():
+    gamma = MoebiusMap.hyperbolic(1.0).compose(MoebiusMap(cmath.exp(0.3j), 0))
+    assert not gamma.is_real
+    assert moebius_unitary(gamma, 64).matrix.dtype == np.complex128
+    assert_within_the_truncation_bound(gamma, 64, 1536)
+
+
+def test_real_maps_give_real_weights_and_commutators():
+    """The twist weights of a real map are real, and so are the plain, the
+    twisted and the log commutators of a real element; a complex symbol
+    makes them complex."""
+    for power in (-2, -1, 1, 2):
+        assert derivative_abs_poly(STRETCH, power).is_real
+    real_element = CrossedElement(
+        ((0, TrigPoly.from_dict({1: 0.5, -1: 2.0})), (1, TrigPoly.one()))
+    )
+    complex_element = CrossedElement(((1, TrigPoly.from_dict({0: 1.0, 1: 1j})),))
+    for commutator in (dirac_commutator, twisted_dirac_commutator, log_dirac_commutator):
+        assert commutator(real_element, STRETCH, 16).dtype == np.float64
+        assert commutator(complex_element, STRETCH, 16).dtype == np.complex128
+
+
+def test_represent_sums_a_complex_shift_onto_a_real_term():
+    """1j z at power 1 shifts the real unitary into a complex term, which
+    then joins the real power-0 term: nothing of the imaginary part is
+    dropped."""
+    max_mode = 16
+    size = 2 * max_mode + 1
+    element = CrossedElement(
+        ((0, TrigPoly.from_dict({0: 0.5, -2: 1.5})), (1, TrigPoly.from_dict({1: 1j})))
+    )
+    unitary = moebius_unitary(STRETCH, max_mode).matrix
+    expected = mult_op(element.terms[0][1], max_mode) + 1j * np.eye(size, k=-1) @ unitary
+    matrix = represent(element, STRETCH, max_mode)
+    assert matrix.dtype == np.complex128
+    assert np.max(np.abs(matrix - expected)) <= 1e-15
 
 
 def test_recurrence_refuses_a_lead_past_the_buffer_limit():

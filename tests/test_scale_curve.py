@@ -4,18 +4,20 @@ the library calls every budget is set from."""
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "scale_curve.py"
 
 
 def test_one_small_point_of_every_target_ends_in_its_outcome():
     """One point per target, one repeat each: about 2 s, most of it the
     interpreter start of the seven children."""
-    script = Path(__file__).resolve().parents[1] / "tools" / "scale_curve.py"
     argv = ["--points", "2:2", "--modes", "32", "--lengths", "64", "--repeats", "1"]
     done = subprocess.run(
-        [sys.executable, str(script), *argv], capture_output=True, text=True, timeout=120
+        [sys.executable, str(SCRIPT), *argv], capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout.strip().splitlines()[-1])["points"]
@@ -43,10 +45,9 @@ def test_one_small_point_of_every_target_ends_in_its_outcome():
 
 def test_one_small_point_of_every_budget_target_ends_in_its_outcome():
     """The targets outside the default run, at one small point each."""
-    script = Path(__file__).resolve().parents[1] / "tools" / "scale_curve.py"
     argv = ["--targets", "pv-modes,pv-sites,summability", "--modes", "32", "--lengths", "64"]
     done = subprocess.run(
-        [sys.executable, str(script), *argv, "--repeats", "1"],
+        [sys.executable, str(SCRIPT), *argv, "--repeats", "1"],
         capture_output=True,
         text=True,
         timeout=120,
@@ -60,3 +61,18 @@ def test_one_small_point_of_every_budget_target_ends_in_its_outcome():
     ]
     assert rows[1]["sites"] == 65 and rows[2]["modes"] == 65
     assert {row["blas_threads"] for row in rows} == {1}
+
+
+def test_a_measured_tree_is_left_without_bytecode(tmp_path):
+    """The children import the package under --src without writing
+    __pycache__ into it, which a later benchmark run there would read."""
+    source = Path(__file__).resolve().parents[1] / "src"
+    copy = tmp_path / "src"
+    shutil.copytree(source, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    argv = ["--src", str(copy), "--targets", "unitary", "--modes", "8", "--repeats", "1"]
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), *argv], capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1])["src"] == str(copy)
+    assert not list(copy.rglob("__pycache__"))

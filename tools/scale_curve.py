@@ -202,7 +202,9 @@ def main() -> int:
             jobs += [(target, (int(text),)) for text in args.lengths.split(",")]
         else:
             jobs += [(target, (int(text),)) for text in args.modes.split(",")]
-    env = {"PYTHONPATH": args.src, "PATH": "/usr/bin:/bin"}
+    # No bytecode: a __pycache__ left in the measured tree would lower the
+    # set-up time and peak memory of a later benchmark run on it.
+    env = {"PYTHONPATH": args.src, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
     env.update((name, str(BLAS_THREADS)) for name in BLAS_VARIABLES)
     rows = []
     for target, sizes in jobs:
