@@ -2,7 +2,8 @@
 
 The package is organized in layers.  ``words`` holds admissible-word
 combinatorics, the free-group boundary and the species decompositions of
-the escape counts, ``ckalg`` the symbolic Cuntz-Krieger algebra,
+the escape counts, ``ckalg`` the Cuntz-Krieger monomial chains and the
+words they fix,
 ``operators`` the quadrature check of the fractional-power integral,
 ``traces`` the closed-form and brute-force heat and Toeplitz traces with
 their pole data, ``circle`` and ``higher_order`` the circle-based models,

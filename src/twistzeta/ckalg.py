@@ -1,20 +1,20 @@
-"""Exact symbolic Cuntz-Krieger algebra of the trace engine.
+"""Cuntz-Krieger monomial chains and the words they fix.
 
-Elements are rational combinations of monomials S_mu S_nu^* over the
-reduced words of the free group.  Multiplication reduces every inner
-S_nu^* S_mu' by prefix comparison, expanding S_nu^* S_nu through the
-Cuntz-Krieger relation, so the product of a monomial chain stays exact.
-The trace engine consumes two counts over a chain: the cylinder census of
-its diagonal and the short basis words it fixes, both by integer
-transfer-matrix counting rather than word enumeration.  The boundary
-translations of the free-group counterexample are not built as elements:
-:mod:`twistzeta.cochain` moves vertices by them directly.
+A monomial S_mu S_nu^* strips the word nu and writes mu in front.  The
+trace engine needs two facts about a chain of monomials: the words of one
+length on which the chain acts as the identity, counted by class (the
+census), and the short basis words the chain maps to themselves.  Both
+come from one depth-first walk over the prefixes the chain reads, counted
+by the integer transfer matrix rather than by listing words.  The
+boundary translations of the free-group counterexample are not built as
+monomials: :mod:`twistzeta.cochain` moves vertices by them directly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterator
 
 from .words import FreeGroup, Word, transfer_counts
 
@@ -27,167 +27,46 @@ class Monomial:
     in_word: Word
 
 
-def _has_common_continuation(mono: Monomial, model: FreeGroup) -> bool:
-    return any(
-        _continues(mono.out_word, k, model) and _continues(mono.in_word, k, model)
-        for k in range(model.size)
-    )
-
-
-def _continues(word: Word, letter: int, model: FreeGroup) -> bool:
-    return not word or model.allows(word[-1], letter)
-
-
-@dataclass(frozen=True)
-class CKElement:
-    """Finite rational combination of monomials, zero coefficients dropped."""
-
-    terms: tuple[tuple[Monomial, Fraction], ...]
-
-    @staticmethod
-    def from_terms(entries: dict[Monomial, Fraction]) -> CKElement:
-        kept = {m: c for m, c in entries.items() if c != 0}
-        ordered = sorted(kept.items(), key=lambda mc: (mc[0].out_word, mc[0].in_word))
-        return CKElement(tuple(ordered))
-
-    @staticmethod
-    def unit() -> CKElement:
-        return CKElement(((Monomial((), ()), Fraction(1)),))
-
-    @staticmethod
-    def of(mono: Monomial, coefficient: Fraction | int = 1) -> CKElement:
-        return CKElement.from_terms({mono: Fraction(coefficient)})
-
-
-def _mono_product(a: Monomial, b: Monomial, model: FreeGroup) -> list[Monomial]:
-    """Normal form of S_{a.out}S_{a.in}^* S_{b.out}S_{b.in}^*.
-
-    Returns the resulting monomials, each with coefficient one; an empty
-    list is the zero product.
-    """
-    inner, outer = a.in_word, b.out_word
-    if len(inner) < len(outer) and outer[: len(inner)] == inner:
-        rest = outer[len(inner) :]
-        if not _continues(a.out_word, rest[0], model):
-            return []
-        return _keep(Monomial(a.out_word + rest, b.in_word), model)
-    if len(outer) < len(inner) and inner[: len(outer)] == outer:
-        rest = inner[len(outer) :]
-        if not _continues(b.in_word, rest[0], model):
-            return []
-        return _keep(Monomial(a.out_word, b.in_word + rest), model)
-    if inner != outer:
-        return []
-    if not inner:
-        return _keep(Monomial(a.out_word, b.in_word), model)
-    joint = [
-        Monomial(a.out_word + (k,), b.in_word + (k,))
-        for k in range(model.size)
-        if model.allows(inner[-1], k)
-        and _continues(a.out_word, k, model)
-        and _continues(b.in_word, k, model)
-    ]
-    return joint
-
-
-def _keep(mono: Monomial, model: FreeGroup) -> list[Monomial]:
-    return [mono] if _has_common_continuation(mono, model) else []
-
-
-def multiply(x: CKElement, y: CKElement, model: FreeGroup) -> CKElement:
-    """Exact product in expansion normal form."""
-    total: dict[Monomial, Fraction] = {}
-    for left, cl in x.terms:
-        for right, cr in y.terms:
-            coeff = cl * cr
-            for mono in _mono_product(left, right, model):
-                total[mono] = total.get(mono, Fraction(0)) + coeff
-    return CKElement.from_terms(total)
-
-
-def chain_product(
-    chain: list[Monomial] | tuple[Monomial, ...], model: FreeGroup
-) -> CKElement:
-    """Product of the monomials of a chain, left to right."""
-    if not chain:
-        raise ValueError("chain must be nonempty")
-    result = CKElement.unit()
-    for mono in chain:
-        result = multiply(result, CKElement.of(mono), model)
-    return result
-
-
 CylinderClass = tuple[int, int]
 
 
-def _class_counts(word: Word, model: FreeGroup, length: int) -> dict[CylinderClass, int]:
-    """Reduced words of ``length`` letters extending ``word``, counted by
-    class (last letter, trailing run of letter 0; the run is 0 unless the
-    last letter is 0).
+def _letter_class(word: Word) -> int | None:
+    """Class of the last letter: the anchor 0, its inverse 1, any other
+    letter 2, or None for the empty word."""
+    return min(word[-1], 2) if word else None
 
-    A run of exactly t < extension length ends a word u c with c neither 0
-    nor its inverse 1, so it is counted by the transfer row of length
-    extension - t; the one extension made of 0 alone continues the word's
-    own run.
-    """
-    grow = length - len(word)
+
+def _anchor_run(word: Word) -> int:
     run = 0
     while run < len(word) and word[-1 - run] == 0:
         run += 1
-    if grow == 0:
-        return {(word[-1], run): 1}
-    after = word[-1] if word else None
-    rows = list(transfer_counts(model, after, grow))
-    counts = {(e, 0): n for e, n in enumerate(rows[-1]) if e and n}
-    for t in range(1, grow):
-        n = sum(rows[grow - t - 1][2:])
-        if n:
-            counts[(0, t)] = n
-    if after != 1:
-        counts[(0, grow + run)] = 1
-    return counts
+    return run
 
 
-def cylinder_census(
-    diagonal: list[tuple[Word, Fraction]], model: FreeGroup, length: int
-) -> dict[CylinderClass, Fraction]:
-    """Diagonal cylinders refined to one word length, weighed per class.
+def _class_counts(
+    last: int | None, run: int, grow: int, model: FreeGroup
+) -> dict[CylinderClass, int]:
+    """Reduced words of ``grow`` more letters extending a word whose last
+    letter has class ``last`` (None for the empty word) and whose trailing
+    run of letter 0 is ``run``, counted by class (class of the last
+    letter, trailing run of letter 0; the run is 0 unless the last letter
+    is 0).
 
-    A word x of ``length`` letters weighs the sum of the coefficients of the
-    diagonal words that are prefixes of x.  Words are grouped by (last
-    letter, trailing run of letter 0, the canonical anchor letter of the
-    free-group model); the result holds the total weight of exactly the
-    classes that contain a word of nonzero weight, so a class whose weights
-    cancel stays, with weight zero.
-
-    Nothing is enumerated: the words below a diagonal word whose deepest
-    diagonal prefix it is all carry one net coefficient, and their count per
-    class is the word's own count minus those of its nearest diagonal
-    descendants, each a transfer-matrix count.
+    The automorphisms fixing 0 and 1 permute the other letters, so letter 2
+    stands for its class.  A run of exactly t < grow ends a word u c with c
+    neither 0 nor its inverse 1, so it is counted by the transfer row of
+    length grow - t; the one extension made of 0 alone continues the
+    word's own run.
     """
-    words = [word for word, _ in diagonal]
-    if any(len(word) > length for word in words):
-        raise ValueError("a diagonal word is longer than the refinement length")
-
-    def below(upper: Word, lower: Word) -> bool:
-        return len(upper) < len(lower) and lower[: len(upper)] == upper
-
-    census: dict[CylinderClass, Fraction] = {}
-    for word in words:
-        net = sum(c for w, c in diagonal if w == word or below(w, word))
-        if not net:
-            continue
-        counts = _class_counts(word, model, length)
-        for child in words:
-            if below(word, child) and not any(
-                below(word, w) and below(w, child) for w in words
-            ):
-                for key, n in _class_counts(child, model, length).items():
-                    counts[key] -= n
-        for key, n in counts.items():
-            if n:
-                census[key] = census.get(key, Fraction(0)) + net * n
-    return census
+    if grow == 0:
+        return {(last, run): 1}
+    rows = list(transfer_counts(model, last, grow))
+    counts = {(1, 0): rows[-1][1], (2, 0): sum(rows[-1][2:])}
+    for t in range(1, grow):
+        counts[(0, t)] = sum(rows[grow - t - 1][2:])
+    if last != 1:
+        counts[(0, grow + run)] = 1
+    return {key: n for key, n in counts.items() if n}
 
 
 def _toeplitz_step(word: Word, pair: Monomial, model: FreeGroup) -> Word | None:
@@ -230,7 +109,7 @@ _READS_FURTHER = "reads further"
 def _open_stage_lengths(
     prefix: Word, chain: tuple[Monomial, ...], model: FreeGroup
 ) -> tuple[int, ...] | str | None:
-    """The chain on every basis word prefix + u with u nonempty.
+    """The chain on every word prefix + u with u nonempty.
 
     Returns the lengths met before each stage less len(u), the same for all
     such words, when the chain maps them to themselves reading only the
@@ -255,40 +134,81 @@ def _open_stage_lengths(
     return tuple(lengths) if known == prefix else None
 
 
+def _prefix_walk(
+    chain: tuple[Monomial, ...], model: FreeGroup
+) -> Iterator[tuple[Word, tuple[int, ...] | str | None]]:
+    """Every prefix the chain reads, depth first, with its
+    :func:`_open_stage_lengths`.
+
+    A prefix the chain reads further is extended by every letter, with no
+    reducedness filter, so the walk reads a chain whose words are not
+    reduced as the formal monomial product does.  A prefix on which the
+    chain is the identity for every continuation is *decided*: its
+    cylinder, disjoint from every other decided one, is not split further.
+    The walk ends once every strip is read, after at most one letter more
+    than the chain strips in all.
+    """
+    stack: list[Word] = [()]
+    while stack:
+        prefix = stack.pop()
+        reach = _open_stage_lengths(prefix, chain, model)
+        yield prefix, reach
+        if reach == _READS_FURTHER:
+            stack.extend(prefix + (k,) for k in range(model.size))
+
+
+def cylinder_census(
+    chain: tuple[Monomial, ...], model: FreeGroup, length: int
+) -> dict[CylinderClass, int]:
+    """Words of ``length`` letters on which the chain is the identity,
+    counted by class (class of the last letter, trailing run of the
+    anchor 0).
+
+    They are the extensions of the decided prefixes of
+    :func:`_prefix_walk`, whose cylinders are disjoint, so nothing is
+    netted.  Decided prefixes sharing the class of their last letter, their
+    trailing run and their length have the same :func:`_class_counts`,
+    which is computed once per such group and scaled by its size.  The
+    result is empty exactly when the chain's diagonal is zero.
+    """
+    groups = Counter(
+        (_letter_class(prefix), _anchor_run(prefix), length - len(prefix))
+        for prefix, reach in _prefix_walk(chain, model)
+        if isinstance(reach, tuple)
+    )
+    census: dict[CylinderClass, int] = {}
+    for (last, run, grow), size in groups.items():
+        for key, n in _class_counts(last, run, grow, model).items():
+            census[key] = census.get(key, 0) + size * n
+    return census
+
+
 def short_diagonal_vectors(
     chain: tuple[Monomial, ...], model: FreeGroup, below: int
 ) -> list[tuple[tuple[int, ...], int]]:
     """Stage-length vectors of the basis words shorter than ``below`` that
     the chain maps to themselves, each with its number of words.
 
-    Prefixes are explored depth first: a prefix is dropped once a stage
-    rejects it and stops growing once no stage reads further, and the free
-    rest of such a prefix is counted by length and last letter with the
-    integer transfer matrix.
+    A walked prefix counts as a word of its own; the free rests of a
+    decided prefix are counted by length with the integer transfer matrix,
+    once per group of prefixes sharing the class of the last letter, the
+    rest's room and the stage-length vector.
     """
-    found: dict[tuple[int, ...], int] = {}
-    stack: list[Word] = [()]
-    while stack:
-        prefix = stack.pop()
+    found: Counter[tuple[int, ...]] = Counter()
+    groups: Counter[tuple[int | None, int, tuple[int, ...]]] = Counter()
+    for prefix, reach in _prefix_walk(chain, model):
+        if len(prefix) >= below:
+            continue
         if not prefix or prefix[-1] != 1:
             exact = _stage_lengths(prefix, chain, model)
             if exact is not None:
-                found[exact] = found.get(exact, 0) + 1
+                found[exact] += 1
         top = below - 1 - len(prefix)
-        if top < 1:
-            continue
-        reach = _open_stage_lengths(prefix, chain, model)
-        if reach == _READS_FURTHER:
-            stack.extend(
-                prefix + (k,)
-                for k in range(model.size)
-                if not prefix or model.allows(prefix[-1], k)
-            )
-        elif isinstance(reach, tuple):
-            after = prefix[-1] if prefix else None
-            for grow, row in enumerate(transfer_counts(model, after, top), start=1):
-                count = sum(row) - row[1]
-                if count:
-                    vector = tuple(n + grow for n in reach)
-                    found[vector] = found.get(vector, 0) + count
+        if top >= 1 and isinstance(reach, tuple):
+            groups[_letter_class(prefix), top, reach] += 1
+    for (last, top, reach), size in groups.items():
+        for grow, row in enumerate(transfer_counts(model, last, top), start=1):
+            count = sum(row) - row[1]
+            if count:
+                found[tuple(n + grow for n in reach)] += size * count
     return sorted(found.items())

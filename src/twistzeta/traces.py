@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .ckalg import Monomial, chain_product, cylinder_census, short_diagonal_vectors
+from .ckalg import CylinderClass, Monomial, cylinder_census, short_diagonal_vectors
 from .words import (
     FreeGroup,
     Word,
@@ -302,19 +302,24 @@ class _ChainSummary(NamedTuple):
     zero_diagonal: bool
 
 
+def _refined_length(chain: tuple[Monomial, ...]) -> int:
+    return sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
+
+
 @functools.lru_cache(maxsize=256)
 def _chain_summary(chain: tuple[Monomial, ...], model: FreeGroup) -> _ChainSummary:
     """Cylinder decomposition of a chain diagonal, grouped for assembly."""
-    product = chain_product(chain, model)
-    diagonal = [(m.out_word, c) for m, c in product.terms if m.out_word == m.in_word]
-    return _summarize(chain, model, diagonal)
+    return _summarize(chain, model, cylinder_census(chain, model, _refined_length(chain)))
 
 
 def _summarize(
-    chain: tuple[Monomial, ...], model: FreeGroup, diagonal: list[tuple[Word, Fraction]]
+    chain: tuple[Monomial, ...],
+    model: FreeGroup,
+    census: dict[CylinderClass, Fraction | int],
 ) -> _ChainSummary:
-    """Summary of the chain whose product has the diagonal terms
-    S_rho S_rho^* with the given (rho, coefficient) pairs.
+    """Summary of the chain whose diagonal, refined to the refinement
+    length, has the given census: weight per (class of the last letter,
+    trailing run of the anchor), as :func:`cylinder_census` counts it.
 
     Cylinders sharing the vector of partially-applied settle depths are
     interchangeable for the settled family, and cylinders whose final
@@ -324,16 +329,15 @@ def _summarize(
     0 and 1 permute the other letters, so the escape species and counts see
     a letter only through its class.  Stage j sees a cylinder word x as a
     fixed head followed by x with a fixed number of letters cut, so its
-    settle depth depends on x only through the trailing run of the anchor,
-    which :func:`cylinder_census` counts by.
+    settle depth depends on x only through the trailing run of the anchor.
+    An empty census is the zero diagonal.
     """
-    refined = sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
+    refined = _refined_length(chain)
     omegas = [0] * (len(chain) + 1)
     for j in range(len(chain) - 1, 0, -1):
         omegas[j] = omegas[j + 1] + len(chain[j].out_word) - len(chain[j].in_word)
     omega_tuple = tuple(omegas[1:])
     sigma_lengths = tuple(refined + w for w in omega_tuple)
-    census = cylinder_census(diagonal, model, refined)
     if not census:
         return _ChainSummary(refined, omega_tuple, sigma_lengths, (), (), True)
 
@@ -354,8 +358,7 @@ def _summarize(
     settled: dict[tuple[int, ...], Fraction] = {}
     ending: dict[int, Fraction] = {}
     for (last, run), weight in census.items():
-        letter_class = min(last, 2)
-        ending[letter_class] = ending.get(letter_class, Fraction(0)) + weight
+        ending[last] = ending.get(last, Fraction(0)) + weight
         if last != 1:
             key = tuple(
                 size + span - run if run < span else untailed

@@ -22,13 +22,12 @@ from test_words import (
 )
 
 from twistzeta.ckalg import (
-    CKElement,
+    CylinderClass,
     Monomial,
-    _continues,
-    _has_common_continuation,
-    chain_product,
+    _anchor_run,
+    _class_counts,
+    _letter_class,
     cylinder_census,
-    multiply,
 )
 from twistzeta.words import FreeGroup, Word
 
@@ -36,6 +35,157 @@ F2 = FreeGroup(2)
 F3 = FreeGroup(3)
 
 A1, B1, A2, B2 = 0, 1, 2, 3
+
+
+# The exact Cuntz-Krieger algebra in expansion normal form: rational
+# combinations of monomials S_mu S_nu^*, multiplied by prefix comparison
+# with S_nu^* S_nu expanded through the Cuntz-Krieger relation.  Words are
+# compared formally, so a chain whose words are not reduced has a formal
+# product too; the walked census of twistzeta.ckalg reads such chains the
+# same way.
+
+def _has_common_continuation(mono: Monomial, model: FreeGroup) -> bool:
+    return any(
+        _continues(mono.out_word, k, model) and _continues(mono.in_word, k, model)
+        for k in range(model.size)
+    )
+
+
+def _continues(word: Word, letter: int, model: FreeGroup) -> bool:
+    return not word or model.allows(word[-1], letter)
+
+
+@dataclass(frozen=True)
+class CKElement:
+    """Finite rational combination of monomials, zero coefficients dropped."""
+
+    terms: tuple[tuple[Monomial, Fraction], ...]
+
+    @staticmethod
+    def from_terms(entries: dict[Monomial, Fraction]) -> CKElement:
+        kept = {m: c for m, c in entries.items() if c != 0}
+        ordered = sorted(kept.items(), key=lambda mc: (mc[0].out_word, mc[0].in_word))
+        return CKElement(tuple(ordered))
+
+    @staticmethod
+    def unit() -> CKElement:
+        return CKElement(((Monomial((), ()), Fraction(1)),))
+
+    @staticmethod
+    def of(mono: Monomial, coefficient: Fraction | int = 1) -> CKElement:
+        return CKElement.from_terms({mono: Fraction(coefficient)})
+
+
+def _mono_product(a: Monomial, b: Monomial, model: FreeGroup) -> list[Monomial]:
+    """Normal form of S_{a.out}S_{a.in}^* S_{b.out}S_{b.in}^*.
+
+    Returns the resulting monomials, each with coefficient one; an empty
+    list is the zero product.
+    """
+    inner, outer = a.in_word, b.out_word
+    if len(inner) < len(outer) and outer[: len(inner)] == inner:
+        rest = outer[len(inner) :]
+        if not _continues(a.out_word, rest[0], model):
+            return []
+        return _keep(Monomial(a.out_word + rest, b.in_word), model)
+    if len(outer) < len(inner) and inner[: len(outer)] == outer:
+        rest = inner[len(outer) :]
+        if not _continues(b.in_word, rest[0], model):
+            return []
+        return _keep(Monomial(a.out_word, b.in_word + rest), model)
+    if inner != outer:
+        return []
+    if not inner:
+        return _keep(Monomial(a.out_word, b.in_word), model)
+    joint = [
+        Monomial(a.out_word + (k,), b.in_word + (k,))
+        for k in range(model.size)
+        if model.allows(inner[-1], k)
+        and _continues(a.out_word, k, model)
+        and _continues(b.in_word, k, model)
+    ]
+    return joint
+
+
+def _keep(mono: Monomial, model: FreeGroup) -> list[Monomial]:
+    return [mono] if _has_common_continuation(mono, model) else []
+
+
+def multiply(x: CKElement, y: CKElement, model: FreeGroup) -> CKElement:
+    """Exact product in expansion normal form."""
+    total: dict[Monomial, Fraction] = {}
+    for left, cl in x.terms:
+        for right, cr in y.terms:
+            coeff = cl * cr
+            for mono in _mono_product(left, right, model):
+                total[mono] = total.get(mono, Fraction(0)) + coeff
+    return CKElement.from_terms(total)
+
+
+def chain_product(
+    chain: list[Monomial] | tuple[Monomial, ...], model: FreeGroup
+) -> CKElement:
+    """Product of the monomials of a chain, left to right."""
+    if not chain:
+        raise ValueError("chain must be nonempty")
+    result = CKElement.unit()
+    for mono in chain:
+        result = multiply(result, CKElement.of(mono), model)
+    return result
+
+
+def product_diagonal(
+    chain: list[Monomial] | tuple[Monomial, ...], model: FreeGroup
+) -> list[tuple[Word, Fraction]]:
+    """Words rho of the diagonal terms S_rho S_rho^* of the chain product,
+    with their coefficients."""
+    product = chain_product(chain, model)
+    return [(m.out_word, c) for m, c in product.terms if m.out_word == m.in_word]
+
+
+def netted_cylinder_census(
+    diagonal: list[tuple[Word, Fraction]], model: FreeGroup, length: int
+) -> dict[CylinderClass, Fraction]:
+    """Diagonal cylinders refined to one word length, weighed per class.
+
+    A word x of ``length`` letters weighs the sum of the coefficients of the
+    diagonal words that are prefixes of x.  Words are grouped by (class of
+    the last letter, trailing run of the anchor letter 0); the result holds
+    the total weight of exactly the classes that contain a word of nonzero
+    weight, so a class whose weights cancel stays, with weight zero.
+
+    Nothing is enumerated: the words below a diagonal word whose deepest
+    diagonal prefix it is all carry one net coefficient, and their count per
+    class is the word's own count minus those of its nearest diagonal
+    descendants, each a transfer-matrix count.
+    """
+    words = [word for word, _ in diagonal]
+    if any(len(word) > length for word in words):
+        raise ValueError("a diagonal word is longer than the refinement length")
+
+    def below(upper: Word, lower: Word) -> bool:
+        return len(upper) < len(lower) and lower[: len(upper)] == upper
+
+    def word_counts(word: Word) -> dict[CylinderClass, int]:
+        grow = length - len(word)
+        return _class_counts(_letter_class(word), _anchor_run(word), grow, model)
+
+    census: dict[CylinderClass, Fraction] = {}
+    for word in words:
+        net = sum(c for w, c in diagonal if w == word or below(w, word))
+        if not net:
+            continue
+        counts = word_counts(word)
+        for child in words:
+            if below(word, child) and not any(
+                below(word, w) and below(w, child) for w in words
+            ):
+                for key, n in word_counts(child).items():
+                    counts[key] -= n
+        for key, n in counts.items():
+            if n:
+                census[key] = census.get(key, Fraction(0)) + net * n
+    return census
 
 
 # Validated monomials, sums, generators, adjoints and the action of an
@@ -220,13 +370,7 @@ def diagonal_dichotomy(
     never touch the diagonal, while each S_rho S_rho^* contributes its
     cylinder.
     """
-    product = chain_product(chain, model)
-    diagonal = [
-        (mono.out_word, coeff)
-        for mono, coeff in product.terms
-        if mono.out_word == mono.in_word
-    ]
-    return refine_diagonal(diagonal, model, common_length)
+    return refine_diagonal(product_diagonal(chain, model), model, common_length)
 
 
 def _merge_siblings(
@@ -513,20 +657,55 @@ def test_cylinder_census_groups_the_refined_cylinders(case):
             run = 0
             while run < len(word) and word[-1 - run] == A1:
                 run += 1
-            key = (word[-1], run)
+            key = (min(word[-1], 2), run)
             expected[key] = expected.get(key, Fraction(0)) + weight
-    assert cylinder_census(diagonal, model, length) == expected
+    assert netted_cylinder_census(diagonal, model, length) == expected
 
 
 def test_cylinder_census_keeps_cancelled_classes_and_nets_nested_words():
     # chi_{a1} - chi_{a1 a1}: the words below a1 a1 weigh zero and are gone
     diagonal = [((A1,), Fraction(1)), ((A1, A1), Fraction(-1))]
-    assert cylinder_census(diagonal, F2, 2) == {
-        (A2, 0): Fraction(1),
-        (B2, 0): Fraction(1),
-    }
-    # +1 and -1 on two classes of one letter: the class stays at weight zero
+    assert netted_cylinder_census(diagonal, F2, 2) == {(2, 0): Fraction(2)}
+    # +1 and -1 on two words of one class: the class stays at weight zero
     opposite = [((A2, A1), Fraction(1)), ((B2, A1), Fraction(-1))]
-    assert cylinder_census(opposite, F2, 2) == {(A1, 1): Fraction(0)}
+    assert netted_cylinder_census(opposite, F2, 2) == {(A1, 1): Fraction(0)}
     with pytest.raises(ValueError, match="longer"):
-        cylinder_census([((A1, A1, A1), Fraction(1))], F2, 2)
+        netted_cylinder_census([((A1, A1, A1), Fraction(1))], F2, 2)
+
+
+@st.composite
+def monomial_chains(draw, reduced: bool):
+    """One to three stages of words of at most two letters, over the free
+    group on 2 to 6 generators when ``reduced``, else over 2 or 3
+    generators with any letter allowed to follow any other."""
+    model = FreeGroup(draw(st.integers(2, 6) if reduced else st.integers(2, 3)))
+    letters = st.integers(0, model.size - 1)
+    chain = []
+    for _ in range(draw(st.integers(1, 3))):
+        if reduced:
+            words = [draw_word(draw, model, (), draw(st.integers(0, 2))) for _ in range(2)]
+        else:
+            words = [tuple(draw(st.lists(letters, max_size=2))) for _ in range(2)]
+        chain.append(Monomial(*words))
+    return tuple(chain), model
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(monomial_chains(reduced=True), monomial_chains(reduced=False)))
+def test_walked_census_matches_the_netted_product_diagonal(case):
+    """The prefix walk's census equals the formal Cuntz-Krieger product's
+    diagonal netted per class, reduced chains or not."""
+    chain, model = case
+    length = sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
+    netted = netted_cylinder_census(product_diagonal(chain, model), model, length)
+    assert cylinder_census(chain, model, length) == netted
+
+
+def test_walked_census_reads_non_reduced_words_formally():
+    # a1 b1 is not reduced, and the projection on it is the zero operator;
+    # the formal product still keeps it, whole, as its one diagonal word
+    chain = (Monomial((A1, B1), (A1, B1)),)
+    assert product_diagonal(chain, F2) == [((A1, B1), Fraction(1))]
+    assert cylinder_census(chain, F2, 6) == netted_cylinder_census(
+        [((A1, B1), Fraction(1))], F2, 6
+    )

@@ -189,6 +189,33 @@ def test_chains_past_the_old_enumeration_limit_end_in_a_verdict(capsys):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (["pole-audit", "--d", "10000"], "FAIL pole-audit: 3/5 checks passed"),
+        (
+            ["heat-oracle", "--d", "10000", "--chain", "a1:a1", "--s", "12,13"],
+            "PASS heat-oracle: 2/2 checks passed",
+        ),
+    ],
+)
+def test_ten_thousand_generators_end_in_a_verdict(argv, verdict):
+    """Both read the census of a1:a1 over 2d = 20000 letters, in a fresh
+    interpreter: under 1 s with the interpreter start, held to 30 s here."""
+    source = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "twistzeta.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode in (0, 1), done.stderr
+    assert done.stdout.strip().splitlines()[-1].startswith(verdict)
+
+
 def test_pv_order_and_summability_defaults_pass():
     assert main(["pv-order"]) == 0
     assert main(["summability"]) == 0

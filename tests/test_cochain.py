@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ckalg import act_on_vertex, adjoint, element_sum, elements_equal, generator
+from test_ckalg import (
+    CKElement,
+    act_on_vertex,
+    adjoint,
+    element_sum,
+    elements_equal,
+    generator,
+    multiply,
+)
 from test_circle import build_phase
 from test_words import (
     T,
@@ -29,7 +37,7 @@ from test_words import (
     word_key,
 )
 
-from twistzeta.ckalg import CKElement, Monomial, multiply
+from twistzeta.ckalg import Monomial
 from twistzeta.circle import TrigPoly, build_dirac, mult_op
 from twistzeta.cochain import (
     CounterexampleReport,

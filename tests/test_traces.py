@@ -12,10 +12,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_ckalg import (
+    CKElement,
     CylinderSum,
     act_on_vertex,
     draw_word,
     monomial,
+    netted_cylinder_census,
+    product_diagonal,
     refine_diagonal,
     signed_diagonals,
 )
@@ -27,13 +30,7 @@ from test_words import (
     word_key,
 )
 
-from twistzeta.ckalg import (
-    CKElement,
-    Monomial,
-    _toeplitz_step,
-    chain_product,
-    short_diagonal_vectors,
-)
+from twistzeta.ckalg import Monomial, _toeplitz_step, short_diagonal_vectors
 from twistzeta.traces import (
     ALTERNATING_ATOM,
     BRANCH_ATOM,
@@ -735,12 +732,11 @@ def short_chains(draw):
 @given(case=short_chains(), data=st.data())
 def test_counted_summary_matches_the_enumerated_cylinders(case, data):
     chain, model = case
-    product = chain_product(chain, model)
-    diagonal = [(m.out_word, c) for m, c in product.terms if m.out_word == m.in_word]
     counted = _chain_summary(chain, model)
-    assert tuple(counted) == enumerated_summary(chain, model, diagonal)
-    signed = data.draw(signed_diagonals(model, counted.refined_length))
-    counted = _summarize(chain, model, signed)
+    assert tuple(counted) == enumerated_summary(chain, model, product_diagonal(chain, model))
+    refined = counted.refined_length
+    signed = data.draw(signed_diagonals(model, refined))
+    counted = _summarize(chain, model, netted_cylinder_census(signed, model, refined))
     assert tuple(counted) == enumerated_summary(chain, model, signed)
 
 

@@ -1,6 +1,6 @@
 """Cost of the free-group counterexample, the Moebius unitary, the circle
-counterexamples, the windowed heat sums, pv-order and summability against
-their size parameter.
+counterexamples, the windowed heat sums, the chain census, pv-order and
+summability against their size parameter.
 
 Usage, from the root of a checkout::
 
@@ -9,6 +9,7 @@ Usage, from the root of a checkout::
     python3 tools/scale_curve.py --src ../other/src --targets unitary --modes 256,512
     python3 tools/scale_curve.py --targets window --lengths 256,1024,4096
     python3 tools/scale_curve.py --targets pv-modes,summability --modes 512,1024
+    python3 tools/scale_curve.py --targets census --repeats 3
 
 Each point runs one target in a fresh interpreter, with one BLAS thread as
 in the benchmark, and reads the wall time of the call and the peak RSS of
@@ -47,6 +48,11 @@ the BLAS thread count the interpreter ran with.  The targets:
   ``cli.LATTICE_SITE_BUDGET`` and ``cli.SUMMABILITY_MODE_BUDGET``, which
   they are used to set.  They are not in the default run: their useful
   sizes differ from the other targets', so name them with ``--targets``.
+- ``census``: ``pole-audit --chain a1:a1`` and ``heat-oracle --chain a1:a1
+  --s 12,13`` at each d of the fixed ranks 10, 100, 1000 and 10^4, through
+  the command's own runner; the pass or fail of each check is the outcome.
+  Both read the chain's census of cylinders over 2d letters, so the curve
+  shows how its cost grows with d.  Not in the default run either.
 
 The last line of standard output is one JSON object with every point.
 """
@@ -65,7 +71,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_TARGETS = ("index", "unitary", "counterexample", "circle", "window")
-TARGETS = DEFAULT_TARGETS + ("pv-modes", "pv-sites", "summability")
+TARGETS = DEFAULT_TARGETS + ("pv-modes", "pv-sites", "summability", "census")
 DEFAULT_POINTS = "2:6-12,3:4-8"
 DEFAULT_MODES = "256,512,1024,2048"
 DEFAULT_LENGTHS = "256,512,1024,2048,4096,8192,16384"
@@ -79,6 +85,12 @@ WINDOW_RUNS = (
     ("damp-sweep", 2, (1.0, 1.2)),
     ("damp-sweep", 3, (1.5, 1.8)),
 )
+# The census target's runs, name and flags, each at every rank.
+CENSUS_RUNS = (
+    ("pole-audit", {"chain": "a1:a1"}),
+    ("heat-oracle", {"chain": "a1:a1", "s": "12,13"}),
+)
+CENSUS_RANKS = (10, 100, 1000, 10000)
 
 
 def _child(target: str, sizes: list[int]) -> None:
@@ -95,6 +107,12 @@ def _child(target: str, sizes: list[int]) -> None:
             params = {"s": 1.0, "eps": [0.4, 0.7], "M": max_mode, "L": length}
         start = time.perf_counter()
         outcome = all(check.passed for check in runner(params))
+    elif target == "census":
+        run, generators = sizes
+        experiment, flags = CENSUS_RUNS[run]
+        config = cli.build_config(experiment, flag_values={**flags, "d": str(generators)})
+        start = time.perf_counter()
+        outcome = [check.passed for check in cli.run(config).checks]
     elif target == "window":
         run, length = sizes
         experiment, generators, grid = WINDOW_RUNS[run]
@@ -151,6 +169,10 @@ def _points(text: str) -> list[tuple[int, int]]:
 
 
 def _size_fields(target: str, sizes: tuple[int, ...]) -> dict[str, object]:
+    if target == "census":
+        run, generators = sizes
+        experiment, flags = CENSUS_RUNS[run]
+        return {"experiment": experiment, "d": generators, **flags}
     if target == "window":
         run, length = sizes
         experiment, generators, grid = WINDOW_RUNS[run]
@@ -198,6 +220,8 @@ def main() -> int:
         elif target == "window":
             lengths = [int(text) for text in args.lengths.split(",")]
             jobs += [(target, (run, n)) for run in range(len(WINDOW_RUNS)) for n in lengths]
+        elif target == "census":
+            jobs += [(target, (run, d)) for run in range(len(CENSUS_RUNS)) for d in CENSUS_RANKS]
         elif target == "pv-sites":
             jobs += [(target, (int(text),)) for text in args.lengths.split(",")]
         else:
