@@ -159,56 +159,47 @@ def _prefix_walk(
 
 def cylinder_census(
     chain: tuple[Monomial, ...], model: FreeGroup, length: int
-) -> dict[CylinderClass, int]:
-    """Words of ``length`` letters on which the chain is the identity,
-    counted by class (class of the last letter, trailing run of the
-    anchor 0).
+) -> tuple[dict[CylinderClass, int], tuple[tuple[tuple[int, ...], int], ...]]:
+    """The chain's diagonal from one :func:`_prefix_walk`: the words of
+    ``length`` letters on which the chain is the identity, counted by class
+    (class of the last letter, trailing run of the anchor 0), and the
+    stage-length vectors of the shorter basis words it maps to themselves,
+    each with its number of words; a vector ends in the word's length.
 
-    They are the extensions of the decided prefixes of
-    :func:`_prefix_walk`, whose cylinders are disjoint, so nothing is
-    netted.  Decided prefixes sharing the class of their last letter, their
-    trailing run and their length have the same :func:`_class_counts`,
-    which is computed once per such group and scaled by its size.  The
-    result is empty exactly when the chain's diagonal is zero.
+    The long words extend the decided prefixes, whose cylinders are
+    disjoint, so nothing is netted.  Decided prefixes are grouped by class,
+    run, length and stage-length vector; each group counts its size times
+    the :func:`_class_counts` of its class, run and length, the prefix
+    itself as a basis word with the walk's stage lengths (the chain reads
+    only the prefix) when shorter than ``length`` and not ending in 1, and
+    its free rests by the transfer matrix.  The classes are empty exactly
+    when the diagonal is zero.  A rejected prefix is not fixed; one the
+    chain reads further is run through the chain.
     """
-    groups = Counter(
-        (_letter_class(prefix), _anchor_run(prefix), length - len(prefix))
-        for prefix, reach in _prefix_walk(chain, model)
-        if isinstance(reach, tuple)
-    )
-    census: dict[CylinderClass, int] = {}
-    for (last, run, grow), size in groups.items():
-        for key, n in _class_counts(last, run, grow, model).items():
-            census[key] = census.get(key, 0) + size * n
-    return census
-
-
-def short_diagonal_vectors(
-    chain: tuple[Monomial, ...], model: FreeGroup, below: int
-) -> list[tuple[tuple[int, ...], int]]:
-    """Stage-length vectors of the basis words shorter than ``below`` that
-    the chain maps to themselves, each with its number of words.
-
-    A walked prefix counts as a word of its own; the free rests of a
-    decided prefix are counted by length with the integer transfer matrix,
-    once per group of prefixes sharing the class of the last letter, the
-    rest's room and the stage-length vector.
-    """
+    decided: Counter[tuple[int | None, int, int, tuple[int, ...]]] = Counter()
     found: Counter[tuple[int, ...]] = Counter()
-    groups: Counter[tuple[int | None, int, tuple[int, ...]]] = Counter()
     for prefix, reach in _prefix_walk(chain, model):
-        if len(prefix) >= below:
-            continue
-        if not prefix or prefix[-1] != 1:
+        if isinstance(reach, tuple):
+            decided[_letter_class(prefix), _anchor_run(prefix), len(prefix), reach] += 1
+        elif reach is not None and len(prefix) < length and _letter_class(prefix) != 1:
             exact = _stage_lengths(prefix, chain, model)
             if exact is not None:
                 found[exact] += 1
-        top = below - 1 - len(prefix)
-        if top >= 1 and isinstance(reach, tuple):
-            groups[_letter_class(prefix), top, reach] += 1
-    for (last, top, reach), size in groups.items():
+    cylinders: Counter[tuple[int | None, int, int]] = Counter()
+    rests: Counter[tuple[int | None, int, tuple[int, ...]]] = Counter()
+    for (last, run, depth, reach), size in decided.items():
+        cylinders[last, run, length - depth] += size
+        if depth < length and last != 1:
+            found[reach] += size
+        if depth < length - 1:
+            rests[last, length - 1 - depth, reach] += size
+    census: dict[CylinderClass, int] = {}
+    for (last, run, grow), size in cylinders.items():
+        for key, n in _class_counts(last, run, grow, model).items():
+            census[key] = census.get(key, 0) + size * n
+    for (last, top, reach), size in rests.items():
         for grow, row in enumerate(transfer_counts(model, last, top), start=1):
             count = sum(row) - row[1]
             if count:
                 found[tuple(n + grow for n in reach)] += size * count
-    return sorted(found.items())
+    return census, tuple(sorted(found.items()))

@@ -3,10 +3,11 @@
 Closed forms are meromorphic functions of the heat parameters, kept as
 rational data: numerators are finite sums of exponentials with rational
 coefficients, denominators are products of the three atoms 1-E, 1+E and
-1-(2d-1)E in E = e^{-(s_1+...+s_m)}.  Truncated oracles compute the same
-traces by summation over the vertex window (each window geometric in the
-offset, summed in closed form) and report certified geometric tail
-bounds, so closed form and oracle can be compared honestly.
+1-(2d-1)E in E = e^{-(s_1+...+s_m)}, split into the atoms once per
+denominator signature.  Truncated oracles compute the same traces by
+summation over the vertex window (each window geometric in the offset,
+summed in closed form) and report certified geometric tail bounds, so
+closed form and oracle can be compared honestly.
 
 The vertex space hangs over the fixed point of an anchor letter, which
 every entry point takes as an int; chains are relabelled so that the
@@ -21,13 +22,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .ckalg import CylinderClass, Monomial, cylinder_census, short_diagonal_vectors
+from .ckalg import CylinderClass, Monomial, cylinder_census
 from .words import (
     FreeGroup,
+    Species,
     Word,
     extension_species,
     settled_eigenvalue,
@@ -207,43 +209,42 @@ def _pair_split(beta: Fraction, power: int, alpha: Fraction) -> dict[tuple[Fract
     return out
 
 
-def _partial_fractions(
-    factors: dict[Fraction, int]
-) -> dict[tuple[Fraction, int] | None, Fraction]:
-    """Decompose 1/prod (1-alpha E)^p into atomic fractions, exactly.
+Signature = tuple[tuple[Fraction, int], ...]
 
-    The key None stands for the constant 1 (empty product).
-    """
+
+@functools.lru_cache(maxsize=64)
+def _signature_split(signature: Signature, d: int) -> tuple[tuple[Denom, Fraction], ...]:
+    """Exact partial fractions of 1/prod (1-alpha E)^p over the sorted
+    (alpha, p) pairs: atomic denominators with their coefficients.  The
+    closed forms meet a handful per d: 1, -1 and 2d-1 to powers <= 3."""
     current: dict[tuple[Fraction, int] | None, Fraction] = {None: Fraction(1)}
-    for alpha, power in factors.items():
+    for alpha, power in signature:
         for _ in range(power):
             updated: dict[tuple[Fraction, int] | None, Fraction] = {}
-
-            def add(key: tuple[Fraction, int] | None, value: Fraction) -> None:
-                if value:
-                    updated[key] = updated.get(key, Fraction(0)) + value
-
             for key, coeff in current.items():
-                if key is None:
-                    add((alpha, 1), coeff)
-                    continue
-                beta, k = key
-                if beta == alpha:
-                    add((alpha, k + 1), coeff)
-                    continue
-                for split_key, split_coeff in _pair_split(beta, k, alpha).items():
-                    add(split_key, coeff * split_coeff)
+                if key is None or key[0] == alpha:
+                    splits = {(alpha, 1 if key is None else key[1] + 1): Fraction(1)}
+                else:
+                    splits = _pair_split(*key, alpha)
+                for split, split_coeff in splits.items():
+                    updated[split] = updated.get(split, Fraction(0)) + coeff * split_coeff
             current = updated
-    return current
+    return tuple(
+        (ENTIRE_DENOM if key is None else Denom(_atom_for(key[0], d), key[1]), coeff)
+        for key, coeff in current.items()
+        if coeff
+    )
 
 
 class _Accumulator:
-    """Mutable builder collecting numerator terms per denominator atom."""
+    """Mutable builder adding up one numerator per denominator signature,
+    the sorted (alpha, p) pairs of prod (1-alpha E)^p; :meth:`build` splits
+    each signature once and distributes its numerator over the atoms."""
 
     def __init__(self, d: int, nvars: int) -> None:
         self.d = d
         self.nvars = nvars
-        self.buckets: dict[Denom, dict[TermKey, Fraction]] = {}
+        self.numerators: dict[Signature, dict[TermKey, Fraction]] = {}
 
     def add_term(
         self,
@@ -253,20 +254,20 @@ class _Accumulator:
     ) -> None:
         if not coeff:
             return
+        numerator = self.numerators.setdefault(tuple(sorted(factors.items())), {})
         key = (0, tuple(vector))
-        for split, split_coeff in _partial_fractions(factors).items():
-            denom = (
-                ENTIRE_DENOM
-                if split is None
-                else Denom(_atom_for(split[0], self.d), split[1])
-            )
-            bucket = self.buckets.setdefault(denom, {})
-            bucket[key] = bucket.get(key, Fraction(0)) + coeff * split_coeff
+        numerator[key] = numerator.get(key, Fraction(0)) + coeff
 
     def build(self) -> MeromorphicTrace:
+        buckets: dict[Denom, dict[TermKey, Fraction]] = {}
+        for signature, numerator in self.numerators.items():
+            for denom, split_coeff in _signature_split(signature, self.d):
+                bucket = buckets.setdefault(denom, {})
+                for key, coeff in numerator.items():
+                    bucket[key] = bucket.get(key, Fraction(0)) + coeff * split_coeff
         parts = {
             denom: ExpSum.from_terms(self.nvars, entries)
-            for denom, entries in self.buckets.items()
+            for denom, entries in buckets.items()
         }
         return MeromorphicTrace.from_parts(self.d, self.nvars, parts)
 
@@ -300,6 +301,7 @@ class _ChainSummary(NamedTuple):
     settled_buckets: tuple[tuple[tuple[int, ...], Fraction], ...]
     ending_buckets: tuple[tuple[int, Fraction], ...]
     zero_diagonal: bool
+    short_vectors: tuple[tuple[tuple[int, ...], int], ...]
 
 
 def _refined_length(chain: tuple[Monomial, ...]) -> int:
@@ -309,17 +311,19 @@ def _refined_length(chain: tuple[Monomial, ...]) -> int:
 @functools.lru_cache(maxsize=256)
 def _chain_summary(chain: tuple[Monomial, ...], model: FreeGroup) -> _ChainSummary:
     """Cylinder decomposition of a chain diagonal, grouped for assembly."""
-    return _summarize(chain, model, cylinder_census(chain, model, _refined_length(chain)))
+    return _summarize(chain, model, *cylinder_census(chain, model, _refined_length(chain)))
 
 
 def _summarize(
     chain: tuple[Monomial, ...],
     model: FreeGroup,
     census: dict[CylinderClass, Fraction | int],
+    short_vectors: tuple[tuple[tuple[int, ...], int], ...],
 ) -> _ChainSummary:
     """Summary of the chain whose diagonal, refined to the refinement
     length, has the given census: weight per (class of the last letter,
-    trailing run of the anchor), as :func:`cylinder_census` counts it.
+    trailing run of the anchor), and short diagonal vectors, as
+    :func:`cylinder_census` gives them.
 
     Cylinders sharing the vector of partially-applied settle depths are
     interchangeable for the settled family, and cylinders whose final
@@ -339,7 +343,7 @@ def _summarize(
     omega_tuple = tuple(omegas[1:])
     sigma_lengths = tuple(refined + w for w in omega_tuple)
     if not census:
-        return _ChainSummary(refined, omega_tuple, sigma_lengths, (), (), True)
+        return _ChainSummary(refined, omega_tuple, sigma_lengths, (), (), True, ())
 
     heads = []
     head, cut = (), 0
@@ -372,7 +376,20 @@ def _summarize(
         tuple(sorted(settled.items())),
         tuple(sorted(ending.items())),
         False,
+        short_vectors,
     )
+
+
+def _species_scales(
+    summary: _ChainSummary, species: Callable[[FreeGroup, int], Species], model: FreeGroup
+) -> dict[int, Fraction]:
+    """weight * coeff * amplitude summed per amplitude over the ending
+    buckets' species, the only way the escaping terms see a bucket."""
+    scales: dict[int, Fraction] = {}
+    for last, weight in summary.ending_buckets:
+        for coeff, amplitude in species(model, last):
+            scales[amplitude] = scales.get(amplitude, Fraction(0)) + weight * coeff * amplitude
+    return scales
 
 
 def closed_form_heat_trace(
@@ -433,20 +450,14 @@ def closed_form_heat_trace(
             [(tuple(2 * deep + 2 - sl for sl in sigma_lengths), Fraction(1))],
         ),
     ]
-    for last, weight in summary.ending_buckets:
-        for coeff, amplitude in settling_species(model, last):
-            alpha = Fraction(amplitude)
-            scale = weight * coeff * amplitude
-            out.add_term({alpha: 2}, tuple(sl + 1 for sl in sigma_lengths), scale)
-            for extra_factors, pieces in escape_pieces:
-                factors = dict(extra_factors)
-                factors[alpha] = factors.get(alpha, 0) + 1
-                for vector, piece_coeff in pieces:
-                    out.add_term(
-                        factors,
-                        tuple(x + 1 for x in vector),
-                        scale * piece_coeff,
-                    )
+    for amplitude, scale in _species_scales(summary, settling_species, model).items():
+        alpha = Fraction(amplitude)
+        out.add_term({alpha: 2}, tuple(sl + 1 for sl in sigma_lengths), scale)
+        for extra_factors, pieces in escape_pieces:
+            factors = dict(extra_factors)
+            factors[alpha] = factors.get(alpha, 0) + 1
+            for vector, piece_coeff in pieces:
+                out.add_term(factors, tuple(x + 1 for x in vector), scale * piece_coeff)
     return out.build()
 
 
@@ -470,16 +481,16 @@ def closed_form_toeplitz_trace(
         )
 
     out = _Accumulator(d, stages)
-    for vector, count in short_diagonal_vectors(canonical, model, summary.refined_length):
+    for vector, count in summary.short_vectors:
         out.add_term({}, vector, Fraction(count))
 
     sigma_lengths = summary.sigma_lengths
     for last, weight in summary.ending_buckets:
         if last != 1:
             out.add_term({}, sigma_lengths, weight)
-        bumped = tuple(sl + 1 for sl in sigma_lengths)
-        for coeff, amplitude in extension_species(model, last):
-            out.add_term({Fraction(amplitude): 1}, bumped, weight * coeff * amplitude)
+    bumped = tuple(sl + 1 for sl in sigma_lengths)
+    for amplitude, scale in _species_scales(summary, extension_species, model).items():
+        out.add_term({Fraction(amplitude): 1}, bumped, scale)
     return out.build()
 
 
@@ -755,8 +766,9 @@ def brute_force_toeplitz_trace(
     heavy = math.exp(-sum(sj * sl for sj, sl in zip(s, sigma_lengths)))
 
     value = 0.0
-    for vector, count in short_diagonal_vectors(canonical, model, min(refined, limit + 1)):
-        value += count * math.exp(-sum(sj * x for sj, x in zip(s, vector)))
+    for vector, count in summary.short_vectors:
+        if vector[-1] <= limit:
+            value += count * math.exp(-sum(sj * x for sj, x in zip(s, vector)))
 
     top = max(limit - refined, 0)
     for last, weight in summary.ending_buckets:

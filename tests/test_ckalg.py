@@ -698,7 +698,7 @@ def test_walked_census_matches_the_netted_product_diagonal(case):
     chain, model = case
     length = sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
     netted = netted_cylinder_census(product_diagonal(chain, model), model, length)
-    assert cylinder_census(chain, model, length) == netted
+    assert cylinder_census(chain, model, length)[0] == netted
 
 
 def test_walked_census_reads_non_reduced_words_formally():
@@ -706,6 +706,6 @@ def test_walked_census_reads_non_reduced_words_formally():
     # the formal product still keeps it, whole, as its one diagonal word
     chain = (Monomial((A1, B1), (A1, B1)),)
     assert product_diagonal(chain, F2) == [((A1, B1), Fraction(1))]
-    assert cylinder_census(chain, F2, 6) == netted_cylinder_census(
+    assert cylinder_census(chain, F2, 6)[0] == netted_cylinder_census(
         [((A1, B1), Fraction(1))], F2, 6
     )

@@ -96,3 +96,25 @@ def test_one_point_of_the_census_target_ends_in_its_outcome():
         assert done.returncode == 0, done.stderr
         outcomes.append(json.loads(done.stdout.strip().splitlines()[-1])["outcome"])
     assert outcomes == [[True, True, False, False, True], [True, True]]
+
+
+def test_one_point_of_the_assembly_target_ends_in_its_outcome():
+    """One stage of a1 at d=2, as the one child the harness starts for
+    that point: the pole classes of the heat slice and of the word slice."""
+    source = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(source), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--child", "assembly", "1"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    row = json.loads(done.stdout.strip().splitlines()[-1])
+    assert row["outcome"] == [
+        ["0 even 1", "0 odd 2", "log(2d-1) even 2"],
+        ["0 even 1", "0 odd 1", "log(2d-1) even 1"],
+    ]
+    assert row["seconds"] > 0 and row["blas_threads"] == 1

@@ -1,5 +1,5 @@
-"""Tests for the exact trace engine: partial fractions, closed forms,
-oracles, shift slices, and pole extraction."""
+"""Tests for the exact trace engine: partial fractions, closed-form
+assembly, closed forms, oracles, shift slices, and pole extraction."""
 
 from __future__ import annotations
 
@@ -30,7 +30,11 @@ from test_words import (
     word_key,
 )
 
-from twistzeta.ckalg import Monomial, _toeplitz_step, short_diagonal_vectors
+from test_acceptance import _sample_chains
+
+from twistzeta import ckalg
+from twistzeta.ckalg import Monomial, _toeplitz_step, cylinder_census
+from twistzeta.cli import parse_chain
 from twistzeta.traces import (
     ALTERNATING_ATOM,
     BRANCH_ATOM,
@@ -42,11 +46,14 @@ from twistzeta.traces import (
     ExpSum,
     MeromorphicTrace,
     PoleDatum,
+    _Accumulator,
+    _atom_for,
     _canonical_chain,
     _chain_summary,
     _escape_counts,
     _heat_partial_sum,
-    _partial_fractions,
+    _pair_split,
+    _signature_split,
     _summarize,
     _validate_oracle_inputs,
     _windowed_heat_value,
@@ -73,8 +80,140 @@ FIRST_SQUARE = [Monomial((0,), (0,))]
 
 
 # Independent oracles of the engine in twistzeta.traces: literal simulation
-# of the closed forms, the term-by-term form of the window sums, and the
-# word-by-word forms of the chain summary and of the short basis words.
+# of the closed forms, their term-by-term assembly, the term-by-term form of
+# the window sums, and the word-by-word forms of the chain summary and of the
+# short basis words.
+
+def partial_fractions(
+    factors: dict[Fraction, int]
+) -> dict[tuple[Fraction, int] | None, Fraction]:
+    """Decompose 1/prod (1-alpha E)^p into atomic fractions, exactly, in
+    the order the factors are listed.  The key None stands for the
+    constant 1 (empty product)."""
+    current: dict[tuple[Fraction, int] | None, Fraction] = {None: Fraction(1)}
+    for alpha, power in factors.items():
+        for _ in range(power):
+            updated: dict[tuple[Fraction, int] | None, Fraction] = {}
+
+            def add(key: tuple[Fraction, int] | None, value: Fraction) -> None:
+                if value:
+                    updated[key] = updated.get(key, Fraction(0)) + value
+
+            for key, coeff in current.items():
+                if key is None:
+                    add((alpha, 1), coeff)
+                    continue
+                beta, k = key
+                if beta == alpha:
+                    add((alpha, k + 1), coeff)
+                    continue
+                for split_key, split_coeff in _pair_split(beta, k, alpha).items():
+                    add(split_key, coeff * split_coeff)
+            current = updated
+    return current
+
+
+class TermwiseAccumulator:
+    """Closed-form assembly one term at a time: every term is split into
+    the atomic denominators by its own partial fractions and added to each
+    atom's numerator.  Oracle of ``_Accumulator``, which splits once per
+    denominator signature."""
+
+    def __init__(self, d: int, nvars: int) -> None:
+        self.d = d
+        self.nvars = nvars
+        self.buckets: dict[Denom, dict] = {}
+
+    def add_term(self, factors: dict[Fraction, int], vector, coeff: Fraction) -> None:
+        if not coeff:
+            return
+        key = (0, tuple(vector))
+        for split, split_coeff in partial_fractions(factors).items():
+            denom = (
+                ENTIRE_DENOM
+                if split is None
+                else Denom(_atom_for(split[0], self.d), split[1])
+            )
+            bucket = self.buckets.setdefault(denom, {})
+            bucket[key] = bucket.get(key, Fraction(0)) + coeff * split_coeff
+
+    def build(self) -> MeromorphicTrace:
+        parts = {
+            denom: ExpSum.from_terms(self.nvars, entries)
+            for denom, entries in self.buckets.items()
+        }
+        return MeromorphicTrace.from_parts(self.d, self.nvars, parts)
+
+
+def termwise_heat_trace(
+    chain: Sequence[Monomial], anchor: int, model: FreeGroup
+) -> MeromorphicTrace:
+    """``closed_form_heat_trace`` assembled term by term: every species of
+    every ending bucket adds its own escaping terms."""
+    canonical = _canonical_chain(chain, anchor, model)
+    summary = _chain_summary(canonical, model)
+    if summary.zero_diagonal:
+        return MeromorphicTrace.from_parts(
+            model.generators, len(canonical), {}, certificate=ZERO_DIAGONAL_CERTIFICATE
+        )
+    out = TermwiseAccumulator(model.generators, len(canonical))
+    omegas, sigma_lengths = summary.omegas, summary.sigma_lengths
+    one, flip = Fraction(1), Fraction(-1)
+    for depths, weight in summary.settled_buckets:
+        upper = max(t - w for t, w in zip(depths, omegas))
+        lower = -max(omegas)
+        out.add_term({one: 1}, tuple(w + upper for w in omegas), weight)
+        for offset in range(lower, upper):
+            vector = tuple(settled_eigenvalue(t, offset + w) for t, w in zip(depths, omegas))
+            out.add_term({}, vector, weight)
+        out.add_term(
+            {one: 1, flip: 1},
+            tuple(t - 2 * w + 2 - 2 * lower for t, w in zip(depths, omegas)),
+            weight,
+        )
+    shallow, deep = min(sigma_lengths), max(sigma_lengths)
+    plateau = [
+        tuple(max(sl, 2 * c - sl) for sl in sigma_lengths) for c in range(shallow + 1, deep + 1)
+    ]
+    pieces = [
+        ({one: 1}, [(sigma_lengths, one)]),
+        ({}, [(sigma_lengths, Fraction(shallow))] + [(v, one) for v in plateau]),
+        ({one: 1, flip: 1}, [(tuple(2 * deep + 2 - sl for sl in sigma_lengths), one)]),
+    ]
+    for last, weight in summary.ending_buckets:
+        for coeff, amplitude in settling_species(model, last):
+            alpha = Fraction(amplitude)
+            scale = weight * coeff * amplitude
+            out.add_term({alpha: 2}, tuple(sl + 1 for sl in sigma_lengths), scale)
+            for extra, vectors in pieces:
+                factors = dict(extra)
+                factors[alpha] = factors.get(alpha, 0) + 1
+                for vector, piece in vectors:
+                    out.add_term(factors, tuple(x + 1 for x in vector), scale * piece)
+    return out.build()
+
+
+def termwise_toeplitz_trace(
+    chain: Sequence[Monomial], anchor: int, model: FreeGroup
+) -> MeromorphicTrace:
+    """``closed_form_toeplitz_trace`` assembled term by term."""
+    canonical = _canonical_chain(chain, anchor, model)
+    summary = _chain_summary(canonical, model)
+    if summary.zero_diagonal:
+        return MeromorphicTrace.from_parts(
+            model.generators, len(canonical), {}, certificate=ZERO_DIAGONAL_CERTIFICATE
+        )
+    out = TermwiseAccumulator(model.generators, len(canonical))
+    for vector, count in summary.short_vectors:
+        out.add_term({}, vector, Fraction(count))
+    bumped = tuple(sl + 1 for sl in summary.sigma_lengths)
+    for last, weight in summary.ending_buckets:
+        if last != 1:
+            out.add_term({}, summary.sigma_lengths, weight)
+        for coeff, amplitude in extension_species(model, last):
+            out.add_term({Fraction(amplitude): 1}, bumped, weight * coeff * amplitude)
+    return out.build()
+
 
 def literal_heat_trace(
     chain: Sequence[Monomial],
@@ -301,21 +440,22 @@ def test_denom_validation():
 
 
 def test_partial_fraction_splits_are_exact():
-    one = Fraction(1)
-    assert _partial_fractions({one: 1, -one: 1}) == {
-        (one, 1): Fraction(1, 2),
-        (-one, 1): Fraction(1, 2),
+    one, three = Fraction(1), Fraction(3)
+    plain, alternating = Denom(PLAIN_ATOM, 1), Denom(ALTERNATING_ATOM, 1)
+    assert dict(_signature_split(((-one, 1), (one, 1)), 2)) == {
+        plain: Fraction(1, 2),
+        alternating: Fraction(1, 2),
     }
-    three = Fraction(3)
-    assert _partial_fractions({one: 1, three: 1}) == {
-        (three, 1): Fraction(3, 2),
-        (one, 1): Fraction(-1, 2),
+    assert dict(_signature_split(((one, 1), (three, 1)), 2)) == {
+        Denom(BRANCH_ATOM, 1): Fraction(3, 2),
+        plain: Fraction(-1, 2),
     }
-    assert _partial_fractions({one: 1, -one: 2}) == {
-        (one, 1): Fraction(1, 4),
-        (-one, 1): Fraction(1, 4),
-        (-one, 2): Fraction(1, 2),
+    assert dict(_signature_split(((-one, 2), (one, 1)), 2)) == {
+        plain: Fraction(1, 4),
+        alternating: Fraction(1, 4),
+        Denom(ALTERNATING_ATOM, 2): Fraction(1, 2),
     }
+    assert _signature_split((), 2) == ((ENTIRE_DENOM, one),)
 
 
 def test_first_generator_square_cylinder_census():
@@ -486,9 +626,12 @@ def test_toeplitz_closed_form_matches_oracles():
     s = (1.3, 1.5)
     for chain in MIXED_CHAINS:
         closed = closed_form_toeplitz_trace(chain, ANCHOR, RANK_TWO)
-        direct = literal_toeplitz_trace(chain, ANCHOR, RANK_TWO, s, 9)
-        small = brute_force_toeplitz_trace(chain, ANCHOR, RANK_TWO, s, 9)
-        assert small.value == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        # a window of 2 ends below the refinement length of every chain here
+        # (4 or 6), a window of 4 below some of them
+        for truncation in (2, 4, 9):
+            direct = literal_toeplitz_trace(chain, ANCHOR, RANK_TWO, s, truncation)
+            small = brute_force_toeplitz_trace(chain, ANCHOR, RANK_TWO, s, truncation)
+            assert small.value == pytest.approx(direct, rel=1e-12, abs=1e-12)
         window = brute_force_toeplitz_trace(chain, ANCHOR, RANK_TWO, s, 16)
         value = closed.evaluate(s).real
         assert abs(value - window.value) <= window.tail_bound + 1e-12
@@ -731,26 +874,49 @@ def short_chains(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=short_chains(), data=st.data())
 def test_counted_summary_matches_the_enumerated_cylinders(case, data):
+    # the summary's last field, the short vectors, is checked against the
+    # literal loop by the tests below
     chain, model = case
     counted = _chain_summary(chain, model)
-    assert tuple(counted) == enumerated_summary(chain, model, product_diagonal(chain, model))
+    expected = enumerated_summary(chain, model, product_diagonal(chain, model))
+    assert tuple(counted)[:-1] == expected
     refined = counted.refined_length
     signed = data.draw(signed_diagonals(model, refined))
-    counted = _summarize(chain, model, netted_cylinder_census(signed, model, refined))
-    assert tuple(counted) == enumerated_summary(chain, model, signed)
+    counted = _summarize(chain, model, netted_cylinder_census(signed, model, refined), ())
+    assert tuple(counted)[:-1] == enumerated_summary(chain, model, signed)
 
 
 @settings(max_examples=120, deadline=None)
 @given(case=short_chains(), data=st.data())
 def test_counted_short_vectors_match_the_literal_loop(case, data):
+    # the chain summary keeps them at the refinement length; the word-basis
+    # oracle keeps those whose last entry, the word's length, is below its L
     chain, model = case
-    refined = sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
-    below = data.draw(st.integers(1, min(refined, 9 if model is RANK_TWO else 7)))
+    summary = _chain_summary(chain, model)
+    below = data.draw(st.integers(1, min(summary.refined_length, 9 if model is RANK_TWO else 7)))
     counted = Counter()
-    for vector, count in short_diagonal_vectors(chain, model, below):
+    for vector, count in summary.short_vectors:
         assert count > 0
-        counted[vector] += count
+        if vector[-1] < below:
+            counted[vector] += count
     assert counted == Counter(literal_short_vectors(chain, model, below))
+
+
+def test_one_prefix_walk_serves_both_closed_forms_and_the_word_oracle(monkeypatch):
+    walks = []
+    walk = ckalg._prefix_walk
+
+    def counted(chain, model):
+        walks.append(chain)
+        return walk(chain, model)
+
+    monkeypatch.setattr(ckalg, "_prefix_walk", counted)
+    _chain_summary.cache_clear()
+    chain = FIRST_SQUARE * 2
+    assert closed_form_heat_trace(chain, ANCHOR, RANK_TWO).parts
+    assert closed_form_toeplitz_trace(chain, ANCHOR, RANK_TWO).parts
+    brute_force_toeplitz_trace(chain, ANCHOR, RANK_TWO, [1.5, 1.5], 16)
+    assert len(walks) == 1
 
 
 def test_counted_short_vectors_check_junctions_past_the_prefix():
@@ -758,5 +924,65 @@ def test_counted_short_vectors_check_junctions_past_the_prefix():
     # still test the first letter after it
     for chain in MIXED_CHAINS + [FIRST_SQUARE]:
         chain = tuple(chain)
-        counted = Counter(dict(short_diagonal_vectors(chain, RANK_TWO, 9)))
+        _, short_vectors = cylinder_census(chain, RANK_TWO, 9)
+        counted = Counter(dict(short_vectors))
         assert counted == Counter(literal_short_vectors(chain, RANK_TWO, 9))
+
+
+AMPLITUDE_POWERS = st.integers(0, 3)
+
+
+@st.composite
+def accumulator_terms(draw):
+    """Terms over random signatures of the amplitudes 1, -1 and 2d-1, each
+    to a power of at most 3, at d in {2, 3, 5}.  Some terms come back
+    negated, with their factors listed in another order, or split in two
+    parts, so that numerators cancel exactly."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    nvars = draw(st.integers(1, 3))
+    amplitudes = (Fraction(1), Fraction(-1), Fraction(2 * d - 1))
+    vectors = st.lists(st.integers(0, 6), min_size=nvars, max_size=nvars).map(tuple)
+    coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    terms = []
+    for _ in range(draw(st.integers(0, 14))):
+        powers = [draw(AMPLITUDE_POWERS) for _ in amplitudes]
+        factors = {a: p for a, p in zip(amplitudes, powers) if p}
+        vector, coeff = draw(vectors), draw(coefficients)
+        terms.append((factors, vector, coeff))
+        echo = draw(st.sampled_from(("none", "negated", "halves")))
+        reordered = dict(reversed(list(factors.items())))
+        if echo == "negated":
+            terms.append((reordered, vector, -coeff))
+        elif echo == "halves":
+            terms[-1] = (factors, vector, coeff / 2)
+            terms.append((reordered, vector, coeff / 2))
+    order = draw(st.permutations(range(len(terms))))
+    return d, nvars, [terms[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=accumulator_terms())
+def test_signature_assembly_matches_the_termwise_oracle(case):
+    d, nvars, terms = case
+    oracle, grouped = TermwiseAccumulator(d, nvars), _Accumulator(d, nvars)
+    for factors, vector, coeff in terms:
+        oracle.add_term(factors, vector, coeff)
+        grouped.add_term(factors, vector, coeff)
+    assert repr(grouped.build()) == repr(oracle.build())
+
+
+AUDIT_CHAINS = ("a1", "a1:a1", "a1:a1:a1", "a1:a1:a1:a1", "a1:a1:a1:a1:a1", "a1.b2.a2.b1", "a1.b2:a1")
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_closed_forms_match_the_termwise_assembly(d):
+    """The benchmark's trace-audit chains and criterion 03's chains."""
+    model = FreeGroup(d)
+    first = model.letter_index("a1")
+    chains = [parse_chain(text, model) for text in AUDIT_CHAINS] + _sample_chains(model)
+    for chain in chains:
+        for closed, termwise in (
+            (closed_form_heat_trace, termwise_heat_trace),
+            (closed_form_toeplitz_trace, termwise_toeplitz_trace),
+        ):
+            assert repr(closed(chain, first, model)) == repr(termwise(chain, first, model))

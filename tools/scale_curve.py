@@ -1,6 +1,6 @@
 """Cost of the free-group counterexample, the Moebius unitary, the circle
-counterexamples, the windowed heat sums, the chain census, pv-order and
-summability against their size parameter.
+counterexamples, the windowed heat sums, the chain census, closed-form
+assembly, pv-order and summability against their size parameter.
 
 Usage, from the root of a checkout::
 
@@ -10,6 +10,7 @@ Usage, from the root of a checkout::
     python3 tools/scale_curve.py --targets window --lengths 256,1024,4096
     python3 tools/scale_curve.py --targets pv-modes,summability --modes 512,1024
     python3 tools/scale_curve.py --targets census --repeats 3
+    python3 tools/scale_curve.py --targets assembly --repeats 9
 
 Each point runs one target in a fresh interpreter, with one BLAS thread as
 in the benchmark, and reads the wall time of the call and the peak RSS of
@@ -53,6 +54,16 @@ the BLAS thread count the interpreter ran with.  The targets:
   the command's own runner; the pass or fail of each check is the outcome.
   Both read the chain's census of cylinders over 2d letters, so the curve
   shows how its cost grows with d.  Not in the default run either.
+- ``assembly``: at d=2, for each of the fixed stage counts 1, 2, 3, 5 and
+  8 of the chain ``a1``, ``traces.closed_form_heat_trace`` and
+  ``closed_form_toeplitz_trace``, and ``poles_and_laurent`` of both
+  traces' single-variable slices, timed together after one warm-up call
+  of the same four, which fills the chain's cached summary: only the
+  assembly of the closed forms and their pole data is timed.  The pole
+  classes of the heat slice and of the word slice, as ``label parity
+  order``, are the outcome.  A point is one call of a few milliseconds,
+  so take more repeats than for the other targets.  Not in the default
+  run either.
 
 The last line of standard output is one JSON object with every point.
 """
@@ -71,7 +82,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_TARGETS = ("index", "unitary", "counterexample", "circle", "window")
-TARGETS = DEFAULT_TARGETS + ("pv-modes", "pv-sites", "summability", "census")
+TARGETS = DEFAULT_TARGETS + ("pv-modes", "pv-sites", "summability", "census", "assembly")
 DEFAULT_POINTS = "2:6-12,3:4-8"
 DEFAULT_MODES = "256,512,1024,2048"
 DEFAULT_LENGTHS = "256,512,1024,2048,4096,8192,16384"
@@ -91,6 +102,8 @@ CENSUS_RUNS = (
     ("heat-oracle", {"chain": "a1:a1", "s": "12,13"}),
 )
 CENSUS_RANKS = (10, 100, 1000, 10000)
+# The assembly target's stage counts of the chain a1, at d=2.
+ASSEMBLY_STAGES = (1, 2, 3, 5, 8)
 
 
 def _child(target: str, sizes: list[int]) -> None:
@@ -113,6 +126,26 @@ def _child(target: str, sizes: list[int]) -> None:
         config = cli.build_config(experiment, flag_values={**flags, "d": str(generators)})
         start = time.perf_counter()
         outcome = [check.passed for check in cli.run(config).checks]
+    elif target == "assembly":
+        (stages,) = sizes
+        model, chain = words.FreeGroup(2), [ckalg.Monomial((0,), (0,))] * stages
+
+        def assemble() -> list[list[str]]:
+            closed = (
+                traces.closed_form_heat_trace(chain, 0, model),
+                traces.closed_form_toeplitz_trace(chain, 0, model),
+            )
+            return [
+                [
+                    f"{pole.base_label} {pole.parity} {pole.order}"
+                    for pole in traces.poles_and_laurent(cli._single_variable(trace))
+                ]
+                for trace in closed
+            ]
+
+        assemble()
+        start = time.perf_counter()
+        outcome = assemble()
     elif target == "window":
         run, length = sizes
         experiment, generators, grid = WINDOW_RUNS[run]
@@ -173,6 +206,9 @@ def _size_fields(target: str, sizes: tuple[int, ...]) -> dict[str, object]:
         run, generators = sizes
         experiment, flags = CENSUS_RUNS[run]
         return {"experiment": experiment, "d": generators, **flags}
+    if target == "assembly":
+        (stages,) = sizes
+        return {"d": 2, "stages": stages}
     if target == "window":
         run, length = sizes
         experiment, generators, grid = WINDOW_RUNS[run]
@@ -222,6 +258,8 @@ def main() -> int:
             jobs += [(target, (run, n)) for run in range(len(WINDOW_RUNS)) for n in lengths]
         elif target == "census":
             jobs += [(target, (run, d)) for run in range(len(CENSUS_RUNS)) for d in CENSUS_RANKS]
+        elif target == "assembly":
+            jobs += [(target, (stages,)) for stages in ASSEMBLY_STAGES]
         elif target == "pv-sites":
             jobs += [(target, (int(text),)) for text in args.lengths.split(",")]
         else:
@@ -254,7 +292,7 @@ def main() -> int:
         rows.append(row)
         size = " ".join(f"{key}={value}" for key, value in fields.items())
         print(
-            f"{target} {size}: {row['seconds']:.3f} s, "
+            f"{target} {size}: {row['seconds']:.4g} s, "
             f"{row['peak_rss_mb']:.1f} MB (min of {args.repeats})",
             flush=True,
         )
