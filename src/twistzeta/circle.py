@@ -490,22 +490,22 @@ def represent(element: CrossedElement, gamma: MoebiusMap, max_mode: int) -> np.n
 # the former quadrature size 8M there, so it stays until that caller drops it.
 
 
+def _diagonal_commutator(matrix: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """[diag, A] in place of A: entry (m, n) times diagonal[m] - diagonal[n]."""
+    matrix *= diagonal[:, None] - diagonal[None, :]
+    return matrix
+
+
 def dirac_commutator(
     element: CrossedElement, gamma: MoebiusMap, max_mode: int, quad_points: int | None = None
 ) -> np.ndarray:
-    matrix = represent(element, gamma, max_mode)
-    diagonal = build_dirac(max_mode)
-    matrix *= diagonal[:, None] - diagonal[None, :]
-    return matrix
+    return _diagonal_commutator(represent(element, gamma, max_mode), build_dirac(max_mode))
 
 
 def log_dirac_commutator(
     element: CrossedElement, gamma: MoebiusMap, max_mode: int, quad_points: int | None = None
 ) -> np.ndarray:
-    matrix = represent(element, gamma, max_mode)
-    diagonal = build_dlog(max_mode)
-    matrix *= diagonal[:, None] - diagonal[None, :]
-    return matrix
+    return _diagonal_commutator(represent(element, gamma, max_mode), build_dlog(max_mode))
 
 
 def twisted_dirac_commutator(

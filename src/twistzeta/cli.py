@@ -24,7 +24,12 @@ import numpy as np
 from twistzeta.ckalg import Monomial
 from twistzeta.circle import build_dirac
 from twistzeta.cochain import COUNTEREXAMPLE_FAMILIES, counterexample_verdict
-from twistzeta.damp import free_group_summability, sgnlog_transform, summability_scan
+from twistzeta.damp import (
+    free_group_summability,
+    sgnlog_transform,
+    summability_scan,
+    truncation_sweep,
+)
 from twistzeta.higher_order import order_sweep
 from twistzeta.traces import (
     brute_force_heat_trace,
@@ -63,19 +68,22 @@ def _parse_positive_float(text: str) -> float:
     return value
 
 
-def _parse_positive_grid(text: str) -> list[float]:
+def _parse_unit_float(text: str, what: str = "position weight exponent") -> float:
+    value = _parse_positive_float(text)
+    if value > 1.0:
+        raise UsageError(f"{what} {value!r} must lie in (0, 1]")
+    return value
+
+
+def _parse_positive_grid(text: str, parse_value=_parse_positive_float) -> list[float]:
     pieces = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not pieces:
         raise UsageError("the grid must list at least one value")
-    return [_parse_positive_float(piece) for piece in pieces]
+    return [parse_value(piece) for piece in pieces]
 
 
 def _parse_budget_grid(text: str) -> list[float]:
-    grid = _parse_positive_grid(text)
-    for value in grid:
-        if value > 1.0:
-            raise UsageError(f"budget exponent {value!r} must lie in (0, 1]")
-    return grid
+    return _parse_positive_grid(text, lambda piece: _parse_unit_float(piece, "budget exponent"))
 
 
 def _parse_name(text: str) -> str:
@@ -109,10 +117,22 @@ class _Field:
 
 
 @dataclass(frozen=True)
+class Count:
+    """One quantity an experiment's work grows with, its budget, and the
+    refusal, naming the largest accepted input, of a value above it."""
+
+    name: str
+    value: float
+    budget: float
+    refusal: str
+
+
+@dataclass(frozen=True)
 class _Experiment:
     summary: str
     fields: tuple[_Field, ...]
     runner: Callable[[dict[str, object]], list["CheckRecord"]]
+    cost: Callable[[Mapping[str, object]], tuple[Count, ...]] = lambda params: ()
 
 
 @dataclass(frozen=True)
@@ -197,10 +217,13 @@ def read_config_section(path: str, experiment: str) -> dict[str, str]:
 
 
 def run(config: ExperimentConfig) -> ExperimentReport:
-    """Execute the configured experiment and collect its checks."""
-    runner = EXPERIMENTS[config.experiment].runner
+    """Refuse the config if a declared count passes its budget, else run it."""
+    experiment = EXPERIMENTS[config.experiment]
+    for count in experiment.cost(config.parameters):
+        if count.value > count.budget:
+            raise UsageError(count.refusal)
     start = time.perf_counter()
-    checks = tuple(runner(dict(config.parameters)))
+    checks = tuple(experiment.runner(dict(config.parameters)))
     elapsed = time.perf_counter() - start
     return ExperimentReport(config.experiment, dict(config.parameters), checks, elapsed)
 
@@ -209,17 +232,7 @@ def _report_payload(report: ExperimentReport) -> dict[str, object]:
     return {
         "experiment": report.experiment,
         "parameters": dict(report.parameters),
-        "checks": [
-            {
-                "name": check.name,
-                "computed": check.computed,
-                "expected": check.expected,
-                "tolerance": check.tolerance,
-                "passed": check.passed,
-                "provenance": check.provenance,
-            }
-            for check in report.checks
-        ],
+        "checks": [dict(vars(check)) for check in report.checks],
         "passed": report.passed,
         "wall_clock": report.wall_clock,
     }
@@ -231,17 +244,7 @@ def report_to_json(report: ExperimentReport) -> str:
 
 def report_from_json(text: str) -> ExperimentReport:
     payload = json.loads(text)
-    checks = tuple(
-        CheckRecord(
-            name=entry["name"],
-            computed=entry["computed"],
-            expected=entry["expected"],
-            tolerance=entry["tolerance"],
-            passed=entry["passed"],
-            provenance=entry["provenance"],
-        )
-        for entry in payload["checks"]
-    )
+    checks = tuple(CheckRecord(**entry) for entry in payload["checks"])
     return ExperimentReport(
         payload["experiment"], payload["parameters"], checks, payload["wall_clock"]
     )
@@ -347,7 +350,6 @@ def _single_variable(trace):
 
 
 def _run_heat_oracle(params: dict[str, object]) -> list[CheckRecord]:
-    _check_step_budget("heat-oracle", params)
     model, anchor = _free_group_setup(params)
     chain = parse_chain(str(params["chain"]), model)
     closed = closed_form_heat_trace(chain, anchor, model)
@@ -439,7 +441,6 @@ def _run_pole_audit(params: dict[str, object]) -> list[CheckRecord]:
 def _run_counterexample(params: dict[str, object]) -> list[CheckRecord]:
     family = str(params["family"])
     if family == "free_group":
-        _check_window_budget(int(params["d"]), int(params["L"]))
         _free_group_setup(params)
         verdict = counterexample_verdict(
             family,
@@ -450,7 +451,6 @@ def _run_counterexample(params: dict[str, object]) -> list[CheckRecord]:
         )
         reference_method = "reduced-word formula"
     else:
-        _check_mode_budget(family, int(params["M"]))
         verdict = counterexample_verdict(family, max_mode=int(params["M"]))
         reference_method = "winding number"
     reference = next(
@@ -508,10 +508,8 @@ def _run_counterexample(params: dict[str, object]) -> list[CheckRecord]:
 
 
 def _run_damp_sweep(params: dict[str, object]) -> list[CheckRecord]:
-    _check_step_budget("damp-sweep", params)
     model, anchor = _free_group_setup(params)
-    depth = int(params["L"])
-    sweep = [depth // 16, depth // 8, depth // 4, depth // 2, depth]
+    sweep = truncation_sweep(int(params["L"]))
     grid = [float(s) for s in params["s"]]
     try:
         report = free_group_summability(model, anchor, grid, sweep)
@@ -558,15 +556,7 @@ def _run_damp_sweep(params: dict[str, object]) -> list[CheckRecord]:
 
 def _run_pv_order(params: dict[str, object]) -> list[CheckRecord]:
     power = float(params["s"])
-    if not 0.0 < power <= 1.0:
-        raise UsageError(f"the position weight exponent s must lie in (0, 1], not {power}")
-    _check_pv_budget(params)
-    depth = int(params["L"])
-    stages = []
-    stage = 8
-    while stage <= depth:
-        stages.append(stage)
-        stage *= 2
+    stages = _lattice_stages(int(params["L"]))
     checks = []
     lanes = (
         ("translation", 1.0 / (1.0 + power), "windowed-measurement"),
@@ -593,7 +583,6 @@ def _run_pv_order(params: dict[str, object]) -> list[CheckRecord]:
 
 def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
     window = int(params["M"])
-    _check_summability_budget(window)
     diagonal = build_dirac(window)
     magnitudes = np.abs(diagonal)
     logged = np.abs(sgnlog_transform(diagonal))
@@ -612,8 +601,8 @@ def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
                 "term-identity",
             )
         )
-    sweep = [window // 16, window // 8, window // 4, window // 2, window]
-    scan = summability_scan(diagonal, "exp", [float(s) for s in params["s"]], sweep)
+    grid = [float(s) for s in params["s"]]
+    scan = summability_scan(diagonal, "exp", grid, truncation_sweep(window))
     for s, verdict in zip(scan.exponents, scan.verdicts):
         checks.append(
             CheckRecord(
@@ -637,16 +626,15 @@ def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
 FREE_GROUP_VERTEX_BUDGET = 1_000_000
 
 
-def _check_window_budget(generators: int, length: int) -> None:
-    """Refuse a free-group counterexample above the budget before anything
-    is built.
+def _vertex_cost(generators: int, length: int) -> tuple[Count, ...]:
+    """Vertices of the free-group counterexample, exact within the budget.
 
     The kernel window visits the sum of (2d-1)^n over n <= L vertices, and
     the cochain word traces of arity one and three walk every head of at
     most three letters at two offsets each, about 2 (2d-1)^3 more.  The
     sum is added up only while it stays within the budget, at most about
     twenty terms for any d >= 2, so the same loop finds the largest
-    accepted L.
+    accepted L; past it the count is the estimate below, rounded up.
     """
     rate = 2 * generators - 1
     traced = 2 * rate**3
@@ -654,19 +642,20 @@ def _check_window_budget(generators: int, length: int) -> None:
     while largest < length and vertices + rate ** (largest + 1) <= FREE_GROUP_VERTEX_BUDGET:
         largest += 1
         vertices += rate**largest
-    if largest == length:
-        return
     # (2d-1)^(L+1) / (2d-2), within one half of the window's sum, plus the
     # traced vertices, in powers of ten.
     window = (length + 1) * math.log10(rate) - math.log10(rate - 1)
     high, low = sorted((window, math.log10(traced)), reverse=True)
     exponent = high + math.log10(1 + 10 ** (low - high))
+    if largest < length:
+        vertices = math.ceil(10.0**exponent) if exponent < 300 else math.inf
     accepted = f"L={largest}" if largest else "none"
-    raise UsageError(
+    refusal = (
         f"the free-group counterexample at d={generators}, L={length} visits about "
         f"{10 ** (exponent % 1):.3g}e+{int(exponent):02d} vertices, above the budget of "
         f"{FREE_GROUP_VERTEX_BUDGET}; the largest window accepted at d={generators} is {accepted}"
     )
+    return (Count("vertices", vertices, FREE_GROUP_VERTEX_BUDGET, refusal),)
 
 
 # Mode radius of the circle counterexamples.  Measured by tools/scale_curve.py
@@ -676,12 +665,15 @@ def _check_window_budget(generators: int, length: int) -> None:
 CIRCLE_MODE_BUDGET = 2048
 
 
-def _check_mode_budget(family: str, max_mode: int) -> None:
-    if max_mode > CIRCLE_MODE_BUDGET:
-        raise UsageError(
-            f"the {family} window at M={max_mode} is above the mode budget; "
-            f"the largest window accepted is M={CIRCLE_MODE_BUDGET}"
-        )
+def _counterexample_cost(params: Mapping[str, object]) -> tuple[Count, ...]:
+    family, max_mode = str(params["family"]), int(params["M"])
+    if family == "free_group":
+        return _vertex_cost(int(params["d"]), int(params["L"]))
+    refusal = (
+        f"the {family} window at M={max_mode} is above the mode budget; "
+        f"the largest window accepted is M={CIRCLE_MODE_BUDGET}"
+    )
+    return (Count("radius", max_mode, CIRCLE_MODE_BUDGET, refusal),)
 
 
 # Word-length steps of the windowed heat sums, one per escape depth of one
@@ -693,15 +685,17 @@ def _check_mode_budget(family: str, max_mode: int) -> None:
 WINDOW_STEP_BUDGET = 24576
 
 
-def _check_step_budget(experiment: str, params: Mapping[str, object]) -> None:
-    rate = (1 if experiment == "heat-oracle" else 2) * len(params["s"])
-    length = int(params["L"])
-    if rate * length > WINDOW_STEP_BUDGET:
-        raise UsageError(
+def _step_cost(experiment: str, per_exponent: int) -> Callable[..., tuple[Count, ...]]:
+    def cost(params: Mapping[str, object]) -> tuple[Count, ...]:
+        rate, length = per_exponent * len(params["s"]), int(params["L"])
+        refusal = (
             f"the {experiment} windows at L={length} take about {rate * length} word-length "
             f"steps, above the budget of {WINDOW_STEP_BUDGET}; the largest L accepted on a "
             f"grid of {len(params['s'])} exponents is {WINDOW_STEP_BUDGET // rate}"
         )
+        return (Count("steps", rate * length, WINDOW_STEP_BUDGET, refusal),)
+
+    return cost
 
 
 # Lattice sites of pv-order's deepest stage.  Both lanes evaluate every site
@@ -725,37 +719,41 @@ PV_WINDOW_BUDGET = 4_200_000
 SUMMABILITY_MODE_BUDGET = 4_200_000
 
 
-def _check_pv_budget(params: Mapping[str, object]) -> None:
-    """Refuse a pv-order sweep above either budget before anything is built.
+def _lattice_stages(length: int) -> list[int]:
+    """pv-order's doubling sweep 8, 16, ... up to L."""
+    return [8 << k for k in range((length // 8).bit_length())]
 
-    The doubling sweep 8, 16, ... stops at the largest 8 * 2^k <= L, whose
-    lattice sites are the 8 * 2^k + 1 sites n with |n| <= 4 * 2^k.
-    """
+
+def _pv_cost(params: Mapping[str, object]) -> tuple[Count, ...]:
+    """The deepest stage 8 * 2^k <= L has the 8 * 2^k + 1 lattice sites n
+    with |n| <= 4 * 2^k; the symbol lane's window has (2M+1)^2 entries."""
     length, max_mode = int(params["L"]), int(params["M"])
-    sites = (8 << ((length // 8).bit_length() - 1)) + 1
-    if sites > LATTICE_SITE_BUDGET:
-        deepest = 8 << (((LATTICE_SITE_BUDGET - 1) // 8).bit_length() - 1)
-        raise UsageError(
-            f"the pv-order sweep at L={length} evaluates {sites} lattice sites per lane "
-            f"and epsilon, above the budget of {LATTICE_SITE_BUDGET}; the largest L "
-            f"accepted is {2 * deepest - 1}"
-        )
-    entries = (2 * max_mode + 1) ** 2
-    if entries > PV_WINDOW_BUDGET:
-        raise UsageError(
-            f"the pv-order symbol lane at M={max_mode} takes the SVD of {entries} window "
-            f"entries, above the budget of {PV_WINDOW_BUDGET}; the largest M accepted is "
-            f"{(math.isqrt(PV_WINDOW_BUDGET) - 1) // 2}"
-        )
+    sites, entries = _lattice_stages(length)[-1] + 1, (2 * max_mode + 1) ** 2
+    deepest = _lattice_stages(LATTICE_SITE_BUDGET - 1)[-1]
+    site_refusal = (
+        f"the pv-order sweep at L={length} evaluates {sites} lattice sites per lane "
+        f"and epsilon, above the budget of {LATTICE_SITE_BUDGET}; the largest L "
+        f"accepted is {2 * deepest - 1}"
+    )
+    entry_refusal = (
+        f"the pv-order symbol lane at M={max_mode} takes the SVD of {entries} window "
+        f"entries, above the budget of {PV_WINDOW_BUDGET}; the largest M accepted is "
+        f"{(math.isqrt(PV_WINDOW_BUDGET) - 1) // 2}"
+    )
+    return (
+        Count("sites", sites, LATTICE_SITE_BUDGET, site_refusal),
+        Count("entries", entries, PV_WINDOW_BUDGET, entry_refusal),
+    )
 
 
-def _check_summability_budget(max_mode: int) -> None:
-    if 2 * max_mode + 1 > SUMMABILITY_MODE_BUDGET:
-        raise UsageError(
-            f"the summability window at M={max_mode} holds {2 * max_mode + 1} modes, above "
-            f"the budget of {SUMMABILITY_MODE_BUDGET}; the largest M accepted is "
-            f"{(SUMMABILITY_MODE_BUDGET - 1) // 2}"
-        )
+def _summability_cost(params: Mapping[str, object]) -> tuple[Count, ...]:
+    max_mode = int(params["M"])
+    refusal = (
+        f"the summability window at M={max_mode} holds {2 * max_mode + 1} modes, above "
+        f"the budget of {SUMMABILITY_MODE_BUDGET}; the largest M accepted is "
+        f"{(SUMMABILITY_MODE_BUDGET - 1) // 2}"
+    )
+    return (Count("modes", 2 * max_mode + 1, SUMMABILITY_MODE_BUDGET, refusal),)
 
 
 _GROUP_FIELDS = (
@@ -773,6 +771,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
             _Field("L", _parse_int(1), 16, "word-length truncation of the oracle"),
         ),
         _run_heat_oracle,
+        _step_cost("heat-oracle", 1),
     ),
     "pole-audit": _Experiment(
         "exact pole sets of the heat and word-basis traces",
@@ -791,6 +790,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
             _Field("L", _parse_int(1), 9, "source word length of the kernel window"),
         ),
         _run_counterexample,
+        _counterexample_cost,
     ),
     "damp-sweep": _Experiment(
         "heat-series convergence bracketing of the branching rate",
@@ -800,11 +800,12 @@ EXPERIMENTS: dict[str, _Experiment] = {
             _Field("L", _parse_int(16), 128, "deepest truncation of the five-stage sweep"),
         ),
         _run_damp_sweep,
+        _step_cost("damp-sweep", 2),
     ),
     "pv-order": _Experiment(
         "weighted commutator growth across epsilon budgets",
         (
-            _Field("s", _parse_positive_float, 1.0, "position weight exponent in (0, 1]"),
+            _Field("s", _parse_unit_float, 1.0, "position weight exponent in (0, 1]"),
             _Field("eps", _parse_budget_grid, [0.4, 0.7], "epsilon budgets, comma-separated"),
             # At M=1 the window holds only the modes -1..1, where D_log
             # vanishes, so both constants of the symbol lane are zero and its
@@ -814,6 +815,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
             _Field("L", _parse_int(32), 512, "deepest lattice radius of the doubling sweep"),
         ),
         _run_pv_order,
+        _pv_cost,
     ),
     "summability": _Experiment(
         "dampened and exponentiated weights on the mode window",
@@ -822,6 +824,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
             _Field("M", _parse_int(16), 256, "mode window radius"),
         ),
         _run_summability,
+        _summability_cost,
     ),
 }
 

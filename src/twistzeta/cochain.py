@@ -47,7 +47,7 @@ from .traces import (
     TermKey,
     poles_and_laurent,
 )
-from .words import FreeGroup
+from .words import FreeGroup, settled_eigenvalue
 
 ITERATE_CERTIFICATE = "collapsed-square-iterate"
 # Certificate of the circle words: it names the check that their exact trace
@@ -184,13 +184,6 @@ def _translate(
     )
 
 
-def _modulus(length, offset) -> np.ndarray:
-    """Absolute Dirac eigenvalue of vertices, elementwise: the offset once
-    it reaches the head length, which makes the eigenvalue nonnegative,
-    and otherwise the head length plus twice the offset's negative part."""
-    return np.where(offset >= length, offset, length + 2 * np.maximum(-offset, 0))
-
-
 def _largest_window_key(base: int, source_length: int) -> int:
     """Bound on the target keys of a window: a landed code has at most
     ``source_length + 1`` digits, times the span of target offsets
@@ -299,13 +292,13 @@ def cochain_word_trace(
         # each head padded with anchor letters, or with their inverses.
         offsets = np.arange(2 * length - reach - 2, reach + 3)
         code, offset = np.repeat(heads, offsets.size), np.tile(offsets, heads.size)
-        modulus = _modulus(length, offset)
+        modulus = settled_eigenvalue(length, offset)
         sign = np.where(offset >= length, 1, -1)
         exponent = arity * modulus
         coeff = np.ones_like(modulus)
         vertex, now = (code, length, offset), sign
         for letter in reversed(letters[1:]):
-            exponent -= _modulus(*vertex[1:])
+            exponent -= settled_eigenvalue(*vertex[1:])
             vertex = _translate(letter, anchor, base, *vertex)
             moved = np.where(vertex[2] >= vertex[1], 1, -1)
             coeff *= moved - now

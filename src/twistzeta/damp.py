@@ -106,6 +106,11 @@ def _validate_grid(exponents: Sequence[float]) -> tuple[float, ...]:
     return grid
 
 
+def truncation_sweep(depth: int) -> list[int]:
+    """The five-stage sweep L/16, L/8, L/4, L/2, L of the command line."""
+    return [depth // 16, depth // 8, depth // 4, depth // 2, depth]
+
+
 def _validate_sweep(sweep: Sequence[int]) -> tuple[int, ...]:
     stages = tuple(int(size) for size in sweep)
     if len(stages) < 5:

@@ -417,15 +417,16 @@ def closed_form_heat_trace(
     omegas = summary.omegas
     sigma_lengths = summary.sigma_lengths
 
-    for depths, weight in summary.settled_buckets:
-        upper = max(t - w for t, w in zip(depths, omegas))
-        lower = -max(omegas)
+    lower = -max(omegas)
+    uppers = [max(t - w for t, w in zip(depths, omegas)) for depths, _ in summary.settled_buckets]
+    # The vectors at the offsets lower, lower + 1, ... of every bucket in one call.
+    offsets = np.arange(lower, max(uppers, default=lower))[:, None] + omegas
+    depth_rows = np.reshape([depths for depths, _ in summary.settled_buckets], (-1, 1, stages))
+    grid = settled_eigenvalue(depth_rows, offsets).tolist()
+    for (depths, weight), upper, vectors in zip(summary.settled_buckets, uppers, grid):
         out.add_term({Fraction(1): 1}, tuple(w + upper for w in omegas), weight)
-        for offset in range(lower, upper):
-            vector = tuple(
-                settled_eigenvalue(t, offset + w) for t, w in zip(depths, omegas)
-            )
-            out.add_term({}, vector, weight)
+        for vector in vectors[: upper - lower]:
+            out.add_term({}, tuple(vector), weight)
         out.add_term(
             {Fraction(1): 1, Fraction(-1): 1},
             tuple(t - 2 * w + 2 - 2 * lower for t, w in zip(depths, omegas)),
@@ -574,12 +575,8 @@ def _window_log_sums(
     starts, count = bounds[:, :-1, None], np.diff(bounds, axis=1)
     depths = depths[:, None, :]
 
-    def eigenvalues(offsets: np.ndarray) -> np.ndarray:
-        x = offsets + omegas
-        return np.maximum(np.maximum(x, depths), depths - 2 * x)
-
-    first = eigenvalues(starts)
-    step = eigenvalues(starts + 1) - first
+    first = settled_eigenvalue(depths, starts + omegas)
+    step = settled_eigenvalue(depths, starts + 1 + omegas) - first
     slope = (step * rates).sum(axis=2)
     largest = first + np.where(slope < 0, count - 1, 0)[:, :, None] * step
     rate = np.abs(slope)

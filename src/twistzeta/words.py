@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+import numpy as np
+
 Word = tuple[int, ...]
 
 
@@ -83,21 +85,19 @@ def transfer_counts(
         yield row
 
 
-def settled_eigenvalue(depth: int, offset: int) -> int:
-    """Absolute Dirac eigenvalue of a vertex whose word settles at ``depth``.
+def settled_eigenvalue(depth: np.ndarray | int, offset: np.ndarray | int) -> np.ndarray | int:
+    """Absolute Dirac eigenvalue of a vertex whose word settles at ``depth``,
+    elementwise over arrays, and a Python int for two scalars.
 
     The synchronization depth of such a vertex is
     ``k = max(max(0, -offset), depth - offset)``; its eigenvalue is the
     offset when k is zero and ``-|offset| - k`` otherwise, and this drops
-    the sign.
+    the sign: max(offset, depth, depth - 2 offset).
     """
-    if depth < 0:
+    if (np.asarray(depth) < 0).any():
         raise ValueError("settle depth is nonnegative")
-    if offset >= depth:
-        return offset
-    if offset >= 0:
-        return depth
-    return depth - 2 * offset
+    value = np.maximum(np.maximum(offset, depth), depth - 2 * offset)
+    return value if isinstance(value, np.ndarray) else int(value)
 
 
 Species = tuple[tuple[Fraction, int], ...]

@@ -29,14 +29,11 @@ from twistzeta.cli import (
     PV_WINDOW_BUDGET,
     SUMMABILITY_MODE_BUDGET,
     WINDOW_STEP_BUDGET,
+    EXPERIMENTS,
     CheckRecord,
+    Count,
     ExperimentReport,
     UsageError,
-    _check_mode_budget,
-    _check_pv_budget,
-    _check_step_budget,
-    _check_summability_budget,
-    _check_window_budget,
     _free_group_setup,
     build_config,
     emit,
@@ -302,30 +299,19 @@ def test_free_group_windows_past_the_vertex_budget_are_refused(capsys):
     assert "largest window accepted at d=41 is none" in capsys.readouterr().err
 
 
-def test_free_group_vertex_budget_admits_every_gate_and_benchmark_window():
-    # Defaults, criterion 04 and the boundary-index benchmark: d2L9, d2L8, d3L6.
-    for generators, length in ((2, 9), (2, 8), (3, 6), (2, 12), (3, 8), (40, 1)):
-        _check_window_budget(generators, length)
-    for generators, length in ((2, 13), (3, 9), (41, 1)):
-        with pytest.raises(UsageError, match="above the budget"):
-            _check_window_budget(generators, length)
-
-
 def test_every_accepted_free_group_window_fits_int64_keys():
     """Arithmetic only: the largest target key of every window the budget
     accepts stays below 2**63, so the kernel window's own guard never
     refuses a command-line input.  From d=41 on, 500000 included, the word traces
-    alone pass the budget, so no L is accepted."""
+    alone pass the budget, so no L is accepted.  L stops at 63, far past
+    any accepted window, so a cost that never refuses fails here instead of
+    looping."""
     widest = 0
     for generators in (*range(2, 61), 500_000):
-        length = 1
-        while True:
-            try:
-                _check_window_budget(generators, length)
-            except UsageError:
+        for length in range(1, 64):
+            if _over_budget("counterexample", _free_group_window(generators, length)):
                 break
             widest = max(widest, _largest_window_key(2 * generators + 1, length))
-            length += 1
     assert widest == _largest_window_key(5, 12) < 2**63
 
 
@@ -341,16 +327,6 @@ def test_circle_windows_past_the_mode_budget_are_refused(capsys):
             err = capsys.readouterr().err
             assert f"the {family} window at M={max_mode} is above the mode budget" in err
             assert f"largest window accepted is M={CIRCLE_MODE_BUDGET}" in err
-
-
-def test_circle_mode_budget_admits_every_gate_and_benchmark_window():
-    # The CLI test (M=64), the default and criterion 06 (M=128) and the
-    # moebius-sweep benchmark (M=512).
-    for family in ("circle", "moebius"):
-        for max_mode in (64, 128, 512, CIRCLE_MODE_BUDGET):
-            _check_mode_budget(family, max_mode)
-        with pytest.raises(UsageError, match="above the mode budget"):
-            _check_mode_budget(family, CIRCLE_MODE_BUDGET + 1)
 
 
 def test_largest_accepted_free_group_window_ends_in_a_verdict():
@@ -424,21 +400,6 @@ def test_largest_accepted_heat_sum_ends_in_a_verdict(experiment, capsys):
     assert f"PASS {experiment}:" in capsys.readouterr().out
 
 
-def test_step_budget_admits_every_gate_and_benchmark_window():
-    # Defaults and the gate (L=16, 128) and the window-sweep benchmark
-    # (heat-oracle L=256 on two exponents, damp-sweep L=256 and 512).
-    for experiment, length, grid in (
-        ("heat-oracle", 16, [2.5, 3.0, 3.5]),
-        ("heat-oracle", 256, [1.2, 1.5]),
-        ("damp-sweep", 128, [1.0, 1.2]),
-        ("damp-sweep", 256, [1.5, 1.8]),
-        ("damp-sweep", 512, [1.0, 1.2]),
-    ):
-        _check_step_budget(experiment, {"L": length, "s": grid})
-    with pytest.raises(UsageError, match="above the budget"):
-        _check_step_budget("heat-oracle", {"L": WINDOW_STEP_BUDGET + 1, "s": [2.5]})
-
-
 # Per circle-side budget: the flags that reach it, the smallest refused and
 # the largest accepted value, an input that failed or ran unbounded before
 # the budget, and the start of the refusal.
@@ -489,17 +450,135 @@ def test_largest_accepted_circle_side_input_ends_in_a_verdict(flags):
     assert f"PASS {experiment}:" in done.stdout
 
 
-def test_circle_side_budgets_admit_every_default_gate_and_benchmark_input():
+def _over_budget(experiment: str, params: dict[str, object]) -> list[Count]:
+    return [count for count in EXPERIMENTS[experiment].cost(params) if count.value > count.budget]
+
+
+def _free_group_window(generators: int, length: int) -> dict[str, object]:
+    return {"family": "free_group", "d": generators, "L": length, "M": 128}
+
+
+def _circle_window(family: str, max_mode: int) -> dict[str, object]:
+    return {"family": family, "d": 2, "L": 9, "M": max_mode}
+
+
+# Per budget, the experiments and parameters its declared cost admits (None)
+# or refuses (the refusal's expected text).
+DECLARED_COSTS = {
+    # Defaults, criterion 04 and the boundary-index benchmark (d2L9, d2L8,
+    # d3L6), the largest accepted windows, and the smallest refused ones.
+    "vertices": (
+        *(
+            ("counterexample", _free_group_window(generators, length), None)
+            for generators, length in ((2, 9), (2, 8), (3, 6), (2, 12), (3, 8), (40, 1))
+        ),
+        *(
+            ("counterexample", _free_group_window(generators, length), "above the budget")
+            for generators, length in ((2, 13), (3, 9), (41, 1))
+        ),
+    ),
+    # The CLI test (M=64), the default and criterion 06 (M=128) and the
+    # moebius-sweep benchmark (M=512).
+    "modes": (
+        *(
+            ("counterexample", _circle_window(family, max_mode), None)
+            for family in ("circle", "moebius")
+            for max_mode in (64, 128, 512, CIRCLE_MODE_BUDGET)
+        ),
+        *(
+            (
+                "counterexample",
+                _circle_window(family, CIRCLE_MODE_BUDGET + 1),
+                "above the mode budget",
+            )
+            for family in ("circle", "moebius")
+        ),
+    ),
+    # Defaults and the gate (L=16, 128) and the window-sweep benchmark
+    # (heat-oracle L=256 on two exponents, damp-sweep L=256 and 512).
+    "steps": (
+        ("heat-oracle", {"L": 16, "s": [2.5, 3.0, 3.5]}, None),
+        ("heat-oracle", {"L": 256, "s": [1.2, 1.5]}, None),
+        ("damp-sweep", {"L": 128, "s": [1.0, 1.2]}, None),
+        ("damp-sweep", {"L": 256, "s": [1.5, 1.8]}, None),
+        ("damp-sweep", {"L": 512, "s": [1.0, 1.2]}, None),
+        ("heat-oracle", {"L": WINDOW_STEP_BUDGET + 1, "s": [2.5]}, "above the budget"),
+    ),
     # The defaults (pv-order L=512 M=64, summability M=256), the CLI tests'
     # settings and the moebius-sweep benchmark (pv-order L=2048 M=256,
     # summability M=65536).
-    for length, max_mode in ((512, 64), (16, 64), (2048, 256), (512, 2)):
-        _check_pv_budget({"L": length, "M": max_mode})
-    for max_mode in (8, 16, 32, 64, 256, 65536):
-        _check_summability_budget(max_mode)
+    "circle side": (
+        *(
+            ("pv-order", {"L": length, "M": max_mode}, None)
+            for length, max_mode in ((512, 64), (16, 64), (2048, 256), (512, 2))
+        ),
+        *(("summability", {"M": max_mode}, None) for max_mode in (8, 16, 32, 64, 256, 65536)),
+        ("pole-audit", {}, None),
+    ),
+}
+
+
+def _check_declared_costs(budget: str) -> None:
+    for experiment, params, refusal in DECLARED_COSTS[budget]:
+        over = _over_budget(experiment, params)
+        if refusal is None:
+            assert not over, (experiment, params)
+        else:
+            assert over and refusal in over[0].refusal, (experiment, params)
+
+
+def test_free_group_vertex_budget_admits_every_gate_and_benchmark_window():
+    _check_declared_costs("vertices")
+
+
+def test_circle_mode_budget_admits_every_gate_and_benchmark_window():
+    _check_declared_costs("modes")
+
+
+def test_step_budget_admits_every_gate_and_benchmark_window():
+    _check_declared_costs("steps")
+
+
+def test_circle_side_budgets_admit_every_default_gate_and_benchmark_input():
+    _check_declared_costs("circle side")
     assert (2 * 1024 + 1) ** 2 <= PV_WINDOW_BUDGET < (2 * 1025 + 1) ** 2
     assert 2 * 2_099_999 + 1 <= SUMMABILITY_MODE_BUDGET < 2 * 2_100_000 + 1
     assert 2**22 + 1 <= LATTICE_SITE_BUDGET < 2**23 + 1
+
+
+def test_run_refuses_an_over_budget_config_without_calling_its_runner(monkeypatch):
+    """One refused input per budget: cli.run raises the refusal before the
+    runner, which here fails when called, is reached."""
+
+    def runner(params: dict[str, object]) -> list[CheckRecord]:
+        raise AssertionError(f"the runner was called on {params}")
+
+    for experiment, flags in (
+        ("counterexample", {"L": "13"}),
+        ("counterexample", {"family": "moebius", "M": "2049"}),
+        ("heat-oracle", {"L": "8193"}),
+        ("damp-sweep", {"L": "6145"}),
+        ("pv-order", {"L": "8388608"}),
+        ("pv-order", {"M": "1025"}),
+        ("summability", {"M": "2100000"}),
+    ):
+        config = build_config(experiment, flag_values=flags)
+        refused = dataclasses.replace(EXPERIMENTS[experiment], runner=runner)
+        monkeypatch.setitem(EXPERIMENTS, experiment, refused)
+        with pytest.raises(UsageError, match="budget"):
+            run(config)
+
+
+def test_usage_errors_come_before_cost_refusals(capsys):
+    """An exponent outside (0, 1] is named even where L also passes the
+    lattice-site budget: the fields are parsed before the costs are read."""
+    assert main(["pv-order", "--s", "1.5", "--L", "100000000"]) == 2
+    err = capsys.readouterr().err
+    assert "parameter 's' for pv-order: position weight exponent 1.5 must lie in (0, 1]" in err
+    assert "budget" not in err
+    assert main(["pv-order", "--eps", "0.4,1.5", "--M", "20000"]) == 2
+    err = capsys.readouterr().err
+    assert "parameter 'eps' for pv-order: budget exponent 1.5 must lie in (0, 1]" in err
 
 
 def test_json_report_round_trips_and_is_deterministic():

@@ -17,6 +17,7 @@ from twistzeta.damp import (
     free_group_summability,
     sgnlog_transform,
     summability_scan,
+    truncation_sweep,
 )
 from twistzeta.traces import brute_force_heat_trace
 from twistzeta.words import FreeGroup
@@ -266,6 +267,13 @@ def test_scan_input_guards() -> None:
         summability_scan(np.ones(10), "power", [1.0], sweep)
     with pytest.raises(ValueError, match="radius"):
         summability_scan(diagonal, "power", [1.0], (8, 16, 32, 64, 128))
+
+
+def test_truncation_sweep_halves_down_from_the_depth() -> None:
+    """The command line's sweep, valid from its smallest depth 16 on."""
+    assert truncation_sweep(64) == [4, 8, 16, 32, 64]
+    assert truncation_sweep(16) == [1, 2, 4, 8, 16]
+    assert summability_scan(build_dirac(16), "exp", [1.0], truncation_sweep(16)).verdicts
 
 
 def test_circle_power_scan_brackets_the_abscissa() -> None:

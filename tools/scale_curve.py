@@ -1,6 +1,5 @@
-"""Cost of the free-group counterexample, the Moebius unitary, the circle
-counterexamples, the windowed heat sums, the chain census, closed-form
-assembly, pv-order and summability against their size parameter.
+"""Cost of the command-line experiments, the Moebius unitary and
+closed-form assembly against their size parameters.
 
 Usage, from the root of a checkout::
 
@@ -15,45 +14,44 @@ Usage, from the root of a checkout::
 Each point runs one target in a fresh interpreter, with one BLAS thread as
 in the benchmark, and reads the wall time of the call and the peak RSS of
 that interpreter; a point reports the minimum of its repeats for both, and
-the BLAS thread count the interpreter ran with.  The targets:
+the BLAS thread count the interpreter ran with.
 
-- ``index``: ``cochain.counterexample_verdict("free_group", generators=d,
-  source_length=L)``, what ``counterexample --family free_group --d d --L
-  L`` runs (the windowed index and the two cochain word traces), at each d
-  and L of ``--points``, next to the vertex count that
-  ``cli.FREE_GROUP_VERTEX_BUDGET`` bounds: sum_{n <= L} (2d-1)^n for the
-  window plus 2 (2d-1)^3 for the word traces.  Whether the verdict passed
-  is the outcome.
+An experiment target runs the experiment's own runner,
+``cli.EXPERIMENTS[experiment].runner``, on the parameters its flags parse
+to.  The budgets are checked by ``cli.run``, not by the runner, so a curve
+reaches past the budget it is used to set.  ``RUNS`` holds one row per run
+of a target, with the option that lists its sizes in parentheses, or the
+census's fixed ranks:
+
+==============  ==============  ========================  ==================
+target          experiment      fixed flags               flags of the sizes
+==============  ==============  ========================  ==================
+index           counterexample  --family free_group       --d --L (--points)
+counterexample  counterexample  --family moebius          --M (--modes)
+circle          counterexample  --family circle           --M (--modes)
+window          heat-oracle     --d 2                     --L (--lengths)
+window          damp-sweep      --d 2                     --L (--lengths)
+window          damp-sweep      --d 3 --s 1.5,1.8         --L (--lengths)
+pv-modes        pv-order        --L 512                   --M (--modes)
+pv-sites        pv-order        --M 64                    --L (--lengths)
+summability     summability                               --M (--modes)
+census          pole-audit      --chain a1:a1             --d 10 ... 10^4
+census          heat-oracle     --chain a1:a1 --s 12,13   --d 10 ... 10^4
+==============  ==============  ========================  ==================
+
+The other flags keep their defaults.  A point's size fields are its flags
+and the counts its experiment declares, ``cli.EXPERIMENTS[experiment].cost``
+(vertices, mode radius, word-length steps, lattice sites and window
+entries, modes); past the vertex budget, ``vertices`` is the budget's
+log-space estimate rounded up, not the exact sum.  Its outcome is the list
+of every check's pass, and ``computed`` holds every check's computed value;
+a point the runner refuses has the outcome false and its message under
+``refused``.
+
+Two targets are library calls:
+
 - ``unitary``: ``circle.moebius_unitary(hyperbolic(1.0), M)`` at each M of
-  ``--modes``, next to the window size 2M + 1; its truncation bound is the
-  outcome.
-- ``counterexample`` and ``circle``: ``cochain.counterexample_verdict`` of
-  the ``moebius`` and of the ``circle`` family at each M, their verdict as
-  the outcome.  These are library calls, what ``counterexample --family
-  moebius|circle --M M`` runs, so the curve also reaches past
-  ``cli.CIRCLE_MODE_BUDGET``, which it is used to set.
-- ``window``: at each L of ``--lengths``, what ``heat-oracle --d 2 --chain
-  a1 --L L`` runs (the closed form and ``traces.brute_force_heat_trace``
-  at each of its default exponents 2.5, 3.0 and 3.5, the largest deviation
-  as the outcome), and what ``damp-sweep --L L`` runs at d=2 on its
-  default exponents 1.0, 1.2 and at d=3 on the benchmark's 1.5, 1.8
-  (``damp.free_group_summability`` over the sweep L/16, ..., L, its
-  verdicts or refusal as the outcome).  Library calls again, so the curve
-  reaches past ``cli.WINDOW_STEP_BUDGET``.
-- ``pv-modes``, ``pv-sites`` and ``summability``: ``pv-order`` at each M of
-  ``--modes`` (L=512), ``pv-order`` at each L of ``--lengths`` (M=64), and
-  ``summability`` at each M of ``--modes``, all on their default exponents,
-  whether every check passed as the outcome.  They run the command's own
-  runner in the child, with the budget under measurement lifted there, so
-  the curves reach past ``cli.PV_WINDOW_BUDGET``,
-  ``cli.LATTICE_SITE_BUDGET`` and ``cli.SUMMABILITY_MODE_BUDGET``, which
-  they are used to set.  They are not in the default run: their useful
-  sizes differ from the other targets', so name them with ``--targets``.
-- ``census``: ``pole-audit --chain a1:a1`` and ``heat-oracle --chain a1:a1
-  --s 12,13`` at each d of the fixed ranks 10, 100, 1000 and 10^4, through
-  the command's own runner; the pass or fail of each check is the outcome.
-  Both read the chain's census of cylinders over 2d letters, so the curve
-  shows how its cost grows with d.  Not in the default run either.
+  ``--modes``; its truncation bound is the outcome.
 - ``assembly``: at d=2, for each of the fixed stage counts 1, 2, 3, 5 and
   8 of the chain ``a1``, ``traces.closed_form_heat_trace`` and
   ``closed_form_toeplitz_trace``, and ``poles_and_laurent`` of both
@@ -62,17 +60,18 @@ the BLAS thread count the interpreter ran with.  The targets:
   assembly of the closed forms and their pole data is timed.  The pole
   classes of the heat slice and of the word slice, as ``label parity
   order``, are the outcome.  A point is one call of a few milliseconds,
-  so take more repeats than for the other targets.  Not in the default
-  run either.
+  so take more repeats than for the other targets.
 
-The last line of standard output is one JSON object with every point.
+The default run is ``index``, ``unitary``, ``counterexample``, ``circle``
+and ``window``; name the others with ``--targets``, as their useful sizes
+differ.  The last line of standard output is one JSON object with every
+point.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import resource
 import subprocess
@@ -90,44 +89,38 @@ DEFAULT_LENGTHS = "256,512,1024,2048,4096,8192,16384"
 # the default thread count contends with any other BLAS job on the machine.
 BLAS_THREADS = 1
 BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# The window target's runs: name, generators and exponents.
-WINDOW_RUNS = (
-    ("heat-oracle", 2, (2.5, 3.0, 3.5)),
-    ("damp-sweep", 2, (1.0, 1.2)),
-    ("damp-sweep", 3, (1.5, 1.8)),
+# One row per run of an experiment target: the target, the experiment, its
+# fixed flags, the flags that each size sets, in order, and the argument
+# that lists the sizes.
+RUNS = (
+    ("index", "counterexample", {"family": "free_group"}, ("d", "L"), "points"),
+    ("counterexample", "counterexample", {"family": "moebius"}, ("M",), "modes"),
+    ("circle", "counterexample", {"family": "circle"}, ("M",), "modes"),
+    ("window", "heat-oracle", {"d": "2"}, ("L",), "lengths"),
+    ("window", "damp-sweep", {"d": "2"}, ("L",), "lengths"),
+    ("window", "damp-sweep", {"d": "3", "s": "1.5,1.8"}, ("L",), "lengths"),
+    ("pv-modes", "pv-order", {"L": "512"}, ("M",), "modes"),
+    ("pv-sites", "pv-order", {"M": "64"}, ("L",), "lengths"),
+    ("summability", "summability", {}, ("M",), "modes"),
+    ("census", "pole-audit", {"chain": "a1:a1"}, ("d",), "census_ranks"),
+    ("census", "heat-oracle", {"chain": "a1:a1", "s": "12,13"}, ("d",), "census_ranks"),
 )
-# The census target's runs, name and flags, each at every rank.
-CENSUS_RUNS = (
-    ("pole-audit", {"chain": "a1:a1"}),
-    ("heat-oracle", {"chain": "a1:a1", "s": "12,13"}),
-)
-CENSUS_RANKS = (10, 100, 1000, 10000)
+# The census target's ranks d, fixed rather than an option.
+CENSUS_RANKS = "10,100,1000,10000"
 # The assembly target's stage counts of the chain a1, at d=2.
 ASSEMBLY_STAGES = (1, 2, 3, 5, 8)
 
 
-def _child(target: str, sizes: list[int]) -> None:
-    from twistzeta import circle, ckalg, cli, cochain, damp, traces, words
+def _runs(target: str) -> list[tuple[str, str, dict[str, str], tuple[str, ...], str]]:
+    return [row for row in RUNS if row[0] == target]
 
-    if target in ("pv-modes", "pv-sites", "summability"):
-        (size,) = sizes
-        cli.PV_WINDOW_BUDGET = cli.LATTICE_SITE_BUDGET = cli.SUMMABILITY_MODE_BUDGET = math.inf
-        if target == "summability":
-            runner, params = cli._run_summability, {"s": [0.5, 1.0, 2.0], "M": size}
-        else:
-            max_mode, length = (size, 512) if target == "pv-modes" else (64, size)
-            runner = cli._run_pv_order
-            params = {"s": 1.0, "eps": [0.4, 0.7], "M": max_mode, "L": length}
-        start = time.perf_counter()
-        outcome = all(check.passed for check in runner(params))
-    elif target == "census":
-        run, generators = sizes
-        experiment, flags = CENSUS_RUNS[run]
-        config = cli.build_config(experiment, flag_values={**flags, "d": str(generators)})
-        start = time.perf_counter()
-        outcome = [check.passed for check in cli.run(config).checks]
-    elif target == "assembly":
+
+def _child(target: str, sizes: list[int]) -> None:
+    from twistzeta import circle, ckalg, cli, traces, words
+
+    if target == "assembly":
         (stages,) = sizes
+        fields = {"d": 2, "stages": stages}
         model, chain = words.FreeGroup(2), [ckalg.Monomial((0,), (0,))] * stages
 
         def assemble() -> list[list[str]]:
@@ -145,87 +138,56 @@ def _child(target: str, sizes: list[int]) -> None:
 
         assemble()
         start = time.perf_counter()
-        outcome = assemble()
-    elif target == "window":
-        run, length = sizes
-        experiment, generators, grid = WINDOW_RUNS[run]
-        model, anchor = words.FreeGroup(generators), 0
-        start = time.perf_counter()
-        if experiment == "heat-oracle":
-            chain = [ckalg.Monomial((0,), (0,))]
-            closed = traces.closed_form_heat_trace(chain, anchor, model)
-            outcome = max(
-                abs(closed.evaluate([s]).real - oracle.value) / abs(oracle.value)
-                for s in grid
-                for oracle in [traces.brute_force_heat_trace(chain, anchor, model, [s], length)]
-            )
-        else:
-            sweep = [length // 16, length // 8, length // 4, length // 2, length]
-            try:
-                outcome = damp.free_group_summability(model, anchor, grid, sweep).verdicts
-            except ValueError as err:
-                outcome = f"refused: {err}"
-    elif target == "index":
-        generators, length = sizes
-        start = time.perf_counter()
-        outcome = cochain.counterexample_verdict(
-            "free_group", generators=generators, source_length=length
-        ).passed
+        result = {"outcome": assemble()}
     elif target == "unitary":
         (max_mode,) = sizes
+        fields = {"M": max_mode}
         start = time.perf_counter()
         gamma = circle.MoebiusMap.hyperbolic(1.0)
-        outcome = circle.moebius_unitary(gamma, max_mode).truncation
+        result = {"outcome": circle.moebius_unitary(gamma, max_mode).truncation}
     else:
-        (max_mode,) = sizes
-        family = "circle" if target == "circle" else "moebius"
+        run, *values = sizes
+        _, experiment, fixed, sized, _ = _runs(target)[run]
+        flags = {**fixed, **dict(zip(sized, map(str, values)))}
+        params = cli.build_config(experiment, flag_values=flags).parameters
+        declared = cli.EXPERIMENTS[experiment]
+        fields = {"experiment": experiment, **{flag: params[flag] for flag in flags}}
+        fields.update((count.name, count.value) for count in declared.cost(params))
         start = time.perf_counter()
-        outcome = cochain.counterexample_verdict(family, max_mode=max_mode).passed
+        try:
+            checks = declared.runner(dict(params))
+            result = {
+                "outcome": [check.passed for check in checks],
+                "computed": [check.computed for check in checks],
+            }
+        except cli.UsageError as err:
+            result = {"outcome": False, "refused": str(err)}
     seconds = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     # The most threads any of the BLAS libraries may start in this child.
     threads = max(int(os.environ[name]) for name in BLAS_VARIABLES)
     print(
         json.dumps(
-            {"outcome": outcome, "seconds": seconds, "peak_rss_mb": peak, "blas_threads": threads}
+            {
+                "fields": fields,
+                **result,
+                "seconds": seconds,
+                "peak_rss_mb": peak,
+                "blas_threads": threads,
+            }
         )
     )
 
 
-def _points(text: str) -> list[tuple[int, int]]:
-    points = []
+def _sizes(text: str) -> list[tuple[int, ...]]:
+    """Sizes from comma-separated groups of colon-separated values, the last
+    of which may be a range: "2:6-8,3:4" is (2, 6), (2, 7), (2, 8), (3, 4)."""
+    sizes = []
     for group in text.split(","):
-        generators, lengths = group.split(":")
-        low, _, high = lengths.partition("-")
-        points += [(int(generators), n) for n in range(int(low), int(high or low) + 1)]
-    return points
-
-
-def _size_fields(target: str, sizes: tuple[int, ...]) -> dict[str, object]:
-    if target == "census":
-        run, generators = sizes
-        experiment, flags = CENSUS_RUNS[run]
-        return {"experiment": experiment, "d": generators, **flags}
-    if target == "assembly":
-        (stages,) = sizes
-        return {"d": 2, "stages": stages}
-    if target == "window":
-        run, length = sizes
-        experiment, generators, grid = WINDOW_RUNS[run]
-        return {"experiment": experiment, "d": generators, "s": list(grid), "L": length}
-    if target == "pv-sites":
-        (length,) = sizes
-        return {"L": length, "sites": (8 << ((length // 8).bit_length() - 1)) + 1}
-    if target == "summability":
-        (max_mode,) = sizes
-        return {"M": max_mode, "modes": 2 * max_mode + 1}
-    if target == "index":
-        generators, length = sizes
-        rate = 2 * generators - 1
-        vertices = sum(rate**n for n in range(length + 1)) + 2 * rate**3
-        return {"d": generators, "L": length, "vertices": vertices}
-    (max_mode,) = sizes
-    return {"M": max_mode, "window": 2 * max_mode + 1}
+        *fixed, last = group.split(":")
+        low, _, high = last.partition("-")
+        sizes += [(*map(int, fixed), n) for n in range(int(low), int(high or low) + 1)]
+    return sizes
 
 
 def main() -> int:
@@ -239,6 +201,7 @@ def main() -> int:
     parser.add_argument(
         "--lengths", default=DEFAULT_LENGTHS, help="comma-separated L of window and pv-sites"
     )
+    parser.set_defaults(census_ranks=CENSUS_RANKS)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -251,19 +214,16 @@ def main() -> int:
         parser.error(f"unknown targets {', '.join(unknown)}; known: {', '.join(TARGETS)}")
     jobs: list[tuple[str, tuple[int, ...]]] = []
     for target in targets:
-        if target == "index":
-            jobs += [(target, point) for point in _points(args.points)]
-        elif target == "window":
-            lengths = [int(text) for text in args.lengths.split(",")]
-            jobs += [(target, (run, n)) for run in range(len(WINDOW_RUNS)) for n in lengths]
-        elif target == "census":
-            jobs += [(target, (run, d)) for run in range(len(CENSUS_RUNS)) for d in CENSUS_RANKS]
+        if target == "unitary":
+            jobs += [(target, size) for size in _sizes(args.modes)]
         elif target == "assembly":
             jobs += [(target, (stages,)) for stages in ASSEMBLY_STAGES]
-        elif target == "pv-sites":
-            jobs += [(target, (int(text),)) for text in args.lengths.split(",")]
         else:
-            jobs += [(target, (int(text),)) for text in args.modes.split(",")]
+            jobs += [
+                (target, (run, *size))
+                for run, (*_, option) in enumerate(_runs(target))
+                for size in _sizes(getattr(args, option))
+            ]
     # No bytecode: a __pycache__ left in the measured tree would lower the
     # set-up time and peak memory of a later benchmark run on it.
     env = {"PYTHONPATH": args.src, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
@@ -280,14 +240,14 @@ def main() -> int:
                 check=True,
             )
             runs.append(json.loads(done.stdout.strip().splitlines()[-1]))
-        fields = _size_fields(target, sizes)
+        first = dict(runs[0])
+        fields = first.pop("fields")
         row = {
             "target": target,
             **fields,
-            "outcome": runs[0]["outcome"],
+            **first,
             "seconds": min(run["seconds"] for run in runs),
             "peak_rss_mb": min(run["peak_rss_mb"] for run in runs),
-            "blas_threads": runs[0]["blas_threads"],
         }
         rows.append(row)
         size = " ".join(f"{key}={value}" for key, value in fields.items())
