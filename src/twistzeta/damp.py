@@ -182,18 +182,13 @@ def free_group_summability(
     (2d-1)^L), so each partial sum comes from the windowed counting engine
     for the identity chain: the sum of e^(-s |eigenvalue|) over all
     vertices carried by group words up to the truncation length, in
-    floating point from exact integer word counts and closed-form window
-    sums.  A partial sum beyond float range raises ValueError.  Verdicts
-    follow the same tail-ratio rule as :func:`summability_scan`; the
-    crossing estimate brackets log(2d-1).
+    floating point from exact integer word counts, streamed once to the
+    deepest truncation for every exponent, and closed-form window sums.
+    A partial sum beyond float range raises ValueError.  Verdicts follow
+    the same tail-ratio rule as :func:`summability_scan`; the crossing
+    estimate brackets log(2d-1).
     """
     grid = _validate_grid(exponents)
     stages = _validate_sweep(sweep)
-    curves = []
-    for s in grid:
-        curve = tuple(
-            _heat_partial_sum(UNIT_CHAIN, anchor, model, [s], stage)
-            for stage in stages
-        )
-        curves.append(curve)
+    curves = [_heat_partial_sum(UNIT_CHAIN, anchor, model, [s], stages) for s in grid]
     return _assemble_report(grid, curves)

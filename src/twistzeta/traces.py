@@ -542,6 +542,17 @@ def _escape_counts(
         yield sum(row) - row[1] - (row[0] if settling else 0)
 
 
+@functools.lru_cache(maxsize=64)
+def _escape_log_counts(model: FreeGroup, after: int, top: int, settling: bool) -> np.ndarray:
+    """Read-only log n of :func:`_escape_counts`, -inf where n = 0, streamed
+    once per key: every exponent and every shallower truncation of one
+    experiment reads a prefix of the same array."""
+    counts = _escape_counts(model, after, top, settling)
+    logs = np.fromiter((math.log(n) if n else -math.inf for n in counts), float, top)
+    logs.flags.writeable = False
+    return logs
+
+
 def _count_times_exp(count: int, log_factor: float) -> float:
     """count * e^log_factor, formed in log space so that neither a count
     beyond float range nor a factor below it is ever converted alone."""
@@ -592,6 +603,7 @@ def _windowed_heat_value(
     model: FreeGroup,
     s: Sequence[float],
     limit: int,
+    deepest: int | None = None,
 ) -> float:
     """Heat sum over the vertices inside the truncation window.
 
@@ -600,10 +612,11 @@ def _windowed_heat_value(
     and all escape depths in another, shared by every ending bucket.  The
     exact integer count of escape words joins its window as a logarithm
     before anything is exponentiated, so neither the count nor a window
-    far below float range is lost.  Only finitely many vertices
-    contribute, so the value is meaningful for any nonnegative heat
-    parameters, including below the convergence abscissa where no tail
-    bound exists; a sum beyond float range raises ValueError.
+    far below float range is lost; the counts are a prefix of those streamed
+    to the truncation ``deepest`` (default ``limit``).  Only finitely many
+    vertices contribute, so the value is meaningful for any nonnegative
+    heat parameters, including below the convergence abscissa where no
+    tail bound exists; a sum beyond float range raises ValueError.
     """
     top = limit - summary.refined_length
     value = 0.0
@@ -622,9 +635,9 @@ def _windowed_heat_value(
                 2 * (summary.refined_length + escape) - limit,
                 limit,
             )
+            stream = (deepest or limit) - summary.refined_length
             for last, weight in summary.ending_buckets:
-                counts = _escape_counts(model, last, top, settling=True)
-                logs = np.fromiter((math.log(n) if n else -math.inf for n in counts), float, top)
+                logs = _escape_log_counts(model, last, stream, True)[:top]
                 value += float(weight) * float(np.exp(logs + windows).sum())
     if not math.isfinite(value):
         raise ValueError("heat sum exceeds the float range")
@@ -636,19 +649,22 @@ def _heat_partial_sum(
     anchor: int,
     model: FreeGroup,
     s: Sequence[float],
-    truncation: int,
-) -> float:
-    """Windowed heat sum alone, with no convergence threshold demanded.
+    sweep: Sequence[int],
+) -> tuple[float, ...]:
+    """Windowed heat sums alone at every truncation of the sweep, with no
+    convergence threshold demanded; the escape counts are streamed once,
+    to the deepest truncation.
 
     Summability sweeps need partial sums on both sides of the abscissa,
     where a certified remainder cannot exist.
     """
-    _validate_heat_inputs(chain, s, truncation)
+    _validate_heat_inputs(chain, s, min(sweep))
     canonical = _canonical_chain(chain, anchor, model)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
-        return 0.0
-    return _windowed_heat_value(summary, model, s, truncation)
+        return (0.0,) * len(sweep)
+    deepest = max(sweep)
+    return tuple(_windowed_heat_value(summary, model, s, limit, deepest) for limit in sweep)
 
 
 def brute_force_heat_trace(
@@ -705,39 +721,32 @@ def brute_force_heat_trace(
     branch_ratio = branching * ratio
     if branch_ratio >= 1:
         raise AssertionError("convergence validation should have caught this")
-    for last, weight in summary.ending_buckets:
-        strength = abs(float(weight))
-        if top >= 1:
-            prefix_counts = (branching ** (top + 1) - branching) // (branching - 1)
-            bound += (
-                strength
-                * _count_times_exp(prefix_counts, log_drift - total * (limit + 1))
-                / (1 - ratio)
-            )
-            for depth in range(1, top + 1):
-                cut = 2 * (refined + depth) - limit
-                low = min(cut, 0)
-                reach = depth * math.log(branching)
-                reflected = _count_times_exp(
-                    1, reach + log_reflect_base - total * (depth + 2 - 2 * low)
-                ) / (1 - ratio**2)
-                plateau = _count_times_exp(max(cut, 0), reach + log_heavy - total * depth)
-                bound += strength * (reflected + plateau)
-        start = top + 1
-        alpha = (
-            drift * ratio**refined / (1 - ratio)
-            + (refined + max(omegas)) * heavy
-            + reflect_base * ratio ** (2 + 2 * max(omegas)) / (1 - ratio**2)
-        )
-        beta = heavy
-        power = branch_ratio**start
-        bound += strength * (
-            alpha * power / (1 - branch_ratio)
-            + beta
-            * power
-            * (start / (1 - branch_ratio) + branch_ratio / (1 - branch_ratio) ** 2)
-        )
-    return OracleResult(value, bound)
+    # One escape envelope for every ending bucket, scaled by their total strength.
+    escape = 0.0
+    if top >= 1:
+        prefix_counts = (branching ** (top + 1) - branching) // (branching - 1)
+        escape += _count_times_exp(prefix_counts, log_drift - total * (limit + 1)) / (1 - ratio)
+        for depth in range(1, top + 1):
+            cut = 2 * (refined + depth) - limit
+            low = min(cut, 0)
+            reach = depth * math.log(branching)
+            reflected = _count_times_exp(
+                1, reach + log_reflect_base - total * (depth + 2 - 2 * low)
+            ) / (1 - ratio**2)
+            plateau = _count_times_exp(max(cut, 0), reach + log_heavy - total * depth)
+            escape += reflected + plateau
+    start = top + 1
+    alpha = (
+        drift * ratio**refined / (1 - ratio)
+        + (refined + max(omegas)) * heavy
+        + reflect_base * ratio ** (2 + 2 * max(omegas)) / (1 - ratio**2)
+    )
+    power = branch_ratio**start
+    escape += alpha * power / (1 - branch_ratio) + heavy * power * (
+        start / (1 - branch_ratio) + branch_ratio / (1 - branch_ratio) ** 2
+    )
+    strength = sum(abs(float(weight)) for _, weight in summary.ending_buckets)
+    return OracleResult(value, bound + strength * escape)
 
 
 def brute_force_toeplitz_trace(
@@ -760,7 +769,8 @@ def brute_force_toeplitz_trace(
     refined = summary.refined_length
     sigma_lengths = summary.sigma_lengths
     ratio = math.exp(-total)
-    heavy = math.exp(-sum(sj * sl for sj, sl in zip(s, sigma_lengths)))
+    log_heavy = -sum(sj * sl for sj, sl in zip(s, sigma_lengths))
+    heavy = math.exp(log_heavy)
 
     value = 0.0
     for vector, count in summary.short_vectors:
@@ -768,14 +778,13 @@ def brute_force_toeplitz_trace(
             value += count * math.exp(-sum(sj * x for sj, x in zip(s, vector)))
 
     top = max(limit - refined, 0)
+    # Escape terms count * heavy * ratio^length join in log space, as in the heat oracle.
+    log_terms = log_heavy - total * np.arange(1, top + 1)
     for last, weight in summary.ending_buckets:
-        partial = 0.0
-        if limit >= refined and last != 1:
-            partial += heavy
+        partial = heavy if limit >= refined and last != 1 else 0.0
         if top >= 1:
-            counts = _escape_counts(model, last, top, settling=False)
-            for length, count in enumerate(counts, start=1):
-                partial += count * heavy * ratio**length
+            logs = _escape_log_counts(model, last, top, False)
+            partial += float(np.exp(logs + log_terms).sum())
         value += float(weight) * partial
 
     bound = 0.0

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistzeta.ckalg import Monomial
+from twistzeta.ckalg import Monomial, _prefix_walk
 from twistzeta.cochain import (
     _largest_window_key,
     boundary_translation_index,
@@ -24,6 +24,7 @@ from twistzeta.cochain import (
     free_group_cochain,
 )
 from twistzeta.cli import (
+    CENSUS_PREFIX_BUDGET,
     CIRCLE_MODE_BUDGET,
     LATTICE_SITE_BUDGET,
     PV_WINDOW_BUDGET,
@@ -238,7 +239,7 @@ def test_every_free_group_entry_point_refuses_an_anchor_outside_the_alphabet():
             lambda: closed_form_toeplitz_trace(chain, outside, model),
             lambda: brute_force_heat_trace(chain, outside, model, [2.5], 8),
             lambda: brute_force_toeplitz_trace(chain, outside, model, [2.5], 8),
-            lambda: _heat_partial_sum(chain, outside, model, [2.5], 8),
+            lambda: _heat_partial_sum(chain, outside, model, [2.5], [8]),
             lambda: boundary_translation_index(0, outside, model),
             lambda: compressed_kernel_dimension(0, outside, model, 4),
             lambda: compressed_translation_index(0, outside, model, source_length=4),
@@ -450,8 +451,14 @@ def test_largest_accepted_circle_side_input_ends_in_a_verdict(flags):
     assert f"PASS {experiment}:" in done.stdout
 
 
+def _declared(experiment: str, params: dict[str, object]) -> tuple[Count, ...]:
+    """Declared counts, with the fields params does not name at their defaults."""
+    fields = {field.name: field.default for field in EXPERIMENTS[experiment].fields}
+    return EXPERIMENTS[experiment].cost({**fields, **params})
+
+
 def _over_budget(experiment: str, params: dict[str, object]) -> list[Count]:
-    return [count for count in EXPERIMENTS[experiment].cost(params) if count.value > count.budget]
+    return [count for count in _declared(experiment, params) if count.value > count.budget]
 
 
 def _free_group_window(generators: int, length: int) -> dict[str, object]:
@@ -504,6 +511,24 @@ DECLARED_COSTS = {
         ("damp-sweep", {"L": 512, "s": [1.0, 1.2]}, None),
         ("heat-oracle", {"L": WINDOW_STEP_BUDGET + 1, "s": [2.5]}, "above the budget"),
     ),
+    # The defaults, the d=10^4 points of the CLI tests, the budget's a1:a1
+    # at d=10^5 and the refused inputs measured before it was set.
+    "prefixes": (
+        *(
+            (experiment, {"d": generators, "chain": "a1:a1"}, None)
+            for experiment in ("heat-oracle", "pole-audit")
+            for generators in (2, 10_000, 100_000)
+        ),
+        ("heat-oracle", {}, None),
+        ("pole-audit", {}, None),
+        *(("damp-sweep", {"d": generators}, None) for generators in (2, 3, 10_000)),
+        ("damp-sweep", {"d": 300_000, "L": 16}, None),
+        ("pole-audit", {"d": 100_001, "chain": "a1:a1"}, "the largest d accepted is 100000"),
+        ("pole-audit", {"d": 200_000}, "visits up to 1200001 prefixes"),
+        ("heat-oracle", {"d": 150_001, "chain": "a1"}, "the largest d accepted is 150000"),
+        ("damp-sweep", {"d": 300_001, "L": 16}, "the largest d accepted is 300000"),
+        ("damp-sweep", {"d": 1_000_000, "L": 16}, "census of the chain e"),
+    ),
     # The defaults (pv-order L=512 M=64, summability M=256), the CLI tests'
     # settings and the moebius-sweep benchmark (pv-order L=2048 M=256,
     # summability M=65536).
@@ -539,6 +564,57 @@ def test_step_budget_admits_every_gate_and_benchmark_window():
     _check_declared_costs("steps")
 
 
+def test_prefix_budget_admits_ten_thousand_generators():
+    _check_declared_costs("prefixes")
+    assert CENSUS_PREFIX_BUDGET == 1 + 2 * 100_000 * 3
+
+
+def _chain_text(chain: tuple[Monomial, ...]) -> str:
+    """The explicit command-line form of a chain: prepended names, then
+    stripped names starred, or a lone ``*`` when nothing is stripped."""
+
+    def name(letter: int) -> str:
+        return f"{'ab'[letter % 2]}{letter // 2 + 1}"
+
+    return ":".join(
+        ".".join(
+            [name(k) for k in stage.out_word]
+            + ([name(k) + "*" for k in stage.in_word] or ["*"])
+        )
+        for stage in chain
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), generators=st.integers(1, 3))
+def test_declared_prefixes_bound_the_census_walk(data, generators):
+    """pole-audit and heat-oracle declare 1 + 2d(S + 1) prefixes for a chain
+    stripping S letters in all, and the walk never visits more."""
+    model = FreeGroup(generators)
+    letters = st.lists(st.integers(0, model.size - 1), max_size=3).map(tuple)
+    chain = tuple(data.draw(st.lists(st.builds(Monomial, letters, letters), min_size=1, max_size=4)))
+    text = _chain_text(chain)
+    assert tuple(parse_chain(text, model)) == chain
+    for experiment in ("pole-audit", "heat-oracle"):
+        (declared,) = [
+            count
+            for count in _declared(experiment, {"d": generators, "chain": text})
+            if count.name == "prefixes"
+        ]
+        assert sum(1 for _ in _prefix_walk(chain, model)) <= declared.value
+
+
+def test_the_census_walk_meets_the_declared_prefixes_on_a_junction():
+    """A strip ending on a junction reads one letter more, so the walk
+    reaches the declared count; a1:a1 visits 4d + 1 of its 6d + 1."""
+    for generators in (1, 2, 3):
+        model = FreeGroup(generators)
+        joined = (Monomial((0,), ()), Monomial((0,), (1, 1, 1)))
+        assert sum(1 for _ in _prefix_walk(joined, model)) == 1 + 2 * generators * 4
+        square = tuple(parse_chain("a1:a1", model))
+        assert sum(1 for _ in _prefix_walk(square, model)) == 4 * generators + 1
+
+
 def test_circle_side_budgets_admit_every_default_gate_and_benchmark_input():
     _check_declared_costs("circle side")
     assert (2 * 1024 + 1) ** 2 <= PV_WINDOW_BUDGET < (2 * 1025 + 1) ** 2
@@ -558,6 +634,9 @@ def test_run_refuses_an_over_budget_config_without_calling_its_runner(monkeypatc
         ("counterexample", {"family": "moebius", "M": "2049"}),
         ("heat-oracle", {"L": "8193"}),
         ("damp-sweep", {"L": "6145"}),
+        ("damp-sweep", {"d": "1000000", "L": "16"}),
+        ("pole-audit", {"d": "200000"}),
+        ("heat-oracle", {"d": "100001", "chain": "a1:a1", "s": "13"}),
         ("pv-order", {"L": "8388608"}),
         ("pv-order", {"M": "1025"}),
         ("summability", {"M": "2100000"}),

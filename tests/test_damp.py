@@ -12,14 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistzeta.circle import build_dirac, build_dlog
+from twistzeta.cli import main
 from twistzeta.damp import (
+    UNIT_CHAIN,
     SummabilityReport,
     free_group_summability,
     sgnlog_transform,
     summability_scan,
     truncation_sweep,
 )
-from twistzeta.traces import brute_force_heat_trace
+from twistzeta.traces import _escape_log_counts, _heat_partial_sum, brute_force_heat_trace
 from twistzeta.words import FreeGroup
 
 MODEL = FreeGroup(2)
@@ -339,6 +341,32 @@ def test_free_group_partial_sums_match_certified_oracle() -> None:
             [Monomial((), ())], ANCHOR, MODEL, [2.5], stage
         )
         assert partial == certified.value
+
+
+@pytest.mark.parametrize(
+    "generators, exponents", [(2, (1.0, 1.2)), (3, (1.5, 1.8))]
+)
+def test_one_stream_gives_the_curves_of_a_fresh_stream_per_truncation(
+    generators: int, exponents: tuple[float, ...]
+) -> None:
+    """The sweep reads prefixes of one stream to the deepest truncation;
+    the route it replaced streamed the counts afresh for every exponent
+    and truncation, and gives the same floats."""
+    model = FreeGroup(generators)
+    sweep = truncation_sweep(512)
+    _escape_log_counts.cache_clear()
+    report = free_group_summability(model, ANCHOR, exponents, sweep)
+    for s, curve in zip(exponents, report.curves):
+        fresh = []
+        for stage in sweep:
+            _escape_log_counts.cache_clear()
+            fresh += _heat_partial_sum(UNIT_CHAIN, ANCHOR, model, [s], [stage])
+        assert curve == tuple(fresh)
+
+
+def test_damp_sweep_past_float_range_still_refuses(capsys) -> None:
+    assert main(["damp-sweep", "--d", "3", "--L", "2048"]) == 2
+    assert "heat sum exceeds the float range" in capsys.readouterr().err
 
 
 def test_free_group_scan_guards() -> None:

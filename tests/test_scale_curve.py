@@ -90,13 +90,13 @@ def test_a_measured_tree_is_left_without_bytecode(tmp_path):
 
 
 def test_one_point_of_the_census_target_ends_in_its_outcome():
-    """Both census runs at d=10, the smallest of the target's fixed ranks,
-    each as the one child the harness starts for that point."""
+    """The three census runs at d=10, the smallest of the target's fixed
+    ranks, each as the one child the harness starts for that point."""
     source = Path(__file__).resolve().parents[1] / "src"
     env = {"PYTHONPATH": str(source), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     outcomes = []
-    for run in ("0", "1"):
+    for run in ("0", "1", "2"):
         done = subprocess.run(
             [sys.executable, str(SCRIPT), "--child", "census", run, "10"],
             env=env,
@@ -106,7 +106,7 @@ def test_one_point_of_the_census_target_ends_in_its_outcome():
         )
         assert done.returncode == 0, done.stderr
         outcomes.append(json.loads(done.stdout.strip().splitlines()[-1])["outcome"])
-    assert outcomes == [[True, True, False, False, True], [True, True]]
+    assert outcomes == [[True, True, False, False, True], [True, True], [True, True, False]]
 
 
 def test_one_point_of_the_assembly_target_ends_in_its_outcome():

@@ -32,9 +32,9 @@ from test_words import (
 
 from test_acceptance import _sample_chains
 
-from twistzeta import ckalg
+from twistzeta import ckalg, traces
 from twistzeta.ckalg import Monomial, _toeplitz_step, cylinder_census
-from twistzeta.cli import parse_chain
+from twistzeta.cli import build_config, parse_chain, run
 from twistzeta.traces import (
     ALTERNATING_ATOM,
     BRANCH_ATOM,
@@ -51,6 +51,7 @@ from twistzeta.traces import (
     _canonical_chain,
     _chain_summary,
     _escape_counts,
+    _escape_log_counts,
     _heat_partial_sum,
     _pair_split,
     _signature_split,
@@ -70,6 +71,7 @@ from twistzeta.words import (
     extension_species,
     settled_eigenvalue,
     settling_species,
+    transfer_counts,
 )
 
 RANK_TWO = FreeGroup(2)
@@ -803,20 +805,118 @@ def test_zero_escape_counts_add_nothing():
     summary = _chain_summary(unit, rank_one)
     assert summary.ending_buckets
     assert list(_escape_counts(rank_one, 0, 10, settling=True)) == [0] * 10
+    assert _escape_log_counts(rank_one, 0, 10, True).tolist() == [-math.inf] * 10
     value = _windowed_heat_value(summary, rank_one, [0.5], 12)
     assert value == pytest.approx(literal_window_sum(summary, rank_one, [0.5], 12), rel=1e-12)
     settled = sum(math.exp(-0.5 * settled_eigenvalue(0, o)) for o in range(-12, 13))
     assert value == pytest.approx(settled, rel=1e-12)
 
 
+@pytest.mark.parametrize("model", [FreeGroup(1), RANK_TWO, RANK_THREE])
+def test_cached_log_counts_are_the_read_only_logs_of_the_escape_counts(model):
+    for after in range(min(model.size, 3)):
+        for settling in (True, False):
+            logs = _escape_log_counts(model, after, 40, settling)
+            expected = [
+                math.log(n) if n else -math.inf
+                for n in _escape_counts(model, after, 40, settling)
+            ]
+            assert logs.tolist() == expected
+            assert not logs.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                logs[0] = 0.0
+            assert _escape_log_counts(model, after, 40, settling) is logs
+
+
+def test_heat_oracle_streams_each_ending_bucket_once(monkeypatch):
+    """Three exponents of one heat-oracle run read one stream of transfer
+    rows per ending bucket, counted by wrapping the oracle's
+    transfer_counts; the census reads its own rows through ckalg."""
+    rows: Counter[int] = Counter()
+
+    def counted(model, after, top):
+        for row in transfer_counts(model, after, top):
+            rows[after] += 1
+            yield row
+
+    monkeypatch.setattr(traces, "transfer_counts", counted)
+    _escape_log_counts.cache_clear()
+    flags = {"L": "256", "s": "1.2,1.5,1.8"}
+    report = run(build_config("heat-oracle", flag_values=flags))
+    assert report.passed and len(report.checks) == 3
+    summary = _chain_summary(tuple(FIRST_SQUARE), RANK_TWO)
+    top = 256 - summary.refined_length
+    assert rows == {last: top for last, _ in summary.ending_buckets}
+    _escape_log_counts.cache_clear()
+
+
+def test_tail_bounds_as_computed_per_bucket():
+    """Tail bounds of the heat oracle, as the termwise sum over the ending
+    buckets of each bucket's escape envelope gave them: the envelope summed
+    once and scaled by the buckets' total strength differs by rounding."""
+    cases = [
+        (RANK_TWO, "a1", [2.5], 16, 3.948315210204818e-06),
+        (RANK_TWO, "a1:a1", [1.3, 1.4], 40, 2.620711111786876e-15),
+        (RANK_THREE, "a1.b2:a1", [1.0, 1.0], 24, 0.004780922638869181),
+        (RANK_TWO, "a1.b2.a2.b1", [2.5], 16, 0.0166407850172444),
+        (RANK_TWO, "e", [1.2], 256, 0.0006023119614791163),
+        (RANK_THREE, "b1", [2.0], 30, 0.0074207136651707525),
+    ]
+    for model, text, s, truncation, bound in cases:
+        oracle = brute_force_heat_trace(parse_chain(text, model), ANCHOR, model, s, truncation)
+        assert oracle.tail_bound == pytest.approx(bound, rel=1e-12)
+
+
+def termwise_toeplitz_value(chain, model: FreeGroup, s: Sequence[float], truncation: int):
+    """The word-basis oracle's value with every escape term formed as
+    count * heavy * ratio^length in floats, usable only while the counts fit."""
+    summary = _chain_summary(_canonical_chain(chain, ANCHOR, model), model)
+    heavy = math.exp(-sum(sj * sl for sj, sl in zip(s, summary.sigma_lengths)))
+    ratio = math.exp(-sum(s))
+    value = sum(
+        count * math.exp(-sum(sj * x for sj, x in zip(s, vector)))
+        for vector, count in summary.short_vectors
+        if vector[-1] <= truncation
+    )
+    top = max(truncation - summary.refined_length, 0)
+    for last, weight in summary.ending_buckets:
+        partial = heavy if truncation >= summary.refined_length and last != 1 else 0.0
+        counts = _escape_counts(model, last, top, settling=False)
+        for length, count in enumerate(counts, start=1):
+            partial += count * heavy * ratio**length
+        value += float(weight) * partial
+    return value
+
+
+def test_word_basis_oracle_runs_past_float_range_counts():
+    cases = [
+        (RANK_TWO, "a1", [1.2]),
+        (RANK_TWO, "a1:a1", [0.7, 0.7]),
+        (RANK_THREE, "a1.b2:a1", [1.0, 1.0]),
+        (RANK_TWO, "e", [1.2]),
+    ]
+    for model, text, s in cases:
+        chain = parse_chain(text, model)
+        for truncation in (5, 64, 400):
+            value = brute_force_toeplitz_trace(chain, ANCHOR, model, s, truncation).value
+            expected = termwise_toeplitz_value(chain, model, s, truncation)
+            assert value == pytest.approx(expected, rel=1e-12)
+    # 3^700 words overflow a float; the terms join in log space instead.
+    chain = parse_chain("a1", RANK_TWO)
+    closed = closed_form_toeplitz_trace(chain, ANCHOR, RANK_TWO).evaluate([1.2]).real
+    for truncation in (700, 1000):
+        oracle = brute_force_toeplitz_trace(chain, ANCHOR, RANK_TWO, [1.2], truncation)
+        assert abs(oracle.value - closed) <= oracle.tail_bound + 1e-12 * closed
+
+
 def test_window_sums_stay_finite_past_float_range_counts():
     unit = [Monomial((), ())]
     # 3^700 escape words overflow a float; e^{-1.2 * 700} underflows one.
-    value = _heat_partial_sum(unit, ANCHOR, RANK_TWO, [1.2], 700)
+    (value,) = _heat_partial_sum(unit, ANCHOR, RANK_TWO, [1.2], [700])
     closed = closed_form_heat_trace(unit, ANCHOR, RANK_TWO).evaluate([1.2]).real
     assert value == pytest.approx(closed, rel=1e-12)
     with pytest.raises(ValueError, match="float range"):
-        _heat_partial_sum(unit, ANCHOR, RANK_THREE, [0.5], 1200)
+        _heat_partial_sum(unit, ANCHOR, RANK_THREE, [0.5], [1200])
 
 
 def _exact(*coefficients: Fraction) -> tuple[ExpSum, ...]:

@@ -35,8 +35,9 @@ window          damp-sweep      --d 3 --s 1.5,1.8         --L (--lengths)
 pv-modes        pv-order        --L 512                   --M (--modes)
 pv-sites        pv-order        --M 64                    --L (--lengths)
 summability     summability                               --M (--modes)
-census          pole-audit      --chain a1:a1             --d 10 ... 10^4
-census          heat-oracle     --chain a1:a1 --s 12,13   --d 10 ... 10^4
+census          pole-audit      --chain a1:a1             --d 10 ... 300000
+census          heat-oracle     --chain a1:a1 --s 12,13   --d 10 ... 300000
+census          damp-sweep      --L 16                    --d 10 ... 300000
 ==============  ==============  ========================  ==================
 
 The other flags keep their defaults.  A point's size fields are its flags
@@ -104,9 +105,10 @@ RUNS = (
     ("summability", "summability", {}, ("M",), "modes"),
     ("census", "pole-audit", {"chain": "a1:a1"}, ("d",), "census_ranks"),
     ("census", "heat-oracle", {"chain": "a1:a1", "s": "12,13"}, ("d",), "census_ranks"),
+    ("census", "damp-sweep", {"L": "16"}, ("d",), "census_ranks"),
 )
 # The census target's ranks d, fixed rather than an option.
-CENSUS_RANKS = "10,100,1000,10000"
+CENSUS_RANKS = "10,100,1000,10000,100000,300000"
 # The assembly target's stage counts of the chain a1, at d=2.
 ASSEMBLY_STAGES = (1, 2, 3, 5, 8)
 
