@@ -5,9 +5,11 @@ trace engine needs two facts about a chain of monomials: the words of one
 length on which the chain acts as the identity, counted by class (the
 census), and the short basis words the chain maps to themselves.  Both
 come from one depth-first walk over the prefixes the chain reads, counted
-by the integer transfer matrix rather than by listing words.  The
-boundary translations of the free-group counterexample are not built as
-monomials: :mod:`twistzeta.cochain` moves vertices by them directly.
+by the integer transfer matrix rather than by listing words, and neither
+grows with the rank d: one stand-in meets the letters the chain does not
+name.  The boundary translations of the free-group counterexample are
+not built as monomials: :mod:`twistzeta.cochain` moves vertices by them
+directly.
 """
 
 from __future__ import annotations
@@ -61,9 +63,9 @@ def _class_counts(
     if grow == 0:
         return {(last, run): 1}
     rows = list(transfer_counts(model, last, grow))
-    counts = {(1, 0): rows[-1][1], (2, 0): sum(rows[-1][2:])}
+    counts = {(1, 0): rows[-1][1], (2, 0): rows[-1][2]}
     for t in range(1, grow):
-        counts[(0, t)] = sum(rows[grow - t - 1][2:])
+        counts[(0, t)] = rows[grow - t - 1][2]
     if last != 1:
         counts[(0, grow + run)] = 1
     return {key: n for key, n in counts.items() if n}
@@ -136,25 +138,33 @@ def _open_stage_lengths(
 
 def _prefix_walk(
     chain: tuple[Monomial, ...], model: FreeGroup
-) -> Iterator[tuple[Word, tuple[int, ...] | str | None]]:
+) -> Iterator[tuple[Word, tuple[int, ...] | str | None, int]]:
     """Every prefix the chain reads, depth first, with its
-    :func:`_open_stage_lengths`.
+    :func:`_open_stage_lengths` and the number of prefixes it stands for.
 
-    A prefix the chain reads further is extended by every letter, with no
-    reducedness filter, so the walk reads a chain whose words are not
+    A prefix the chain reads further holds only letters of the strips.  It
+    is extended by each letter of the generator pairs the chain and the
+    anchor touch, and by one stand-in, always a leaf, for the other
+    letters, which the automorphisms fixing those pairs permute.  There is
+    no reducedness filter, so the walk reads a chain whose words are not
     reduced as the formal monomial product does.  A prefix on which the
     chain is the identity for every continuation is *decided*: its
     cylinder, disjoint from every other decided one, is not split further.
     The walk ends once every strip is read, after at most one letter more
     than the chain strips in all.
     """
-    stack: list[Word] = [()]
+    pairs = {0} | {k // 2 for m in chain for k in m.out_word + m.in_word}
+    children = [(2 * j + flip, 1) for j in sorted(pairs) for flip in (0, 1)]
+    if model.size > len(children):
+        stand_in = 2 * min(set(range(len(pairs) + 1)) - pairs)
+        children.append((stand_in, model.size - len(children)))
+    stack: list[tuple[Word, int]] = [((), 1)]
     while stack:
-        prefix = stack.pop()
+        prefix, weight = stack.pop()
         reach = _open_stage_lengths(prefix, chain, model)
-        yield prefix, reach
+        yield prefix, reach, weight
         if reach == _READS_FURTHER:
-            stack.extend(prefix + (k,) for k in range(model.size))
+            stack.extend((prefix + (k,), n) for k, n in children)
 
 
 def cylinder_census(
@@ -178,13 +188,13 @@ def cylinder_census(
     """
     decided: Counter[tuple[int | None, int, int, tuple[int, ...]]] = Counter()
     found: Counter[tuple[int, ...]] = Counter()
-    for prefix, reach in _prefix_walk(chain, model):
+    for prefix, reach, weight in _prefix_walk(chain, model):
         if isinstance(reach, tuple):
-            decided[_letter_class(prefix), _anchor_run(prefix), len(prefix), reach] += 1
+            decided[_letter_class(prefix), _anchor_run(prefix), len(prefix), reach] += weight
         elif reach is not None and len(prefix) < length and _letter_class(prefix) != 1:
             exact = _stage_lengths(prefix, chain, model)
             if exact is not None:
-                found[exact] += 1
+                found[exact] += weight
     cylinders: Counter[tuple[int | None, int, int]] = Counter()
     rests: Counter[tuple[int | None, int, tuple[int, ...]]] = Counter()
     for (last, run, depth, reach), size in decided.items():
@@ -199,7 +209,7 @@ def cylinder_census(
             census[key] = census.get(key, 0) + size * n
     for (last, top, reach), size in rests.items():
         for grow, row in enumerate(transfer_counts(model, last, top), start=1):
-            count = sum(row) - row[1]
+            count = row[0] + row[2]
             if count:
                 found[tuple(n + grow for n in reach)] += size * count
     return census, tuple(sorted(found.items()))

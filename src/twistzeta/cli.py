@@ -18,6 +18,7 @@ import sys
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -359,12 +360,12 @@ def _run_heat_oracle(params: dict[str, object]) -> list[CheckRecord]:
         name = f"closed form matches the windowed oracle at s={s:g}"
         try:
             oracle = brute_force_heat_trace(chain, anchor, model, grid, int(params["L"]))
+            exact = closed.evaluate(grid).real
         except ValueError as err:
             checks.append(
                 CheckRecord(name, f"refused: {err}", 0.0, None, False, "oracle-comparison")
             )
             continue
-        exact = closed.evaluate(grid).real
         scale = max(abs(exact), abs(oracle.value), 1e-300)
         deviation = abs(exact - oracle.value) / scale
         allowed = max(1e-8, oracle.tail_bound / scale)
@@ -678,60 +679,32 @@ def _counterexample_cost(params: Mapping[str, object]) -> tuple[Count, ...]:
 
 # Word-length steps of the windowed heat sums, one per escape depth of one
 # window: per exponent, L for heat-oracle and under 2L for damp-sweep's sweep
-# L/16, L/8, ..., L.  Measured by tools/scale_curve.py, target window
-# (BENCH_22.json), on one core: the budget is heat-oracle's default grid of
-# three exponents at L=8192, 0.25 s and 36 MB at d=2, whose exponents read
-# one stream of escape counts; damp-sweep's two at L=8192 take 0.15 s.  A
-# step's big-integer row grows with L, so one exponent at the budget's
-# L=24576 takes about 1.6 s.
+# L/16, L/8, ..., L.  The escape counts of a step have about L log(2d-1)
+# digits, so a step weighs log(2d-1)/log 3, exactly 1 at d=2.  Measured by
+# tools/scale_curve.py, target window (BENCH_22.json), on one core: the
+# budget is heat-oracle's default grid of three exponents at L=8192, 0.25 s
+# and 36 MB at d=2, whose exponents read one stream of escape counts;
+# damp-sweep's two at L=8192 take 0.15 s.  The counts grow with L, so one
+# exponent at the budget's L=24576 takes about 1.6 s (0.7 s of library time
+# in BENCH_23.json).  The largest weighted L, 5591 for heat-oracle at d=3 and
+# 2211 for one exponent at d=10^5, takes 0.11 s and 0.13 s of library time.
 WINDOW_STEP_BUDGET = 24576
 
 
 def _step_cost(experiment: str, per_exponent: int) -> Callable[..., tuple[Count, ...]]:
     def cost(params: Mapping[str, object]) -> tuple[Count, ...]:
         rate, length = per_exponent * len(params["s"]), int(params["L"])
+        # Exact in the float weight, so that no L, however long, overflows.
+        weight = Fraction(math.log(2 * int(params["d"]) - 1) / math.log(3))
+        steps = math.ceil(rate * length * weight)
         refusal = (
-            f"the {experiment} windows at L={length} take about {rate * length} word-length "
+            f"the {experiment} windows at L={length} take about {steps} word-length "
             f"steps, above the budget of {WINDOW_STEP_BUDGET}; the largest L accepted on a "
-            f"grid of {len(params['s'])} exponents is {WINDOW_STEP_BUDGET // rate}"
+            f"grid of {len(params['s'])} exponents is {WINDOW_STEP_BUDGET // (rate * weight)}"
         )
-        return (Count("steps", rate * length, WINDOW_STEP_BUDGET, refusal),)
+        return (Count("steps", steps, WINDOW_STEP_BUDGET, refusal),)
 
     return cost
-
-
-# Prefixes of the census walk, ckalg._prefix_walk, which extends every
-# prefix the chain reads further by all 2d letters.  The strips fix every
-# letter of such a prefix, one of each length up to the number S of letters
-# the chain strips in all, so the walk visits at most 1 + 2d(S + 1): 6d + 1
-# for a1:a1 (it visits 4d + 1), and 2d + 1 for damp-sweep's unit chain,
-# whose one prefix is followed by census and escape rows of 2d entries.
-# Measured by tools/scale_curve.py, target census (BENCH_22.json), on one
-# core: the budget is a1:a1 at d=10^5, where pole-audit takes 1.4 s and
-# 58 MB and heat-oracle on s=12,13 2.8 s; damp-sweep at L=16 takes 4.9 s
-# and 116 MB at d=3 * 10^5, its largest accepted d.  d=10^4 takes 0.13 to
-# 0.22 s.
-CENSUS_PREFIX_BUDGET = 600_001
-
-
-def _prefix_cost(experiment: str, chain: str | None = None) -> Callable[..., tuple[Count, ...]]:
-    def cost(params: Mapping[str, object]) -> tuple[Count, ...]:
-        generators, text = int(params["d"]), chain or str(params["chain"])
-        stages = parse_chain(text, FreeGroup(generators))
-        reads = 1 + sum(len(stage.in_word) for stage in stages)
-        prefixes = 1 + 2 * generators * reads
-        refusal = (
-            f"the {experiment} census of the chain {text} at d={generators} visits up to "
-            f"{prefixes} prefixes, above the budget of {CENSUS_PREFIX_BUDGET}; the largest "
-            f"d accepted is {(CENSUS_PREFIX_BUDGET - 1) // (2 * reads)}"
-        )
-        return (Count("prefixes", prefixes, CENSUS_PREFIX_BUDGET, refusal),)
-
-    return cost
-
-
-def _joined(*costs: Callable[..., tuple[Count, ...]]) -> Callable[..., tuple[Count, ...]]:
-    return lambda params: tuple(count for cost in costs for count in cost(params))
 
 
 # Lattice sites of pv-order's deepest stage.  Both lanes evaluate every site
@@ -807,14 +780,13 @@ EXPERIMENTS: dict[str, _Experiment] = {
             _Field("L", _parse_int(1), 16, "word-length truncation of the oracle"),
         ),
         _run_heat_oracle,
-        _joined(_step_cost("heat-oracle", 1), _prefix_cost("heat-oracle")),
+        _step_cost("heat-oracle", 1),
     ),
     "pole-audit": _Experiment(
         "exact pole sets of the heat and word-basis traces",
         _GROUP_FIELDS
         + (_Field("chain", _parse_chain_text, "a1:a1", "colon-separated monomial stages"),),
         _run_pole_audit,
-        _prefix_cost("pole-audit"),
     ),
     "counterexample": _Experiment(
         "index pairing against the vanishing residue cochains",
@@ -837,7 +809,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
             _Field("L", _parse_int(16), 128, "deepest truncation of the five-stage sweep"),
         ),
         _run_damp_sweep,
-        _joined(_step_cost("damp-sweep", 2), _prefix_cost("damp-sweep", "e")),
+        _step_cost("damp-sweep", 2),
     ),
     "pv-order": _Experiment(
         "weighted commutator growth across epsilon budgets",

@@ -22,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +46,15 @@ ZERO_DIAGONAL_CERTIFICATE = "zero-diagonal"
 FINITE_RANK_CERTIFICATE = "finite-rank"
 
 TermKey = tuple[int, tuple[int, ...]]
+
+
+def _as_float(value: Fraction | int, what: str) -> float:
+    """float(value), or the ValueError refusal naming the float range, for
+    exact weights and coefficients, which grow like powers of the rank d."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} exceeds the float range") from None
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ class ExpSum:
         total = 0j
         for const_exp, vector, coeff in self.terms:
             exponent = -const_exp - sum(v * sj for v, sj in zip(vector, s))
-            total += float(coeff) * cmath.exp(exponent)
+            total += _as_float(coeff, "closed-form coefficient") * cmath.exp(exponent)
         return total
 
 
@@ -179,7 +188,8 @@ class MeromorphicTrace:
             elif denom.atom == ALTERNATING_ATOM:
                 value /= (1 + branch) ** denom.power
             elif denom.atom == BRANCH_ATOM:
-                value /= (1 - (2 * self.d - 1) * branch) ** denom.power
+                branching = _as_float(2 * self.d - 1, "branching number 2d-1")
+                value /= (1 - branching * branch) ** denom.power
             total += value
         return total
 
@@ -531,23 +541,16 @@ def _validate_oracle_inputs(
     return total
 
 
-def _escape_counts(
-    model: FreeGroup, after: int, top: int, settling: bool
-) -> Iterator[int]:
-    """Exact counts of admissible words following a letter, lengths 1..top,
-    whose last letter avoids the anchor's inverse, and for settling the
-    anchor as well: transfer-matrix rows, one at a time, independent of
-    the closed-form species formulas."""
-    for row in transfer_counts(model, after, top):
-        yield sum(row) - row[1] - (row[0] if settling else 0)
-
-
 @functools.lru_cache(maxsize=64)
 def _escape_log_counts(model: FreeGroup, after: int, top: int, settling: bool) -> np.ndarray:
-    """Read-only log n of :func:`_escape_counts`, -inf where n = 0, streamed
-    once per key: every exponent and every shallower truncation of one
+    """Read-only log n, -inf where n = 0, of the exact counts of admissible
+    words following a letter, lengths 1..top, whose last letter avoids the
+    anchor's inverse, and for settling the anchor as well: transfer-matrix
+    rows, independent of the closed-form species formulas.  Streamed once
+    per key, so every exponent and every shallower truncation of one
     experiment reads a prefix of the same array."""
-    counts = _escape_counts(model, after, top, settling)
+    rows = transfer_counts(model, after, top)
+    counts = (other if settling else anchor + other for anchor, _, other in rows)
     logs = np.fromiter((math.log(n) if n else -math.inf for n in counts), float, top)
     logs.flags.writeable = False
     return logs
@@ -623,7 +626,7 @@ def _windowed_heat_value(
     with np.errstate(all="ignore"):
         if summary.settled_buckets:
             depths = np.array([depths for depths, _ in summary.settled_buckets])
-            weights = np.array([float(weight) for _, weight in summary.settled_buckets])
+            weights = np.array([_as_float(w, "census weight") for _, w in summary.settled_buckets])
             logs = _window_log_sums(s, depths, summary.omegas, 2 * depths[:, -1] - limit, limit)
             value += float((weights * np.exp(logs)).sum())
         if top >= 1 and summary.ending_buckets:
@@ -638,7 +641,7 @@ def _windowed_heat_value(
             stream = (deepest or limit) - summary.refined_length
             for last, weight in summary.ending_buckets:
                 logs = _escape_log_counts(model, last, stream, True)[:top]
-                value += float(weight) * float(np.exp(logs + windows).sum())
+                value += _as_float(weight, "census weight") * float(np.exp(logs + windows).sum())
     if not math.isfinite(value):
         raise ValueError("heat sum exceeds the float range")
     return value
@@ -718,7 +721,7 @@ def brute_force_heat_trace(
             - total * (2 * limit + 2 - 4 * terminal),
         )
         bound += strength * reflected / (1 - ratio**2)
-    branch_ratio = branching * ratio
+    branch_ratio = _as_float(branching, "branching number 2d-1") * ratio
     if branch_ratio >= 1:
         raise AssertionError("convergence validation should have caught this")
     # One escape envelope for every ending bucket, scaled by their total strength.

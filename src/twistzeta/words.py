@@ -3,11 +3,12 @@
 This module is the ground layer shared by the symbolic and operator
 components: the free group on d generators as a 2d-letter alphabet whose
 only forbidden transition is a letter followed by its inverse, finite
-reduced words and their transfer counts, the eigenvalue of a vertex, and
-the species decompositions of the free-group escape counts that the
-closed-form traces resum.  Every vertex space hangs over the fixed point
-a^inf of one anchor letter a, so a boundary point is named by that letter
-alone; the traces relabel it to the first generator, letter 0.
+reduced words and their transfer counts by letter class, the eigenvalue
+of a vertex, and the species decompositions of the free-group escape
+counts that the closed-form traces resum.  Every vertex space hangs over
+the fixed point a^inf of one anchor letter a, so a boundary point is
+named by that letter alone; the traces relabel it to the first
+generator, letter 0.
 """
 
 from __future__ import annotations
@@ -69,20 +70,29 @@ class FreeGroup:
 
 def transfer_counts(
     model: FreeGroup, after: int | None, top: int
-) -> Iterator[list[int]]:
+) -> Iterator[tuple[int, int, int]]:
     """Reduced words that may follow the letter ``after`` (any first
-    letter when None), counted by last letter: one list per length 1..top.
+    letter when None), counted by the class of their last letter (0, 1,
+    any other): one triple per length 1..top.
 
-    Each length is one O(d) step of the free group's transfer matrix: a
-    word may end in ``b`` unless its previous letter is ``b ^ 1``, so
-    ``row'[b] = sum(row) - row[b ^ 1]``.  Only the current row is kept.
+    The transfer step is ``row'[b] = sum(row) - row[b ^ 1]``.  The
+    automorphisms fixing the pairs of 0 and of ``after`` permute the other
+    2d - 4 letters, so ``after`` is relabelled into 0..2, the row keeps
+    letters 0..3 (0 and 1 at d = 1), and ``others`` sums the equal counts
+    of the rest: each step is O(1) in d.
     """
-    row = [0 if after is not None and b == after ^ 1 else 1 for b in range(model.size)]
+    banned = None if after is None else min(after, 2) ^ 1
+    n0, n1, n2, n3 = (int(b != banned and b < model.size) for b in range(4))
+    rest = max(model.size - 4, 0)
+    others = rest
     for length in range(1, top + 1):
         if length > 1:
-            total = sum(row)
-            row = [total - row[b ^ 1] for b in range(model.size)]
-        yield row
+            total = n0 + n1 + n2 + n3 + others
+            n0, n1 = total - n1, total - n0
+            if model.size > 2:
+                n2, n3 = total - n3, total - n2
+            others = rest * total - others
+        yield n0, n1, n2 + n3 + others
 
 
 def settled_eigenvalue(depth: np.ndarray | int, offset: np.ndarray | int) -> np.ndarray | int:

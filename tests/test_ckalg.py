@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,11 +23,14 @@ from test_words import (
 )
 
 from twistzeta.ckalg import (
+    _READS_FURTHER,
     CylinderClass,
     Monomial,
     _anchor_run,
     _class_counts,
     _letter_class,
+    _open_stage_lengths,
+    _prefix_walk,
     cylinder_census,
 )
 from twistzeta.words import FreeGroup, Word
@@ -699,6 +703,27 @@ def test_walked_census_matches_the_netted_product_diagonal(case):
     length = sum(len(m.out_word) + len(m.in_word) for m in chain) + 2
     netted = netted_cylinder_census(product_diagonal(chain, model), model, length)
     assert cylinder_census(chain, model, length)[0] == netted
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.one_of(monomial_chains(reduced=True), monomial_chains(reduced=False)))
+def test_the_stand_in_walk_counts_the_prefixes_of_the_whole_alphabet(case):
+    """Each prefix of the walk, with its multiplicity, stands for that many
+    prefixes of the walk that extends by every letter, of the same length,
+    class, anchor run and stage lengths."""
+    chain, model = case
+    whole: Counter[tuple] = Counter()
+    stack: list[Word] = [()]
+    while stack:
+        word = stack.pop()
+        reach = _open_stage_lengths(word, chain, model)
+        whole[len(word), _letter_class(word), _anchor_run(word), reach] += 1
+        if reach == _READS_FURTHER:
+            stack.extend(word + (k,) for k in range(model.size))
+    walked: Counter[tuple] = Counter()
+    for word, reach, weight in _prefix_walk(chain, model):
+        walked[len(word), _letter_class(word), _anchor_run(word), reach] += weight
+    assert walked == whole
 
 
 def test_walked_census_reads_non_reduced_words_formally():

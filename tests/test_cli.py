@@ -24,7 +24,6 @@ from twistzeta.cochain import (
     free_group_cochain,
 )
 from twistzeta.cli import (
-    CENSUS_PREFIX_BUDGET,
     CIRCLE_MODE_BUDGET,
     LATTICE_SITE_BUDGET,
     PV_WINDOW_BUDGET,
@@ -166,6 +165,24 @@ def test_word_counts_beyond_float_range_end_in_a_verdict(argv, capsys):
     assert "checks passed" in capsys.readouterr().out
 
 
+def test_ranks_past_the_float_range_are_refused_without_a_traceback(capsys):
+    """An exact closed-form coefficient (d=10^80) or census weight (d=10^75,
+    and the unit chain's at d=10^160) too large for a float is a stated
+    refusal: a failed check of heat-oracle, and exit 2 from damp-sweep."""
+    cases = (
+        (80, ["--s", "240,241,242"], "closed-form coefficient"),
+        (75, ["--chain", "a1:a1", "--L", "1", "--s", "150,150"], "census weight"),
+    )
+    for exponent, flags, what in cases:
+        assert main(["heat-oracle", "--d", str(10**exponent), *flags]) == 1
+        lines = capsys.readouterr().out.splitlines()[:-1]
+        assert lines and all(
+            line.endswith(f"refused: {what} exceeds the float range, expected 0") for line in lines
+        )
+    assert main(["damp-sweep", "--d", str(10**160), "--L", "16", "--s", "480,481"]) == 2
+    assert capsys.readouterr().err == "twistzeta: census weight exceeds the float range\n"
+
+
 def test_damp_sweep_brackets_the_rate_at_two_thousand_letters(capsys):
     assert main(["damp-sweep", "--d", "2", "--L", "2048"]) == 0
     assert "3/3 checks passed" in capsys.readouterr().out
@@ -190,16 +207,21 @@ def test_chains_past_the_old_enumeration_limit_end_in_a_verdict(capsys):
 @pytest.mark.parametrize(
     "argv, verdict",
     [
-        (["pole-audit", "--d", "10000"], "FAIL pole-audit: 3/5 checks passed"),
-        (
-            ["heat-oracle", "--d", "10000", "--chain", "a1:a1", "--s", "12,13"],
-            "PASS heat-oracle: 2/2 checks passed",
-        ),
+        case
+        for generators in ("10000", "1000000", "1000000000")
+        for case in (
+            (["pole-audit", "--d", generators], "FAIL pole-audit: 3/5 checks passed"),
+            (
+                ["heat-oracle", "--d", generators, "--chain", "a1:a1", "--s", "12,13"],
+                "PASS heat-oracle: 2/2 checks passed",
+            ),
+        )
     ],
 )
 def test_ten_thousand_generators_end_in_a_verdict(argv, verdict):
-    """Both read the census of a1:a1 over 2d = 20000 letters, in a fresh
-    interpreter: under 1 s with the interpreter start, held to 30 s here."""
+    """Both read the census of a1:a1 through one stand-in for the letters
+    outside the anchor pair, in a fresh interpreter: under 1 s with the
+    interpreter start at every d, held to 30 s here."""
     source = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))
@@ -510,24 +532,27 @@ DECLARED_COSTS = {
         ("damp-sweep", {"L": 256, "s": [1.5, 1.8]}, None),
         ("damp-sweep", {"L": 512, "s": [1.0, 1.2]}, None),
         ("heat-oracle", {"L": WINDOW_STEP_BUDGET + 1, "s": [2.5]}, "above the budget"),
-    ),
-    # The defaults, the d=10^4 points of the CLI tests, the budget's a1:a1
-    # at d=10^5 and the refused inputs measured before it was set.
-    "prefixes": (
-        *(
-            (experiment, {"d": generators, "chain": "a1:a1"}, None)
-            for experiment in ("heat-oracle", "pole-audit")
-            for generators in (2, 10_000, 100_000)
+        # Each step weighs log(2d-1)/log 3, the digits of its escape counts
+        # against d=2: the largest accepted L at d=3 and d=10^5, the first
+        # refused ones, and one exponent at the budget's L at d=10^5, which
+        # the count accepted before its steps were weighted.
+        ("damp-sweep", {"d": 3, "L": 256, "s": [1.5, 1.8]}, None),
+        ("heat-oracle", {"d": 3, "L": 5591}, None),
+        ("heat-oracle", {"d": 3, "L": 5592}, "is 5591"),
+        ("damp-sweep", {"d": 3, "L": 4193}, None),
+        ("damp-sweep", {"d": 3, "L": 4194}, "is 4193"),
+        ("damp-sweep", {"d": 10_000}, None),
+        ("heat-oracle", {"d": 100_000, "chain": "a1", "L": 2211, "s": [13.0]}, None),
+        (
+            "heat-oracle",
+            {"d": 100_000, "chain": "a1", "L": 2212, "s": [13.0]},
+            "grid of 1 exponents is 2211",
         ),
-        ("heat-oracle", {}, None),
-        ("pole-audit", {}, None),
-        *(("damp-sweep", {"d": generators}, None) for generators in (2, 3, 10_000)),
-        ("damp-sweep", {"d": 300_000, "L": 16}, None),
-        ("pole-audit", {"d": 100_001, "chain": "a1:a1"}, "the largest d accepted is 100000"),
-        ("pole-audit", {"d": 200_000}, "visits up to 1200001 prefixes"),
-        ("heat-oracle", {"d": 150_001, "chain": "a1"}, "the largest d accepted is 150000"),
-        ("damp-sweep", {"d": 300_001, "L": 16}, "the largest d accepted is 300000"),
-        ("damp-sweep", {"d": 1_000_000, "L": 16}, "census of the chain e"),
+        (
+            "heat-oracle",
+            {"d": 100_000, "chain": "a1", "L": 24576, "s": [13.0]},
+            "take about 273051 word-length steps",
+        ),
     ),
     # The defaults (pv-order L=512 M=64, summability M=256), the CLI tests'
     # settings and the moebius-sweep benchmark (pv-order L=2048 M=256,
@@ -564,55 +589,21 @@ def test_step_budget_admits_every_gate_and_benchmark_window():
     _check_declared_costs("steps")
 
 
-def test_prefix_budget_admits_ten_thousand_generators():
-    _check_declared_costs("prefixes")
-    assert CENSUS_PREFIX_BUDGET == 1 + 2 * 100_000 * 3
-
-
-def _chain_text(chain: tuple[Monomial, ...]) -> str:
-    """The explicit command-line form of a chain: prepended names, then
-    stripped names starred, or a lone ``*`` when nothing is stripped."""
-
-    def name(letter: int) -> str:
-        return f"{'ab'[letter % 2]}{letter // 2 + 1}"
-
-    return ":".join(
-        ".".join(
-            [name(k) for k in stage.out_word]
-            + ([name(k) + "*" for k in stage.in_word] or ["*"])
-        )
-        for stage in chain
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data(), generators=st.integers(1, 3))
-def test_declared_prefixes_bound_the_census_walk(data, generators):
-    """pole-audit and heat-oracle declare 1 + 2d(S + 1) prefixes for a chain
-    stripping S letters in all, and the walk never visits more."""
-    model = FreeGroup(generators)
-    letters = st.lists(st.integers(0, model.size - 1), max_size=3).map(tuple)
-    chain = tuple(data.draw(st.lists(st.builds(Monomial, letters, letters), min_size=1, max_size=4)))
-    text = _chain_text(chain)
-    assert tuple(parse_chain(text, model)) == chain
-    for experiment in ("pole-audit", "heat-oracle"):
-        (declared,) = [
-            count
-            for count in _declared(experiment, {"d": generators, "chain": text})
-            if count.name == "prefixes"
-        ]
-        assert sum(1 for _ in _prefix_walk(chain, model)) <= declared.value
-
-
-def test_the_census_walk_meets_the_declared_prefixes_on_a_junction():
-    """A strip ending on a junction reads one letter more, so the walk
-    reaches the declared count; a1:a1 visits 4d + 1 of its 6d + 1."""
-    for generators in (1, 2, 3):
-        model = FreeGroup(generators)
-        joined = (Monomial((0,), ()), Monomial((0,), (1, 1, 1)))
-        assert sum(1 for _ in _prefix_walk(joined, model)) == 1 + 2 * generators * 4
-        square = tuple(parse_chain("a1:a1", model))
-        assert sum(1 for _ in _prefix_walk(square, model)) == 4 * generators + 1
+def test_the_census_walk_does_not_grow_with_the_rank():
+    """The walk extends a prefix by the letters the chain names, 0 and 1,
+    and one stand-in for the other letters: a1:a1 and a chain whose strip
+    ends on a junction visit as many prefixes at d=10^6 as at d=3, and
+    their multiplicities add up to the prefixes of the whole alphabet,
+    4d + 1 and 8d + 1."""
+    joined = (Monomial((0,), ()), Monomial((0,), (1, 1, 1)))
+    square = (Monomial((0,), (0,)),) * 2
+    for chain, per_letter in ((square, 4), (joined, 8)):
+        visited = set()
+        for generators in (3, 10**6):
+            walk = list(_prefix_walk(chain, FreeGroup(generators)))
+            visited.add(len(walk))
+            assert sum(weight for _, _, weight in walk) == per_letter * generators + 1
+        assert len(visited) == 1
 
 
 def test_circle_side_budgets_admit_every_default_gate_and_benchmark_input():
@@ -634,9 +625,7 @@ def test_run_refuses_an_over_budget_config_without_calling_its_runner(monkeypatc
         ("counterexample", {"family": "moebius", "M": "2049"}),
         ("heat-oracle", {"L": "8193"}),
         ("damp-sweep", {"L": "6145"}),
-        ("damp-sweep", {"d": "1000000", "L": "16"}),
-        ("pole-audit", {"d": "200000"}),
-        ("heat-oracle", {"d": "100001", "chain": "a1:a1", "s": "13"}),
+        ("heat-oracle", {"d": "100000", "chain": "a1", "L": "24576", "s": "13"}),
         ("pv-order", {"L": "8388608"}),
         ("pv-order", {"M": "1025"}),
         ("summability", {"M": "2100000"}),

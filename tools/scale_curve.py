@@ -35,9 +35,9 @@ window          damp-sweep      --d 3 --s 1.5,1.8         --L (--lengths)
 pv-modes        pv-order        --L 512                   --M (--modes)
 pv-sites        pv-order        --M 64                    --L (--lengths)
 summability     summability                               --M (--modes)
-census          pole-audit      --chain a1:a1             --d 10 ... 300000
-census          heat-oracle     --chain a1:a1 --s 12,13   --d 10 ... 300000
-census          damp-sweep      --L 16                    --d 10 ... 300000
+census          pole-audit      --chain a1:a1             --d 10 ... 10^9
+census          heat-oracle     --chain a1:a1 --s 12,13   --d 10 ... 10^9
+census          damp-sweep      --L 16                    --d 10 ... 10^9
 ==============  ==============  ========================  ==================
 
 The other flags keep their defaults.  A point's size fields are its flags
@@ -108,7 +108,7 @@ RUNS = (
     ("census", "damp-sweep", {"L": "16"}, ("d",), "census_ranks"),
 )
 # The census target's ranks d, fixed rather than an option.
-CENSUS_RANKS = "10,100,1000,10000,100000,300000"
+CENSUS_RANKS = "10,100,1000,10000,100000,1000000,1000000000"
 # The assembly target's stage counts of the chain a1, at d=2.
 ASSEMBLY_STAGES = (1, 2, 3, 5, 8)
 
