@@ -450,30 +450,19 @@ def _run_counterexample(params: dict[str, object]) -> list[CheckRecord]:
             max_mode=int(params["M"]),
             source_length=int(params["L"]),
         )
-        reference_method = "reduced-word formula"
     else:
         verdict = counterexample_verdict(family, max_mode=int(params["M"]))
-        reference_method = "winding number"
-    reference = next(
-        record.value for record in verdict.checks if record.method == reference_method
-    )
-    checks = []
-    for record in verdict.checks:
-        provenance = (
-            "exact-formula"
-            if record.method in ("reduced-word formula", "winding number")
-            else "windowed-measurement"
+    checks = [
+        CheckRecord(
+            f"index pairing by {record.method}",
+            record.value,
+            verdict.pairing,
+            None,
+            record.value == verdict.pairing,
+            "exact-formula" if record.exact else "windowed-measurement",
         )
-        checks.append(
-            CheckRecord(
-                f"index pairing by {record.method}",
-                record.value,
-                reference,
-                None,
-                record.value == reference,
-                provenance,
-            )
-        )
+        for record in verdict.checks
+    ]
     checks.append(
         CheckRecord(
             "index pairing is nonzero",
@@ -603,7 +592,7 @@ def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
             )
         )
     grid = [float(s) for s in params["s"]]
-    scan = summability_scan(diagonal, "exp", grid, truncation_sweep(window))
+    scan = summability_scan(diagonal, grid, truncation_sweep(window))
     for s, verdict in zip(scan.exponents, scan.verdicts):
         checks.append(
             CheckRecord(
@@ -697,10 +686,11 @@ def _step_cost(experiment: str, per_exponent: int) -> Callable[..., tuple[Count,
         # Exact in the float weight, so that no L, however long, overflows.
         weight = Fraction(math.log(2 * int(params["d"]) - 1) / math.log(3))
         steps = math.ceil(rate * length * weight)
+        largest = WINDOW_STEP_BUDGET // (rate * weight)
         refusal = (
             f"the {experiment} windows at L={length} take about {steps} word-length "
             f"steps, above the budget of {WINDOW_STEP_BUDGET}; the largest L accepted on a "
-            f"grid of {len(params['s'])} exponents is {WINDOW_STEP_BUDGET // (rate * weight)}"
+            f"grid of {len(params['s'])} exponents is {largest or 'none'}"
         )
         return (Count("steps", steps, WINDOW_STEP_BUDGET, refusal),)
 

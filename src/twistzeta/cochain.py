@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -39,17 +39,12 @@ from .circle import (
     toeplitz_index,
     winding_number,
 )
-from .traces import (
-    ENTIRE_DENOM,
-    FINITE_RANK_CERTIFICATE,
-    ExpSum,
-    MeromorphicTrace,
-    TermKey,
-    poles_and_laurent,
-)
 from .words import FreeGroup, settled_eigenvalue
 
 ITERATE_CERTIFICATE = "collapsed-square-iterate"
+# Certificate of the free-group words: it names the check that their exact
+# trace has the finite support cochain_word_trace predicts.
+FINITE_RANK_CERTIFICATE = "finite-rank"
 # Certificate of the circle words: it names the check that their exact trace
 # has the finite support circle_word_trace predicts, not a float window
 # stabilization; the benchmark's record still reads the old name.
@@ -96,33 +91,6 @@ def rising_half_coeffs(count: int) -> tuple[Fraction, ...]:
             for i in range(len(bumped))
         ]
     return tuple(coefficients)
-
-
-def zeta_residue(trace: MeromorphicTrace, order: int) -> ExpSum:
-    """Residue of the order-th power of the half-parameter against a trace.
-
-    The trace is a function of the heat parameter; halving the variable
-    moves each principal coefficient down by a power of two.  Only the
-    even pole class at the origin contributes, the other pole classes sit
-    away from the origin after halving.  Pole orders above two fall
-    outside the admissible class and raise.
-    """
-    if order < 0:
-        raise ValueError("the residue order is nonnegative")
-    if trace.nvars != 1:
-        raise ValueError("residues are extracted from single-parameter traces")
-    for pole in poles_and_laurent(trace):
-        if pole.base_label != "0" or pole.parity != "even":
-            continue
-        if pole.order > 2:
-            raise ValueError(
-                f"origin pole of order {pole.order} exceeds the admissible double pole"
-            )
-        position = pole.order - order - 1
-        if position < 0:
-            return ExpSum.zero(0)
-        return pole.principal[position].scaled(Fraction(1, 2 ** (order + 1)))
-    return ExpSum.zero(0)
 
 
 def boundary_translation_index(letter: int, anchor: int, model: FreeGroup) -> int:
@@ -264,19 +232,21 @@ def cochain_word_trace(
     letters: Sequence[int],
     anchor: int,
     model: FreeGroup,
-) -> MeromorphicTrace:
-    """Entire trace function of the zero-index cochain word of translations,
-    exactly.
+) -> dict[tuple[int, int], Fraction]:
+    """Trace of the zero-index cochain word of translations, exactly.
 
     The word is the spectral phase, the leading translation, and one
     phase-commutator factor per remaining letter with interleaved modulus
-    weights that cancel against the closing inverse power.  A translation
-    sends a vertex to one vertex, so each source vertex follows one orbit:
-    its coefficient is a product of sign flips and its exponent a sum of
-    moduli.  A sign flip forces the column word into the anchor region, so
-    columns vanish beyond the one letter a translation reads or writes;
-    the window extends two letters past that bound and verifies the
-    predicted vanishing before certifying.
+    weights that cancel against the closing inverse power.  Its trace
+    against the heat factor e^-s|D| is the finite exponential sum
+    sum c e^-(power + weight s), returned as {(power, weight): c}.
+
+    A translation sends a vertex to one vertex, so each source vertex
+    follows one orbit: its coefficient is a product of sign flips and its
+    exponent a sum of moduli.  A sign flip forces the column word into the
+    anchor region, so columns vanish beyond the one letter a translation
+    reads or writes; the window extends two letters past that bound and
+    verifies the predicted vanishing before certifying.
     """
     if len(letters) < 2:
         raise ValueError("the word needs a leading element and at least one factor")
@@ -286,7 +256,7 @@ def cochain_word_trace(
     arity = len(letters) - 1
     reach = 1
     base = model.size + 1
-    entries: dict[TermKey, Fraction] = {}
+    trace: dict[tuple[int, int], Fraction] = {}
     for length, heads in enumerate(_head_codes(model, anchor, reach + 2, base)):
         # The group words of at most reach + 2 letters over these heads:
         # each head padded with anchor letters, or with their inverses.
@@ -311,15 +281,8 @@ def cochain_word_trace(
         for power, weight, value in zip(
             exponent[back].tolist(), modulus[back].tolist(), (sign * coeff)[back].tolist()
         ):
-            key = (power, (weight,))
-            entries[key] = entries.get(key, Fraction(0)) + value
-    numerator = ExpSum.from_terms(1, entries)
-    return MeromorphicTrace.from_parts(
-        model.generators,
-        1,
-        {ENTIRE_DENOM: numerator},
-        certificate=FINITE_RANK_CERTIFICATE,
-    )
+            trace[power, weight] = trace.get((power, weight), 0) + Fraction(value)
+    return {key: value for key, value in trace.items() if value}
 
 
 def multiindex_cutoff(dimension: int, arity: int) -> int:
@@ -368,7 +331,6 @@ class CochainReport:
     summands: tuple[CochainSummand, ...]
     value: float
     exact_zero: bool
-    weights_immaterial: bool
 
     @property
     def certificates(self) -> tuple[str, ...]:
@@ -379,44 +341,36 @@ class CochainReport:
         return tuple(seen)
 
 
-def _assemble(
-    arity: int,
-    cutoff: int,
-    zero_word_residue: Callable[[int], tuple[float, str]],
-) -> CochainReport:
+def _assemble(arity: int, cutoff: int, certificate: str) -> CochainReport:
+    """Weighted residues of every multi-index up to the cutoff.
+
+    A positive index collapses through the squared-modulus bracket.  The
+    zero index's word has a finite exponential trace, whose support check
+    ``certificate`` names; a finite sum is entire, so its residues are 0.
+    """
     if arity < 1 or arity % 2 == 0:
         raise ValueError("the cochain arity must be a positive odd integer")
     if cutoff < 0:
         raise ValueError("the multi-index cutoff is nonnegative")
     summands: list[CochainSummand] = []
-    total = 0.0
-    exact = True
     for powers in _multi_indices(arity, cutoff):
         size = sum(powers)
         top = size + (arity - 1) // 2
         ascending = rising_half_coeffs(top)
         alpha = multiindex_weight(powers)
+        named = ITERATE_CERTIFICATE if size else certificate
         for order in range(top + 1):
             weight = alpha * ascending[order]
             if size % 2:
                 weight = -weight
-            if size:
-                residue, certificate = 0.0, ITERATE_CERTIFICATE
-            else:
-                residue, certificate = zero_word_residue(order)
-            vanished = residue == 0.0
-            summands.append(
-                CochainSummand(powers, order, weight, residue, vanished, certificate)
-            )
-            total += float(weight) * residue
-            exact = exact and vanished
+            summands.append(CochainSummand(powers, order, weight, 0.0, True, named))
+    total = sum(float(summand.weight) * summand.residue for summand in summands)
     return CochainReport(
         arity=arity,
         cutoff=cutoff,
         summands=tuple(summands),
         value=total,
-        exact_zero=exact and total == 0.0,
-        weights_immaterial=exact,
+        exact_zero=total == 0.0,
     )
 
 
@@ -430,17 +384,11 @@ def free_group_cochain(
     """Cochain of boundary translations through the exact vertex orbits.
 
     Positive multi-indices collapse through the squared-modulus bracket;
-    the zero index evaluates the finitely supported word trace, whose
-    entirety makes every residue vanish exactly.
+    the zero index evaluates the word trace, a finite exponential sum once
+    its support is certified, so every residue vanishes exactly.
     """
-    arity = len(letters) - 1
-    trace = cochain_word_trace(letters, anchor, model)
-    certificate = trace.certificate or "pole-data"
-
-    def zero_word(order: int) -> tuple[float, str]:
-        return zeta_residue(trace, order).evaluate(()).real, certificate
-
-    return _assemble(arity, cutoff, zero_word)
+    cochain_word_trace(letters, anchor, model)
+    return _assemble(len(letters) - 1, cutoff, FINITE_RANK_CERTIFICATE)
 
 
 def _phase(mode: int) -> int:
@@ -505,19 +453,17 @@ def circle_cochain(symbols: Sequence[TrigPoly], *, cutoff: int) -> CochainReport
             raise ValueError("circle cochain letters must be unit monomials z^k")
         powers.append(symbol.terms[0][0])
     circle_word_trace(powers)
-
-    def zero_word(order: int) -> tuple[float, str]:
-        return 0.0, STABILIZED_CERTIFICATE
-
-    return _assemble(len(powers) - 1, cutoff, zero_word)
+    return _assemble(len(powers) - 1, cutoff, STABILIZED_CERTIFICATE)
 
 
 @dataclass(frozen=True)
 class PairingRecord:
-    """One route to the index pairing and the value it produced."""
+    """One route to the index pairing, the value it produced, and whether
+    the route is an exact formula rather than a windowed measurement."""
 
     method: str
     value: int
+    exact: bool
 
 
 @dataclass(frozen=True)
@@ -529,17 +475,6 @@ class CounterexampleReport:
     checks: tuple[PairingRecord, ...]
     cochains: tuple[CochainReport, ...]
     passed: bool
-
-    @property
-    def word_certificates(self) -> int:
-        """Distinct operator words that consumed an entirety certificate."""
-        return len(
-            {
-                (report.arity, summand.powers)
-                for report in self.cochains
-                for summand in report.summands
-            }
-        )
 
 
 def _covariant_compression_index(
@@ -590,8 +525,8 @@ def counterexample_verdict(
             letter, anchor, model, source_length=source_length
         )
         checks = (
-            PairingRecord("reduced-word formula", pairing),
-            PairingRecord("windowed kernel dimensions", windowed),
+            PairingRecord("reduced-word formula", pairing, True),
+            PairingRecord("windowed kernel dimensions", windowed, False),
         )
         dimension = math.ceil(math.log(2 * generators - 1))
         for arity in (1, 3):
@@ -609,10 +544,10 @@ def counterexample_verdict(
             )
     else:
         coordinate = TrigPoly.coordinate()
-        pairing = toeplitz_index(coordinate, max_mode)
+        pairing = -winding_number(coordinate)
         records = [
-            PairingRecord("toeplitz compression", pairing),
-            PairingRecord("winding number", -winding_number(coordinate)),
+            PairingRecord("toeplitz compression", toeplitz_index(coordinate, max_mode), False),
+            PairingRecord("winding number", pairing, True),
         ]
         if family == "moebius":
             records.append(
@@ -621,6 +556,7 @@ def counterexample_verdict(
                     _covariant_compression_index(
                         coordinate, MoebiusMap.hyperbolic(1.0), max_mode
                     ),
+                    False,
                 )
             )
         checks = tuple(records)

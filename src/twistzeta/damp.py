@@ -127,20 +127,16 @@ def _validate_sweep(sweep: Sequence[int]) -> tuple[int, ...]:
 
 def summability_scan(
     diagonal: np.ndarray,
-    mode: str,
     exponents: Sequence[float],
     sweep: Sequence[int],
 ) -> SummabilityReport:
-    """Convergence verdicts for power or heat sums over a mode window.
+    """Convergence verdicts for heat sums over a mode window.
 
     The diagonal must cover a symmetric window (odd length); the partial
-    sum at truncation L runs over the central 2L+1 eigenvalues.  Power
-    mode accumulates (1+x^2)^(-s/2) and exp mode e^(-s|x|); an exponent is
-    declared diverging when the tail increment ratios stay above
-    1 - 1e-3 across the final three sweep stages.
+    sum at truncation L runs over the central 2L+1 eigenvalues x of
+    e^(-s|x|); an exponent is declared diverging when the tail increment
+    ratios stay above 1 - 1e-3 across the final three sweep stages.
     """
-    if mode not in ("power", "exp"):
-        raise ValueError(f"mode must be 'power' or 'exp', not {mode!r}")
     grid = _validate_grid(exponents)
     stages = _validate_sweep(sweep)
     values = np.asarray(diagonal, dtype=float)
@@ -154,10 +150,7 @@ def summability_scan(
     magnitudes = np.abs(values)
     curves = []
     for s in grid:
-        if mode == "power":
-            weights = np.exp(-0.5 * s * np.log1p(magnitudes * magnitudes))
-        else:
-            weights = np.exp(-s * magnitudes)
+        weights = np.exp(-s * magnitudes)
         curve = tuple(
             float(np.sum(weights[center - stage : center + stage + 1]))
             for stage in stages

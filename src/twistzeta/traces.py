@@ -42,9 +42,6 @@ PLAIN_ATOM = "1-E"
 ALTERNATING_ATOM = "1+E"
 BRANCH_ATOM = "1-(2d-1)E"
 
-ZERO_DIAGONAL_CERTIFICATE = "zero-diagonal"
-FINITE_RANK_CERTIFICATE = "finite-rank"
-
 TermKey = tuple[int, tuple[int, ...]]
 
 
@@ -141,16 +138,11 @@ ENTIRE_DENOM = Denom(ENTIRE_ATOM, 0)
 
 @dataclass(frozen=True)
 class MeromorphicTrace:
-    """Sum of exponential numerators over powers of the denominator atoms.
-
-    A non-None certificate asserts the function is entire and names the
-    structural reason; its parts then involve only the trivial atom.
-    """
+    """Sum of exponential numerators over powers of the denominator atoms."""
 
     d: int
     nvars: int
     parts: tuple[tuple[Denom, ExpSum], ...]
-    certificate: str | None = None
 
     def __post_init__(self) -> None:
         if self.d < 2:
@@ -162,21 +154,14 @@ class MeromorphicTrace:
             seen.add(denom)
             if numerator.nvars != self.nvars:
                 raise ValueError("numerator variable count mismatch")
-            if self.certificate is not None and denom.atom != ENTIRE_ATOM:
-                raise ValueError("certified entire traces admit no denominators")
 
     @staticmethod
-    def from_parts(
-        d: int,
-        nvars: int,
-        parts: dict[Denom, ExpSum],
-        certificate: str | None = None,
-    ) -> MeromorphicTrace:
+    def from_parts(d: int, nvars: int, parts: dict[Denom, ExpSum]) -> MeromorphicTrace:
         kept = sorted(
             ((denom, num) for denom, num in parts.items() if not num.is_zero),
             key=lambda item: (item[0].atom, item[0].power),
         )
-        return MeromorphicTrace(d, nvars, tuple(kept), certificate)
+        return MeromorphicTrace(d, nvars, tuple(kept))
 
     def evaluate(self, s: Sequence[complex]) -> complex:
         branch = cmath.exp(-sum(s))
@@ -419,9 +404,7 @@ def closed_form_heat_trace(
     stages = len(canonical)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
-        return MeromorphicTrace.from_parts(
-            d, stages, {}, certificate=ZERO_DIAGONAL_CERTIFICATE
-        )
+        return MeromorphicTrace.from_parts(d, stages, {})
 
     out = _Accumulator(d, stages)
     omegas = summary.omegas
@@ -487,9 +470,7 @@ def closed_form_toeplitz_trace(
     stages = len(canonical)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
-        return MeromorphicTrace.from_parts(
-            d, stages, {}, certificate=ZERO_DIAGONAL_CERTIFICATE
-        )
+        return MeromorphicTrace.from_parts(d, stages, {})
 
     out = _Accumulator(d, stages)
     for vector, count in summary.short_vectors:
@@ -682,13 +663,21 @@ def brute_force_heat_trace(
 
     Vertices are aggregated per cylinder family and summed termwise; the
     tail bound combines geometric remainders of the three regimes with the
-    crude count of escape words by the branching number.
+    crude count of escape words by the branching number.  A truncation
+    below the chain's refinement length stops inside the cylinders the
+    chain resolves, where the bound dwarfs the value (about 1e26 against
+    2e-3 for a1:a1 at L=1), so it is refused.
     """
     canonical = _canonical_chain(chain, anchor, model)
     total = _validate_oracle_inputs(canonical, model, s, truncation)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
         return OracleResult(0.0, 0.0)
+    if truncation < summary.refined_length:
+        raise ValueError(
+            f"truncation L={truncation} is below the chain's refinement length "
+            f"{summary.refined_length}"
+        )
 
     branching = 2 * model.generators - 1
     limit = truncation
@@ -697,7 +686,7 @@ def brute_force_heat_trace(
     refined = summary.refined_length
     ratio = math.exp(-total)
     value = _windowed_heat_value(summary, model, s, truncation)
-    top = max(limit - refined, 0)
+    top = limit - refined
 
     # Tail bound pieces; eigenvalues dominate both the linear regime
     # (eigenvalue >= offset) and the reflected one (eigenvalue >= depth
@@ -826,7 +815,7 @@ def specialize_shifts(
             key = (moved, (vector[-1],))
             entries[key] = entries.get(key, Fraction(0)) + coeff
         parts[denom] = ExpSum.from_terms(1, entries)
-    return MeromorphicTrace.from_parts(trace.d, 1, parts, trace.certificate)
+    return MeromorphicTrace.from_parts(trace.d, 1, parts)
 
 
 @dataclass(frozen=True)
@@ -889,8 +878,6 @@ def poles_and_laurent(trace: MeromorphicTrace) -> list[PoleDatum]:
     """
     if trace.nvars != 1:
         raise ValueError("pole extraction expects a single-variable trace")
-    if trace.certificate is not None:
-        return []
     branching = 2 * trace.d - 1
     found = []
     for atom, label, parity in _POLE_CLASSES:

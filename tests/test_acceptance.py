@@ -205,10 +205,13 @@ def test_criterion_04_free_group_counterexample():
             letters = tuple(a ^ 1 if position % 2 == 0 else a for position in range(arity + 1))
             report = free_group_cochain(letters, first, model, cutoff=cutoff)
             cochains_ok &= report.exact_zero and bool(report.certificates)
+    words = {
+        (report.arity, summand.powers) for report in anchor.cochains for summand in report.summands
+    }
     elapsed = time.perf_counter() - start
     _verdict(
         4,
-        pairing_ok and cochains_ok and anchor.word_certificates == 4 and elapsed < 60.0,
+        pairing_ok and cochains_ok and len(words) == 4 and elapsed < 60.0,
         f"pairings -1/+1 with window cross-check at L=9: {pairing_ok}; "
         f"all generator cochains vanish with entire certificates: {cochains_ok}; "
         f"{elapsed:.1f}s of 60s",

@@ -171,7 +171,7 @@ def test_ranks_past_the_float_range_are_refused_without_a_traceback(capsys):
     refusal: a failed check of heat-oracle, and exit 2 from damp-sweep."""
     cases = (
         (80, ["--s", "240,241,242"], "closed-form coefficient"),
-        (75, ["--chain", "a1:a1", "--L", "1", "--s", "150,150"], "census weight"),
+        (75, ["--chain", "a1:a1", "--L", "6", "--s", "150,150"], "census weight"),
     )
     for exponent, flags, what in cases:
         assert main(["heat-oracle", "--d", str(10**exponent), *flags]) == 1
@@ -181,6 +181,20 @@ def test_ranks_past_the_float_range_are_refused_without_a_traceback(capsys):
         )
     assert main(["damp-sweep", "--d", str(10**160), "--L", "16", "--s", "480,481"]) == 2
     assert capsys.readouterr().err == "twistzeta: census weight exceeds the float range\n"
+
+
+def test_heat_oracle_below_the_refinement_length_is_refused(capsys):
+    """Below its refinement length 6 the chain a1:a1 would pass against a
+    tail bound of 2.5e26 at L=1, so each comparison is a stated refusal;
+    at L=6 it passes."""
+    assert main(["heat-oracle", "--chain", "a1:a1", "--L", "1", "--s", "2,2"]) == 1
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    assert len(lines) == 2 and all(
+        line.endswith("refused: truncation L=1 is below the chain's refinement length 6, expected 0")
+        for line in lines
+    )
+    assert main(["heat-oracle", "--chain", "a1:a1", "--L", "6", "--s", "2,2"]) == 0
+    capsys.readouterr()
 
 
 def test_damp_sweep_brackets_the_rate_at_two_thousand_letters(capsys):
@@ -410,6 +424,14 @@ def test_heat_sums_past_the_step_budget_are_refused(experiment, capsys):
         assert f"the {experiment} windows at L={length} take" in err
         assert f"above the budget of {WINDOW_STEP_BUDGET}" in err
         assert f"largest L accepted on a grid of {exponents} exponents is {accepted}" in err
+
+
+@pytest.mark.parametrize("experiment", sorted(STEP_BUDGET_EDGES))
+def test_a_rank_that_admits_no_window_names_none(experiment, capsys):
+    """At d=10^4000 one word-length step weighs past the whole budget, so
+    no L is accepted, and the refusal names none."""
+    assert main([experiment, "--d", str(10**4000)]) == 2
+    assert capsys.readouterr().err.endswith("exponents is none\n")
 
 
 @pytest.mark.parametrize("experiment", sorted(STEP_BUDGET_EDGES))

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -55,15 +54,6 @@ from twistzeta.cochain import (
     multiindex_cutoff,
     multiindex_weight,
     rising_half_coeffs,
-    zeta_residue,
-)
-from twistzeta.traces import (
-    ENTIRE_ATOM,
-    PLAIN_ATOM,
-    Denom,
-    ExpSum,
-    MeromorphicTrace,
-    closed_form_heat_trace,
 )
 from twistzeta.words import FreeGroup, Word
 
@@ -276,50 +266,6 @@ def test_combinatorial_weight_validation():
     assert multiindex_cutoff(1, 3) == 0
 
 
-def test_zeta_residue_of_the_unit_heat_trace_matches_a_contour_integral():
-    model = FreeGroup(2)
-    trace = closed_form_heat_trace([Monomial((), ())], 0, model)
-
-    def contour(order):
-        nodes, radius = 512, 0.1
-        total = 0j
-        for k in range(nodes):
-            z = radius * cmath.exp(2j * cmath.pi * k / nodes)
-            total += z ** (order + 1) * trace.evaluate([2.0 * z])
-        return total / nodes
-
-    symbolic = zeta_residue(trace, 0).evaluate(()).real
-    numeric = contour(0)
-    assert numeric.imag == pytest.approx(0.0, abs=1e-10)
-    assert numeric.real == pytest.approx(symbolic, rel=1e-8)
-    assert zeta_residue(trace, 1).is_zero
-    assert abs(contour(1)) < 1e-10
-
-
-def test_zeta_residue_is_zero_for_entire_traces():
-    model = FreeGroup(2)
-    trace = cochain_word_trace((1, 0), 0, model)
-    for order in range(3):
-        assert zeta_residue(trace, order).is_zero
-
-
-def test_zeta_residue_rejects_poles_beyond_the_double_budget():
-    deep = MeromorphicTrace.from_parts(
-        2, 1, {Denom(PLAIN_ATOM, 3): ExpSum.from_terms(1, {(0, (0,)): Fraction(1)})}
-    )
-    with pytest.raises(ValueError, match="double"):
-        zeta_residue(deep, 0)
-    shallow = MeromorphicTrace.from_parts(
-        2, 1, {Denom(PLAIN_ATOM, 1): ExpSum.from_terms(1, {(0, (0,)): Fraction(1)})}
-    )
-    with pytest.raises(ValueError, match="nonnegative"):
-        zeta_residue(shallow, -1)
-    model = FreeGroup(2)
-    pair = closed_form_heat_trace([Monomial((), ()), Monomial((), ())], 0, model)
-    with pytest.raises(ValueError, match="single-parameter"):
-        zeta_residue(pair, 0)
-
-
 # Dense oracle of the collapsed square iterate that the cochain assembly
 # records for every positive multi-index.
 
@@ -386,13 +332,7 @@ def test_group_unitary_is_unitary_and_translates_the_boundary():
 
 def test_cochain_word_trace_is_the_rank_one_projection_value():
     model = FreeGroup(2)
-    trace = cochain_word_trace((1, 0), 0, model)
-    assert trace.certificate == "finite-rank"
-    assert [(denom.atom, numerator.as_dict()) for denom, numerator in trace.parts] == [
-        (ENTIRE_ATOM, {(0, (2,)): Fraction(-2)})
-    ]
-    expected = -2.0 * math.exp(-2.0 * 0.7)
-    assert trace.evaluate([0.7]) == pytest.approx(expected, rel=1e-14)
+    assert cochain_word_trace((1, 0), 0, model) == {(0, 2): Fraction(-2)}
 
 
 def test_cochain_word_trace_validation():
@@ -410,7 +350,6 @@ def test_free_group_cochain_vanishes_with_certificates():
     single = free_group_cochain((1, 0), 0, model, cutoff=2)
     assert single.exact_zero
     assert single.value == 0.0
-    assert single.weights_immaterial
     assert len(single.summands) == 6
     assert {summand.powers for summand in single.summands} == {(0,), (1,), (2,)}
     assert single.certificates == ("finite-rank", "collapsed-square-iterate")
@@ -723,7 +662,13 @@ def test_counterexample_verdict_free_group():
     assert {record.value for record in verdict.checks} == {-1}
     assert tuple(report.arity for report in verdict.cochains) == (1, 3)
     assert all(report.exact_zero for report in verdict.cochains)
-    assert verdict.word_certificates == 4
+    words = {
+        (report.arity, summand.powers)
+        for report in verdict.cochains
+        for summand in report.summands
+    }
+    assert len(words) == 4
+    assert [record.exact for record in verdict.checks] == [True, False]
 
     reversed_letter = counterexample_verdict(
         "free_group", pairing_letter="b1", source_length=6
@@ -745,6 +690,7 @@ def test_counterexample_verdict_circle_and_moebius():
     assert circle.pairing == -1
     assert len(circle.checks) == 2
     assert all(record.value == -1 for record in circle.checks)
+    assert [record.exact for record in circle.checks] == [False, True]
 
     crossed = counterexample_verdict("moebius", max_mode=64)
     assert crossed.passed

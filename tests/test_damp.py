@@ -255,32 +255,32 @@ def test_report_validation_rejects_shape_mismatch() -> None:
 def test_scan_input_guards() -> None:
     diagonal = build_dirac(64)
     sweep = (4, 8, 16, 32, 64)
-    with pytest.raises(ValueError, match="mode"):
-        summability_scan(diagonal, "heat", [1.0], sweep)
     with pytest.raises(ValueError, match="nonempty"):
-        summability_scan(diagonal, "power", [], sweep)
+        summability_scan(diagonal, [], sweep)
     with pytest.raises(ValueError, match="positive"):
-        summability_scan(diagonal, "power", [-1.0], sweep)
+        summability_scan(diagonal, [-1.0], sweep)
     with pytest.raises(ValueError, match="five"):
-        summability_scan(diagonal, "power", [1.0], (4, 8, 16))
+        summability_scan(diagonal, [1.0], (4, 8, 16))
     with pytest.raises(ValueError, match="increasing"):
-        summability_scan(diagonal, "power", [1.0], (4, 8, 8, 16, 32))
+        summability_scan(diagonal, [1.0], (4, 8, 8, 16, 32))
     with pytest.raises(ValueError, match="symmetric"):
-        summability_scan(np.ones(10), "power", [1.0], sweep)
+        summability_scan(np.ones(10), [1.0], sweep)
     with pytest.raises(ValueError, match="radius"):
-        summability_scan(diagonal, "power", [1.0], (8, 16, 32, 64, 128))
+        summability_scan(diagonal, [1.0], (8, 16, 32, 64, 128))
 
 
 def test_truncation_sweep_halves_down_from_the_depth() -> None:
     """The command line's sweep, valid from its smallest depth 16 on."""
     assert truncation_sweep(64) == [4, 8, 16, 32, 64]
     assert truncation_sweep(16) == [1, 2, 4, 8, 16]
-    assert summability_scan(build_dirac(16), "exp", [1.0], truncation_sweep(16)).verdicts
+    assert summability_scan(build_dirac(16), [1.0], truncation_sweep(16)).verdicts
 
 
 def test_circle_power_scan_brackets_the_abscissa() -> None:
+    """On the dampened spectrum the heat weight e^(-s log(1+|n|)) is the
+    power weight (1+|n|)^-s, whose abscissa is 1."""
     report = summability_scan(
-        build_dirac(1024), "power", [0.9, 1.5], (64, 128, 256, 512, 1024)
+        sgnlog_transform(build_dirac(1024)), [0.9, 1.5], (64, 128, 256, 512, 1024)
     )
     assert report.verdicts == ("diverging", "converged")
     assert report.crossing == pytest.approx(1.2)
@@ -292,7 +292,7 @@ def test_exp_scan_of_damped_spectrum_is_a_power_law() -> None:
     diagonal = build_dirac(1024)
     damped = sgnlog_transform(diagonal)
     sweep = (64, 128, 256, 512, 1024)
-    report = summability_scan(damped, "exp", [1.5], sweep)
+    report = summability_scan(damped, [1.5], sweep)
     weights = np.power(1.0 + np.abs(diagonal), -1.5)
     center = diagonal.size // 2
     for stage, partial in zip(sweep, report.curves[0]):

@@ -25,7 +25,6 @@ KEPT = (
     ("traces.brute_force_toeplitz_trace", "windowed oracle of acceptance criterion 02"),
     ("operators.frac_power_integral_check", "quadrature check of acceptance criterion 09"),
     ("cli.report_from_json", "reader of the reports that --out writes"),
-    ("cochain.CounterexampleReport.word_certificates", "read by acceptance criterion 04"),
 )
 
 # A top-level definition is (module, name); a method is (module, "Class.name").

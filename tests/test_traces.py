@@ -41,7 +41,6 @@ from twistzeta.traces import (
     ENTIRE_ATOM,
     ENTIRE_DENOM,
     PLAIN_ATOM,
-    ZERO_DIAGONAL_CERTIFICATE,
     Denom,
     ExpSum,
     MeromorphicTrace,
@@ -164,9 +163,7 @@ def termwise_heat_trace(
     canonical = _canonical_chain(chain, anchor, model)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
-        return MeromorphicTrace.from_parts(
-            model.generators, len(canonical), {}, certificate=ZERO_DIAGONAL_CERTIFICATE
-        )
+        return MeromorphicTrace.from_parts(model.generators, len(canonical), {})
     out = TermwiseAccumulator(model.generators, len(canonical))
     omegas, sigma_lengths = summary.omegas, summary.sigma_lengths
     one, flip = Fraction(1), Fraction(-1)
@@ -211,9 +208,7 @@ def termwise_toeplitz_trace(
     canonical = _canonical_chain(chain, anchor, model)
     summary = _chain_summary(canonical, model)
     if summary.zero_diagonal:
-        return MeromorphicTrace.from_parts(
-            model.generators, len(canonical), {}, certificate=ZERO_DIAGONAL_CERTIFICATE
-        )
+        return MeromorphicTrace.from_parts(model.generators, len(canonical), {})
     out = TermwiseAccumulator(model.generators, len(canonical))
     for vector, count in summary.short_vectors:
         out.add_term({}, vector, Fraction(count))
@@ -546,13 +541,12 @@ def test_closed_form_is_tail_letter_invariant():
 def test_zero_diagonal_chain_is_certified_entire():
     chain = [Monomial((0,), (2,))]
     closed = closed_form_heat_trace(chain, ANCHOR, RANK_TWO)
-    assert closed.certificate == ZERO_DIAGONAL_CERTIFICATE
     assert closed.parts == ()
     oracle = brute_force_heat_trace(chain, ANCHOR, RANK_TWO, [2.0], 10)
     assert oracle == (0.0, 0.0)
     assert literal_heat_trace(chain, ANCHOR, RANK_TWO, [2.0], 6) == 0.0
     sliced = specialize_shifts(closed, (0,))
-    assert sliced.certificate == ZERO_DIAGONAL_CERTIFICATE
+    assert sliced.parts == ()
     assert poles_and_laurent(sliced) == []
 
 
@@ -652,7 +646,7 @@ def test_toeplitz_closed_form_matches_oracles():
 def test_toeplitz_zero_diagonal_certificate():
     chain = [Monomial((0,), (2,))]
     closed = closed_form_toeplitz_trace(chain, ANCHOR, RANK_TWO)
-    assert closed.certificate == ZERO_DIAGONAL_CERTIFICATE
+    assert closed.parts == ()
     assert literal_toeplitz_trace(chain, ANCHOR, RANK_TWO, [2.0], 8) == 0.0
 
 
