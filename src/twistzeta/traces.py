@@ -80,10 +80,6 @@ class ExpSum:
         )
         return ExpSum(nvars, tuple(kept))
 
-    @staticmethod
-    def zero(nvars: int) -> ExpSum:
-        return ExpSum(nvars, ())
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -91,27 +87,22 @@ class ExpSum:
     def as_dict(self) -> dict[TermKey, Fraction]:
         return {(c, v): q for c, v, q in self.terms}
 
-    def plus(self, other: ExpSum) -> ExpSum:
-        merged = self.as_dict()
-        for c, v, q in other.terms:
-            merged[(c, v)] = merged.get((c, v), Fraction(0)) + q
-        return ExpSum.from_terms(self.nvars, merged)
-
-    def scaled(self, factor: Fraction | int) -> ExpSum:
-        factor = Fraction(factor)
-        if not factor:
-            return ExpSum.zero(self.nvars)
-        return ExpSum(
-            self.nvars, tuple((c, v, q * factor) for c, v, q in self.terms)
-        )
-
     def evaluate(self, s: Sequence[complex]) -> complex:
+        """Sum of the terms at s; a coefficient or exponential past the float
+        range joins its term in log space, as in :func:`_count_times_exp`."""
         if len(s) != self.nvars:
             raise ValueError("need one value per variable")
         total = 0j
         for const_exp, vector, coeff in self.terms:
             exponent = -const_exp - sum(v * sj for v, sj in zip(vector, s))
-            total += _as_float(coeff, "closed-form coefficient") * cmath.exp(exponent)
+            try:
+                total += float(coeff) * cmath.exp(exponent)
+            except OverflowError:
+                size = math.log(abs(coeff.numerator)) - math.log(coeff.denominator)
+                try:
+                    total += (1 if coeff > 0 else -1) * cmath.exp(size + exponent)
+                except OverflowError:
+                    raise ValueError("closed-form term exceeds the float range") from None
         return total
 
 
@@ -399,7 +390,13 @@ def closed_form_heat_trace(
     whose counts are the species of :func:`settling_species`.  Both resum
     to the atomic denominators.
     """
-    canonical = _canonical_chain(chain, anchor, model)
+    return _canonical_heat_trace(_canonical_chain(chain, anchor, model), model)
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical_heat_trace(canonical: tuple[Monomial, ...], model: FreeGroup) -> MeromorphicTrace:
+    """The heat closed form of a relabelled chain, built once per process:
+    the trace is frozen, and a relabelling under another anchor shares it."""
     d = model.generators
     stages = len(canonical)
     summary = _chain_summary(canonical, model)
@@ -465,7 +462,15 @@ def closed_form_toeplitz_trace(
     vector into the entire part; longer words group by their defining cylinder and
     each species of :func:`extension_species` resums geometrically.
     """
-    canonical = _canonical_chain(chain, anchor, model)
+    return _canonical_toeplitz_trace(_canonical_chain(chain, anchor, model), model)
+
+
+@functools.lru_cache(maxsize=256)
+def _canonical_toeplitz_trace(
+    canonical: tuple[Monomial, ...], model: FreeGroup
+) -> MeromorphicTrace:
+    """The word-basis closed form of a relabelled chain, cached as
+    :func:`_canonical_heat_trace` is."""
     d = model.generators
     stages = len(canonical)
     summary = _chain_summary(canonical, model)
@@ -860,6 +865,21 @@ def _series_power(base: list[Fraction], power: int, order: int) -> list[Fraction
     return result
 
 
+@functools.lru_cache(maxsize=8)
+def _reciprocal_moments(order: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Row k < order: integers w_0..w_k over a denominator D with
+    sum_i w_i x^i / D = sum_i x^i / i! * r_{k-i}, r the Taylor coefficients
+    of (t/(1 - e^{-t}))^order, the reciprocal of a pole of that order; at
+    x = -v it is the t^k coefficient of e^{-vt} t^order / (1 - e^{-t})^order."""
+    reciprocal = _series_power(_phi_series(order), order, order - 1)
+    rows = []
+    for k in range(order):
+        terms = [reciprocal[k - i] / math.factorial(i) for i in range(k + 1)]
+        scale = math.lcm(*(q.denominator for q in terms))
+        rows.append((tuple(int(q * scale) for q in terms), scale))
+    return tuple(rows)
+
+
 _POLE_CLASSES = (
     (PLAIN_ATOM, "0", "even"),
     (ALTERNATING_ATOM, "0", "odd"),
@@ -870,64 +890,42 @@ _POLE_CLASSES = (
 def poles_and_laurent(trace: MeromorphicTrace) -> list[PoleDatum]:
     """Exact pole classes of a single-variable trace.
 
-    Writes w = e^{-s}; near each candidate root the matching atom equals
+    Writes w = e^{-s}; near each candidate root w_0 the matching atom equals
     1 - e^{-t} in the local variable t, whose reciprocal expands through
-    Bernoulli-type coefficients, while the numerator contributes its exact
-    Taylor data.  Cancellations are detected exactly, so reported orders
-    are true orders.
+    Bernoulli-type coefficients, while a numerator term e^{-vs} contributes
+    w_0^v e^{-vt}, with w_0^v = 1, (-1)^v or (2d-1)^{-v}.  The Laurent
+    coefficients are summed exactly, so reported orders are true orders.
     """
     if trace.nvars != 1:
         raise ValueError("pole extraction expects a single-variable trace")
     branching = 2 * trace.d - 1
     found = []
     for atom, label, parity in _POLE_CLASSES:
-        powers = {
-            denom.power: numerator
-            for denom, numerator in trace.parts
-            if denom.atom == atom
-        }
+        powers = {denom.power: num for denom, num in trace.parts if denom.atom == atom}
         if not powers:
             continue
-        deepest = max(powers)
-        principal: dict[int, ExpSum] = {}
-        if atom == BRANCH_ATOM:
-            root_num, root_den = 1, branching
-            base_value = math.log(branching)
-        else:
-            root_num, root_den = (1, 1) if atom == PLAIN_ATOM else (-1, 1)
-            base_value = 0.0
-        phi = _phi_series(deepest)
+        base_value = math.log(branching) if atom == BRANCH_ATOM else 0.0
+        principal: dict[int, dict[TermKey, Fraction]] = {}
         for power, numerator in powers.items():
-            reciprocal = _series_power(phi, power, power - 1)
-            taylor: list[ExpSum] = []
-            for i in range(power):
-                entries: dict[TermKey, Fraction] = {}
-                for const_exp, vector, coeff in numerator.terms:
-                    v = vector[0]
-                    scale = (
-                        coeff
-                        * Fraction(root_num, root_den) ** v
-                        * Fraction((-v) ** i, math.factorial(i))
-                    )
-                    if scale:
-                        key = (const_exp, ())
-                        entries[key] = entries.get(key, Fraction(0)) + scale
-                taylor.append(ExpSum.from_terms(0, entries))
-            for exponent in range(-power, 0):
-                acc = ExpSum.zero(0)
-                for i in range(power + exponent + 1):
-                    acc = acc.plus(taylor[i].scaled(reciprocal[power + exponent - i]))
-                principal[exponent] = principal.get(exponent, ExpSum.zero(0)).plus(acc)
-        true_order = 0
-        for exponent in sorted(principal):
-            if not principal[exponent].is_zero:
-                true_order = -exponent
-                break
+            rows = _reciprocal_moments(power)
+            for const_exp, (v,), coeff in numerator.terms:
+                num, den = coeff.numerator, coeff.denominator
+                if atom == ALTERNATING_ATOM and v % 2:
+                    num = -num
+                elif atom == BRANCH_ATOM:
+                    num, den = (num, den * branching**v) if v >= 0 else (num * branching**-v, den)
+                key = (const_exp, ())
+                for k, (weights, scale) in enumerate(rows):
+                    moment = sum(w * (-v) ** i for i, w in enumerate(weights))
+                    if moment:
+                        entries = principal.setdefault(k - power, {})
+                        entries[key] = entries.get(key, 0) + Fraction(num * moment, den * scale)
+        true_order = max(
+            (-exponent for exponent, entries in principal.items() if any(entries.values())),
+            default=0,
+        )
         if true_order == 0:
             continue
-        coefficients = tuple(
-            principal.get(exponent, ExpSum.zero(0))
-            for exponent in range(-true_order, 0)
-        )
-        found.append(PoleDatum(label, base_value, parity, true_order, coefficients))
+        coefficients = [ExpSum.from_terms(0, principal.get(e, {})) for e in range(-true_order, 0)]
+        found.append(PoleDatum(label, base_value, parity, true_order, tuple(coefficients)))
     return found

@@ -45,13 +45,18 @@ from twistzeta.traces import (
     ExpSum,
     MeromorphicTrace,
     PoleDatum,
+    _POLE_CLASSES,
     _Accumulator,
     _atom_for,
     _canonical_chain,
+    _canonical_heat_trace,
+    _canonical_toeplitz_trace,
     _chain_summary,
     _escape_log_counts,
     _heat_partial_sum,
     _pair_split,
+    _phi_series,
+    _series_power,
     _signature_split,
     _summarize,
     _validate_oracle_inputs,
@@ -121,6 +126,47 @@ def partial_fractions(
                     add(split_key, coeff * split_coeff)
             current = updated
     return current
+
+
+def taylor_pole_oracle(trace: MeromorphicTrace) -> list[PoleDatum]:
+    """Pole classes of a single-variable trace from the Taylor data of each
+    numerator at the atom's root w_0: for every power, the coefficients
+    sum coeff w_0^v (-v)^i / i! over the terms, times the reciprocal series
+    of that power, rebuilt for each power.  Oracle of ``poles_and_laurent``,
+    which reads integer moments from a per-order memo."""
+    branching = 2 * trace.d - 1
+    found = []
+    for atom, label, parity in _POLE_CLASSES:
+        powers = {denom.power: num for denom, num in trace.parts if denom.atom == atom}
+        if not powers:
+            continue
+        root = {PLAIN_ATOM: Fraction(1), ALTERNATING_ATOM: Fraction(-1)}.get(
+            atom, Fraction(1, branching)
+        )
+        phi = _phi_series(max(powers))
+        principal: dict[int, dict] = {}
+        for power, numerator in powers.items():
+            reciprocal = _series_power(phi, power, power - 1)
+            taylor = []
+            for i in range(power):
+                entries: dict = {}
+                for const_exp, (v,), coeff in numerator.terms:
+                    scale = coeff * root**v * Fraction((-v) ** i, math.factorial(i))
+                    entries[(const_exp, ())] = entries.get((const_exp, ()), Fraction(0)) + scale
+                taylor.append(entries)
+            for exponent in range(-power, 0):
+                acc = principal.setdefault(exponent, {})
+                for i in range(power + exponent + 1):
+                    for key, value in taylor[i].items():
+                        step = value * reciprocal[power + exponent - i]
+                        acc[key] = acc.get(key, Fraction(0)) + step
+        sums = {exponent: ExpSum.from_terms(0, entries) for exponent, entries in principal.items()}
+        order = next((-e for e in sorted(sums) if not sums[e].is_zero), 0)
+        if order:
+            principal_parts = tuple(sums.get(e, ExpSum(0, ())) for e in range(-order, 0))
+            base_value = math.log(branching) if atom == BRANCH_ATOM else 0.0
+            found.append(PoleDatum(label, base_value, parity, order, principal_parts))
+    return found
 
 
 class TermwiseAccumulator:
@@ -417,9 +463,9 @@ def literal_short_vectors(
 
 
 def test_expsum_arithmetic_is_exact():
-    a = ExpSum.from_terms(2, {(0, (1, 0)): Fraction(1, 3)})
-    b = ExpSum.from_terms(2, {(1, (0, 2)): Fraction(2)})
-    total = a.plus(b).scaled(3)
+    entries = {(1, (0, 2)): Fraction(6), (0, (1, 0)): Fraction(1, 3) * 3, (0, (2, 2)): Fraction(0)}
+    total = ExpSum.from_terms(2, entries)
+    assert total.terms == ((0, (1, 0), Fraction(1)), (1, (0, 2), Fraction(6)))
     assert total.as_dict() == {
         (0, (1, 0)): Fraction(1),
         (1, (0, 2)): Fraction(6),
@@ -428,6 +474,18 @@ def test_expsum_arithmetic_is_exact():
     assert value.real == pytest.approx(
         math.exp(-0.5) + 6 * math.exp(-1 - 2 * 0.25), rel=1e-14
     )
+
+
+def test_expsum_joins_terms_past_the_float_range_in_log_space():
+    """A coefficient or exponential beyond float range alone still gives its
+    term's value; a term beyond float range itself is refused."""
+    huge = ExpSum.from_terms(1, {(0, (1,)): Fraction(-(10**400), 7), (-800, (1,)): Fraction(1, 3)})
+    value = huge.evaluate((1000.0,))
+    expected = -math.exp(400 * math.log(10) - math.log(7) - 1000) + math.exp(-200) / 3
+    assert value.real == pytest.approx(expected, rel=1e-12)
+    assert value.imag == 0
+    with pytest.raises(ValueError, match="closed-form term exceeds the float range"):
+        huge.evaluate((1.0,))
 
 
 def test_expsum_rejects_ragged_vectors():
@@ -954,6 +1012,54 @@ def test_rank_two_pole_data_as_computed():
     ]
 
 
+def test_pole_extraction_matches_the_taylor_oracle_on_criterion_03():
+    """Criterion 03's cases, 21 chains at d = 2 and 3, on both closed forms."""
+    cases = 0
+    for d in (2, 3):
+        model = FreeGroup(d)
+        first = model.letter_index("a1")
+        for chain in _sample_chains(model):
+            for closed in (closed_form_heat_trace, closed_form_toeplitz_trace):
+                trace = closed(chain, first, model)
+                if trace.nvars > 1:
+                    trace = specialize_shifts(trace, [0] * trace.nvars)
+                assert repr(poles_and_laurent(trace)) == repr(taylor_pole_oracle(trace))
+            cases += 1
+    assert cases == 42
+
+
+def test_pole_extraction_reads_negative_exponents_as_the_oracle_does():
+    numerator = ExpSum.from_terms(
+        1, {(0, (-3,)): Fraction(2, 5), (1, (-1,)): Fraction(-1), (0, (2,)): Fraction(1, 3)}
+    )
+    for d in (2, 3):
+        for atom in (PLAIN_ATOM, ALTERNATING_ATOM, BRANCH_ATOM):
+            for power in (1, 2, 3):
+                trace = MeromorphicTrace.from_parts(d, 1, {Denom(atom, power): numerator})
+                poles = poles_and_laurent(trace)
+                assert poles and repr(poles) == repr(taylor_pole_oracle(trace))
+
+
+def test_closed_forms_are_built_once_per_canonical_chain_and_model():
+    """A chain and its relabelling under another anchor share one cached
+    trace object, built once; the same chain at d = 2 and d = 3 does not."""
+    chain = [Monomial((0,), (0,)), Monomial((2,), (2,))]
+    relabelled = [Monomial((2,), (2,)), Monomial((0,), (0,))]
+    assert _canonical_chain(relabelled, 2, RANK_TWO) == tuple(chain)
+    for builder, cached in (
+        (closed_form_heat_trace, _canonical_heat_trace),
+        (closed_form_toeplitz_trace, _canonical_toeplitz_trace),
+    ):
+        cached.cache_clear()
+        first = builder(chain, ANCHOR, RANK_TWO)
+        assert builder(relabelled, 2, RANK_TWO) is first
+        info = cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        wider = builder(chain, ANCHOR, RANK_THREE)
+        assert wider is not first and (wider.d, first.d) == (3, 2)
+        assert cached.cache_info().misses == 2
+
+
 @st.composite
 def short_chains(draw):
     """A chain of one to three stages whose refinement length is at most 10
@@ -1015,7 +1121,8 @@ def test_one_prefix_walk_serves_both_closed_forms_and_the_word_oracle(monkeypatc
         return walk(chain, model)
 
     monkeypatch.setattr(ckalg, "_prefix_walk", counted)
-    _chain_summary.cache_clear()
+    for cached in (_chain_summary, _canonical_heat_trace, _canonical_toeplitz_trace):
+        cached.cache_clear()
     chain = FIRST_SQUARE * 2
     assert closed_form_heat_trace(chain, ANCHOR, RANK_TWO).parts
     assert closed_form_toeplitz_trace(chain, ANCHOR, RANK_TWO).parts
@@ -1073,6 +1180,18 @@ def test_signature_assembly_matches_the_termwise_oracle(case):
         oracle.add_term(factors, vector, coeff)
         grouped.add_term(factors, vector, coeff)
     assert repr(grouped.build()) == repr(oracle.build())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=accumulator_terms())
+def test_pole_extraction_matches_the_taylor_oracle(case):
+    # the slice along shifts 0, 1, ..., m-1 gives the terms distinct constants
+    d, nvars, terms = case
+    grouped = _Accumulator(d, nvars)
+    for factors, vector, coeff in terms:
+        grouped.add_term(factors, vector, coeff)
+    sliced = specialize_shifts(grouped.build(), list(range(nvars)))
+    assert repr(poles_and_laurent(sliced)) == repr(taylor_pole_oracle(sliced))
 
 
 AUDIT_CHAINS = ("a1", "a1:a1", "a1:a1:a1", "a1:a1:a1:a1", "a1:a1:a1:a1:a1", "a1.b2.a2.b1", "a1.b2:a1")
