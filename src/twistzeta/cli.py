@@ -607,43 +607,29 @@ def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
     return checks
 
 
-# Vertices the free-group counterexample may visit: its kernel window and
-# its two cochain word traces.  Measured by tools/scale_curve.py, target
-# index, which times the whole counterexample (BENCH_14.json), on one core:
-# the largest accepted windows, d=2 L=12 and d=3 L=8, take 0.18 s and
-# 0.11 s and peak at 80 MB and 62 MB; d=40 at L=1, the largest accepted d,
-# takes 0.23 s and 98 MB, nearly all of it in the word traces.
+# Vertices the free-group counterexample may visit: its two cochain word
+# traces and its kernel window.  Measured by tools/scale_curve.py, target
+# index (BENCH_26.json), on one core: d=40 at L=1, the largest accepted d,
+# takes about 0.2 s and 100 MB, nearly all of it in the word traces.
 FREE_GROUP_VERTEX_BUDGET = 1_000_000
 
 
 def _vertex_cost(generators: int, length: int) -> tuple[Count, ...]:
-    """Vertices of the free-group counterexample, exact within the budget.
+    """Vertices of the free-group counterexample, counted in integers.
 
-    The kernel window visits the sum of (2d-1)^n over n <= L vertices, and
-    the cochain word traces of arity one and three walk every head of at
-    most three letters at two offsets each, about 2 (2d-1)^3 more.  The
-    sum is added up only while it stays within the budget, at most about
-    twenty terms for any d >= 2, so the same loop finds the largest
-    accepted L; past it the count is the estimate below, rounded up.
+    The cochain word traces of arity one and three walk the heads of at
+    most three letters, counted as 1 + 2 (2d-1)^3.  The kernel window
+    translates one representative head per letter class and length, 2L + 1
+    of them, so the largest accepted L is a quotient.
     """
-    rate = 2 * generators - 1
-    traced = 2 * rate**3
-    vertices, largest = 1 + traced, 0
-    while largest < length and vertices + rate ** (largest + 1) <= FREE_GROUP_VERTEX_BUDGET:
-        largest += 1
-        vertices += rate**largest
-    # (2d-1)^(L+1) / (2d-2), within one half of the window's sum, plus the
-    # traced vertices, in powers of ten.
-    window = (length + 1) * math.log10(rate) - math.log10(rate - 1)
-    high, low = sorted((window, math.log10(traced)), reverse=True)
-    exponent = high + math.log10(1 + 10 ** (low - high))
-    if largest < length:
-        vertices = math.ceil(10.0**exponent) if exponent < 300 else math.inf
-    accepted = f"L={largest}" if largest else "none"
+    traced = 1 + 2 * (2 * generators - 1) ** 3
+    vertices = traced + 2 * length + 1
+    largest = (FREE_GROUP_VERTEX_BUDGET - traced - 1) // 2
+    accepted = f"L={largest}" if largest >= 1 else "none"
     refusal = (
-        f"the free-group counterexample at d={generators}, L={length} visits about "
-        f"{10 ** (exponent % 1):.3g}e+{int(exponent):02d} vertices, above the budget of "
-        f"{FREE_GROUP_VERTEX_BUDGET}; the largest window accepted at d={generators} is {accepted}"
+        f"the free-group counterexample at d={generators}, L={length} visits {vertices} "
+        f"vertices, above the budget of {FREE_GROUP_VERTEX_BUDGET}; the largest window "
+        f"accepted at d={generators} is {accepted}"
     )
     return (Count("vertices", vertices, FREE_GROUP_VERTEX_BUDGET, refusal),)
 

@@ -39,7 +39,7 @@ from .circle import (
     toeplitz_index,
     winding_number,
 )
-from .words import FreeGroup, settled_eigenvalue
+from .words import FreeGroup, settled_eigenvalue, transfer_counts
 
 ITERATE_CERTIFICATE = "collapsed-square-iterate"
 # Certificate of the free-group words: it names the check that their exact
@@ -152,43 +152,22 @@ def _translate(
     )
 
 
-def _largest_window_key(base: int, source_length: int) -> int:
-    """Bound on the target keys of a window: a landed code has at most
-    ``source_length + 1`` digits, times the span of target offsets
-    0..source_length + 1, with one digit to spare."""
-    span = source_length + 2
-    return base**span * span
+def _head_count(model: FreeGroup, anchor: int, first: int | None, length: int) -> int:
+    """Number of heads of ``length`` >= 1 letters, only those that start with
+    ``first`` unless it is None.
 
-
-def _window_entries(
-    letter: int, anchor: int, model: FreeGroup, source_length: int
-) -> tuple[int, np.ndarray]:
-    """Columns of the compressed translation over the vertices of
-    nonnegative eigenvalue whose group words have at most ``source_length``
-    letters: their number, and the key ``code * (source_length + 2) +
-    offset`` of every target that keeps a nonnegative eigenvalue.
-
-    Such a word is a head followed by anchor letters, so the window is each
-    head with every offset from its length up to ``source_length``.
+    The rest of such a head is a reduced word that may follow ``first`` and
+    ends in neither the anchor nor its inverse: a transfer count with the
+    letters relabelled by ``^ anchor``, which sends the anchor to 0 and
+    keeps every inverse pair.
     """
-    base, span = model.size + 1, source_length + 2
-    columns = 0
-    keys = []
-    for length, heads in enumerate(_head_codes(model, anchor, source_length, base)):
-        offsets = np.arange(length, source_length + 1)
-        code, landed, offset = _translate(letter, anchor, base, heads[:, None], length, offsets)
-        keys.append((code * span + offset)[offset >= landed])
-        columns += heads.size * offsets.size
-    return columns, np.concatenate(keys)
-
-
-def _window_nullity(columns: int, key: np.ndarray) -> int:
-    """Kernel dimension of ``columns`` columns with one entry each on the
-    targets ``key`` and none elsewhere: columns that share a target are
-    parallel, so the rank is the number of distinct targets."""
-    # Distinct targets by sorting: numpy's hashing unique is far slower here.
-    ordered = np.sort(key)
-    return columns - ordered.size + int(np.count_nonzero(ordered[1:] == ordered[:-1]))
+    if first is not None:
+        if length == 1:
+            return int((first ^ anchor) >= 2)
+        first, length = first ^ anchor, length - 1
+    for _, _, count in transfer_counts(model, first, length):
+        pass
+    return count
 
 
 def compressed_kernel_dimension(
@@ -199,20 +178,40 @@ def compressed_kernel_dimension(
 ) -> int:
     """Kernel dimension of the compressed translation on a word-length window.
 
-    Columns over source words are complete because a translation moves a
-    word by one letter, so the kernel of the windowed rectangle equals the
-    kernel of the full compression intersected with the window.  The
-    window's keys are int64, and a window whose keys could pass 2**63 is
-    refused before anything is built.
+    The window is each head of length n <= L at every offset n..L.  A
+    translation moves a word by one letter, so the windowed kernel is the
+    full kernel within the window, and it permutes the vertices, so no two
+    columns share a target: the kernel dimension is the number of columns
+    whose target leaves the nonnegative part, its offset below its head
+    length.  The step sees a head only through its length and whether it is
+    empty or starts with the letter's inverse, so one representative per
+    class is translated at each length n and offset n.  The landed length
+    does not depend on the offset, which moves by one, so clip(landed -
+    shifted, 0, L - n + 1) columns of each head in the cell leave; only a
+    nonzero cell fetches its number of heads.
     """
     model.check_letter(letter)
     model.check_letter(anchor)
     if source_length < 1:
         raise ValueError("the source window must contain at least length one")
-    if _largest_window_key(model.size + 1, source_length) >= 2**63:
-        raise ValueError("the window's vertex keys would overflow 64-bit integers")
-    columns, key = _window_entries(letter, anchor, model, source_length)
-    return _window_nullity(columns, key)
+    base, inverse = model.size + 1, letter ^ 1
+    lengths = np.arange(source_length + 1)
+
+    def stripped(n: int) -> int:
+        return _head_count(model, anchor, inverse, n)
+
+    classes = (
+        (0, lengths[:1], lambda n: 1),
+        (inverse + 1, lengths[1:], stripped),
+        (letter + 1, lengths[1:], lambda n: _head_count(model, anchor, None, n) - stripped(n)),
+    )
+    kernel = 0
+    for code, sizes, heads in classes:
+        _, landed, shifted = _translate(letter, anchor, base, np.int64(code), sizes, sizes)
+        leaving = np.clip(landed - shifted, 0, source_length + 1 - sizes)
+        for cell in np.flatnonzero(leaving):
+            kernel += int(leaving[cell]) * heads(int(sizes[cell]))
+    return kernel
 
 
 def compressed_translation_index(

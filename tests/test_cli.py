@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from twistzeta.ckalg import Monomial, _prefix_walk
 from twistzeta.cochain import (
-    _largest_window_key,
     boundary_translation_index,
     cochain_word_trace,
     compressed_kernel_dimension,
@@ -321,41 +320,24 @@ def test_sweeps_below_the_schema_minimum_exit_two(argv, capsys):
 
 
 def test_free_group_windows_past_the_vertex_budget_are_refused(capsys):
-    """The smallest refused window at d=2, an input that ran unbounded
-    before the budget and d=41, the smallest d whose cochain word traces
-    alone pass the budget, all exit 2 at once, naming the estimate and the
+    """The smallest refused window at d=2, 3 and 40, an input a hundred
+    million letters long and d=41, the smallest d whose cochain word traces
+    alone pass the budget, all exit 2 at once, naming the exact count,
+    1 + 2 (2d-1)^3 for the word traces and 2L + 1 for the window, and the
     largest accepted window."""
-    for argv, estimate in (
-        (["--L", "13"], "2.39e+06"),
-        (["--d", "8", "--L", "9"], "4.12e+10"),
-        (["--d", "41", "--L", "1"], "1.06e+06"),
+    for argv, vertices, accepted in (
+        (["--L", "499973"], 1 + 2 * 3**3 + 2 * 499973 + 1, "d=2 is L=499972"),
+        (["--d", "3", "--L", "499875"], 1 + 2 * 5**3 + 2 * 499875 + 1, "d=3 is L=499874"),
+        (["--d", "40", "--L", "6961"], 1 + 2 * 79**3 + 2 * 6961 + 1, "d=40 is L=6960"),
+        (["--L", "100000000"], 1 + 2 * 3**3 + 2 * 10**8 + 1, "d=2 is L=499972"),
+        (["--d", "41", "--L", "1"], 1 + 2 * 81**3 + 2 + 1, "d=41 is none"),
     ):
         start = time.perf_counter()
         assert main(["counterexample", "--family", "free_group", *argv]) == 2
         assert time.perf_counter() - start < 0.5
         err = capsys.readouterr().err
-        assert f"visits about {estimate} vertices" in err
-        assert "largest window accepted at d=" in err
-    assert main(["counterexample", "--family", "free_group", "--L", "100000000"]) == 2
-    assert "largest window accepted at d=2 is L=12" in capsys.readouterr().err
-    assert main(["counterexample", "--family", "free_group", "--d", "41"]) == 2
-    assert "largest window accepted at d=41 is none" in capsys.readouterr().err
-
-
-def test_every_accepted_free_group_window_fits_int64_keys():
-    """Arithmetic only: the largest target key of every window the budget
-    accepts stays below 2**63, so the kernel window's own guard never
-    refuses a command-line input.  From d=41 on, 500000 included, the word traces
-    alone pass the budget, so no L is accepted.  L stops at 63, far past
-    any accepted window, so a cost that never refuses fails here instead of
-    looping."""
-    widest = 0
-    for generators in (*range(2, 61), 500_000):
-        for length in range(1, 64):
-            if _over_budget("counterexample", _free_group_window(generators, length)):
-                break
-            widest = max(widest, _largest_window_key(2 * generators + 1, length))
-    assert widest == _largest_window_key(5, 12) < 2**63
+        assert f"visits {vertices} vertices, above the budget of 1000000" in err
+        assert f"largest window accepted at {accepted}" in err
 
 
 def test_circle_windows_past_the_mode_budget_are_refused(capsys):
@@ -373,12 +355,14 @@ def test_circle_windows_past_the_mode_budget_are_refused(capsys):
 
 
 def test_largest_accepted_free_group_window_ends_in_a_verdict():
-    """d=2 L=12 in a fresh interpreter, so its peak memory (about 90 MB)
-    is returned when it ends; about 0.5 s with the interpreter start."""
+    """d=2 L=499972 in a fresh interpreter, so its peak memory (about
+    60 MB) is returned when it ends: a PASS in about 0.3 s with the
+    interpreter start, held to 2 s here."""
     source = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))
-    argv = ["counterexample", "--family", "free_group", "--L", "12"]
+    argv = ["counterexample", "--family", "free_group", "--L", "499972"]
+    start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "twistzeta.cli", *argv],
         env=env,
@@ -387,6 +371,7 @@ def test_largest_accepted_free_group_window_ends_in_a_verdict():
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    assert time.perf_counter() - start < 2.0
     assert "PASS index pairing by windowed kernel dimensions: computed -1" in done.stdout
 
 
@@ -523,15 +508,26 @@ def _circle_window(family: str, max_mode: int) -> dict[str, object]:
 # or refuses (the refusal's expected text).
 DECLARED_COSTS = {
     # Defaults, criterion 04 and the boundary-index benchmark (d2L9, d2L8,
-    # d3L6), the largest accepted windows, and the smallest refused ones.
+    # d3L6), the windows that the int64 target keys once capped (d2L24,
+    # d3L19), the largest accepted windows, and the smallest refused ones.
     "vertices": (
         *(
             ("counterexample", _free_group_window(generators, length), None)
-            for generators, length in ((2, 9), (2, 8), (3, 6), (2, 12), (3, 8), (40, 1))
+            for generators, length in (
+                (2, 9),
+                (2, 8),
+                (3, 6),
+                (2, 24),
+                (3, 19),
+                (2, 499972),
+                (3, 499874),
+                (40, 1),
+                (40, 6960),
+            )
         ),
         *(
             ("counterexample", _free_group_window(generators, length), "above the budget")
-            for generators, length in ((2, 13), (3, 9), (41, 1))
+            for generators, length in ((2, 499973), (3, 499875), (40, 6961), (41, 1))
         ),
     ),
     # The CLI test (M=64), the default and criterion 06 (M=128) and the
@@ -649,7 +645,7 @@ def test_run_refuses_an_over_budget_config_without_calling_its_runner(monkeypatc
         raise AssertionError(f"the runner was called on {params}")
 
     for experiment, flags in (
-        ("counterexample", {"L": "13"}),
+        ("counterexample", {"L": "499973"}),
         ("counterexample", {"family": "moebius", "M": "2049"}),
         ("heat-oracle", {"L": "8193"}),
         ("damp-sweep", {"L": "6145"}),

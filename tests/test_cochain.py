@@ -40,9 +40,9 @@ from twistzeta.ckalg import Monomial
 from twistzeta.circle import TrigPoly, build_dirac, mult_op
 from twistzeta.cochain import (
     CounterexampleReport,
-    _largest_window_key,
+    _head_codes,
+    _head_count,
     _translate,
-    _window_nullity,
     boundary_translation_index,
     circle_cochain,
     circle_word_trace,
@@ -144,11 +144,12 @@ def boundary_act_on_vertex(
     return image
 
 
-def boundary_kernel_dimension(
+def boundary_window_columns(
     element: CKElement, tail: BoundaryPoint, model: FreeGroup, source_length: int
-) -> int:
-    """Kernel dimension of the windowed compression, column by column over
-    the reduced words not ending in the inverse tail letter."""
+) -> list[dict[VertexKey, Fraction]]:
+    """Columns of the windowed compression over the reduced words not
+    ending in the inverse tail letter, each keeping the targets of
+    nonnegative eigenvalue."""
     blocked = model.inverse(tail.period[0])
     growth = max((len(mono.out_word) for mono, _ in element.terms), default=0)
     columns = []
@@ -165,7 +166,7 @@ def boundary_kernel_dimension(
                     raise ValueError("the image escaped the certified window")
                 column[vertex_key(target, tail, model)] = coeff
             columns.append(column)
-    return eliminated_nullity(columns, {})
+    return columns
 
 
 def test_multiindex_weight_matches_the_stated_small_cases():
@@ -493,24 +494,37 @@ def test_compressed_kernel_dimension_sees_the_missing_basis_vector():
         compressed_kernel_dimension(0, 4, model, 4)
 
 
-def test_window_keys_past_int64_are_refused(monkeypatch):
-    """The first window whose key bound base**(L + 2) * (L + 2) reaches
-    2**63 is refused before a single head is built; the one below it is
-    shown to fit by the arithmetic alone (d=2: L=23 fits, 5**25 * 25 <
-    2**63, and L=24 does not)."""
+def test_windows_past_the_old_key_range_give_the_kernel_indicator():
+    """d=2 L=24 and d=3 L=19, the first windows whose int64 target keys
+    could pass 2**63 and which were refused for it, and a window of a
+    million letters: the kernel dimension is 1 exactly when the letter is
+    the anchor's inverse, for every anchor and letter."""
+    for generators, lengths in ((2, (24, 10**6)), (3, (19,))):
+        model = FreeGroup(generators)
+        for anchor in range(model.size):
+            for letter in range(model.size):
+                expected = int(model.inverse(letter) == anchor)
+                for source_length in lengths:
+                    assert compressed_kernel_dimension(
+                        letter, anchor, model, source_length
+                    ) == expected
 
-    def unbuilt(*args):
-        raise AssertionError("a head was built for a refused window")
 
-    monkeypatch.setattr("twistzeta.cochain._head_codes", unbuilt)
-    for generators, first_refused in ((2, 24), (3, 19)):
+def test_head_counts_by_first_letter_match_the_enumerated_heads():
+    """The multiplicities a leaving cell of the kernel count would read:
+    every head of each length, and those of each first letter, as
+    _head_codes enumerates them, for every anchor of d=1 to 4."""
+    for generators, top in ((1, 4), (2, 7), (3, 5), (4, 4)):
         model = FreeGroup(generators)
         base = model.size + 1
-        assert _largest_window_key(base, first_refused - 1) < 2**63
-        assert _largest_window_key(base, first_refused) >= 2**63
-        for letter in range(model.size):
-            with pytest.raises(ValueError, match="64-bit"):
-                compressed_kernel_dimension(letter, 0, model, first_refused)
+        for anchor in range(model.size):
+            for length, heads in enumerate(_head_codes(model, anchor, top, base)):
+                if length == 0:
+                    continue
+                assert _head_count(model, anchor, None, length) == heads.size
+                firsts = np.bincount(heads % base - 1, minlength=model.size)
+                for first in range(model.size):
+                    assert _head_count(model, anchor, first, length) == firsts[first]
 
 
 def test_compressed_translation_index_confirms_the_formula():
@@ -611,16 +625,22 @@ def test_translation_step_matches_both_oracles():
 
 
 def test_compressed_kernel_dimension_matches_the_boundary_oracle():
-    for generators, top in ((2, 5), (3, 4)):
+    """The count equals the exact elimination of the oracle's window, whose
+    kept columns never share a target: a translation permutes the
+    vertices, which is the premise of counting leaving columns."""
+    for generators, top in ((2, 5), (3, 4), (4, 3)):
         model = FreeGroup(generators)
         for anchor in range(model.size):
             tail = BoundaryPoint((), (anchor,))
             for letter in range(model.size):
                 unitary = group_unitary(letter, model)
                 for source_length in range(1, top + 1):
+                    columns = boundary_window_columns(unitary, tail, model, source_length)
+                    targets = [target for column in columns for target in column]
+                    assert len(targets) == len(set(targets))
                     assert compressed_kernel_dimension(
                         letter, anchor, model, source_length
-                    ) == boundary_kernel_dimension(unitary, tail, model, source_length)
+                    ) == eliminated_nullity(columns, {})
 
 
 def test_sparse_nullity_counts_targets_and_eliminates_the_rest():
@@ -630,18 +650,14 @@ def test_sparse_nullity_counts_targets_and_eliminates_the_rest():
 
     def check(columns: list[dict[VertexKey, Fraction]], nullity: int) -> None:
         assert eliminated_nullity(columns, {}) == nullity
-        if all(len(column) <= 1 for column in columns):
-            key = [word_code(head, 5) * 8 + offset for column in columns for head, offset in column]
-            assert _window_nullity(len(columns), np.array(key, dtype=np.int64)) == nullity
 
     check([{first: Fraction(2)}, {}, {second: Fraction(-1)}, {}], 2)
     # Two sources hitting one target: the nonempty columns overcount the
-    # rank by one, in the window's count and in the elimination.
+    # rank by one.
     merged = [{first: Fraction(1)}, {second: Fraction(1)}, {first: Fraction(3)}]
     check(merged, 3 - 2)
     check(merged + [{third: Fraction(1)}, {first: Fraction(-1)}], 5 - 3)
-    # Columns with two entries, which only the elimination takes: their
-    # entries overcount the rank.
+    # Columns with two entries: their entries overcount the rank.
     check(merged + [{second: Fraction(1), third: Fraction(1)}, {first: Fraction(-1)}], 5 - 3)
     for spread, rank in (
         ([{first: Fraction(1), second: Fraction(1)}], 1),

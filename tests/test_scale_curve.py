@@ -46,7 +46,7 @@ def test_one_small_point_of_every_target_ends_in_its_outcome():
     assert _all_passed(outcomes["counterexample"])
     assert _all_passed(outcomes["circle"])
     assert outcomes["unitary"] < 1e-8
-    assert rows[0]["vertices"] == 1 + 3 + 9 + 2 * 27
+    assert rows[0]["vertices"] == 1 + 2 * 27 + 2 * 2 + 1
     heat, *sweeps = rows[4:]
     assert heat["experiment"] == "heat-oracle" and max(heat["computed"]) < 1e-12
     for sweep in sweeps:
@@ -111,7 +111,8 @@ def test_one_point_of_the_census_target_ends_in_its_outcome():
 
 def test_one_point_of_the_assembly_target_ends_in_its_outcome():
     """One stage of a1 at d=2, as the one child the harness starts for
-    that point: the pole classes of the heat slice and of the word slice."""
+    that point: the pole classes of the heat slice and of the word slice,
+    and the fastest of the calls it timed."""
     source = Path(__file__).resolve().parents[1] / "src"
     env = {"PYTHONPATH": str(source), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
@@ -128,7 +129,7 @@ def test_one_point_of_the_assembly_target_ends_in_its_outcome():
         ["0 even 1", "0 odd 2", "log(2d-1) even 2"],
         ["0 even 1", "0 odd 1", "log(2d-1) even 1"],
     ]
-    assert row["seconds"] > 0 and row["blas_threads"] == 1
+    assert row["seconds"] > 0 and row["blas_threads"] == 1 and row["calls"] == 30
 
 
 def test_an_experiment_target_measures_past_the_budget():

@@ -333,6 +333,12 @@ def literal_toeplitz_trace(
     return total
 
 
+def plain_eigenvalue(depth: int, offset: int) -> int:
+    """The eigenvalue max(o, t, t - 2o) of settle depth t and offset o in
+    plain ints: the oracle's own, not ``settled_eigenvalue``, which it checks."""
+    return max(offset, depth, depth - 2 * offset)
+
+
 def literal_window_sum(
     summary, model: FreeGroup, s: Sequence[float], truncation: int
 ) -> float:
@@ -340,8 +346,8 @@ def literal_window_sum(
 
     Independent oracle of the closed-form window sums in
     ``_windowed_heat_value``, with escape counts from the predecessor-list
-    transfer matrix; the counts are converted to float, so it is only
-    usable where they fit.
+    transfer matrix and eigenvalues from ``plain_eigenvalue``; the counts
+    are converted to float, so it is only usable where they fit.
     """
     limit = truncation
     omegas = summary.omegas
@@ -355,7 +361,7 @@ def literal_window_sum(
         for offset in range(2 * terminal - limit, limit + 1):
             partial += math.exp(
                 -sum(
-                    sj * settled_eigenvalue(t, offset + w)
+                    sj * plain_eigenvalue(t, offset + w)
                     for sj, t, w in zip(s, depths, omegas)
                 )
             )
@@ -372,7 +378,7 @@ def literal_window_sum(
                 for offset in range(2 * settle - limit, limit + 1):
                     inner += math.exp(
                         -sum(
-                            sj * settled_eigenvalue(sl + depth, offset + w)
+                            sj * plain_eigenvalue(sl + depth, offset + w)
                             for sj, sl, w in zip(s, sigma_lengths, omegas)
                         )
                     )

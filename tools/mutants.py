@@ -1,0 +1,190 @@
+"""Negative controls as a checked-in table: mutants of the program that
+named tests must kill.
+
+Usage, from the root of a checkout::
+
+    python3 tools/mutants.py
+    python3 tools/mutants.py --rows kernel-clip-off-by-one,run-skips-the-cost-check
+
+Each row of ``MUTANTS`` gives a file, the exact old text, which must occur
+in that file exactly once, the new text, and the test node ids that must
+fail.  Every selected row is checked before any of them runs: a row whose
+old text is missing or repeated is stale, and the tool refuses it with exit
+code 2, never a pass.  Each row then runs on a temporary copy of the tree
+with its mutant applied: its tests run in a fresh interpreter with one
+BLAS thread and no bytecode written, and the row is killed when every
+named test fails.  A row that survives or passes its time limit is not
+killed.  One line per row gives the outcome and the seconds taken; the
+last line of standard output is one JSON object with every row and the
+total seconds.  The exit code is 0 when every row is killed, else 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# The parts of the tree a mutant's tests read.
+COPIED = ("src", "tests", "tools")
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Seconds a row's tests may take; a mutant that hangs them is not killed.
+ROW_TIMEOUT = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "kernel-clip-off-by-one",
+        "src/twistzeta/cochain.py",
+        "np.clip(landed - shifted, 0,",
+        "np.clip(landed - shifted - 1, 0,",
+        (
+            "tests/test_cochain.py::test_compressed_kernel_dimension_sees_the_missing_basis_vector",
+            "tests/test_cochain.py::test_compressed_kernel_dimension_matches_the_boundary_oracle",
+        ),
+    ),
+    Mutant(
+        "kernel-empty-head-counted-twice",
+        "src/twistzeta/cochain.py",
+        "(0, lengths[:1], lambda n: 1),",
+        "(0, lengths[:1], lambda n: 2),",
+        (
+            "tests/test_cochain.py::test_compressed_kernel_dimension_sees_the_missing_basis_vector",
+            "tests/test_cochain.py::test_windows_past_the_old_key_range_give_the_kernel_indicator",
+        ),
+    ),
+    Mutant(
+        "one-letter-head-counted-in-any-class",
+        "src/twistzeta/cochain.py",
+        "return int((first ^ anchor) >= 2)",
+        "return 1",
+        ("tests/test_cochain.py::test_head_counts_by_first_letter_match_the_enumerated_heads",),
+    ),
+    Mutant(
+        "translate-without-empty-head-absorption",
+        "src/twistzeta/cochain.py",
+        "grow = ~strip & ~(empty & (letter == anchor))",
+        "grow = ~strip",
+        (
+            "tests/test_cochain.py::test_translation_step_matches_both_oracles",
+            "tests/test_cochain.py::test_cochain_word_trace_is_the_rank_one_projection_value",
+        ),
+    ),
+    Mutant(
+        "word-trace-without-sign-flip",
+        "src/twistzeta/cochain.py",
+        "            coeff *= moved - now\n",
+        "",
+        ("tests/test_cochain.py::test_cochain_word_trace_is_the_rank_one_projection_value",),
+    ),
+    Mutant(
+        "settled-eigenvalue-without-reflection",
+        "src/twistzeta/words.py",
+        "value = np.maximum(np.maximum(offset, depth), depth - 2 * offset)",
+        "value = np.maximum(offset, depth)",
+        ("tests/test_words.py::test_settled_eigenvalue_matches_sync_composition",),
+    ),
+    Mutant(
+        "transfer-step-keeps-the-shared-count",
+        "src/twistzeta/words.py",
+        "others = rest * total - others",
+        "others = rest * total",
+        ("tests/test_words.py::test_free_group_step_matches_the_predecessor_lists",),
+    ),
+    Mutant(
+        "run-skips-the-cost-check",
+        "src/twistzeta/cli.py",
+        "for count in experiment.cost(config.parameters):",
+        "for count in ():",
+        ("tests/test_cli.py::test_run_refuses_an_over_budget_config_without_calling_its_runner",),
+    ),
+)
+
+
+def mutated_text(row: Mutant, root: Path) -> str:
+    """The row's file under ``root`` with the mutant applied; a stale row,
+    whose old text is missing or repeated, raises ValueError."""
+    text = (root / row.path).read_text()
+    found = text.count(row.old)
+    if found != 1:
+        raise ValueError(f"stale row {row.name}: its old text occurs {found} times in {row.path}")
+    return text.replace(row.old, row.new)
+
+
+def run_row(row: Mutant, root: Path) -> dict[str, object]:
+    """Apply one mutant to a temporary copy of ``root`` and run its tests."""
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in COPIED:
+            shutil.copytree(root / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        (copy / row.path).write_text(mutated_text(row, root))
+        env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        env.update(dict.fromkeys(BLAS_VARIABLES, "1"))
+        argv = ["-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider", *row.tests]
+        try:
+            done = subprocess.run(
+                [sys.executable, *argv],
+                cwd=copy,
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=ROW_TIMEOUT,
+            )
+        except subprocess.TimeoutExpired:
+            outcome = "timed out"
+        else:
+            lines = done.stdout.splitlines()
+            killed = all(
+                any(line == f"FAILED {test}" or line.startswith(f"FAILED {test} - ") for line in lines)
+                for test in row.tests
+            )
+            outcome = "killed" if killed else "survived"
+    return {"name": row.name, "outcome": outcome, "seconds": time.perf_counter() - start}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rows", help="comma-separated row names; every row by default")
+    args = parser.parse_args(argv)
+    rows = {row.name: row for row in MUTANTS}
+    names = args.rows.split(",") if args.rows else list(rows)
+    unknown = sorted(set(names) - set(rows))
+    if unknown:
+        parser.error(f"unknown rows {', '.join(unknown)}; known: {', '.join(rows)}")
+    for name in names:
+        try:
+            mutated_text(rows[name], ROOT)
+        except ValueError as err:
+            print(f"mutants: {err}", file=sys.stderr)
+            return 2
+    start = time.perf_counter()
+    results = []
+    for name in names:
+        result = run_row(rows[name], ROOT)
+        results.append(result)
+        print(f"{result['outcome']} {name}: {result['seconds']:.1f} s", flush=True)
+    total = time.perf_counter() - start
+    print(json.dumps({"rows": results, "seconds": total}))
+    return 0 if all(result["outcome"] == "killed" for result in results) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
