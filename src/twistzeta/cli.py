@@ -24,7 +24,7 @@ import numpy as np
 
 from twistzeta.ckalg import Monomial
 from twistzeta.circle import build_dirac
-from twistzeta.cochain import COUNTEREXAMPLE_FAMILIES, counterexample_verdict
+from twistzeta.cochain import COUNTEREXAMPLE_FAMILIES, counterexample_verdict, word_trace_vertices
 from twistzeta.damp import (
     free_group_summability,
     sgnlog_transform,
@@ -37,7 +37,7 @@ from twistzeta.traces import (
     closed_form_heat_trace,
     closed_form_toeplitz_trace,
     poles_and_laurent,
-    specialize_shifts,
+    single_variable,
 )
 from twistzeta.words import FreeGroup
 
@@ -344,12 +344,6 @@ def _free_group_setup(params: Mapping[str, object]) -> tuple[FreeGroup, int]:
     return model, anchor
 
 
-def _single_variable(trace):
-    if trace.nvars == 1:
-        return trace
-    return specialize_shifts(trace, [0] * trace.nvars)
-
-
 def _run_heat_oracle(params: dict[str, object]) -> list[CheckRecord]:
     model, anchor = _free_group_setup(params)
     chain = parse_chain(str(params["chain"]), model)
@@ -386,7 +380,7 @@ def _run_pole_audit(params: dict[str, object]) -> list[CheckRecord]:
     chain = parse_chain(str(params["chain"]), model)
     checks = []
 
-    heat_poles = poles_and_laurent(_single_variable(closed_form_heat_trace(chain, anchor, model)))
+    heat_poles = poles_and_laurent(single_variable(closed_form_heat_trace(chain, anchor, model)))
     points = ", ".join(_pole_points(heat_poles, branching)) or "none"
     checks.append(
         CheckRecord(
@@ -417,7 +411,7 @@ def _run_pole_audit(params: dict[str, object]) -> list[CheckRecord]:
     )
 
     word_poles = poles_and_laurent(
-        _single_variable(closed_form_toeplitz_trace(chain, anchor, model))
+        single_variable(closed_form_toeplitz_trace(chain, anchor, model))
     )
     points = ", ".join(_pole_points(word_poles, branching)) or "none"
     deepest = max((pole.order for pole in word_poles), default=0)
@@ -609,20 +603,21 @@ def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
 
 # Vertices the free-group counterexample may visit: its two cochain word
 # traces and its kernel window.  Measured by tools/scale_curve.py, target
-# index (BENCH_26.json), on one core: d=40 at L=1, the largest accepted d,
-# takes about 0.2 s and 100 MB, nearly all of it in the word traces.
+# index (BENCH_27.json), on one core: d=39, the largest accepted d, takes
+# about 0.17 s and 98 MB at L=1 and at L=31452, nearly all of it in the
+# word traces.
 FREE_GROUP_VERTEX_BUDGET = 1_000_000
 
 
 def _vertex_cost(generators: int, length: int) -> tuple[Count, ...]:
     """Vertices of the free-group counterexample, counted in integers.
 
-    The cochain word traces of arity one and three walk the heads of at
-    most three letters, counted as 1 + 2 (2d-1)^3.  The kernel window
-    translates one representative head per letter class and length, 2L + 1
-    of them, so the largest accepted L is a quotient.
+    The cochain word traces of arity one and three each walk every head of
+    n <= 3 letters at 7 - 2n offsets.  The kernel window translates one
+    representative head per letter class and length, 2L + 1 of them, so
+    the largest accepted L is a quotient.
     """
-    traced = 1 + 2 * (2 * generators - 1) ** 3
+    traced = 2 * word_trace_vertices(FreeGroup(generators))
     vertices = traced + 2 * length + 1
     largest = (FREE_GROUP_VERTEX_BUDGET - traced - 1) // 2
     accepted = f"L={largest}" if largest >= 1 else "none"

@@ -227,6 +227,26 @@ def compressed_translation_index(
     return kernel - cokernel
 
 
+# Letters past the anchor region that a translation reads or writes; the
+# word trace walks a window two letters wider.
+_TRACE_REACH = 1
+
+
+def _trace_offsets(length: int) -> range:
+    """Offsets of the word trace over a head of ``length`` letters: its group
+    words of at most reach + 2 letters, padded with anchors or inverses."""
+    return range(2 * length - _TRACE_REACH - 2, _TRACE_REACH + 3)
+
+
+def word_trace_vertices(model: FreeGroup) -> int:
+    """Vertices one :func:`cochain_word_trace` walks, at any arity and
+    anchor: per length, the heads times their offsets.  The heads of n >= 1
+    letters are the transfer count of words ending in any other letter, as
+    in :func:`_head_count`."""
+    heads = [1] + [count for *_, count in transfer_counts(model, None, _TRACE_REACH + 2)]
+    return sum(len(_trace_offsets(n)) * count for n, count in enumerate(heads))
+
+
 def cochain_word_trace(
     letters: Sequence[int],
     anchor: int,
@@ -253,13 +273,10 @@ def cochain_word_trace(
         model.check_letter(letter)
     model.check_letter(anchor)
     arity = len(letters) - 1
-    reach = 1
     base = model.size + 1
     trace: dict[tuple[int, int], Fraction] = {}
-    for length, heads in enumerate(_head_codes(model, anchor, reach + 2, base)):
-        # The group words of at most reach + 2 letters over these heads:
-        # each head padded with anchor letters, or with their inverses.
-        offsets = np.arange(2 * length - reach - 2, reach + 3)
+    for length, heads in enumerate(_head_codes(model, anchor, _TRACE_REACH + 2, base)):
+        offsets = np.array(_trace_offsets(length))
         code, offset = np.repeat(heads, offsets.size), np.tile(offsets, heads.size)
         modulus = settled_eigenvalue(length, offset)
         sign = np.where(offset >= length, 1, -1)
@@ -272,7 +289,7 @@ def cochain_word_trace(
             moved = np.where(vertex[2] >= vertex[1], 1, -1)
             coeff *= moved - now
             now = moved
-        inside = length + np.abs(offset - length) <= reach
+        inside = length + np.abs(offset - length) <= _TRACE_REACH
         if np.any(coeff[~inside]):
             raise ValueError("a column escaped the certified support bound")
         landed, _, shifted = _translate(letters[0], anchor, base, *vertex)

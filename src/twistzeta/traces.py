@@ -42,7 +42,7 @@ PLAIN_ATOM = "1-E"
 ALTERNATING_ATOM = "1+E"
 BRANCH_ATOM = "1-(2d-1)E"
 
-TermKey = tuple[int, tuple[int, ...]]
+TermKey = tuple[int, ...]
 
 
 def _as_float(value: Fraction | int, what: str) -> float:
@@ -56,16 +56,16 @@ def _as_float(value: Fraction | int, what: str) -> float:
 
 @dataclass(frozen=True)
 class ExpSum:
-    """Finite sum of terms coeff * e^{-const_exp} * e^{-<exp_vector, s>}.
+    """Finite sum of terms coeff * e^{-<exp_vector, s>}.
 
     Entire in all variables; coefficients are exact rationals.
     """
 
     nvars: int
-    terms: tuple[tuple[int, tuple[int, ...], Fraction], ...]
+    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     def __post_init__(self) -> None:
-        for const_exp, vector, coeff in self.terms:
+        for vector, coeff in self.terms:
             if len(vector) != self.nvars:
                 raise ValueError("exponent vector length must match nvars")
             if not coeff:
@@ -73,19 +73,14 @@ class ExpSum:
 
     @staticmethod
     def from_terms(nvars: int, entries: dict[TermKey, Fraction]) -> ExpSum:
-        kept = sorted(
-            (const_exp, vector, coeff)
-            for (const_exp, vector), coeff in entries.items()
-            if coeff
-        )
-        return ExpSum(nvars, tuple(kept))
+        return ExpSum(nvars, tuple(sorted((v, q) for v, q in entries.items() if q)))
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def as_dict(self) -> dict[TermKey, Fraction]:
-        return {(c, v): q for c, v, q in self.terms}
+        return dict(self.terms)
 
     def evaluate(self, s: Sequence[complex]) -> complex:
         """Sum of the terms at s; a coefficient or exponential past the float
@@ -93,8 +88,8 @@ class ExpSum:
         if len(s) != self.nvars:
             raise ValueError("need one value per variable")
         total = 0j
-        for const_exp, vector, coeff in self.terms:
-            exponent = -const_exp - sum(v * sj for v, sj in zip(vector, s))
+        for vector, coeff in self.terms:
+            exponent = -sum(v * sj for v, sj in zip(vector, s))
             try:
                 total += float(coeff) * cmath.exp(exponent)
             except OverflowError:
@@ -241,7 +236,7 @@ class _Accumulator:
         if not coeff:
             return
         numerator = self.numerators.setdefault(tuple(sorted(factors.items())), {})
-        key = (0, tuple(vector))
+        key = tuple(vector)
         numerator[key] = numerator.get(key, Fraction(0)) + coeff
 
     def build(self) -> MeromorphicTrace:
@@ -797,27 +792,20 @@ def brute_force_toeplitz_trace(
     return OracleResult(value, bound)
 
 
-def specialize_shifts(
-    trace: MeromorphicTrace, shifts: Sequence[int]
-) -> MeromorphicTrace:
-    """Single-variable slice along consecutive shift differences.
+def single_variable(trace: MeromorphicTrace) -> MeromorphicTrace:
+    """Single-variable slice s_1 = ... = s_{m-1} = 0, s_m = s.
 
-    Variable j becomes the constant shifts[j] - shifts[j+1] for j < m and
-    the last variable becomes s + shifts[m-1] - shifts[0]; the differences
-    telescope, so e^{-(s_1+...+s_m)} turns into e^{-s} and the denominator
-    atoms pass through unchanged.
+    Each term keeps the last coordinate of its exponent vector; the sum
+    s_1 + ... + s_m becomes s, so the denominator atoms pass through
+    unchanged.  A one-variable trace is returned as it is.
     """
-    if len(shifts) != trace.nvars:
-        raise ValueError("need one shift per variable")
-    stages = trace.nvars
+    if trace.nvars == 1:
+        return trace
     parts: dict[Denom, ExpSum] = {}
     for denom, numerator in trace.parts:
         entries: dict[TermKey, Fraction] = {}
-        for const_exp, vector, coeff in numerator.terms:
-            moved = const_exp + vector[-1] * (shifts[-1] - shifts[0])
-            for j in range(stages - 1):
-                moved += vector[j] * (shifts[j] - shifts[j + 1])
-            key = (moved, (vector[-1],))
+        for vector, coeff in numerator.terms:
+            key = vector[-1:]
             entries[key] = entries.get(key, Fraction(0)) + coeff
         parts[denom] = ExpSum.from_terms(1, entries)
     return MeromorphicTrace.from_parts(trace.d, 1, parts)
@@ -829,15 +817,14 @@ class PoleDatum:
 
     The location is base + i*pi for odd parity, base for even parity, both
     modulo 2*pi*i; ``principal`` lists the exact Laurent coefficients of
-    (s - location)^{-order} through (s - location)^{-1}, each a sum of
-    rational multiples of e^{-integer}: an ``ExpSum`` in no variables.
+    (s - location)^{-order} through (s - location)^{-1}, each a rational.
     """
 
     base_label: str
     base_value: float
     parity: str
     order: int
-    principal: tuple[ExpSum, ...]
+    principal: tuple[Fraction, ...]
 
 
 def _phi_series(order: int) -> list[Fraction]:
@@ -905,27 +892,23 @@ def poles_and_laurent(trace: MeromorphicTrace) -> list[PoleDatum]:
         if not powers:
             continue
         base_value = math.log(branching) if atom == BRANCH_ATOM else 0.0
-        principal: dict[int, dict[TermKey, Fraction]] = {}
+        principal: dict[int, Fraction] = {}
         for power, numerator in powers.items():
             rows = _reciprocal_moments(power)
-            for const_exp, (v,), coeff in numerator.terms:
+            for (v,), coeff in numerator.terms:
                 num, den = coeff.numerator, coeff.denominator
                 if atom == ALTERNATING_ATOM and v % 2:
                     num = -num
                 elif atom == BRANCH_ATOM:
                     num, den = (num, den * branching**v) if v >= 0 else (num * branching**-v, den)
-                key = (const_exp, ())
                 for k, (weights, scale) in enumerate(rows):
                     moment = sum(w * (-v) ** i for i, w in enumerate(weights))
                     if moment:
-                        entries = principal.setdefault(k - power, {})
-                        entries[key] = entries.get(key, 0) + Fraction(num * moment, den * scale)
-        true_order = max(
-            (-exponent for exponent, entries in principal.items() if any(entries.values())),
-            default=0,
-        )
+                        share = Fraction(num * moment, den * scale)
+                        principal[k - power] = principal.get(k - power, 0) + share
+        true_order = max((-exponent for exponent, q in principal.items() if q), default=0)
         if true_order == 0:
             continue
-        coefficients = [ExpSum.from_terms(0, principal.get(e, {})) for e in range(-true_order, 0)]
-        found.append(PoleDatum(label, base_value, parity, true_order, tuple(coefficients)))
+        coefficients = tuple(principal.get(e, Fraction(0)) for e in range(-true_order, 0))
+        found.append(PoleDatum(label, base_value, parity, true_order, coefficients))
     return found

@@ -95,9 +95,9 @@ def transfer_counts(
         yield n0, n1, n2 + n3 + others
 
 
-def settled_eigenvalue(depth: np.ndarray | int, offset: np.ndarray | int) -> np.ndarray | int:
+def settled_eigenvalue(depth: np.ndarray | int, offset: np.ndarray | int) -> np.ndarray:
     """Absolute Dirac eigenvalue of a vertex whose word settles at ``depth``,
-    elementwise over arrays, and a Python int for two scalars.
+    elementwise over arrays.
 
     The synchronization depth of such a vertex is
     ``k = max(max(0, -offset), depth - offset)``; its eigenvalue is the
@@ -107,7 +107,7 @@ def settled_eigenvalue(depth: np.ndarray | int, offset: np.ndarray | int) -> np.
     if (np.asarray(depth) < 0).any():
         raise ValueError("settle depth is nonnegative")
     value = np.maximum(np.maximum(offset, depth), depth - 2 * offset)
-    return value if isinstance(value, np.ndarray) else int(value)
+    return value
 
 
 Species = tuple[tuple[Fraction, int], ...]

@@ -45,7 +45,7 @@ from twistzeta.traces import (
     closed_form_heat_trace,
     closed_form_toeplitz_trace,
     poles_and_laurent,
-    specialize_shifts,
+    single_variable,
 )
 from twistzeta.words import FreeGroup
 
@@ -147,17 +147,13 @@ def test_criterion_03_pole_set_exactness():
         model = FreeGroup(d)
         first = model.letter_index("a1")
         for chain in _sample_chains(model):
-            heat = closed_form_heat_trace(chain, first, model)
-            if heat.nvars > 1:
-                heat = specialize_shifts(heat, [0] * heat.nvars)
+            heat = single_variable(closed_form_heat_trace(chain, first, model))
             for pole in poles_and_laurent(heat):
                 heat_bases_ok &= pole.base_label in ("0", "log(2d-1)")
                 heat_orders_ok &= pole.order <= 2
                 if pole.order >= 2:
                     heat_double_ok &= pole.base_label == "log(2d-1)"
-            word = closed_form_toeplitz_trace(chain, first, model)
-            if word.nvars > 1:
-                word = specialize_shifts(word, [0] * word.nvars)
+            word = single_variable(closed_form_toeplitz_trace(chain, first, model))
             for pole in poles_and_laurent(word):
                 word_location_ok &= pole.base_label == "log(2d-1)"
                 word_orders_ok &= pole.order <= 1

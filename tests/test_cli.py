@@ -320,17 +320,18 @@ def test_sweeps_below_the_schema_minimum_exit_two(argv, capsys):
 
 
 def test_free_group_windows_past_the_vertex_budget_are_refused(capsys):
-    """The smallest refused window at d=2, 3 and 40, an input a hundred
-    million letters long and d=41, the smallest d whose cochain word traces
-    alone pass the budget, all exit 2 at once, naming the exact count,
-    1 + 2 (2d-1)^3 for the word traces and 2L + 1 for the window, and the
-    largest accepted window."""
+    """The smallest refused window at d=2, 3 and 39, an input a hundred
+    million letters long and d=40, the smallest d whose cochain word traces
+    alone pass the budget, all exit 2 at once, naming the exact count and
+    the largest accepted window.  The two word traces visit 106 vertices at
+    d=2, 374 at d=3, 937,094 at d=39 and 1,011,362 at d=40, and the window
+    2L + 1."""
     for argv, vertices, accepted in (
-        (["--L", "499973"], 1 + 2 * 3**3 + 2 * 499973 + 1, "d=2 is L=499972"),
-        (["--d", "3", "--L", "499875"], 1 + 2 * 5**3 + 2 * 499875 + 1, "d=3 is L=499874"),
-        (["--d", "40", "--L", "6961"], 1 + 2 * 79**3 + 2 * 6961 + 1, "d=40 is L=6960"),
-        (["--L", "100000000"], 1 + 2 * 3**3 + 2 * 10**8 + 1, "d=2 is L=499972"),
-        (["--d", "41", "--L", "1"], 1 + 2 * 81**3 + 2 + 1, "d=41 is none"),
+        (["--L", "499947"], 106 + 2 * 499947 + 1, "d=2 is L=499946"),
+        (["--d", "3", "--L", "499813"], 374 + 2 * 499813 + 1, "d=3 is L=499812"),
+        (["--d", "39", "--L", "31453"], 937094 + 2 * 31453 + 1, "d=39 is L=31452"),
+        (["--L", "100000000"], 106 + 2 * 10**8 + 1, "d=2 is L=499946"),
+        (["--d", "40", "--L", "1"], 1011365, "d=40 is none"),
     ):
         start = time.perf_counter()
         assert main(["counterexample", "--family", "free_group", *argv]) == 2
@@ -355,13 +356,13 @@ def test_circle_windows_past_the_mode_budget_are_refused(capsys):
 
 
 def test_largest_accepted_free_group_window_ends_in_a_verdict():
-    """d=2 L=499972 in a fresh interpreter, so its peak memory (about
+    """d=2 L=499946 in a fresh interpreter, so its peak memory (about
     60 MB) is returned when it ends: a PASS in about 0.3 s with the
     interpreter start, held to 2 s here."""
     source = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))
-    argv = ["counterexample", "--family", "free_group", "--L", "499972"]
+    argv = ["counterexample", "--family", "free_group", "--L", "499946"]
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "twistzeta.cli", *argv],
@@ -519,15 +520,15 @@ DECLARED_COSTS = {
                 (3, 6),
                 (2, 24),
                 (3, 19),
-                (2, 499972),
-                (3, 499874),
-                (40, 1),
-                (40, 6960),
+                (2, 499946),
+                (3, 499812),
+                (39, 1),
+                (39, 31452),
             )
         ),
         *(
             ("counterexample", _free_group_window(generators, length), "above the budget")
-            for generators, length in ((2, 499973), (3, 499875), (40, 6961), (41, 1))
+            for generators, length in ((2, 499947), (3, 499813), (39, 31453), (40, 1))
         ),
     ),
     # The CLI test (M=64), the default and criterion 06 (M=128) and the

@@ -36,6 +36,7 @@ from test_words import (
     word_key,
 )
 
+from twistzeta import cochain
 from twistzeta.ckalg import Monomial
 from twistzeta.circle import TrigPoly, build_dirac, mult_op
 from twistzeta.cochain import (
@@ -54,6 +55,7 @@ from twistzeta.cochain import (
     multiindex_cutoff,
     multiindex_weight,
     rising_half_coeffs,
+    word_trace_vertices,
 )
 from twistzeta.words import FreeGroup, Word
 
@@ -525,6 +527,28 @@ def test_head_counts_by_first_letter_match_the_enumerated_heads():
                 firsts = np.bincount(heads % base - 1, minlength=model.size)
                 for first in range(model.size):
                     assert _head_count(model, anchor, first, length) == firsts[first]
+
+
+def test_word_trace_vertices_count_the_translated_vertices(monkeypatch):
+    """The declared vertex count of one cochain word trace is what its walk
+    translates, per letter of the word, at arity one and three for every
+    anchor of d=2 to 4: 53 vertices at d=2 and 187 at d=3."""
+    sizes = []
+    translate = cochain._translate
+
+    def counted(letter, anchor, base, code, length, offset):
+        sizes.append(np.size(code))
+        return translate(letter, anchor, base, code, length, offset)
+
+    monkeypatch.setattr(cochain, "_translate", counted)
+    assert [word_trace_vertices(FreeGroup(d)) for d in (2, 3)] == [53, 187]
+    for generators in (2, 3, 4):
+        model = FreeGroup(generators)
+        for anchor in range(model.size):
+            for letters in ((1, 0), (2, 0, 3, 1)):
+                sizes.clear()
+                cochain_word_trace(letters, anchor, model)
+                assert sum(sizes) == len(letters) * word_trace_vertices(model)
 
 
 def test_compressed_translation_index_confirms_the_formula():

@@ -46,7 +46,7 @@ def test_one_small_point_of_every_target_ends_in_its_outcome():
     assert _all_passed(outcomes["counterexample"])
     assert _all_passed(outcomes["circle"])
     assert outcomes["unitary"] < 1e-8
-    assert rows[0]["vertices"] == 1 + 2 * 27 + 2 * 2 + 1
+    assert rows[0]["vertices"] == 106 + 2 * 2 + 1  # the word traces at d=2 and the L=2 window
     heat, *sweeps = rows[4:]
     assert heat["experiment"] == "heat-oracle" and max(heat["computed"]) < 1e-12
     for sweep in sweeps:

@@ -66,7 +66,7 @@ from twistzeta.traces import (
     closed_form_heat_trace,
     closed_form_toeplitz_trace,
     poles_and_laurent,
-    specialize_shifts,
+    single_variable,
 )
 from twistzeta.words import (
     FreeGroup,
@@ -144,26 +144,26 @@ def taylor_pole_oracle(trace: MeromorphicTrace) -> list[PoleDatum]:
             atom, Fraction(1, branching)
         )
         phi = _phi_series(max(powers))
-        principal: dict[int, dict] = {}
+        principal: dict[int, Fraction] = {}
         for power, numerator in powers.items():
             reciprocal = _series_power(phi, power, power - 1)
-            taylor = []
-            for i in range(power):
-                entries: dict = {}
-                for const_exp, (v,), coeff in numerator.terms:
-                    scale = coeff * root**v * Fraction((-v) ** i, math.factorial(i))
-                    entries[(const_exp, ())] = entries.get((const_exp, ()), Fraction(0)) + scale
-                taylor.append(entries)
+            taylor = [
+                sum(
+                    (
+                        coeff * root**v * Fraction((-v) ** i, math.factorial(i))
+                        for (v,), coeff in numerator.terms
+                    ),
+                    Fraction(0),
+                )
+                for i in range(power)
+            ]
             for exponent in range(-power, 0):
-                acc = principal.setdefault(exponent, {})
                 for i in range(power + exponent + 1):
-                    for key, value in taylor[i].items():
-                        step = value * reciprocal[power + exponent - i]
-                        acc[key] = acc.get(key, Fraction(0)) + step
-        sums = {exponent: ExpSum.from_terms(0, entries) for exponent, entries in principal.items()}
-        order = next((-e for e in sorted(sums) if not sums[e].is_zero), 0)
+                    step = taylor[i] * reciprocal[power + exponent - i]
+                    principal[exponent] = principal.get(exponent, Fraction(0)) + step
+        order = next((-e for e in sorted(principal) if principal[e]), 0)
         if order:
-            principal_parts = tuple(sums.get(e, ExpSum(0, ())) for e in range(-order, 0))
+            principal_parts = tuple(principal.get(e, Fraction(0)) for e in range(-order, 0))
             base_value = math.log(branching) if atom == BRANCH_ATOM else 0.0
             found.append(PoleDatum(label, base_value, parity, order, principal_parts))
     return found
@@ -183,7 +183,7 @@ class TermwiseAccumulator:
     def add_term(self, factors: dict[Fraction, int], vector, coeff: Fraction) -> None:
         if not coeff:
             return
-        key = (0, tuple(vector))
+        key = tuple(vector)
         for split, split_coeff in partial_fractions(factors).items():
             denom = (
                 ENTIRE_DENOM
@@ -218,7 +218,7 @@ def termwise_heat_trace(
         lower = -max(omegas)
         out.add_term({one: 1}, tuple(w + upper for w in omegas), weight)
         for offset in range(lower, upper):
-            vector = tuple(settled_eigenvalue(t, offset + w) for t, w in zip(depths, omegas))
+            vector = tuple(int(settled_eigenvalue(t, offset + w)) for t, w in zip(depths, omegas))
             out.add_term({}, vector, weight)
         out.add_term(
             {one: 1, flip: 1},
@@ -469,13 +469,10 @@ def literal_short_vectors(
 
 
 def test_expsum_arithmetic_is_exact():
-    entries = {(1, (0, 2)): Fraction(6), (0, (1, 0)): Fraction(1, 3) * 3, (0, (2, 2)): Fraction(0)}
+    entries = {(2, 2): Fraction(6), (1, 0): Fraction(1, 3) * 3, (0, 2): Fraction(0)}
     total = ExpSum.from_terms(2, entries)
-    assert total.terms == ((0, (1, 0), Fraction(1)), (1, (0, 2), Fraction(6)))
-    assert total.as_dict() == {
-        (0, (1, 0)): Fraction(1),
-        (1, (0, 2)): Fraction(6),
-    }
+    assert total.terms == (((1, 0), Fraction(1)), ((2, 2), Fraction(6)))
+    assert total.as_dict() == {(1, 0): Fraction(1), (2, 2): Fraction(6)}
     value = total.evaluate((0.5, 0.25))
     assert value.real == pytest.approx(
         math.exp(-0.5) + 6 * math.exp(-1 - 2 * 0.25), rel=1e-14
@@ -485,9 +482,11 @@ def test_expsum_arithmetic_is_exact():
 def test_expsum_joins_terms_past_the_float_range_in_log_space():
     """A coefficient or exponential beyond float range alone still gives its
     term's value; a term beyond float range itself is refused."""
-    huge = ExpSum.from_terms(1, {(0, (1,)): Fraction(-(10**400), 7), (-800, (1,)): Fraction(1, 3)})
+    huge = ExpSum.from_terms(1, {(1,): Fraction(-(10**400), 7), (-1,): Fraction(1, 3 * 10**469)})
     value = huge.evaluate((1000.0,))
-    expected = -math.exp(400 * math.log(10) - math.log(7) - 1000) + math.exp(-200) / 3
+    expected = -math.exp(400 * math.log(10) - math.log(7) - 1000) + math.exp(
+        1000 - 469 * math.log(10) - math.log(3)
+    )
     assert value.real == pytest.approx(expected, rel=1e-12)
     assert value.imag == 0
     with pytest.raises(ValueError, match="closed-form term exceeds the float range"):
@@ -496,7 +495,7 @@ def test_expsum_joins_terms_past_the_float_range_in_log_space():
 
 def test_expsum_rejects_ragged_vectors():
     with pytest.raises(ValueError):
-        ExpSum(2, ((0, (1,), Fraction(1)),))
+        ExpSum(2, (((1,), Fraction(1)),))
 
 
 def test_denom_validation():
@@ -609,7 +608,7 @@ def test_zero_diagonal_chain_is_certified_entire():
     oracle = brute_force_heat_trace(chain, ANCHOR, RANK_TWO, [2.0], 10)
     assert oracle == (0.0, 0.0)
     assert literal_heat_trace(chain, ANCHOR, RANK_TWO, [2.0], 6) == 0.0
-    sliced = specialize_shifts(closed, (0,))
+    sliced = single_variable(closed)
     assert sliced.parts == ()
     assert poles_and_laurent(sliced) == []
 
@@ -664,14 +663,14 @@ def test_toeplitz_exact_rational_identity():
     parts = {denom: numerator.as_dict() for denom, numerator in closed.parts}
     assert parts == {
         ENTIRE_DENOM: {
-            (0, (1,)): Fraction(1),
-            (0, (2,)): Fraction(3),
-            (0, (3,)): Fraction(7),
-            (0, (4,)): Fraction(21),
+            (1,): Fraction(1),
+            (2,): Fraction(3),
+            (3,): Fraction(7),
+            (4,): Fraction(21),
         },
-        Denom(BRANCH_ATOM, 1): {(0, (5,)): Fraction(243, 4)},
-        Denom(PLAIN_ATOM, 1): {(0, (5,)): Fraction(1, 2)},
-        Denom(ALTERNATING_ATOM, 1): {(0, (5,)): Fraction(-1, 4)},
+        Denom(BRANCH_ATOM, 1): {(5,): Fraction(243, 4)},
+        Denom(PLAIN_ATOM, 1): {(5,): Fraction(1, 2)},
+        Denom(ALTERNATING_ATOM, 1): {(5,): Fraction(-1, 4)},
     }
 
 
@@ -714,55 +713,41 @@ def test_toeplitz_zero_diagonal_certificate():
     assert literal_toeplitz_trace(chain, ANCHOR, RANK_TWO, [2.0], 8) == 0.0
 
 
-def test_specialize_shifts_single_stage_is_identity():
+def test_single_variable_returns_a_one_variable_trace_unchanged():
     closed = closed_form_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO)
-    sliced = specialize_shifts(closed, (5,))
-    assert sliced.parts == closed.parts
+    assert single_variable(closed) is closed
 
 
-def test_specialize_shifts_two_stage_slice_matches_direct():
+def test_single_variable_two_stage_slice_matches_direct():
     chain = [Monomial((0,), (2,)), Monomial((2,), (0,))]
     closed = closed_form_heat_trace(chain, ANCHOR, RANK_TWO)
-    sliced = specialize_shifts(closed, (1, 0))
-    for s in (2.5, 3.1):
-        direct = closed.evaluate((1.0, s - 1.0))
-        assert sliced.evaluate((s,)).real == pytest.approx(
-            direct.real, rel=1e-12
-        )
-    flat = specialize_shifts(closed, (0, 0))
+    flat = single_variable(closed)
     for s in (2.5, 3.1):
         direct = closed.evaluate((0.0, s))
         assert flat.evaluate((s,)).real == pytest.approx(direct.real, rel=1e-12)
 
 
-def test_specialize_shifts_validates_length():
-    closed = closed_form_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO)
-    with pytest.raises(ValueError):
-        specialize_shifts(closed, (1, 2))
-
-
 def test_simple_pole_residue_is_one():
     trace = MeromorphicTrace.from_parts(
-        2, 1, {Denom(PLAIN_ATOM, 1): ExpSum.from_terms(1, {(0, (0,)): Fraction(1)})}
+        2, 1, {Denom(PLAIN_ATOM, 1): ExpSum.from_terms(1, {(0,): Fraction(1)})}
     )
     (pole,) = poles_and_laurent(trace)
     assert pole.base_label == "0"
     assert pole.base_value == 0.0
     assert pole.parity == "even"
     assert pole.order == 1
-    assert pole.principal[-1].terms == ((0, (), Fraction(1)),)
-    assert pole.principal[-1].evaluate(()).real == pytest.approx(1.0)
+    assert pole.principal == (Fraction(1),)
 
 
 def test_branch_double_pole_principal_part():
     trace = MeromorphicTrace.from_parts(
-        2, 1, {Denom(BRANCH_ATOM, 2): ExpSum.from_terms(1, {(0, (0,)): Fraction(1)})}
+        2, 1, {Denom(BRANCH_ATOM, 2): ExpSum.from_terms(1, {(0,): Fraction(1)})}
     )
     (pole,) = poles_and_laurent(trace)
     assert pole.base_label == "log(2d-1)"
     assert pole.base_value == pytest.approx(math.log(3))
     assert pole.order == 2
-    assert [p.evaluate(()).real for p in pole.principal] == pytest.approx([1.0, 1.0])
+    assert pole.principal == (Fraction(1), Fraction(1))
     t = 1e-5
     nearby = trace.evaluate([math.log(3) + t])
     principal = 1 / t**2 + 1 / t
@@ -771,17 +756,17 @@ def test_branch_double_pole_principal_part():
 
 def test_pole_cancellation_is_detected_exactly():
     numerator = ExpSum.from_terms(
-        1, {(0, (0,)): Fraction(1), (0, (1,)): Fraction(-1)}
+        1, {(0,): Fraction(1), (1,): Fraction(-1)}
     )
     trace = MeromorphicTrace.from_parts(2, 1, {Denom(PLAIN_ATOM, 2): numerator})
     (pole,) = poles_and_laurent(trace)
     assert pole.order == 1
-    assert pole.principal[-1].terms == ((0, (), Fraction(1)),)
+    assert pole.principal == (Fraction(1),)
 
 
 def test_entire_traces_have_no_poles():
     flat = MeromorphicTrace.from_parts(
-        2, 1, {ENTIRE_DENOM: ExpSum.from_terms(1, {(0, (3,)): Fraction(5)})}
+        2, 1, {ENTIRE_DENOM: ExpSum.from_terms(1, {(3,): Fraction(5)})}
     )
     assert poles_and_laurent(flat) == []
     with pytest.raises(ValueError):
@@ -794,7 +779,7 @@ def test_entire_traces_have_no_poles():
 
 def test_heat_trace_pole_classes_and_periodicity():
     closed = closed_form_heat_trace(FIRST_SQUARE, ANCHOR, RANK_TWO)
-    sliced = specialize_shifts(closed, (0,))
+    sliced = single_variable(closed)
     classes = {
         (p.base_label, p.parity, p.order) for p in poles_and_laurent(sliced)
     }
@@ -987,10 +972,6 @@ def test_window_sums_stay_finite_past_float_range_counts():
         _heat_partial_sum(unit, ANCHOR, RANK_THREE, [0.5], [1200])
 
 
-def _exact(*coefficients: Fraction) -> tuple[ExpSum, ...]:
-    return tuple(ExpSum(0, ((0, (), q),)) for q in coefficients)
-
-
 def test_rank_two_pole_data_as_computed():
     """Pole classes at d=2, anchor a1, pinned exactly.  Criterion 03 asks for
     double heat poles only at log 3 and word-basis poles only there; as
@@ -1003,18 +984,18 @@ def test_rank_two_pole_data_as_computed():
     branch = math.log(3)
     q = Fraction
     assert poles_and_laurent(closed_form_heat_trace(unit, first, RANK_TWO)) == [
-        PoleDatum("0", 0.0, "odd", 1, _exact(q(1, 4))),
-        PoleDatum("log(2d-1)", branch, "even", 2, _exact(q(2, 3), q(13, 12))),
+        PoleDatum("0", 0.0, "odd", 1, (q(1, 4),)),
+        PoleDatum("log(2d-1)", branch, "even", 2, (q(2, 3), q(13, 12))),
     ]
     assert poles_and_laurent(closed_form_heat_trace(square, first, RANK_TWO)) == [
-        PoleDatum("0", 0.0, "even", 1, _exact(q(3, 4))),
-        PoleDatum("0", 0.0, "odd", 2, _exact(q(3, 4), q(5, 16))),
-        PoleDatum("log(2d-1)", branch, "even", 2, _exact(q(1, 6), q(13, 48))),
+        PoleDatum("0", 0.0, "even", 1, (q(3, 4),)),
+        PoleDatum("0", 0.0, "odd", 2, (q(3, 4), q(5, 16))),
+        PoleDatum("log(2d-1)", branch, "even", 2, (q(1, 6), q(13, 48))),
     ]
     assert poles_and_laurent(closed_form_toeplitz_trace(square, first, RANK_TWO)) == [
-        PoleDatum("0", 0.0, "even", 1, _exact(q(1, 2))),
-        PoleDatum("0", 0.0, "odd", 1, _exact(q(1, 4))),
-        PoleDatum("log(2d-1)", branch, "even", 1, _exact(q(1, 4))),
+        PoleDatum("0", 0.0, "even", 1, (q(1, 2),)),
+        PoleDatum("0", 0.0, "odd", 1, (q(1, 4),)),
+        PoleDatum("log(2d-1)", branch, "even", 1, (q(1, 4),)),
     ]
 
 
@@ -1026,9 +1007,7 @@ def test_pole_extraction_matches_the_taylor_oracle_on_criterion_03():
         first = model.letter_index("a1")
         for chain in _sample_chains(model):
             for closed in (closed_form_heat_trace, closed_form_toeplitz_trace):
-                trace = closed(chain, first, model)
-                if trace.nvars > 1:
-                    trace = specialize_shifts(trace, [0] * trace.nvars)
+                trace = single_variable(closed(chain, first, model))
                 assert repr(poles_and_laurent(trace)) == repr(taylor_pole_oracle(trace))
             cases += 1
     assert cases == 42
@@ -1036,7 +1015,7 @@ def test_pole_extraction_matches_the_taylor_oracle_on_criterion_03():
 
 def test_pole_extraction_reads_negative_exponents_as_the_oracle_does():
     numerator = ExpSum.from_terms(
-        1, {(0, (-3,)): Fraction(2, 5), (1, (-1,)): Fraction(-1), (0, (2,)): Fraction(1, 3)}
+        1, {(-3,): Fraction(2, 5), (-1,): Fraction(-1), (2,): Fraction(1, 3)}
     )
     for d in (2, 3):
         for atom in (PLAIN_ATOM, ALTERNATING_ATOM, BRANCH_ATOM):
@@ -1191,12 +1170,11 @@ def test_signature_assembly_matches_the_termwise_oracle(case):
 @settings(max_examples=150, deadline=None)
 @given(case=accumulator_terms())
 def test_pole_extraction_matches_the_taylor_oracle(case):
-    # the slice along shifts 0, 1, ..., m-1 gives the terms distinct constants
     d, nvars, terms = case
     grouped = _Accumulator(d, nvars)
     for factors, vector, coeff in terms:
         grouped.add_term(factors, vector, coeff)
-    sliced = specialize_shifts(grouped.build(), list(range(nvars)))
+    sliced = single_variable(grouped.build())
     assert repr(poles_and_laurent(sliced)) == repr(taylor_pole_oracle(sliced))
 
 

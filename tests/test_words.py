@@ -539,14 +539,13 @@ def test_settled_eigenvalue_matches_sync_composition():
 
 def test_settled_eigenvalue_is_elementwise():
     """One array call agrees with the case split per vertex at depths 0-11
-    and offsets -15..19, two scalars give a Python int, and a negative
-    depth anywhere is refused."""
+    and offsets -15..19, and a negative depth anywhere is refused."""
     depths, offsets = np.meshgrid(np.arange(12), np.arange(-15, 20), indexing="ij")
     expected = [
         [o if o >= t else t if o >= 0 else t - 2 * o for o in range(-15, 20)] for t in range(12)
     ]
     assert settled_eigenvalue(depths, offsets).tolist() == expected
-    assert type(settled_eigenvalue(11, -15)) is int and settled_eigenvalue(11, -15) == 41
+    assert settled_eigenvalue(11, -15) == 41
     with pytest.raises(ValueError, match="settle depth"):
         settled_eigenvalue(np.array([0, -1]), np.array([3, 3]))
 

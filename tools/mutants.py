@@ -109,6 +109,13 @@ MUTANTS = (
         ("tests/test_words.py::test_free_group_step_matches_the_predecessor_lists",),
     ),
     Mutant(
+        "slice-keeps-the-first-coordinate",
+        "src/twistzeta/traces.py",
+        "key = vector[-1:]",
+        "key = vector[:1]",
+        ("tests/test_traces.py::test_single_variable_two_stage_slice_matches_direct",),
+    ),
+    Mutant(
         "run-skips-the-cost-check",
         "src/twistzeta/cli.py",
         "for count in experiment.cost(config.parameters):",

@@ -86,7 +86,7 @@ DEFAULT_TARGETS = ("index", "unitary", "counterexample", "circle", "window")
 TARGETS = DEFAULT_TARGETS + ("pv-modes", "pv-sites", "summability", "census", "assembly")
 # The index points reach past the windows whose int64 target keys were
 # once refused (d=2 L=24, d=3 L=19) to the largest accepted ones.
-DEFAULT_POINTS = "2:6-12,2:24,2:1000,2:499972,3:4-8,3:19,3:499874"
+DEFAULT_POINTS = "2:6-12,2:24,2:1000,2:499946,3:4-8,3:19,3:499812"
 DEFAULT_MODES = "256,512,1024,2048"
 DEFAULT_LENGTHS = "256,512,1024,2048,4096,8192,16384"
 # BLAS threads of every child, as the benchmark runs them: a child left at
@@ -138,7 +138,7 @@ def _child(target: str, sizes: list[int]) -> None:
             return [
                 [
                     f"{pole.base_label} {pole.parity} {pole.order}"
-                    for pole in traces.poles_and_laurent(cli._single_variable(trace))
+                    for pole in traces.poles_and_laurent(traces.single_variable(trace))
                 ]
                 for trace in closed
             ]
