@@ -24,7 +24,8 @@ import numpy as np
 
 from twistzeta.ckalg import Monomial
 from twistzeta.circle import build_dirac
-from twistzeta.cochain import COUNTEREXAMPLE_FAMILIES, counterexample_verdict, word_trace_vertices
+from twistzeta.cochain import COUNTEREXAMPLE_FAMILIES, cochain_summands, counterexample_verdict
+from twistzeta.cochain import free_group_dimension
 from twistzeta.damp import (
     free_group_summability,
     sgnlog_transform,
@@ -601,32 +602,37 @@ def _run_summability(params: dict[str, object]) -> list[CheckRecord]:
     return checks
 
 
-# Vertices the free-group counterexample may visit: its two cochain word
-# traces and its kernel window.  Measured by tools/scale_curve.py, target
-# index (BENCH_27.json), on one core: d=39, the largest accepted d, takes
-# about 0.17 s and 98 MB at L=1 and at L=31452, nearly all of it in the
-# word traces.
+# Representative heads of the free-group counterexample's kernel window,
+# 2L + 1 at every d, and the summands of its two cochains, which grow like
+# (log d)^4 and hold all the rest of its work.  Measured by
+# tools/scale_curve.py, target index (BENCH_28.json), on one core: L=499,999
+# takes 0.04 s and 60 MB at d=2, d=10^9 0.14 s, and the largest accepted d,
+# 78,996 summands, 0.37 s and 55 MB (the first refused one 0.48 s, 62 MB).
 FREE_GROUP_VERTEX_BUDGET = 1_000_000
+FREE_GROUP_SUMMAND_BUDGET = 100_000
 
 
-def _vertex_cost(generators: int, length: int) -> tuple[Count, ...]:
-    """Vertices of the free-group counterexample, counted in integers.
-
-    The cochain word traces of arity one and three each walk every head of
-    n <= 3 letters at 7 - 2n offsets.  The kernel window translates one
-    representative head per letter class and length, 2L + 1 of them, so
-    the largest accepted L is a quotient.
-    """
-    traced = 2 * word_trace_vertices(FreeGroup(generators))
-    vertices = traced + 2 * length + 1
-    largest = (FREE_GROUP_VERTEX_BUDGET - traced - 1) // 2
-    accepted = f"L={largest}" if largest >= 1 else "none"
-    refusal = (
-        f"the free-group counterexample at d={generators}, L={length} visits {vertices} "
-        f"vertices, above the budget of {FREE_GROUP_VERTEX_BUDGET}; the largest window "
-        f"accepted at d={generators} is {accepted}"
+def _free_group_cost(generators: int, length: int) -> tuple[Count, ...]:
+    """Both counts are exact integers.  The largest accepted d is the last
+    with 2d - 1 <= e^D at the last dimension proxy D whose summands fit."""
+    vertices, summands = 2 * length + 1, cochain_summands(free_group_dimension(generators))
+    dimension = 2
+    while cochain_summands(dimension + 1) <= FREE_GROUP_SUMMAND_BUDGET:
+        dimension += 1
+    window = (
+        f"the free-group counterexample at L={length} visits {vertices} vertices, above "
+        f"the budget of {FREE_GROUP_VERTEX_BUDGET}; the largest window accepted is "
+        f"L={(FREE_GROUP_VERTEX_BUDGET - 1) // 2}"
     )
-    return (Count("vertices", vertices, FREE_GROUP_VERTEX_BUDGET, refusal),)
+    assembly = (
+        f"the free-group counterexample at d={generators} assembles {summands} cochain "
+        f"summands, above the budget of {FREE_GROUP_SUMMAND_BUDGET}; the largest d "
+        f"accepted is {int((math.exp(dimension) + 1) / 2)}"
+    )
+    return (
+        Count("vertices", vertices, FREE_GROUP_VERTEX_BUDGET, window),
+        Count("summands", summands, FREE_GROUP_SUMMAND_BUDGET, assembly),
+    )
 
 
 # Mode radius of the circle counterexamples.  Measured by tools/scale_curve.py
@@ -639,7 +645,7 @@ CIRCLE_MODE_BUDGET = 2048
 def _counterexample_cost(params: Mapping[str, object]) -> tuple[Count, ...]:
     family, max_mode = str(params["family"]), int(params["M"])
     if family == "free_group":
-        return _vertex_cost(int(params["d"]), int(params["L"]))
+        return _free_group_cost(int(params["d"]), int(params["L"]))
     refusal = (
         f"the {family} window at M={max_mode} is above the mode budget; "
         f"the largest window accepted is M={CIRCLE_MODE_BUDGET}"

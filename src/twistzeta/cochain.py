@@ -109,42 +109,50 @@ def boundary_translation_index(letter: int, anchor: int, model: FreeGroup) -> in
 
 
 def _head_codes(
-    model: FreeGroup, anchor: int, top: int, base: int
-) -> Iterator[np.ndarray]:
-    """Codes of the vertex heads of each length 0..top, shortest first: the
-    reduced words ending in neither the anchor nor its inverse.
+    model: FreeGroup, pairs: int, top: int, base: int
+) -> Iterator[tuple[int, np.ndarray, int]]:
+    """Heads of at most ``top`` letters, the reduced words ending outside
+    pair 0, as groups (length, codes, multiplicity).
 
-    A word's code is the sum (w_i + 1) * base**i: the first letter is the
-    lowest digit and no digit is zero, so the empty word is the code 0.
+    The first ``pairs`` generator pairs are touched, and a head over them
+    stands for itself.  Any other head is a touched prefix, its first
+    untouched letter and a rest: one code, stopping at the stand-in letter
+    2 * pairs, stands for every such letter and rest.  A word's code is the
+    sum (w_i + 1) * base**i, so the empty word is the code 0.
     """
-    letters = np.arange(model.size, dtype=np.int64)
-    settled = (letters == anchor) | (letters == anchor ^ 1)
+    letters = np.arange(2 * pairs, dtype=np.int64)
+    untouched = model.size - 2 * pairs
+    rests = range(1, top + 1) if untouched else ()
+    shares = [untouched * _head_count(model, 2 * pairs, n) for n in rests]
     words = np.zeros(1, dtype=np.int64)
     last = np.full(1, -1, dtype=np.int64)  # no letter before the first
-    yield words
-    for length in range(1, top + 1):
-        grown = words[:, None] + (letters + 1) * base ** (length - 1)
-        reduced = letters != (last ^ 1)[:, None]
-        yield grown[reduced & ~settled]
-        words = grown[reduced]
-        last = np.broadcast_to(letters, grown.shape)[reduced]
+    for length in range(top + 1):
+        if length:
+            grown = words[:, None] + (letters + 1) * base ** (length - 1)
+            reduced = letters != (last ^ 1)[:, None]
+            words = grown[reduced]
+            last = np.broadcast_to(letters, grown.shape)[reduced]
+        yield length, words[last >> 1 != 0], 1
+        for total, share in zip(range(length + 1, top + 1), shares):
+            yield total, words + (2 * pairs + 1) * base**length, share
 
 
 def _translate(
-    letter: int, anchor: int, base: int, code: np.ndarray, length, offset
+    letter: int, base: int, code: np.ndarray, length, offset
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vertices moved by the boundary translation U_letter, elementwise.
+    """Vertices moved by the boundary translation U_letter, elementwise, in
+    an alphabet whose anchor is letter 0.
 
     A vertex is its head code, its head length and its offset; the arrays
-    broadcast.  Its boundary word head + anchor^inf starts with the head's
-    first letter, or with the anchor when the head is empty.  U_letter =
+    broadcast.  Its boundary word head + 0^inf starts with the head's
+    first letter, or with 0 when the head is empty.  U_letter =
     S_letter + S_{letter^-1}^* strips a leading inverse letter and writes
-    the letter in front otherwise, where on the empty head the anchor is
-    absorbed into anchor^inf.  The offset moves by one either way.
+    the letter in front otherwise, where on the empty head the letter 0 is
+    absorbed into 0^inf.  The offset moves by one either way.
     """
     empty = code == 0
-    strip = np.where(empty, anchor, code % base - 1) == letter ^ 1
-    grow = ~strip & ~(empty & (letter == anchor))
+    strip = np.where(empty, 0, code % base - 1) == letter ^ 1
+    grow = ~strip & ~(empty & (letter == 0))
     return (
         np.where(strip, code // base, np.where(grow, code * base + letter + 1, code)),
         length + grow - (strip & ~empty),
@@ -152,29 +160,22 @@ def _translate(
     )
 
 
-def _head_count(model: FreeGroup, anchor: int, first: int | None, length: int) -> int:
+def _head_count(model: FreeGroup, first: int | None, length: int) -> int:
     """Number of heads of ``length`` >= 1 letters, only those that start with
-    ``first`` unless it is None.
+    ``first`` unless it is None, in an alphabet whose anchor is letter 0.
 
     The rest of such a head is a reduced word that may follow ``first`` and
-    ends in neither the anchor nor its inverse: a transfer count with the
-    letters relabelled by ``^ anchor``, which sends the anchor to 0 and
-    keeps every inverse pair.
+    ends in neither 0 nor 1: a transfer count.
     """
     if first is not None:
         if length == 1:
-            return int((first ^ anchor) >= 2)
-        first, length = first ^ anchor, length - 1
-    for _, _, count in transfer_counts(model, first, length):
-        pass
-    return count
+            return int(first >= 2)
+        length -= 1
+    return list(transfer_counts(model, first, length))[-1][2]
 
 
 def compressed_kernel_dimension(
-    letter: int,
-    anchor: int,
-    model: FreeGroup,
-    source_length: int,
+    letter: int, anchor: int, model: FreeGroup, source_length: int
 ) -> int:
     """Kernel dimension of the compressed translation on a word-length window.
 
@@ -194,20 +195,23 @@ def compressed_kernel_dimension(
     model.check_letter(anchor)
     if source_length < 1:
         raise ValueError("the source window must contain at least length one")
-    base, inverse = model.size + 1, letter ^ 1
+    # ^ anchor sends the anchor to 0 and keeps every pair; a letter of any
+    # other pair then stands in as 2 or 3, so that the codes stay below 5.
+    letter = min(letter ^ anchor, 2 | (letter ^ anchor) & 1)
+    base, inverse = 5, letter ^ 1
     lengths = np.arange(source_length + 1)
 
     def stripped(n: int) -> int:
-        return _head_count(model, anchor, inverse, n)
+        return _head_count(model, inverse, n)
 
     classes = (
         (0, lengths[:1], lambda n: 1),
         (inverse + 1, lengths[1:], stripped),
-        (letter + 1, lengths[1:], lambda n: _head_count(model, anchor, None, n) - stripped(n)),
+        (letter + 1, lengths[1:], lambda n: _head_count(model, None, n) - stripped(n)),
     )
     kernel = 0
     for code, sizes, heads in classes:
-        _, landed, shifted = _translate(letter, anchor, base, np.int64(code), sizes, sizes)
+        _, landed, shifted = _translate(letter, base, np.int64(code), sizes, sizes)
         leaving = np.clip(landed - shifted, 0, source_length + 1 - sizes)
         for cell in np.flatnonzero(leaving):
             kernel += int(leaving[cell]) * heads(int(sizes[cell]))
@@ -215,11 +219,7 @@ def compressed_kernel_dimension(
 
 
 def compressed_translation_index(
-    letter: int,
-    anchor: int,
-    model: FreeGroup,
-    *,
-    source_length: int,
+    letter: int, anchor: int, model: FreeGroup, *, source_length: int
 ) -> int:
     """Windowed kernel-minus-cokernel count of the compressed translation."""
     kernel = compressed_kernel_dimension(letter, anchor, model, source_length)
@@ -232,25 +232,8 @@ def compressed_translation_index(
 _TRACE_REACH = 1
 
 
-def _trace_offsets(length: int) -> range:
-    """Offsets of the word trace over a head of ``length`` letters: its group
-    words of at most reach + 2 letters, padded with anchors or inverses."""
-    return range(2 * length - _TRACE_REACH - 2, _TRACE_REACH + 3)
-
-
-def word_trace_vertices(model: FreeGroup) -> int:
-    """Vertices one :func:`cochain_word_trace` walks, at any arity and
-    anchor: per length, the heads times their offsets.  The heads of n >= 1
-    letters are the transfer count of words ending in any other letter, as
-    in :func:`_head_count`."""
-    heads = [1] + [count for *_, count in transfer_counts(model, None, _TRACE_REACH + 2)]
-    return sum(len(_trace_offsets(n)) * count for n, count in enumerate(heads))
-
-
 def cochain_word_trace(
-    letters: Sequence[int],
-    anchor: int,
-    model: FreeGroup,
+    letters: Sequence[int], anchor: int, model: FreeGroup
 ) -> dict[tuple[int, int], Fraction]:
     """Trace of the zero-index cochain word of translations, exactly.
 
@@ -260,45 +243,56 @@ def cochain_word_trace(
     against the heat factor e^-s|D| is the finite exponential sum
     sum c e^-(power + weight s), returned as {(power, weight): c}.
 
-    A translation sends a vertex to one vertex, so each source vertex
-    follows one orbit: its coefficient is a product of sign flips and its
-    exponent a sum of moduli.  A sign flip forces the column word into the
-    anchor region, so columns vanish beyond the one letter a translation
-    reads or writes; the window extends two letters past that bound and
-    verifies the predicted vanishing before certifying.
+    The anchor becomes letter 0, the pairs of the word follow in order, and
+    a letter of the anchor's parity leads its pair.  A translation sends a
+    vertex to one vertex and strips a head only at a letter of the word, so
+    each :func:`_head_codes` vertex follows one orbit, which never reads
+    past the head's first untouched letter: its coefficient is a product
+    of sign flips, its exponent a sum of moduli.  A sign flip forces the
+    column word into the anchor region, so columns vanish beyond the one
+    letter a translation reads or writes; the window extends two letters
+    past that bound and verifies the predicted vanishing before certifying.
     """
     if len(letters) < 2:
         raise ValueError("the word needs a leading element and at least one factor")
     for letter in letters:
         model.check_letter(letter)
     model.check_letter(anchor)
-    arity = len(letters) - 1
-    base = model.size + 1
-    trace: dict[tuple[int, int], Fraction] = {}
-    for length, heads in enumerate(_head_codes(model, anchor, _TRACE_REACH + 2, base)):
-        offsets = np.array(_trace_offsets(length))
-        code, offset = np.repeat(heads, offsets.size), np.tile(offsets, heads.size)
-        modulus = settled_eigenvalue(length, offset)
-        sign = np.where(offset >= length, 1, -1)
-        exponent = arity * modulus
-        coeff = np.ones_like(modulus)
-        vertex, now = (code, length, offset), sign
-        for letter in reversed(letters[1:]):
-            exponent -= settled_eigenvalue(*vertex[1:])
-            vertex = _translate(letter, anchor, base, *vertex)
-            moved = np.where(vertex[2] >= vertex[1], 1, -1)
-            coeff *= moved - now
-            now = moved
-        inside = length + np.abs(offset - length) <= _TRACE_REACH
-        if np.any(coeff[~inside]):
-            raise ValueError("a column escaped the certified support bound")
-        landed, _, shifted = _translate(letters[0], anchor, base, *vertex)
-        back = inside & (coeff != 0) & (landed == code) & (shifted == offset)
-        for power, weight, value in zip(
-            exponent[back].tolist(), modulus[back].tolist(), (sign * coeff)[back].tolist()
-        ):
-            trace[power, weight] = trace.get((power, weight), 0) + Fraction(value)
-    return {key: value for key, value in trace.items() if value}
+    pairs = list(dict.fromkeys([anchor >> 1, *(letter >> 1 for letter in letters)]))
+    word = [2 * pairs.index(letter >> 1) | (letter ^ anchor) & 1 for letter in letters]
+    base = 2 * len(pairs) + 2
+    groups = list(_head_codes(model, len(pairs), _TRACE_REACH + 2, base))
+    parts = []
+    for index, (size, heads, _) in enumerate(groups):
+        window = np.arange(2 * size - _TRACE_REACH - 2, _TRACE_REACH + 3)
+        offsets = np.tile(window, heads.size)
+        same = np.ones_like(offsets)
+        parts.append((np.repeat(heads, window.size), size * same, offsets, index * same))
+    code, length, offset, group = map(np.concatenate, zip(*parts))
+    modulus = settled_eigenvalue(length, offset)
+    sign = np.where(offset >= length, 1, -1)
+    exponent = (len(word) - 1) * modulus
+    coeff = np.ones_like(modulus)
+    vertex, now = (code, length, offset), sign
+    for letter in reversed(word[1:]):
+        exponent -= settled_eigenvalue(*vertex[1:])
+        vertex = _translate(letter, base, *vertex)
+        moved = np.where(vertex[2] >= vertex[1], 1, -1)
+        coeff *= moved - now
+        now = moved
+    inside = length + np.abs(offset - length) <= _TRACE_REACH
+    if np.any(coeff[~inside]):
+        raise ValueError("a column escaped the certified support bound")
+    landed, _, shifted = _translate(word[0], base, *vertex)
+    back = inside & (coeff != 0) & (landed == code) & (shifted == offset)
+    trace: dict[tuple[int, int], int] = {}
+    for key, value, index in zip(
+        zip(exponent[back].tolist(), modulus[back].tolist()),
+        (sign * coeff)[back].tolist(),
+        group[back].tolist(),
+    ):
+        trace[key] = trace.get(key, 0) + value * groups[index][2]
+    return {key: Fraction(value) for key, value in trace.items() if value}
 
 
 def multiindex_cutoff(dimension: int, arity: int) -> int:
@@ -314,6 +308,22 @@ def multiindex_cutoff(dimension: int, arity: int) -> int:
         raise ValueError("the arity is a positive integer")
     exponent = dimension // 2 + 1
     return max(0, 2 * exponent - 1 - arity)
+
+
+def free_group_dimension(generators: int) -> int:
+    """Dimension proxy of the free group: log(2d - 1), rounded up."""
+    return math.ceil(math.log(2 * generators - 1))
+
+
+def cochain_summands(dimension: int) -> int:
+    """Summands :func:`_assemble` builds at arity one and three: at arity a,
+    each of the C(n + a - 1, a - 1) multi-indices of size n gives
+    n + (a - 1) // 2 + 1, summed over n up to the cutoff by hockey sticks."""
+    total = 0
+    for arity in (1, 3):
+        span = multiindex_cutoff(dimension, arity) + arity
+        total += (arity + 1) // 2 * math.comb(span, arity) + arity * math.comb(span, arity + 1)
+    return total
 
 
 def _multi_indices(arity: int, cutoff: int) -> Iterator[tuple[int, ...]]:
@@ -368,11 +378,13 @@ def _assemble(arity: int, cutoff: int, certificate: str) -> CochainReport:
         raise ValueError("the cochain arity must be a positive odd integer")
     if cutoff < 0:
         raise ValueError("the multi-index cutoff is nonnegative")
+    half = (arity - 1) // 2
+    rising = {top: rising_half_coeffs(top) for top in range(half, cutoff + half + 1)}
     summands: list[CochainSummand] = []
     for powers in _multi_indices(arity, cutoff):
         size = sum(powers)
-        top = size + (arity - 1) // 2
-        ascending = rising_half_coeffs(top)
+        top = size + half
+        ascending = rising[top]
         alpha = multiindex_weight(powers)
         named = ITERATE_CERTIFICATE if size else certificate
         for order in range(top + 1):
@@ -537,27 +549,16 @@ def counterexample_verdict(
         anchor = model.letter_index(anchor_letter)
         letter = model.letter_index(pairing_letter or anchor_letter)
         pairing = boundary_translation_index(letter, anchor, model)
-        windowed = compressed_translation_index(
-            letter, anchor, model, source_length=source_length
-        )
+        windowed = compressed_translation_index(letter, anchor, model, source_length=source_length)
         checks = (
             PairingRecord("reduced-word formula", pairing, True),
             PairingRecord("windowed kernel dimensions", windowed, False),
         )
-        dimension = math.ceil(math.log(2 * generators - 1))
+        dimension = free_group_dimension(generators)
         for arity in (1, 3):
-            letters = tuple(
-                model.inverse(letter) if position % 2 == 0 else letter
-                for position in range(arity + 1)
-            )
-            cochains.append(
-                free_group_cochain(
-                    letters,
-                    anchor,
-                    model,
-                    cutoff=multiindex_cutoff(dimension, arity),
-                )
-            )
+            letters = (model.inverse(letter), letter) * ((arity + 1) // 2)
+            cutoff = multiindex_cutoff(dimension, arity)
+            cochains.append(free_group_cochain(letters, anchor, model, cutoff=cutoff))
     else:
         coordinate = TrigPoly.coordinate()
         pairing = -winding_number(coordinate)
@@ -566,25 +567,14 @@ def counterexample_verdict(
             PairingRecord("winding number", pairing, True),
         ]
         if family == "moebius":
-            records.append(
-                PairingRecord(
-                    "covariant compression",
-                    _covariant_compression_index(
-                        coordinate, MoebiusMap.hyperbolic(1.0), max_mode
-                    ),
-                    False,
-                )
-            )
+            gamma = MoebiusMap.hyperbolic(1.0)
+            covariant = _covariant_compression_index(coordinate, gamma, max_mode)
+            records.append(PairingRecord("covariant compression", covariant, False))
         checks = tuple(records)
         conjugate = coordinate.conjugate()
         for arity in (1, 3):
-            symbols = tuple(
-                conjugate if position % 2 == 0 else coordinate
-                for position in range(arity + 1)
-            )
-            cochains.append(
-                circle_cochain(symbols, cutoff=multiindex_cutoff(1, arity))
-            )
+            symbols = (conjugate, coordinate) * ((arity + 1) // 2)
+            cochains.append(circle_cochain(symbols, cutoff=multiindex_cutoff(1, arity)))
 
     agreed = all(record.value == pairing for record in checks)
     vanished = all(report.exact_zero for report in cochains)

@@ -320,25 +320,48 @@ def test_sweeps_below_the_schema_minimum_exit_two(argv, capsys):
 
 
 def test_free_group_windows_past_the_vertex_budget_are_refused(capsys):
-    """The smallest refused window at d=2, 3 and 39, an input a hundred
-    million letters long and d=40, the smallest d whose cochain word traces
-    alone pass the budget, all exit 2 at once, naming the exact count and
-    the largest accepted window.  The two word traces visit 106 vertices at
-    d=2, 374 at d=3, 937,094 at d=39 and 1,011,362 at d=40, and the window
-    2L + 1."""
-    for argv, vertices, accepted in (
-        (["--L", "499947"], 106 + 2 * 499947 + 1, "d=2 is L=499946"),
-        (["--d", "3", "--L", "499813"], 374 + 2 * 499813 + 1, "d=3 is L=499812"),
-        (["--d", "39", "--L", "31453"], 937094 + 2 * 31453 + 1, "d=39 is L=31452"),
-        (["--L", "100000000"], 106 + 2 * 10**8 + 1, "d=2 is L=499946"),
-        (["--d", "40", "--L", "1"], 1011365, "d=40 is none"),
+    """The smallest refused window at d=2, 3 and 3000 and an input a hundred
+    million letters long all exit 2 at once, naming the exact count and the
+    largest accepted window: the window's 2L + 1 representative heads, at
+    every d."""
+    for argv, vertices in (
+        (["--L", "500000"], 1000001),
+        (["--d", "3", "--L", "500000"], 1000001),
+        (["--d", "3000", "--L", "500000"], 1000001),
+        (["--L", "100000000"], 2 * 10**8 + 1),
     ):
         start = time.perf_counter()
         assert main(["counterexample", "--family", "free_group", *argv]) == 2
         assert time.perf_counter() - start < 0.5
         err = capsys.readouterr().err
         assert f"visits {vertices} vertices, above the budget of 1000000" in err
-        assert f"largest window accepted at {accepted}" in err
+        assert "the largest window accepted is L=499999" in err
+
+
+def test_free_group_ranks_past_the_summand_budget_are_refused(capsys):
+    """The smallest refused rank and d=10^100 exit 2 at once, naming the
+    exact cochain summands and the largest accepted d, whose summands are
+    in budget."""
+    largest = 1965667148572
+    for generators, summands in ((largest + 1, 103881), (10**100, 350835331)):
+        start = time.perf_counter()
+        argv = ["counterexample", "--family", "free_group", "--d", str(generators)]
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert f"assembles {summands} cochain summands, above the budget of 100000" in err
+        assert f"the largest d accepted is {largest}" in err
+    assert not _over_budget("counterexample", _free_group_window(largest, 1))
+
+
+def test_free_group_ranks_past_the_old_word_trace_bound_pass_at_once(capsys):
+    """d=40 at L=1, the first d the per-letter word traces were refused at,
+    and d=3000 at L=12 print PASS 7/7 in well under a second each."""
+    for argv in (["--d", "40", "--L", "1"], ["--d", "3000", "--L", "12"]):
+        start = time.perf_counter()
+        assert main(["counterexample", "--family", "free_group", *argv]) == 0
+        assert time.perf_counter() - start < 1.0
+        assert "PASS counterexample: 7/7 checks passed" in capsys.readouterr().out
 
 
 def test_circle_windows_past_the_mode_budget_are_refused(capsys):
@@ -356,13 +379,13 @@ def test_circle_windows_past_the_mode_budget_are_refused(capsys):
 
 
 def test_largest_accepted_free_group_window_ends_in_a_verdict():
-    """d=2 L=499946 in a fresh interpreter, so its peak memory (about
-    60 MB) is returned when it ends: a PASS in about 0.3 s with the
+    """d=2 L=499999 in a fresh interpreter, so its peak memory (about
+    60 MB) is returned when it ends: a PASS in about 0.2 s with the
     interpreter start, held to 2 s here."""
     source = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))
-    argv = ["counterexample", "--family", "free_group", "--L", "499946"]
+    argv = ["counterexample", "--family", "free_group", "--L", "499999"]
     start = time.perf_counter()
     done = subprocess.run(
         [sys.executable, "-m", "twistzeta.cli", *argv],
@@ -374,6 +397,27 @@ def test_largest_accepted_free_group_window_ends_in_a_verdict():
     assert done.returncode == 0, done.stderr
     assert time.perf_counter() - start < 2.0
     assert "PASS index pairing by windowed kernel dimensions: computed -1" in done.stdout
+
+
+def test_largest_accepted_free_group_rank_ends_in_a_verdict():
+    """d=1965667148572, the largest accepted d, in a fresh interpreter: a
+    PASS with 78,996 cochain summands in about 0.5 s with the interpreter
+    start, held to 3 s here."""
+    source = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(source), env.get("PYTHONPATH")]))
+    argv = ["counterexample", "--family", "free_group", "--d", "1965667148572"]
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "twistzeta.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert time.perf_counter() - start < 3.0
+    assert "PASS counterexample: 7/7 checks passed" in done.stdout
 
 
 def test_largest_accepted_moebius_window_ends_in_a_verdict():
@@ -510,7 +554,9 @@ def _circle_window(family: str, max_mode: int) -> dict[str, object]:
 DECLARED_COSTS = {
     # Defaults, criterion 04 and the boundary-index benchmark (d2L9, d2L8,
     # d3L6), the windows that the int64 target keys once capped (d2L24,
-    # d3L19), the largest accepted windows, and the smallest refused ones.
+    # d3L19), d=40 and d=3000, which the per-letter word traces once
+    # refused, the largest accepted window and d, and the smallest refused
+    # ones.
     "vertices": (
         *(
             ("counterexample", _free_group_window(generators, length), None)
@@ -520,15 +566,20 @@ DECLARED_COSTS = {
                 (3, 6),
                 (2, 24),
                 (3, 19),
-                (2, 499946),
-                (3, 499812),
-                (39, 1),
-                (39, 31452),
+                (40, 1),
+                (3000, 12),
+                (10**9, 12),
+                (2, 499999),
+                (1965667148572, 499999),
             )
         ),
         *(
-            ("counterexample", _free_group_window(generators, length), "above the budget")
-            for generators, length in ((2, 499947), (3, 499813), (39, 31453), (40, 1))
+            ("counterexample", _free_group_window(generators, length), refusal)
+            for generators, length, refusal in (
+                (2, 500000, "the largest window accepted is L=499999"),
+                (10**9, 500000, "the largest window accepted is L=499999"),
+                (1965667148573, 1, "the largest d accepted is 1965667148572"),
+            )
         ),
     ),
     # The CLI test (M=64), the default and criterion 06 (M=128) and the
@@ -646,7 +697,8 @@ def test_run_refuses_an_over_budget_config_without_calling_its_runner(monkeypatc
         raise AssertionError(f"the runner was called on {params}")
 
     for experiment, flags in (
-        ("counterexample", {"L": "499973"}),
+        ("counterexample", {"L": "500000"}),
+        ("counterexample", {"d": "1965667148573"}),
         ("counterexample", {"family": "moebius", "M": "2049"}),
         ("heat-oracle", {"L": "8193"}),
         ("damp-sweep", {"L": "6145"}),

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -41,12 +42,14 @@ from twistzeta.ckalg import Monomial
 from twistzeta.circle import TrigPoly, build_dirac, mult_op
 from twistzeta.cochain import (
     CounterexampleReport,
+    _assemble,
     _head_codes,
     _head_count,
     _translate,
     boundary_translation_index,
     circle_cochain,
     circle_word_trace,
+    cochain_summands,
     cochain_word_trace,
     compressed_kernel_dimension,
     compressed_translation_index,
@@ -55,9 +58,8 @@ from twistzeta.cochain import (
     multiindex_cutoff,
     multiindex_weight,
     rising_half_coeffs,
-    word_trace_vertices,
 )
-from twistzeta.words import FreeGroup, Word
+from twistzeta.words import FreeGroup, Word, settled_eigenvalue
 
 
 # Independent oracle of the vertex arrays: the boundary-word action they
@@ -89,6 +91,67 @@ def word_of_code(code: int, base: int) -> Word:
         code, digit = divmod(code, base)
         letters.append(digit - 1)
     return tuple(letters)
+
+
+def to_anchor_zero(letter: int, anchor: int) -> int:
+    """The letter after swapping the anchor's generator pair with the
+    first, which sends the anchor to 0 and keeps every pair: an involution
+    of the alphabet."""
+    return letter ^ anchor if letter >> 1 in (0, anchor >> 1) else letter
+
+
+def enumerated_head_codes(
+    model: FreeGroup, anchor: int, top: int, base: int
+) -> Iterator[np.ndarray]:
+    """Codes of every vertex head of each length 0..top, shortest first,
+    letter by letter: the reduced words ending in neither the anchor nor
+    its inverse."""
+    letters = np.arange(model.size, dtype=np.int64)
+    settled = (letters == anchor) | (letters == anchor ^ 1)
+    words = np.zeros(1, dtype=np.int64)
+    last = np.full(1, -1, dtype=np.int64)  # no letter before the first
+    yield words
+    for length in range(1, top + 1):
+        grown = words[:, None] + (letters + 1) * base ** (length - 1)
+        reduced = letters != (last ^ 1)[:, None]
+        yield grown[reduced & ~settled]
+        words = grown[reduced]
+        last = np.broadcast_to(letters, grown.shape)[reduced]
+
+
+def per_letter_word_trace(
+    letters: Sequence[int], anchor: int, model: FreeGroup
+) -> dict[tuple[int, int], Fraction]:
+    """The word trace of ``cochain.cochain_word_trace`` by the walk it
+    replaced: every head of at most three letters over the whole alphabet,
+    relabelled so that the anchor is 0, at each of its 7 - 2n
+    offsets, one head length at a time, each vertex counted once."""
+    word = [to_anchor_zero(letter, anchor) for letter in letters]
+    arity, base = len(word) - 1, model.size + 1
+    trace: dict[tuple[int, int], Fraction] = {}
+    for length, heads in enumerate(enumerated_head_codes(model, 0, 3, base)):
+        offsets = np.arange(2 * length - 3, 4)
+        code, offset = np.repeat(heads, offsets.size), np.tile(offsets, heads.size)
+        modulus = settled_eigenvalue(length, offset)
+        sign = np.where(offset >= length, 1, -1)
+        exponent = arity * modulus
+        coeff = np.ones_like(modulus)
+        vertex, now = (code, length, offset), sign
+        for letter in reversed(word[1:]):
+            exponent -= settled_eigenvalue(*vertex[1:])
+            vertex = _translate(letter, base, *vertex)
+            moved = np.where(vertex[2] >= vertex[1], 1, -1)
+            coeff *= moved - now
+            now = moved
+        inside = length + np.abs(offset - length) <= 1
+        assert not np.any(coeff[~inside]), "a column escaped the support bound"
+        landed, _, shifted = _translate(word[0], base, *vertex)
+        back = (coeff != 0) & (landed == code) & (shifted == offset)
+        for power, weight, value in zip(
+            exponent[back].tolist(), modulus[back].tolist(), (sign * coeff)[back].tolist()
+        ):
+            trace[power, weight] = trace.get((power, weight), 0) + Fraction(value)
+    return {key: value for key, value in trace.items() if value}
 
 
 def eliminated_nullity(
@@ -250,6 +313,17 @@ def test_rising_half_coeffs_evaluate_like_the_defining_product(
     for j in range(count):
         product *= point + j + Fraction(1, 2)
     assert evaluated == product
+
+
+def test_cochain_summands_count_what_the_assembly_builds():
+    """The closed count of summands equals the summands both cochains
+    assemble, for every dimension proxy up to 14 (cutoffs up to 14)."""
+    for dimension in range(1, 15):
+        built = sum(
+            len(_assemble(arity, multiindex_cutoff(dimension, arity), "finite-rank").summands)
+            for arity in (1, 3)
+        )
+        assert cochain_summands(dimension) == built
 
 
 def test_combinatorial_weight_validation():
@@ -514,41 +588,99 @@ def test_windows_past_the_old_key_range_give_the_kernel_indicator():
 
 def test_head_counts_by_first_letter_match_the_enumerated_heads():
     """The multiplicities a leaving cell of the kernel count would read:
-    every head of each length, and those of each first letter, as
-    _head_codes enumerates them, for every anchor of d=1 to 4."""
+    every head of each length, and those of each first letter, relabelled
+    so that the anchor is 0, as the per-letter walk enumerates them, for
+    every anchor of d=1 to 4."""
     for generators, top in ((1, 4), (2, 7), (3, 5), (4, 4)):
         model = FreeGroup(generators)
         base = model.size + 1
         for anchor in range(model.size):
-            for length, heads in enumerate(_head_codes(model, anchor, top, base)):
+            for length, heads in enumerate(enumerated_head_codes(model, anchor, top, base)):
                 if length == 0:
                     continue
-                assert _head_count(model, anchor, None, length) == heads.size
+                assert _head_count(model, None, length) == heads.size
                 firsts = np.bincount(heads % base - 1, minlength=model.size)
                 for first in range(model.size):
-                    assert _head_count(model, anchor, first, length) == firsts[first]
+                    relabelled = to_anchor_zero(first, anchor)
+                    assert _head_count(model, relabelled, length) == firsts[first]
 
 
-def test_word_trace_vertices_count_the_translated_vertices(monkeypatch):
-    """The declared vertex count of one cochain word trace is what its walk
-    translates, per letter of the word, at arity one and three for every
-    anchor of d=2 to 4: 53 vertices at d=2 and 187 at d=3."""
+def _counterexample_words(model: FreeGroup) -> Iterator[tuple[int, ...]]:
+    """The words of the counterexample's cochains, arity one and three, for
+    every pairing letter."""
+    for letter in range(model.size):
+        for arity in (1, 3):
+            yield tuple(letter ^ 1 if position % 2 == 0 else letter for position in range(arity + 1))
+
+
+def test_word_trace_matches_the_per_letter_walk():
+    """Every anchor of d=1 to 4, the words (1, 0) and (2, 0, 3, 1) and the
+    counterexample's words: the walk by letter class returns the trace of
+    the walk over every letter."""
+    for generators in (1, 2, 3, 4):
+        model = FreeGroup(generators)
+        words = [(1, 0), *_counterexample_words(model)]
+        if generators > 1:
+            words.append((2, 0, 3, 1))
+        for anchor in range(model.size):
+            for letters in words:
+                assert cochain_word_trace(letters, anchor, model) == per_letter_word_trace(
+                    letters, anchor, model
+                ), (generators, anchor, letters)
+
+
+def test_stand_in_heads_count_the_per_letter_heads():
+    """Each head of at most three letters over the whole alphabet, cut after
+    its first letter outside the first ``pairs`` generator pairs, which
+    becomes the stand-in: _head_codes yields each cut head once, with the
+    number of heads cut to it, for every number of touched pairs of d=1
+    to 4.  Stand-in orbits never return with a nonzero coefficient, so the
+    word traces alone cannot see these multiplicities."""
+    for generators in (1, 2, 3, 4):
+        model = FreeGroup(generators)
+        full = model.size + 1
+        for pairs in range(1, generators + 1):
+            base, stand_in = 2 * pairs + 2, 2 * pairs
+            expected: Counter[tuple[int, int]] = Counter()
+            for length, heads in enumerate(enumerated_head_codes(model, 0, 3, full)):
+                for head in (word_of_code(code, full) for code in heads.tolist()):
+                    cut = next((i for i, k in enumerate(head) if k >= stand_in), length)
+                    kept = head[:cut] + (stand_in,) * (cut < length)
+                    expected[length, word_code(kept, base)] += 1
+            walked: Counter[tuple[int, int]] = Counter()
+            for length, codes, share in _head_codes(model, pairs, 3, base):
+                for code in codes.tolist():
+                    walked[length, code] += share
+            assert walked == expected, (generators, pairs)
+
+
+def test_word_traces_translate_as_many_vertices_at_every_rank(monkeypatch):
+    """The counterexample's words at anchor a1 and pairing letters a1 and a2
+    translate as many vertices at d=5, 40, 3000 and 10^9: 26 per letter
+    when the word touches only the anchor's pair, 90 when it touches one
+    more."""
     sizes = []
     translate = cochain._translate
 
-    def counted(letter, anchor, base, code, length, offset):
+    def counted(letter, base, code, length, offset):
         sizes.append(np.size(code))
-        return translate(letter, anchor, base, code, length, offset)
+        return translate(letter, base, code, length, offset)
 
     monkeypatch.setattr(cochain, "_translate", counted)
-    assert [word_trace_vertices(FreeGroup(d)) for d in (2, 3)] == [53, 187]
-    for generators in (2, 3, 4):
-        model = FreeGroup(generators)
-        for anchor in range(model.size):
-            for letters in ((1, 0), (2, 0, 3, 1)):
-                sizes.clear()
-                cochain_word_trace(letters, anchor, model)
-                assert sum(sizes) == len(letters) * word_trace_vertices(model)
+    for letters, per_letter in (((1, 0), 26), ((1, 0, 1, 0), 26), ((3, 2), 90), ((3, 2, 3, 2), 90)):
+        for generators in (5, 40, 3000, 10**9):
+            sizes.clear()
+            cochain_word_trace(letters, 0, FreeGroup(generators))
+            assert sum(sizes) == len(letters) * per_letter, (letters, generators)
+
+
+def test_word_trace_support_check_refuses_a_narrower_bound(monkeypatch):
+    """With the certified reach lowered to zero letters, the vertex at the
+    empty head and offset -1 keeps its coefficient outside the bound, and
+    the support check refuses the word."""
+    monkeypatch.setattr(cochain, "_TRACE_REACH", 0)
+    with pytest.raises(ValueError, match="certified support bound"):
+        cochain_word_trace((1, 0), 0, FreeGroup(2))
 
 
 def test_compressed_translation_index_confirms_the_formula():
@@ -618,7 +750,8 @@ def test_vertex_engine_matches_the_boundary_oracle(data):
 
 def test_translation_step_matches_both_oracles():
     """On every vertex carried by a group word of at most four letters, for
-    every anchor and letter of d=2 and d=3, the array step lands where the
+    every anchor and letter of d=2 and d=3, the array step, on letters
+    relabelled so that the anchor is 0, lands where the
     translation element and the boundary-word action send the vertex."""
     for generators in (2, 3):
         model = FreeGroup(generators)
@@ -631,16 +764,17 @@ def test_translation_step_matches_both_oracles():
                 for word in enumerate_admissible(model, length)
             ]
             keys = [vertex_key(vertex, tail, model) for vertex in vertices]
-            code = np.array([word_code(head, base) for head, _ in keys], dtype=np.int64)
+            relabelled = [tuple(to_anchor_zero(k, anchor) for k in head) for head, _ in keys]
+            code = np.array([word_code(head, base) for head in relabelled], dtype=np.int64)
             length = np.array([len(head) for head, _ in keys], dtype=np.int64)
             offset = np.array([offset for _, offset in keys], dtype=np.int64)
             for letter in range(model.size):
                 unitary = group_unitary(letter, model)
-                moved = _translate(letter, anchor, base, code, length, offset)
+                moved = _translate(to_anchor_zero(letter, anchor), base, code, length, offset)
                 for vertex, key, (landed, size, shifted) in zip(
                     vertices, keys, zip(*(part.tolist() for part in moved))
                 ):
-                    head = word_of_code(landed, base)
+                    head = tuple(to_anchor_zero(k, anchor) for k in word_of_code(landed, base))
                     assert size == len(head)
                     image = {(head, shifted): Fraction(1)}
                     assert act_on_vertex(unitary, key, anchor, model) == image

@@ -1,5 +1,6 @@
 """Tests of the negative-control table ``tools/mutants.py``: one cheap row
-is killed, and a stale row is refused before any row runs."""
+is killed, and a stale row, or one whose tests fail unmutated, is refused
+before any row runs."""
 
 from __future__ import annotations
 
@@ -60,3 +61,42 @@ def test_a_stale_row_is_refused_before_any_row_runs(monkeypatch, capsys):
     monkeypatch.setattr(harness, "run_row", unrun)
     assert harness.main([]) == 2
     assert "stale row missing: its old text occurs 0 times" in capsys.readouterr().err
+
+
+def test_a_row_whose_tests_fail_unmutated_is_refused(monkeypatch, capsys):
+    """A named test that already fails on the unmutated tree would read as
+    a kill: the one unmutated run of the selected rows' tests refuses that
+    row before any mutant runs, and a row whose tests pass is let through."""
+    harness = _harness()
+    sound = harness.MUTANTS[0]
+    broken = dataclasses.replace(sound, name="broken", tests=("tests/test_cochain.py::test_broken",))
+    unmutated = []
+
+    def run_tests(tests, root, row):
+        assert row is None, f"row {row.name} ran"
+        unmutated.append(tests)
+        return [f"PASSED {test}" for test in sound.tests] + [
+            f"FAILED {broken.tests[0]} - AssertionError"
+        ]
+
+    def unrun(row, root):
+        raise AssertionError(f"row {row.name} ran")
+
+    monkeypatch.setattr(harness, "MUTANTS", (sound, broken))
+    monkeypatch.setattr(harness, "run_tests", run_tests)
+    monkeypatch.setattr(harness, "run_row", unrun)
+    assert harness.main([]) == 2
+    assert len(unmutated) == 1 and set(unmutated[0]) == set(sound.tests + broken.tests)
+    err = capsys.readouterr().err
+    assert f"row {broken.name} names tests that do not pass on the unmutated tree" in err
+    assert broken.tests[0] in err
+
+    ran = []
+
+    def killed(row, root):
+        ran.append(row.name)
+        return {"name": row.name, "outcome": "killed", "seconds": 0.0}
+
+    monkeypatch.setattr(harness, "run_row", killed)
+    assert harness.main(["--rows", sound.name]) == 0
+    assert ran == [sound.name]

@@ -46,7 +46,8 @@ def test_one_small_point_of_every_target_ends_in_its_outcome():
     assert _all_passed(outcomes["counterexample"])
     assert _all_passed(outcomes["circle"])
     assert outcomes["unitary"] < 1e-8
-    assert rows[0]["vertices"] == 106 + 2 * 2 + 1  # the word traces at d=2 and the L=2 window
+    assert rows[0]["vertices"] == 2 * 2 + 1  # the L=2 window
+    assert rows[0]["summands"] == 8  # both cochains at d=2
     heat, *sweeps = rows[4:]
     assert heat["experiment"] == "heat-oracle" and max(heat["computed"]) < 1e-12
     for sweep in sweeps:
@@ -133,15 +134,15 @@ def test_one_point_of_the_assembly_target_ends_in_its_outcome():
 
 
 def test_an_experiment_target_measures_past_the_budget():
-    """The index point d=41 L=1, whose cochain word traces alone pass the
-    vertex budget, is refused by the command line but measured by the
-    harness, which runs the experiment's runner: under 1 s and about
-    100 MB."""
+    """The index point d=1965667148573 L=1, the smallest d whose cochain
+    summands pass their budget, is refused by the command line but measured
+    by the harness, which runs the experiment's runner: about 1 s and
+    60 MB."""
     source = Path(__file__).resolve().parents[1] / "src"
     env = {"PYTHONPATH": str(source), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
     env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
     done = subprocess.run(
-        [sys.executable, str(SCRIPT), "--child", "index", "0", "41", "1"],
+        [sys.executable, str(SCRIPT), "--child", "index", "0", "1965667148573", "1"],
         env=env,
         capture_output=True,
         text=True,
@@ -152,11 +153,12 @@ def test_an_experiment_target_measures_past_the_budget():
     assert row["fields"] == {
         "experiment": "counterexample",
         "family": "free_group",
-        "d": 41,
+        "d": 1965667148573,
         "L": 1,
-        "vertices": row["fields"]["vertices"],
+        "vertices": 3,
+        "summands": 103881,
     }
-    assert row["fields"]["vertices"] > 1_000_000
+    assert row["fields"]["summands"] > cli.FREE_GROUP_SUMMAND_BUDGET
     assert _all_passed(row["outcome"]) and "refused" not in row
 
 

@@ -727,6 +727,28 @@ def test_single_variable_two_stage_slice_matches_direct():
         assert flat.evaluate((s,)).real == pytest.approx(direct.real, rel=1e-12)
 
 
+def test_single_variable_keeps_the_last_coordinate():
+    """The trace-audit chains, criterion 03's chains and three chains whose
+    stages shift words, at d = 2 and 3, both closed forms: the slice at
+    complex s off the poles (real parts above log(2d - 1), imaginary parts
+    not multiples of pi) is the trace at (0, ..., 0, s).  The first two
+    sets are diagonal, so their traces read s only through s_1 + ... + s_m;
+    only the shifting chains see which coordinate the slice keeps."""
+    shifting = ("a1.a2*:a2.a1*", "a1.*:a1*", "a2.a1*:a1.a2*:a1")
+    for d in (2, 3):
+        model = FreeGroup(d)
+        first = model.letter_index("a1")
+        texts = AUDIT_CHAINS + shifting
+        chains = [parse_chain(text, model) for text in texts] + _sample_chains(model)
+        for chain in chains:
+            for closed in (closed_form_heat_trace, closed_form_toeplitz_trace):
+                trace = closed(chain, first, model)
+                flat = single_variable(trace)
+                for s in (2.5 + 0.7j, 3.1 - 1.3j):
+                    direct = trace.evaluate((0,) * (trace.nvars - 1) + (s,))
+                    assert flat.evaluate((s,)) == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
+
 def test_simple_pole_residue_is_one():
     trace = MeromorphicTrace.from_parts(
         2, 1, {Denom(PLAIN_ATOM, 1): ExpSum.from_terms(1, {(0,): Fraction(1)})}

@@ -9,14 +9,17 @@ Usage, from the root of a checkout::
 Each row of ``MUTANTS`` gives a file, the exact old text, which must occur
 in that file exactly once, the new text, and the test node ids that must
 fail.  Every selected row is checked before any of them runs: a row whose
-old text is missing or repeated is stale, and the tool refuses it with exit
-code 2, never a pass.  Each row then runs on a temporary copy of the tree
-with its mutant applied: its tests run in a fresh interpreter with one
-BLAS thread and no bytecode written, and the row is killed when every
-named test fails.  A row that survives or passes its time limit is not
-killed.  One line per row gives the outcome and the seconds taken; the
-last line of standard output is one JSON object with every row and the
-total seconds.  The exit code is 0 when every row is killed, else 1.
+old text is missing or repeated is stale, and a row whose tests do not all
+pass on an unmutated copy of the tree, run once for every selected row,
+could be killed by a test that was already broken.  The tool refuses
+either with exit code 2, never a pass.  Each row then runs on a temporary
+copy of the tree with its mutant applied.  Tests always run in a fresh
+interpreter with one BLAS thread and no bytecode written, and the row is
+killed when every named test fails.  A row that survives or passes its
+time limit is not killed.  One line per row gives the outcome and the
+seconds taken; the last line of standard output is one JSON object with
+every row and the total seconds.  The exit code is 0 when every row is
+killed, else 1.
 """
 
 from __future__ import annotations
@@ -73,14 +76,14 @@ MUTANTS = (
     Mutant(
         "one-letter-head-counted-in-any-class",
         "src/twistzeta/cochain.py",
-        "return int((first ^ anchor) >= 2)",
+        "return int(first >= 2)",
         "return 1",
         ("tests/test_cochain.py::test_head_counts_by_first_letter_match_the_enumerated_heads",),
     ),
     Mutant(
         "translate-without-empty-head-absorption",
         "src/twistzeta/cochain.py",
-        "grow = ~strip & ~(empty & (letter == anchor))",
+        "grow = ~strip & ~(empty & (letter == 0))",
         "grow = ~strip",
         (
             "tests/test_cochain.py::test_translation_step_matches_both_oracles",
@@ -88,9 +91,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "stand-in-multiplicity-one-short",
+        "src/twistzeta/cochain.py",
+        "yield total, words + (2 * pairs + 1) * base**length, share\n",
+        "yield total, words + (2 * pairs + 1) * base**length, share - 1\n",
+        ("tests/test_cochain.py::test_stand_in_heads_count_the_per_letter_heads",),
+    ),
+    Mutant(
         "word-trace-without-sign-flip",
         "src/twistzeta/cochain.py",
-        "            coeff *= moved - now\n",
+        "        coeff *= moved - now\n",
         "",
         ("tests/test_cochain.py::test_cochain_word_trace_is_the_rank_one_projection_value",),
     ),
@@ -113,7 +123,10 @@ MUTANTS = (
         "src/twistzeta/traces.py",
         "key = vector[-1:]",
         "key = vector[:1]",
-        ("tests/test_traces.py::test_single_variable_two_stage_slice_matches_direct",),
+        (
+            "tests/test_traces.py::test_single_variable_two_stage_slice_matches_direct",
+            "tests/test_traces.py::test_single_variable_keeps_the_last_coordinate",
+        ),
     ),
     Mutant(
         "run-skips-the-cost-check",
@@ -135,17 +148,19 @@ def mutated_text(row: Mutant, root: Path) -> str:
     return text.replace(row.old, row.new)
 
 
-def run_row(row: Mutant, root: Path) -> dict[str, object]:
-    """Apply one mutant to a temporary copy of ``root`` and run its tests."""
-    start = time.perf_counter()
+def run_tests(tests: tuple[str, ...], root: Path, row: Mutant | None) -> list[str] | None:
+    """The report lines of ``tests`` run on a temporary copy of ``root``,
+    with ``row``'s mutant applied unless it is None; None when the run
+    passes its time limit."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp)
         for part in COPIED:
             shutil.copytree(root / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
-        (copy / row.path).write_text(mutated_text(row, root))
+        if row is not None:
+            (copy / row.path).write_text(mutated_text(row, root))
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         env.update(dict.fromkeys(BLAS_VARIABLES, "1"))
-        argv = ["-m", "pytest", "-q", "-rf", "--tb=no", "-p", "no:cacheprovider", *row.tests]
+        argv = ["-m", "pytest", "-q", "-rA", "--tb=no", "-p", "no:cacheprovider", *tests]
         try:
             done = subprocess.run(
                 [sys.executable, *argv],
@@ -156,14 +171,24 @@ def run_row(row: Mutant, root: Path) -> dict[str, object]:
                 timeout=ROW_TIMEOUT,
             )
         except subprocess.TimeoutExpired:
-            outcome = "timed out"
-        else:
-            lines = done.stdout.splitlines()
-            killed = all(
-                any(line == f"FAILED {test}" or line.startswith(f"FAILED {test} - ") for line in lines)
-                for test in row.tests
-            )
-            outcome = "killed" if killed else "survived"
+            return None
+    return done.stdout.splitlines()
+
+
+def _reports(test: str, outcome: str, lines: list[str]) -> bool:
+    return any(line == f"{outcome} {test}" or line.startswith(f"{outcome} {test} - ") for line in lines)
+
+
+def run_row(row: Mutant, root: Path) -> dict[str, object]:
+    """Apply one mutant to a temporary copy of ``root`` and run its tests."""
+    start = time.perf_counter()
+    lines = run_tests(row.tests, root, row)
+    if lines is None:
+        outcome = "timed out"
+    elif all(_reports(test, "FAILED", lines) for test in row.tests):
+        outcome = "killed"
+    else:
+        outcome = "survived"
     return {"name": row.name, "outcome": outcome, "seconds": time.perf_counter() - start}
 
 
@@ -183,6 +208,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"mutants: {err}", file=sys.stderr)
             return 2
     start = time.perf_counter()
+    tests = tuple(dict.fromkeys(test for name in names for test in rows[name].tests))
+    lines = run_tests(tests, ROOT, None) or []
+    for name in names:
+        broken = [test for test in rows[name].tests if not _reports(test, "PASSED", lines)]
+        if broken:
+            print(
+                f"mutants: row {name} names tests that do not pass on the unmutated tree: "
+                f"{', '.join(broken)}",
+                file=sys.stderr,
+            )
+            return 2
     results = []
     for name in names:
         result = run_row(rows[name], ROOT)

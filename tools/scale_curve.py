@@ -42,8 +42,8 @@ census          damp-sweep      --L 16                    --d 10 ... 10^9
 
 The other flags keep their defaults.  A point's size fields are its flags
 and the counts its experiment declares, ``cli.EXPERIMENTS[experiment].cost``
-(vertices, mode radius, word-length steps, lattice sites and window
-entries, modes).  Its outcome is the list
+(vertices and cochain summands, mode radius, word-length steps, lattice
+sites and window entries, modes).  Its outcome is the list
 of every check's pass, and ``computed`` holds every check's computed value;
 a point the runner refuses has the outcome false and its message under
 ``refused``.
@@ -84,9 +84,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_TARGETS = ("index", "unitary", "counterexample", "circle", "window")
 TARGETS = DEFAULT_TARGETS + ("pv-modes", "pv-sites", "summability", "census", "assembly")
-# The index points reach past the windows whose int64 target keys were
-# once refused (d=2 L=24, d=3 L=19) to the largest accepted ones.
-DEFAULT_POINTS = "2:6-12,2:24,2:1000,2:499946,3:4-8,3:19,3:499812"
+# The index points are a d-curve at two windows: d=39 and d=40 were the
+# last and the first d that the per-letter word traces once refused, and
+# from there only the cochain summands grow, like (log d)^4.
+DEFAULT_POINTS = ",".join(f"{d}:1,{d}:12" for d in (2, 39, 40, 3000, 10**9))
 DEFAULT_MODES = "256,512,1024,2048"
 DEFAULT_LENGTHS = "256,512,1024,2048,4096,8192,16384"
 # BLAS threads of every child, as the benchmark runs them: a child left at
