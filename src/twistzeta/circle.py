@@ -519,7 +519,7 @@ def twisted_dirac_commutator(
     # D P - W D = [D, P] - (W - P) D, which is [D, P] itself when W == P.
     weighted -= plain
     weighted *= diagonal[None, :]
-    plain *= diagonal[:, None] - diagonal[None, :]
+    plain = _diagonal_commutator(plain, diagonal)
     plain -= weighted
     return plain
 

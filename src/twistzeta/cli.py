@@ -515,15 +515,10 @@ def _run_damp_sweep(params: dict[str, object]) -> list[CheckRecord]:
             )
         )
     name = "abscissa crossing brackets the branching rate"
-    if report.crossing is None:
+    if report.bracket is None:
         checks.append(CheckRecord(name, "none", threshold, None, False, "derived-threshold"))
     else:
-        diverging = max(
-            s for s, v in zip(report.exponents, report.verdicts) if v == "diverging"
-        )
-        converged = min(
-            s for s, v in zip(report.exponents, report.verdicts) if v == "converged"
-        )
+        diverging, converged = report.bracket
         half_gap = (converged - diverging) / 2.0
         deviation = abs(report.crossing - threshold)
         checks.append(
@@ -636,9 +631,10 @@ def _free_group_cost(generators: int, length: int) -> tuple[Count, ...]:
 
 
 # Mode radius of the circle counterexamples.  Measured by tools/scale_curve.py
-# (BENCH_8.json): the Moebius one takes 0.22 s and 353 MB at M=2048, inside the
-# largest free-group window's 360 MB; its memory, the dense (2M+1)^2 window
-# matrix, grows like M^2 (M=2560: 536 MB, M=3072: 758 MB).
+# (BENCH_8.json): the Moebius one takes 0.22 s and 353 MB at M=2048; its
+# memory, the dense (2M+1)^2 window matrix, grows like M^2 (M=2560: 536 MB,
+# M=3072: 758 MB).  The free-group counterexample peaks at 60 MB at its largest
+# window and 55 MB at its largest d (BENCH_28.json).
 CIRCLE_MODE_BUDGET = 2048
 
 
@@ -688,8 +684,9 @@ def _step_cost(experiment: str, per_exponent: int) -> Callable[..., tuple[Count,
 # of it as float arrays, one epsilon at a time, so memory grows with the
 # sites alone.  Measured by tools/scale_curve.py, target pv-sites
 # (BENCH_16.json), on one core at the default two epsilons: a deepest stage
-# of 2^22 (every L up to 2^23 - 1) takes 0.68 s and 259 MB, inside the
-# largest free-group window's 360 MB; 2^23 takes 1.3 s and 483 MB.
+# of 2^22 (every L up to 2^23 - 1) takes 0.68 s and 259 MB, below the Moebius
+# counterexample's 353 MB at its budget (BENCH_8.json); 2^23 takes 1.3 s and
+# 483 MB.
 LATTICE_SITE_BUDGET = 5_000_000
 
 # Entries of the (2M+1)^2 window whose dense SVD gives pv-order's symbol

@@ -108,22 +108,23 @@ def boundary_translation_index(letter: int, anchor: int, model: FreeGroup) -> in
     return kernel - cokernel
 
 
-def _head_codes(
-    model: FreeGroup, pairs: int, top: int, base: int
-) -> Iterator[tuple[int, np.ndarray, int]]:
-    """Heads of at most ``top`` letters, the reduced words ending outside
-    pair 0, as groups (length, codes, multiplicity).
+def _relabel(letters: Sequence[int], anchor: int) -> tuple[list[int], int]:
+    """The letters on the generator pairs they touch, taken in first-seen
+    order with the anchor's pair first and the anchor as letter 0, and the
+    code base 2 * pairs + 1 of the heads over those pairs.  The map extends
+    to an automorphism of the alphabet, which keeps every count."""
+    pairs = list(dict.fromkeys([anchor >> 1, *(letter >> 1 for letter in letters)]))
+    word = [2 * pairs.index(letter >> 1) | (letter ^ anchor) & 1 for letter in letters]
+    return word, 2 * len(pairs) + 1
 
-    The first ``pairs`` generator pairs are touched, and a head over them
-    stands for itself.  Any other head is a touched prefix, its first
-    untouched letter and a rest: one code, stopping at the stand-in letter
-    2 * pairs, stands for every such letter and rest.  A word's code is the
-    sum (w_i + 1) * base**i, so the empty word is the code 0.
+
+def _head_codes(pairs: int, top: int, base: int) -> Iterator[np.ndarray]:
+    """Codes of the heads of each length 0..``top`` over the letters of the
+    first ``pairs`` generator pairs: the reduced words ending outside pair
+    0.  A word's code is the sum (w_i + 1) * base**i, so the empty word is
+    the code 0.
     """
     letters = np.arange(2 * pairs, dtype=np.int64)
-    untouched = model.size - 2 * pairs
-    rests = range(1, top + 1) if untouched else ()
-    shares = [untouched * _head_count(model, 2 * pairs, n) for n in rests]
     words = np.zeros(1, dtype=np.int64)
     last = np.full(1, -1, dtype=np.int64)  # no letter before the first
     for length in range(top + 1):
@@ -132,9 +133,7 @@ def _head_codes(
             reduced = letters != (last ^ 1)[:, None]
             words = grown[reduced]
             last = np.broadcast_to(letters, grown.shape)[reduced]
-        yield length, words[last >> 1 != 0], 1
-        for total, share in zip(range(length + 1, top + 1), shares):
-            yield total, words + (2 * pairs + 1) * base**length, share
+        yield words[last >> 1 != 0]
 
 
 def _translate(
@@ -195,10 +194,8 @@ def compressed_kernel_dimension(
     model.check_letter(anchor)
     if source_length < 1:
         raise ValueError("the source window must contain at least length one")
-    # ^ anchor sends the anchor to 0 and keeps every pair; a letter of any
-    # other pair then stands in as 2 or 3, so that the codes stay below 5.
-    letter = min(letter ^ anchor, 2 | (letter ^ anchor) & 1)
-    base, inverse = 5, letter ^ 1
+    (letter,), base = _relabel((letter,), anchor)
+    inverse = letter ^ 1
     lengths = np.arange(source_length + 1)
 
     def stripped(n: int) -> int:
@@ -243,32 +240,31 @@ def cochain_word_trace(
     against the heat factor e^-s|D| is the finite exponential sum
     sum c e^-(power + weight s), returned as {(power, weight): c}.
 
-    The anchor becomes letter 0, the pairs of the word follow in order, and
-    a letter of the anchor's parity leads its pair.  A translation sends a
-    vertex to one vertex and strips a head only at a letter of the word, so
-    each :func:`_head_codes` vertex follows one orbit, which never reads
-    past the head's first untouched letter: its coefficient is a product
-    of sign flips, its exponent a sum of moduli.  A sign flip forces the
-    column word into the anchor region, so columns vanish beyond the one
-    letter a translation reads or writes; the window extends two letters
-    past that bound and verifies the predicted vanishing before certifying.
+    The word is relabelled by :func:`_relabel`, and only the heads over its
+    own letters are walked.  A translation keeps offset - length on a
+    non-empty head, so a vertex's sign changes only on the empty head, and
+    the factor moved - now is zero unless that sign changes.  A translation
+    strips only the inverse of a word letter, so a head that holds any
+    other letter is never emptied: its coefficient is 0 after the first
+    factor, whatever d is.  Each walked vertex follows one orbit: its
+    coefficient is a product of sign flips, its exponent a sum of moduli.
+    A sign flip forces the column word into the anchor region, so columns
+    vanish beyond the one letter a translation reads or writes; the window
+    extends two letters past that bound and verifies the predicted
+    vanishing before certifying.
     """
     if len(letters) < 2:
         raise ValueError("the word needs a leading element and at least one factor")
     for letter in letters:
         model.check_letter(letter)
     model.check_letter(anchor)
-    pairs = list(dict.fromkeys([anchor >> 1, *(letter >> 1 for letter in letters)]))
-    word = [2 * pairs.index(letter >> 1) | (letter ^ anchor) & 1 for letter in letters]
-    base = 2 * len(pairs) + 2
-    groups = list(_head_codes(model, len(pairs), _TRACE_REACH + 2, base))
+    word, base = _relabel(letters, anchor)
     parts = []
-    for index, (size, heads, _) in enumerate(groups):
+    for size, heads in enumerate(_head_codes(base // 2, _TRACE_REACH + 2, base)):
         window = np.arange(2 * size - _TRACE_REACH - 2, _TRACE_REACH + 3)
         offsets = np.tile(window, heads.size)
-        same = np.ones_like(offsets)
-        parts.append((np.repeat(heads, window.size), size * same, offsets, index * same))
-    code, length, offset, group = map(np.concatenate, zip(*parts))
+        parts.append((np.repeat(heads, window.size), np.full_like(offsets, size), offsets))
+    code, length, offset = map(np.concatenate, zip(*parts))
     modulus = settled_eigenvalue(length, offset)
     sign = np.where(offset >= length, 1, -1)
     exponent = (len(word) - 1) * modulus
@@ -286,12 +282,10 @@ def cochain_word_trace(
     landed, _, shifted = _translate(word[0], base, *vertex)
     back = inside & (coeff != 0) & (landed == code) & (shifted == offset)
     trace: dict[tuple[int, int], int] = {}
-    for key, value, index in zip(
-        zip(exponent[back].tolist(), modulus[back].tolist()),
-        (sign * coeff)[back].tolist(),
-        group[back].tolist(),
+    for key, value in zip(
+        zip(exponent[back].tolist(), modulus[back].tolist()), (sign * coeff)[back].tolist()
     ):
-        trace[key] = trace.get(key, 0) + value * groups[index][2]
+        trace[key] = trace.get(key, 0) + value
     return {key: Fraction(value) for key, value in trace.items() if value}
 
 

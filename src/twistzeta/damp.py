@@ -38,15 +38,15 @@ class SummabilityReport:
     """Partial-sum curves over a truncation sweep with verdicts per exponent.
 
     ``curves[i][j]`` is the partial sum for ``exponents[i]`` at the j-th
-    truncation of the sweep.  ``crossing`` is the midpoint estimate of the
-    abscissa separating diverging from converged exponents, or None when
-    the verdicts do not bracket it.
+    truncation of the sweep.  ``bracket`` is the largest diverging and the
+    smallest converged exponent, or None when the verdicts do not bracket
+    the abscissa between them; ``crossing`` is its midpoint estimate.
     """
 
     exponents: tuple[float, ...]
     curves: tuple[tuple[float, ...], ...]
     verdicts: tuple[str, ...]
-    crossing: float | None
+    bracket: tuple[float, float] | None
 
     def __post_init__(self) -> None:
         if len(self.curves) != len(self.exponents):
@@ -57,6 +57,10 @@ class SummabilityReport:
             drops = np.diff(np.asarray(curve))
             if drops.size and float(drops.min()) < -1e-9 * max(map(abs, curve)):
                 raise ValueError("positive-term partial sums must be monotone")
+
+    @property
+    def crossing(self) -> float | None:
+        return None if self.bracket is None else sum(self.bracket) / 2.0
 
 
 def _tail_verdict(curve: Sequence[float]) -> str:
@@ -72,9 +76,9 @@ def _tail_verdict(curve: Sequence[float]) -> str:
     return "diverging" if diverging else "converged"
 
 
-def _crossing_estimate(
+def _bracket(
     exponents: Sequence[float], verdicts: Sequence[str]
-) -> float | None:
+) -> tuple[float, float] | None:
     diverging = [s for s, verdict in zip(exponents, verdicts) if verdict == "diverging"]
     converged = [s for s, verdict in zip(exponents, verdicts) if verdict == "converged"]
     if not diverging or not converged:
@@ -82,7 +86,7 @@ def _crossing_estimate(
     below, above = max(diverging), min(converged)
     if below >= above:
         return None
-    return (below + above) / 2.0
+    return below, above
 
 
 def _assemble_report(
@@ -93,7 +97,7 @@ def _assemble_report(
         exponents=tuple(float(s) for s in exponents),
         curves=tuple(curves),
         verdicts=verdicts,
-        crossing=_crossing_estimate(exponents, verdicts),
+        bracket=_bracket(exponents, verdicts),
     )
 
 

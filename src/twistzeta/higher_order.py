@@ -27,11 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .circle import (
+    CrossedElement,
     MoebiusMap,
     TrigPoly,
-    build_dlog,
-    moebius_unitary,
-    mult_op,
+    log_dirac_commutator,
     singular_values,
 )
 
@@ -144,16 +143,12 @@ def order_sweep(
 
     if commutator == "symbol":
         gamma = MoebiusMap.hyperbolic(SYMBOL_STRETCH)
-        window = moebius_unitary(gamma, max_mode).matrix
-        damped = build_dlog(max_mode)
-        step_norm = float(
-            singular_values(damped[:, None] * window - window * damped[None, :])[0]
-        )
-        symbol_matrix = mult_op(SWEEP_SYMBOL, max_mode)
-        inner_norm = float(
-            singular_values(
-                damped[:, None] * symbol_matrix - symbol_matrix * damped[None, :]
-            )[0]
+        step_norm, inner_norm = (
+            float(singular_values(log_dirac_commutator(element, gamma, max_mode))[0])
+            for element in (
+                CrossedElement.generator(),
+                CrossedElement.multiplication(SWEEP_SYMBOL),
+            )
         )
         symbol_sup = float(np.max(np.abs(SWEEP_SYMBOL.values_on_grid(256))))
 

@@ -292,12 +292,11 @@ def _refined_length(chain: tuple[Monomial, ...]) -> int:
 @functools.lru_cache(maxsize=256)
 def _chain_summary(chain: tuple[Monomial, ...], model: FreeGroup) -> _ChainSummary:
     """Cylinder decomposition of a chain diagonal, grouped for assembly."""
-    return _summarize(chain, model, *cylinder_census(chain, model, _refined_length(chain)))
+    return _summarize(chain, *cylinder_census(chain, model, _refined_length(chain)))
 
 
 def _summarize(
     chain: tuple[Monomial, ...],
-    model: FreeGroup,
     census: dict[CylinderClass, Fraction | int],
     short_vectors: tuple[tuple[tuple[int, ...], int], ...],
 ) -> _ChainSummary:

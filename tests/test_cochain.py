@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -43,7 +42,6 @@ from twistzeta.circle import TrigPoly, build_dirac, mult_op
 from twistzeta.cochain import (
     CounterexampleReport,
     _assemble,
-    _head_codes,
     _head_count,
     _translate,
     boundary_translation_index,
@@ -629,36 +627,11 @@ def test_word_trace_matches_the_per_letter_walk():
                 ), (generators, anchor, letters)
 
 
-def test_stand_in_heads_count_the_per_letter_heads():
-    """Each head of at most three letters over the whole alphabet, cut after
-    its first letter outside the first ``pairs`` generator pairs, which
-    becomes the stand-in: _head_codes yields each cut head once, with the
-    number of heads cut to it, for every number of touched pairs of d=1
-    to 4.  Stand-in orbits never return with a nonzero coefficient, so the
-    word traces alone cannot see these multiplicities."""
-    for generators in (1, 2, 3, 4):
-        model = FreeGroup(generators)
-        full = model.size + 1
-        for pairs in range(1, generators + 1):
-            base, stand_in = 2 * pairs + 2, 2 * pairs
-            expected: Counter[tuple[int, int]] = Counter()
-            for length, heads in enumerate(enumerated_head_codes(model, 0, 3, full)):
-                for head in (word_of_code(code, full) for code in heads.tolist()):
-                    cut = next((i for i, k in enumerate(head) if k >= stand_in), length)
-                    kept = head[:cut] + (stand_in,) * (cut < length)
-                    expected[length, word_code(kept, base)] += 1
-            walked: Counter[tuple[int, int]] = Counter()
-            for length, codes, share in _head_codes(model, pairs, 3, base):
-                for code in codes.tolist():
-                    walked[length, code] += share
-            assert walked == expected, (generators, pairs)
-
-
 def test_word_traces_translate_as_many_vertices_at_every_rank(monkeypatch):
     """The counterexample's words at anchor a1 and pairing letters a1 and a2
-    translate as many vertices at d=5, 40, 3000 and 10^9: 26 per letter
-    when the word touches only the anchor's pair, 90 when it touches one
-    more."""
+    translate as many vertices at d=5, 40, 3000 and 10^9: 7 per letter
+    when the word touches only the anchor's pair (the empty head at its 7
+    offsets), 53 when it touches one more."""
     sizes = []
     translate = cochain._translate
 
@@ -667,11 +640,30 @@ def test_word_traces_translate_as_many_vertices_at_every_rank(monkeypatch):
         return translate(letter, base, code, length, offset)
 
     monkeypatch.setattr(cochain, "_translate", counted)
-    for letters, per_letter in (((1, 0), 26), ((1, 0, 1, 0), 26), ((3, 2), 90), ((3, 2, 3, 2), 90)):
+    for letters, per_letter in (((1, 0), 7), ((1, 0, 1, 0), 7), ((3, 2), 53), ((3, 2, 3, 2), 53)):
         for generators in (5, 40, 3000, 10**9):
             sizes.clear()
             cochain_word_trace(letters, 0, FreeGroup(generators))
             assert sum(sizes) == len(letters) * per_letter, (letters, generators)
+
+
+def test_translation_keeps_offset_minus_length_on_a_non_empty_word():
+    """On every reduced word of one to three letters over 1 to 3 generator
+    pairs, a superset of the non-empty heads, at every letter and offsets
+    -3..5, a translation keeps offset - length.  A vertex's sign thus
+    changes only on the empty head, which a head holding a letter outside
+    the word never reaches; on this ground the word traces walk only the
+    heads over the word's own letters."""
+    offsets = np.arange(-3, 6)
+    for pairs in (1, 2, 3):
+        model = FreeGroup(pairs)
+        base = model.size + 1
+        for length in (1, 2, 3):
+            heads = np.array([word_code(word, base) for word in enumerate_admissible(model, length)])
+            code, offset = np.repeat(heads, offsets.size), np.tile(offsets, heads.size)
+            for letter in range(model.size):
+                _, landed, shifted = _translate(letter, base, code, length, offset)
+                assert np.array_equal(shifted - landed, offset - length), (pairs, length, letter)
 
 
 def test_word_trace_support_check_refuses_a_narrower_bound(monkeypatch):

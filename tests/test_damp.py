@@ -328,6 +328,7 @@ def test_free_group_scan_brackets_log_five_for_three_generators() -> None:
         FreeGroup(3), ANCHOR, [1.55, 1.7], (4, 8, 16, 32, 64)
     )
     assert report.verdicts == ("diverging", "converged")
+    assert report.bracket == (1.55, 1.7)
     assert report.crossing == pytest.approx(1.625)
     assert abs(report.crossing - math.log(5.0)) < 0.08
 

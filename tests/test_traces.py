@@ -1099,7 +1099,7 @@ def test_counted_summary_matches_the_enumerated_cylinders(case, data):
     assert tuple(counted)[:-1] == expected
     refined = counted.refined_length
     signed = data.draw(signed_diagonals(model, refined))
-    counted = _summarize(chain, model, netted_cylinder_census(signed, model, refined), ())
+    counted = _summarize(chain, netted_cylinder_census(signed, model, refined), ())
     assert tuple(counted)[:-1] == enumerated_summary(chain, model, signed)
 
 

@@ -91,11 +91,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "stand-in-multiplicity-one-short",
+        "relabel-without-parity",
         "src/twistzeta/cochain.py",
-        "yield total, words + (2 * pairs + 1) * base**length, share\n",
-        "yield total, words + (2 * pairs + 1) * base**length, share - 1\n",
-        ("tests/test_cochain.py::test_stand_in_heads_count_the_per_letter_heads",),
+        "2 * pairs.index(letter >> 1) | (letter ^ anchor) & 1",
+        "2 * pairs.index(letter >> 1)",
+        (
+            "tests/test_cochain.py::test_compressed_kernel_dimension_sees_the_missing_basis_vector",
+            "tests/test_cochain.py::test_word_trace_matches_the_per_letter_walk",
+        ),
     ),
     Mutant(
         "word-trace-without-sign-flip",
@@ -126,6 +129,16 @@ MUTANTS = (
         (
             "tests/test_traces.py::test_single_variable_two_stage_slice_matches_direct",
             "tests/test_traces.py::test_single_variable_keeps_the_last_coordinate",
+        ),
+    ),
+    Mutant(
+        "bracket-ends-swapped",
+        "src/twistzeta/damp.py",
+        "return below, above",
+        "return above, below",
+        (
+            "tests/test_damp.py::test_free_group_scan_brackets_log_five_for_three_generators",
+            "tests/test_cli.py::test_damp_sweep_brackets_the_rate_and_flags_unbracketed_grids",
         ),
     ),
     Mutant(
