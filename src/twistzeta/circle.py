@@ -118,9 +118,6 @@ class TrigPoly:
                 merged[mode] = merged.get(mode, 0.0) + left * right
         return TrigPoly.from_dict(merged)
 
-    def evaluate(self, point: complex) -> complex:
-        return sum(value * point**mode for mode, value in self.terms)
-
     def values_on_grid(self, points: int) -> np.ndarray:
         """Evaluate on the equispaced grid exp(2 pi i k / points)."""
 
@@ -171,11 +168,10 @@ class MoebiusMap:
         return MoebiusMap(a1 * a2 + b1 * b2.conjugate(), a1 * b2 + b1 * a2.conjugate())
 
     def power(self, exponent: int) -> MoebiusMap:
-        base = self if exponent >= 0 else self.inverse()
-        result = MoebiusMap.identity()
-        for _ in range(abs(exponent)):
-            result = result.compose(base)
-        return result
+        if exponent == 0:
+            return MoebiusMap.identity()
+        base = self if exponent > 0 else self.inverse()
+        return functools.reduce(MoebiusMap.compose, [base] * (abs(exponent) - 1), base)
 
 
 def build_dirac(max_mode: int) -> np.ndarray:

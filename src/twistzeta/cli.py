@@ -630,10 +630,10 @@ def _free_group_cost(generators: int, length: int) -> tuple[Count, ...]:
     )
 
 
-# Mode radius of the circle counterexamples.  Measured by tools/scale_curve.py
-# (BENCH_8.json): the Moebius one takes 0.22 s and 353 MB at M=2048; its
-# memory, the dense (2M+1)^2 window matrix, grows like M^2 (M=2560: 536 MB,
-# M=3072: 758 MB).  The free-group counterexample peaks at 60 MB at its largest
+# Mode radius of the circle counterexamples.  Measured by tools/scale_curve.py,
+# target counterexample (BENCH_30.json): the Moebius one takes 0.08 s and
+# 164 MB at M=2048; its memory, the dense (2M+1)^2 window matrix, grows like
+# M^2 (M=1024: 72 MB, M=2560: 240 MB).  The free-group counterexample peaks at 60 MB at its largest
 # window and 55 MB at its largest d (BENCH_28.json).
 CIRCLE_MODE_BUDGET = 2048
 
@@ -683,16 +683,15 @@ def _step_cost(experiment: str, per_exponent: int) -> Callable[..., tuple[Count,
 # Lattice sites of pv-order's deepest stage.  Both lanes evaluate every site
 # of it as float arrays, one epsilon at a time, so memory grows with the
 # sites alone.  Measured by tools/scale_curve.py, target pv-sites
-# (BENCH_16.json), on one core at the default two epsilons: a deepest stage
-# of 2^22 (every L up to 2^23 - 1) takes 0.68 s and 259 MB, below the Moebius
-# counterexample's 353 MB at its budget (BENCH_8.json); 2^23 takes 1.3 s and
-# 483 MB.
+# (BENCH_30.json), on one core at the default two epsilons: a deepest stage
+# of 2^22 (every L up to 2^23 - 1) takes 0.76 s and 260 MB; 2^23 takes 1.3 s
+# and 484 MB.
 LATTICE_SITE_BUDGET = 5_000_000
 
 # Entries of the (2M+1)^2 window whose dense SVD gives pv-order's symbol
 # lane its step norm.  Measured by tools/scale_curve.py, target pv-modes
-# (BENCH_16.json): M=1024 takes 4.8 s and 291 MB; M=1280 takes 10 s and
-# 436 MB.
+# (BENCH_30.json), on one core: M=1024 takes 3.0 s and 136 MB; M=1280 takes
+# 6.4 s and 193 MB.
 PV_WINDOW_BUDGET = 4_200_000
 
 # Modes 2M+1 of the summability window, held as a few float arrays.

@@ -39,7 +39,7 @@ from .circle import (
     toeplitz_index,
     winding_number,
 )
-from .words import FreeGroup, settled_eigenvalue, transfer_counts
+from .words import FreeGroup, relabel, settled_eigenvalue, transfer_counts
 
 ITERATE_CERTIFICATE = "collapsed-square-iterate"
 # Certificate of the free-group words: it names the check that their exact
@@ -106,16 +106,6 @@ def boundary_translation_index(letter: int, anchor: int, model: FreeGroup) -> in
     kernel = 1 if model.inverse(letter) == anchor else 0
     cokernel = 1 if letter == anchor else 0
     return kernel - cokernel
-
-
-def _relabel(letters: Sequence[int], anchor: int) -> tuple[list[int], int]:
-    """The letters on the generator pairs they touch, taken in first-seen
-    order with the anchor's pair first and the anchor as letter 0, and the
-    code base 2 * pairs + 1 of the heads over those pairs.  The map extends
-    to an automorphism of the alphabet, which keeps every count."""
-    pairs = list(dict.fromkeys([anchor >> 1, *(letter >> 1 for letter in letters)]))
-    word = [2 * pairs.index(letter >> 1) | (letter ^ anchor) & 1 for letter in letters]
-    return word, 2 * len(pairs) + 1
 
 
 def _head_codes(pairs: int, top: int, base: int) -> Iterator[np.ndarray]:
@@ -194,7 +184,7 @@ def compressed_kernel_dimension(
     model.check_letter(anchor)
     if source_length < 1:
         raise ValueError("the source window must contain at least length one")
-    (letter,), base = _relabel((letter,), anchor)
+    (letter,), base = relabel((letter,), anchor)
     inverse = letter ^ 1
     lengths = np.arange(source_length + 1)
 
@@ -240,7 +230,7 @@ def cochain_word_trace(
     against the heat factor e^-s|D| is the finite exponential sum
     sum c e^-(power + weight s), returned as {(power, weight): c}.
 
-    The word is relabelled by :func:`_relabel`, and only the heads over its
+    The word is relabelled by :func:`relabel`, and only the heads over its
     own letters are walked.  A translation keeps offset - length on a
     non-empty head, so a vertex's sign changes only on the empty head, and
     the factor moved - now is zero unless that sign changes.  A translation
@@ -258,7 +248,7 @@ def cochain_word_trace(
     for letter in letters:
         model.check_letter(letter)
     model.check_letter(anchor)
-    word, base = _relabel(letters, anchor)
+    word, base = relabel(letters, anchor)
     parts = []
     for size, heads in enumerate(_head_codes(base // 2, _TRACE_REACH + 2, base)):
         window = np.arange(2 * size - _TRACE_REACH - 2, _TRACE_REACH + 3)

@@ -2,9 +2,11 @@
 
 Closed forms are meromorphic functions of the heat parameters, kept as
 rational data: numerators are finite sums of exponentials with rational
-coefficients, denominators are products of the three atoms 1-E, 1+E and
-1-(2d-1)E in E = e^{-(s_1+...+s_m)}, split into the atoms once per
-denominator signature.  Truncated oracles compute the same traces by
+coefficients, denominators are powers of 1 - alpha E in
+E = e^{-(s_1+...+s_m)}, keyed by the integer amplitude alpha: 1, -1 or the
+branching number 2d-1, the eigenvalues of the free-group transfer matrix.
+A product of such powers is split into single powers once per denominator
+signature.  Truncated oracles compute the same traces by
 summation over the vertex window (each window geometric in the offset,
 summed in closed form) and report certified geometric tail bounds, so
 closed form and oracle can be compared honestly.
@@ -32,15 +34,11 @@ from .words import (
     Species,
     Word,
     extension_species,
+    relabel,
     settled_eigenvalue,
     settling_species,
     transfer_counts,
 )
-
-ENTIRE_ATOM = "1"
-PLAIN_ATOM = "1-E"
-ALTERNATING_ATOM = "1+E"
-BRANCH_ATOM = "1-(2d-1)E"
 
 TermKey = tuple[int, ...]
 
@@ -79,9 +77,6 @@ class ExpSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def as_dict(self) -> dict[TermKey, Fraction]:
-        return dict(self.terms)
-
     def evaluate(self, s: Sequence[complex]) -> complex:
         """Sum of the terms at s; a coefficient or exponential past the float
         range joins its term in log space, as in :func:`_count_times_exp`."""
@@ -101,30 +96,20 @@ class ExpSum:
         return total
 
 
-@dataclass(frozen=True)
-class Denom:
-    """One denominator atom raised to a power; atom "1" marks the entire part."""
+class Denom(NamedTuple):
+    """The denominator (1 - amplitude * E)^power; (0, 0) marks the entire part."""
 
-    atom: str
+    amplitude: int
     power: int
 
-    def __post_init__(self) -> None:
-        if self.atom == ENTIRE_ATOM:
-            if self.power != 0:
-                raise ValueError("the trivial atom carries power zero")
-        elif self.atom in (PLAIN_ATOM, ALTERNATING_ATOM, BRANCH_ATOM):
-            if self.power < 1:
-                raise ValueError("denominator powers are positive")
-        else:
-            raise ValueError(f"unknown denominator atom {self.atom!r}")
 
-
-ENTIRE_DENOM = Denom(ENTIRE_ATOM, 0)
+ENTIRE_DENOM = Denom(0, 0)
 
 
 @dataclass(frozen=True)
 class MeromorphicTrace:
-    """Sum of exponential numerators over powers of the denominator atoms."""
+    """Sum of exponential numerators over powers of 1 - alpha E, alpha one of
+    the amplitudes 1, -1 and 2d-1."""
 
     d: int
     nvars: int
@@ -138,6 +123,10 @@ class MeromorphicTrace:
             if denom in seen:
                 raise ValueError("each denominator may appear only once")
             seen.add(denom)
+            if denom != ENTIRE_DENOM and (
+                denom.power < 1 or denom.amplitude not in (1, -1, 2 * self.d - 1)
+            ):
+                raise ValueError(f"denominator {tuple(denom)} is outside the representable family")
             if numerator.nvars != self.nvars:
                 raise ValueError("numerator variable count mismatch")
 
@@ -145,82 +134,57 @@ class MeromorphicTrace:
     def from_parts(d: int, nvars: int, parts: dict[Denom, ExpSum]) -> MeromorphicTrace:
         kept = sorted(
             ((denom, num) for denom, num in parts.items() if not num.is_zero),
-            key=lambda item: (item[0].atom, item[0].power),
+            key=lambda item: item[0],
         )
         return MeromorphicTrace(d, nvars, tuple(kept))
 
     def evaluate(self, s: Sequence[complex]) -> complex:
         branch = cmath.exp(-sum(s))
         total = 0j
-        for denom, numerator in self.parts:
-            value = numerator.evaluate(s)
-            if denom.atom == PLAIN_ATOM:
-                value /= (1 - branch) ** denom.power
-            elif denom.atom == ALTERNATING_ATOM:
-                value /= (1 + branch) ** denom.power
-            elif denom.atom == BRANCH_ATOM:
-                branching = _as_float(2 * self.d - 1, "branching number 2d-1")
-                value /= (1 - branching * branch) ** denom.power
-            total += value
+        for (amplitude, power), numerator in self.parts:
+            scale = _as_float(amplitude, "branching number 2d-1")
+            total += numerator.evaluate(s) / (1 - scale * branch) ** power
         return total
 
 
-def _atom_for(amplitude: Fraction, d: int) -> str:
-    branching = 2 * d - 1
-    if amplitude == 1:
-        return PLAIN_ATOM
-    if amplitude == -1:
-        return ALTERNATING_ATOM
-    if amplitude == branching:
-        return BRANCH_ATOM
-    raise ValueError(
-        f"denominator amplitude {amplitude} is outside the representable family"
-    )
-
-
-def _pair_split(beta: Fraction, power: int, alpha: Fraction) -> dict[tuple[Fraction, int], Fraction]:
+def _pair_split(beta: int, power: int, alpha: int) -> dict[Denom, Fraction]:
     """Partial fractions of 1/((1-beta E)^power (1-alpha E)) for beta != alpha."""
     if power == 0:
-        return {(alpha, 1): Fraction(1)}
-    keep = beta / (beta - alpha)
-    swap = alpha / (alpha - beta)
-    out = {(beta, power): keep}
+        return {Denom(alpha, 1): Fraction(1)}
+    swap = Fraction(alpha, alpha - beta)
+    out = {Denom(beta, power): Fraction(beta, beta - alpha)}
     for key, coeff in _pair_split(beta, power - 1, alpha).items():
         out[key] = out.get(key, Fraction(0)) + swap * coeff
     return out
 
 
-Signature = tuple[tuple[Fraction, int], ...]
+Signature = tuple[tuple[int, int], ...]
 
 
 @functools.lru_cache(maxsize=64)
-def _signature_split(signature: Signature, d: int) -> tuple[tuple[Denom, Fraction], ...]:
+def _signature_split(signature: Signature) -> tuple[tuple[Denom, Fraction], ...]:
     """Exact partial fractions of 1/prod (1-alpha E)^p over the sorted
-    (alpha, p) pairs: atomic denominators with their coefficients.  The
-    closed forms meet a handful per d: 1, -1 and 2d-1 to powers <= 3."""
-    current: dict[tuple[Fraction, int] | None, Fraction] = {None: Fraction(1)}
+    (alpha, p) pairs: single powers with their coefficients.  The closed
+    forms meet a handful per d: 1, -1 and 2d-1 to powers <= 3."""
+    current = {ENTIRE_DENOM: Fraction(1)}
     for alpha, power in signature:
         for _ in range(power):
-            updated: dict[tuple[Fraction, int] | None, Fraction] = {}
-            for key, coeff in current.items():
-                if key is None or key[0] == alpha:
-                    splits = {(alpha, 1 if key is None else key[1] + 1): Fraction(1)}
+            updated: dict[Denom, Fraction] = {}
+            for (beta, held), coeff in current.items():
+                if beta == alpha:
+                    splits = {Denom(alpha, held + 1): Fraction(1)}
                 else:
-                    splits = _pair_split(*key, alpha)
+                    splits = _pair_split(beta, held, alpha)
                 for split, split_coeff in splits.items():
                     updated[split] = updated.get(split, Fraction(0)) + coeff * split_coeff
             current = updated
-    return tuple(
-        (ENTIRE_DENOM if key is None else Denom(_atom_for(key[0], d), key[1]), coeff)
-        for key, coeff in current.items()
-        if coeff
-    )
+    return tuple((denom, coeff) for denom, coeff in current.items() if coeff)
 
 
 class _Accumulator:
     """Mutable builder adding up one numerator per denominator signature,
     the sorted (alpha, p) pairs of prod (1-alpha E)^p; :meth:`build` splits
-    each signature once and distributes its numerator over the atoms."""
+    each signature once and distributes its numerator over single powers."""
 
     def __init__(self, d: int, nvars: int) -> None:
         self.d = d
@@ -229,7 +193,7 @@ class _Accumulator:
 
     def add_term(
         self,
-        factors: dict[Fraction, int],
+        factors: dict[int, int],
         vector: Sequence[int],
         coeff: Fraction,
     ) -> None:
@@ -242,7 +206,7 @@ class _Accumulator:
     def build(self) -> MeromorphicTrace:
         buckets: dict[Denom, dict[TermKey, Fraction]] = {}
         for signature, numerator in self.numerators.items():
-            for denom, split_coeff in _signature_split(signature, self.d):
+            for denom, split_coeff in _signature_split(signature):
                 bucket = buckets.setdefault(denom, {})
                 for key, coeff in numerator.items():
                     bucket[key] = bucket.get(key, Fraction(0)) + coeff * split_coeff
@@ -256,21 +220,19 @@ class _Accumulator:
 def _canonical_chain(
     chain: Sequence[Monomial], anchor: int, model: FreeGroup
 ) -> tuple[Monomial, ...]:
-    """Relabel letters so the anchor becomes letter 0.
+    """Relabel the chain's letters by :func:`relabel`, so the anchor
+    becomes letter 0.
 
     Letter permutations that respect the inverse pairing preserve
     admissibility, so traces are unchanged; the closed-form species counts
     assume the anchor is the first generator.
     """
     model.check_letter(anchor)
-    if anchor == 0:
-        return tuple(chain)
-    mapping = {anchor: 0, anchor ^ 1: 1}
-    mapping.setdefault(0, anchor)
-    mapping.setdefault(1, anchor ^ 1)
+    letters = [x for m in chain for x in m.out_word + m.in_word]
+    mapping = dict(zip(letters, relabel(letters, anchor)[0]))
 
     def remap(word: Word) -> Word:
-        return tuple(mapping.get(x, x) for x in word)
+        return tuple(mapping[x] for x in word)
 
     return tuple(Monomial(remap(m.out_word), remap(m.in_word)) for m in chain)
 
@@ -382,7 +344,7 @@ def closed_form_heat_trace(
     split into the family settling straight onto the anchor's fixed point
     and the families settling after an escape of each positive depth,
     whose counts are the species of :func:`settling_species`.  Both resum
-    to the atomic denominators.
+    to powers of 1 - alpha E over the species amplitudes alpha.
     """
     return _canonical_heat_trace(_canonical_chain(chain, anchor, model), model)
 
@@ -408,11 +370,11 @@ def _canonical_heat_trace(canonical: tuple[Monomial, ...], model: FreeGroup) -> 
     depth_rows = np.reshape([depths for depths, _ in summary.settled_buckets], (-1, 1, stages))
     grid = settled_eigenvalue(depth_rows, offsets).tolist()
     for (depths, weight), upper, vectors in zip(summary.settled_buckets, uppers, grid):
-        out.add_term({Fraction(1): 1}, tuple(w + upper for w in omegas), weight)
+        out.add_term({1: 1}, tuple(w + upper for w in omegas), weight)
         for vector in vectors[: upper - lower]:
             out.add_term({}, tuple(vector), weight)
         out.add_term(
-            {Fraction(1): 1, Fraction(-1): 1},
+            {1: 1, -1: 1},
             tuple(t - 2 * w + 2 - 2 * lower for t, w in zip(depths, omegas)),
             weight,
         )
@@ -423,20 +385,19 @@ def _canonical_heat_trace(canonical: tuple[Monomial, ...], model: FreeGroup) -> 
         tuple(max(sl, 2 * c - sl) for sl in sigma_lengths)
         for c in range(shallow + 1, deep + 1)
     ]
-    escape_pieces: list[tuple[dict[Fraction, int], list[tuple[tuple[int, ...], Fraction]]]] = [
-        ({Fraction(1): 1}, [(sigma_lengths, Fraction(1))]),
+    escape_pieces: list[tuple[dict[int, int], list[tuple[tuple[int, ...], Fraction]]]] = [
+        ({1: 1}, [(sigma_lengths, Fraction(1))]),
         (
             {},
             [(sigma_lengths, Fraction(shallow))]
             + [(v, Fraction(1)) for v in plateau_vectors],
         ),
         (
-            {Fraction(1): 1, Fraction(-1): 1},
+            {1: 1, -1: 1},
             [(tuple(2 * deep + 2 - sl for sl in sigma_lengths), Fraction(1))],
         ),
     ]
-    for amplitude, scale in _species_scales(summary, settling_species, model).items():
-        alpha = Fraction(amplitude)
+    for alpha, scale in _species_scales(summary, settling_species, model).items():
         out.add_term({alpha: 2}, tuple(sl + 1 for sl in sigma_lengths), scale)
         for extra_factors, pieces in escape_pieces:
             factors = dict(extra_factors)
@@ -481,7 +442,7 @@ def _canonical_toeplitz_trace(
             out.add_term({}, sigma_lengths, weight)
     bumped = tuple(sl + 1 for sl in sigma_lengths)
     for amplitude, scale in _species_scales(summary, extension_species, model).items():
-        out.add_term({Fraction(amplitude): 1}, bumped, scale)
+        out.add_term({amplitude: 1}, bumped, scale)
     return out.build()
 
 
@@ -795,7 +756,7 @@ def single_variable(trace: MeromorphicTrace) -> MeromorphicTrace:
     """Single-variable slice s_1 = ... = s_{m-1} = 0, s_m = s.
 
     Each term keeps the last coordinate of its exponent vector; the sum
-    s_1 + ... + s_m becomes s, so the denominator atoms pass through
+    s_1 + ... + s_m becomes s, so the denominators pass through
     unchanged.  A one-variable trace is returned as it is.
     """
     if trace.nvars == 1:
@@ -866,40 +827,32 @@ def _reciprocal_moments(order: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(rows)
 
 
-_POLE_CLASSES = (
-    (PLAIN_ATOM, "0", "even"),
-    (ALTERNATING_ATOM, "0", "odd"),
-    (BRANCH_ATOM, "log(2d-1)", "even"),
-)
-
-
 def poles_and_laurent(trace: MeromorphicTrace) -> list[PoleDatum]:
     """Exact pole classes of a single-variable trace.
 
-    Writes w = e^{-s}; near each candidate root w_0 the matching atom equals
-    1 - e^{-t} in the local variable t, whose reciprocal expands through
-    Bernoulli-type coefficients, while a numerator term e^{-vs} contributes
-    w_0^v e^{-vt}, with w_0^v = 1, (-1)^v or (2d-1)^{-v}.  The Laurent
-    coefficients are summed exactly, so reported orders are true orders.
+    Writes w = e^{-s}; near the root w_0 = 1/alpha of 1 - alpha w, the
+    denominator of amplitude alpha equals 1 - e^{-t} in the local variable
+    t, whose reciprocal expands through Bernoulli-type coefficients, while
+    a numerator term e^{-vs} contributes w_0^v e^{-vt} = alpha^{-v} e^{-vt}.
+    The pole sits at s = log(alpha): at 0 for alpha = 1, at i*pi (odd
+    parity) for alpha = -1 and at log(2d-1) for the branching number.  The
+    Laurent coefficients are summed exactly, so reported orders are true
+    orders.
     """
     if trace.nvars != 1:
         raise ValueError("pole extraction expects a single-variable trace")
-    branching = 2 * trace.d - 1
     found = []
-    for atom, label, parity in _POLE_CLASSES:
-        powers = {denom.power: num for denom, num in trace.parts if denom.atom == atom}
+    for alpha in (1, -1, 2 * trace.d - 1):
+        powers = {power: num for (amplitude, power), num in trace.parts if amplitude == alpha}
         if not powers:
             continue
-        base_value = math.log(branching) if atom == BRANCH_ATOM else 0.0
         principal: dict[int, Fraction] = {}
         for power, numerator in powers.items():
             rows = _reciprocal_moments(power)
             for (v,), coeff in numerator.terms:
+                lift = alpha ** abs(v)
                 num, den = coeff.numerator, coeff.denominator
-                if atom == ALTERNATING_ATOM and v % 2:
-                    num = -num
-                elif atom == BRANCH_ATOM:
-                    num, den = (num, den * branching**v) if v >= 0 else (num * branching**-v, den)
+                num, den = (num, den * lift) if v >= 0 else (num * lift, den)
                 for k, (weights, scale) in enumerate(rows):
                     moment = sum(w * (-v) ** i for i, w in enumerate(weights))
                     if moment:
@@ -909,5 +862,7 @@ def poles_and_laurent(trace: MeromorphicTrace) -> list[PoleDatum]:
         if true_order == 0:
             continue
         coefficients = tuple(principal.get(e, Fraction(0)) for e in range(-true_order, 0))
+        label, base_value = ("log(2d-1)", math.log(alpha)) if alpha > 1 else ("0", 0.0)
+        parity = "odd" if alpha < 0 else "even"
         found.append(PoleDatum(label, base_value, parity, true_order, coefficients))
     return found

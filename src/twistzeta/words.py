@@ -7,15 +7,15 @@ reduced words and their transfer counts by letter class, the eigenvalue
 of a vertex, and the species decompositions of the free-group escape
 counts that the closed-form traces resum.  Every vertex space hangs over
 the fixed point a^inf of one anchor letter a, so a boundary point is
-named by that letter alone; the traces relabel it to the first
-generator, letter 0.
+named by that letter alone; :func:`relabel` makes it the first
+generator, letter 0, for the traces and the cochains alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -66,6 +66,16 @@ class FreeGroup:
         """Raise when ``letter`` is outside the alphabet."""
         if not 0 <= letter < self.size:
             raise ValueError(f"letter {letter} outside alphabet of size {self.size}")
+
+
+def relabel(letters: Sequence[int], anchor: int) -> tuple[list[int], int]:
+    """The letters on the generator pairs they touch, taken in first-seen
+    order with the anchor's pair first and the anchor as letter 0, and the
+    code base 2 * pairs + 1 of the heads over those pairs.  The map extends
+    to an automorphism of the alphabet, which keeps every count."""
+    pairs = list(dict.fromkeys([anchor >> 1, *(letter >> 1 for letter in letters)]))
+    word = [2 * pairs.index(letter >> 1) | (letter ^ anchor) & 1 for letter in letters]
+    return word, 2 * len(pairs) + 1
 
 
 def transfer_counts(

@@ -16,6 +16,7 @@ from twistzeta.circle import (
     CrossedElement,
     MoebiusMap,
     TrigPoly,
+    _unitary_cached,
     build_dirac,
     build_dlog,
     conformal_twist,
@@ -40,6 +41,11 @@ def build_phase(max_mode: int) -> np.ndarray:
     """Diagonal of the phase of the shifted derivative operator."""
     modes = np.arange(-max_mode, max_mode + 1)
     return np.where(modes >= 0, 1.0, -1.0)
+
+
+def trig_value(poly: TrigPoly, point: complex) -> complex:
+    """The Fourier polynomial at one point, mode by mode."""
+    return sum(value * point**mode for mode, value in poly.terms)
 
 
 def moebius_apply(gamma: MoebiusMap, z):
@@ -276,6 +282,17 @@ def test_moebius_powers_compose_exactly():
     assert inverse_square.a == pytest.approx(direct.a)
     assert inverse_square.b == pytest.approx(direct.b)
     assert STRETCH.power(0).a == 1.0
+
+
+def test_moebius_power_one_is_the_map_and_shares_its_unitary():
+    """power(1) returns the map itself, so the generator's window in
+    represent is the cache entry of the map's own unitary."""
+    assert STRETCH.power(1) is STRETCH
+    _unitary_cached.cache_clear()
+    represent(CrossedElement.generator(), STRETCH, 8)
+    moebius_unitary(STRETCH, 8)
+    info = _unitary_cached.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
 
 
 def looped_from_samples(values: np.ndarray, drop_tol: float) -> dict[int, complex]:
@@ -534,7 +551,7 @@ def test_moebius_unitary_intertwines_multiplication():
     symbol = TrigPoly.from_dict({0: 0.25, 1: 1.0, -2: 0.5, 4: 0.05})
     angles = 2.0 * np.pi * np.arange(4096) / 4096
     points = np.exp(1j * angles)
-    composed_values = np.array([symbol.evaluate(moebius_apply(STRETCH, p)) for p in points])
+    composed_values = np.array([trig_value(symbol, moebius_apply(STRETCH, p)) for p in points])
     composed = TrigPoly.from_samples(composed_values, 1e-10)
     forward = moebius_rectangle(STRETCH, max_mode, pad, quad)
     backward = moebius_rectangle(STRETCH.inverse(), pad, max_mode, quad)
@@ -555,8 +572,8 @@ def test_conformal_twist_multiplies_by_derivative_powers():
     assert power == 2
     points = np.exp(1j * np.linspace(0.1, 6.2, 9))
     for point in points:
-        expect = base.evaluate(point) * STRETCH.derivative_abs(point) ** 2
-        assert weighted.evaluate(point) == pytest.approx(expect, abs=1e-8)
+        expect = trig_value(base, point) * STRETCH.derivative_abs(point) ** 2
+        assert trig_value(weighted, point) == pytest.approx(expect, abs=1e-8)
 
 
 def test_conformal_twist_reports_unresolved_tails():
@@ -662,8 +679,8 @@ def test_trigpoly_arithmetic_and_grids():
     product = left * right
     grid = np.exp(1j * np.linspace(0.2, 6.0, 11))
     for point in grid:
-        assert product.evaluate(point) == pytest.approx(
-            left.evaluate(point) * right.evaluate(point)
+        assert trig_value(product, point) == pytest.approx(
+            trig_value(left, point) * trig_value(right, point)
         )
     assert left.conjugate().as_dict() == {1: 1.0, -1: 2.0}
     sampled = TrigPoly.from_samples(left.values_on_grid(64), 1e-12)

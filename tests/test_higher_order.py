@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_circle import trig_value
 
 from twistzeta.circle import (
     MoebiusMap,
@@ -488,7 +489,7 @@ def looped_sweep_norms(
         symbol = mult_op(SWEEP_SYMBOL, max_mode)
         inner = float(singular_values(damped[:, None] * symbol - symbol * damped[None, :])[0])
         points = np.exp(2j * np.pi * np.arange(256) / 256)
-        sup = float(max(abs(SWEEP_SYMBOL.evaluate(point)) for point in points))
+        sup = float(max(abs(trig_value(SWEEP_SYMBOL, point)) for point in points))
 
         def value(site: int) -> float:
             return (2.0 * step * abs(site) * sup + inner) * weight(site)

@@ -3,6 +3,7 @@ assembly, closed forms, oracles, shift slices, and pole extraction."""
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from fractions import Fraction
@@ -36,18 +37,12 @@ from twistzeta import ckalg, traces
 from twistzeta.ckalg import Monomial, _toeplitz_step, cylinder_census
 from twistzeta.cli import build_config, parse_chain, run
 from twistzeta.traces import (
-    ALTERNATING_ATOM,
-    BRANCH_ATOM,
-    ENTIRE_ATOM,
     ENTIRE_DENOM,
-    PLAIN_ATOM,
     Denom,
     ExpSum,
     MeromorphicTrace,
     PoleDatum,
-    _POLE_CLASSES,
     _Accumulator,
-    _atom_for,
     _canonical_chain,
     _canonical_heat_trace,
     _canonical_toeplitz_trace,
@@ -99,28 +94,26 @@ FIRST_SQUARE = [Monomial((0,), (0,))]
 # the window sums, and the word-by-word forms of the chain summary and of the
 # short basis words.
 
-def partial_fractions(
-    factors: dict[Fraction, int]
-) -> dict[tuple[Fraction, int] | None, Fraction]:
-    """Decompose 1/prod (1-alpha E)^p into atomic fractions, exactly, in
-    the order the factors are listed.  The key None stands for the
-    constant 1 (empty product)."""
-    current: dict[tuple[Fraction, int] | None, Fraction] = {None: Fraction(1)}
+def partial_fractions(factors: dict[int, int]) -> dict[Denom, Fraction]:
+    """Decompose 1/prod (1-alpha E)^p into single powers, exactly, in the
+    order the factors are listed; ``ENTIRE_DENOM`` stands for the constant
+    1 (empty product)."""
+    current = {ENTIRE_DENOM: Fraction(1)}
     for alpha, power in factors.items():
         for _ in range(power):
-            updated: dict[tuple[Fraction, int] | None, Fraction] = {}
+            updated: dict[Denom, Fraction] = {}
 
-            def add(key: tuple[Fraction, int] | None, value: Fraction) -> None:
+            def add(key: Denom, value: Fraction) -> None:
                 if value:
                     updated[key] = updated.get(key, Fraction(0)) + value
 
             for key, coeff in current.items():
-                if key is None:
-                    add((alpha, 1), coeff)
+                if key == ENTIRE_DENOM:
+                    add(Denom(alpha, 1), coeff)
                     continue
                 beta, k = key
                 if beta == alpha:
-                    add((alpha, k + 1), coeff)
+                    add(Denom(alpha, k + 1), coeff)
                     continue
                 for split_key, split_coeff in _pair_split(beta, k, alpha).items():
                     add(split_key, coeff * split_coeff)
@@ -130,19 +123,23 @@ def partial_fractions(
 
 def taylor_pole_oracle(trace: MeromorphicTrace) -> list[PoleDatum]:
     """Pole classes of a single-variable trace from the Taylor data of each
-    numerator at the atom's root w_0: for every power, the coefficients
-    sum coeff w_0^v (-v)^i / i! over the terms, times the reciprocal series
-    of that power, rebuilt for each power.  Oracle of ``poles_and_laurent``,
-    which reads integer moments from a per-order memo."""
+    numerator at the denominator's root w_0: for every power, the
+    coefficients sum coeff w_0^v (-v)^i / i! over the terms, times the
+    reciprocal series of that power, rebuilt for each power.  Each class
+    is listed with its root, label and parity.  Oracle of
+    ``poles_and_laurent``, which reads integer moments from a per-order
+    memo and derives each class from its amplitude."""
     branching = 2 * trace.d - 1
+    classes = (
+        (1, Fraction(1), "0", 0.0, "even"),
+        (-1, Fraction(-1), "0", 0.0, "odd"),
+        (branching, Fraction(1, branching), "log(2d-1)", math.log(branching), "even"),
+    )
     found = []
-    for atom, label, parity in _POLE_CLASSES:
-        powers = {denom.power: num for denom, num in trace.parts if denom.atom == atom}
+    for amplitude, root, label, base_value, parity in classes:
+        powers = {denom.power: num for denom, num in trace.parts if denom.amplitude == amplitude}
         if not powers:
             continue
-        root = {PLAIN_ATOM: Fraction(1), ALTERNATING_ATOM: Fraction(-1)}.get(
-            atom, Fraction(1, branching)
-        )
         phi = _phi_series(max(powers))
         principal: dict[int, Fraction] = {}
         for power, numerator in powers.items():
@@ -164,15 +161,14 @@ def taylor_pole_oracle(trace: MeromorphicTrace) -> list[PoleDatum]:
         order = next((-e for e in sorted(principal) if principal[e]), 0)
         if order:
             principal_parts = tuple(principal.get(e, Fraction(0)) for e in range(-order, 0))
-            base_value = math.log(branching) if atom == BRANCH_ATOM else 0.0
             found.append(PoleDatum(label, base_value, parity, order, principal_parts))
     return found
 
 
 class TermwiseAccumulator:
     """Closed-form assembly one term at a time: every term is split into
-    the atomic denominators by its own partial fractions and added to each
-    atom's numerator.  Oracle of ``_Accumulator``, which splits once per
+    single powers by its own partial fractions and added to each power's
+    numerator.  Oracle of ``_Accumulator``, which splits once per
     denominator signature."""
 
     def __init__(self, d: int, nvars: int) -> None:
@@ -180,16 +176,11 @@ class TermwiseAccumulator:
         self.nvars = nvars
         self.buckets: dict[Denom, dict] = {}
 
-    def add_term(self, factors: dict[Fraction, int], vector, coeff: Fraction) -> None:
+    def add_term(self, factors: dict[int, int], vector, coeff: Fraction) -> None:
         if not coeff:
             return
         key = tuple(vector)
-        for split, split_coeff in partial_fractions(factors).items():
-            denom = (
-                ENTIRE_DENOM
-                if split is None
-                else Denom(_atom_for(split[0], self.d), split[1])
-            )
+        for denom, split_coeff in partial_fractions(factors).items():
             bucket = self.buckets.setdefault(denom, {})
             bucket[key] = bucket.get(key, Fraction(0)) + coeff * split_coeff
 
@@ -212,16 +203,15 @@ def termwise_heat_trace(
         return MeromorphicTrace.from_parts(model.generators, len(canonical), {})
     out = TermwiseAccumulator(model.generators, len(canonical))
     omegas, sigma_lengths = summary.omegas, summary.sigma_lengths
-    one, flip = Fraction(1), Fraction(-1)
     for depths, weight in summary.settled_buckets:
         upper = max(t - w for t, w in zip(depths, omegas))
         lower = -max(omegas)
-        out.add_term({one: 1}, tuple(w + upper for w in omegas), weight)
+        out.add_term({1: 1}, tuple(w + upper for w in omegas), weight)
         for offset in range(lower, upper):
             vector = tuple(int(settled_eigenvalue(t, offset + w)) for t, w in zip(depths, omegas))
             out.add_term({}, vector, weight)
         out.add_term(
-            {one: 1, flip: 1},
+            {1: 1, -1: 1},
             tuple(t - 2 * w + 2 - 2 * lower for t, w in zip(depths, omegas)),
             weight,
         )
@@ -229,15 +219,15 @@ def termwise_heat_trace(
     plateau = [
         tuple(max(sl, 2 * c - sl) for sl in sigma_lengths) for c in range(shallow + 1, deep + 1)
     ]
+    one = Fraction(1)
     pieces = [
-        ({one: 1}, [(sigma_lengths, one)]),
+        ({1: 1}, [(sigma_lengths, one)]),
         ({}, [(sigma_lengths, Fraction(shallow))] + [(v, one) for v in plateau]),
-        ({one: 1, flip: 1}, [(tuple(2 * deep + 2 - sl for sl in sigma_lengths), one)]),
+        ({1: 1, -1: 1}, [(tuple(2 * deep + 2 - sl for sl in sigma_lengths), one)]),
     ]
     for last, weight in summary.ending_buckets:
-        for coeff, amplitude in settling_species(model, last):
-            alpha = Fraction(amplitude)
-            scale = weight * coeff * amplitude
+        for coeff, alpha in settling_species(model, last):
+            scale = weight * coeff * alpha
             out.add_term({alpha: 2}, tuple(sl + 1 for sl in sigma_lengths), scale)
             for extra, vectors in pieces:
                 factors = dict(extra)
@@ -263,7 +253,7 @@ def termwise_toeplitz_trace(
         if last != 1:
             out.add_term({}, summary.sigma_lengths, weight)
         for coeff, amplitude in extension_species(model, last):
-            out.add_term({Fraction(amplitude): 1}, bumped, weight * coeff * amplitude)
+            out.add_term({amplitude: 1}, bumped, weight * coeff * amplitude)
     return out.build()
 
 
@@ -472,7 +462,7 @@ def test_expsum_arithmetic_is_exact():
     entries = {(2, 2): Fraction(6), (1, 0): Fraction(1, 3) * 3, (0, 2): Fraction(0)}
     total = ExpSum.from_terms(2, entries)
     assert total.terms == (((1, 0), Fraction(1)), ((2, 2), Fraction(6)))
-    assert total.as_dict() == {(1, 0): Fraction(1), (2, 2): Fraction(6)}
+    assert dict(total.terms) == {(1, 0): Fraction(1), (2, 2): Fraction(6)}
     value = total.evaluate((0.5, 0.25))
     assert value.real == pytest.approx(
         math.exp(-0.5) + 6 * math.exp(-1 - 2 * 0.25), rel=1e-14
@@ -499,31 +489,33 @@ def test_expsum_rejects_ragged_vectors():
 
 
 def test_denom_validation():
-    with pytest.raises(ValueError):
-        Denom("1-E", 0)
-    with pytest.raises(ValueError):
-        Denom("1", 1)
-    with pytest.raises(ValueError):
-        Denom("1-4E", 1)
+    """A trace keeps the entire part (0, 0) and the amplitudes 1, -1 and
+    2d-1 to positive powers, and refuses every other denominator."""
+    numerator = ExpSum.from_terms(1, {(1,): Fraction(1)})
+    for denom in (ENTIRE_DENOM, Denom(1, 1), Denom(-1, 2), Denom(3, 3)):
+        assert MeromorphicTrace.from_parts(2, 1, {denom: numerator}).parts[0][0] == denom
+    for d, denom in ((2, Denom(1, 0)), (2, Denom(0, 1)), (2, Denom(4, 1)), (3, Denom(3, 1))):
+        with pytest.raises(ValueError, match="outside the representable family"):
+            MeromorphicTrace.from_parts(d, 1, {denom: numerator})
 
 
 def test_partial_fraction_splits_are_exact():
-    one, three = Fraction(1), Fraction(3)
-    plain, alternating = Denom(PLAIN_ATOM, 1), Denom(ALTERNATING_ATOM, 1)
-    assert dict(_signature_split(((-one, 1), (one, 1)), 2)) == {
+    one = Fraction(1)
+    plain, alternating = Denom(1, 1), Denom(-1, 1)
+    assert dict(_signature_split(((-1, 1), (1, 1)))) == {
         plain: Fraction(1, 2),
         alternating: Fraction(1, 2),
     }
-    assert dict(_signature_split(((one, 1), (three, 1)), 2)) == {
-        Denom(BRANCH_ATOM, 1): Fraction(3, 2),
+    assert dict(_signature_split(((1, 1), (3, 1)))) == {
+        Denom(3, 1): Fraction(3, 2),
         plain: Fraction(-1, 2),
     }
-    assert dict(_signature_split(((-one, 2), (one, 1)), 2)) == {
+    assert dict(_signature_split(((-1, 2), (1, 1)))) == {
         plain: Fraction(1, 4),
         alternating: Fraction(1, 4),
-        Denom(ALTERNATING_ATOM, 2): Fraction(1, 2),
+        Denom(-1, 2): Fraction(1, 2),
     }
-    assert _signature_split((), 2) == ((ENTIRE_DENOM, one),)
+    assert _signature_split(()) == ((ENTIRE_DENOM, one),)
 
 
 def test_first_generator_square_cylinder_census():
@@ -660,7 +652,7 @@ def test_rank_three_worst_acceptance_point():
 
 def test_toeplitz_exact_rational_identity():
     closed = closed_form_toeplitz_trace(FIRST_SQUARE, ANCHOR, RANK_TWO)
-    parts = {denom: numerator.as_dict() for denom, numerator in closed.parts}
+    parts = {denom: dict(numerator.terms) for denom, numerator in closed.parts}
     assert parts == {
         ENTIRE_DENOM: {
             (1,): Fraction(1),
@@ -668,9 +660,9 @@ def test_toeplitz_exact_rational_identity():
             (3,): Fraction(7),
             (4,): Fraction(21),
         },
-        Denom(BRANCH_ATOM, 1): {(5,): Fraction(243, 4)},
-        Denom(PLAIN_ATOM, 1): {(5,): Fraction(1, 2)},
-        Denom(ALTERNATING_ATOM, 1): {(5,): Fraction(-1, 4)},
+        Denom(3, 1): {(5,): Fraction(243, 4)},
+        Denom(1, 1): {(5,): Fraction(1, 2)},
+        Denom(-1, 1): {(5,): Fraction(-1, 4)},
     }
 
 
@@ -749,9 +741,22 @@ def test_single_variable_keeps_the_last_coordinate():
                     assert flat.evaluate((s,)) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
+def test_evaluate_divides_each_part_by_its_own_denominator():
+    """Each part of amplitude alpha and power p is divided by
+    (1 - alpha e^{-s})^p, at complex s off the poles, for alpha = 1, -1 and
+    2d-1 at d = 2 and 3; the entire part is not divided at all."""
+    numerator = ExpSum.from_terms(1, {(1,): Fraction(2, 3), (4,): Fraction(-5, 2)})
+    for d in (2, 3):
+        for amplitude, power in ((0, 0), (1, 1), (-1, 2), (2 * d - 1, 1), (2 * d - 1, 3)):
+            trace = MeromorphicTrace.from_parts(d, 1, {Denom(amplitude, power): numerator})
+            for s in (2.5 + 0.7j, 3.1 - 1.3j):
+                expected = numerator.evaluate((s,)) / (1 - amplitude * cmath.exp(-s)) ** power
+                assert trace.evaluate((s,)) == pytest.approx(expected, rel=1e-14)
+
+
 def test_simple_pole_residue_is_one():
     trace = MeromorphicTrace.from_parts(
-        2, 1, {Denom(PLAIN_ATOM, 1): ExpSum.from_terms(1, {(0,): Fraction(1)})}
+        2, 1, {Denom(1, 1): ExpSum.from_terms(1, {(0,): Fraction(1)})}
     )
     (pole,) = poles_and_laurent(trace)
     assert pole.base_label == "0"
@@ -763,7 +768,7 @@ def test_simple_pole_residue_is_one():
 
 def test_branch_double_pole_principal_part():
     trace = MeromorphicTrace.from_parts(
-        2, 1, {Denom(BRANCH_ATOM, 2): ExpSum.from_terms(1, {(0,): Fraction(1)})}
+        2, 1, {Denom(3, 2): ExpSum.from_terms(1, {(0,): Fraction(1)})}
     )
     (pole,) = poles_and_laurent(trace)
     assert pole.base_label == "log(2d-1)"
@@ -780,7 +785,7 @@ def test_pole_cancellation_is_detected_exactly():
     numerator = ExpSum.from_terms(
         1, {(0,): Fraction(1), (1,): Fraction(-1)}
     )
-    trace = MeromorphicTrace.from_parts(2, 1, {Denom(PLAIN_ATOM, 2): numerator})
+    trace = MeromorphicTrace.from_parts(2, 1, {Denom(1, 2): numerator})
     (pole,) = poles_and_laurent(trace)
     assert pole.order == 1
     assert pole.principal == (Fraction(1),)
@@ -819,16 +824,8 @@ def test_denominator_powers_stay_within_the_atomic_family():
     for chain in MIXED_CHAINS + [FIRST_SQUARE, [Monomial((), ())]]:
         closed = closed_form_heat_trace(chain, ANCHOR, RANK_TWO)
         for denom, _ in closed.parts:
-            assert denom.atom in (
-                ENTIRE_ATOM,
-                PLAIN_ATOM,
-                ALTERNATING_ATOM,
-                BRANCH_ATOM,
-            )
-            if denom.atom == PLAIN_ATOM:
-                assert denom.power <= 1
-            else:
-                assert denom.power <= 2
+            assert denom.amplitude in (0, 1, -1, 3)
+            assert denom.power <= (1 if denom.amplitude == 1 else 2)
 
 
 @st.composite
@@ -1040,9 +1037,9 @@ def test_pole_extraction_reads_negative_exponents_as_the_oracle_does():
         1, {(-3,): Fraction(2, 5), (-1,): Fraction(-1), (2,): Fraction(1, 3)}
     )
     for d in (2, 3):
-        for atom in (PLAIN_ATOM, ALTERNATING_ATOM, BRANCH_ATOM):
+        for amplitude in (1, -1, 2 * d - 1):
             for power in (1, 2, 3):
-                trace = MeromorphicTrace.from_parts(d, 1, {Denom(atom, power): numerator})
+                trace = MeromorphicTrace.from_parts(d, 1, {Denom(amplitude, power): numerator})
                 poles = poles_and_laurent(trace)
                 assert poles and repr(poles) == repr(taylor_pole_oracle(trace))
 
@@ -1158,7 +1155,7 @@ def accumulator_terms(draw):
     parts, so that numerators cancel exactly."""
     d = draw(st.sampled_from((2, 3, 5)))
     nvars = draw(st.integers(1, 3))
-    amplitudes = (Fraction(1), Fraction(-1), Fraction(2 * d - 1))
+    amplitudes = (1, -1, 2 * d - 1)
     vectors = st.lists(st.integers(0, 6), min_size=nvars, max_size=nvars).map(tuple)
     coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=12)
     terms = []

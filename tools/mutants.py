@@ -92,7 +92,7 @@ MUTANTS = (
     ),
     Mutant(
         "relabel-without-parity",
-        "src/twistzeta/cochain.py",
+        "src/twistzeta/words.py",
         "2 * pairs.index(letter >> 1) | (letter ^ anchor) & 1",
         "2 * pairs.index(letter >> 1)",
         (
@@ -130,6 +130,44 @@ MUTANTS = (
             "tests/test_traces.py::test_single_variable_two_stage_slice_matches_direct",
             "tests/test_traces.py::test_single_variable_keeps_the_last_coordinate",
         ),
+    ),
+    Mutant(
+        "pole-lift-drops-the-sign",
+        "src/twistzeta/traces.py",
+        "lift = alpha ** abs(v)",
+        "lift = abs(alpha) ** abs(v)",
+        (
+            "tests/test_traces.py::test_rank_two_pole_data_as_computed",
+            "tests/test_traces.py::test_pole_extraction_reads_negative_exponents_as_the_oracle_does",
+        ),
+    ),
+    Mutant(
+        "pole-parity-ignores-the-sign",
+        "src/twistzeta/traces.py",
+        'parity = "odd" if alpha < 0 else "even"',
+        'parity = "even"',
+        (
+            "tests/test_traces.py::test_rank_two_pole_data_as_computed",
+            "tests/test_traces.py::test_pole_extraction_matches_the_taylor_oracle_on_criterion_03",
+        ),
+    ),
+    Mutant(
+        "evaluate-drops-the-amplitude",
+        "src/twistzeta/traces.py",
+        "/ (1 - scale * branch) ** power",
+        "/ (1 - branch) ** power",
+        (
+            "tests/test_traces.py::test_evaluate_divides_each_part_by_its_own_denominator",
+            "tests/test_traces.py::test_first_generator_square_closed_form_against_oracles",
+            "tests/test_traces.py::test_branch_double_pole_principal_part",
+        ),
+    ),
+    Mutant(
+        "family-check-admits-any-amplitude",
+        "src/twistzeta/traces.py",
+        "denom.power < 1 or denom.amplitude not in (1, -1, 2 * self.d - 1)",
+        "denom.power < 1",
+        ("tests/test_traces.py::test_denom_validation",),
     ),
     Mutant(
         "bracket-ends-swapped",
