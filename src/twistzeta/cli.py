@@ -691,7 +691,9 @@ LATTICE_SITE_BUDGET = 5_000_000
 # Entries of the (2M+1)^2 window whose dense SVD gives pv-order's symbol
 # lane its step norm.  Measured by tools/scale_curve.py, target pv-modes
 # (BENCH_30.json), on one core: M=1024 takes 3.0 s and 136 MB; M=1280 takes
-# 6.4 s and 193 MB.
+# 6.4 s and 193 MB.  The peak is the SVD's, not the window's build: with
+# the window built in column blocks, M=1024 still peaks at 136 MB
+# (BENCH_31.json).
 PV_WINDOW_BUDGET = 4_200_000
 
 # Modes 2M+1 of the summability window, held as a few float arrays.

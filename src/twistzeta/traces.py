@@ -225,10 +225,12 @@ def _canonical_chain(
 
     Letter permutations that respect the inverse pairing preserve
     admissibility, so traces are unchanged; the closed-form species counts
-    assume the anchor is the first generator.
+    assume the anchor is the first generator.  The anchor and every letter
+    of every stage must lie in the model's alphabet.
     """
-    model.check_letter(anchor)
     letters = [x for m in chain for x in m.out_word + m.in_word]
+    for letter in (anchor, *letters):
+        model.check_letter(letter)
     mapping = dict(zip(letters, relabel(letters, anchor)[0]))
 
     def remap(word: Word) -> Word:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from test_circle import build_phase
+from test_circle import build_phase, mult_op
 
 from twistzeta.ckalg import Monomial
 from twistzeta.circle import (
@@ -24,7 +24,6 @@ from twistzeta.circle import (
     dirac_commutator,
     inner_block,
     log_dirac_commutator,
-    mult_op,
     numerical_rank,
     toeplitz_index,
     twisted_dirac_commutator,

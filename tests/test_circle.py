@@ -4,18 +4,21 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistzeta import circle
 from twistzeta.circle import (
     RECURRENCE_LEAD_LIMIT,
     TWIST_TAIL_TOL,
     CrossedElement,
     MoebiusMap,
     TrigPoly,
+    _banded,
     _unitary_cached,
     build_dirac,
     build_dlog,
@@ -25,7 +28,6 @@ from twistzeta.circle import (
     inner_block,
     log_dirac_commutator,
     moebius_unitary,
-    mult_op,
     numerical_rank,
     represent,
     singular_values,
@@ -41,6 +43,11 @@ def build_phase(max_mode: int) -> np.ndarray:
     """Diagonal of the phase of the shifted derivative operator."""
     modes = np.arange(-max_mode, max_mode + 1)
     return np.where(modes >= 0, 1.0, -1.0)
+
+
+def mult_op(symbol: TrigPoly, max_mode: int) -> np.ndarray:
+    """Convolution matrix of a Fourier polynomial on the whole mode window."""
+    return _banded(symbol, 2 * max_mode + 1, 2 * max_mode + 1)
 
 
 def trig_value(poly: TrigPoly, point: complex) -> complex:
@@ -454,6 +461,12 @@ def test_represent_sums_a_complex_shift_onto_a_real_term():
     assert np.max(np.abs(matrix - expected)) <= 1e-15
 
 
+def test_represent_refuses_a_window_without_mode_zero():
+    assert np.array_equal(represent(CrossedElement.generator(0), STRETCH, 0), np.eye(1))
+    with pytest.raises(ValueError, match="mode zero"):
+        represent(CrossedElement.generator(0), STRETCH, -1)
+
+
 def test_recurrence_refuses_a_lead_past_the_buffer_limit():
     """Stretch 8 needs about 53,000 modes below the window; the refusal
     comes before anything is allocated."""
@@ -522,6 +535,14 @@ def test_represent_matches_the_dense_product(max_mode, stretch, turn, powers, da
         raw[edge] = data.draw(COEFFICIENTS.filter(lambda value: abs(value) > 0.1))
         terms.append((power, TrigPoly.from_dict(raw)))
     element = CrossedElement(tuple(terms))
+    matrix = represent(element, gamma, max_mode)
+    assert np.max(np.abs(matrix - dense_represent(element, gamma, max_mode))) <= 1e-12
+
+
+def dense_represent(element: CrossedElement, gamma: MoebiusMap, max_mode: int) -> np.ndarray:
+    """The sum of mult_op(symbol) @ U(gamma^power) over the terms, by dense
+    products on the whole window: the reference for the column blocks."""
+    size = 2 * max_mode + 1
     expected = np.zeros((size, size), dtype=complex)
     for power, symbol in element.terms:
         shifted = (
@@ -530,8 +551,90 @@ def test_represent_matches_the_dense_product(max_mode, stretch, turn, powers, da
             else moebius_unitary(gamma.power(power), max_mode).matrix
         )
         expected += mult_op(symbol, max_mode) @ shifted
-    matrix = represent(element, gamma, max_mode)
-    assert np.max(np.abs(matrix - expected)) <= 1e-12
+    return expected
+
+
+SYMBOLS = st.dictionaries(
+    st.integers(-4, 4),
+    st.one_of(
+        st.floats(-1.0, 1.0, allow_nan=False).filter(lambda value: value != 0),
+        COEFFICIENTS.filter(lambda value: abs(value) > 0.01),
+    ),
+    min_size=1,
+    max_size=4,
+).map(TrigPoly.from_dict)
+
+
+@st.composite
+def windows_and_widths(draw) -> tuple[int, int]:
+    """A window M and a block width that 2M+1 is smaller than, equal to,
+    a multiple of, or neither."""
+    max_mode = draw(st.integers(1, 40))
+    size = 2 * max_mode + 1
+    relation = draw(st.sampled_from(("smaller", "equal", "multiple", "ragged")))
+    if relation == "smaller":
+        return max_mode, draw(st.integers(size + 1, size + 70))
+    if relation == "equal":
+        return max_mode, size
+    if relation == "multiple":
+        return max_mode, draw(st.sampled_from([w for w in range(1, size) if size % w == 0]))
+    return max_mode, draw(st.sampled_from([w for w in range(2, size) if size % w]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window=windows_and_widths(),
+    stretch=st.floats(0.1, 0.8),
+    turn=st.one_of(st.just(0.0), st.floats(0.1, 2.0 * math.pi - 0.1)),
+    powers=st.lists(st.integers(-2, 2), min_size=1, max_size=3, unique=True),
+    data=st.data(),
+)
+def test_commutators_match_the_dense_products(window, stretch, turn, powers, data):
+    """Built block by block, each commutator is D P - W D of the dense
+    windows, W the twist of P or P itself, to 1e-12 relative; it is float64
+    exactly when every symbol is real and the map is real or every power 0,
+    the rule of test_real_maps_give_real_weights_and_commutators."""
+    max_mode, width = window
+    gamma = rotated(stretch, turn)
+    element = CrossedElement(tuple((power, data.draw(SYMBOLS)) for power in sorted(powers)))
+    real = all(symbol.is_real for _, symbol in element.terms) and (
+        gamma.is_real or powers == [0]
+    )
+    weighted = conformal_twist(element, gamma)
+    cases = (
+        (dirac_commutator, build_dirac(max_mode), element),
+        (twisted_dirac_commutator, build_dirac(max_mode), weighted),
+        (log_dirac_commutator, build_dlog(max_mode), element),
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circle, "BLOCK_COLUMNS", width)
+        for commutator, diagonal, twin in cases:
+            dirac = np.diag(diagonal)
+            expected = dirac @ dense_represent(element, gamma, max_mode) - (
+                dense_represent(twin, gamma, max_mode) @ dirac
+            )
+            matrix = commutator(element, gamma, max_mode)
+            assert matrix.dtype == (np.float64 if real else np.complex128)
+            scale = max(float(np.max(np.abs(expected))), 1.0)
+            assert np.max(np.abs(matrix - expected)) <= 1e-12 * scale
+
+
+def test_commutators_allocate_at_most_one_and_a_half_windows():
+    """With the unitary cached, each commutator of the generator at M=512
+    allocates its window and slabs of BLOCK_COLUMNS columns: 1.14, 1.28
+    and 1.14 windows of (2M+1)^2 float64.  One block as wide as the
+    window allocates 3.0, 4.1 and 3.0."""
+    max_mode = 512
+    window = (2 * max_mode + 1) ** 2 * np.dtype(np.float64).itemsize
+    moebius_unitary(STRETCH, max_mode)
+    for commutator in (dirac_commutator, twisted_dirac_commutator, log_dirac_commutator):
+        tracemalloc.start()
+        try:
+            commutator(CrossedElement.generator(), STRETCH, max_mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * window, (commutator.__name__, peak / window)
 
 
 def test_moebius_group_law_on_padded_rectangles():

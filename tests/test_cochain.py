@@ -19,7 +19,7 @@ from test_ckalg import (
     generator,
     multiply,
 )
-from test_circle import build_phase
+from test_circle import build_phase, mult_op
 from test_words import (
     T,
     BoundaryPoint,
@@ -38,7 +38,7 @@ from test_words import (
 
 from twistzeta import cochain
 from twistzeta.ckalg import Monomial
-from twistzeta.circle import TrigPoly, build_dirac, mult_op
+from twistzeta.circle import TrigPoly, build_dirac
 from twistzeta.cochain import (
     CounterexampleReport,
     _assemble,

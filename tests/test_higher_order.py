@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_circle import trig_value
+from test_circle import mult_op, trig_value
 
 from twistzeta.circle import (
     MoebiusMap,
     TrigPoly,
     build_dlog,
     moebius_unitary,
-    mult_op,
     singular_values,
 )
 from twistzeta.damp import sgnlog_transform

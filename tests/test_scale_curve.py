@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from twistzeta import cli
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "scale_curve.py"
@@ -56,8 +58,11 @@ def test_one_small_point_of_every_target_ends_in_its_outcome():
 
 
 def test_one_small_point_of_every_budget_target_ends_in_its_outcome():
-    """The targets outside the default run, at one small point each."""
-    argv = ["--targets", "pv-modes,pv-sites,summability", "--modes", "32", "--lengths", "64"]
+    """The targets outside the default run, at one small point each; the
+    commutator norms at M=32 are those of criterion 06, the twisted one at
+    its plateau."""
+    targets = "pv-modes,pv-sites,summability,commutator"
+    argv = ["--targets", targets, "--modes", "32", "--lengths", "64"]
     done = subprocess.run(
         [sys.executable, str(SCRIPT), *argv, "--repeats", "1"],
         capture_output=True,
@@ -66,11 +71,15 @@ def test_one_small_point_of_every_budget_target_ends_in_its_outcome():
     )
     assert done.returncode == 0, done.stderr
     rows = json.loads(done.stdout.strip().splitlines()[-1])["points"]
-    assert [(row["target"], _all_passed(row["outcome"])) for row in rows] == [
+    *budgets, commutator = rows
+    assert [(row["target"], _all_passed(row["outcome"])) for row in budgets] == [
         ("pv-modes", True),
         ("pv-sites", True),
         ("summability", True),
     ]
+    assert commutator["target"] == "commutator" and commutator["M"] == 32
+    plain, twisted, logged = commutator["outcome"]
+    assert [plain, twisted, logged] == pytest.approx([7.62548, 1.42119, 0.95803], abs=1e-4)
     assert rows[1]["sites"] == 65 and rows[2]["modes"] == 65
     assert {row["blas_threads"] for row in rows} == {1}
 

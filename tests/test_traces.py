@@ -618,6 +618,25 @@ def test_oracle_input_validation():
         closed_form_heat_trace(FIRST_SQUARE, RANK_TWO.size, RANK_TWO)
 
 
+@pytest.mark.parametrize(
+    "chain",
+    [
+        [Monomial((9,), (9,))],
+        [Monomial((0,), (RANK_TWO.size,))],
+        [Monomial((0,), (0,)), Monomial((-1,), ())],
+    ],
+)
+def test_letters_outside_the_alphabet_are_refused_by_every_trace(chain):
+    """Every letter of every stage is checked, not only the anchor: a
+    letter whose pair relabelling would bring into range is refused too."""
+    for closed in (closed_form_heat_trace, closed_form_toeplitz_trace):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            closed(chain, ANCHOR, RANK_TWO)
+    for oracle in (brute_force_heat_trace, brute_force_toeplitz_trace):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            oracle(chain, ANCHOR, RANK_TWO, [2.0] * len(chain), 6)
+
+
 MIXED_CHAINS = [
     [Monomial((2,), (0,)), Monomial((0,), (2,))],
     [Monomial((1,), (1,)), Monomial((3,), (3,))],

@@ -170,6 +170,13 @@ MUTANTS = (
         ("tests/test_traces.py::test_denom_validation",),
     ),
     Mutant(
+        "commutator-window-in-one-block",
+        "src/twistzeta/circle.py",
+        "BLOCK_COLUMNS = 64",
+        "BLOCK_COLUMNS = 10**9",
+        ("tests/test_circle.py::test_commutators_allocate_at_most_one_and_a_half_windows",),
+    ),
+    Mutant(
         "bracket-ends-swapped",
         "src/twistzeta/damp.py",
         "return below, above",

@@ -10,6 +10,7 @@ Usage, from the root of a checkout::
     python3 tools/scale_curve.py --targets pv-modes,summability --modes 512,1024
     python3 tools/scale_curve.py --targets census --repeats 3
     python3 tools/scale_curve.py --targets assembly
+    python3 tools/scale_curve.py --targets commutator --modes 256,512,1024,2048
 
 Each point runs one target in a fresh interpreter, with one BLAS thread as
 in the benchmark, and reads the wall time of the call and the peak RSS of
@@ -48,10 +49,17 @@ of every check's pass, and ``computed`` holds every check's computed value;
 a point the runner refuses has the outcome false and its message under
 ``refused``.
 
-Two targets are library calls:
+Three targets are library calls:
 
 - ``unitary``: ``circle.moebius_unitary(hyperbolic(1.0), M)`` at each M of
   ``--modes``; its truncation bound is the outcome.
+- ``commutator``: the plain, twisted and log commutators of criterion 06,
+  of ``CrossedElement.generator()`` under ``hyperbolic(1.0)``, at each M
+  of ``--modes``, timed together after the unitary is cached.  Each
+  window is dropped once its inner block is copied out, so the peak RSS
+  holds one commutator at a time, as the benchmark does.  The spectral
+  norms of the three inner blocks, computed after timing, are the
+  outcome.
 - ``assembly``: at d=2, for each of the fixed stage counts 1, 2, 3, 5 and
   8 of the chain ``a1``, ``traces.closed_form_heat_trace`` and
   ``closed_form_toeplitz_trace``, and ``poles_and_laurent`` of both
@@ -83,7 +91,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_TARGETS = ("index", "unitary", "counterexample", "circle", "window")
-TARGETS = DEFAULT_TARGETS + ("pv-modes", "pv-sites", "summability", "census", "assembly")
+TARGETS = DEFAULT_TARGETS + (
+    "pv-modes",
+    "pv-sites",
+    "summability",
+    "census",
+    "assembly",
+    "commutator",
+)
 # The index points are a d-curve at two windows: d=39 and d=40 were the
 # last and the first d that the per-letter word traces once refused, and
 # from there only the cochain summands grow, like (log d)^4.
@@ -124,6 +139,7 @@ def _runs(target: str) -> list[tuple[str, str, dict[str, str], tuple[str, ...], 
 
 
 def _child(target: str, sizes: list[int]) -> None:
+    import numpy as np
     from twistzeta import circle, ckalg, cli, traces, words
 
     if target == "assembly":
@@ -161,6 +177,23 @@ def _child(target: str, sizes: list[int]) -> None:
         gamma = circle.MoebiusMap.hyperbolic(1.0)
         result = {"outcome": circle.moebius_unitary(gamma, max_mode).truncation}
         seconds = time.perf_counter() - start
+    elif target == "commutator":
+        (max_mode,) = sizes
+        fields = {"M": max_mode}
+        gamma, element = circle.MoebiusMap.hyperbolic(1.0), circle.CrossedElement.generator()
+        circle.moebius_unitary(gamma, max_mode)
+        kinds = (
+            circle.dirac_commutator,
+            circle.twisted_dirac_commutator,
+            circle.log_dirac_commutator,
+        )
+        start = time.perf_counter()
+        blocks = [
+            circle.inner_block(commutator(element, gamma, max_mode)).copy()
+            for commutator in kinds
+        ]
+        seconds = time.perf_counter() - start
+        result = {"outcome": [float(np.linalg.norm(block, 2)) for block in blocks]}
     else:
         run, *values = sizes
         _, experiment, fixed, sized, _ = _runs(target)[run]
@@ -230,7 +263,7 @@ def main() -> int:
         parser.error(f"unknown targets {', '.join(unknown)}; known: {', '.join(TARGETS)}")
     jobs: list[tuple[str, tuple[int, ...]]] = []
     for target in targets:
-        if target == "unitary":
+        if target in ("unitary", "commutator"):
             jobs += [(target, size) for size in _sizes(args.modes)]
         elif target == "assembly":
             jobs += [(target, (stages,)) for stages in ASSEMBLY_STAGES]
