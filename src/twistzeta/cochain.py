@@ -15,10 +15,10 @@ entry point takes as an int.  A translation sends a vertex to one vertex,
 so the words are evaluated exactly as integer orbits of vertex arrays,
 with sign-flip coefficients and integer exponent bookkeeping.  Circle
 words of monomials z^k shift Fourier modes the same way, and their traces
-come out as exact finite Dirichlet polynomials.  Both routes certify the
-finite support they predict and feed the same assembly of combinatorial
-weights, so the reports show per-word residues, the certificates they
-consumed, and the assembled value.
+come out as exact finite Dirichlet polynomials.  One orbit walker computes
+both word traces and refuses a word whose columns escape the finite
+support its family proves, the check each family's certificate names.  A
+finite sum is entire, so the residues of the assembled cochains are 0.
 """
 
 from __future__ import annotations
@@ -219,6 +219,36 @@ def compressed_translation_index(
 _TRACE_REACH = 1
 
 
+def _orbit_trace(step, sign, sources, word, support, fold) -> dict:
+    """Trace of a zero-index cochain word over the basis vectors ``sources``.
+
+    A vertex is a tuple of arrays, and ``step(letter, *vertex)`` moves it
+    by one letter.  Each source follows one orbit through the factors
+    word[:0:-1]; a factor weighs it by the phase jump sign(moved) -
+    sign(before), 0 or +-2, with ``sign(*vertex)`` +-1.  Every column
+    outside the ``support`` mask must vanish, or the word is refused.  The
+    leading letter word[0] must bring the orbit back to its source, where
+    the coefficient takes the source's sign.  ``fold`` maps the returned
+    orbits, given as the vertices met before each factor, to one key and
+    one factor per column; the trace is {key: sum of factor * coefficient}.
+    """
+    path = [sources]
+    coeff = now = sign(*sources)
+    for letter in word[:0:-1]:
+        path.append(step(letter, *path[-1]))
+        moved = sign(*path[-1])
+        coeff, now = coeff * (moved - now), moved
+    if np.any(coeff[~support]):
+        raise ValueError("a column escaped the certified support bound")
+    returned = [part == source for part, source in zip(step(word[0], *path[-1]), sources)]
+    back = np.logical_and.reduce([support, coeff != 0, *returned])
+    keys, factors = fold([tuple(part[back] for part in vertex) for vertex in path[:-1]])
+    trace: dict = {}
+    for key, factor, value in zip(keys, factors, coeff[back].tolist()):
+        trace[key] = trace.get(key, 0) + factor * value
+    return {key: Fraction(value) for key, value in trace.items() if value}
+
+
 def cochain_word_trace(
     letters: Sequence[int], anchor: int, model: FreeGroup
 ) -> dict[tuple[int, int], Fraction]:
@@ -233,7 +263,7 @@ def cochain_word_trace(
     The word is relabelled by :func:`relabel`, and only the heads over its
     own letters are walked.  A translation keeps offset - length on a
     non-empty head, so a vertex's sign changes only on the empty head, and
-    the factor moved - now is zero unless that sign changes.  A translation
+    a factor's phase jump is zero unless that sign changes.  A translation
     strips only the inverse of a word letter, so a head that holds any
     other letter is never emptied: its coefficient is 0 after the first
     factor, whatever d is.  Each walked vertex follows one orbit: its
@@ -255,28 +285,17 @@ def cochain_word_trace(
         offsets = np.tile(window, heads.size)
         parts.append((np.repeat(heads, window.size), np.full_like(offsets, size), offsets))
     code, length, offset = map(np.concatenate, zip(*parts))
-    modulus = settled_eigenvalue(length, offset)
-    sign = np.where(offset >= length, 1, -1)
-    exponent = (len(word) - 1) * modulus
-    coeff = np.ones_like(modulus)
-    vertex, now = (code, length, offset), sign
-    for letter in reversed(word[1:]):
-        exponent -= settled_eigenvalue(*vertex[1:])
-        vertex = _translate(letter, base, *vertex)
-        moved = np.where(vertex[2] >= vertex[1], 1, -1)
-        coeff *= moved - now
-        now = moved
-    inside = length + np.abs(offset - length) <= _TRACE_REACH
-    if np.any(coeff[~inside]):
-        raise ValueError("a column escaped the certified support bound")
-    landed, _, shifted = _translate(word[0], base, *vertex)
-    back = inside & (coeff != 0) & (landed == code) & (shifted == offset)
-    trace: dict[tuple[int, int], int] = {}
-    for key, value in zip(
-        zip(exponent[back].tolist(), modulus[back].tolist()), (sign * coeff)[back].tolist()
-    ):
-        trace[key] = trace.get(key, 0) + value
-    return {key: Fraction(value) for key, value in trace.items() if value}
+
+    def fold(met):
+        modulus = settled_eigenvalue(*met[0][1:])
+        exponent = len(met) * modulus - sum(settled_eigenvalue(*vertex[1:]) for vertex in met)
+        return zip(exponent.tolist(), modulus.tolist()), [1] * modulus.size
+
+    return _orbit_trace(
+        lambda letter, *vertex: _translate(letter, base, *vertex),
+        lambda code, length, offset: np.where(offset >= length, 1, -1),
+        (code, length, offset), word, length + np.abs(offset - length) <= _TRACE_REACH, fold,
+    )
 
 
 def multiindex_cutoff(dimension: int, arity: int) -> int:
@@ -403,22 +422,6 @@ def free_group_cochain(
     return _assemble(len(letters) - 1, cutoff, FINITE_RANK_CERTIFICATE)
 
 
-def _phase(mode: int) -> int:
-    """Phase of the shifted Dirac operator at a Fourier mode: +1 from zero up."""
-    return 1 if mode >= 0 else -1
-
-
-def _bracket_letter(mode: int, power: int) -> tuple[int, int]:
-    """Target mode and weight of the letter [P, M_{z^power}] |D| on e_mode.
-
-    The shift moves e_mode to e_{mode + power}; the weight is |D| at the
-    source, one at mode zero, times the phase jump sign(target) - sign(mode),
-    which is 0 or +-2.
-    """
-    target = mode + power
-    return target, max(abs(mode), 1) * (_phase(target) - _phase(mode))
-
-
 def circle_word_trace(powers: Sequence[int]) -> dict[int, Fraction]:
     """Trace of the zero-index circle cochain word of monomials z^k, exactly.
 
@@ -426,30 +429,26 @@ def circle_word_trace(powers: Sequence[int]) -> dict[int, Fraction]:
     ``powers`` (k0, ..., ka), and its trace against |D|^-2z is the Dirichlet
     polynomial sum_b c_b b^-2z, returned as {b: c_b} over the moduli b = |D_n|.
     Each letter shifts a mode by its power, so each source mode follows one
-    orbit: its weight is a product of bracket weights, the leading letter
-    multiplies by the phase of the target, and a diagonal entry is divided
-    by |D_n|^a.  A bracket vanishes unless its shift crosses the phase jump
-    between -1 and 0, so columns vanish beyond |n| <= span = sum |k|; the
-    window extends two modes past that bound and verifies the predicted
-    vanishing before certifying.
+    orbit: a bracket weighs it by |D| at its source, one at mode zero, times
+    the phase jump, the leading letter multiplies by the phase of the
+    target, and a diagonal entry is divided by |D_n|^a.  A bracket vanishes
+    unless its shift crosses the phase jump between -1 and 0, so columns
+    vanish beyond |n| <= span = sum |k|; the window extends two modes past
+    that bound and verifies the predicted vanishing before certifying.
     """
     if len(powers) < 2:
         raise ValueError("the word needs a leading symbol and at least one factor")
     span = sum(abs(power) for power in powers)
-    arity = len(powers) - 1
-    trace: dict[int, Fraction] = {}
-    for source in range(-span - 2, span + 3):
-        mode, weight = source, 1
-        for power in reversed(powers[1:]):
-            mode, factor = _bracket_letter(mode, power)
-            weight *= factor
-        if weight and abs(source) > span:
-            raise ValueError("a column escaped the certified support bound")
-        mode += powers[0]
-        if weight and mode == source:
-            base = max(abs(source), 1)
-            trace[base] = trace.get(base, 0) + Fraction(_phase(mode) * weight, base**arity)
-    return {base: value for base, value in trace.items() if value}
+    modes = np.arange(-span - 2, span + 3)
+
+    def fold(met):
+        moduli = [np.maximum(np.abs(mode), 1).tolist() for mode, in met]
+        return moduli[0], [Fraction(math.prod(row), row[0] ** len(row)) for row in zip(*moduli)]
+
+    return _orbit_trace(
+        lambda power, mode: (mode + power,), lambda mode: np.where(mode >= 0, 1, -1),
+        (modes,), powers, np.abs(modes) <= span, fold,
+    )
 
 
 def circle_cochain(symbols: Sequence[TrigPoly], *, cutoff: int) -> CochainReport:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -498,15 +499,31 @@ def test_circle_word_trace_matches_the_stabilized_window_diagonal(power, arity):
         assert abs(complex(exact.get(base, 0)) - oracle.get(base, 0.0)) <= 1e-12
 
 
+def test_circle_word_trace_matches_the_window_diagonal_on_every_small_tuple():
+    """Every tuple (k0, ..., ka) with |k_i| <= 2 at arities 1 and 3, 650 in
+    all, against the dense window diagonal."""
+    coordinates = {power: TrigPoly.coordinate(power) for power in range(-2, 3)}
+    for arity in (1, 3):
+        for powers in itertools.product(coordinates, repeat=arity + 1):
+            exact = circle_word_trace(powers)
+            oracle = stabilized_diagonal(tuple(coordinates[power] for power in powers))
+            for base in set(exact) | set(oracle):
+                drift = abs(complex(exact.get(base, 0)) - oracle.get(base, 0.0))
+                assert drift <= 1e-12, (powers, base)
+
+
 def test_circle_support_check_refuses_a_factor_without_its_bracket(monkeypatch):
-    """Plain M_z in place of [P, M_z] |D| weighs every mode of the arity-1
-    word, and the support check refuses it.  At arity 3 the remaining
-    brackets would still bound the support."""
+    """D in place of its phase P as the sign the circle hands the orbit
+    walker: the factor [D, M_z] |D| = M_z |D| weighs every mode of the
+    arity-1 word, not only the one crossing the phase jump, and the support
+    check refuses it.  At arity 3 the remaining brackets would still bound
+    the support."""
+    walk = cochain._orbit_trace
 
-    def plain(mode: int, power: int) -> tuple[int, int]:
-        return mode + power, 1
+    def unbracketed(step, sign, sources, word, support, fold):
+        return walk(step, lambda mode: mode, sources, word, support, fold)
 
-    monkeypatch.setattr("twistzeta.cochain._bracket_letter", plain)
+    monkeypatch.setattr(cochain, "_orbit_trace", unbracketed)
     coordinate = TrigPoly.coordinate()
     with pytest.raises(ValueError, match="certified support bound"):
         circle_cochain((coordinate.conjugate(), coordinate), cutoff=0)
@@ -625,6 +642,24 @@ def test_word_trace_matches_the_per_letter_walk():
                 assert cochain_word_trace(letters, anchor, model) == per_letter_word_trace(
                     letters, anchor, model
                 ), (generators, anchor, letters)
+
+
+def test_word_trace_matches_the_per_letter_walk_on_every_short_word():
+    """Every word of two to four letters over letters 0..3, 3360 cases with
+    every anchor of d=2 and 3: the same trace as the walk over every
+    letter, non-reduced words included.  The walk first sends the anchor
+    to 0, so it runs once per word it sees after that relabelling."""
+    for generators in (2, 3):
+        model = FreeGroup(generators)
+        walked: dict[tuple[int, ...], dict[tuple[int, int], Fraction]] = {}
+        for anchor in range(model.size):
+            for size in (2, 3, 4):
+                for letters in itertools.product(range(4), repeat=size):
+                    word = tuple(to_anchor_zero(letter, anchor) for letter in letters)
+                    if word not in walked:
+                        walked[word] = per_letter_word_trace(word, 0, model)
+                    trace = cochain_word_trace(letters, anchor, model)
+                    assert trace == walked[word], (generators, anchor, letters)
 
 
 def test_word_traces_translate_as_many_vertices_at_every_rank(monkeypatch):

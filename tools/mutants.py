@@ -103,9 +103,32 @@ MUTANTS = (
     Mutant(
         "word-trace-without-sign-flip",
         "src/twistzeta/cochain.py",
-        "        coeff *= moved - now\n",
-        "",
-        ("tests/test_cochain.py::test_cochain_word_trace_is_the_rank_one_projection_value",),
+        "coeff, now = coeff * (moved - now), moved",
+        "coeff, now = coeff, moved",
+        (
+            "tests/test_cochain.py::test_cochain_word_trace_is_the_rank_one_projection_value",
+            "tests/test_cochain.py::test_circle_word_trace_matches_the_stated_values",
+        ),
+    ),
+    Mutant(
+        "circle-bracket-as-plain-shift",
+        "src/twistzeta/cochain.py",
+        "lambda mode: np.where(mode >= 0, 1, -1)",
+        "lambda mode: mode",
+        (
+            "tests/test_cochain.py::test_circle_word_trace_matches_the_stated_values",
+            "tests/test_cochain.py::test_circle_cochain_vanishes_on_the_coordinate_pair",
+        ),
+    ),
+    Mutant(
+        "orbit-walk-without-support-refusal",
+        "src/twistzeta/cochain.py",
+        "if np.any(coeff[~support]):",
+        "if False:",
+        (
+            "tests/test_cochain.py::test_word_trace_support_check_refuses_a_narrower_bound",
+            "tests/test_cochain.py::test_circle_support_check_refuses_a_factor_without_its_bracket",
+        ),
     ),
     Mutant(
         "settled-eigenvalue-without-reflection",
